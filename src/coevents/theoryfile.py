@@ -59,7 +59,10 @@ def parse_rational(value: Any, where: str) -> Fraction:
             raise ValidationError(
                 f"{where}: {value!r} is not an exact rational (use an integer or \"p/q\")"
             )
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValidationError(f"{where}: {value!r} has a zero denominator")
     if isinstance(value, float):
         raise ValidationError(
             f"{where}: floating-point literal {value!r} rejected; values must be exact"
@@ -195,7 +198,10 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
 
 def load(path: str | Path) -> HistoriesTheory:
     """Parse and validate a theory file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -54,6 +54,22 @@ def test_invalid_file_is_a_load_error(tmp_path, capsys):
     assert rc == 2 and "distinct" in err
 
 
+def test_zero_denominator_is_a_load_error(tmp_path, capsys):
+    bad = tmp_path / "zero.json"
+    bad.write_text('{"sample_space": ["a"], "measure": {"atom_weights": {"a": "1/0"}}}')
+    rc, out, err = invoke(capsys, ["validate", str(bad)])
+    assert rc == 2 and out == ""
+    assert "atom_weights['a']" in err and "zero denominator" in err
+
+
+def test_non_utf8_file_is_a_load_error(tmp_path, capsys):
+    bad = tmp_path / "bom.json"
+    bad.write_bytes(b"\xff\xfe{")
+    rc, out, err = invoke(capsys, ["validate", str(bad)])
+    assert rc == 2 and out == ""
+    assert str(bad) in err and "UTF-8" in err
+
+
 def test_brute_force_cap_exit_code(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(

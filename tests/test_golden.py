@@ -1,0 +1,33 @@
+"""CLI output on the demo theories, byte for byte against committed goldens.
+
+The files under ``tests/golden/`` are ``coevents <verb> <theory> --format
+<fmt>`` outputs; ``.json`` holds the machine format and ``.txt`` the text
+format.  ``report`` is kept only for the two small theories: on
+``four_slit_decoherence`` it is megabytes long and takes seconds.  A change
+that means to alter the output regenerates a golden with, for example,
+
+    PYTHONPATH=src python -m coevents validate demos/theories/three_slit.json \\
+        --format machine > tests/golden/validate_three_slit.json
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from coevents.cli import run
+
+ROOT = Path(__file__).resolve().parent
+THEORIES = ROOT.parent / "demos" / "theories"
+GOLDENS = sorted((ROOT / "golden").iterdir())
+FORMATS = {".json": "machine", ".txt": "text"}
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda p: p.name)
+def test_cli_output_matches_golden(capsys, golden):
+    verb, theory = golden.stem.split("_", 1)
+    rc = run([verb, str(THEORIES / f"{theory}.json"), "--format", FORMATS[golden.suffix]])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.encode("utf-8") == golden.read_bytes()

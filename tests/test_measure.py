@@ -4,15 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from coevents import measure as measure_mod
 from coevents import (
     CoarseGraining,
     DecoherenceSpec,
+    EventAlgebra,
     GaussianRational,
     InvalidPartition,
     Measure,
     NonRealDiagonal,
     SampleSpace,
+    ValidationReport,
+    Violation,
     coarse_grain,
     is_decoherent,
     measure_from_decoherence,
@@ -153,6 +158,110 @@ def test_measure_from_table():
 
 
 # ---------------------------------------------------------------------------
+# Closed-form verdicts against brute-force enumeration
+
+
+def brute_force_classical(m: Measure) -> ValidationReport:
+    """Oracle: additivity on every unordered disjoint pair, a <= b."""
+    alg, v = m.algebra, m.values
+    violations = []
+    for a in range(alg.size):
+        for b in range(a, alg.size):
+            if a & b == 0 and v[a | b] != v[a] + v[b]:
+                violations.append(Violation(
+                    "additivity", (alg.event(a), alg.event(b)), v[a | b], v[a] + v[b]
+                ))
+    return ValidationReport("classical", tuple(violations))
+
+
+def brute_force_quantum(m: Measure) -> ValidationReport:
+    """Oracle: sign and normalization, then every disjoint triple a <= b <= c."""
+    alg, v = m.algebra, m.values
+    violations = [
+        Violation("nonnegativity", (alg.event(k),), v[k], Fraction(0))
+        for k in range(alg.size)
+        if v[k] < 0
+    ]
+    if v[alg.space.full_mask] != 1:
+        violations.append(
+            Violation("normalization", (alg.full,), v[alg.space.full_mask], Fraction(1))
+        )
+    for a in range(alg.size):
+        for b in range(a, alg.size):
+            for c in range(b, alg.size):
+                if a & b or c & (a | b):
+                    continue
+                expected = v[a | b] + v[b | c] + v[a | c] - v[a] - v[b] - v[c]
+                if v[a | b | c] != expected:
+                    violations.append(Violation(
+                        "level2",
+                        (alg.event(a), alg.event(b), alg.event(c)),
+                        v[a | b | c],
+                        expected,
+                    ))
+    return ValidationReport("quantum", tuple(violations))
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+PERTURBED_EVENTS = ("empty", "singleton", "pair", "larger", "full")
+
+
+def draw_measure(data, kind: str) -> Measure:
+    n = data.draw(st.integers(1, 5), label="n")
+    space = SampleSpace(tuple("abcde"[:n]))
+    if kind == "additive":
+        weights = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+        return Measure.from_atom_weights(space, dict(zip(space.labels, weights)))
+    if kind == "amplitude":
+        amps = data.draw(st.lists(gaussians, min_size=n, max_size=n))
+        return Measure.from_amplitudes(space, amps)
+    a = data.draw(st.lists(gaussians, min_size=n, max_size=n))
+    b = data.draw(st.lists(gaussians, min_size=n, max_size=n))
+    rows = [[a[i] * a[j].conjugate() + b[i] * b[j].conjugate() for j in range(n)]
+            for i in range(n)]
+    total = sum((x.re for row in rows for x in row), Fraction(0))
+    assume(total != 0)
+    scale = GaussianRational.real(1 / total)
+    spec = DecoherenceSpec.from_rows(space, [[x * scale for x in row] for row in rows])
+    return measure_from_decoherence(spec)
+
+
+def perturb(data, m: Measure, where: str) -> Measure:
+    n = m.algebra.space.n
+    sizes = {"empty": [0], "singleton": [1], "pair": [2],
+             "larger": list(range(3, n)), "full": [n]}[where]
+    masks = [k for k in range(m.algebra.size) if bin(k).count("1") in sizes]
+    if not masks:
+        return m
+    mask = data.draw(st.sampled_from(masks), label="perturbed mask")
+    delta = data.draw(small_fractions.filter(bool), label="delta")
+    values = dict(m.values)
+    values[mask] += delta
+    return Measure(m.algebra, values)
+
+
+@pytest.mark.parametrize("kind", ["additive", "amplitude", "decoherence"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_validators_match_brute_force(kind, data):
+    m = draw_measure(data, kind)
+    if kind == "decoherence":
+        assert m.quantum_report == brute_force_quantum(m)
+    where = data.draw(st.sampled_from((None,) + PERTURBED_EVENTS), label="perturbed")
+    if where is not None:
+        m = perturb(data, m, where)
+    classical, quantum = brute_force_classical(m), brute_force_quantum(m)
+    assert validate_classical(m) == classical
+    assert validate_quantum(m) == quantum
+    # A wrong "fails" verdict would only cost an enumeration, so check it too.
+    size = m.algebra.size
+    assert measure_mod._is_additive(m.values, size) == classical.ok
+    level2_ok = all(v.rule != "level2" for v in quantum.violations)
+    assert measure_mod._is_grade2(m.values, size) == level2_ok
+
+
+# ---------------------------------------------------------------------------
 # Decoherence matrices
 
 
@@ -237,6 +346,51 @@ def test_random_rank_one_matrices_pass_quantum():
                 break
         m = measure_from_decoherence(DecoherenceSpec.from_amplitudes(space, amps))
         assert m.quantum_report is not None and m.quantum_report.ok
+
+
+def brute_force_pair_sums(d: DecoherenceSpec) -> dict[int, GaussianRational]:
+    """Oracle: the matrix summed over every pair of histories of each event."""
+    n = d.space.n
+    sums = {}
+    for mask in range(1 << n):
+        total = GaussianRational()
+        for k in range(n):
+            for l in range(n):
+                if mask >> k & 1 and mask >> l & 1:
+                    total = total + d.entries[k][l]
+        sums[mask] = total
+    return sums
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_decoherence_sums_match_brute_force(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    space = SampleSpace(tuple("abcde"[:n]))
+    rows = data.draw(st.lists(
+        st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    if data.draw(st.booleans(), label="hermitian off the diagonal"):
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[j][i] = rows[i][j].conjugate()
+    if data.draw(st.booleans(), label="real diagonal"):
+        for i in range(n):
+            rows[i][i] = GaussianRational.real(rows[i][i].re)
+    spec = DecoherenceSpec.from_rows(space, rows, check=False)
+    sums = brute_force_pair_sums(spec)
+    non_real = [mask for mask, total in sums.items() if not total.is_real]
+    if non_real:
+        with pytest.raises(NonRealDiagonal) as caught:
+            measure_from_decoherence(spec)
+        first = non_real[0]
+        assert str(caught.value) == (
+            f"measure of {EventAlgebra(space).event(first)} is {sums[first]}; "
+            "matrix is corrupted"
+        )
+    else:
+        m = measure_from_decoherence(spec)
+        assert dict(m.values) == {mask: total.re for mask, total in sums.items()}
 
 
 # ---------------------------------------------------------------------------
