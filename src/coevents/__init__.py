@@ -5,7 +5,9 @@ Boolean event algebra (:mod:`.eventalg`), exact classical/quantum
 measures (:mod:`.measure`), coevents and the multiplicative scheme
 (:mod:`.coevent`), the valuation-event order structure and completions
 (:mod:`.beables`), varying sets with their subobject classifier
-(:mod:`.topos`), and a file-driven CLI (:mod:`.cli`).
+(:mod:`.topos`), the finite-poset core both of these read their up-sets
+and Heyting implication from (:mod:`.poset`), and a file-driven CLI
+(:mod:`.cli`).
 """
 
 from .beables import (

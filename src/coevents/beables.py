@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coevent import Coevent, CoeventSpace, is_multiplicative, principal_event
+from .coevent import Coevent, CoeventSpace
 from .errors import (
     CapExceeded,
     ConsistencyError,
@@ -22,6 +22,7 @@ from .errors import (
     NotUpperMode,
 )
 from .eventalg import Event
+from .poset import poset_of_coevents
 
 #: The completions live inside 2**|V|, so closure is capped.
 COMPLETION_CAP = 20
@@ -114,33 +115,6 @@ def truth_evaluate(f: TruthFunction, alpha: ValuationEvent) -> int:
     if alpha.space != f.space:
         raise MismatchedSpace("valuation event over a different coevent space")
     return 1 if f.pivot in alpha else 0
-
-
-# ---------------------------------------------------------------------------
-# The dual order on an all-multiplicative coevent space
-
-
-def dual_up_masks(space: CoeventSpace) -> tuple[int, ...]:
-    """For each member, the bitmask of members above it in the dual order.
-
-    The dual order inverts inclusion of principal events; it exists
-    only when every member is a nonzero multiplicative coevent.
-    """
-    principals = []
-    for phi in space.members:
-        if phi.is_zero or not is_multiplicative(phi, include_empty_dual=True):
-            raise ValueError(
-                "dual order requires every member to be a nonzero multiplicative coevent"
-            )
-        principals.append(principal_event(phi).mask)
-    out = []
-    for p in principals:
-        bits = 0
-        for j, q in enumerate(principals):
-            if q & p == q:  # q subset of p: the dual is above
-                bits |= 1 << j
-        out.append(bits)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +290,7 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
                 if pick >> k & 1:
                     bits |= a
             current.add(bits)
-    completion = Completion(mode, space, tuple(sorted(current)))
-    if mode == "upper":
-        _verify_upper_members(completion)
-    return completion
-
-
-def _all_multiplicative(space: CoeventSpace) -> bool:
-    return all(
-        not phi.is_zero and is_multiplicative(phi, include_empty_dual=True)
-        for phi in space.members
-    )
-
-
-def _verify_upper_members(completion: Completion) -> None:
-    """Over a dual-ordered space, every closure member must be an upper set."""
-    if not _all_multiplicative(completion.space):
-        return
-    ups = dual_up_masks(completion.space)
-    for bits in completion.member_bits:
-        for i in range(len(completion.space)):
-            if bits >> i & 1 and ups[i] & bits != ups[i]:
-                raise ConsistencyError(
-                    "upper completion produced a member that is not an upper set"
-                )
+    return Completion(mode, space, tuple(sorted(current)))
 
 
 def heyting_implication(
@@ -347,10 +298,12 @@ def heyting_implication(
 ) -> ValuationEvent:
     """The largest member gamma of the completion with gamma & alpha <= beta.
 
-    Computed pointwise via the dual order (a member belongs iff every
-    member above it that lies in alpha also lies in beta) and
-    cross-checked against a direct scan of the completion's members;
-    disagreement raises :class:`ConsistencyError`.
+    Needs a space of nonzero multiplicative coevents (a ValueError names
+    the requirement otherwise).  Over such a space the upper completion
+    is the up-sets of the dual order, so the answer is that locale's
+    implication, computed pointwise: a member of V belongs iff every
+    member above it that lies in alpha also lies in beta.  The tests
+    compare it with a scan of the completion's members.
     """
     if completion.mode != "upper":
         raise NotUpperMode("Heyting implication needs the union/intersection completion")
@@ -360,21 +313,8 @@ def heyting_implication(
     if alpha not in completion or beta not in completion:
         raise ValueError("operands must be members of the completion")
 
-    ups = dual_up_masks(completion.space)
-    bits = 0
-    for i in range(len(completion.space)):
-        if ups[i] & alpha.bits & ~beta.bits == 0:
-            bits |= 1 << i
-
-    best = 0
-    for g in completion.member_bits:
-        if g & alpha.bits & ~beta.bits == 0:
-            best |= g
-    if best != bits or bits not in set(completion.member_bits):
-        raise ConsistencyError(
-            "pointwise Heyting implication disagrees with the member scan"
-        )
-    return ValuationEvent(completion.space, bits)
+    poset = poset_of_coevents(completion.space)
+    return ValuationEvent(completion.space, poset.implication(alpha.bits, beta.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +355,7 @@ def and_or_audit(
     """Evaluate both routes for AND and OR at one coevent and event pair."""
     if phi not in space:
         raise MismatchedSpace("coevent is not a member of the space")
-    if not is_multiplicative(phi, include_empty_dual=True) or phi.is_zero:
+    if phi.principal_mask is None:
         raise NotMultiplicative("audit is defined for nonzero multiplicative coevents")
     f = TruthFunction(space, phi)
     ta, tb = tau(a, space), tau(b, space)

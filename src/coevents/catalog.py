@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .eventalg import EventAlgebra, SampleSpace
+from .eventalg import SampleSpace
 from .measure import GaussianRational, Measure
 
 
@@ -98,7 +98,3 @@ def corpus() -> dict[str, Measure]:
         "four_slit": four_slit(),
         "complex_phases": complex_phases(),
     }
-
-
-def algebra_of(m: Measure) -> EventAlgebra:
-    return m.algebra

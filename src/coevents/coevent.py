@@ -4,12 +4,16 @@ A coevent is stored by its support, the set of events it maps to 1.
 Classical coevents are exactly the Boolean homomorphisms (evaluation
 at a single history); multiplicative coevents preserve meets and are
 dual to events via the principal element of their filter support.
+A dual is recognised by that principal mask: a nonzero coevent is
+multiplicative iff its support is the filter of supersets of one event,
+and classical iff that event is a single history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     CapExceeded,
@@ -22,7 +26,8 @@ from .eventalg import (
     Event,
     EventAlgebra,
     EventFamily,
-    is_filter,
+    filter_principal,
+    iter_submasks,
     iter_supermasks,
 )
 from .measure import Measure, null_sets
@@ -59,6 +64,15 @@ class Coevent:
     def is_zero(self) -> bool:
         return not self.support
 
+    @cached_property
+    def principal_mask(self) -> Optional[int]:
+        """The mask p whose supersets are exactly the support, else None.
+
+        Not None iff the support is a filter, i.e. iff the coevent is the
+        dual p* (the constant-one map when p = 0).
+        """
+        return filter_principal(self.support, self.algebra.space.n)
+
     def support_family(self) -> EventFamily:
         return EventFamily.from_masks(self.algebra.space, self.support)
 
@@ -68,9 +82,9 @@ class Coevent:
         return 1 if event.mask in self.support else 0
 
     def __str__(self) -> str:
-        ok, principal = is_filter(self.support_family())
-        if ok:
-            return f"{principal}*"
+        p = self.principal_mask
+        if p is not None:
+            return f"{Event(self.algebra.space, p)}*"
         return str(self.support_family())
 
 
@@ -161,11 +175,9 @@ def dual_of_coevent(phi: Coevent, include_empty_dual: bool = False) -> Event:
     """The principal event of a multiplicative coevent's support filter."""
     if phi.is_zero:
         raise ZeroCoevent("the zero coevent has no dual event")
-    if not is_multiplicative(phi, include_empty_dual=True):
+    principal = phi.principal_mask
+    if principal is None:
         raise NotMultiplicative("only multiplicative coevents have a dual event")
-    principal = phi.algebra.space.full_mask
-    for m in phi.support:
-        principal &= m
     if principal == 0 and not include_empty_dual:
         raise NotMultiplicative(
             "constant-one coevent is excluded under the default convention; "
@@ -181,46 +193,32 @@ def dual_of_coevent(phi: Coevent, include_empty_dual: bool = False) -> Event:
 def is_classical(phi: Coevent) -> bool:
     """True iff phi is a Boolean-lattice homomorphism into Z2.
 
-    Checked directly: preservation of meets and joins over all pairs
-    and of complements over all events.  That this holds exactly for
-    the single-history evaluation maps is a testable theorem, not an
-    assumption of this predicate.
+    That is, phi preserves complements and every meet and join.
+    Preserving meets makes a nonzero support a filter, the supersets of
+    a principal event P; preserving complements and joins as well
+    forces P to be a single history.  So phi is classical iff its
+    principal mask has one bit, an O(|support|) test.  The pairwise
+    definition is the oracle in the tests.
     """
-    alg = phi.algebra
-    full = alg.space.full_mask
-    in_support = phi.support.__contains__
-    for a in range(alg.size):
-        va = 1 if in_support(a) else 0
-        if (1 if in_support(a ^ full) else 0) != 1 - va:
-            return False
-        for b in range(a, alg.size):
-            vb = 1 if in_support(b) else 0
-            if (1 if in_support(a & b) else 0) != (va & vb):
-                return False
-            if (1 if in_support(a | b) else 0) != (va | vb):
-                return False
-    return True
+    p = phi.principal_mask
+    return p is not None and p.bit_count() == 1
 
 
 def is_multiplicative(phi: Coevent, include_empty_dual: bool = False) -> bool:
     """True iff phi(A & B) = phi(A) * phi(B) for all pairs.
 
-    The constant-one map satisfies the pointwise identity but asserts
-    the impossible event; under the default convention it is rejected,
-    matching the default exclusion of the empty event's dual.  Pass
-    ``include_empty_dual=True`` for the literal pointwise reading.
+    The zero map satisfies it; a nonzero phi does iff its support is a
+    filter (upward closed and closed under meets), which its principal
+    mask decides in O(|support|).  The constant-one map satisfies the
+    pointwise identity but asserts the impossible event; under the
+    default convention it is rejected, matching the default exclusion
+    of the empty event's dual.  Pass ``include_empty_dual=True`` for the
+    literal pointwise reading.
     """
-    alg = phi.algebra
-    in_support = phi.support.__contains__
-    for a in range(alg.size):
-        va = 1 if in_support(a) else 0
-        for b in range(a, alg.size):
-            vb = 1 if in_support(b) else 0
-            if (1 if in_support(a & b) else 0) != va * vb:
-                return False
-    if not include_empty_dual and 0 in phi.support:
-        return False
-    return True
+    if phi.is_zero:
+        return True
+    p = phi.principal_mask
+    return p is not None and (include_empty_dual or p != 0)
 
 
 def is_preclusive(phi: Coevent, m: Measure) -> bool:
@@ -330,7 +328,8 @@ def multiplicative_scheme(m: Measure) -> CoeventSpace:
     for mask in sorted(candidates):
         if any(
             sub in candidates
-            for sub in _proper_nonempty_submasks(mask)
+            for sub in iter_submasks(mask)
+            if sub and sub != mask
         ):
             continue
         primitives.append(mask)
@@ -339,18 +338,6 @@ def multiplicative_scheme(m: Measure) -> CoeventSpace:
         for mask in primitives
     )
     return CoeventSpace.build(m.algebra, duals, provenance="scheme")
-
-
-def _proper_nonempty_submasks(mask: int) -> Iterator[int]:
-    s = (mask - 1) & mask
-    while s:
-        yield s
-        s = (s - 1) & mask
-
-
-def coevent_render(phi: Coevent) -> str:
-    """Canonical textual rendering (principal-event star form if it exists)."""
-    return str(phi)
 
 
 def principal_event(phi: Coevent) -> Event:

@@ -61,10 +61,11 @@ class NotASubobject(CoeventsError):
 
 
 class ConsistencyError(CoeventsError):
-    """Two independent computations of the same value disagreed.
+    """A result broke a law that holds for every valid input.
 
-    Raised by the dual-route cross checks (Heyting implication,
-    characteristic maps).  Seeing this means a bug, not bad input.
+    Raised when an audited multiplicative coevent fails the AND identity
+    and when a dual space's support selection is not monotone.  Seeing
+    this means a bug, not bad input.
     """
 
 

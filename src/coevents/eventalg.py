@@ -8,7 +8,7 @@ here is immutable and exact, and every other module builds on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .errors import MismatchedSpace, UnknownHistory
 
@@ -39,6 +39,12 @@ class SampleSpace:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("history labels must be pairwise distinct")
+        for lab in self.labels:
+            if not lab or any(c in lab for c in ",{}"):
+                raise ValueError(
+                    f"history label {lab!r} is empty or contains ',', '{{' or '}}', "
+                    "so events would not render apart"
+                )
 
     @property
     def n(self) -> int:
@@ -238,14 +244,12 @@ def implies(a: Event, b: Event) -> Event:
 
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask`` in ascending order (includes 0 and mask)."""
-    subs = []
-    s = mask
+    s = 0
     while True:
-        subs.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    return iter(reversed(subs))
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
 
 
 def iter_supermasks(mask: int, full: int) -> Iterator[int]:
@@ -266,26 +270,30 @@ def down_closure(a: Event) -> EventFamily:
     return EventFamily(a.space, tuple(iter_submasks(a.mask)))
 
 
+def filter_principal(masks: Collection[int], n: int) -> Optional[int]:
+    """The mask p with ``masks`` exactly the filter of supersets of p, else None.
+
+    ``masks`` are distinct events of an n-history space.  Each contains
+    their intersection p, so they lie inside the 2^(n - |p|) supersets
+    of p and are all of them iff there are that many.
+    """
+    if not masks:
+        return None
+    p = (1 << n) - 1
+    for m in masks:
+        p &= m
+    return p if len(masks) == 1 << (n - p.bit_count()) else None
+
+
 def is_filter(family: EventFamily) -> tuple[bool, Optional[Event]]:
     """Decide whether a family of events is a filter.
 
     A filter is nonempty, upward closed, and closed under intersection.
-    On the full powerset carrier this forces a principal (unique
-    minimal) element, which is returned alongside ``True``.
+    On the full powerset carrier it is exactly the supersets of its
+    principal (least) element, which is returned alongside ``True``.
+    Costs O(|family|); see :func:`filter_principal`.
     """
-    if len(family) == 0:
+    p = filter_principal(family.masks, family.space.n)
+    if p is None:
         return False, None
-    members = set(family.masks)
-    full = family.space.full_mask
-    for m in family.masks:
-        for s in iter_supermasks(m, full):
-            if s not in members:
-                return False, None
-    for m1 in family.masks:
-        for m2 in family.masks:
-            if m1 & m2 not in members:
-                return False, None
-    principal = full
-    for m in family.masks:
-        principal &= m
-    return True, Event(family.space, principal)
+    return True, Event(family.space, p)

@@ -187,7 +187,7 @@ def _iter_disjoint_triples(size: int):
                 yield a, b, c
 
 
-def _is_additive(values: Mapping[int, Fraction], size: int) -> bool:
+def _is_additive(values: Mapping[int, Fraction] | Sequence[Fraction], size: int) -> bool:
     """The closed form of :func:`validate_classical`'s verdict.
 
     It holds on every disjoint pair iff it holds on each (low(A),
@@ -468,29 +468,27 @@ def coarse_grain(m: Measure, graining: CoarseGraining) -> CoarseGrainedMeasure:
     """Restrict the measure to all unions of the partition's blocks."""
     if graining.blocks.space != m.algebra.space:
         raise MismatchedSpace("partition belongs to a different sample space")
-    blocks = graining.blocks.masks
-    members = []
-    for pick in range(1 << len(blocks)):
-        union = 0
-        for i, b in enumerate(blocks):
-            if pick >> i & 1:
-                union |= b
-        members.append(union)
-    family = EventFamily.from_masks(m.algebra.space, members)
+    family = EventFamily.from_masks(m.algebra.space, _block_unions(graining))
     return CoarseGrainedMeasure(
         graining, family, {mask: m.values[mask] for mask in family.masks}
     )
 
 
+def _block_unions(graining: CoarseGraining) -> list[int]:
+    """The union of each pick of blocks, indexed by the pick (bit i = block i)."""
+    unions = [0]
+    for block in graining.blocks.masks:
+        unions += [u | block for u in unions]
+    return unions
+
+
 def is_decoherent(m: Measure, graining: CoarseGraining) -> bool:
-    """True iff the restriction to the generated subalgebra is additive."""
+    """True iff the restriction to the generated subalgebra is additive.
+
+    The subalgebra of k blocks is a copy of the powerset of the blocks,
+    so this is additivity of pick -> mu(union of the picked blocks),
+    decided by the closed form of :func:`validate_classical` in O(2^k).
+    """
     cg = coarse_grain(m, graining)
-    members = cg.subalgebra.masks
-    present = set(members)
-    for a in members:
-        for b in members:
-            if a <= b and a & b == 0:
-                assert (a | b) in present
-                if cg.values[a | b] != cg.values[a] + cg.values[b]:
-                    return False
-    return True
+    unions = _block_unions(graining)
+    return _is_additive([cg.values[u] for u in unions], len(unions))

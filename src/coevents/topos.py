@@ -12,111 +12,24 @@ subobject of the constant varying set of history events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from .coevent import (
     Coevent,
     CoeventSpace,
     enumerate_multiplicative,
     multiplicative_scheme,
-    principal_event,
 )
 from .errors import CapExceeded, ConsistencyError, MismatchedSpace, NotASubobject
-from .eventalg import Event, EventAlgebra
+from .eventalg import Event, EventAlgebra, iter_submasks
 from .measure import Measure
+from .poset import FinitePoset, poset_of_coevents
 
 #: Sieve enumeration walks all subsets of an up-set.
 SIEVE_ENUMERATION_CAP = 12
 
 #: The dual-ordered coevent poset has 2**n - 1 elements.
 MCE_INSTANCE_CAP = 4
-
-
-@dataclass(frozen=True)
-class FinitePoset:
-    """A finite partial order, validated at construction."""
-
-    elements: tuple[Hashable, ...]
-    matrix: tuple[tuple[bool, ...], ...]  # matrix[i][j] iff elements[i] <= elements[j]
-
-    def __post_init__(self) -> None:
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
-            raise ValueError("poset elements must be distinct")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError("relation matrix must be square over the elements")
-        for i in range(n):
-            if not self.matrix[i][i]:
-                raise ValueError(f"relation is not reflexive at {self.elements[i]}")
-            for j in range(n):
-                if i != j and self.matrix[i][j] and self.matrix[j][i]:
-                    raise ValueError(
-                        f"relation is not antisymmetric on "
-                        f"({self.elements[i]}, {self.elements[j]})"
-                    )
-                if self.matrix[i][j]:
-                    for k in range(n):
-                        if self.matrix[j][k] and not self.matrix[i][k]:
-                            raise ValueError(
-                                f"relation is not transitive through "
-                                f"({self.elements[i]}, {self.elements[j]}, "
-                                f"{self.elements[k]})"
-                            )
-
-    @classmethod
-    def from_leq(
-        cls, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]
-    ) -> "FinitePoset":
-        elements = tuple(elements)
-        matrix = tuple(
-            tuple(bool(leq(a, b)) for b in elements) for a in elements
-        )
-        return cls(elements, matrix)
-
-    @classmethod
-    def from_pairs(
-        cls, elements: Sequence[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]
-    ) -> "FinitePoset":
-        """Reflexive-transitive closure of the given strict covers."""
-        elements = tuple(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        rel = [[i == j for j in range(n)] for i in range(n)]
-        for a, b in pairs:
-            rel[index[a]][index[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        return cls(elements, tuple(tuple(row) for row in rel))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def index(self, x: Hashable) -> int:
-        try:
-            return self.elements.index(x)
-        except ValueError:
-            raise MismatchedSpace(f"{x} is not an element of the poset")
-
-    def leq(self, x: Hashable, y: Hashable) -> bool:
-        return self.matrix[self.index(x)][self.index(y)]
-
-    def up_bits(self, i: int) -> int:
-        """Bitmask of the elements above elements[i] (inclusive)."""
-        bits = 0
-        for j in range(len(self.elements)):
-            if self.matrix[i][j]:
-                bits |= 1 << j
-        return bits
-
-    def is_antichain(self) -> bool:
-        n = len(self.elements)
-        return all(
-            not self.matrix[i][j] for i in range(n) for j in range(n) if i != j
-        )
 
 
 @dataclass(frozen=True)
@@ -128,13 +41,10 @@ class Sieve:
     bits: int
 
     def __post_init__(self) -> None:
-        i = self.poset.index(self.at)
-        up = self.poset.up_bits(i)
-        if self.bits & ~up:
+        if self.bits & ~self.poset.up_bits(self.poset.index(self.at)):
             raise ValueError("sieve members must lie above the anchor")
-        for j in range(len(self.poset)):
-            if self.bits >> j & 1 and self.poset.up_bits(j) & self.bits != self.poset.up_bits(j):
-                raise ValueError("sieve members must be upward closed")
+        if not self.poset.is_up_set(self.bits):
+            raise ValueError("sieve members must be upward closed")
 
     @property
     def members(self) -> tuple[Hashable, ...]:
@@ -156,22 +66,10 @@ def sieves_at(
     """All sieves anchored at p, in ascending bitmask order."""
     if len(poset) > cap:
         raise CapExceeded("sieve enumeration", cap, len(poset))
-    i = poset.index(p)
-    up = poset.up_bits(i)
-    up_indices = [j for j in range(len(poset)) if up >> j & 1]
-    out = []
-    for pick in range(1 << len(up_indices)):
-        bits = 0
-        for k, j in enumerate(up_indices):
-            if pick >> k & 1:
-                bits |= 1 << j
-        if all(
-            poset.up_bits(j) & bits == poset.up_bits(j)
-            for j in range(len(poset))
-            if bits >> j & 1
-        ):
-            out.append(bits)
-    return tuple(Sieve(poset, p, bits) for bits in sorted(out))
+    up = poset.up_bits(poset.index(p))
+    return tuple(
+        Sieve(poset, p, bits) for bits in iter_submasks(up) if poset.is_up_set(bits)
+    )
 
 
 def sieve_meet(a: Sieve, b: Sieve) -> Sieve:
@@ -189,11 +87,7 @@ def sieve_implication(a: Sieve, b: Sieve) -> Sieve:
     _require_same_anchor(a, b)
     poset = a.poset
     anchor_up = poset.up_bits(poset.index(a.at))
-    bits = 0
-    for j in range(len(poset)):
-        if anchor_up >> j & 1 and poset.up_bits(j) & a.bits & ~b.bits == 0:
-            bits |= 1 << j
-    return Sieve(poset, a.at, bits)
+    return Sieve(poset, a.at, poset.implication(a.bits, b.bits, anchor_up))
 
 
 def _require_same_anchor(a: Sieve, b: Sieve) -> None:
@@ -397,19 +291,6 @@ class CoeventToposInstance:
         return self.poset.is_antichain()
 
 
-def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
-    """The dual order on a space of nonzero multiplicative coevents.
-
-    A dual sits below another exactly when its principal event contains
-    the other's.
-    """
-    principals = [principal_event(phi).mask for phi in space.members]
-    matrix = tuple(
-        tuple(q & p == q for q in principals) for p in principals
-    )
-    return FinitePoset(tuple(space.members), matrix)
-
-
 def _instance_from_space(algebra: EventAlgebra, space: CoeventSpace) -> CoeventToposInstance:
     poset = poset_of_coevents(space)
     ambient = frozenset(algebra.events())
@@ -454,24 +335,14 @@ def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventTop
 
 
 def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
-    """Characteristic map of the support subobject, computed two ways.
+    """Characteristic map of the support subobject at context phi and event A.
 
-    Directly: the contexts above phi whose support contains A.
-    Independently: tau of A meet phi's principal event, read as a sieve
-    at phi.  The two must coincide; disagreement raises
-    :class:`ConsistencyError`.
+    The sieve of contexts above phi whose support contains A.  For duals
+    this is also tau of A meet phi's principal event, read as a sieve at
+    phi; the tests compare the two routes.
     """
-    from .beables import tau  # local import to avoid a cycle
-
     if phi not in instance.space:
         raise MismatchedSpace("coevent is not in the instance's base poset")
     if a.space != instance.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
-    direct = characteristic_map(instance.support_subobject, phi, a)
-    reduced = a & principal_event(phi)
-    via_tau = tau(reduced, instance.space).bits
-    if via_tau != direct.bits:
-        raise ConsistencyError(
-            f"characteristic map routes disagree at ({phi}, {a})"
-        )
-    return direct
+    return characteristic_map(instance.support_subobject, phi, a)

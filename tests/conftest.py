@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from coevents import EventAlgebra, SampleSpace
+from coevents import CoeventSpace, EventAlgebra, SampleSpace
+from coevents.coevent import principal_event
 from coevents.catalog import corpus
 
 LETTER_LABELS = ("a", "b", "c", "d")
@@ -25,6 +26,15 @@ def abc_algebra() -> EventAlgebra:
 
 def algebra_of_size(n: int) -> EventAlgebra:
     return EventAlgebra(SampleSpace(LETTER_LABELS[:n]))
+
+
+def dual_up_masks(space: CoeventSpace) -> list[int]:
+    """Oracle: per member of a space of duals, the bitmask of members above
+    it in the dual order (those whose principal event lies inside its own)."""
+    principals = [principal_event(phi).mask for phi in space.members]
+    return [
+        sum(1 << j for j, q in enumerate(principals) if q & p == q) for p in principals
+    ]
 
 
 @pytest.fixture(params=[1, 2, 3, 4])

@@ -40,7 +40,6 @@ from coevents import (
     validate_classical,
     validate_quantum,
 )
-from coevents.beables import dual_up_masks
 from coevents.catalog import corpus, three_slit
 from coevents.topos import (
     build_mce_instance,
@@ -55,7 +54,7 @@ from coevents.topos import (
     sieves_at,
 )
 
-from conftest import LETTER_LABELS, algebra_of_size
+from conftest import LETTER_LABELS, algebra_of_size, dual_up_masks
 from test_topos import all_subobjects, poset_corpus
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
@@ -181,6 +180,11 @@ def test_criterion_06_completion_structure():
             members = upper.members
             for alpha, beta in itertools.product(members, repeat=2):
                 imp = heyting_implication(alpha, beta, upper)
+                scan = 0
+                for gamma in upper.member_bits:
+                    if gamma & alpha.bits & ~beta.bits == 0:
+                        scan |= gamma
+                assert imp.bits == scan  # pointwise form = member scan
                 assert imp in upper
                 assert (imp & alpha).issubset(beta)
                 for gamma in members:
@@ -242,7 +246,9 @@ def test_criterion_08_topos_layer():
             assert is_subobject(instance.support_subobject)[0]
             for phi in instance.poset.elements:
                 for mask in range(instance.algebra.size):
-                    chi_vsupp(instance, phi, instance.algebra.event(mask))
+                    ev = instance.algebra.event(mask)
+                    via_tau = tau(ev & dual_of_coevent(phi), instance.space)
+                    assert chi_vsupp(instance, phi, ev).bits == via_tau.bits
 
         point = poset_corpus()[0]
         false_, true_ = sieves_at(point, "p")

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coevents import (
     CapExceeded,
     Coevent,
     CoeventSpace,
+    EventAlgebra,
     MismatchedSpace,
     NotUpperMode,
+    SampleSpace,
     TruthFunction,
     ValuationEvent,
     and_or_audit,
@@ -19,11 +22,10 @@ from coevents import (
     tau,
     truth_evaluate,
 )
-from coevents.beables import dual_up_masks
 from coevents.catalog import three_slit
 from coevents.coevent import multiplicative_scheme
 
-from conftest import algebra_of_size
+from conftest import algebra_of_size, dual_up_masks
 
 
 def mce(n: int, include_empty_dual: bool = False) -> CoeventSpace:
@@ -247,6 +249,46 @@ def test_heyting_examples_n2():
     assert heyting_implication(a, top, completion) == top  # alpha <= beta
     assert heyting_implication(a, a, completion) == top
     assert str(heyting_implication(a, bottom, completion)) == "[{b}*]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_heyting_implication_matches_member_scan(data):
+    """On random spaces of duals: the upper completion is the up-sets of the
+    dual order (all but the empty one when the empty dual is a member, since
+    it lies in every tau image), and the pointwise implication is the
+    largest member gamma with gamma & alpha <= beta."""
+    n = data.draw(st.integers(1, 5), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+    lowest = data.draw(st.sampled_from([0, 1]), label="lowest principal")
+    principals = data.draw(
+        st.sets(st.integers(lowest, alg.size - 1), min_size=1, max_size=6),
+        label="principals",
+    )
+    space = CoeventSpace.build(
+        alg,
+        [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals],
+        "user-supplied",
+    )
+    completion = complete(space, "upper")
+    ups = dual_up_masks(space)
+    up_sets = {
+        bits
+        for bits in range(1 << len(space))
+        if all(ups[i] & bits == ups[i] for i in range(len(space)) if bits >> i & 1)
+    }
+    if 0 in principals:
+        up_sets.discard(0)
+    assert set(completion.member_bits) == up_sets
+
+    members = st.sampled_from(completion.member_bits)
+    alpha = ValuationEvent(space, data.draw(members, label="alpha"))
+    beta = ValuationEvent(space, data.draw(members, label="beta"))
+    scan = 0
+    for gamma in completion.member_bits:
+        if gamma & alpha.bits & ~beta.bits == 0:
+            scan |= gamma
+    assert heyting_implication(alpha, beta, completion).bits == scan
 
 
 def test_heyting_requires_upper_mode():

@@ -62,6 +62,18 @@ def test_zero_denominator_is_a_load_error(tmp_path, capsys):
     assert "atom_weights['a']" in err and "zero denominator" in err
 
 
+def test_label_with_a_comma_is_a_load_error(tmp_path, capsys):
+    # "{a,b}" would name both the pair of a and b and the label "a,b"
+    bad = tmp_path / "comma.json"
+    bad.write_text(json.dumps({
+        "sample_space": ["a", "b", "a,b"],
+        "measure": {"atom_weights": {"a": "1/3", "b": "1/3", "a,b": "1/3"}},
+    }))
+    rc, out, err = invoke(capsys, ["validate", str(bad), "--format", "machine"])
+    assert rc == 2 and out == ""
+    assert "sample_space" in err and "'a,b'" in err
+
+
 def test_non_utf8_file_is_a_load_error(tmp_path, capsys):
     bad = tmp_path / "bom.json"
     bad.write_bytes(b"\xff\xfe{")

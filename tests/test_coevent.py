@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coevents import (
     CapExceeded,
@@ -26,6 +26,8 @@ from coevents import (
     multiplicative_scheme,
 )
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
+from coevents.coevent import principal_event
+from coevents.eventalg import EventFamily, iter_supermasks
 
 from conftest import algebra_of_size
 
@@ -210,6 +212,77 @@ def test_classical_implies_multiplicative(n):
     for phi in enumerate_coevents(alg):
         if is_classical(phi):
             assert is_multiplicative(phi)
+
+
+# ---------------------------------------------------------------------------
+# The principal-mask closed forms against their pairwise definitions
+
+
+def filter_oracle(support: frozenset[int], full: int) -> bool:
+    """Nonempty, upward closed and closed under intersection, pair by pair."""
+    return (
+        bool(support)
+        and all(s in support for m in support for s in iter_supermasks(m, full))
+        and all(a & b in support for a in support for b in support)
+    )
+
+
+def multiplicative_oracle(phi: Coevent, include_empty_dual: bool) -> bool:
+    size = phi.algebra.size
+    v = [1 if m in phi.support else 0 for m in range(size)]
+    meets = all(v[a & b] == v[a] * v[b] for a in range(size) for b in range(size))
+    return meets and (include_empty_dual or v[0] == 0)
+
+
+def classical_oracle(phi: Coevent) -> bool:
+    size, full = phi.algebra.size, phi.algebra.space.full_mask
+    v = [1 if m in phi.support else 0 for m in range(size)]
+    return all(
+        v[a ^ full] == 1 - v[a]
+        and all(v[a & b] == v[a] & v[b] and v[a | b] == v[a] | v[b] for b in range(size))
+        for a in range(size)
+    )
+
+
+@st.composite
+def supports(draw):
+    """An algebra of n <= 5 histories and a support on it: random, or a
+    filter of supersets with nothing, one mask added or one removed."""
+    n = draw(st.integers(1, 5), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+    full = alg.space.full_mask
+    kind = draw(st.sampled_from(["random", "filter", "plus one", "minus one"]), label="kind")
+    if kind == "random":
+        return alg, frozenset(draw(st.sets(st.integers(0, full))))
+    support = set(iter_supermasks(draw(st.integers(0, full), label="p"), full))
+    if kind == "plus one":
+        support.add(draw(st.integers(0, full), label="added"))
+    elif kind == "minus one":
+        support.discard(draw(st.sampled_from(sorted(support)), label="removed"))
+    return alg, frozenset(support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=supports())
+def test_principal_mask_predicates_match_pairwise_definitions(drawn):
+    alg, support = drawn
+    phi = Coevent(alg, support)
+    is_a_filter = filter_oracle(support, alg.space.full_mask)
+    ok, principal = is_filter(EventFamily.from_masks(alg.space, support))
+    assert ok == is_a_filter
+    assert (phi.principal_mask is not None) == is_a_filter
+    if is_a_filter:
+        meet = alg.space.full_mask
+        for m in support:
+            meet &= m
+        assert principal.mask == phi.principal_mask == meet
+        assert principal_event(phi).mask == meet
+        assert str(phi) == f"{principal}*"
+    for include_empty_dual in (False, True):
+        assert is_multiplicative(phi, include_empty_dual) == multiplicative_oracle(
+            phi, include_empty_dual
+        )
+    assert is_classical(phi) == classical_oracle(phi)
 
 
 def test_brute_force_cap():

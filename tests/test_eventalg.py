@@ -31,6 +31,9 @@ def test_sample_space_rejects_duplicates_and_bad_sizes():
         SampleSpace(())
     with pytest.raises(ValueError):
         SampleSpace(tuple(f"x{i}" for i in range(17)))
+    for label in ("", "a,b", "{a", "a}"):  # events would not render apart
+        with pytest.raises(ValueError, match="render apart"):
+            SampleSpace(("a", "b", label))
 
 
 def test_label_order_defines_the_encoding():

@@ -11,6 +11,7 @@ from coevents import (
     CoarseGraining,
     DecoherenceSpec,
     EventAlgebra,
+    EventFamily,
     GaussianRational,
     InvalidPartition,
     Measure,
@@ -422,8 +423,6 @@ def test_complex_phases_has_single_null_doubleton():
 
 
 def test_coarse_graining_validation():
-    from coevents import EventFamily
-
     space = SampleSpace(("1", "2", "3"))
     with pytest.raises(InvalidPartition):
         CoarseGraining(EventFamily.from_masks(space, [0b011, 0b110]))  # overlap
@@ -454,3 +453,32 @@ def test_fair_coin_atom_graining_is_decoherent():
     fc = fair_coin()
     atoms = CoarseGraining.from_label_blocks(fc.algebra.space, [["h"], ["t"]])
     assert is_decoherent(fc, atoms)
+
+
+def decoherence_oracle(m: Measure, graining: CoarseGraining) -> bool:
+    """The pairwise definition: additive on every disjoint pair of the subalgebra."""
+    cg = coarse_grain(m, graining)
+    members = cg.subalgebra.masks
+    return all(
+        cg.values[a | b] == cg.values[a] + cg.values[b]
+        for a in members
+        for b in members
+        if a & b == 0
+    )
+
+
+@pytest.mark.parametrize("kind", ["additive", "amplitude", "decoherence"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_is_decoherent_matches_pairwise_definition(kind, data):
+    m = draw_measure(data, kind)
+    where = data.draw(st.sampled_from((None,) + PERTURBED_EVENTS), label="perturbed")
+    if where is not None:
+        m = perturb(data, m, where)
+    n = m.algebra.space.n
+    owner = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="blocks")
+    blocks = {}
+    for i, b in enumerate(owner):
+        blocks[b] = blocks.get(b, 0) | 1 << i
+    graining = CoarseGraining(EventFamily.from_masks(m.algebra.space, blocks.values()))
+    assert is_decoherent(m, graining) == decoherence_oracle(m, graining)

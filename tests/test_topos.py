@@ -3,9 +3,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coevents import (
     CapExceeded,
+    CoeventSpace,
     EventAlgebra,
     FinitePoset,
     NotASubobject,
@@ -22,9 +24,11 @@ from coevents import (
     dual_of_event,
     is_subobject,
     sieves_at,
+    tau,
 )
 from coevents.catalog import four_slit, three_slit
 from coevents.topos import (
+    _instance_from_space,
     characteristic_naturality_failures,
     classifier_functoriality_failures,
     poset_of_coevents,
@@ -32,7 +36,7 @@ from coevents.topos import (
     sieve_join,
     sieve_meet,
 )
-from coevents.coevent import enumerate_multiplicative
+from coevents.coevent import enumerate_multiplicative, principal_event
 
 from conftest import algebra_of_size
 
@@ -114,6 +118,28 @@ def test_up_bits():
     p = diamond()
     assert p.up_bits(p.index("bot")) == 0b1111
     assert p.up_bits(p.index("m1")) == (1 << p.index("m1")) | (1 << p.index("top"))
+
+
+@pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
+def test_up_set_test_and_implication_against_brute_force(poset):
+    n = len(poset)
+
+    def upward_closed(bits: int) -> bool:
+        return all(
+            bits >> j & 1
+            for i in range(n) if bits >> i & 1
+            for j in range(n) if poset.matrix[i][j]
+        )
+
+    up_sets = [bits for bits in range(1 << n) if upward_closed(bits)]
+    assert [b for b in range(1 << n) if poset.is_up_set(b)] == up_sets
+    for a in up_sets:
+        for b in up_sets:
+            largest = 0
+            for gamma in up_sets:
+                if gamma & a & ~b == 0:
+                    largest |= gamma
+            assert poset.implication(a, b) == largest
 
 
 def test_antichain_detection():
@@ -407,9 +433,31 @@ def test_chi_two_routes_and_oracle(n, include_empty):
     for phi in inst.space.members:
         for mask in range(alg.size):
             ev = alg.event(mask)
-            sieve = chi_vsupp(inst, phi, ev)  # internally cross-checks both routes
+            sieve = chi_vsupp(inst, phi, ev)
+            assert sieve.bits == tau(ev & principal_event(phi), inst.space).bits
             expected = chi_oracle(inst, phi, ev)
             assert {j for j in range(len(inst.poset)) if sieve.bits >> j & 1} == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_chi_matches_the_tau_route_on_random_dual_spaces(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+    lowest = data.draw(st.sampled_from([0, 1]), label="lowest principal")
+    principals = data.draw(
+        st.sets(st.integers(lowest, alg.size - 1), min_size=1, max_size=8),
+        label="principals",
+    )
+    space = CoeventSpace.build(
+        alg,
+        [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals],
+        "user-supplied",
+    )
+    inst = _instance_from_space(alg, space)
+    phi = data.draw(st.sampled_from(space.members), label="context")
+    ev = alg.event(data.draw(st.integers(0, alg.size - 1), label="event"))
+    assert chi_vsupp(inst, phi, ev).bits == tau(ev & principal_event(phi), space).bits
 
 
 def test_chi_examples(coin_algebra):
@@ -452,4 +500,6 @@ def test_scheme_instance_chi_still_cross_checks():
     alg = inst.algebra
     for phi in inst.poset.elements:
         for mask in range(alg.size):
-            chi_vsupp(inst, phi, alg.event(mask))
+            ev = alg.event(mask)
+            via_tau = tau(ev & principal_event(phi), inst.space)
+            assert chi_vsupp(inst, phi, ev).bits == via_tau.bits
