@@ -71,8 +71,13 @@ class ValuationEvent:
         full = (1 << len(self.space)) - 1
         return ValuationEvent(self.space, self.bits ^ full)
 
+    @property
+    def renderings(self) -> tuple[str, ...]:
+        """The members' strings, read from the space's renderings."""
+        return tuple(r for i, r in enumerate(self.space.renderings) if self.bits >> i & 1)
+
     def __str__(self) -> str:
-        return "[" + ", ".join(str(phi) for phi in self.members) + "]"
+        return "[" + ", ".join(self.renderings) + "]"
 
 
 def _require_same_valuation_space(a: ValuationEvent, b: ValuationEvent) -> None:
@@ -84,15 +89,12 @@ def tau(a: Event, space: CoeventSpace) -> ValuationEvent:
     """The valuation event of all members of V mapping A to true.
 
     For the space of all duals this is the up-set of A's dual in the
-    dual order: the duals of the nonempty subsets of A.
+    dual order: the duals of the nonempty subsets of A.  It is read from
+    the space's tau table.
     """
     if a.space != space.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
-    bits = 0
-    for i, phi in enumerate(space.members):
-        if a.mask in phi.support:
-            bits |= 1 << i
-    return ValuationEvent(space, bits)
+    return ValuationEvent(space, space.tau_table[a.mask])
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def order_report(space: CoeventSpace) -> OrderReport:
     """
     alg = space.algebra
     size = alg.size
-    images = [tau(alg.event(m), space).bits for m in range(size)]
+    images = space.tau_table
 
     witnesses: dict[str, list[tuple[Event, Event]]] = {
         "injectivity": [],
@@ -187,8 +189,8 @@ def order_report(space: CoeventSpace) -> OrderReport:
             if images[a | b] != images[a] | images[b]:
                 witnesses["join"].append((alg.event(a), alg.event(b)))
 
-    for key in witnesses:
-        witnesses[key].sort(key=lambda pair: (pair[0].mask, pair[1].mask))
+    # The other lists are built in ascending order already.
+    witnesses["injectivity"].sort(key=lambda pair: (pair[0].mask, pair[1].mask))
 
     notes = []
     if witnesses["pushforward"]:
@@ -260,8 +262,7 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         raise ValueError(f"unknown completion mode {mode!r}")
     if len(space) > cap:
         raise CapExceeded("completion closure", cap, len(space))
-    alg = space.algebra
-    generators = {tau(alg.event(m), space).bits for m in range(alg.size)}
+    generators = set(space.tau_table)
     if mode == "upper":
         current = set(generators)
         while True:
@@ -282,14 +283,10 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         for i in range(len(space)):
             signature = tuple(g >> i & 1 for g in gens)
             atoms[signature] = atoms.get(signature, 0) | (1 << i)
-        atom_bits = sorted(atoms.values())
-        current = set()
-        for pick in range(1 << len(atom_bits)):
-            bits = 0
-            for k, a in enumerate(atom_bits):
-                if pick >> k & 1:
-                    bits |= a
-            current.add(bits)
+        unions = [0]
+        for atom in atoms.values():
+            unions += [u | atom for u in unions]
+        current = set(unions)
     return Completion(mode, space, tuple(sorted(current)))
 
 
@@ -352,23 +349,26 @@ class AuditRecord:
 def and_or_audit(
     phi: Coevent, a: Event, b: Event, space: CoeventSpace
 ) -> AuditRecord:
-    """Evaluate both routes for AND and OR at one coevent and event pair."""
+    """Evaluate both routes for AND and OR at one coevent and event pair.
+
+    The valuation side is the pivot's bit of the tau-table rows of A and B.
+    """
     if phi not in space:
         raise MismatchedSpace("coevent is not a member of the space")
     if phi.principal_mask is None:
         raise NotMultiplicative("audit is defined for nonzero multiplicative coevents")
-    f = TruthFunction(space, phi)
-    ta, tb = tau(a, space), tau(b, space)
+    i = space.index_of(phi)
+    t = space.tau_table
     record = AuditRecord(
         pivot=phi,
         a=a,
         b=b,
-        phi_a=phi(a),
+        phi_a=phi(a),  # raises MismatchedSpace before the table is read
         phi_b=phi(b),
         phi_meet=phi(a & b),
         phi_join=phi(a | b),
-        f_meet=f(ta & tb),
-        f_join=f(ta | tb),
+        f_meet=(t[a.mask] & t[b.mask]) >> i & 1,
+        f_join=(t[a.mask] | t[b.mask]) >> i & 1,
     )
     if not record.and_identity_holds:
         raise ConsistencyError("AND identity failed for a multiplicative coevent")

@@ -205,7 +205,7 @@ def section_tau(
         "set": set_name,
         "event": str(event),
         "valuation_event": str(val),
-        "members": [str(phi) for phi in val.members],
+        "members": list(val.renderings),
     }
 
 
@@ -287,7 +287,7 @@ def section_audit(
     discrepancies = []
     checked = 0
     size = theory.algebra.size
-    for phi in space:
+    for phi, rendered in zip(space, space.renderings):
         for a in range(size):
             for b in range(a, size):
                 record = beables.and_or_audit(
@@ -296,7 +296,7 @@ def section_audit(
                 checked += 1
                 if record.or_discrepancy:
                     discrepancies.append(
-                        {"coevent": str(phi), "a": str(record.a), "b": str(record.b)}
+                        {"coevent": rendered, "a": str(record.a), "b": str(record.b)}
                     )
     return {
         "mode": "all-pairs",
@@ -326,7 +326,7 @@ def section_topos(
         )
     section: dict[str, Any] = {
         "set": "scheme" if set_name == "scheme" else "multiplicative",
-        "poset": [str(phi) for phi in instance.poset.elements],
+        "poset": list(instance.space.renderings),
         "antichain": instance.is_antichain,
         "vsupp_is_subobject": topos.is_subobject(instance.support_subobject)[0],
     }
@@ -353,8 +353,6 @@ def section_topos(
         )
     if context is not None:
         phi = coevent.dual_of_event(context, include_empty_dual=include_empty)
-        if event is None:
-            raise _UsageError("topos single query needs --event together with --context")
         sieve = topos.chi_vsupp(instance, phi, event)
         section["chi"] = {
             "mode": "single",
@@ -364,16 +362,21 @@ def section_topos(
         }
     else:
         rows = []
-        for phi in instance.poset.elements:
+        for phi, rendered in zip(instance.space, instance.space.renderings):
             for mask in range(theory.algebra.size):
                 ev = theory.algebra.event(mask)
                 sieve = topos.chi_vsupp(instance, phi, ev)
-                rows.append(
-                    {"context": str(phi), "event": str(ev), "sieve": str(sieve)}
-                )
+                rows.append({"context": rendered, "event": str(ev), "sieve": str(sieve)})
         section["chi"] = {"mode": "table", "rows": rows}
     section["notes"] = notes
     return section
+
+
+def _require_single_query(command: str, flags: dict[str, Optional[Event]]) -> None:
+    """A single query needs all of its flags; name the missing ones."""
+    missing = [flag for flag, value in flags.items() if value is None]
+    if 0 < len(missing) < len(flags):
+        raise _UsageError(f"{command} single query also needs {' and '.join(missing)}")
 
 
 def _skippable(builder, *args, **kwargs) -> dict[str, Any]:
@@ -406,8 +409,12 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
             theory, args.set, include_empty, cap, args.mode
         )
     elif command == "audit":
+        _require_single_query(
+            command, {"--context": context, "--event": event, "--event-b": event_b}
+        )
         sections["audit"] = section_audit(theory, include_empty, context, event, event_b)
     elif command == "topos":
+        _require_single_query(command, {"--context": context, "--event": event})
         sections["topos"] = section_topos(
             theory, args.set, include_empty, cap, context, event
         )
@@ -515,27 +522,18 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         theory = load(args.theory)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         report = build_report(args.command, theory, args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (UnknownHistory, MismatchedSpace) as exc:
+    except (_UsageError, UnknownHistory, MismatchedSpace) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CoeventsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -140,8 +140,27 @@ class CoeventSpace:
         except KeyError:
             raise ValueError("coevent is not a member of the space")
 
+    @cached_property
+    def tau_table(self) -> tuple[int, ...]:
+        """tau(A) for each event mask A: the members whose support holds A, as bits.
+
+        Built once, on first use; tau, the order report, the completions,
+        the audit and chi all read it.
+        """
+        table = [0] * self.algebra.size
+        for i, phi in enumerate(self.members):
+            bit = 1 << i
+            for m in phi.support:
+                table[m] |= bit
+        return tuple(table)
+
+    @cached_property
+    def renderings(self) -> tuple[str, ...]:
+        """Each member's string, in member order."""
+        return tuple(str(phi) for phi in self.members)
+
     def __str__(self) -> str:
-        return "[" + ", ".join(str(phi) for phi in self.members) + "]"
+        return "[" + ", ".join(self.renderings) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -82,19 +82,12 @@ class Event:
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    @property
-    def is_full(self) -> bool:
-        return self.mask == self.space.full_mask
-
     def size(self) -> int:
         return self.mask.bit_count()
 
     def issubset(self, other: "Event") -> bool:
         _require_same_space(self, other)
         return self.mask & other.mask == self.mask
-
-    def contains_history(self, label: str) -> bool:
-        return bool(self.mask >> self.space.index(label) & 1)
 
     def __and__(self, other: "Event") -> "Event":
         _require_same_space(self, other)

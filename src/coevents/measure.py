@@ -132,13 +132,9 @@ class Measure:
         if extra:
             raise ValueError(f"weights given for unknown histories {extra}")
         w = [Fraction(weights[lab]) for lab in space.labels]
+        diagonal = [[x if k == j else 0 for j in range(space.n)] for k, x in enumerate(w)]
         algebra = EventAlgebra(space)
-        values = {}
-        for mask in range(algebra.size):
-            values[mask] = sum(
-                (w[i] for i in range(space.n) if mask >> i & 1), Fraction(0)
-            )
-        return cls(algebra, values)
+        return cls(algebra, dict(enumerate(_pair_sum_values(diagonal, algebra.size))))
 
     @classmethod
     def from_amplitudes(
@@ -146,20 +142,15 @@ class Measure:
     ) -> "Measure":
         """Measure of A as |sum of the amplitudes in A|^2.
 
-        Equivalent to the rank-one decoherence matrix D[i][j] =
-        a_i * conj(a_j); the squared modulus is exact.
+        That is the sum over k, l in A of the real part of the rank-one
+        matrix a_k * conj(a_l), re_k * re_l + im_k * im_l; the squared
+        modulus is exact.
         """
         if len(amplitudes) != space.n:
             raise ValueError("need exactly one amplitude per history")
+        rank_one = [[a.re * b.re + a.im * b.im for b in amplitudes] for a in amplitudes]
         algebra = EventAlgebra(space)
-        values = {}
-        for mask in range(algebra.size):
-            total = GaussianRational()
-            for i in range(space.n):
-                if mask >> i & 1:
-                    total = total + amplitudes[i]
-            values[mask] = total.re * total.re + total.im * total.im
-        return cls(algebra, values)
+        return cls(algebra, dict(enumerate(_pair_sum_values(rank_one, algebra.size))))
 
 
 def _iter_disjoint_pairs(size: int):
@@ -388,6 +379,13 @@ def _pair_sums(matrix: Sequence[Sequence[int]], size: int) -> list[int]:
     return sums
 
 
+def _pair_sum_values(matrix: Sequence[Sequence[Fraction]], size: int) -> list[Fraction]:
+    """:func:`_pair_sums` of a rational matrix, in integers over its common denominator."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    return [Fraction(total, den) for total in _pair_sums(scaled, size)]
+
+
 def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
     """mu(A) = sum of the matrix over pairs of histories inside A.
 
@@ -398,19 +396,17 @@ def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
     """
     algebra = EventAlgebra(d.space)
     n = d.space.n
-    den = math.lcm(*(x.denominator for row in d.entries for g in row for x in (g.re, g.im)))
-    re = [[g.re.numerator * (den // g.re.denominator) for g in row] for row in d.entries]
-    im = [[g.im.numerator * (den // g.im.denominator) for g in row] for row in d.entries]
-    re_sums = _pair_sums(re, algebra.size)
+    re_sums = _pair_sum_values([[g.re for g in row] for row in d.entries], algebra.size)
+    im = [[g.im for g in row] for row in d.entries]
     # Every imaginary sum vanishes iff the imaginary part is antisymmetric.
     if any(im[i][j] != -im[j][i] for i in range(n) for j in range(i, n)):
-        for mask, im_sum in enumerate(_pair_sums(im, algebra.size)):
+        for mask, im_sum in enumerate(_pair_sum_values(im, algebra.size)):
             if im_sum:
-                tot = GaussianRational(Fraction(re_sums[mask], den), Fraction(im_sum, den))
+                tot = GaussianRational(re_sums[mask], im_sum)
                 raise NonRealDiagonal(
                     f"measure of {algebra.event(mask)} is {tot}; matrix is corrupted"
                 )
-    values = {mask: Fraction(total, den) for mask, total in enumerate(re_sums)}
+    values = dict(enumerate(re_sums))
     m = Measure(algebra, values)
     report = validate_quantum(m)
     return Measure(algebra, values, quantum_report=report)

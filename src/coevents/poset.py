@@ -10,7 +10,7 @@ test and the implication from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .coevent import CoeventSpace
 from .errors import MismatchedSpace
@@ -56,16 +56,6 @@ class FinitePoset:
             "_up",
             tuple(sum(1 << j for j, le in enumerate(row) if le) for row in self.matrix),
         )
-
-    @classmethod
-    def from_leq(
-        cls, elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]
-    ) -> "FinitePoset":
-        elements = tuple(elements)
-        matrix = tuple(
-            tuple(bool(leq(a, b)) for b in elements) for a in elements
-        )
-        return cls(elements, matrix)
 
     @classmethod
     def from_pairs(
@@ -128,10 +118,7 @@ class FinitePoset:
         return bits
 
     def is_antichain(self) -> bool:
-        n = len(self.elements)
-        return all(
-            not self.matrix[i][j] for i in range(n) for j in range(n) if i != j
-        )
+        return all(up == 1 << i for i, up in enumerate(self._up))
 
 
 def poset_of_coevents(space: CoeventSpace) -> FinitePoset:

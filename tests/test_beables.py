@@ -42,8 +42,38 @@ def all_upper_sets(space: CoeventSpace) -> set[int]:
     return out
 
 
+def member_scan(mask: int, space: CoeventSpace) -> int:
+    """Oracle: the members whose support holds the event, by one scan."""
+    return sum(1 << i for i, phi in enumerate(space.members) if mask in phi.support)
+
+
+@st.composite
+def mixed_spaces(draw) -> CoeventSpace:
+    """A space over n <= 4 histories: random supports, most of them not
+    filters, next to duals (the constant-one map among them)."""
+    alg = algebra_of_size(draw(st.integers(1, 4), label="n"))
+    events = st.integers(0, alg.size - 1)
+    supports = draw(st.lists(st.frozensets(events), max_size=5), label="supports")
+    principals = draw(st.lists(events, min_size=1, max_size=5), label="principals")
+    return CoeventSpace.build(
+        alg,
+        [Coevent(alg, support) for support in supports]
+        + [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals],
+        "user-supplied",
+    )
+
+
 # ---------------------------------------------------------------------------
 # tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=mixed_spaces())
+def test_tau_table_matches_the_member_scan(space):
+    alg = space.algebra
+    assert space.tau_table == tuple(member_scan(m, space) for m in range(alg.size))
+    for mask in range(alg.size):
+        assert tau(alg.event(mask), space).bits == member_scan(mask, space)
 
 
 def test_tau_examples_n2():
@@ -399,6 +429,45 @@ def test_audit_finds_an_or_discrepancy(n):
                 assert record.and_identity_holds
                 found = found or record.or_discrepancy
     assert found
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_audit_matches_the_truth_function_route(data):
+    """The audit's table bits against f(tau(A) & tau(B)) and f(tau(A) | tau(B))
+    with tau by the member scan, on spaces that also hold non-duals."""
+    space = data.draw(mixed_spaces(), label="space")
+    alg = space.algebra
+    pivots = [phi for phi in space.members if phi.principal_mask is not None]
+    phi = data.draw(st.sampled_from(pivots), label="pivot")
+    a, b = (alg.event(data.draw(st.integers(0, alg.size - 1))) for _ in range(2))
+    record = and_or_audit(phi, a, b, space)
+    f = TruthFunction(space, phi)
+    ta = ValuationEvent(space, member_scan(a.mask, space))
+    tb = ValuationEvent(space, member_scan(b.mask, space))
+    assert record.f_meet == truth_evaluate(f, ta & tb)
+    assert record.f_join == truth_evaluate(f, ta | tb)
+    assert (record.phi_a, record.phi_b) == (phi(a), phi(b))
+    assert (record.phi_meet, record.phi_join) == (phi(a & b), phi(a | b))
+
+
+def test_audit_rejects_foreign_events(coin_algebra, abc_algebra):
+    space = enumerate_multiplicative(coin_algebra)
+    foreign = abc_algebra.full
+    with pytest.raises(MismatchedSpace):
+        and_or_audit(space.members[0], foreign, coin_algebra.full, space)
+    with pytest.raises(MismatchedSpace):
+        and_or_audit(space.members[0], coin_algebra.full, foreign, space)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rendering_matches_per_member_str(data):
+    space = data.draw(mixed_spaces(), label="space")
+    bits = data.draw(st.integers(0, (1 << len(space)) - 1), label="bits")
+    val = ValuationEvent(space, bits)
+    assert str(val) == "[" + ", ".join(str(phi) for phi in val.members) + "]"
+    assert str(space) == "[" + ", ".join(str(phi) for phi in space.members) + "]"
 
 
 def test_valuation_event_rendering():

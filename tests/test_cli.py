@@ -37,6 +37,21 @@ def test_tau_without_event_is_a_usage_error(capsys):
     assert rc == 1 and "--event" in err
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["audit", THREE_SLIT, "--context", "1,2", "--event", "1"], "--event-b"),
+        (["audit", THREE_SLIT, "--event-b", "3"], "--context and --event"),
+        (["topos", FAIR_COIN, "--event", "h"], "--context"),
+        (["topos", FAIR_COIN, "--context", "h"], "--event"),
+    ],
+)
+def test_partial_single_query_is_a_usage_error(capsys, argv, missing):
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 1 and out == ""
+    assert f"single query also needs {missing}" in err
+
+
 def test_unknown_history_is_a_usage_error(capsys):
     rc, _, err = invoke(capsys, ["tau", FAIR_COIN, "--event", "zebra"])
     assert rc == 1 and "zebra" in err

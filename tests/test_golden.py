@@ -2,9 +2,12 @@
 
 The files under ``tests/golden/`` are ``coevents <verb> <theory> --format
 <fmt>`` outputs; ``.json`` holds the machine format and ``.txt`` the text
-format.  ``report`` is kept only for the two small theories: on
-``four_slit_decoherence`` it is megabytes long and takes seconds.  A change
-that means to alter the output regenerates a golden with, for example,
+format.  A golden named ``<verb>_<theory>`` runs the verb with its default
+flags.  One named ``<verb>-<case>_<theory>`` runs it with the flags that
+``FLAGS`` lists for ``<verb>-<case>``.  ``report`` is kept only for the two
+small theories: on ``four_slit_decoherence`` it is megabytes long and takes
+seconds.  A change that means to alter the output regenerates a golden
+with, for example,
 
     PYTHONPATH=src python -m coevents validate demos/theories/three_slit.json \\
         --format machine > tests/golden/validate_three_slit.json
@@ -23,11 +26,25 @@ THEORIES = ROOT.parent / "demos" / "theories"
 GOLDENS = sorted((ROOT / "golden").iterdir())
 FORMATS = {".json": "machine", ".txt": "text"}
 
+FLAGS = {
+    "tau-event": ["--event", "1,2"],
+    "complete-boolean": ["--mode", "boolean"],
+    "audit-single": ["--context", "1,2,3", "--event", "1,2", "--event-b", "3"],
+    "topos-single": ["--context", "1,2", "--event", "1,2,3"],
+    "topos-scheme": ["--set", "scheme"],
+    "topos-cap15": ["--cap", "15"],
+    "orders-all": ["--set", "all"],
+}
+
 
 @pytest.mark.parametrize("golden", GOLDENS, ids=lambda p: p.name)
 def test_cli_output_matches_golden(capsys, golden):
-    verb, theory = golden.stem.split("_", 1)
-    rc = run([verb, str(THEORIES / f"{theory}.json"), "--format", FORMATS[golden.suffix]])
+    case, theory = golden.stem.split("_", 1)
+    verb = case.split("-", 1)[0]
+    flags = FLAGS[case] if "-" in case else []
+    rc = run(
+        [verb, str(THEORIES / f"{theory}.json"), "--format", FORMATS[golden.suffix], *flags]
+    )
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode("utf-8") == golden.read_bytes()

@@ -62,6 +62,21 @@ def test_three_slit_values_match_amplitude_oracle():
     assert by_render == THREE_SLIT_TABLE
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_constructors_match_per_event_sums(data):
+    """One pair-sum path: |sum of a over A|^2 and sum of w over A, per event."""
+    n = data.draw(st.integers(1, 5), label="n")
+    space = SampleSpace(tuple("abcde"[:n]))
+    amps = data.draw(st.lists(gaussians, min_size=n, max_size=n), label="amplitudes")
+    assert dict(Measure.from_amplitudes(space, amps).values) == amplitude_oracle(space, amps)
+    weights = data.draw(st.lists(small_fractions, min_size=n, max_size=n), label="weights")
+    m = Measure.from_atom_weights(space, dict(zip(space.labels, weights)))
+    for mask in range(1 << n):
+        picked = (w for i, w in enumerate(weights) if mask >> i & 1)
+        assert m.values[mask] == sum(picked, Fraction(0))
+
+
 def test_fair_coin_is_classical():
     rep = validate_classical(fair_coin())
     assert rep.ok and rep.violations == ()

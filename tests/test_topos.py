@@ -10,9 +10,12 @@ from coevents import (
     CoeventSpace,
     EventAlgebra,
     FinitePoset,
+    GaussianRational,
+    Measure,
     NotASubobject,
     SampleSpace,
     Sieve,
+    SubobjectClassifier,
     SubobjectOfConstant,
     VaryingSet,
     build_mce_instance,
@@ -255,6 +258,43 @@ def test_classifier_functoriality(poset):
     assert classifier_functoriality_failures(omega) == ()
 
 
+def functoriality_oracle(omega: SubobjectClassifier) -> tuple:
+    """The route through validated sieves: every restriction by ``transition``."""
+    poset = omega.poset
+    failures = [
+        (p, p, p)
+        for p in poset.elements
+        for sieve in omega.sieves(p)
+        if omega.transition(sieve, p) != sieve
+    ]
+    for p, q, r in itertools.product(poset.elements, repeat=3):
+        if poset.leq(p, q) and poset.leq(q, r):
+            for sieve in omega.sieves(p):
+                two_step = omega.transition(omega.transition(sieve, q), r)
+                if two_step != omega.transition(sieve, r):
+                    failures.append((p, q, r))
+    return tuple(failures)
+
+
+@pytest.mark.parametrize(
+    "poset",
+    poset_corpus() + [poset_of_coevents(enumerate_multiplicative(algebra_of_size(3)))],
+    ids=lambda p: f"P{len(p)}",
+)
+def test_functoriality_on_bits_matches_the_transition_route(poset):
+    omega = classifier(poset)
+    assert classifier_functoriality_failures(omega) == functoriality_oracle(omega) == ()
+    # A fiber holding the sieves of a lower anchor fails the identity law.
+    for i, j in itertools.product(range(len(poset)), repeat=2):
+        if i != j and poset.matrix[j][i]:
+            fibers = list(omega.fibers)
+            fibers[i] = omega.fibers[j]
+            bad = SubobjectClassifier(poset, tuple(fibers))
+            failures = classifier_functoriality_failures(bad)
+            assert failures == functoriality_oracle(bad)
+            assert (poset.elements[i],) * 3 in failures
+
+
 def test_sieve_enumeration_cap():
     with pytest.raises(CapExceeded):
         sieves_at(grid_2x3(), "g00", cap=4)
@@ -437,6 +477,29 @@ def test_chi_two_routes_and_oracle(n, include_empty):
             assert sieve.bits == tau(ev & principal_event(phi), inst.space).bits
             expected = chi_oracle(inst, phi, ev)
             assert {j for j in range(len(inst.poset)) if sieve.bits >> j & 1} == expected
+
+
+def assert_chi_is_the_characteristic_map(inst) -> None:
+    for phi in inst.space.members:
+        for ev in inst.algebra.events():
+            expected = characteristic_map(inst.support_subobject, phi, ev)
+            assert chi_vsupp(inst, phi, ev) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_chi_matches_characteristic_map_on_mce_instances(n, include_empty):
+    assert_chi_is_the_characteristic_map(
+        build_mce_instance(algebra_of_size(n), include_empty_dual=include_empty)
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(amplitudes=st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+def test_chi_matches_characteristic_map_on_scheme_instances(amplitudes):
+    space = SampleSpace(tuple("abcd"[: len(amplitudes)]))
+    m = Measure.from_amplitudes(space, [GaussianRational.real(x) for x in amplitudes])
+    assert_chi_is_the_characteristic_map(build_scheme_instance(m))
 
 
 @settings(max_examples=100, deadline=None)
