@@ -11,6 +11,7 @@ on the former.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .coevent import Coevent, CoeventSpace
@@ -144,72 +145,113 @@ class OrderReport:
 def order_report(space: CoeventSpace) -> OrderReport:
     """Compare, over all pairs of history events, the two order structures.
 
-    - injectivity of tau;
+    Each flag is decided by a closed form over the tau table I, where
+    Omega is the full event and {i} a single history:
+
+    - injectivity of tau: I[A] is distinct for every A, by grouping the
+      events by image, O(2^n);
     - well-definedness of the pushed-forward order, i.e. monotonicity
       A <= B implies tau(A) <= tau(B) (pushing the order forward along
-      a non-injective tau is consistent exactly when tau is monotone);
-    - order agreement: A <= B iff tau(A) <= tau(B);
-    - meet agreement: tau(A & B) = tau(A) & tau(B);
-    - join agreement: tau(A | B) = tau(A) | tau(B).
+      a non-injective tau is consistent exactly when tau is monotone):
+      I[A] <= I[A | {i}] for every A and every i not in A, O(n 2^n);
+    - order agreement, A <= B iff tau(A) <= tau(B): tau is monotone and
+      I[{i}] is not inside I[Omega - {i}] for any i, O(n 2^n).  (If A is
+      not inside B, pick i in A - B: were I[A] <= I[B], monotonicity
+      would give I[{i}] <= I[A] <= I[B] <= I[Omega - {i}].);
+    - meet agreement, tau(A & B) = tau(A) & tau(B): I[A] is I[Omega]
+      meet every I[Omega - {i}] with i not in A, checked one bit at a
+      time, O(2^n);
+    - join agreement, tau(A | B) = tau(A) | tau(B): I[A] is I[{}] joined
+      with every I[{i}] with i in A, checked one bit at a time, O(2^n).
+
+    Pairs of events are walked only to list a failing flag's witnesses,
+    by that flag's pairwise definition.
     """
     alg = space.algebra
-    size = alg.size
+    n, size = alg.space.n, alg.size
+    full = size - 1
     images = space.tau_table
-
-    witnesses: dict[str, list[tuple[Event, Event]]] = {
-        "injectivity": [],
-        "pushforward": [],
-        "orders": [],
-        "meet": [],
-        "join": [],
-    }
 
     by_image: dict[int, list[int]] = {}
     for m in range(size):
         by_image.setdefault(images[m], []).append(m)
-    for bits in sorted(by_image):
-        cls = by_image[bits]
-        for i in range(len(cls)):
-            for j in range(i + 1, len(cls)):
-                witnesses["injectivity"].append((alg.event(cls[i]), alg.event(cls[j])))
+    injective = len(by_image) == size
+    monotone = all(
+        images[a] & ~images[a | 1 << i] == 0
+        for a in range(size)
+        for i in range(n)
+        if not a >> i & 1
+    )
+    orders = monotone and all(
+        images[1 << i] & ~images[full ^ 1 << i] for i in range(n)
+    )
+    meet = all(
+        images[full ^ c] == images[full ^ c ^ (c & -c)] & images[full ^ (c & -c)]
+        for c in range(1, size)
+    )
+    join = all(
+        images[a] == images[a ^ (a & -a)] | images[a & -a] for a in range(1, size)
+    )
 
-    for a in range(size):
-        for b in range(size):
-            a_le_b = a & b == a
-            t_le = images[a] & images[b] == images[a]
-            if a_le_b and not t_le:
-                witnesses["pushforward"].append((alg.event(a), alg.event(b)))
-            if a_le_b != t_le:
-                witnesses["orders"].append((alg.event(a), alg.event(b)))
-
-    for a in range(size):
-        for b in range(a, size):
-            if images[a & b] != images[a] & images[b]:
-                witnesses["meet"].append((alg.event(a), alg.event(b)))
-            if images[a | b] != images[a] | images[b]:
-                witnesses["join"].append((alg.event(a), alg.event(b)))
-
-    # The other lists are built in ascending order already.
-    witnesses["injectivity"].sort(key=lambda pair: (pair[0].mask, pair[1].mask))
+    witnesses: dict[str, tuple[tuple[Event, Event], ...]] = {
+        key: () for key in ("injectivity", "pushforward", "orders", "meet", "join")
+    }
+    if not (injective and orders and meet and join):
+        ev = tuple(alg.events())
+        if not injective:
+            witnesses["injectivity"] = tuple(
+                (ev[a], ev[b])
+                for a, b in sorted(
+                    pair for cls in by_image.values() for pair in combinations(cls, 2)
+                )
+            )
+        if not monotone:
+            witnesses["pushforward"] = tuple(
+                (ev[a], ev[b])
+                for a in range(size)
+                for b in range(size)
+                if a & b == a and images[a] & images[b] != images[a]
+            )
+        if not orders:
+            witnesses["orders"] = tuple(
+                (ev[a], ev[b])
+                for a in range(size)
+                for b in range(size)
+                if (a & b == a) != (images[a] & images[b] == images[a])
+            )
+        if not meet:
+            witnesses["meet"] = tuple(
+                (ev[a], ev[b])
+                for a in range(size)
+                for b in range(a, size)
+                if images[a & b] != images[a] & images[b]
+            )
+        if not join:
+            witnesses["join"] = tuple(
+                (ev[a], ev[b])
+                for a in range(size)
+                for b in range(a, size)
+                if images[a | b] != images[a] | images[b]
+            )
 
     notes = []
-    if witnesses["pushforward"]:
+    if not monotone:
         notes.append(
             "pushed-forward order is not well defined (tau is not monotone); "
             "no claims about it are made"
         )
-    if witnesses["injectivity"] and not witnesses["pushforward"]:
+    if not injective and monotone:
         notes.append(
             "tau is not injective; the pushed-forward order is taken on the image"
         )
 
     return OrderReport(
-        tau_injective=not witnesses["injectivity"],
-        pushforward_well_defined=not witnesses["pushforward"],
-        orders_agree=not witnesses["orders"],
-        meet_agree=not witnesses["meet"],
-        join_agree=not witnesses["join"],
-        witnesses={k: tuple(v) for k, v in witnesses.items()},
+        tau_injective=injective,
+        pushforward_well_defined=monotone,
+        orders_agree=orders,
+        meet_agree=meet,
+        join_agree=join,
+        witnesses=witnesses,
         notes=tuple(notes),
     )
 

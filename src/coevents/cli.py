@@ -358,7 +358,7 @@ def section_topos(
             "mode": "single",
             "context": str(phi),
             "event": str(event),
-            "sieve": str(sieve),
+            "sieve": instance.render_sieve(sieve),
         }
     else:
         rows = []
@@ -366,7 +366,9 @@ def section_topos(
             for mask in range(theory.algebra.size):
                 ev = theory.algebra.event(mask)
                 sieve = topos.chi_vsupp(instance, phi, ev)
-                rows.append({"context": rendered, "event": str(ev), "sieve": str(sieve)})
+                rows.append(
+                    {"context": rendered, "event": str(ev), "sieve": instance.render_sieve(sieve)}
+                )
         section["chi"] = {"mode": "table", "rows": rows}
     section["notes"] = notes
     return section

@@ -56,8 +56,11 @@ class Sieve:
         return bool(self.bits >> self.poset.index(x) & 1)
 
     def __str__(self) -> str:
-        inner = ", ".join(str(e) for e in self.members)
-        return f"@{self.at}: [{inner}]"
+        return _sieve_text(str(self.at), (str(e) for e in self.members))
+
+
+def _sieve_text(anchor: str, members: Iterable[str]) -> str:
+    return f"@{anchor}: [{', '.join(members)}]"
 
 
 def sieves_at(
@@ -291,6 +294,16 @@ class CoeventToposInstance:
     @property
     def is_antichain(self) -> bool:
         return self.poset.is_antichain()
+
+    def render_sieve(self, sieve: Sieve) -> str:
+        """``str(sieve)``, reading each context's string from the space's
+        renderings by bit index (the poset's elements are the space's
+        members, in order), so no coevent is rendered again."""
+        names = self.space.renderings
+        return _sieve_text(
+            names[self.poset.index(sieve.at)],
+            (r for j, r in enumerate(names) if sieve.bits >> j & 1),
+        )
 
 
 def _instance_from_space(algebra: EventAlgebra, space: CoeventSpace) -> CoeventToposInstance:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from coevents import CoeventSpace, EventAlgebra, SampleSpace
+from coevents.beables import OrderReport
 from coevents.coevent import principal_event
 from coevents.catalog import corpus
 
@@ -35,6 +36,74 @@ def dual_up_masks(space: CoeventSpace) -> list[int]:
     return [
         sum(1 << j for j, q in enumerate(principals) if q & p == q) for p in principals
     ]
+
+
+def order_report_oracle(space: CoeventSpace) -> OrderReport:
+    """Oracle: the order report by its pairwise definitions.
+
+    Walks every ordered and every unordered pair of history events and
+    tests each flag on each pair; the witnesses are listed in ascending
+    mask order.
+    """
+    alg = space.algebra
+    size = alg.size
+    images = space.tau_table
+
+    witnesses = {
+        "injectivity": [],
+        "pushforward": [],
+        "orders": [],
+        "meet": [],
+        "join": [],
+    }
+
+    by_image: dict[int, list[int]] = {}
+    for m in range(size):
+        by_image.setdefault(images[m], []).append(m)
+    for bits in sorted(by_image):
+        cls = by_image[bits]
+        for i in range(len(cls)):
+            for j in range(i + 1, len(cls)):
+                witnesses["injectivity"].append((alg.event(cls[i]), alg.event(cls[j])))
+
+    for a in range(size):
+        for b in range(size):
+            a_le_b = a & b == a
+            t_le = images[a] & images[b] == images[a]
+            if a_le_b and not t_le:
+                witnesses["pushforward"].append((alg.event(a), alg.event(b)))
+            if a_le_b != t_le:
+                witnesses["orders"].append((alg.event(a), alg.event(b)))
+
+    for a in range(size):
+        for b in range(a, size):
+            if images[a & b] != images[a] & images[b]:
+                witnesses["meet"].append((alg.event(a), alg.event(b)))
+            if images[a | b] != images[a] | images[b]:
+                witnesses["join"].append((alg.event(a), alg.event(b)))
+
+    witnesses["injectivity"].sort(key=lambda pair: (pair[0].mask, pair[1].mask))
+
+    notes = []
+    if witnesses["pushforward"]:
+        notes.append(
+            "pushed-forward order is not well defined (tau is not monotone); "
+            "no claims about it are made"
+        )
+    if witnesses["injectivity"] and not witnesses["pushforward"]:
+        notes.append(
+            "tau is not injective; the pushed-forward order is taken on the image"
+        )
+
+    return OrderReport(
+        tau_injective=not witnesses["injectivity"],
+        pushforward_well_defined=not witnesses["pushforward"],
+        orders_agree=not witnesses["orders"],
+        meet_agree=not witnesses["meet"],
+        join_agree=not witnesses["join"],
+        witnesses={k: tuple(v) for k, v in witnesses.items()},
+        notes=tuple(notes),
+    )
 
 
 @pytest.fixture(params=[1, 2, 3, 4])

@@ -23,9 +23,9 @@ from coevents import (
     truth_evaluate,
 )
 from coevents.catalog import three_slit
-from coevents.coevent import multiplicative_scheme
+from coevents.coevent import enumerate_classical, multiplicative_scheme
 
-from conftest import algebra_of_size, dual_up_masks
+from conftest import algebra_of_size, dual_up_masks, order_report_oracle
 
 
 def mce(n: int, include_empty_dual: bool = False) -> CoeventSpace:
@@ -113,6 +113,7 @@ def test_tau_rejects_foreign_events(coin_algebra, abc_algebra):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_order_report_over_all_duals(n):
     rep = order_report(mce(n))
+    assert rep == order_report_oracle(mce(n))
     assert rep.tau_injective
     assert rep.pushforward_well_defined
     assert rep.orders_agree
@@ -160,6 +161,53 @@ def test_filter_supports_give_well_defined_pushforward(theory_corpus):
     for m in theory_corpus.values():
         rep = order_report(multiplicative_scheme(m))
         assert rep.pushforward_well_defined
+
+
+@st.composite
+def report_spaces(draw) -> CoeventSpace:
+    """A space over n <= 4 histories mixing the members that decide the
+    report's flags: filters (duals, the constant-one map among them),
+    complements of principal ideals (join-preserving), the zero map and
+    arbitrary supports.  At most five members, so many events share an
+    image and tau is often neither injective nor monotone."""
+    alg = algebra_of_size(draw(st.integers(1, 4), label="n"))
+    events = st.integers(0, alg.size - 1)
+    member = st.one_of(
+        events.map(lambda p: dual_of_event(alg.event(p), include_empty_dual=True)),
+        events.map(lambda p: Coevent(alg, frozenset(a for a in range(alg.size) if a & ~p))),
+        st.just(Coevent(alg, frozenset())),
+        st.frozensets(events).map(lambda support: Coevent(alg, support)),
+    )
+    members = draw(st.lists(member, max_size=5), label="members")
+    return CoeventSpace.build(alg, members, "user-supplied")
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=report_spaces())
+def test_order_report_matches_the_pairwise_oracle(space):
+    assert order_report(space) == order_report_oracle(space)
+
+
+def test_order_report_walks_no_pairs_when_every_flag_holds(monkeypatch):
+    """Over the classical space tau(A) is A itself, so every flag holds; at
+    n = 12 a walk over the 2^24 ordered pairs would take many seconds."""
+    alg = EventAlgebra(SampleSpace(tuple("abcdefghijkl")))
+    space = enumerate_classical(alg)
+
+    def no_events(self):
+        raise AssertionError("a witness list was built")
+
+    monkeypatch.setattr(EventAlgebra, "events", no_events)
+    rep = order_report(space)
+    assert (
+        rep.tau_injective,
+        rep.pushforward_well_defined,
+        rep.orders_agree,
+        rep.meet_agree,
+        rep.join_agree,
+    ) == (True,) * 5
+    assert all(pairs == () for pairs in rep.witnesses.values())
+    assert rep.notes == ()
 
 
 def test_meet_agreement_exhaustive(small_algebra):

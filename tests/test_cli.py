@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from coevents.cli import run
+from coevents.coevent import Coevent
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
 FAIR_COIN = str(THEORIES / "fair_coin.json")
@@ -208,6 +209,16 @@ def test_topos_scheme_notes_the_antichain(capsys):
     section = report["sections"]["topos"]
     assert section["antichain"] is True
     assert any("anti-chain" in note for note in section["notes"])
+
+
+def test_topos_renders_each_coevent_once(capsys, monkeypatch):
+    """The chi table reads every sieve's strings from the space's renderings."""
+    rendered = []
+    plain = Coevent.__str__
+    monkeypatch.setattr(Coevent, "__str__", lambda phi: rendered.append(phi) or plain(phi))
+    rc, out, _ = invoke(capsys, ["topos", str(THEORIES / "four_slit_decoherence.json")])
+    assert rc == 0 and "@{a}*: [{a}*]" in out
+    assert len(rendered) == len(set(rendered)) == 15
 
 
 def test_include_empty_dual_flag_changes_the_space(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,8 @@ from coevents import (
     CoeventSpace,
     EmptyEventDual,
     EventAlgebra,
+    GaussianRational,
+    Measure,
     NotMultiplicative,
     SampleSpace,
     ZeroCoevent,
@@ -26,7 +30,7 @@ from coevents import (
     multiplicative_scheme,
 )
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
-from coevents.coevent import principal_event
+from coevents.coevent import enumerate_classical, preclusive_dual_events, principal_event
 from coevents.eventalg import EventFamily, iter_supermasks
 
 from conftest import algebra_of_size
@@ -331,6 +335,38 @@ def scheme_oracle(measure) -> set[tuple[int, ...]]:
         if not any(other != mask and other & mask == other for other in preclusive):
             keep.add(dual_of_event(alg.event(mask)).support_key)
     return keep
+
+
+@st.composite
+def measures_with_zeros(draw) -> Measure:
+    """An exact measure over n <= 5 histories from amplitudes in {-1, 0, 1}
+    (so interference makes some zeros), with more zeros injected at random
+    events; the empty event is null or not."""
+    n = draw(st.integers(1, 5), label="n")
+    space = SampleSpace(tuple("abcde"[:n]))
+    amps = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n), label="amplitudes")
+    m = Measure.from_amplitudes(space, [GaussianRational.real(a) for a in amps])
+    zeros = draw(st.frozensets(st.integers(0, (1 << n) - 1)), label="zeros")
+    values = {mask: Fraction(0) if mask in zeros else v for mask, v in m.values.items()}
+    values[0] = draw(st.sampled_from([Fraction(0), Fraction(1)]), label="empty value")
+    return Measure(m.algebra, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=measures_with_zeros())
+def test_preclusive_duals_and_scheme_match_pairwise_definitions(m):
+    alg = m.algebra
+    preclusive = [
+        mask
+        for mask in range(1, alg.size)
+        if is_preclusive(dual_of_event(alg.event(mask)), m)
+    ]
+    assert preclusive_dual_events(m).masks == tuple(preclusive)
+    scheme = multiplicative_scheme(m)
+    assert [phi.support_key for phi in scheme] == sorted(scheme_oracle(m))
+    assert scheme.provenance == "scheme"
+    classical = [phi for phi in enumerate_classical(alg) if is_preclusive(phi, m)]
+    assert classical_preclusive_set(m).members == tuple(classical)
 
 
 @pytest.mark.parametrize(

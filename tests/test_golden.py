@@ -34,6 +34,9 @@ FLAGS = {
     "topos-scheme": ["--set", "scheme"],
     "topos-cap15": ["--cap", "15"],
     "orders-all": ["--set", "all"],
+    "orders-scheme": ["--set", "scheme"],
+    "orders-classical": ["--set", "classical"],
+    "coevents-scheme": ["--set", "scheme"],
 }
 
 
