@@ -19,6 +19,7 @@ from .beables import (
     and_or_audit,
     complete,
     heyting_implication,
+    or_discrepancies,
     order_report,
     tau,
     truth_evaluate,

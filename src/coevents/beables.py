@@ -22,7 +22,7 @@ from .errors import (
     NotMultiplicative,
     NotUpperMode,
 )
-from .eventalg import Event
+from .eventalg import Event, iter_supermasks
 from .poset import poset_of_coevents
 
 #: The completions live inside 2**|V|, so closure is capped.
@@ -295,10 +295,11 @@ class Completion:
 def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Completion:
     """Closure of {tau(A)} under the mode's operations.
 
-    Union/intersection closure runs a worklist to a fixed point.  The
-    Boolean closure is built directly as all unions of the signature
-    atoms (members of V indistinguishable by every generator), which is
-    the same subalgebra without the quadratic worklist.
+    By distributivity the union/intersection closure C is the union-closure
+    of the intersection-closure M of the generators, two frontier passes
+    of O(|C| |M|) set operations; the pairwise worklist is the test
+    oracle.  The Boolean closure is all unions of the signature atoms
+    (members of V indistinguishable by every generator).
     """
     if mode not in ("upper", "boolean"):
         raise ValueError(f"unknown completion mode {mode!r}")
@@ -306,19 +307,7 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         raise CapExceeded("completion closure", cap, len(space))
     generators = set(space.tau_table)
     if mode == "upper":
-        current = set(generators)
-        while True:
-            fresh = set()
-            items = sorted(current)
-            for i, x in enumerate(items):
-                for y in items[i:]:
-                    if (x & y) not in current:
-                        fresh.add(x & y)
-                    if (x | y) not in current:
-                        fresh.add(x | y)
-            if not fresh:
-                break
-            current |= fresh
+        current = _closure(_closure(generators, int.__and__), int.__or__)
     else:
         gens = sorted(generators)
         atoms: dict[tuple[int, ...], int] = {}
@@ -330,6 +319,15 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
             unions += [u | atom for u in unions]
         current = set(unions)
     return Completion(mode, space, tuple(sorted(current)))
+
+
+def _closure(generators: set[int], op) -> set[int]:
+    """The closure of the generators under an associative, commutative op."""
+    closed, frontier = set(generators), generators
+    while frontier:
+        frontier = {op(x, g) for x in frontier for g in generators} - closed
+        closed |= frontier
+    return closed
 
 
 def heyting_implication(
@@ -415,3 +413,27 @@ def and_or_audit(
     if not record.and_identity_holds:
         raise ConsistencyError("AND identity failed for a multiplicative coevent")
     return record
+
+
+def or_discrepancies(space: CoeventSpace) -> Iterator[tuple[int, int, int]]:
+    """(member index, A, B) for each pair of event masks A <= B on which OR fails.
+
+    At a dual p*, phi(A) = 1 iff p <= A, so OR fails exactly when p <= A | B
+    while p is inside neither A nor B (Sorkin, "An exercise in
+    'anhomomorphic logic'", 2007); AND never fails.  So for each A that
+    splits p, B runs over the supersets of p - A that miss part of p & A,
+    with no audit record per pair.  Listed in :func:`and_or_audit`'s pair
+    order: member, then A, then B ascending.  Needs nonzero duals.
+    """
+    full = space.algebra.space.full_mask
+    principals = [phi.principal_mask for phi in space]
+    if None in principals:
+        raise NotMultiplicative("audit is defined for nonzero multiplicative coevents")
+    for i, p in enumerate(principals):
+        for a in range(full + 1):
+            inside = a & p
+            if inside in (0, p):
+                continue
+            for b in iter_supermasks(p ^ inside, full):
+                if b >= a and b & inside != inside:
+                    yield i, a, b

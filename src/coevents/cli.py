@@ -173,49 +173,35 @@ def section_validate(theory: HistoriesTheory) -> dict[str, Any]:
 
 
 def section_coevents(
-    theory: HistoriesTheory, set_name: str, include_empty: bool, cap: Optional[int]
+    theory: HistoriesTheory, space: CoeventSpace, include_empty: bool
 ) -> dict[str, Any]:
-    space = _coevent_space(theory, set_name, include_empty, cap)
-    members = []
-    for phi in space:
-        members.append(
-            {
-                "coevent": str(phi),
-                "classical": coevent.is_classical(phi),
-                "multiplicative": coevent.is_multiplicative(
-                    phi, include_empty_dual=include_empty
-                ),
-                "preclusive": coevent.is_preclusive(phi, theory.measure),
-                "modus_ponens": coevent.check_modus_ponens(phi),
-            }
-        )
-    return {"set": set_name, "count": len(space), "members": members}
+    members = [
+        {
+            "coevent": rendered,
+            "classical": coevent.is_classical(phi),
+            "multiplicative": coevent.is_multiplicative(phi, include_empty_dual=include_empty),
+            "preclusive": coevent.is_preclusive(phi, theory.measure),
+            "modus_ponens": coevent.check_modus_ponens(phi),
+        }
+        for phi, rendered in zip(space, space.renderings)
+    ]
+    return {"set": space.provenance, "count": len(space), "members": members}
 
 
-def section_tau(
-    theory: HistoriesTheory,
-    set_name: str,
-    include_empty: bool,
-    cap: Optional[int],
-    event: Event,
-) -> dict[str, Any]:
-    space = _coevent_space(theory, set_name, include_empty, cap)
+def section_tau(space: CoeventSpace, event: Event) -> dict[str, Any]:
     val = beables.tau(event, space)
     return {
-        "set": set_name,
+        "set": space.provenance,
         "event": str(event),
         "valuation_event": str(val),
         "members": list(val.renderings),
     }
 
 
-def section_orders(
-    theory: HistoriesTheory, set_name: str, include_empty: bool, cap: Optional[int]
-) -> dict[str, Any]:
-    space = _coevent_space(theory, set_name, include_empty, cap)
+def section_orders(space: CoeventSpace) -> dict[str, Any]:
     rep = beables.order_report(space)
     return {
-        "set": set_name,
+        "set": space.provenance,
         "tau_injective": rep.tau_injective,
         "pushforward_well_defined": rep.pushforward_well_defined,
         "orders_agree": rep.orders_agree,
@@ -229,14 +215,7 @@ def section_orders(
     }
 
 
-def section_complete(
-    theory: HistoriesTheory,
-    set_name: str,
-    include_empty: bool,
-    cap: Optional[int],
-    mode: str,
-) -> dict[str, Any]:
-    space = _coevent_space(theory, set_name, include_empty, cap)
+def section_complete(space: CoeventSpace, cap: Optional[int], mode: str) -> dict[str, Any]:
     completion = beables.complete(
         space, mode, cap=cap if cap is not None else beables.COMPLETION_CAP
     )
@@ -248,7 +227,7 @@ def section_complete(
             non_boolean_witness = str(beables.ValuationEvent(space, bits))
             break
     return {
-        "set": set_name,
+        "set": space.provenance,
         "mode": mode,
         "size": len(completion),
         "members": [str(alpha) for alpha in completion.members],
@@ -258,15 +237,12 @@ def section_complete(
 
 
 def section_audit(
-    theory: HistoriesTheory,
+    space: CoeventSpace,
     include_empty: bool,
     context: Optional[Event],
     event_a: Optional[Event],
     event_b: Optional[Event],
 ) -> dict[str, Any]:
-    space = coevent.enumerate_multiplicative(
-        theory.algebra, include_empty_dual=include_empty
-    )
     if context is not None and event_a is not None and event_b is not None:
         phi = coevent.dual_of_event(context, include_empty_dual=include_empty)
         record = beables.and_or_audit(phi, event_a, event_b, space)
@@ -284,25 +260,16 @@ def section_audit(
             "and_identity_holds": record.and_identity_holds,
             "or_discrepancy": record.or_discrepancy,
         }
-    discrepancies = []
-    checked = 0
-    size = theory.algebra.size
-    for phi, rendered in zip(space, space.renderings):
-        for a in range(size):
-            for b in range(a, size):
-                record = beables.and_or_audit(
-                    phi, theory.algebra.event(a), theory.algebra.event(b), space
-                )
-                checked += 1
-                if record.or_discrepancy:
-                    discrepancies.append(
-                        {"coevent": rendered, "a": str(record.a), "b": str(record.b)}
-                    )
+    events = [str(ev) for ev in space.algebra.events()]
+    size = len(events)
     return {
         "mode": "all-pairs",
-        "checked": checked,
+        "checked": len(space) * size * (size + 1) // 2,
         "and_identity_ok": True,
-        "or_discrepancies": discrepancies,
+        "or_discrepancies": [
+            {"coevent": space.renderings[i], "a": events[a], "b": events[b]}
+            for i, a, b in beables.or_discrepancies(space)
+        ],
     }
 
 
@@ -381,9 +348,9 @@ def _require_single_query(command: str, flags: dict[str, Optional[Event]]) -> No
         raise _UsageError(f"{command} single query also needs {' and '.join(missing)}")
 
 
-def _skippable(builder, *args, **kwargs) -> dict[str, Any]:
+def _skippable(builder, *args) -> dict[str, Any]:
     try:
-        return builder(*args, **kwargs)
+        return builder(*args)
     except CapExceeded as exc:
         return {"skipped": str(exc)}
 
@@ -395,26 +362,29 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
     event_b = _parse_event(theory, args.event_b) if args.event_b is not None else None
     context = _parse_event(theory, args.context) if args.context is not None else None
 
+    def space_of(set_name: str) -> CoeventSpace:
+        return _coevent_space(theory, set_name, include_empty, cap)
+
     sections: dict[str, Any] = {}
     if command == "validate":
         sections["validate"] = section_validate(theory)
     elif command == "coevents":
-        sections["coevents"] = section_coevents(theory, args.set, include_empty, cap)
+        sections["coevents"] = section_coevents(theory, space_of(args.set), include_empty)
     elif command == "tau":
         if event is None:
             raise _UsageError("tau needs --event")
-        sections["tau"] = section_tau(theory, args.set, include_empty, cap, event)
+        sections["tau"] = section_tau(space_of(args.set), event)
     elif command == "orders":
-        sections["orders"] = section_orders(theory, args.set, include_empty, cap)
+        sections["orders"] = section_orders(space_of(args.set))
     elif command == "complete":
-        sections["complete"] = section_complete(
-            theory, args.set, include_empty, cap, args.mode
-        )
+        sections["complete"] = section_complete(space_of(args.set), cap, args.mode)
     elif command == "audit":
         _require_single_query(
             command, {"--context": context, "--event": event, "--event-b": event_b}
         )
-        sections["audit"] = section_audit(theory, include_empty, context, event, event_b)
+        sections["audit"] = section_audit(
+            space_of("multiplicative"), include_empty, context, event, event_b
+        )
     elif command == "topos":
         _require_single_query(command, {"--context": context, "--event": event})
         sections["topos"] = section_topos(
@@ -422,20 +392,16 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
         )
     elif command == "report":
         sections["validate"] = section_validate(theory)
-        for set_name in ("classical", "multiplicative", "scheme"):
-            sections[f"coevents-{set_name}"] = _skippable(
-                section_coevents, theory, set_name, include_empty, cap
-            )
-        sections["orders"] = _skippable(
-            section_orders, theory, "multiplicative", include_empty, cap
-        )
-        sections["complete-upper"] = _skippable(
-            section_complete, theory, "multiplicative", include_empty, cap, "upper"
-        )
-        sections["complete-boolean"] = _skippable(
-            section_complete, theory, "multiplicative", include_empty, cap, "boolean"
-        )
-        sections["audit"] = _skippable(section_audit, theory, include_empty, None, None, None)
+        # Each space is built once.  Only the completions and the topos
+        # instance have caps that a theory can exceed, so only they are skipped.
+        spaces = {name: space_of(name) for name in ("classical", "multiplicative", "scheme")}
+        for set_name, space in spaces.items():
+            sections[f"coevents-{set_name}"] = section_coevents(theory, space, include_empty)
+        duals = spaces["multiplicative"]
+        sections["orders"] = section_orders(duals)
+        for mode in ("upper", "boolean"):
+            sections[f"complete-{mode}"] = _skippable(section_complete, duals, cap, mode)
+        sections["audit"] = section_audit(duals, include_empty, None, None, None)
         sections["topos"] = _skippable(
             section_topos, theory, "multiplicative", include_empty, cap, None, None
         )

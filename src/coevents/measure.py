@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidPartition, MismatchedSpace, NonRealDiagonal
@@ -113,6 +114,11 @@ class Measure:
         if event.space != self.algebra.space:
             raise MismatchedSpace("event belongs to a different sample space")
         return self.values[event.mask]
+
+    @cached_property
+    def null_masks(self) -> tuple[int, ...]:
+        """The masks of exactly zero measure, ascending; found once, on first use."""
+        return tuple(mask for mask in range(self.algebra.size) if self.values[mask] == 0)
 
     @classmethod
     def from_table(
@@ -414,9 +420,7 @@ def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
 
 def null_sets(m: Measure) -> EventFamily:
     """All events of exactly zero measure, in canonical order."""
-    return EventFamily.from_masks(
-        m.algebra.space, (mask for mask, v in m.values.items() if v == 0)
-    )
+    return EventFamily.from_masks(m.algebra.space, m.null_masks)
 
 
 def null_cover_exists(m: Measure) -> bool:

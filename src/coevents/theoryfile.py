@@ -63,6 +63,8 @@ def parse_rational(value: Any, where: str) -> Fraction:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValidationError(f"{where}: {value!r} has a zero denominator")
+        except ValueError as exc:  # more digits than Python converts
+            raise ValidationError(f"{where}: {exc}")
     if isinstance(value, float):
         raise ValidationError(
             f"{where}: floating-point literal {value!r} rejected; values must be exact"
@@ -105,6 +107,8 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
         raise ValidationError("sample_space must be a list of strings")
     try:
         space = SampleSpace(tuple(labels))
+        for label in labels:  # labels are written out, so they must encode
+            label.encode("utf-8")
     except ValueError as exc:
         raise ValidationError(f"sample_space: {exc}")
     algebra = EventAlgebra(space)
@@ -206,4 +210,6 @@ def load(path: str | Path) -> HistoriesTheory:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:  # too deeply nested, or too many digits
+        raise ParseError(f"{path}: {exc}")
     return load_data(data, where=str(path))

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from typing import Any
+
 from coevents import CoeventSpace, EventAlgebra, SampleSpace
-from coevents.beables import OrderReport
+from coevents.beables import OrderReport, and_or_audit
 from coevents.coevent import principal_event
 from coevents.catalog import corpus
 
@@ -104,6 +106,45 @@ def order_report_oracle(space: CoeventSpace) -> OrderReport:
         witnesses={k: tuple(v) for k, v in witnesses.items()},
         notes=tuple(notes),
     )
+
+
+def audit_oracle(space: CoeventSpace) -> dict[str, Any]:
+    """Oracle: the all-pairs audit section, one ``and_or_audit`` record per
+    (coevent, pair) with A <= B; a failed AND identity raises
+    ``ConsistencyError`` from inside ``and_or_audit``."""
+    alg = space.algebra
+    discrepancies = []
+    checked = 0
+    for phi, rendered in zip(space, space.renderings):
+        for a in range(alg.size):
+            for b in range(a, alg.size):
+                record = and_or_audit(phi, alg.event(a), alg.event(b), space)
+                checked += 1
+                if record.or_discrepancy:
+                    discrepancies.append(
+                        {"coevent": rendered, "a": str(record.a), "b": str(record.b)}
+                    )
+    return {
+        "mode": "all-pairs",
+        "checked": checked,
+        "and_identity_ok": True,
+        "or_discrepancies": discrepancies,
+    }
+
+
+def upper_closure_oracle(space: CoeventSpace) -> set[int]:
+    """Oracle: the tau image closed under union and intersection by a
+    pairwise worklist, run to a fixed point."""
+    current = set(space.tau_table)
+    while True:
+        fresh = set()
+        items = sorted(current)
+        for i, x in enumerate(items):
+            for y in items[i:]:
+                fresh |= {x & y, x | y} - current
+        if not fresh:
+            return current
+        current |= fresh
 
 
 @pytest.fixture(params=[1, 2, 3, 4])

@@ -9,6 +9,7 @@ from coevents import (
     CoeventSpace,
     EventAlgebra,
     MismatchedSpace,
+    NotMultiplicative,
     NotUpperMode,
     SampleSpace,
     TruthFunction,
@@ -18,14 +19,23 @@ from coevents import (
     dual_of_event,
     enumerate_multiplicative,
     heyting_implication,
+    or_discrepancies,
     order_report,
     tau,
     truth_evaluate,
 )
 from coevents.catalog import three_slit
+from coevents.cli import section_audit
 from coevents.coevent import enumerate_classical, multiplicative_scheme
+from coevents.theoryfile import load_data
 
-from conftest import algebra_of_size, dual_up_masks, order_report_oracle
+from conftest import (
+    algebra_of_size,
+    audit_oracle,
+    dual_up_masks,
+    order_report_oracle,
+    upper_closure_oracle,
+)
 
 
 def mce(n: int, include_empty_dual: bool = False) -> CoeventSpace:
@@ -237,6 +247,20 @@ def test_upper_completion_is_every_upper_set(n):
     space = mce(n)
     completion = complete(space, "upper")
     assert set(completion.member_bits) == all_upper_sets(space)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=mixed_spaces())
+def test_upper_completion_matches_the_worklist(space):
+    completion = complete(space, "upper", cap=len(space))
+    assert set(completion.member_bits) == upper_closure_oracle(space)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_upper_completion_matches_the_worklist_on_duals_and_classical(n):
+    spaces = [mce(n), mce(n, include_empty_dual=True), enumerate_classical(algebra_of_size(n))]
+    for space in spaces:
+        assert set(complete(space, "upper").member_bits) == upper_closure_oracle(space)
 
 
 def test_upper_completion_sizes():
@@ -506,6 +530,41 @@ def test_audit_rejects_foreign_events(coin_algebra, abc_algebra):
         and_or_audit(space.members[0], foreign, coin_algebra.full, space)
     with pytest.raises(MismatchedSpace):
         and_or_audit(space.members[0], coin_algebra.full, foreign, space)
+
+
+@st.composite
+def amplitude_theories(draw):
+    """A theory over n <= 4 histories with integer amplitudes in [-2, 2]."""
+    n = draw(st.integers(1, 4), label="n")
+    amplitudes = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n), label="amps")
+    return load_data({"sample_space": list("abcd"[:n]), "measure": {"amplitudes": amplitudes}})
+
+
+@settings(max_examples=60, deadline=None)
+@given(theory=amplitude_theories(), include_empty=st.booleans())
+def test_all_pairs_audit_section_matches_the_per_pair_oracle(theory, include_empty):
+    space = enumerate_multiplicative(theory.algebra, include_empty_dual=include_empty)
+    assert section_audit(space, include_empty, None, None, None) == audit_oracle(space)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=mixed_spaces())
+def test_or_discrepancies_match_the_per_pair_audit(space):
+    """On a space of duals, the constant-one map possibly among them, the
+    lister equals the per-pair audit; a space that holds a non-dual is
+    refused, as ``and_or_audit`` refuses such a pivot."""
+    alg = space.algebra
+    if any(phi.principal_mask is None for phi in space):
+        with pytest.raises(NotMultiplicative):
+            list(or_discrepancies(space))
+        return
+    assert list(or_discrepancies(space)) == [
+        (i, a, b)
+        for i, phi in enumerate(space)
+        for a in range(alg.size)
+        for b in range(a, alg.size)
+        if and_or_audit(phi, alg.event(a), alg.event(b), space).or_discrepancy
+    ]
 
 
 @settings(max_examples=100, deadline=None)

@@ -98,6 +98,31 @@ def test_non_utf8_file_is_a_load_error(tmp_path, capsys):
     assert str(bad) in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "amplitudes,where",
+    [
+        ("[" * 100_000 + "]" * 100_000, "recursion"),  # nesting deeper than the parser goes
+        ("[" + "7" * 5000 + "]", "digits"),  # beyond Python's integer string-length limit
+        ('["' + "7" * 5000 + '"]', "amplitudes[0]"),
+    ],
+    ids=["deep-array", "long-integer", "long-integer-string"],
+)
+def test_unparseable_numbers_are_load_errors(tmp_path, capsys, amplitudes, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sample_space": ["a"], "measure": {"amplitudes": ' + amplitudes + "}}")
+    rc, out, err = invoke(capsys, ["validate", str(bad)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and where in err
+
+
+def test_label_that_cannot_be_written_is_a_load_error(tmp_path, capsys):
+    bad = tmp_path / "surrogate.json"
+    bad.write_text('{"sample_space": ["\\ud800"], "measure": {"amplitudes": [1]}}')
+    rc, out, err = invoke(capsys, ["validate", str(bad)])
+    assert rc == 2 and out == ""
+    assert "sample_space" in err
+
+
 def test_brute_force_cap_exit_code(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(

@@ -32,6 +32,7 @@ from coevents import (
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
 from coevents.coevent import enumerate_classical, preclusive_dual_events, principal_event
 from coevents.eventalg import EventFamily, iter_supermasks
+from coevents.measure import null_cover_exists, null_sets
 
 from conftest import algebra_of_size
 
@@ -63,6 +64,13 @@ def test_evaluate_rejects_foreign_events(coin_algebra, abc_algebra):
     h_star = dual_of_event(coin_algebra.event_from_labels(["h"]))
     with pytest.raises(MismatchedSpace):
         evaluate(h_star, abc_algebra.full)
+
+
+@pytest.mark.parametrize("mask", [-1, 4])
+def test_support_masks_must_lie_in_the_algebra(coin_algebra, mask):
+    with pytest.raises(ValueError, match="outside the algebra"):
+        Coevent(coin_algebra, frozenset([0, mask]))
+    Coevent(coin_algebra, frozenset([0, 3]))
 
 
 def test_is_preclusive_rejects_foreign_measures(abc_algebra):
@@ -369,6 +377,26 @@ def test_preclusive_duals_and_scheme_match_pairwise_definitions(m):
     assert classical_preclusive_set(m).members == tuple(classical)
 
 
+@settings(max_examples=300, deadline=None)
+@given(m=measures_with_zeros(), data=st.data())
+def test_null_reads_match_a_rescan_of_the_values(m, data):
+    """is_preclusive, null_sets and null_cover_exists read the measure's
+    cached null masks; each is checked against a fresh scan of m.values."""
+    alg = m.algebra
+    events = st.integers(0, alg.size - 1)
+    if data.draw(st.booleans(), label="dual"):
+        phi = dual_of_event(alg.event(data.draw(events, label="p")), include_empty_dual=True)
+    else:
+        phi = Coevent(alg, data.draw(st.frozensets(events), label="support"))
+    nulls = [mask for mask, v in m.values.items() if v == 0]
+    assert is_preclusive(phi, m) == all(mask not in phi.support for mask in nulls)
+    assert null_sets(m).masks == tuple(sorted(nulls))
+    covered = 0
+    for mask in nulls:
+        covered |= mask
+    assert null_cover_exists(m) == (covered == alg.space.full_mask)
+
+
 @pytest.mark.parametrize(
     "build,expected",
     [
@@ -432,6 +460,15 @@ def test_modus_ponens_iff_upward_closed_support(n):
             if extra & m == 0
         )
         assert check_modus_ponens(phi) == upward
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=supports())
+def test_modus_ponens_matches_the_superset_walk(drawn):
+    alg, support = drawn
+    full = alg.space.full_mask
+    walk = all(s in support for m in support for s in iter_supermasks(m, full))
+    assert check_modus_ponens(Coevent(alg, support)) == walk
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ FLAGS = {
     "orders-scheme": ["--set", "scheme"],
     "orders-classical": ["--set", "classical"],
     "coevents-scheme": ["--set", "scheme"],
+    "coevents-all": ["--set", "all"],
+    "coevents-classical": ["--set", "classical"],
+    "audit-empty": ["--include-empty-dual"],
 }
 
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coevents import ParseError, ValidationError
 from coevents.theoryfile import load, load_data, parse_complex, parse_rational
@@ -225,3 +228,79 @@ def test_float_amplitudes_rejected(tmp_path):
                 {"sample_space": ["a"], "measure": {"amplitudes": [0.5]}},
             )
         )
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every input loads or is rejected with a loader error
+
+FIELD_NAMES = (
+    "sample_space", "measure", "options", "event_table", "atom_weights", "amplitudes",
+    "decoherence", "re", "im", "include-empty-dual", "brute-force-cap", "a", "h", "1",
+)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.from_regex(r"[+-]?\d{1,3}(/\d{1,2})?", fullmatch=True)
+    | st.sampled_from(FIELD_NAMES)
+    | st.text(max_size=4)
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=3), children, max_size=4),
+    max_leaves=16,
+)
+DEMOS = {path.stem: json.loads(path.read_text()) for path in sorted(THEORIES.glob("*.json"))}
+
+
+def load_or_reject(data) -> None:
+    try:
+        load_data(data)
+    except (ParseError, ValidationError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_trees)
+def test_random_json_trees_load_or_are_rejected(data):
+    load_or_reject(data)
+
+
+@st.composite
+def mutated_demos(draw):
+    """A demo theory with one node, one to four levels down, replaced by a
+    random leaf or tree, or deleted."""
+    data = copy.deepcopy(DEMOS[draw(st.sampled_from(sorted(DEMOS)), label="demo")])
+    parent, key = data, None
+    for _ in range(draw(st.integers(1, 4), label="depth")):
+        node = parent if key is None else parent[key]
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys), label="key")
+    action = draw(st.sampled_from(["leaf", "tree", "delete"]), label="action")
+    if action == "delete":
+        del parent[key]
+    else:
+        parent[key] = draw(json_leaves if action == "leaf" else json_trees, label="new")
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_demos())
+def test_mutated_demo_theories_load_or_are_rejected(data):
+    load_or_reject(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=mutated_demos(), cut=st.integers(0, 400))
+def test_truncated_theory_files_load_or_are_rejected(data, cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "theory.json"
+        path.write_text(json.dumps(data)[:cut], encoding="utf-8")
+        try:
+            load(path)
+        except (ParseError, ValidationError):
+            pass
