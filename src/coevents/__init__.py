@@ -94,6 +94,7 @@ from .topos import (
     SubobjectClassifier,
     SubobjectOfConstant,
     VaryingSet,
+    build_instance,
     build_mce_instance,
     build_scheme_instance,
     characteristic_map,

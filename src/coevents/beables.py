@@ -23,7 +23,7 @@ from .errors import (
     NotUpperMode,
 )
 from .eventalg import Event, iter_supermasks
-from .poset import poset_of_coevents
+from .poset import closure, poset_of_coevents
 
 #: The completions live inside 2**|V|, so closure is capped.
 COMPLETION_CAP = 20
@@ -307,7 +307,7 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         raise CapExceeded("completion closure", cap, len(space))
     generators = set(space.tau_table)
     if mode == "upper":
-        current = _closure(_closure(generators, int.__and__), int.__or__)
+        current = closure(closure(generators, int.__and__), int.__or__)
     else:
         gens = sorted(generators)
         atoms: dict[tuple[int, ...], int] = {}
@@ -321,25 +321,17 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     return Completion(mode, space, tuple(sorted(current)))
 
 
-def _closure(generators: set[int], op) -> set[int]:
-    """The closure of the generators under an associative, commutative op."""
-    closed, frontier = set(generators), generators
-    while frontier:
-        frontier = {op(x, g) for x in frontier for g in generators} - closed
-        closed |= frontier
-    return closed
-
-
 def heyting_implication(
     alpha: ValuationEvent, beta: ValuationEvent, completion: Completion
 ) -> ValuationEvent:
     """The largest member gamma of the completion with gamma & alpha <= beta.
 
-    Needs a space of nonzero multiplicative coevents (a ValueError names
-    the requirement otherwise).  Over such a space the upper completion
-    is the up-sets of the dual order, so the answer is that locale's
-    implication, computed pointwise: a member of V belongs iff every
-    member above it that lies in alpha also lies in beta.  The tests
+    Needs a space of nonzero multiplicative coevents (NotMultiplicative,
+    a ValueError, names the requirement otherwise).  Over such a space
+    the upper completion is the up-sets of the dual order, so the answer
+    is that locale's implication, computed pointwise: a member of V
+    belongs iff every member above it that lies in alpha also lies in
+    beta.  The tests
     compare it with a scan of the completion's members.
     """
     if completion.mode != "upper":

@@ -274,28 +274,18 @@ def section_audit(
 
 
 def section_topos(
-    theory: HistoriesTheory,
-    set_name: str,
-    include_empty: bool,
+    instance: topos.CoeventToposInstance,
     cap: Optional[int],
+    include_empty: bool,
     context: Optional[Event],
     event: Optional[Event],
 ) -> dict[str, Any]:
-    if set_name == "scheme":
-        instance = topos.build_scheme_instance(
-            theory.measure, cap=cap if cap is not None else topos.MCE_INSTANCE_CAP
-        )
-    else:
-        instance = topos.build_mce_instance(
-            theory.algebra,
-            include_empty_dual=include_empty,
-            cap=cap if cap is not None else topos.MCE_INSTANCE_CAP,
-        )
     section: dict[str, Any] = {
-        "set": "scheme" if set_name == "scheme" else "multiplicative",
+        "set": instance.space.provenance,
         "poset": list(instance.space.renderings),
         "antichain": instance.is_antichain,
-        "vsupp_is_subobject": topos.is_subobject(instance.support_subobject)[0],
+        # build_instance raises ConsistencyError on a selection that is not monotone
+        "vsupp_is_subobject": True,
     }
     notes = []
     if instance.is_antichain and len(instance.poset) > 0:
@@ -330,8 +320,7 @@ def section_topos(
     else:
         rows = []
         for phi, rendered in zip(instance.space, instance.space.renderings):
-            for mask in range(theory.algebra.size):
-                ev = theory.algebra.event(mask)
+            for ev in instance.algebra.events():
                 sieve = topos.chi_vsupp(instance, phi, ev)
                 rows.append(
                     {"context": rendered, "event": str(ev), "sieve": instance.render_sieve(sieve)}
@@ -365,6 +354,14 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
     def space_of(set_name: str) -> CoeventSpace:
         return _coevent_space(theory, set_name, include_empty, cap)
 
+    topos_cap = cap if cap is not None else topos.MCE_INSTANCE_CAP
+
+    def topos_of(
+        space: CoeventSpace, context: Optional[Event], event: Optional[Event]
+    ) -> dict[str, Any]:
+        instance = topos.build_instance(space, topos_cap)
+        return section_topos(instance, cap, include_empty, context, event)
+
     sections: dict[str, Any] = {}
     if command == "validate":
         sections["validate"] = section_validate(theory)
@@ -383,13 +380,12 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
             command, {"--context": context, "--event": event, "--event-b": event_b}
         )
         sections["audit"] = section_audit(
-            space_of("multiplicative"), include_empty, context, event, event_b
+            space_of(args.set), include_empty, context, event, event_b
         )
     elif command == "topos":
         _require_single_query(command, {"--context": context, "--event": event})
-        sections["topos"] = section_topos(
-            theory, args.set, include_empty, cap, context, event
-        )
+        topos.check_instance_cap(theory.space.n, topos_cap)
+        sections["topos"] = topos_of(space_of(args.set), context, event)
     elif command == "report":
         sections["validate"] = section_validate(theory)
         # Each space is built once.  Only the completions and the topos
@@ -402,9 +398,7 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
         for mode in ("upper", "boolean"):
             sections[f"complete-{mode}"] = _skippable(section_complete, duals, cap, mode)
         sections["audit"] = section_audit(duals, include_empty, None, None, None)
-        sections["topos"] = _skippable(
-            section_topos, theory, "multiplicative", include_empty, cap, None, None
-        )
+        sections["topos"] = _skippable(topos_of, duals, None, None)
     else:  # pragma: no cover - argparse restricts the choices
         raise _UsageError(f"unknown command {command!r}")
 

@@ -28,6 +28,7 @@ from .eventalg import (
     EventFamily,
     filter_principal,
     iter_supermasks,
+    set_bits,
 )
 from .measure import Measure
 
@@ -352,11 +353,6 @@ def _lacking(n: int, i: int) -> int:
     return ((1 << run) - 1) * (((1 << (1 << n)) - 1) // ((1 << 2 * run) - 1))
 
 
-def _set_bits(bits: int) -> list[int]:
-    """The positions of the set bits, in ascending order."""
-    return [a for a, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
-
-
 def _preclusive_bits(m: Measure) -> int:
     """Bit A is set iff A is nonempty and its dual A* is preclusive."""
     return ~_null_down_set(m) & ((1 << m.algebra.size) - 2)
@@ -369,7 +365,7 @@ def preclusive_dual_events(m: Measure) -> EventFamily:
     is an up-set in the event algebra.  Read from the null sets'
     down-closure in O(n 2^n).
     """
-    return EventFamily.from_masks(m.algebra.space, _set_bits(_preclusive_bits(m)))
+    return EventFamily.from_masks(m.algebra.space, set_bits(_preclusive_bits(m)))
 
 
 def multiplicative_scheme(m: Measure) -> CoeventSpace:
@@ -392,7 +388,7 @@ def multiplicative_scheme(m: Measure) -> CoeventSpace:
         above_one |= (preclusive & _lacking(n, i)) << (1 << i)
     duals = (
         dual_of_event(m.algebra.event(mask), include_empty_dual=True)
-        for mask in _set_bits(preclusive & ~above_one)
+        for mask in set_bits(preclusive & ~above_one)
     )
     return CoeventSpace.build(m.algebra, duals, provenance="scheme")
 

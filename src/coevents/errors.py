@@ -44,7 +44,7 @@ class EmptyEventDual(CoeventsError):
     """Dual of the empty event requested without include_empty_dual."""
 
 
-class NotMultiplicative(CoeventsError):
+class NotMultiplicative(CoeventsError, ValueError):
     """Operation requires a multiplicative coevent."""
 
 

@@ -245,6 +245,11 @@ def iter_submasks(mask: int) -> Iterator[int]:
         s = (s - mask) & mask
 
 
+def set_bits(bits: int) -> list[int]:
+    """The positions of the set bits, in ascending order."""
+    return [a for a, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+
+
 def iter_supermasks(mask: int, full: int) -> Iterator[int]:
     """All supermasks of ``mask`` within ``full``, in ascending order."""
     comp = full ^ mask

@@ -1,61 +1,56 @@
-"""Finite posets as bitmask rows: up-sets and their Heyting implication.
+"""Finite posets as up-set rows: up-sets, their ∪-closure and Heyting implication.
 
 The up-sets of a finite poset form a finite locale, and two layers use
 one: the upper completion over a space of duals (:mod:`.beables`) is
 exactly the up-sets of the dual order, and the sieves of a varying set
 (:mod:`.topos`) are the up-sets above an anchor.  Both take the up-set
-test and the implication from here.
+test, the closure and the implication from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .coevent import CoeventSpace
-from .errors import MismatchedSpace
+from .errors import MismatchedSpace, NotMultiplicative
+from .eventalg import set_bits
 
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A finite partial order, validated at construction.
+    """A finite partial order held as its up-set rows, validated at construction.
 
-    Each element's up-set (itself and everything above it) is kept as a
-    bitmask over the element order.
+    ``up[i]`` is the bitmask, over the element order, of the elements at
+    or above ``elements[i]``.
     """
 
     elements: tuple[Hashable, ...]
-    matrix: tuple[tuple[bool, ...], ...]  # matrix[i][j] iff elements[i] <= elements[j]
+    up: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise ValueError("poset elements must be distinct")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError("relation matrix must be square over the elements")
-        for i in range(n):
-            if not self.matrix[i][i]:
+        if len(self.up) != n or any(row < 0 or row >> n for row in self.up):
+            raise ValueError("up-set rows must be one bitmask over the elements per element")
+        for i, row in enumerate(self.up):
+            if not row >> i & 1:
                 raise ValueError(f"relation is not reflexive at {self.elements[i]}")
-            for j in range(n):
-                if i != j and self.matrix[i][j] and self.matrix[j][i]:
+            for j in set_bits(row & ~(1 << i)):
+                if self.up[j] >> i & 1:
                     raise ValueError(
                         f"relation is not antisymmetric on "
                         f"({self.elements[i]}, {self.elements[j]})"
                     )
-                if self.matrix[i][j]:
-                    for k in range(n):
-                        if self.matrix[j][k] and not self.matrix[i][k]:
-                            raise ValueError(
-                                f"relation is not transitive through "
-                                f"({self.elements[i]}, {self.elements[j]}, "
-                                f"{self.elements[k]})"
-                            )
+                beyond = self.up[j] & ~row
+                if beyond:
+                    k = (beyond & -beyond).bit_length() - 1
+                    raise ValueError(
+                        f"relation is not transitive through "
+                        f"({self.elements[i]}, {self.elements[j]}, {self.elements[k]})"
+                    )
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
-        object.__setattr__(
-            self,
-            "_up",
-            tuple(sum(1 << j for j, le in enumerate(row) if le) for row in self.matrix),
-        )
 
     @classmethod
     def from_pairs(
@@ -64,17 +59,14 @@ class FinitePoset:
         """Reflexive-transitive closure of the given strict covers."""
         elements = tuple(elements)
         index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        rel = [[i == j for j in range(n)] for i in range(n)]
+        up = [1 << i for i in range(len(elements))]
         for a, b in pairs:
-            rel[index[a]][index[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        return cls(elements, tuple(tuple(row) for row in rel))
+            up[index[a]] |= 1 << index[b]
+        for k in range(len(up)):
+            for i, row in enumerate(up):
+                if row >> k & 1:
+                    up[i] = row | up[k]
+        return cls(elements, tuple(up))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -86,18 +78,25 @@ class FinitePoset:
             raise MismatchedSpace(f"{x} is not an element of the poset")
 
     def leq(self, x: Hashable, y: Hashable) -> bool:
-        return self.matrix[self.index(x)][self.index(y)]
-
-    def up_bits(self, i: int) -> int:
-        """Bitmask of the elements above elements[i] (inclusive)."""
-        return self._up[i]
+        return bool(self.up[self.index(x)] >> self.index(y) & 1)
 
     def is_up_set(self, bits: int) -> bool:
         """True iff the elements in ``bits`` are upward closed."""
-        up = self._up
-        return all(
-            up[j] & bits == up[j] for j in range(len(up)) if bits >> j & 1
-        )
+        up = self.up
+        return all(up[j] & ~bits == 0 for j in set_bits(bits))
+
+    def up_sets(self, within: Optional[int] = None) -> tuple[int, ...]:
+        """The up-sets inside the up-set ``within`` (by default the whole
+        poset), ascending.
+
+        Every up-set is the union of the principal up-sets of its
+        elements, so these are the empty set and the ∪-closure of the
+        rows of ``within``'s elements.
+        """
+        if within is None:
+            within = (1 << len(self.up)) - 1
+        rows = {self.up[j] for j in set_bits(within)}
+        return tuple(sorted(closure(rows, int.__or__) | {0}))
 
     def implication(self, a: int, b: int, within: Optional[int] = None) -> int:
         """Heyting implication a => b among the up-sets inside ``within``.
@@ -107,32 +106,42 @@ class FinitePoset:
         meet with a lies in b: the elements whose whole up-set avoids
         a minus b.
         """
-        up = self._up
+        up = self.up
         if within is None:
             within = (1 << len(up)) - 1
         outside = a & ~b
         bits = 0
-        for j in range(len(up)):
-            if within >> j & 1 and up[j] & outside == 0:
+        for j in set_bits(within):
+            if up[j] & outside == 0:
                 bits |= 1 << j
         return bits
 
     def is_antichain(self) -> bool:
-        return all(up == 1 << i for i, up in enumerate(self._up))
+        return all(row == 1 << i for i, row in enumerate(self.up))
+
+
+def closure(generators: set[int], op: Callable[[int, int], int]) -> set[int]:
+    """The closure of the generators under an associative, commutative op."""
+    closed, frontier = set(generators), generators
+    while frontier:
+        frontier = {op(x, g) for x in frontier for g in generators} - closed
+        closed |= frontier
+    return closed
 
 
 def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
     """The dual order on a space of nonzero multiplicative coevents.
 
     A dual sits below another exactly when its principal event contains
-    the other's.
+    the other's, so the up-set of p* is the members whose support holds
+    p: the tau-table row of p.
     """
-    principals = [phi.principal_mask for phi in space.members]
-    if None in principals:
-        raise ValueError(
-            "dual order requires every member to be a nonzero multiplicative coevent"
-        )
-    matrix = tuple(
-        tuple(q & p == q for q in principals) for p in principals
-    )
-    return FinitePoset(tuple(space.members), matrix)
+    table = space.tau_table
+    rows = []
+    for phi in space.members:
+        if phi.principal_mask is None:
+            raise NotMultiplicative(
+                "dual order requires every member to be a nonzero multiplicative coevent"
+            )
+        rows.append(table[phi.principal_mask])
+    return FinitePoset(tuple(space.members), tuple(rows))

@@ -12,6 +12,7 @@ subobject of the constant varying set of history events.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .coevent import (
@@ -21,11 +22,11 @@ from .coevent import (
     multiplicative_scheme,
 )
 from .errors import CapExceeded, ConsistencyError, MismatchedSpace, NotASubobject
-from .eventalg import Event, EventAlgebra, iter_submasks
+from .eventalg import Event, EventAlgebra, set_bits
 from .measure import Measure
 from .poset import FinitePoset, poset_of_coevents
 
-#: Sieve enumeration walks all subsets of an up-set.
+#: Sieve enumeration lists every up-set above an anchor.
 SIEVE_ENUMERATION_CAP = 12
 
 #: The dual-ordered coevent poset has 2**n - 1 elements.
@@ -41,7 +42,7 @@ class Sieve:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.bits & ~self.poset.up_bits(self.poset.index(self.at)):
+        if self.bits & ~self.poset.up[self.poset.index(self.at)]:
             raise ValueError("sieve members must lie above the anchor")
         if not self.poset.is_up_set(self.bits):
             raise ValueError("sieve members must be upward closed")
@@ -66,13 +67,11 @@ def _sieve_text(anchor: str, members: Iterable[str]) -> str:
 def sieves_at(
     poset: FinitePoset, p: Hashable, cap: int = SIEVE_ENUMERATION_CAP
 ) -> tuple[Sieve, ...]:
-    """All sieves anchored at p, in ascending bitmask order."""
+    """All sieves anchored at p, in ascending bitmask order: the up-sets
+    inside p's up-set."""
     if len(poset) > cap:
         raise CapExceeded("sieve enumeration", cap, len(poset))
-    up = poset.up_bits(poset.index(p))
-    return tuple(
-        Sieve(poset, p, bits) for bits in iter_submasks(up) if poset.is_up_set(bits)
-    )
+    return tuple(Sieve(poset, p, bits) for bits in poset.up_sets(poset.up[poset.index(p)]))
 
 
 def sieve_meet(a: Sieve, b: Sieve) -> Sieve:
@@ -89,7 +88,7 @@ def sieve_implication(a: Sieve, b: Sieve) -> Sieve:
     """Heyting implication in the locale of sieves at a common anchor."""
     _require_same_anchor(a, b)
     poset = a.poset
-    anchor_up = poset.up_bits(poset.index(a.at))
+    anchor_up = poset.up[poset.index(a.at)]
     return Sieve(poset, a.at, poset.implication(a.bits, b.bits, anchor_up))
 
 
@@ -107,10 +106,8 @@ class VaryingSet:
     transitions: Mapping[tuple[int, int], Mapping]
 
     def __post_init__(self) -> None:
-        n = len(self.poset)
-        expected = {
-            (i, j) for i in range(n) for j in range(n) if self.poset.matrix[i][j]
-        }
+        n, up = len(self.poset), self.poset.up
+        expected = {(i, j) for i in range(n) for j in set_bits(up[i])}
         if set(self.transitions.keys()) != expected:
             raise ValueError("transitions must be given exactly on comparable pairs")
         for (i, j), t in self.transitions.items():
@@ -124,12 +121,8 @@ class VaryingSet:
                 if x != y:
                     raise ValueError(f"transition at {self.poset.elements[i]} is not the identity")
         for i in range(n):
-            for j in range(n):
-                if not self.poset.matrix[i][j]:
-                    continue
-                for k in range(n):
-                    if not self.poset.matrix[j][k]:
-                        continue
+            for j in set_bits(up[i]):
+                for k in set_bits(up[j]):
                     via = {
                         x: self.transitions[(j, k)][self.transitions[(i, j)][x]]
                         for x in self.fibers[i]
@@ -148,15 +141,11 @@ class VaryingSet:
 def constant_varying_set(poset: FinitePoset, ambient: Iterable) -> VaryingSet:
     """Every fiber is the same set; every transition the identity."""
     q = frozenset(ambient)
-    n = len(poset)
     identity = {x: x for x in q}
     transitions = {
-        (i, j): dict(identity)
-        for i in range(n)
-        for j in range(n)
-        if poset.matrix[i][j]
+        (i, j): dict(identity) for i, row in enumerate(poset.up) for j in set_bits(row)
     }
-    return VaryingSet(poset, tuple(q for _ in range(n)), transitions)
+    return VaryingSet(poset, tuple(q for _ in poset.elements), transitions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,12 +169,12 @@ class SubobjectOfConstant:
 
 def is_subobject(s: SubobjectOfConstant) -> tuple[bool, tuple[tuple[Hashable, Hashable], ...]]:
     """Monotonicity of the selection; witnesses are the violating pairs."""
-    witnesses = []
-    n = len(s.poset)
-    for i in range(n):
-        for j in range(n):
-            if i != j and s.poset.matrix[i][j] and not s.selections[i] <= s.selections[j]:
-                witnesses.append((s.poset.elements[i], s.poset.elements[j]))
+    witnesses = [
+        (s.poset.elements[i], s.poset.elements[j])
+        for i, row in enumerate(s.poset.up)
+        for j in set_bits(row & ~(1 << i))
+        if not s.selections[i] <= s.selections[j]
+    ]
     return not witnesses, tuple(witnesses)
 
 
@@ -196,10 +185,9 @@ def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Siev
         raise NotASubobject(f"selection is not monotone; witnesses {witnesses[:3]}")
     if x not in s.ambient:
         raise ValueError(f"{x} is not in the ambient set")
-    i = s.poset.index(p)
     bits = 0
-    for j in range(len(s.poset)):
-        if s.poset.matrix[i][j] and x in s.selections[j]:
+    for j in set_bits(s.poset.up[s.poset.index(p)]):
+        if x in s.selections[j]:
             bits |= 1 << j
     return Sieve(s.poset, p, bits)
 
@@ -210,13 +198,11 @@ def characteristic_naturality_failures(
     """Triples (p, q, x) where restriction does not commute with the map."""
     failures = []
     poset = s.poset
-    for i in range(len(poset)):
-        for j in range(len(poset)):
-            if not poset.matrix[i][j]:
-                continue
+    for i, row in enumerate(poset.up):
+        for j in set_bits(row):
             for x in sorted(s.ambient, key=str):
                 at_q = characteristic_map(s, poset.elements[j], x)
-                restricted = characteristic_map(s, poset.elements[i], x).bits & poset.up_bits(j)
+                restricted = characteristic_map(s, poset.elements[i], x).bits & poset.up[j]
                 if at_q.bits != restricted:
                     failures.append((poset.elements[i], poset.elements[j], x))
     return tuple(failures)
@@ -238,12 +224,7 @@ class SubobjectClassifier:
             raise MismatchedSpace("sieve over a different poset")
         if not self.poset.leq(sieve.at, q):
             raise ValueError("restriction target must be above the sieve's anchor")
-        return Sieve(self.poset, q, _restrict(self.poset, sieve.bits, self.poset.index(q)))
-
-
-def _restrict(poset: FinitePoset, bits: int, j: int) -> int:
-    """Restriction of a sieve to the contexts above element j: AND with j's up-set."""
-    return bits & poset.up_bits(j)
+        return Sieve(self.poset, q, sieve.bits & self.poset.up[self.poset.index(q)])
 
 
 def classifier(poset: FinitePoset, cap: int = SIEVE_ENUMERATION_CAP) -> SubobjectClassifier:
@@ -254,27 +235,25 @@ def classifier(poset: FinitePoset, cap: int = SIEVE_ENUMERATION_CAP) -> Subobjec
 def classifier_functoriality_failures(
     omega: SubobjectClassifier,
 ) -> tuple[tuple[Hashable, Hashable, Hashable], ...]:
-    """Triples (p, q, r) where restriction (on the sieves' bits) fails a law."""
+    """Triples (p, q, r) where restriction fails a law; restricting a
+    sieve to q keeps the bits of q's up-set row."""
     failures = []
-    poset = omega.poset
-    n = len(poset)
-    for i in range(n):
-        p = poset.elements[i]
+    elements, up = omega.poset.elements, omega.poset.up
+    for i, p in enumerate(elements):
         for sieve in omega.fibers[i]:
-            if sieve.at != p or _restrict(poset, sieve.bits, i) != sieve.bits:
+            if sieve.at != p or sieve.bits & up[i] != sieve.bits:
                 failures.append((p, p, p))
-    for i in range(n):
-        for j in range(n):
-            if not poset.matrix[i][j]:
-                continue
-            for k in range(n):
-                if not poset.matrix[j][k]:
-                    continue
-                p, q, r = poset.elements[i], poset.elements[j], poset.elements[k]
-                for sieve in omega.fibers[i]:
-                    two_step = _restrict(poset, _restrict(poset, sieve.bits, j), k)
-                    if two_step != _restrict(poset, sieve.bits, k):
-                        failures.append((p, q, r))
+    for i, p in enumerate(elements):
+        fiber = [sieve.bits for sieve in omega.fibers[i]]
+        for j in set_bits(up[i]):
+            for k in set_bits(up[j]):
+                # restriction to j then k against restriction to k, on bits
+                up_j, up_k = up[j], up[k]
+                failures.extend(
+                    (p, elements[j], elements[k])
+                    for bits in fiber
+                    if bits & up_j & up_k != bits & up_k
+                )
     return tuple(failures)
 
 
@@ -284,21 +263,39 @@ def classifier_functoriality_failures(
 
 @dataclass(frozen=True, eq=False)
 class CoeventToposInstance:
-    """A coevent poset with the support subobject of the constant event set."""
+    """A space of duals in the dual order, each context selecting its support.
 
-    algebra: EventAlgebra
+    The poset's elements are the space's members, in order.  Build one
+    with :func:`build_instance`, which checks that the selection is a
+    subobject of the constant set of history events.
+    """
+
     space: CoeventSpace
     poset: FinitePoset
-    support_subobject: SubobjectOfConstant
+
+    @property
+    def algebra(self) -> EventAlgebra:
+        return self.space.algebra
 
     @property
     def is_antichain(self) -> bool:
         return self.poset.is_antichain()
 
+    @cached_property
+    def support_subobject(self) -> SubobjectOfConstant:
+        """The support selection as sets of events, built on first use."""
+        space = self.algebra.space
+        return SubobjectOfConstant(
+            self.poset,
+            frozenset(self.algebra.events()),
+            tuple(
+                frozenset(Event(space, m) for m in phi.support) for phi in self.space.members
+            ),
+        )
+
     def render_sieve(self, sieve: Sieve) -> str:
         """``str(sieve)``, reading each context's string from the space's
-        renderings by bit index (the poset's elements are the space's
-        members, in order), so no coevent is rendered again."""
+        renderings by bit index, so no coevent is rendered again."""
         names = self.space.renderings
         return _sieve_text(
             names[self.poset.index(sieve.at)],
@@ -306,20 +303,28 @@ class CoeventToposInstance:
         )
 
 
-def _instance_from_space(algebra: EventAlgebra, space: CoeventSpace) -> CoeventToposInstance:
+def check_instance_cap(n: int, cap: int = MCE_INSTANCE_CAP) -> None:
+    """Refuse an instance over more than ``cap`` histories, before any enumeration."""
+    if n > cap:
+        raise CapExceeded("dual-poset topos instance", cap, n)
+
+
+def build_instance(space: CoeventSpace, cap: int = MCE_INSTANCE_CAP) -> CoeventToposInstance:
+    """The instance over a space of nonzero duals (NotMultiplicative otherwise).
+
+    The support selection is a subobject iff phi <= psi carries every
+    event of phi's support into psi's, i.e. iff every tau-table row is an
+    up-set of the dual order.  That is decided here, once; the tests
+    compare it with :func:`is_subobject`.
+    """
+    check_instance_cap(space.algebra.space.n, cap)
     poset = poset_of_coevents(space)
-    ambient = frozenset(algebra.events())
-    selections = tuple(
-        frozenset(Event(algebra.space, m) for m in phi.support)
-        for phi in space.members
-    )
-    vsupp = SubobjectOfConstant(poset, ambient, selections)
-    ok, witnesses = is_subobject(vsupp)
-    if not ok:
-        raise ConsistencyError(
-            f"support selection failed monotonicity at {witnesses[:3]}"
-        )
-    return CoeventToposInstance(algebra, space, poset, vsupp)
+    for mask, row in enumerate(space.tau_table):
+        if not poset.is_up_set(row):
+            raise ConsistencyError(
+                f"support selection failed monotonicity at {space.algebra.event(mask)}"
+            )
+    return CoeventToposInstance(space, poset)
 
 
 def build_mce_instance(
@@ -328,11 +333,8 @@ def build_mce_instance(
     cap: int = MCE_INSTANCE_CAP,
 ) -> CoeventToposInstance:
     """The instance over all duals in the dual order."""
-    n = algebra.space.n
-    if n > cap:
-        raise CapExceeded("dual-poset topos instance", cap, n)
-    space = enumerate_multiplicative(algebra, include_empty_dual=include_empty_dual)
-    return _instance_from_space(algebra, space)
+    check_instance_cap(algebra.space.n, cap)
+    return build_instance(enumerate_multiplicative(algebra, include_empty_dual), cap)
 
 
 def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventToposInstance:
@@ -342,10 +344,7 @@ def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventTop
     to the two classical truth values; callers should surface that
     degeneracy rather than hide the construction.
     """
-    n = m.algebra.space.n
-    if n > cap:
-        raise CapExceeded("dual-poset topos instance", cap, n)
-    return _instance_from_space(m.algebra, multiplicative_scheme(m))
+    return build_instance(multiplicative_scheme(m), cap)
 
 
 def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
@@ -360,4 +359,4 @@ def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
     if a.space != instance.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
     space, poset = instance.space, instance.poset
-    return Sieve(poset, phi, _restrict(poset, space.tau_table[a.mask], space.index_of(phi)))
+    return Sieve(poset, phi, space.tau_table[a.mask] & poset.up[space.index_of(phi)])

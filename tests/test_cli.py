@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from coevents import coevent as coevent_module, topos as topos_module
 from coevents.cli import run
 from coevents.coevent import Coevent
 
@@ -244,6 +246,72 @@ def test_topos_renders_each_coevent_once(capsys, monkeypatch):
     rc, out, _ = invoke(capsys, ["topos", str(THEORIES / "four_slit_decoherence.json")])
     assert rc == 0 and "@{a}*: [{a}*]" in out
     assert len(rendered) == len(set(rendered)) == 15
+
+
+def test_audit_reads_the_set_flag(capsys):
+    report = machine(capsys, ["audit", THREE_SLIT, "--set", "scheme"])
+    assert report["sections"]["audit"]["checked"] == 36  # one dual, 8 * 9 / 2 pairs
+
+
+def test_topos_reads_the_set_flag(capsys):
+    section = machine(capsys, ["topos", THREE_SLIT, "--set", "classical"])["sections"]["topos"]
+    assert section["set"] == "classical"
+    assert section["poset"] == ["{1}*", "{2}*", "{3}*"]
+    assert section["antichain"] is True
+
+
+@pytest.mark.parametrize("verb", ["audit", "topos"])
+def test_a_space_with_non_duals_is_refused(capsys, verb):
+    rc, out, err = invoke(capsys, [verb, THREE_SLIT, "--set", "all"])
+    assert rc == 2 and out == ""
+    assert "multiplicative" in err
+
+
+def amplitude_file(tmp_path, n: int) -> str:
+    path = tmp_path / f"amplitudes-{n}.json"
+    labels = [f"x{i}" for i in range(n)]
+    amplitudes = [(-1) ** i * (1 + i % 3) for i in range(n)]
+    path.write_text(json.dumps({"sample_space": labels, "measure": {"amplitudes": amplitudes}}))
+    return str(path)
+
+
+def counting_enumerations(monkeypatch) -> list:
+    calls = []
+    plain = coevent_module.enumerate_multiplicative
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    for module in (coevent_module, topos_module):
+        monkeypatch.setattr(module, "enumerate_multiplicative", counted)
+    return calls
+
+
+def test_report_enumerates_the_duals_once(capsys, monkeypatch):
+    calls = counting_enumerations(monkeypatch)
+    rc, _, _ = invoke(capsys, ["report", THREE_SLIT])
+    assert rc == 0 and len(calls) == 1
+
+
+def test_topos_refuses_a_large_theory_before_enumerating(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated the duals before checking the cap")
+
+    for module in (coevent_module, topos_module):
+        monkeypatch.setattr(module, "enumerate_multiplicative", refuse)
+    rc, out, err = invoke(capsys, ["topos", amplitude_file(tmp_path, 8)])
+    assert rc == 3 and out == "" and "cap" in err
+
+
+def test_topos_at_cap_31_lists_every_sieve_of_the_n5_dual_order(tmp_path, capsys):
+    start = time.perf_counter()
+    report = machine(capsys, ["topos", amplitude_file(tmp_path, 5), "--cap", "31"])
+    assert time.perf_counter() - start < 30.0  # under a second on a 2-CPU VM
+    classifier = report["sections"]["topos"]["classifier"]
+    assert classifier["functorial"] is True
+    # up-sets above each of the 31 duals of the nonempty subsets of 5 histories
+    assert sum(classifier["sieve_counts"]) == 8665
 
 
 def test_include_empty_dual_flag_changes_the_space(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from coevents import (
     CapExceeded,
     CoeventSpace,
+    CoeventToposInstance,
+    ConsistencyError,
     EventAlgebra,
     FinitePoset,
     GaussianRational,
@@ -18,6 +21,7 @@ from coevents import (
     SubobjectClassifier,
     SubobjectOfConstant,
     VaryingSet,
+    build_instance,
     build_mce_instance,
     build_scheme_instance,
     characteristic_map,
@@ -29,9 +33,10 @@ from coevents import (
     sieves_at,
     tau,
 )
+from coevents import topos as topos_module
 from coevents.catalog import four_slit, three_slit
+from coevents.eventalg import iter_submasks
 from coevents.topos import (
-    _instance_from_space,
     characteristic_naturality_failures,
     classifier_functoriality_failures,
     poset_of_coevents,
@@ -95,20 +100,81 @@ def poset_corpus() -> list[FinitePoset]:
     ]
 
 
+def draw_dual_space(data, max_n: int) -> CoeventSpace:
+    """A space of one to eight duals over at most ``max_n`` histories,
+    with or without the empty event's dual."""
+    n = data.draw(st.integers(1, max_n), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+    lowest = data.draw(st.sampled_from([0, 1]), label="lowest principal")
+    principals = data.draw(
+        st.sets(st.integers(lowest, alg.size - 1), min_size=1, max_size=8),
+        label="principals",
+    )
+    return CoeventSpace.build(
+        alg,
+        [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals],
+        "user-supplied",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Posets
 
 
 def test_poset_axioms_are_checked():
     with pytest.raises(ValueError, match="reflexive"):
-        FinitePoset(("a",), ((False,),))
+        FinitePoset(("a",), (0b0,))
     with pytest.raises(ValueError, match="antisymmetric"):
-        FinitePoset(("a", "b"), ((True, True), (True, True)))
+        FinitePoset(("a", "b"), (0b11, 0b11))
     with pytest.raises(ValueError, match="transitive"):
-        FinitePoset(
-            ("a", "b", "c"),
-            ((True, True, False), (False, True, True), (False, False, True)),
-        )
+        FinitePoset(("a", "b", "c"), (0b011, 0b110, 0b100))
+
+
+def test_poset_rows_must_be_bitmasks_over_the_elements():
+    for rows in [(0b1,), (0b01, 0b110), (0b1, -1)]:
+        with pytest.raises(ValueError, match="bitmask over the elements"):
+            FinitePoset(("a", "b"), rows)
+
+
+def pairwise_axiom_error(elements: tuple, rows: tuple) -> str | None:
+    """Oracle: the reflexivity, antisymmetry and transitivity checks on
+    the relation matrix, cell by cell, in the order the rows are checked."""
+    n = len(elements)
+    le = [[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if not le[i][i]:
+            return f"relation is not reflexive at {elements[i]}"
+        for j in range(n):
+            if i != j and le[i][j] and le[j][i]:
+                return f"relation is not antisymmetric on ({elements[i]}, {elements[j]})"
+            if le[i][j]:
+                for k in range(n):
+                    if le[j][k] and not le[i][k]:
+                        return (
+                            "relation is not transitive through "
+                            f"({elements[i]}, {elements[j]}, {elements[k]})"
+                        )
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_validation_matches_the_pairwise_axioms(data):
+    n = data.draw(st.integers(0, 5), label="n")
+    elements = tuple(f"e{i}" for i in range(n))
+    # mostly reflexive rows, so the later checks are reached too
+    rows = tuple(
+        data.draw(st.integers(0, (1 << n) - 1), label=f"row {i}")
+        | (1 << i if data.draw(st.integers(0, 9), label=f"refl {i}") else 0)
+        for i in range(n)
+    )
+    expected = pairwise_axiom_error(elements, rows)
+    if expected is None:
+        assert FinitePoset(elements, rows).up == rows
+    else:
+        with pytest.raises(ValueError) as exc:
+            FinitePoset(elements, rows)
+        assert str(exc.value) == expected
 
 
 def test_from_pairs_takes_the_transitive_closure():
@@ -119,8 +185,8 @@ def test_from_pairs_takes_the_transitive_closure():
 
 def test_up_bits():
     p = diamond()
-    assert p.up_bits(p.index("bot")) == 0b1111
-    assert p.up_bits(p.index("m1")) == (1 << p.index("m1")) | (1 << p.index("top"))
+    assert p.up[p.index("bot")] == 0b1111
+    assert p.up[p.index("m1")] == (1 << p.index("m1")) | (1 << p.index("top"))
 
 
 @pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
@@ -131,7 +197,7 @@ def test_up_set_test_and_implication_against_brute_force(poset):
         return all(
             bits >> j & 1
             for i in range(n) if bits >> i & 1
-            for j in range(n) if poset.matrix[i][j]
+            for j in range(n) if poset.up[i] >> j & 1
         )
 
     up_sets = [bits for bits in range(1 << n) if upward_closed(bits)]
@@ -286,13 +352,34 @@ def test_functoriality_on_bits_matches_the_transition_route(poset):
     assert classifier_functoriality_failures(omega) == functoriality_oracle(omega) == ()
     # A fiber holding the sieves of a lower anchor fails the identity law.
     for i, j in itertools.product(range(len(poset)), repeat=2):
-        if i != j and poset.matrix[j][i]:
+        if i != j and poset.up[j] >> i & 1:
             fibers = list(omega.fibers)
             fibers[i] = omega.fibers[j]
             bad = SubobjectClassifier(poset, tuple(fibers))
             failures = classifier_functoriality_failures(bad)
             assert failures == functoriality_oracle(bad)
             assert (poset.elements[i],) * 3 in failures
+
+
+def assert_up_sets_match_the_submask_walk(poset: FinitePoset) -> None:
+    """Oracle: every submask of an anchor's up-set, kept if upward closed."""
+    for i, anchor in enumerate(poset.elements):
+        walk = [b for b in iter_submasks(poset.up[i]) if poset.is_up_set(b)]
+        assert list(poset.up_sets(poset.up[i])) == walk
+        assert [s.bits for s in sieves_at(poset, anchor, cap=len(poset))] == walk
+    whole = (1 << len(poset)) - 1
+    assert list(poset.up_sets()) == [b for b in iter_submasks(whole) if poset.is_up_set(b)]
+
+
+@pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
+def test_up_sets_and_sieves_match_the_submask_walk(poset):
+    assert_up_sets_match_the_submask_walk(poset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_up_sets_and_sieves_match_the_submask_walk_on_dual_spaces(data):
+    assert_up_sets_match_the_submask_walk(poset_of_coevents(draw_dual_space(data, max_n=4)))
 
 
 def test_sieve_enumeration_cap():
@@ -351,7 +438,7 @@ def test_characteristic_map_of_a_constant_selection():
     )
     for anchor in p.elements:
         i = p.index(anchor)
-        assert characteristic_map(s, anchor, "x").bits == p.up_bits(i)
+        assert characteristic_map(s, anchor, "x").bits == p.up[i]
         assert characteristic_map(s, anchor, "y").bits == 0
 
 
@@ -375,7 +462,7 @@ def all_subobjects(poset: FinitePoset, ambient: tuple) -> list[SubobjectOfConsta
     upper_sets = [
         bits
         for bits in range(1 << n)
-        if all(poset.up_bits(i) & bits == poset.up_bits(i) for i in range(n) if bits >> i & 1)
+        if all(poset.up[i] & bits == poset.up[i] for i in range(n) if bits >> i & 1)
     ]
     out = []
     for assignment in itertools.product(upper_sets, repeat=len(ambient)):
@@ -404,7 +491,7 @@ def test_characteristic_naturality_on_the_grid():
     poset = grid_2x3()
     # principal upper-set selections keep the corpus exhaustive yet small
     for i in range(len(poset)):
-        bits = poset.up_bits(i)
+        bits = poset.up[i]
         s = SubobjectOfConstant(
             poset,
             frozenset({"x"}),
@@ -445,7 +532,49 @@ def test_vsupp_is_a_subobject(n, include_empty):
     assert ok and witnesses == ()
 
 
-def test_mce_instance_cap():
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dual_order_rows_are_principal_containment(data):
+    space = draw_dual_space(data, max_n=4)
+    principals = [phi.principal_mask for phi in space.members]
+    poset = poset_of_coevents(space)
+    assert poset.elements == space.members
+    for i, p in enumerate(principals):
+        # p* <= q* iff q is inside p
+        assert poset.up[i] == sum(1 << j for j, q in enumerate(principals) if q & p == q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_support_verdict_matches_is_subobject(data):
+    space = draw_dual_space(data, max_n=4)
+    inst = build_instance(space)
+    assert inst.poset == poset_of_coevents(space)
+    assert is_subobject(inst.support_subobject) == (True, ())
+    # Under an arbitrary order on the members the selection may fail to be
+    # monotone; the builder's verdict on the tau rows must agree.
+    members = space.members
+    pairs = data.draw(
+        st.sets(st.tuples(st.sampled_from(members), st.sampled_from(members))),
+        label="covers",
+    )
+    order = FinitePoset.from_pairs(
+        members, [(a, b) for a, b in pairs if space.index_of(a) < space.index_of(b)]
+    )
+    ok = is_subobject(CoeventToposInstance(space, order).support_subobject)[0]
+    with mock.patch.object(topos_module, "poset_of_coevents", lambda _: order):
+        if ok:
+            assert build_instance(space).poset == order
+        else:
+            with pytest.raises(ConsistencyError, match="monotonicity"):
+                build_instance(space)
+
+
+def test_mce_instance_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated the duals before checking the cap")
+
+    monkeypatch.setattr(topos_module, "enumerate_multiplicative", refuse)
     alg = EventAlgebra(SampleSpace(tuple(f"x{i}" for i in range(5))))
     with pytest.raises(CapExceeded):
         build_mce_instance(alg)
@@ -505,19 +634,9 @@ def test_chi_matches_characteristic_map_on_scheme_instances(amplitudes):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_chi_matches_the_tau_route_on_random_dual_spaces(data):
-    n = data.draw(st.integers(1, 5), label="n")
-    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
-    lowest = data.draw(st.sampled_from([0, 1]), label="lowest principal")
-    principals = data.draw(
-        st.sets(st.integers(lowest, alg.size - 1), min_size=1, max_size=8),
-        label="principals",
-    )
-    space = CoeventSpace.build(
-        alg,
-        [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals],
-        "user-supplied",
-    )
-    inst = _instance_from_space(alg, space)
+    space = draw_dual_space(data, max_n=5)
+    alg = space.algebra
+    inst = build_instance(space, cap=alg.space.n)
     phi = data.draw(st.sampled_from(space.members), label="context")
     ev = alg.event(data.draw(st.integers(0, alg.size - 1), label="event"))
     assert chi_vsupp(inst, phi, ev).bits == tau(ev & principal_event(phi), space).bits
@@ -534,7 +653,7 @@ def test_chi_examples(coin_algebra):
     for phi in inst.space.members:
         top = chi_vsupp(inst, phi, coin_algebra.full)
         i = inst.poset.index(phi)
-        assert top.bits == inst.poset.up_bits(i)  # totally true
+        assert top.bits == inst.poset.up[i]  # totally true
 
 
 # ---------------------------------------------------------------------------
