@@ -72,13 +72,8 @@ class ValuationEvent:
         full = (1 << len(self.space)) - 1
         return ValuationEvent(self.space, self.bits ^ full)
 
-    @property
-    def renderings(self) -> tuple[str, ...]:
-        """The members' strings, read from the space's renderings."""
-        return tuple(r for i, r in enumerate(self.space.renderings) if self.bits >> i & 1)
-
     def __str__(self) -> str:
-        return "[" + ", ".join(self.renderings) + "]"
+        return self.space.render(self.bits)
 
 
 def _require_same_valuation_space(a: ValuationEvent, b: ValuationEvent) -> None:

@@ -25,7 +25,7 @@ from .errors import (
     UnknownHistory,
     ValidationError,
 )
-from .eventalg import Event
+from .eventalg import Event, set_bits
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
@@ -43,12 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="coevents",
-        description="Analyze a finite histories theory: measures, coevents, "
-        "order structure, completions, and the varying-set classifier.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
     commands = {
         "validate": "sum rules, null sets, null cover",
         "coevents": "enumerate and classify a coevent set",
@@ -59,54 +53,60 @@ def _build_parser() -> _Parser:
         "topos": "dual-poset instance, classifier, characteristic maps",
         "report": "all of the above in one document",
     }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("theory", help="path to a theory file")
-        p.add_argument(
-            "--set",
-            choices=SET_CHOICES,
-            default="multiplicative",
-            help="which coevent space to use (default: multiplicative)",
-        )
-        p.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            help="output format (machine = canonical JSON)",
-        )
-        p.add_argument(
-            "--include-empty-dual",
-            action="store_true",
-            help="admit the empty event's dual (the constant-one coevent)",
-        )
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="override enumeration caps with this size",
-        )
-        p.add_argument(
-            "--event",
-            default=None,
-            help='history event as comma-separated labels, e.g. "1,2"; "" is empty',
-        )
-        p.add_argument(
-            "--event-b",
-            default=None,
-            help="second history event (for a single-pair audit)",
-        )
-        p.add_argument(
-            "--context",
-            default=None,
-            help="principal event of the context coevent (for topos/audit)",
-        )
-        if name == "complete":
-            p.add_argument(
-                "--mode",
-                choices=("upper", "boolean"),
-                default="upper",
-                help="which completion to build (default: upper)",
-            )
+    parser = _Parser(
+        prog="coevents",
+        description="Analyze a finite histories theory: measures, coevents, order\n"
+        "structure, completions, and the varying-set classifier.",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<10} {text}" for name, text in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=commands, metavar="command", help="listed below")
+    parser.add_argument("theory", help="path to a theory file")
+    parser.add_argument(
+        "--set",
+        choices=SET_CHOICES,
+        default="multiplicative",
+        help="which coevent space to use (default: multiplicative)",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "machine"),
+        default="text",
+        help="output format (machine = canonical JSON)",
+    )
+    parser.add_argument(
+        "--include-empty-dual",
+        action="store_true",
+        help="admit the empty event's dual (the constant-one coevent)",
+    )
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=None,
+        help="override enumeration caps with this size",
+    )
+    parser.add_argument(
+        "--event",
+        default=None,
+        help='history event as comma-separated labels, e.g. "1,2"; "" is empty',
+    )
+    parser.add_argument(
+        "--event-b",
+        default=None,
+        help="second history event (for a single-pair audit)",
+    )
+    parser.add_argument(
+        "--context",
+        default=None,
+        help="principal event of the context coevent (for topos/audit)",
+    )
+    parser.add_argument(
+        "--mode",
+        choices=("upper", "boolean"),
+        default=None,
+        help="complete only: which completion to build (default: upper)",
+    )
     return parser
 
 
@@ -134,27 +134,25 @@ def _coevent_space(
 # Section builders (plain JSON-able dicts, canonical ordering throughout)
 
 
-def _violation_json(v: measure_mod.Violation) -> dict[str, Any]:
+def _violation_json(v: measure_mod.Violation, names: Sequence[str]) -> dict[str, Any]:
     return {
         "rule": v.rule,
-        "events": [str(ev) for ev in v.events],
+        "events": [names[ev.mask] for ev in v.events],
         "got": str(v.got),
         "expected": str(v.expected),
     }
 
 
-def _report_json(rep: measure_mod.ValidationReport) -> dict[str, Any]:
-    return {"ok": rep.ok, "violations": [_violation_json(v) for v in rep.violations]}
+def _report_json(rep: measure_mod.ValidationReport, names: Sequence[str]) -> dict[str, Any]:
+    return {"ok": rep.ok, "violations": [_violation_json(v, names) for v in rep.violations]}
 
 
 def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
+    values = theory.measure.values
     return {
         "labels": list(theory.space.labels),
         "measure_kind": theory.measure_kind,
-        "values": {
-            str(theory.algebra.event(m)): str(theory.measure.values[m])
-            for m in range(theory.algebra.size)
-        },
+        "values": {name: str(values[m]) for m, name in enumerate(theory.space.event_names)},
         "options": {
             "include-empty-dual": theory.options.include_empty_dual,
             "brute-force-cap": theory.options.brute_force_cap,
@@ -163,11 +161,11 @@ def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
 
 
 def section_validate(theory: HistoriesTheory) -> dict[str, Any]:
-    m = theory.measure
+    m, names = theory.measure, theory.space.event_names
     return {
-        "classical": _report_json(measure_mod.validate_classical(m)),
-        "quantum": _report_json(measure_mod.validate_quantum(m)),
-        "null_sets": [str(ev) for ev in measure_mod.null_sets(m)],
+        "classical": _report_json(measure_mod.validate_classical(m), names),
+        "quantum": _report_json(measure_mod.validate_quantum(m), names),
+        "null_sets": [names[mask] for mask in m.null_masks],
         "null_cover": measure_mod.null_cover_exists(m),
     }
 
@@ -194,12 +192,13 @@ def section_tau(space: CoeventSpace, event: Event) -> dict[str, Any]:
         "set": space.provenance,
         "event": str(event),
         "valuation_event": str(val),
-        "members": list(val.renderings),
+        "members": [space.renderings[i] for i in set_bits(val.bits)],
     }
 
 
 def section_orders(space: CoeventSpace) -> dict[str, Any]:
     rep = beables.order_report(space)
+    names = space.algebra.space.event_names
     return {
         "set": space.provenance,
         "tau_injective": rep.tau_injective,
@@ -208,7 +207,7 @@ def section_orders(space: CoeventSpace) -> dict[str, Any]:
         "meet_agree": rep.meet_agree,
         "join_agree": rep.join_agree,
         "witnesses": {
-            key: [[str(a), str(b)] for a, b in pairs]
+            key: [[names[a.mask], names[b.mask]] for a, b in pairs]
             for key, pairs in rep.witnesses.items()
         },
         "notes": list(rep.notes),
@@ -224,13 +223,13 @@ def section_complete(space: CoeventSpace, cap: Optional[int], mode: str) -> dict
     non_boolean_witness = None
     for bits in completion.member_bits:
         if bits ^ full not in member_set:
-            non_boolean_witness = str(beables.ValuationEvent(space, bits))
+            non_boolean_witness = space.render(bits)
             break
     return {
         "set": space.provenance,
         "mode": mode,
         "size": len(completion),
-        "members": [str(alpha) for alpha in completion.members],
+        "members": [space.render(bits) for bits in completion.member_bits],
         "boolean": non_boolean_witness is None,
         "non_boolean_witness": non_boolean_witness,
     }
@@ -260,7 +259,7 @@ def section_audit(
             "and_identity_holds": record.and_identity_holds,
             "or_discrepancy": record.or_discrepancy,
         }
-    events = [str(ev) for ev in space.algebra.events()]
+    events = space.algebra.space.event_names
     size = len(events)
     return {
         "mode": "all-pairs",
@@ -318,12 +317,13 @@ def section_topos(
             "sieve": instance.render_sieve(sieve),
         }
     else:
+        names = instance.algebra.space.event_names
         rows = []
         for phi, rendered in zip(instance.space, instance.space.renderings):
-            for ev in instance.algebra.events():
+            for ev, name in zip(instance.algebra.events(), names):
                 sieve = topos.chi_vsupp(instance, phi, ev)
                 rows.append(
-                    {"context": rendered, "event": str(ev), "sieve": instance.render_sieve(sieve)}
+                    {"context": rendered, "event": name, "sieve": instance.render_sieve(sieve)}
                 )
         section["chi"] = {"mode": "table", "rows": rows}
     section["notes"] = notes
@@ -374,7 +374,7 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
     elif command == "orders":
         sections["orders"] = section_orders(space_of(args.set))
     elif command == "complete":
-        sections["complete"] = section_complete(space_of(args.set), cap, args.mode)
+        sections["complete"] = section_complete(space_of(args.set), cap, args.mode or "upper")
     elif command == "audit":
         _require_single_query(
             command, {"--context": context, "--event": event, "--event-b": event_b}
@@ -476,8 +476,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("a command is required")
+        if args.mode is not None and args.command != "complete":
+            raise _UsageError(f"--mode is for complete only, not {args.command}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -160,8 +160,13 @@ class CoeventSpace:
         """Each member's string, in member order."""
         return tuple(str(phi) for phi in self.members)
 
+    def render(self, bits: int) -> str:
+        """The set of members whose bit is set in ``bits``, from their renderings."""
+        names = self.renderings
+        return "[" + ", ".join(names[i] for i in set_bits(bits)) + "]"
+
     def __str__(self) -> str:
-        return "[" + ", ".join(self.renderings) + "]"
+        return self.render((1 << len(self)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +175,7 @@ class CoeventSpace:
 
 def classical_from_history(algebra: EventAlgebra, label: str) -> Coevent:
     """The evaluation map at one history: true on events containing it."""
-    i = algebra.space.index(label)
-    support = frozenset(m for m in range(algebra.size) if m >> i & 1)
-    return Coevent(algebra, support)
+    return dual_of_event(algebra.event(1 << algebra.space.index(label)))
 
 
 def dual_of_event(a: Event, include_empty_dual: bool = False) -> Coevent:

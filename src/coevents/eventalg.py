@@ -8,6 +8,7 @@ here is immutable and exact, and every other module builds on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Optional
 
 from .errors import MismatchedSpace, UnknownHistory
@@ -59,6 +60,11 @@ class SampleSpace:
             return self.labels.index(label)
         except ValueError:
             raise UnknownHistory(f"history {label!r} not in sample space {self.labels}")
+
+    @cached_property
+    def event_names(self) -> tuple[str, ...]:
+        """``str`` of every event, indexed by mask; built once, on first use."""
+        return tuple(str(Event(self, m)) for m in range(1 << self.n))
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,8 @@ class EventFamily:
         return out
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(ev) for ev in self.events) + "]"
+        names = self.space.event_names
+        return "[" + ", ".join(names[m] for m in self.masks) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from coevents import (
     CapExceeded,
     Coevent,
     CoeventSpace,
+    Event,
     EventAlgebra,
     MismatchedSpace,
     NotMultiplicative,
@@ -570,11 +571,24 @@ def test_or_discrepancies_match_the_per_pair_audit(space):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_rendering_matches_per_member_str(data):
+    """``render(bits)`` against the per-object join, on spaces of duals,
+    non-duals and (when drawn) the zero map; each event's name against
+    ``str(Event)``."""
     space = data.draw(mixed_spaces(), label="space")
+    alg = space.algebra
+    if data.draw(st.booleans(), label="with the zero map"):
+        space = CoeventSpace.build(alg, [*space, Coevent(alg, frozenset())], "user-supplied")
     bits = data.draw(st.integers(0, (1 << len(space)) - 1), label="bits")
     val = ValuationEvent(space, bits)
-    assert str(val) == "[" + ", ".join(str(phi) for phi in val.members) + "]"
+    per_member = "[" + ", ".join(str(phi) for phi in val.members) + "]"
+    assert space.render(bits) == str(val) == per_member
     assert str(space) == "[" + ", ".join(str(phi) for phi in space.members) + "]"
+    names = alg.space.event_names
+    assert names == tuple(str(Event(alg.space, m)) for m in range(alg.size))
+    for phi in space:
+        if phi.principal_mask is None:
+            events = (str(Event(alg.space, m)) for m in sorted(phi.support))
+            assert str(phi) == "[" + ", ".join(events) + "]"
 
 
 def test_valuation_event_rendering():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -38,6 +39,29 @@ def test_unknown_command_is_a_usage_error(capsys):
 def test_tau_without_event_is_a_usage_error(capsys):
     rc, _, err = invoke(capsys, ["tau", FAIR_COIN])
     assert rc == 1 and "--event" in err
+
+
+VERBS = ("validate", "coevents", "tau", "orders", "complete", "audit", "topos", "report")
+
+
+@pytest.mark.parametrize("verb", [verb for verb in VERBS if verb != "complete"])
+def test_mode_is_a_usage_error_outside_complete(capsys, verb):
+    rc, out, err = invoke(capsys, [verb, THREE_SLIT, "--mode", "upper"])
+    assert rc == 1 and out == ""
+    assert "--mode" in err
+
+
+def test_help_lists_every_verb_and_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for verb in VERBS:
+        assert re.search(rf"^ +{verb} ", out, re.MULTILINE), verb
+    assert set(re.findall(r"--[a-z-]+", out)) == {
+        "--help", "--set", "--format", "--include-empty-dual", "--cap",
+        "--event", "--event-b", "--context", "--mode",
+    }
 
 
 @pytest.mark.parametrize(
