@@ -10,9 +10,8 @@ on the former.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from .coevent import Coevent, CoeventSpace
 from .errors import (
@@ -22,7 +21,13 @@ from .errors import (
     NotMultiplicative,
     NotUpperMode,
 )
-from .eventalg import Event, iter_supermasks
+from .eventalg import (
+    WITNESS_LIST_CAP,
+    Event,
+    EventsByMask,
+    first_witnesses,
+    iter_supermasks,
+)
 from .poset import closure, poset_of_coevents
 
 #: The completions live inside 2**|V|, so closure is capped.
@@ -123,9 +128,10 @@ def truth_evaluate(f: TruthFunction, alpha: ValuationEvent) -> int:
 class OrderReport:
     """Exhaustive comparison of the pushed-forward and inclusion orders.
 
-    Every false flag is backed by at least one witness pair under the
-    corresponding key of ``witnesses``; pairs are listed in ascending
-    mask order.
+    Each flag is a closed-form verdict and never depends on the lists.
+    Under the key of each false flag, ``witnesses`` lists the first
+    failing pairs in ascending mask order, as many as the report's limit
+    allows; ``truncated`` names the lists that were cut.
     """
 
     tau_injective: bool
@@ -135,9 +141,12 @@ class OrderReport:
     join_agree: bool
     witnesses: dict[str, tuple[tuple[Event, Event], ...]]
     notes: tuple[str, ...] = ()
+    truncated: frozenset[str] = field(default_factory=frozenset)
 
 
-def order_report(space: CoeventSpace) -> OrderReport:
+def order_report(
+    space: CoeventSpace, limit: Optional[int] = WITNESS_LIST_CAP
+) -> OrderReport:
     """Compare, over all pairs of history events, the two order structures.
 
     Each flag is decided by a closed form over the tau table I, where
@@ -160,7 +169,8 @@ def order_report(space: CoeventSpace) -> OrderReport:
       with every I[{i}] with i in A, checked one bit at a time, O(2^n).
 
     Pairs of events are walked only to list a failing flag's witnesses,
-    by that flag's pairwise definition.
+    by that flag's pairwise definition, and each walk stops after the
+    first ``limit`` witnesses (None lists them all).
     """
     alg = space.algebra
     n, size = alg.space.n, alg.size
@@ -188,46 +198,52 @@ def order_report(space: CoeventSpace) -> OrderReport:
         images[a] == images[a ^ (a & -a)] | images[a & -a] for a in range(1, size)
     )
 
-    witnesses: dict[str, tuple[tuple[Event, Event], ...]] = {
-        key: () for key in ("injectivity", "pushforward", "orders", "meet", "join")
+    ev = EventsByMask(alg)
+
+    def injectivity_pairs():
+        for a in range(size):
+            same = by_image[images[a]]
+            for b in same[same.index(a) + 1:]:
+                yield ev[a], ev[b]
+
+    def pushforward_pairs():
+        for a in range(size):
+            for b in iter_supermasks(a, full):
+                if images[a] & images[b] != images[a]:
+                    yield ev[a], ev[b]
+
+    def orders_pairs():
+        for a in range(size):
+            for b in range(size):
+                if (a & b == a) != (images[a] & images[b] == images[a]):
+                    yield ev[a], ev[b]
+
+    def meet_pairs():
+        for a in range(size):
+            for b in range(a, size):
+                if images[a & b] != images[a] & images[b]:
+                    yield ev[a], ev[b]
+
+    def join_pairs():
+        for a in range(size):
+            for b in range(a, size):
+                if images[a | b] != images[a] | images[b]:
+                    yield ev[a], ev[b]
+
+    listers = {
+        "injectivity": (injective, injectivity_pairs),
+        "pushforward": (monotone, pushforward_pairs),
+        "orders": (orders, orders_pairs),
+        "meet": (meet, meet_pairs),
+        "join": (join, join_pairs),
     }
-    if not (injective and orders and meet and join):
-        ev = tuple(alg.events())
-        if not injective:
-            witnesses["injectivity"] = tuple(
-                (ev[a], ev[b])
-                for a, b in sorted(
-                    pair for cls in by_image.values() for pair in combinations(cls, 2)
-                )
-            )
-        if not monotone:
-            witnesses["pushforward"] = tuple(
-                (ev[a], ev[b])
-                for a in range(size)
-                for b in range(size)
-                if a & b == a and images[a] & images[b] != images[a]
-            )
-        if not orders:
-            witnesses["orders"] = tuple(
-                (ev[a], ev[b])
-                for a in range(size)
-                for b in range(size)
-                if (a & b == a) != (images[a] & images[b] == images[a])
-            )
-        if not meet:
-            witnesses["meet"] = tuple(
-                (ev[a], ev[b])
-                for a in range(size)
-                for b in range(a, size)
-                if images[a & b] != images[a] & images[b]
-            )
-        if not join:
-            witnesses["join"] = tuple(
-                (ev[a], ev[b])
-                for a in range(size)
-                for b in range(a, size)
-                if images[a | b] != images[a] | images[b]
-            )
+    witnesses: dict[str, tuple[tuple[Event, Event], ...]] = dict.fromkeys(listers, ())
+    truncated = set()
+    for key, (holds, pairs) in listers.items():
+        if not holds:
+            witnesses[key], cut = first_witnesses(pairs(), limit)
+            if cut:
+                truncated.add(key)
 
     notes = []
     if not monotone:
@@ -248,6 +264,7 @@ def order_report(space: CoeventSpace) -> OrderReport:
         join_agree=join,
         witnesses=witnesses,
         notes=tuple(notes),
+        truncated=frozenset(truncated),
     )
 
 

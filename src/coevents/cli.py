@@ -25,7 +25,7 @@ from .errors import (
     UnknownHistory,
     ValidationError,
 )
-from .eventalg import Event, set_bits
+from .eventalg import WITNESS_LIST_CAP, Event, set_bits
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
@@ -102,6 +102,14 @@ def _build_parser() -> _Parser:
         help="principal event of the context coevent (for topos/audit)",
     )
     parser.add_argument(
+        "--witnesses",
+        type=int,
+        default=None,
+        metavar="N",
+        help="validate/orders/report: list at most N witnesses of each failed "
+        f"check (default: {WITNESS_LIST_CAP}); verdicts never depend on it",
+    )
+    parser.add_argument(
         "--mode",
         choices=("upper", "boolean"),
         default=None,
@@ -144,7 +152,10 @@ def _violation_json(v: measure_mod.Violation, names: Sequence[str]) -> dict[str,
 
 
 def _report_json(rep: measure_mod.ValidationReport, names: Sequence[str]) -> dict[str, Any]:
-    return {"ok": rep.ok, "violations": [_violation_json(v, names) for v in rep.violations]}
+    section = {"ok": rep.ok, "violations": [_violation_json(v, names) for v in rep.violations]}
+    if rep.truncated:
+        section["violations_truncated"] = True
+    return section
 
 
 def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
@@ -160,11 +171,11 @@ def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
     }
 
 
-def section_validate(theory: HistoriesTheory) -> dict[str, Any]:
+def section_validate(theory: HistoriesTheory, limit: Optional[int]) -> dict[str, Any]:
     m, names = theory.measure, theory.space.event_names
     return {
-        "classical": _report_json(measure_mod.validate_classical(m), names),
-        "quantum": _report_json(measure_mod.validate_quantum(m), names),
+        "classical": _report_json(measure_mod.validate_classical(m, limit), names),
+        "quantum": _report_json(measure_mod.validate_quantum(m, limit), names),
         "null_sets": [names[mask] for mask in m.null_masks],
         "null_cover": measure_mod.null_cover_exists(m),
     }
@@ -196,10 +207,10 @@ def section_tau(space: CoeventSpace, event: Event) -> dict[str, Any]:
     }
 
 
-def section_orders(space: CoeventSpace) -> dict[str, Any]:
-    rep = beables.order_report(space)
+def section_orders(space: CoeventSpace, limit: Optional[int]) -> dict[str, Any]:
+    rep = beables.order_report(space, limit)
     names = space.algebra.space.event_names
-    return {
+    section = {
         "set": space.provenance,
         "tau_injective": rep.tau_injective,
         "pushforward_well_defined": rep.pushforward_well_defined,
@@ -212,6 +223,9 @@ def section_orders(space: CoeventSpace) -> dict[str, Any]:
         },
         "notes": list(rep.notes),
     }
+    for key in rep.truncated:
+        section[f"{key}_truncated"] = True
+    return section
 
 
 def section_complete(space: CoeventSpace, cap: Optional[int], mode: str) -> dict[str, Any]:
@@ -347,6 +361,7 @@ def _skippable(builder, *args) -> dict[str, Any]:
 def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
     include_empty = args.include_empty_dual or theory.options.include_empty_dual
     cap = args.cap
+    limit = WITNESS_LIST_CAP if args.witnesses is None else args.witnesses
     event = _parse_event(theory, args.event) if args.event is not None else None
     event_b = _parse_event(theory, args.event_b) if args.event_b is not None else None
     context = _parse_event(theory, args.context) if args.context is not None else None
@@ -364,7 +379,7 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
 
     sections: dict[str, Any] = {}
     if command == "validate":
-        sections["validate"] = section_validate(theory)
+        sections["validate"] = section_validate(theory, limit)
     elif command == "coevents":
         sections["coevents"] = section_coevents(theory, space_of(args.set), include_empty)
     elif command == "tau":
@@ -372,7 +387,7 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
             raise _UsageError("tau needs --event")
         sections["tau"] = section_tau(space_of(args.set), event)
     elif command == "orders":
-        sections["orders"] = section_orders(space_of(args.set))
+        sections["orders"] = section_orders(space_of(args.set), limit)
     elif command == "complete":
         sections["complete"] = section_complete(space_of(args.set), cap, args.mode or "upper")
     elif command == "audit":
@@ -387,14 +402,14 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
         topos.check_instance_cap(theory.space.n, topos_cap)
         sections["topos"] = topos_of(space_of(args.set), context, event)
     elif command == "report":
-        sections["validate"] = section_validate(theory)
+        sections["validate"] = section_validate(theory, limit)
         # Each space is built once.  Only the completions and the topos
         # instance have caps that a theory can exceed, so only they are skipped.
         spaces = {name: space_of(name) for name in ("classical", "multiplicative", "scheme")}
         for set_name, space in spaces.items():
             sections[f"coevents-{set_name}"] = section_coevents(theory, space, include_empty)
         duals = spaces["multiplicative"]
-        sections["orders"] = section_orders(duals)
+        sections["orders"] = section_orders(duals, limit)
         for mode in ("upper", "boolean"):
             sections[f"complete-{mode}"] = _skippable(section_complete, duals, cap, mode)
         sections["audit"] = section_audit(duals, include_empty, None, None, None)
@@ -478,6 +493,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.mode is not None and args.command != "complete":
             raise _UsageError(f"--mode is for complete only, not {args.command}")
+        if args.witnesses is not None:
+            if args.command not in ("validate", "orders", "report"):
+                raise _UsageError(
+                    f"--witnesses is for validate, orders and report only, not {args.command}"
+                )
+            if args.witnesses < 0:
+                raise _UsageError("--witnesses must be at least 0")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -321,11 +321,9 @@ def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> Coe
         raise CapExceeded(
             "brute-force coevent enumeration", min(cap, BRUTE_FORCE_HARD_CAP), n
         )
-    size = algebra.size
-    coevents = []
-    for code in range(1 << size):
-        support = frozenset(m for m in range(size) if code >> m & 1)
-        coevents.append(Coevent(algebra, support))
+    coevents = [
+        Coevent(algebra, frozenset(set_bits(code))) for code in range(1 << algebra.size)
+    ]
     return CoeventSpace.build(algebra, coevents, provenance="all")
 
 

@@ -7,9 +7,11 @@ here is immutable and exact, and every other module builds on it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Optional
+from itertools import islice
+from typing import Collection, Iterable, Iterator, Optional, TypeVar
 
 from .errors import MismatchedSpace, UnknownHistory
 
@@ -17,6 +19,27 @@ from .errors import MismatchedSpace, UnknownHistory
 #: powerset and several callers enumerate it, so 2**16 events is the
 #: largest size we allow anywhere.
 MAX_HISTORIES = 16
+
+#: A witness list stops after this many entries, in canonical order.  The
+#: verdicts never read the lists, so a cut list changes no verdict.
+WITNESS_LIST_CAP = 1000
+
+_T = TypeVar("_T")
+
+
+def first_witnesses(
+    witnesses: Iterable[_T], limit: Optional[int]
+) -> tuple[tuple[_T, ...], bool]:
+    """The first ``limit`` witnesses (all of them when ``limit`` is None),
+    and whether any were left unlisted.
+
+    One witness past the limit is drawn, only to tell whether the list
+    was cut; the rest of the walk is never made.
+    """
+    if limit is None:
+        return tuple(witnesses), False
+    head = tuple(islice(witnesses, limit + 1))
+    return head[:limit], len(head) > limit
 
 
 @dataclass(frozen=True)
@@ -159,6 +182,22 @@ class EventAlgebra:
             yield Event(self.space, mask)
 
 
+class EventsByMask(dict):
+    """The events of an algebra by mask, each built on its first lookup.
+
+    A witness list names few distinct events many times over, so a
+    lister builds each of them once without building all 2^n.
+    """
+
+    def __init__(self, algebra: EventAlgebra) -> None:
+        super().__init__()
+        self.algebra = algebra
+
+    def __missing__(self, mask: int) -> Event:
+        event = self[mask] = self.algebra.event(mask)
+        return event
+
+
 @dataclass(frozen=True)
 class EventFamily:
     """A deduplicated, canonically ordered set of events over one space."""
@@ -167,8 +206,9 @@ class EventFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if list(self.masks) != sorted(set(self.masks)):
-            object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
+        masks = self.masks
+        if not all(map(operator.lt, masks, masks[1:])):  # one pass, sort only if needed
+            object.__setattr__(self, "masks", tuple(sorted(set(masks))))
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventFamily":
@@ -179,11 +219,11 @@ class EventFamily:
         space = events[0].space
         for ev in events[1:]:
             _require_same_space(events[0], ev)
-        return cls(space, tuple(sorted({ev.mask for ev in events})))
+        return cls(space, tuple(ev.mask for ev in events))
 
     @classmethod
     def from_masks(cls, space: SampleSpace, masks: Iterable[int]) -> "EventFamily":
-        return cls(space, tuple(sorted(set(masks))))
+        return cls(space, tuple(masks))
 
     @property
     def events(self) -> tuple[Event, ...]:

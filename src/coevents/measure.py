@@ -13,10 +13,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvalidPartition, MismatchedSpace, NonRealDiagonal
-from .eventalg import Event, EventAlgebra, EventFamily, SampleSpace
+from .eventalg import (
+    WITNESS_LIST_CAP,
+    Event,
+    EventAlgebra,
+    EventFamily,
+    EventsByMask,
+    SampleSpace,
+    first_witnesses,
+    iter_submasks,
+)
 
 Rational = Fraction
 
@@ -72,14 +81,18 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a sum-rule validation; ok iff no violations."""
+    """Outcome of a sum-rule validation.
+
+    ``ok`` is the rule's closed-form verdict, so it never depends on the
+    list.  ``violations`` holds the first violations in canonical order,
+    as many as the validator's limit allows; ``truncated`` is set when
+    more were left unlisted.
+    """
 
     rule: str  # "classical" | "quantum"
     violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    ok: bool
+    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -161,9 +174,10 @@ class Measure:
 
 def _iter_disjoint_pairs(size: int):
     """Unordered pairs (a, b) of disjoint masks with a <= b, ascending."""
+    full = size - 1
     for a in range(size):
-        for b in range(a, size):
-            if a & b == 0:
+        for b in iter_submasks(full ^ a):
+            if b >= a:
                 yield a, b
 
 
@@ -174,13 +188,9 @@ def _iter_disjoint_triples(size: int):
     the level-2 rule quantifies over disjoint events without requiring
     nonemptiness, and the empty cases force mu(empty) = 0.
     """
-    for a in range(size):
-        for b in range(a, size):
-            if a & b:
-                continue
-            for c in range(b, size):
-                if c & (a | b):
-                    continue
+    for a, b in _iter_disjoint_pairs(size):
+        for c in iter_submasks((size - 1) ^ a ^ b):
+            if c >= b:
                 yield a, b, c
 
 
@@ -223,29 +233,34 @@ def _is_grade2(values: Mapping[int, Fraction], size: int) -> bool:
     return True
 
 
-def validate_classical(m: Measure) -> ValidationReport:
+def validate_classical(
+    m: Measure, limit: Optional[int] = WITNESS_LIST_CAP
+) -> ValidationReport:
     """Check the additive (Kolmogorov) sum rule on every disjoint pair.
 
     The verdict costs O(2^n): additivity holds iff
     mu(A) = mu(low(A)) + mu(A minus low(A)) for every nonempty A, where
-    low(A) is A's lowest history.  Only a failing rule pays for the
-    enumeration of all disjoint pairs, which lists every violation in
-    canonical order.
+    low(A) is A's lowest history.  Only a failing rule walks the
+    disjoint pairs, to list its first ``limit`` violations in canonical
+    order (all of them when ``limit`` is None).
     """
-    alg = m.algebra
-    if _is_additive(m.values, alg.size):
-        return ValidationReport("classical", ())
-    ev = [alg.event(k) for k in range(alg.size)]
-    violations = []
-    for a, b in _iter_disjoint_pairs(alg.size):
-        got = m.values[a | b]
-        expected = m.values[a] + m.values[b]
+    if _is_additive(m.values, m.algebra.size):
+        return ValidationReport("classical", (), ok=True)
+    violations, truncated = first_witnesses(_additivity_violations(m), limit)
+    return ValidationReport("classical", violations, ok=False, truncated=truncated)
+
+
+def _additivity_violations(m: Measure) -> Iterator[Violation]:
+    v, ev = m.values, EventsByMask(m.algebra)
+    for a, b in _iter_disjoint_pairs(m.algebra.size):
+        got, expected = v[a | b], v[a] + v[b]
         if got != expected:
-            violations.append(Violation("additivity", (ev[a], ev[b]), got, expected))
-    return ValidationReport("classical", tuple(violations))
+            yield Violation("additivity", (ev[a], ev[b]), got, expected)
 
 
-def validate_quantum(m: Measure) -> ValidationReport:
+def validate_quantum(
+    m: Measure, limit: Optional[int] = WITNESS_LIST_CAP
+) -> ValidationReport:
     """Check nonnegativity, normalization, and the level-2 sum rule.
 
     The level-2 rule quantifies over every unordered pairwise-disjoint
@@ -261,39 +276,39 @@ def validate_quantum(m: Measure) -> ValidationReport:
     where i and j are A's two lowest histories and C = A minus {i, j}.
     This is the grade-2 characterisation (Sorkin, "Quantum mechanics as
     quantum measure theory", 1994; Salgado, "Some identities for the
-    quantum measure and its generalizations", 2002).  Only a failing rule
-    pays for the enumeration of all disjoint triples, which lists every
-    violation in canonical order.
+    quantum measure and its generalizations", 2002).  The violations are
+    listed in canonical order, negative values first, then
+    normalization, then the level-2 triples, the first ``limit`` of them
+    (all when ``limit`` is None); only a failing level-2 rule walks the
+    disjoint triples.
     """
-    violations = []
-    alg = m.algebra
-    for mask in range(alg.size):
-        if m.values[mask] < 0:
-            violations.append(
-                Violation("nonnegativity", (alg.event(mask),), m.values[mask], Fraction(0))
-            )
-    if m.values[alg.space.full_mask] != 1:
-        violations.append(
-            Violation("normalization", (alg.full,), m.values[alg.space.full_mask], Fraction(1))
-        )
-    if _is_grade2(m.values, alg.size):
-        return ValidationReport("quantum", tuple(violations))
-    ev = [alg.event(k) for k in range(alg.size)]
+    v, size = m.values, m.algebra.size
+    nonnegative = all(v[mask] >= 0 for mask in range(size))
+    grade2 = _is_grade2(v, size)
+    if nonnegative and grade2 and v[size - 1] == 1:
+        return ValidationReport("quantum", (), ok=True)
+    violations, truncated = first_witnesses(
+        _quantum_violations(m, nonnegative, grade2), limit
+    )
+    return ValidationReport("quantum", violations, ok=False, truncated=truncated)
+
+
+def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator[Violation]:
+    alg, v = m.algebra, m.values
+    if not nonnegative:
+        for mask in range(alg.size):
+            if v[mask] < 0:
+                yield Violation("nonnegativity", (alg.event(mask),), v[mask], Fraction(0))
+    if v[alg.space.full_mask] != 1:
+        yield Violation("normalization", (alg.full,), v[alg.space.full_mask], Fraction(1))
+    if grade2:
+        return
+    ev = EventsByMask(alg)
     for a, b, c in _iter_disjoint_triples(alg.size):
-        got = m.values[a | b | c]
-        expected = (
-            m.values[a | b]
-            + m.values[b | c]
-            + m.values[c | a]
-            - m.values[a]
-            - m.values[b]
-            - m.values[c]
-        )
+        got = v[a | b | c]
+        expected = v[a | b] + v[b | c] + v[c | a] - v[a] - v[b] - v[c]
         if got != expected:
-            violations.append(
-                Violation("level2", (ev[a], ev[b], ev[c]), got, expected)
-            )
-    return ValidationReport("quantum", tuple(violations))
+            yield Violation("level2", (ev[a], ev[b], ev[c]), got, expected)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,15 @@ class Sieve:
         if not self.poset.is_up_set(self.bits):
             raise ValueError("sieve members must be upward closed")
 
+    @classmethod
+    def _unchecked(cls, poset: FinitePoset, at: Hashable, bits: int) -> "Sieve":
+        """A sieve from bits already known to be an up-set above the anchor."""
+        sieve = object.__new__(cls)
+        object.__setattr__(sieve, "poset", poset)
+        object.__setattr__(sieve, "at", at)
+        object.__setattr__(sieve, "bits", bits)
+        return sieve
+
     @property
     def members(self) -> tuple[Hashable, ...]:
         return tuple(
@@ -67,7 +76,9 @@ def sieves_at(
     inside p's up-set."""
     if len(poset) > cap:
         raise CapExceeded("sieve enumeration", cap, len(poset))
-    return tuple(Sieve(poset, p, bits) for bits in poset.up_sets(poset.up[poset.index(p)]))
+    return tuple(
+        Sieve._unchecked(poset, p, bits) for bits in poset.up_sets(poset.up[poset.index(p)])
+    )
 
 
 def sieve_meet(a: Sieve, b: Sieve) -> Sieve:

@@ -28,6 +28,7 @@ from coevents import (
 from coevents.catalog import three_slit
 from coevents.cli import section_audit
 from coevents.coevent import enumerate_classical, multiplicative_scheme
+from coevents.eventalg import WITNESS_LIST_CAP
 from coevents.theoryfile import load_data
 
 from conftest import (
@@ -193,10 +194,45 @@ def report_spaces(draw) -> CoeventSpace:
     return CoeventSpace.build(alg, members, "user-supplied")
 
 
+FLAGS = ("tau_injective", "pushforward_well_defined", "orders_agree", "meet_agree", "join_agree")
+
+
+def assert_cut_witness_lists_are_prefixes(space: CoeventSpace) -> None:
+    """The full report is the pairwise oracle, and at every limit where a
+    list can change shape each list is its prefix and only the flags'
+    lists longer than the limit are marked cut."""
+    full = order_report(space, limit=None)
+    assert full == order_report_oracle(space)
+    totals = {key: len(pairs) for key, pairs in full.witnesses.items()}
+    limits = {0, 1} | {t + d for t in totals.values() for d in (-1, 0, 1)} - {-1}
+    for limit in sorted(limits):
+        rep = order_report(space, limit=limit)
+        for key, pairs in full.witnesses.items():
+            assert rep.witnesses[key] == pairs[:limit]
+        assert rep.truncated == {key for key, t in totals.items() if t > limit}
+        assert [getattr(rep, f) for f in FLAGS] == [getattr(full, f) for f in FLAGS]
+        assert rep.notes == full.notes
+
+
 @settings(max_examples=300, deadline=None)
 @given(space=report_spaces())
 def test_order_report_matches_the_pairwise_oracle(space):
     assert order_report(space) == order_report_oracle(space)
+    assert_cut_witness_lists_are_prefixes(space)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_cut_witness_lists_on_dual_spaces(n, include_empty):
+    assert_cut_witness_lists_are_prefixes(mce(n, include_empty))
+
+
+def test_default_limit_cuts_the_join_witnesses():
+    """Join fails on every incomparable pair of duals: 26,335 pairs at n = 8."""
+    rep = order_report(enumerate_multiplicative(EventAlgebra(SampleSpace(tuple("abcdefgh")))))
+    assert rep.truncated == {"join"}
+    assert len(rep.witnesses["join"]) == WITNESS_LIST_CAP
+    assert not rep.join_agree and rep.meet_agree and rep.orders_agree
 
 
 def test_order_report_walks_no_pairs_when_every_flag_holds(monkeypatch):

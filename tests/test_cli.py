@@ -60,7 +60,7 @@ def test_help_lists_every_verb_and_flag(capsys):
         assert re.search(rf"^ +{verb} ", out, re.MULTILINE), verb
     assert set(re.findall(r"--[a-z-]+", out)) == {
         "--help", "--set", "--format", "--include-empty-dual", "--cap",
-        "--event", "--event-b", "--context", "--mode",
+        "--event", "--event-b", "--context", "--mode", "--witnesses",
     }
 
 
@@ -336,6 +336,49 @@ def test_topos_at_cap_31_lists_every_sieve_of_the_n5_dual_order(tmp_path, capsys
     assert classifier["functorial"] is True
     # up-sets above each of the 31 duals of the nonempty subsets of 5 histories
     assert sum(classifier["sieve_counts"]) == 8665
+
+
+@pytest.mark.parametrize(
+    "verb, n, marker",
+    [("validate", 14, '"violations_truncated": true'), ("orders", 12, '"join_truncated": true')],
+    ids=["validate-n14", "orders-n12"],
+)
+def test_witness_lists_are_bounded_at_large_n(tmp_path, capsys, verb, n, marker):
+    """Listed in full, validate at n = 14 writes hundreds of megabytes and
+    orders at n = 12 millions of pairs; the default limit cuts both lists."""
+    start = time.perf_counter()
+    rc, out, _ = invoke(capsys, [verb, amplitude_file(tmp_path, n), "--format", "machine"])
+    assert time.perf_counter() - start < 10.0  # about a second on a 2-CPU VM
+    assert rc == 0
+    assert len(out.encode("utf-8")) < 1_000_000
+    assert marker in out
+
+
+@pytest.mark.parametrize("set_name", ["multiplicative", "scheme", "all"])
+def test_witnesses_flag_cuts_each_order_list_and_marks_it(capsys, set_name):
+    """On the scheme and on all coevents several flags fail at once."""
+    argv = ["orders", THREE_SLIT, "--set", set_name]
+    full = machine(capsys, argv)["sections"]["orders"]
+    assert not any(key.endswith("_truncated") for key in full)
+    for limit in (0, 1, 2):
+        section = machine(capsys, argv + ["--witnesses", str(limit)])["sections"]["orders"]
+        markers = {key for key in section if key.endswith("_truncated")}
+        assert markers == {
+            f"{key}_truncated" for key, pairs in full["witnesses"].items() if len(pairs) > limit
+        }
+        assert all(section[key] is True for key in markers)
+        for key, pairs in full["witnesses"].items():
+            assert section["witnesses"][key] == pairs[:limit]
+        assert {k: v for k, v in section.items() if k not in markers | {"witnesses"}} == {
+            k: v for k, v in full.items() if k != "witnesses"
+        }
+
+
+@pytest.mark.parametrize("argv", [["validate", THREE_SLIT, "--witnesses", "-1"],
+                                  ["audit", THREE_SLIT, "--witnesses", "5"]])
+def test_bad_witnesses_flag_is_a_usage_error(capsys, argv):
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 1 and out == "" and "--witnesses" in err
 
 
 def test_include_empty_dual_flag_changes_the_space(capsys):

@@ -199,3 +199,13 @@ def test_event_family_dedupes_and_orders(coin_algebra):
     family = EventFamily.from_events([coin_algebra.full, h, h])
     assert family.masks == (h.mask, coin_algebra.full.mask)
     assert str(family) == "[{h}, {h,t}]"
+
+
+@given(masks=st.lists(st.integers(0, 7), max_size=10))
+def test_event_family_masks_are_ascending_and_distinct(masks):
+    """Sorted input with repeats must be deduplicated too, not only unsorted input."""
+    space = algebra_of_size(3).space
+    expected = tuple(sorted(set(masks)))
+    for given_masks in (masks, sorted(masks)):
+        assert EventFamily.from_masks(space, given_masks).masks == expected
+        assert EventFamily(space, tuple(given_masks)).masks == expected

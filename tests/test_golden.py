@@ -40,6 +40,7 @@ FLAGS = {
     "coevents-all": ["--set", "all"],
     "coevents-classical": ["--set", "classical"],
     "audit-empty": ["--include-empty-dual"],
+    "report-witnesses": ["--witnesses", "5"],
 }
 
 

@@ -28,6 +28,7 @@ from coevents import (
     validate_quantum,
 )
 from coevents.catalog import complex_phases, dirac, fair_coin, three_slit
+from coevents.eventalg import WITNESS_LIST_CAP
 
 from conftest import LETTER_LABELS
 
@@ -187,7 +188,7 @@ def brute_force_classical(m: Measure) -> ValidationReport:
                 violations.append(Violation(
                     "additivity", (alg.event(a), alg.event(b)), v[a | b], v[a] + v[b]
                 ))
-    return ValidationReport("classical", tuple(violations))
+    return ValidationReport("classical", tuple(violations), ok=not violations)
 
 
 def brute_force_quantum(m: Measure) -> ValidationReport:
@@ -215,7 +216,7 @@ def brute_force_quantum(m: Measure) -> ValidationReport:
                         v[a | b | c],
                         expected,
                     ))
-    return ValidationReport("quantum", tuple(violations))
+    return ValidationReport("quantum", tuple(violations), ok=not violations)
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -268,13 +269,50 @@ def test_validators_match_brute_force(kind, data):
     if where is not None:
         m = perturb(data, m, where)
     classical, quantum = brute_force_classical(m), brute_force_quantum(m)
-    assert validate_classical(m) == classical
-    assert validate_quantum(m) == quantum
+    assert validate_classical(m, limit=None) == classical
+    assert validate_quantum(m, limit=None) == quantum
     # A wrong "fails" verdict would only cost an enumeration, so check it too.
     size = m.algebra.size
     assert measure_mod._is_additive(m.values, size) == classical.ok
     level2_ok = all(v.rule != "level2" for v in quantum.violations)
     assert measure_mod._is_grade2(m.values, size) == level2_ok
+
+
+def cut_points(total: int) -> list[int]:
+    """The limits at which a witness list can change shape: 0, 1 and either
+    side of its full length."""
+    return sorted({0, 1, total - 1, total, total + 1} - {-1})
+
+
+@pytest.mark.parametrize("kind", ["additive", "amplitude", "decoherence"])
+@pytest.mark.parametrize("validator", [validate_classical, validate_quantum])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cut_violation_lists_are_prefixes_of_the_full_listing(kind, validator, data):
+    m = draw_measure(data, kind)
+    where = data.draw(st.sampled_from((None,) + PERTURBED_EVENTS), label="perturbed")
+    if where is not None:
+        m = perturb(data, m, where)
+    full = validator(m, limit=None)
+    assert not full.truncated
+    total = len(full.violations)
+    for limit in cut_points(total):
+        rep = validator(m, limit=limit)
+        assert rep.violations == full.violations[:limit]
+        assert rep.truncated == (total > limit)
+        assert rep.ok == full.ok == (total == 0)
+
+
+def test_default_limit_cuts_a_large_listing():
+    """At n = 9 the amplitude measure below has thousands of additivity
+    violations; the default lists the first WITNESS_LIST_CAP of them."""
+    space = SampleSpace(tuple("abcdefghi"))
+    amps = [GaussianRational.real((1, 1, -1)[i % 3]) for i in range(space.n)]
+    m = Measure.from_amplitudes(space, amps)
+    rep = validate_classical(m)
+    assert not rep.ok and rep.truncated
+    assert len(rep.violations) == WITNESS_LIST_CAP
+    assert rep.violations == validate_classical(m, limit=None).violations[: len(rep.violations)]
 
 
 # ---------------------------------------------------------------------------

@@ -362,11 +362,16 @@ def test_functoriality_on_bits_matches_the_transition_route(poset):
 
 
 def assert_up_sets_match_the_submask_walk(poset: FinitePoset) -> None:
-    """Oracle: every submask of an anchor's up-set, kept if upward closed."""
+    """Oracle: every submask of an anchor's up-set, kept if upward closed.
+
+    sieves_at builds its sieves without the up-set check, so each must
+    also pass the public constructor's validation."""
     for i, anchor in enumerate(poset.elements):
         walk = [b for b in iter_submasks(poset.up[i]) if poset.is_up_set(b)]
         assert list(poset.up_sets(poset.up[i])) == walk
-        assert [s.bits for s in sieves_at(poset, anchor, cap=len(poset))] == walk
+        sieves = sieves_at(poset, anchor, cap=len(poset))
+        assert [s.bits for s in sieves] == walk
+        assert all(Sieve(poset, anchor, s.bits) == s for s in sieves)
     whole = (1 << len(poset)) - 1
     assert list(poset.up_sets()) == [b for b in iter_submasks(whole) if poset.is_up_set(b)]
 
