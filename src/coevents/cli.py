@@ -11,6 +11,7 @@ Exit codes: 0 = analyses ran (law failures are findings, not errors),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Optional, Sequence
@@ -42,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser, built on first use; parsing leaves it unchanged."""
     commands = {
         "validate": "sum rules, null sets, null cover",
         "coevents": "enumerate and classify a coevent set",

@@ -56,6 +56,14 @@ class Coevent:
         if bad:
             raise ValueError(f"support masks {bad[:4]} outside the algebra")
 
+    @classmethod
+    def _unchecked(cls, algebra: EventAlgebra, support: frozenset[int]) -> "Coevent":
+        """A coevent from a support already known to lie inside the algebra."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "algebra", algebra)
+        object.__setattr__(phi, "support", support)
+        return phi
+
     @property
     def support_key(self) -> tuple[int, ...]:
         """Canonical support encoding: member masks in ascending order."""
@@ -314,17 +322,40 @@ def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> Coe
     """Brute force: all 2**(2**n) maps from the event algebra to Z2.
 
     Deliberately capped; this is the oracle against which the
-    constructive enumerations are checked on small instances.
+    constructive enumerations are checked on small instances.  The
+    supports are made in canonical order and lie in the algebra by
+    construction, so neither is checked again.
     """
     n = algebra.space.n
     if n > min(cap, BRUTE_FORCE_HARD_CAP):
         raise CapExceeded(
             "brute-force coevent enumeration", min(cap, BRUTE_FORCE_HARD_CAP), n
         )
-    coevents = [
-        Coevent(algebra, frozenset(set_bits(code))) for code in range(1 << algebra.size)
-    ]
-    return CoeventSpace.build(algebra, coevents, provenance="all")
+    members = tuple(
+        Coevent._unchecked(algebra, frozenset(support))
+        for support in _supports_in_order(algebra.size)
+    )
+    return CoeventSpace(algebra, members, provenance="all")
+
+
+def _supports_in_order(size: int) -> Iterator[tuple[int, ...]]:
+    """Every set of masks below ``size`` as its ascending tuple, in canonical order.
+
+    Canonical (lexicographic) order is depth first over the masks: each
+    support comes just before its extensions by larger masks.  So the
+    successor of S is S plus (its last mask + 1) while that is a mask,
+    else S with its last two masks replaced by (its second-last + 1).
+    """
+    support: tuple[int, ...] = ()
+    while True:
+        yield support
+        last = support[-1] if support else -1
+        if last + 1 < size:
+            support += (last + 1,)
+        elif len(support) > 1:
+            support = support[:-2] + (support[-2] + 1,)
+        else:
+            return
 
 
 def _null_down_set(m: Measure) -> int:

@@ -2,9 +2,11 @@
 
 Classical (additive) validation, quantum (level-2 sum rule) validation,
 derivation from a decoherence matrix, null-set analysis, and coarse
-graining.  All arithmetic is over ``fractions.Fraction`` / Gaussian
-rationals: preclusion hinges on exact zero tests, so there is no
-floating-point mode.
+graining.  A measure's values are held as integer numerators over one
+common denominator, and every sum rule, sign test and zero test compares
+those integers; ``Fraction`` values are built only when read.  Inputs
+are ``fractions.Fraction`` / Gaussian rationals: preclusion hinges on
+exact zero tests, so there is no floating-point mode.
 """
 
 from __future__ import annotations
@@ -95,6 +97,61 @@ class ValidationReport:
     truncated: bool = False
 
 
+class MeasureValues(Mapping[int, Fraction]):
+    """A total table of rational values, one per event mask, read-only.
+
+    The value on mask m is ``nums[m] / den``: one denominator den > 0 for
+    the whole table, reduced with the numerators by their common gcd, so
+    equal tables hold equal pairs.  A lookup builds the value's
+    ``Fraction`` on first read of its numerator and caches it, so a table
+    of few distinct values builds few Fractions.  The sum rules are linear
+    and homogeneous, so they hold of the values iff they hold of the
+    numerators: the validators, the sign and normalization tests and the
+    null masks read ``nums`` and ``den`` directly, in integer arithmetic.
+    """
+
+    __slots__ = ("den", "nums", "_fractions")
+
+    def __init__(self, den: int, nums: Sequence[int]) -> None:
+        g = math.gcd(den, *nums)
+        self.den = den // g
+        self.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
+        self._fractions: dict[int, Fraction] = {}
+
+    @classmethod
+    def of(cls, values: Sequence[Fraction | int]) -> "MeasureValues":
+        """The table of ``values[m]`` for m = 0, 1, ..., over their common denominator."""
+        den = math.lcm(*(v.denominator for v in values))
+        return cls(den, [v.numerator * (den // v.denominator) for v in values])
+
+    def fraction(self, num: int) -> Fraction:
+        """``num / den``, built once per numerator."""
+        try:
+            return self._fractions[num]
+        except KeyError:
+            value = self._fractions[num] = Fraction(num, self.den)
+            return value
+
+    def __getitem__(self, mask: int) -> Fraction:
+        if not (isinstance(mask, int) and 0 <= mask < len(self.nums)):
+            raise KeyError(mask)
+        return self.fraction(self.nums[mask])
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.nums)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MeasureValues):
+            return self.den == other.den and self.nums == other.nums
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return f"MeasureValues(den={self.den}, nums={self.nums})"
+
+
 @dataclass(frozen=True)
 class Measure:
     """A total, exact-valued set function on the event algebra.
@@ -104,6 +161,10 @@ class Measure:
     are checked by the validators below and reported as findings rather
     than enforced at construction, so that defective measures can be
     represented and analyzed.
+
+    ``values`` may be given as any mapping from every event mask to a
+    rational (``int`` or ``Fraction``); it is held as a
+    :class:`MeasureValues`, integer numerators over one denominator.
     """
 
     algebra: EventAlgebra
@@ -113,7 +174,15 @@ class Measure:
     )
 
     def __post_init__(self) -> None:
-        expected = set(range(self.algebra.size))
+        size = self.algebra.size
+        if isinstance(self.values, MeasureValues):
+            if len(self.values) != size:
+                raise ValueError(
+                    f"measure must be total on the algebra; got {len(self.values)} "
+                    f"values for {size} events"
+                )
+            return
+        expected = set(range(size))
         got = set(self.values.keys())
         if got != expected:
             missing = sorted(expected - got)
@@ -122,6 +191,8 @@ class Measure:
                 f"measure must be total on the algebra; missing masks {missing[:4]}, "
                 f"extra masks {extra[:4]}"
             )
+        table = MeasureValues.of([self.values[m] for m in range(size)])
+        object.__setattr__(self, "values", table)
 
     def __call__(self, event: Event) -> Fraction:
         if event.space != self.algebra.space:
@@ -131,7 +202,7 @@ class Measure:
     @cached_property
     def null_masks(self) -> tuple[int, ...]:
         """The masks of exactly zero measure, ascending; found once, on first use."""
-        return tuple(mask for mask in range(self.algebra.size) if self.values[mask] == 0)
+        return tuple(mask for mask, x in enumerate(self.values.nums) if not x)
 
     @classmethod
     def from_table(
@@ -153,7 +224,7 @@ class Measure:
         w = [Fraction(weights[lab]) for lab in space.labels]
         diagonal = [[x if k == j else 0 for j in range(space.n)] for k, x in enumerate(w)]
         algebra = EventAlgebra(space)
-        return cls(algebra, dict(enumerate(_pair_sum_values(diagonal, algebra.size))))
+        return cls(algebra, _pair_sum_values(diagonal, algebra.size))
 
     @classmethod
     def from_amplitudes(
@@ -169,7 +240,7 @@ class Measure:
             raise ValueError("need exactly one amplitude per history")
         rank_one = [[a.re * b.re + a.im * b.im for b in amplitudes] for a in amplitudes]
         algebra = EventAlgebra(space)
-        return cls(algebra, dict(enumerate(_pair_sum_values(rank_one, algebra.size))))
+        return cls(algebra, _pair_sum_values(rank_one, algebra.size))
 
 
 def _iter_disjoint_pairs(size: int):
@@ -194,8 +265,8 @@ def _iter_disjoint_triples(size: int):
                 yield a, b, c
 
 
-def _is_additive(values: Mapping[int, Fraction] | Sequence[Fraction], size: int) -> bool:
-    """The closed form of :func:`validate_classical`'s verdict.
+def _is_additive(values: Sequence[int], size: int) -> bool:
+    """The closed form of :func:`validate_classical`'s verdict, on numerators.
 
     It holds on every disjoint pair iff it holds on each (low(A),
     A minus low(A)): at A = {i} that forces mu(empty) = 0, and by
@@ -206,8 +277,8 @@ def _is_additive(values: Mapping[int, Fraction] | Sequence[Fraction], size: int)
     )
 
 
-def _is_grade2(values: Mapping[int, Fraction], size: int) -> bool:
-    """The closed form of :func:`validate_quantum`'s level-2 verdict.
+def _is_grade2(values: Sequence[int], size: int) -> bool:
+    """The closed form of :func:`validate_quantum`'s level-2 verdict, on numerators.
 
     The triples ({i}, {j}, C) it checks are among the rule's triples.
     Conversely the grade-2 extension
@@ -244,7 +315,7 @@ def validate_classical(
     disjoint pairs, to list its first ``limit`` violations in canonical
     order (all of them when ``limit`` is None).
     """
-    if _is_additive(m.values, m.algebra.size):
+    if _is_additive(m.values.nums, m.algebra.size):
         return ValidationReport("classical", (), ok=True)
     violations, truncated = first_witnesses(_additivity_violations(m), limit)
     return ValidationReport("classical", violations, ok=False, truncated=truncated)
@@ -252,10 +323,11 @@ def validate_classical(
 
 def _additivity_violations(m: Measure) -> Iterator[Violation]:
     v, ev = m.values, EventsByMask(m.algebra)
+    x = v.nums
     for a, b in _iter_disjoint_pairs(m.algebra.size):
-        got, expected = v[a | b], v[a] + v[b]
+        got, expected = x[a | b], x[a] + x[b]
         if got != expected:
-            yield Violation("additivity", (ev[a], ev[b]), got, expected)
+            yield Violation("additivity", (ev[a], ev[b]), v.fraction(got), v.fraction(expected))
 
 
 def validate_quantum(
@@ -282,10 +354,10 @@ def validate_quantum(
     (all when ``limit`` is None); only a failing level-2 rule walks the
     disjoint triples.
     """
-    v, size = m.values, m.algebra.size
-    nonnegative = all(v[mask] >= 0 for mask in range(size))
-    grade2 = _is_grade2(v, size)
-    if nonnegative and grade2 and v[size - 1] == 1:
+    x, size = m.values.nums, m.algebra.size
+    nonnegative = min(x) >= 0
+    grade2 = _is_grade2(x, size)
+    if nonnegative and grade2 and x[size - 1] == m.values.den:
         return ValidationReport("quantum", (), ok=True)
     violations, truncated = first_witnesses(
         _quantum_violations(m, nonnegative, grade2), limit
@@ -295,20 +367,23 @@ def validate_quantum(
 
 def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator[Violation]:
     alg, v = m.algebra, m.values
+    x, den = v.nums, v.den
     if not nonnegative:
         for mask in range(alg.size):
-            if v[mask] < 0:
+            if x[mask] < 0:
                 yield Violation("nonnegativity", (alg.event(mask),), v[mask], Fraction(0))
-    if v[alg.space.full_mask] != 1:
+    if x[alg.space.full_mask] != den:
         yield Violation("normalization", (alg.full,), v[alg.space.full_mask], Fraction(1))
     if grade2:
         return
     ev = EventsByMask(alg)
     for a, b, c in _iter_disjoint_triples(alg.size):
-        got = v[a | b | c]
-        expected = v[a | b] + v[b | c] + v[c | a] - v[a] - v[b] - v[c]
+        got = x[a | b | c]
+        expected = x[a | b] + x[b | c] + x[c | a] - x[a] - x[b] - x[c]
         if got != expected:
-            yield Violation("level2", (ev[a], ev[b], ev[c]), got, expected)
+            yield Violation(
+                "level2", (ev[a], ev[b], ev[c]), v.fraction(got), v.fraction(expected)
+            )
 
 
 @dataclass(frozen=True)
@@ -400,11 +475,11 @@ def _pair_sums(matrix: Sequence[Sequence[int]], size: int) -> list[int]:
     return sums
 
 
-def _pair_sum_values(matrix: Sequence[Sequence[Fraction]], size: int) -> list[Fraction]:
+def _pair_sum_values(matrix: Sequence[Sequence[Fraction]], size: int) -> MeasureValues:
     """:func:`_pair_sums` of a rational matrix, in integers over its common denominator."""
     den = math.lcm(*(x.denominator for row in matrix for x in row))
     scaled = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
-    return [Fraction(total, den) for total in _pair_sums(scaled, size)]
+    return MeasureValues(den, _pair_sums(scaled, size))
 
 
 def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
@@ -417,20 +492,19 @@ def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
     """
     algebra = EventAlgebra(d.space)
     n = d.space.n
-    re_sums = _pair_sum_values([[g.re for g in row] for row in d.entries], algebra.size)
+    values = _pair_sum_values([[g.re for g in row] for row in d.entries], algebra.size)
     im = [[g.im for g in row] for row in d.entries]
     # Every imaginary sum vanishes iff the imaginary part is antisymmetric.
     if any(im[i][j] != -im[j][i] for i in range(n) for j in range(i, n)):
-        for mask, im_sum in enumerate(_pair_sum_values(im, algebra.size)):
-            if im_sum:
-                tot = GaussianRational(re_sums[mask], im_sum)
+        im_sums = _pair_sum_values(im, algebra.size)
+        for mask, im_num in enumerate(im_sums.nums):
+            if im_num:
+                tot = GaussianRational(values[mask], im_sums[mask])
                 raise NonRealDiagonal(
                     f"measure of {algebra.event(mask)} is {tot}; matrix is corrupted"
                 )
-    values = dict(enumerate(re_sums))
     m = Measure(algebra, values)
-    report = validate_quantum(m)
-    return Measure(algebra, values, quantum_report=report)
+    return Measure(algebra, values, quantum_report=validate_quantum(m))
 
 
 def null_sets(m: Measure) -> EventFamily:
@@ -504,6 +578,8 @@ def is_decoherent(m: Measure, graining: CoarseGraining) -> bool:
     so this is additivity of pick -> mu(union of the picked blocks),
     decided by the closed form of :func:`validate_classical` in O(2^k).
     """
-    cg = coarse_grain(m, graining)
+    if graining.blocks.space != m.algebra.space:
+        raise MismatchedSpace("partition belongs to a different sample space")
+    x = m.values.nums
     unions = _block_unions(graining)
-    return _is_additive([cg.values[u] for u in unions], len(unions))
+    return _is_additive([x[u] for u in unions], len(unions))

@@ -51,6 +51,16 @@ def test_mode_is_a_usage_error_outside_complete(capsys, verb):
     assert "--mode" in err
 
 
+def test_a_usage_error_does_not_leak_into_the_next_run(capsys):
+    """The parser is built once per process; a refused call leaves it as it was."""
+    golden = Path(__file__).resolve().parent / "golden" / "validate_three_slit.json"
+    rc, out, err = invoke(capsys, ["validate", THREE_SLIT, "--mode", "upper"])
+    assert rc == 1 and out == "" and "--mode" in err
+    rc, out, err = invoke(capsys, ["validate", THREE_SLIT, "--format", "machine"])
+    assert rc == 0 and err == ""
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
 def test_help_lists_every_verb_and_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

@@ -31,7 +31,7 @@ from coevents import (
 )
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
 from coevents.coevent import enumerate_classical, preclusive_dual_events, principal_event
-from coevents.eventalg import EventFamily, iter_supermasks
+from coevents.eventalg import EventFamily, iter_supermasks, set_bits
 from coevents.measure import null_cover_exists, null_sets
 
 from conftest import algebra_of_size
@@ -303,6 +303,19 @@ def test_brute_force_cap():
     assert len(enumerate_coevents(algebra_of_size(4), cap=4)) == 1 << 16
     with pytest.raises(CapExceeded):
         enumerate_coevents(EventAlgebra(SampleSpace(tuple(f"x{i}" for i in range(5)))), cap=8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_brute_force_enumeration_is_the_sorted_space_of_every_support(n):
+    """The supports are made in canonical order and unchecked; the sorting,
+    checking route of ``CoeventSpace.build`` must give the same space."""
+    alg = algebra_of_size(n)
+    everything = enumerate_coevents(alg)
+    reference = CoeventSpace.build(
+        alg, [Coevent(alg, set_bits(code)) for code in range(1 << alg.size)], "all"
+    )
+    assert everything.members == reference.members
+    assert everything.provenance == "all"
 
 
 def test_dual_enumeration_cap_is_overridable():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -165,6 +166,54 @@ def test_measure_must_be_total():
         Measure(EventAlgebra(space), {0: Fraction(0)})
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_values_read_back_exactly_from_one_reduced_pair(data):
+    """Values are integer numerators over one denominator, reduced together;
+    every read gives back the table's value as a Fraction."""
+    n = data.draw(st.integers(1, 5), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+    table = dict(enumerate(data.draw(st.lists(
+        table_values, min_size=alg.size, max_size=alg.size
+    ), label="table")))
+    m = Measure(alg, table)
+    assert len(m.values) == alg.size and list(m.values) == list(range(alg.size))
+    for mask, value in table.items():
+        assert m.values[mask] == value and type(m.values[mask]) is Fraction
+    for outside in (-1, alg.size, "0"):
+        assert outside not in m.values
+        with pytest.raises(KeyError):
+            m.values[outside]
+    den, nums = m.values.den, m.values.nums
+    assert den > 0 and math.gcd(den, *nums) == 1
+    as_ints = {mask: v.numerator if v.denominator == 1 else v for mask, v in table.items()}
+    assert Measure.from_table(alg, as_ints) == m
+    halved = Measure(alg, {mask: v / 2 for mask, v in table.items()})
+    assert (halved == m) == (not any(table.values()))
+    assert m.null_masks == tuple(mask for mask, v in table.items() if v == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_pair_whichever_constructor_builds_the_measure(data):
+    """Amplitudes summing to 1 need no rescaling, so the amplitude measure, its
+    value table and the decoherence matrix of the same amplitudes agree on
+    (den, nums), not just on the values."""
+    n = data.draw(st.integers(1, 5), label="n")
+    space = SampleSpace(tuple("abcde"[:n]))
+    amps = data.draw(st.lists(gaussians, min_size=n - 1, max_size=n - 1), label="amplitudes")
+    rest = GaussianRational.real(1)
+    for a in amps:
+        rest = rest - a
+    amps.append(rest)
+    direct = Measure.from_amplitudes(space, amps)
+    table = Measure.from_table(direct.algebra, dict(direct.values))
+    matrix = measure_from_decoherence(DecoherenceSpec.from_amplitudes(space, amps))
+    for m in (table, matrix):
+        assert (m.values.den, m.values.nums) == (direct.values.den, direct.values.nums)
+        assert m == direct
+
+
 def test_measure_from_table():
     from coevents import EventAlgebra
 
@@ -221,12 +270,19 @@ def brute_force_quantum(m: Measure) -> ValidationReport:
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+# Mixed denominators, negative values and many exact zeros.
+table_values = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=12)
+)
 PERTURBED_EVENTS = ("empty", "singleton", "pair", "larger", "full")
 
 
 def draw_measure(data, kind: str) -> Measure:
     n = data.draw(st.integers(1, 5), label="n")
     space = SampleSpace(tuple("abcde"[:n]))
+    if kind == "table":
+        values = data.draw(st.lists(table_values, min_size=1 << n, max_size=1 << n))
+        return Measure(EventAlgebra(space), dict(enumerate(values)))
     if kind == "additive":
         weights = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
         return Measure.from_atom_weights(space, dict(zip(space.labels, weights)))
@@ -258,7 +314,10 @@ def perturb(data, m: Measure, where: str) -> Measure:
     return Measure(m.algebra, values)
 
 
-@pytest.mark.parametrize("kind", ["additive", "amplitude", "decoherence"])
+MEASURE_KINDS = ["additive", "amplitude", "decoherence", "table"]
+
+
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_validators_match_brute_force(kind, data):
@@ -273,9 +332,32 @@ def test_validators_match_brute_force(kind, data):
     assert validate_quantum(m, limit=None) == quantum
     # A wrong "fails" verdict would only cost an enumeration, so check it too.
     size = m.algebra.size
-    assert measure_mod._is_additive(m.values, size) == classical.ok
+    assert measure_mod._is_additive(m.values.nums, size) == classical.ok
     level2_ok = all(v.rule != "level2" for v in quantum.violations)
-    assert measure_mod._is_grade2(m.values, size) == level2_ok
+    assert measure_mod._is_grade2(m.values.nums, size) == level2_ok
+
+
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_constructor_holds_the_reduced_pair(kind, data):
+    """The pair-sum constructors sum over the matrix's denominator, which
+    can be finer than the values' (off-diagonal entries cancel), so the
+    pair is reduced: rebuilding from the Fraction values gives it back."""
+    m = draw_measure(data, kind)
+    rebuilt = Measure.from_table(m.algebra, dict(m.values))
+    assert (rebuilt.values.den, rebuilt.values.nums) == (m.values.den, m.values.nums)
+
+
+def test_pair_sums_reduce_below_the_matrix_denominator():
+    """Off-diagonal quarters enter every pair sum twice, so the values are
+    halves: the sums over 4 must be reduced to the pair over 2."""
+    half, quarter = GaussianRational.real(Fraction(1, 2)), GaussianRational.real(Fraction(1, 4))
+    spec = DecoherenceSpec.from_rows(
+        SampleSpace(("a", "b")), [[half, quarter], [quarter, GaussianRational()]]
+    )
+    m = measure_from_decoherence(spec)
+    assert (m.values.den, m.values.nums) == (2, (0, 1, 0, 2))
 
 
 def cut_points(total: int) -> list[int]:
@@ -284,7 +366,7 @@ def cut_points(total: int) -> list[int]:
     return sorted({0, 1, total - 1, total, total + 1} - {-1})
 
 
-@pytest.mark.parametrize("kind", ["additive", "amplitude", "decoherence"])
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
 @pytest.mark.parametrize("validator", [validate_classical, validate_quantum])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -520,7 +602,7 @@ def decoherence_oracle(m: Measure, graining: CoarseGraining) -> bool:
     )
 
 
-@pytest.mark.parametrize("kind", ["additive", "amplitude", "decoherence"])
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_is_decoherent_matches_pairwise_definition(kind, data):
