@@ -1,6 +1,7 @@
 """Coevents: truth-valuation maps from the event algebra to Z2.
 
-A coevent is stored by its support, the set of events it maps to 1.
+A coevent is stored by its support, the set of events it maps to 1,
+except a dual, which is stored by its principal mask.
 Classical coevents are exactly the Boolean homomorphisms (evaluation
 at a single history); multiplicative coevents preserve meets and are
 dual to events via the principal element of their filter support.
@@ -11,7 +12,7 @@ and classical iff that event is a single history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -28,6 +29,7 @@ from .eventalg import (
     EventFamily,
     filter_principal,
     iter_supermasks,
+    masks_lacking,
     set_bits,
 )
 from .measure import Measure
@@ -41,28 +43,71 @@ BRUTE_FORCE_HARD_CAP = 4
 DUAL_ENUMERATION_CAP = 16
 
 
-@dataclass(frozen=True)
+#: ``Coevent._principal`` before the support has been tested for a filter.
+_UNKNOWN = -1
+
+
+def _init(
+    phi: Coevent,
+    algebra: EventAlgebra,
+    support: Optional[frozenset[int]],
+    principal: Optional[int],
+) -> None:
+    """Set the three slots of a new coevent; a dual has no support yet."""
+    object.__setattr__(phi, "algebra", algebra)
+    object.__setattr__(phi, "_support", support)
+    object.__setattr__(phi, "_principal", principal)
+
+
 class Coevent:
-    """A map from the event algebra to {0, 1}, stored as its support."""
+    """A map from the event algebra to {0, 1}.
 
-    algebra: EventAlgebra
-    support: frozenset[int]
+    Held as its support, the set of events it maps to 1, except a dual
+    p* built by the constructions below, which is held as its principal
+    mask p alone.  Its support, the supersets of p, is derived on first
+    read and kept.  Equality and hashing use the principal mask whenever
+    a coevent has one, else the support, so a dual equals the coevent
+    built from its support.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.support, frozenset):
-            object.__setattr__(self, "support", frozenset(self.support))
-        size = self.algebra.size
-        bad = [m for m in self.support if not 0 <= m < size]
+    __slots__ = ("algebra", "_support", "_principal")
+
+    def __init__(self, algebra: EventAlgebra, support: Iterable[int]) -> None:
+        support = frozenset(support)
+        size = algebra.size
+        bad = [m for m in support if not 0 <= m < size]
         if bad:
             raise ValueError(f"support masks {bad[:4]} outside the algebra")
+        _init(self, algebra, support, _UNKNOWN)
 
     @classmethod
     def _unchecked(cls, algebra: EventAlgebra, support: frozenset[int]) -> "Coevent":
         """A coevent from a support already known to lie inside the algebra."""
         phi = object.__new__(cls)
-        object.__setattr__(phi, "algebra", algebra)
-        object.__setattr__(phi, "support", support)
+        _init(phi, algebra, support, _UNKNOWN)
         return phi
+
+    @classmethod
+    def _dual(cls, algebra: EventAlgebra, p: int) -> "Coevent":
+        """The dual p*, held as its principal mask p, a mask of the algebra."""
+        phi = object.__new__(cls)
+        _init(phi, algebra, None, p)
+        return phi
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def support(self) -> frozenset[int]:
+        """The events mapped to 1, as masks."""
+        support = self._support
+        if support is None:
+            support = frozenset(iter_supermasks(self._principal, self.algebra.space.full_mask))
+            object.__setattr__(self, "_support", support)
+        return support
 
     @property
     def support_key(self) -> tuple[int, ...]:
@@ -71,16 +116,40 @@ class Coevent:
 
     @property
     def is_zero(self) -> bool:
-        return not self.support
+        return self.principal_mask is None and not self._support
 
-    @cached_property
+    @property
     def principal_mask(self) -> Optional[int]:
         """The mask p whose supersets are exactly the support, else None.
 
         Not None iff the support is a filter, i.e. iff the coevent is the
         dual p* (the constant-one map when p = 0).
         """
-        return filter_principal(self.support, self.algebra.space.n)
+        p = self._principal
+        if p == _UNKNOWN:
+            p = filter_principal(self._support, self.algebra.space.n)
+            object.__setattr__(self, "_principal", p)
+        return p
+
+    @property
+    def _key(self) -> int | frozenset[int]:
+        """The principal mask if there is one, else the support."""
+        p = self.principal_mask
+        return self._support if p is None else p
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Coevent):
+            return NotImplemented
+        return self.algebra == other.algebra and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"Coevent(algebra={self.algebra!r}, support={self.support!r})"
+
+    def __reduce__(self) -> tuple:
+        return Coevent, (self.algebra, self.support)
 
     def support_family(self) -> EventFamily:
         return EventFamily.from_masks(self.algebra.space, self.support)
@@ -88,7 +157,10 @@ class Coevent:
     def __call__(self, event: Event) -> int:
         if event.space != self.algebra.space:
             raise MismatchedSpace("event belongs to a different sample space")
-        return 1 if event.mask in self.support else 0
+        p = self.principal_mask
+        if p is not None:
+            return 1 if event.mask & p == p else 0
+        return 1 if event.mask in self._support else 0
 
     def __str__(self) -> str:
         p = self.principal_mask
@@ -107,18 +179,18 @@ class CoeventSpace:
     """A finite set of coevents over one algebra, canonically ordered.
 
     The canonical order is lexicographic on the support encoding
-    (ascending member masks), which for duals coincides with ascending
-    principal-event masks.
+    (ascending member masks).  A dual's least support mask is its
+    principal mask, so for duals it is ascending principal masks, the
+    order in which the constructions below build their spaces.
     """
 
     algebra: EventAlgebra
     members: tuple[Coevent, ...]
     provenance: str = field(default="user-supplied", compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {phi.support: i for i, phi in enumerate(self.members)}
-        )
+    @cached_property
+    def _index(self) -> dict[int | frozenset[int], int]:
+        return {phi._key: i for i, phi in enumerate(self.members)}
 
     @classmethod
     def build(
@@ -139,13 +211,13 @@ class CoeventSpace:
         return iter(self.members)
 
     def __contains__(self, phi: Coevent) -> bool:
-        return phi.algebra == self.algebra and phi.support in self._index
+        return phi.algebra == self.algebra and phi._key in self._index
 
     def index_of(self, phi: Coevent) -> int:
         if phi.algebra != self.algebra:
             raise ValueError("coevent belongs to a different algebra")
         try:
-            return self._index[phi.support]
+            return self._index[phi._key]
         except KeyError:
             raise ValueError("coevent is not a member of the space")
 
@@ -154,13 +226,30 @@ class CoeventSpace:
         """tau(A) for each event mask A: the members whose support holds A, as bits.
 
         Built once, on first use; tau, the order report, the completions,
-        the audit and chi all read it.
+        the audit and chi all read it.  When every member is a dual p*,
+        whose support holds A iff p is inside A, bit i is set at member
+        i's principal mask and spread to every superset by the OR
+        subset-zeta transform (Yates's method): for each history j, each
+        mask holding j ORs in the row of that mask without j.  That is
+        O(n 2^n) row ORs, where scanning the supports touches 3^n masks.
+        Any other space scans the supports.
         """
-        table = [0] * self.algebra.size
-        for i, phi in enumerate(self.members):
-            bit = 1 << i
-            for m in phi.support:
-                table[m] |= bit
+        size = self.algebra.size
+        table = [0] * size
+        principals = [phi.principal_mask for phi in self.members]
+        if None in principals:
+            for i, phi in enumerate(self.members):
+                bit = 1 << i
+                for m in phi.support:
+                    table[m] |= bit
+            return tuple(table)
+        for i, p in enumerate(principals):
+            table[p] |= 1 << i
+        for j in range(self.algebra.space.n):
+            step = 1 << j
+            for high in range(step, size, 2 * step):
+                for m in range(high, high + step):
+                    table[m] |= table[m - step]
         return tuple(table)
 
     @cached_property
@@ -183,7 +272,7 @@ class CoeventSpace:
 
 def classical_from_history(algebra: EventAlgebra, label: str) -> Coevent:
     """The evaluation map at one history: true on events containing it."""
-    return dual_of_event(algebra.event(1 << algebra.space.index(label)))
+    return Coevent._dual(algebra, 1 << algebra.space.index(label))
 
 
 def dual_of_event(a: Event, include_empty_dual: bool = False) -> Coevent:
@@ -197,9 +286,7 @@ def dual_of_event(a: Event, include_empty_dual: bool = False) -> Coevent:
         raise EmptyEventDual(
             "dual of the empty event requested; pass include_empty_dual=True"
         )
-    algebra = EventAlgebra(a.space)
-    support = frozenset(iter_supermasks(a.mask, a.space.full_mask))
-    return Coevent(algebra, support)
+    return Coevent._dual(EventAlgebra(a.space), a.mask)
 
 
 def dual_of_coevent(phi: Coevent, include_empty_dual: bool = False) -> Event:
@@ -253,10 +340,17 @@ def is_multiplicative(phi: Coevent, include_empty_dual: bool = False) -> bool:
 
 
 def is_preclusive(phi: Coevent, m: Measure) -> bool:
-    """True iff phi maps every measure-zero event to 0 (the measure's null masks)."""
+    """True iff phi maps every measure-zero event to 0 (the measure's null masks).
+
+    A dual p* is, iff no null event contains p: bit p of the null sets'
+    down-closure is clear.
+    """
     if phi.algebra != m.algebra:
         raise MismatchedSpace("coevent and measure live on different algebras")
-    return phi.support.isdisjoint(m.null_masks)
+    p = phi.principal_mask
+    if p is not None:
+        return not m.null_down_set >> p & 1
+    return phi._support.isdisjoint(m.null_masks)
 
 
 def check_modus_ponens(phi: Coevent) -> bool:
@@ -278,11 +372,7 @@ def check_modus_ponens(phi: Coevent) -> bool:
 
 def enumerate_classical(algebra: EventAlgebra) -> CoeventSpace:
     """All single-history evaluation maps (all homomorphisms)."""
-    return CoeventSpace.build(
-        algebra,
-        (classical_from_history(algebra, lab) for lab in algebra.space.labels),
-        provenance="classical",
-    )
+    return _dual_space(algebra, (1 << i for i in range(algebra.space.n)), "classical")
 
 
 def classical_preclusive_set(m: Measure) -> CoeventSpace:
@@ -292,13 +382,9 @@ def classical_preclusive_set(m: Measure) -> CoeventSpace:
     event contains i.  Empty exactly when the sample space is covered by
     null sets.
     """
-    covered = _null_down_set(m)
-    keep = (
-        classical_from_history(m.algebra, label)
-        for i, label in enumerate(m.algebra.space.labels)
-        if not covered >> (1 << i) & 1
-    )
-    return CoeventSpace.build(m.algebra, keep, provenance="classical")
+    covered = m.null_down_set
+    keep = (1 << i for i in range(m.algebra.space.n) if not covered >> (1 << i) & 1)
+    return _dual_space(m.algebra, keep, "classical")
 
 
 def enumerate_multiplicative(
@@ -311,11 +397,12 @@ def enumerate_multiplicative(
     if n > cap:
         raise CapExceeded("dual enumeration", cap, n)
     start = 0 if include_empty_dual else 1
-    duals = (
-        dual_of_event(algebra.event(mask), include_empty_dual=True)
-        for mask in range(start, algebra.size)
-    )
-    return CoeventSpace.build(algebra, duals, provenance="multiplicative")
+    return _dual_space(algebra, range(start, algebra.size), "multiplicative")
+
+
+def _dual_space(algebra: EventAlgebra, masks: Iterable[int], provenance: str) -> CoeventSpace:
+    """The space of the duals of ``masks``, given ascending, so in canonical order."""
+    return CoeventSpace(algebra, tuple(Coevent._dual(algebra, p) for p in masks), provenance)
 
 
 def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> CoeventSpace:
@@ -358,36 +445,9 @@ def _supports_in_order(size: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _null_down_set(m: Measure) -> int:
-    """The null sets' down-closure: bit A is set iff some null event contains A.
-
-    One 2^n-bit integer over the event masks, built one history at a
-    time: every covered event that holds history i covers itself minus
-    i as well.  That is O(n 2^n) bit operations, done as n shifts.  A
-    dual A* is preclusive iff bit A is clear.
-    """
-    n = m.algebra.space.n
-    covered = 0
-    for e in m.null_masks:
-        covered |= 1 << e
-    for i in range(n):
-        covered |= covered >> (1 << i) & _lacking(n, i)
-    return covered
-
-
-def _lacking(n: int, i: int) -> int:
-    """The 2^n-bit integer whose bit A is set iff history i is not in A.
-
-    In ascending order the masks come in runs of 2^i without i and 2^i
-    with it, so this is a run of ones repeated every 2^(i+1) bits.
-    """
-    run = 1 << i
-    return ((1 << run) - 1) * (((1 << (1 << n)) - 1) // ((1 << 2 * run) - 1))
-
-
 def _preclusive_bits(m: Measure) -> int:
     """Bit A is set iff A is nonempty and its dual A* is preclusive."""
-    return ~_null_down_set(m) & ((1 << m.algebra.size) - 2)
+    return ~m.null_down_set & ((1 << m.algebra.size) - 2)
 
 
 def preclusive_dual_events(m: Measure) -> EventFamily:
@@ -417,12 +477,8 @@ def multiplicative_scheme(m: Measure) -> CoeventSpace:
     preclusive = _preclusive_bits(m)
     above_one = 0  # bit A set iff some nonempty A - {i} has a preclusive dual
     for i in range(n):
-        above_one |= (preclusive & _lacking(n, i)) << (1 << i)
-    duals = (
-        dual_of_event(m.algebra.event(mask), include_empty_dual=True)
-        for mask in set_bits(preclusive & ~above_one)
-    )
-    return CoeventSpace.build(m.algebra, duals, provenance="scheme")
+        above_one |= (preclusive & masks_lacking(n, i)) << (1 << i)
+    return _dual_space(m.algebra, set_bits(preclusive & ~above_one), "scheme")
 
 
 def principal_event(phi: Coevent) -> Event:

@@ -304,6 +304,16 @@ def iter_supermasks(mask: int, full: int) -> Iterator[int]:
         yield mask | extra
 
 
+def masks_lacking(n: int, i: int) -> int:
+    """The 2^n-bit integer whose bit A is set iff history i is not in A.
+
+    In ascending order the masks come in runs of 2^i without i and 2^i
+    with it, so this is a run of ones repeated every 2^(i+1) bits.
+    """
+    run = 1 << i
+    return ((1 << run) - 1) * (((1 << (1 << n)) - 1) // ((1 << 2 * run) - 1))
+
+
 def up_closure(a: Event) -> EventFamily:
     """All events containing A, in canonical order."""
     full = a.space.full_mask

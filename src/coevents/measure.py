@@ -27,6 +27,7 @@ from .eventalg import (
     SampleSpace,
     first_witnesses,
     iter_submasks,
+    masks_lacking,
 )
 
 Rational = Fraction
@@ -203,6 +204,23 @@ class Measure:
     def null_masks(self) -> tuple[int, ...]:
         """The masks of exactly zero measure, ascending; found once, on first use."""
         return tuple(mask for mask, x in enumerate(self.values.nums) if not x)
+
+    @cached_property
+    def null_down_set(self) -> int:
+        """The null sets' down-closure: bit A is set iff some null event contains A.
+
+        One 2^n-bit integer over the event masks, built once, one history
+        at a time: every covered event that holds history i covers itself
+        minus i as well.  That is O(n 2^n) bit operations, done as n
+        shifts.  A dual A* is preclusive iff bit A is clear.
+        """
+        n = self.algebra.space.n
+        covered = 0
+        for e in self.null_masks:
+            covered |= 1 << e
+        for i in range(n):
+            covered |= covered >> (1 << i) & masks_lacking(n, i)
+        return covered
 
     @classmethod
     def from_table(

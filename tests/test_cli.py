@@ -348,6 +348,31 @@ def test_topos_at_cap_31_lists_every_sieve_of_the_n5_dual_order(tmp_path, capsys
     assert sum(classifier["sieve_counts"]) == 8665
 
 
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+@pytest.mark.parametrize(
+    "argv", [["coevents"], ["tau", "--event", "x0"], ["orders"]], ids=["coevents", "tau", "orders"]
+)
+def test_verbs_on_all_duals_derive_no_support(tmp_path, capsys, monkeypatch, argv, fmt):
+    """Each dual is held by its principal mask: flags, tau and the order
+    report never derive a support, and print the same bytes as a run that
+    builds every dual from its explicit support."""
+    argv = [argv[0], amplitude_file(tmp_path, 10), "--format", fmt, *argv[1:]]
+    plain = coevent_module.iter_supermasks
+    derived = []
+    with monkeypatch.context() as m:
+        m.setattr(coevent_module, "iter_supermasks", lambda *a: derived.append(a) or plain(*a))
+        rc, out, _ = invoke(capsys, argv)
+    assert rc == 0 and derived == []
+
+    def explicit(cls, algebra, p):
+        return Coevent(algebra, plain(p, algebra.space.full_mask))
+
+    with monkeypatch.context() as m:
+        m.setattr(Coevent, "_dual", classmethod(explicit))
+        rc, forced, _ = invoke(capsys, argv)
+    assert rc == 0 and forced == out
+
+
 @pytest.mark.parametrize(
     "verb, n, marker",
     [("validate", 14, '"violations_truncated": true'), ("orders", 12, '"join_truncated": true')],

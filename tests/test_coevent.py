@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -502,3 +504,85 @@ def test_rendering_of_general_coevents(coin_algebra):
     ragged = Coevent(coin_algebra, frozenset([1, 2]))
     assert str(ragged) == "[{h}, {t}]"
     assert str(constant_one(coin_algebra)) == "{}*"
+
+
+# ---------------------------------------------------------------------------
+# Duals held by their principal masks
+
+
+def explicit_dual(alg: EventAlgebra, p: int) -> Coevent:
+    """p* built from its support, the supersets of p."""
+    return Coevent(alg, frozenset(iter_supermasks(p, alg.space.full_mask)))
+
+
+def support_scan(space: CoeventSpace) -> tuple[int, ...]:
+    """Oracle: tau of each event mask, by scanning every member's support."""
+    return tuple(
+        sum(1 << i for i, phi in enumerate(space) if mask in phi.support)
+        for mask in range(space.algebra.size)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_a_mask_built_dual_is_the_coevent_of_its_support(data, n):
+    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+    p = data.draw(st.integers(0, alg.size - 1), label="p")
+    dual, explicit = dual_of_event(alg.event(p), include_empty_dual=True), explicit_dual(alg, p)
+    assert dual == explicit and explicit == dual
+    assert hash(dual) == hash(explicit)
+    assert str(dual) == str(explicit)
+    assert dual.support == explicit.support and dual.principal_mask == p
+    assert pickle.loads(pickle.dumps(dual)) == dual == copy.deepcopy(dual)
+    space = enumerate_multiplicative(alg, include_empty_dual=True)
+    assert space.index_of(dual) == space.index_of(explicit) == p
+    assert explicit in space and dual in space
+    other = data.draw(st.frozensets(st.integers(0, alg.size - 1)), label="other support")
+    assert (dual == Coevent(alg, other)) == (other == explicit.support)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), include_empty=st.booleans())
+def test_building_the_explicit_supports_gives_the_mask_built_space(data, n, include_empty):
+    alg = algebra_of_size(n)
+    space = enumerate_multiplicative(alg, include_empty_dual=include_empty)
+    masks = data.draw(st.permutations(range(0 if include_empty else 1, alg.size)))
+    built = CoeventSpace.build(alg, [explicit_dual(alg, p) for p in masks], "multiplicative")
+    assert built == space
+    for phi, psi in zip(built, space):
+        assert phi == psi and phi.support_key == psi.support_key
+        assert built.index_of(psi) == space.index_of(phi)
+    assert built.tau_table == space.tau_table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_the_zeta_tau_table_of_all_duals_is_the_support_scan(n, include_empty):
+    alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
+    space = enumerate_multiplicative(alg, include_empty_dual=include_empty)
+    table = space.tau_table
+    assert all(phi._support is None for phi in space)  # read no support
+    assert table == support_scan(space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=measures_with_zeros())
+def test_the_zeta_tau_tables_of_the_scheme_and_classical_set_are_the_support_scan(m):
+    for space in (multiplicative_scheme(m), classical_preclusive_set(m)):
+        assert space.tau_table == support_scan(space)
+        assert space == CoeventSpace.build(
+            m.algebra, [explicit_dual(m.algebra, phi.principal_mask) for phi in space], ""
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=measures_with_zeros())
+def test_preclusive_and_zero_on_duals_match_their_supports(m):
+    alg = m.algebra
+    nulls = m.null_masks
+    for p in range(alg.size):
+        dual = dual_of_event(alg.event(p), include_empty_dual=True)
+        assert is_preclusive(dual, m) == dual.support.isdisjoint(nulls)
+        assert is_preclusive(dual, m) == is_preclusive(explicit_dual(alg, p), m)
+        assert dual.is_zero is False and not explicit_dual(alg, p).is_zero
+    assert zero_coevent(alg).is_zero and is_preclusive(zero_coevent(alg), m)
