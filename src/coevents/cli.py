@@ -300,7 +300,8 @@ def section_topos(
         "set": instance.space.provenance,
         "poset": list(instance.space.renderings),
         "antichain": instance.is_antichain,
-        # build_instance raises ConsistencyError on a selection that is not monotone
+        # over duals every tau row is an up-set of the dual order, so the
+        # support selection is a subobject by construction
         "vsupp_is_subobject": True,
     }
     notes = []

@@ -39,10 +39,6 @@ from .measure import Measure
 BRUTE_FORCE_CAP = 3
 BRUTE_FORCE_HARD_CAP = 4
 
-#: Enumerating the duals alone only needs per-event work.
-DUAL_ENUMERATION_CAP = 16
-
-
 #: ``Coevent._principal`` before the support has been tested for a filter.
 _UNKNOWN = -1
 
@@ -222,6 +218,14 @@ class CoeventSpace:
             raise ValueError("coevent is not a member of the space")
 
     @cached_property
+    def principals(self) -> Optional[tuple[int, ...]]:
+        """Each member's principal mask, in member order, or None when some
+        member is not a dual.  The tau table, the dual order and the audit
+        read it."""
+        principals = tuple(phi.principal_mask for phi in self.members)
+        return None if None in principals else principals
+
+    @cached_property
     def tau_table(self) -> tuple[int, ...]:
         """tau(A) for each event mask A: the members whose support holds A, as bits.
 
@@ -236,8 +240,8 @@ class CoeventSpace:
         """
         size = self.algebra.size
         table = [0] * size
-        principals = [phi.principal_mask for phi in self.members]
-        if None in principals:
+        principals = self.principals
+        if principals is None:
             for i, phi in enumerate(self.members):
                 bit = 1 << i
                 for m in phi.support:
@@ -388,14 +392,9 @@ def classical_preclusive_set(m: Measure) -> CoeventSpace:
 
 
 def enumerate_multiplicative(
-    algebra: EventAlgebra,
-    include_empty_dual: bool = False,
-    cap: int = DUAL_ENUMERATION_CAP,
+    algebra: EventAlgebra, include_empty_dual: bool = False
 ) -> CoeventSpace:
     """The duals of all (by default, nonempty) events."""
-    n = algebra.space.n
-    if n > cap:
-        raise CapExceeded("dual enumeration", cap, n)
     start = 0 if include_empty_dual else 1
     return _dual_space(algebra, range(start, algebra.size), "multiplicative")
 

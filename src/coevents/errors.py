@@ -63,9 +63,8 @@ class NotASubobject(CoeventsError):
 class ConsistencyError(CoeventsError):
     """A result broke a law that holds for every valid input.
 
-    Raised when an audited multiplicative coevent fails the AND identity
-    and when a dual space's support selection is not monotone.  Seeing
-    this means a bug, not bad input.
+    Raised when an audited multiplicative coevent fails the AND identity.
+    Seeing this means a bug, not bad input.
     """
 
 

@@ -30,8 +30,6 @@ from .eventalg import (
     masks_lacking,
 )
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class GaussianRational:

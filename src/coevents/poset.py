@@ -136,12 +136,10 @@ def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
     the other's, so the up-set of p* is the members whose support holds
     p: the tau-table row of p.
     """
+    principals = space.principals
+    if principals is None:
+        raise NotMultiplicative(
+            "dual order requires every member to be a nonzero multiplicative coevent"
+        )
     table = space.tau_table
-    rows = []
-    for phi in space.members:
-        if phi.principal_mask is None:
-            raise NotMultiplicative(
-                "dual order requires every member to be a nonzero multiplicative coevent"
-            )
-        rows.append(table[phi.principal_mask])
-    return FinitePoset(tuple(space.members), tuple(rows))
+    return FinitePoset(space.members, tuple(table[p] for p in principals))

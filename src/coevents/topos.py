@@ -21,7 +21,7 @@ from .coevent import (
     enumerate_multiplicative,
     multiplicative_scheme,
 )
-from .errors import CapExceeded, ConsistencyError, MismatchedSpace, NotASubobject
+from .errors import CapExceeded, MismatchedSpace, NotASubobject
 from .eventalg import Event, EventAlgebra, set_bits
 from .measure import Measure
 from .poset import FinitePoset, poset_of_coevents
@@ -268,8 +268,8 @@ class CoeventToposInstance:
     """A space of duals in the dual order, each context selecting its support.
 
     The poset's elements are the space's members, in order.  Build one
-    with :func:`build_instance`, which checks that the selection is a
-    subobject of the constant set of history events.
+    with :func:`build_instance`; the selection is then a subobject of the
+    constant set of history events by construction.
     """
 
     space: CoeventSpace
@@ -313,17 +313,12 @@ def build_instance(space: CoeventSpace, cap: int = MCE_INSTANCE_CAP) -> CoeventT
 
     The support selection is a subobject iff phi <= psi carries every
     event of phi's support into psi's, i.e. iff every tau-table row is an
-    up-set of the dual order.  That is decided here, once; the tests
-    compare it with :func:`is_subobject`.
+    up-set of the dual order.  Over duals that holds by construction: if
+    p* is in tau(A), so p <= A, and q* is above p*, so q <= p, then q <= A.
+    The tests check it with :func:`is_subobject`.
     """
     check_instance_cap(space.algebra.space.n, cap)
-    poset = poset_of_coevents(space)
-    for mask, row in enumerate(space.tau_table):
-        if not poset.is_up_set(row):
-            raise ConsistencyError(
-                f"support selection failed monotonicity at {space.algebra.event(mask)}"
-            )
-    return CoeventToposInstance(space, poset)
+    return CoeventToposInstance(space, poset_of_coevents(space))
 
 
 def build_mce_instance(
@@ -350,12 +345,13 @@ def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
     """Characteristic map of the support subobject at context phi and event A.
 
     The sieve of contexts above phi whose support contains A: tau(A) from
-    the space's table, restricted to phi's up-set.  The tests compare it
-    with :func:`characteristic_map`.
+    the space's table, restricted to phi's up-set.  Both are up-sets of
+    the dual order, so their meet is one.  The tests compare it with
+    :func:`characteristic_map`.
     """
     if phi not in instance.space:
         raise MismatchedSpace("coevent is not in the instance's base poset")
     if a.space != instance.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
     space, poset = instance.space, instance.poset
-    return Sieve(poset, phi, space.tau_table[a.mask] & poset.up[space.index_of(phi)])
+    return Sieve._unchecked(poset, phi, space.tau_table[a.mask] & poset.up[space.index_of(phi)])

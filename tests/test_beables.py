@@ -81,6 +81,18 @@ def mixed_spaces(draw) -> CoeventSpace:
 
 @settings(max_examples=100, deadline=None)
 @given(space=mixed_spaces())
+def test_principals_are_the_member_masks_exactly_when_all_are_duals(space):
+    """Oracle: a support is a dual's iff it is every superset of its least member."""
+    masks = []
+    for phi in space.members:
+        p = min(phi.support, key=int.bit_count, default=None)
+        if p is not None and phi.support == {a for a in range(space.algebra.size) if a & p == p}:
+            masks.append(p)
+    assert space.principals == (tuple(masks) if len(masks) == len(space) else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=mixed_spaces())
 def test_tau_table_matches_the_member_scan(space):
     alg = space.algebra
     assert space.tau_table == tuple(member_scan(m, space) for m in range(alg.size))
@@ -179,7 +191,8 @@ def test_filter_supports_give_well_defined_pushforward(theory_corpus):
 def report_spaces(draw) -> CoeventSpace:
     """A space over n <= 4 histories mixing the members that decide the
     report's flags: filters (duals, the constant-one map among them),
-    complements of principal ideals (join-preserving), the zero map and
+    complements of principal ideals (join-preserving), unions of a few
+    filters (up-closed, so monotone, but not filters), the zero map and
     arbitrary supports.  At most five members, so many events share an
     image and tau is often neither injective nor monotone."""
     alg = algebra_of_size(draw(st.integers(1, 4), label="n"))
@@ -187,6 +200,9 @@ def report_spaces(draw) -> CoeventSpace:
     member = st.one_of(
         events.map(lambda p: dual_of_event(alg.event(p), include_empty_dual=True)),
         events.map(lambda p: Coevent(alg, frozenset(a for a in range(alg.size) if a & ~p))),
+        st.lists(events, min_size=1, max_size=3).map(
+            lambda ps: Coevent(alg, frozenset(a for a in range(alg.size) for p in ps if a & p == p))
+        ),
         st.just(Coevent(alg, frozenset())),
         st.frozensets(events).map(lambda support: Coevent(alg, support)),
     )

@@ -320,11 +320,6 @@ def test_brute_force_enumeration_is_the_sorted_space_of_every_support(n):
     assert everything.provenance == "all"
 
 
-def test_dual_enumeration_cap_is_overridable():
-    with pytest.raises(CapExceeded):
-        enumerate_multiplicative(algebra_of_size(3), cap=2)
-
-
 # ---------------------------------------------------------------------------
 # Preclusivity and the scheme
 
