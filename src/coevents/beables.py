@@ -153,8 +153,7 @@ def order_report(
     Omega is the full event and {i} a single history, or over the
     members:
 
-    - injectivity of tau: I[A] is distinct for every A, by grouping the
-      events by image, O(2^n);
+    - injectivity of tau: I[A] is distinct for every A, O(2^n);
     - well-definedness of the pushed-forward order, i.e. monotonicity
       A <= B implies tau(A) <= tau(B) (pushing the order forward along
       a non-injective tau is consistent exactly when tau is monotone):
@@ -179,10 +178,7 @@ def order_report(
     full = size - 1
     images = space.tau_table
 
-    by_image: dict[int, list[int]] = {}
-    for m in range(size):
-        by_image.setdefault(images[m], []).append(m)
-    injective = len(by_image) == size
+    injective = len(set(images)) == size
     monotone = all(map(check_modus_ponens, space))
     orders = monotone and all(
         images[1 << i] & ~images[full ^ 1 << i] for i in range(n)
@@ -198,6 +194,9 @@ def order_report(
     ev = EventsByMask(alg)
 
     def injectivity_pairs():
+        by_image: dict[int, list[int]] = {}
+        for m in range(size):
+            by_image.setdefault(images[m], []).append(m)
         for a in range(size):
             same = by_image[images[a]]
             for b in same[same.index(a) + 1:]:

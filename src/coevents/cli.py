@@ -121,11 +121,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_event(theory: HistoriesTheory, text: str) -> Event:
-    labels = [part for part in text.split(",") if part != ""]
-    return theory.algebra.event_from_labels(labels)
-
-
 def _coevent_space(
     theory: HistoriesTheory, set_name: str, include_empty: bool, cap: Optional[int]
 ) -> CoeventSpace:
@@ -366,9 +361,10 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
     include_empty = args.include_empty_dual or theory.options.include_empty_dual
     cap = args.cap
     limit = WITNESS_LIST_CAP if args.witnesses is None else args.witnesses
-    event = _parse_event(theory, args.event) if args.event is not None else None
-    event_b = _parse_event(theory, args.event_b) if args.event_b is not None else None
-    context = _parse_event(theory, args.context) if args.context is not None else None
+    parse = theory.algebra.parse_event
+    event = parse(args.event) if args.event is not None else None
+    event_b = parse(args.event_b) if args.event_b is not None else None
+    context = parse(args.context) if args.context is not None else None
 
     def space_of(set_name: str) -> CoeventSpace:
         return _coevent_space(theory, set_name, include_empty, cap)

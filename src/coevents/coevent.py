@@ -39,9 +39,6 @@ from .measure import Measure
 BRUTE_FORCE_CAP = 3
 BRUTE_FORCE_HARD_CAP = 4
 
-#: ``Coevent._principal`` before the support has been tested for a filter.
-_UNKNOWN = -1
-
 
 def _init(
     phi: Coevent,
@@ -49,10 +46,10 @@ def _init(
     support: Optional[frozenset[int]],
     principal: Optional[int],
 ) -> None:
-    """Set the three slots of a new coevent; a dual has no support yet."""
+    """Set the three slots of a new coevent; a dual has no support."""
     object.__setattr__(phi, "algebra", algebra)
     object.__setattr__(phi, "_support", support)
-    object.__setattr__(phi, "_principal", principal)
+    object.__setattr__(phi, "principal_mask", principal)
 
 
 class Coevent:
@@ -60,13 +57,16 @@ class Coevent:
 
     Held as its support, the set of events it maps to 1, except a dual
     p* built by the constructions below, which is held as its principal
-    mask p alone.  Its support, the supersets of p, is derived on first
-    read and kept.  Equality and hashing use the principal mask whenever
-    a coevent has one, else the support, so a dual equals the coevent
-    built from its support.
+    mask p alone; its support, the supersets of p, is derived on each
+    read and never stored.  ``principal_mask`` is the mask p whose
+    supersets are exactly the support, else None: not None iff the
+    coevent is the dual p* (the constant-one map when p = 0).  Every
+    constructor fixes it.  Equality and hashing use the principal mask
+    whenever a coevent has one, else the support, so a dual equals the
+    coevent built from its support.
     """
 
-    __slots__ = ("algebra", "_support", "_principal")
+    __slots__ = ("algebra", "_support", "principal_mask")
 
     def __init__(self, algebra: EventAlgebra, support: Iterable[int]) -> None:
         support = frozenset(support)
@@ -74,13 +74,13 @@ class Coevent:
         bad = [m for m in support if not 0 <= m < size]
         if bad:
             raise ValueError(f"support masks {bad[:4]} outside the algebra")
-        _init(self, algebra, support, _UNKNOWN)
+        _init(self, algebra, support, filter_principal(support, algebra.space.n))
 
     @classmethod
     def _unchecked(cls, algebra: EventAlgebra, support: frozenset[int]) -> "Coevent":
         """A coevent from a support already known to lie inside the algebra."""
         phi = object.__new__(cls)
-        _init(phi, algebra, support, _UNKNOWN)
+        _init(phi, algebra, support, filter_principal(support, algebra.space.n))
         return phi
 
     @classmethod
@@ -99,11 +99,10 @@ class Coevent:
     @property
     def support(self) -> frozenset[int]:
         """The events mapped to 1, as masks."""
-        support = self._support
-        if support is None:
-            support = frozenset(iter_supermasks(self._principal, self.algebra.space.full_mask))
-            object.__setattr__(self, "_support", support)
-        return support
+        if self._support is None:
+            full = self.algebra.space.full_mask
+            return frozenset(iter_supermasks(self.principal_mask, full))
+        return self._support
 
     @property
     def support_key(self) -> tuple[int, ...]:
@@ -113,19 +112,6 @@ class Coevent:
     @property
     def is_zero(self) -> bool:
         return self.principal_mask is None and not self._support
-
-    @property
-    def principal_mask(self) -> Optional[int]:
-        """The mask p whose supersets are exactly the support, else None.
-
-        Not None iff the support is a filter, i.e. iff the coevent is the
-        dual p* (the constant-one map when p = 0).
-        """
-        p = self._principal
-        if p == _UNKNOWN:
-            p = filter_principal(self._support, self.algebra.space.n)
-            object.__setattr__(self, "_principal", p)
-        return p
 
     @property
     def _key(self) -> int | frozenset[int]:
@@ -145,7 +131,9 @@ class Coevent:
         return f"Coevent(algebra={self.algebra!r}, support={self.support!r})"
 
     def __reduce__(self) -> tuple:
-        return Coevent, (self.algebra, self.support)
+        if self._support is None:
+            return Coevent._dual, (self.algebra, self.principal_mask)
+        return Coevent, (self.algebra, self._support)
 
     def support_family(self) -> EventFamily:
         return EventFamily.from_masks(self.algebra.space, self.support)

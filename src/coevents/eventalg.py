@@ -87,7 +87,10 @@ class SampleSpace:
     @cached_property
     def event_names(self) -> tuple[str, ...]:
         """``str`` of every event, indexed by mask; built once, on first use."""
-        return tuple(str(Event(self, m)) for m in range(1 << self.n))
+        names = [""]
+        for label in self.labels:
+            names += [f"{s},{label}" if s else label for s in names]
+        return tuple("{" + s + "}" for s in names)
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,16 @@ class EventAlgebra:
         for lab in labels:
             mask |= 1 << self.space.index(lab)
         return Event(self.space, mask)
+
+    def parse_event(self, text: str) -> Event:
+        """The event written ``{a,b}``, as events print, or ``a,b``.
+
+        Empty parts are skipped, so ``{}`` and ``""`` are the empty event.
+        """
+        text = text.strip()
+        if text.startswith("{") and text.endswith("}"):
+            text = text[1:-1]
+        return self.event_from_labels(part for part in text.split(",") if part)
 
     def events(self) -> Iterator[Event]:
         """All events in canonical (ascending mask) order."""

@@ -12,7 +12,7 @@ exact zero tests, so there is no floating-point mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -168,9 +168,6 @@ class Measure:
 
     algebra: EventAlgebra
     values: Mapping[int, Fraction]
-    quantum_report: Optional[ValidationReport] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         size = self.algebra.size
@@ -407,9 +404,7 @@ class DecoherenceSpec:
     """A Hermitian, normalized matrix of pairwise history interferences.
 
     entries[i][j] is the value on the history pair (i, j); Hermiticity
-    and total sum 1 are machine-checked at construction unless
-    ``check=False`` is passed to :meth:`from_rows` (used to exercise
-    the corrupted-input paths).
+    and total sum 1 are machine-checked by :meth:`from_rows`.
     """
 
     space: SampleSpace
@@ -417,17 +412,13 @@ class DecoherenceSpec:
 
     @classmethod
     def from_rows(
-        cls,
-        space: SampleSpace,
-        rows: Sequence[Sequence[GaussianRational]],
-        check: bool = True,
+        cls, space: SampleSpace, rows: Sequence[Sequence[GaussianRational]]
     ) -> "DecoherenceSpec":
         entries = tuple(tuple(row) for row in rows)
         if len(entries) != space.n or any(len(r) != space.n for r in entries):
             raise ValueError(f"decoherence matrix must be {space.n}x{space.n}")
         spec = cls(space, entries)
-        if check:
-            spec.check_invariants()
+        spec.check_invariants()
         return spec
 
     @classmethod
@@ -502,9 +493,10 @@ def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
     """mu(A) = sum of the matrix over pairs of histories inside A.
 
     Each value must come out real (automatic for a Hermitian matrix);
-    a nonzero imaginary part raises :class:`NonRealDiagonal`.  The
-    level-2 validation report of the result is attached.  The sums are
-    taken in integers over the common denominator of the entries.
+    a nonzero imaginary part raises :class:`NonRealDiagonal`.  The sums
+    are taken in integers over the common denominator of the entries.
+    No sum rule is checked here; :func:`validate_quantum` reports on the
+    result.
     """
     algebra = EventAlgebra(d.space)
     n = d.space.n
@@ -519,8 +511,7 @@ def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
                 raise NonRealDiagonal(
                     f"measure of {algebra.event(mask)} is {tot}; matrix is corrupted"
                 )
-    m = Measure(algebra, values)
-    return Measure(algebra, values, quantum_report=validate_quantum(m))
+    return Measure(algebra, values)
 
 
 def null_sets(m: Measure) -> EventFamily:

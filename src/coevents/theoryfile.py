@@ -84,12 +84,8 @@ def parse_complex(value: Any, where: str) -> GaussianRational:
 
 
 def _parse_event_key(key: str, algebra: EventAlgebra, where: str) -> int:
-    key = key.strip()
-    if key.startswith("{") and key.endswith("}"):
-        key = key[1:-1]
-    labels = [part for part in key.split(",") if part != ""]
     try:
-        return algebra.event_from_labels(labels).mask
+        return algebra.parse_event(key).mask
     except Exception as exc:
         raise ValidationError(f"{where}: bad event {key!r}: {exc}")
 

@@ -94,6 +94,40 @@ def test_unknown_history_is_a_usage_error(capsys):
     assert rc == 1 and "zebra" in err
 
 
+@pytest.mark.parametrize(
+    "braced,bare",
+    [
+        (["tau", "--event", "{1,2}"], ["tau", "--event", "1,2"]),
+        (["tau", "--event", "{}"], ["tau", "--event", ""]),
+        (["tau", "--event", " {3} "], ["tau", "--event", "3"]),
+        (
+            ["audit", "--context", "{1}", "--event", "{1,2}", "--event-b", "{3}"],
+            ["audit", "--context", "1", "--event", "1,2", "--event-b", "3"],
+        ),
+    ],
+    ids=["pair", "empty", "padded", "audit"],
+)
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_an_event_reads_the_same_with_or_without_braces(capsys, braced, bare, fmt):
+    runs = [
+        invoke(capsys, [argv[0], THREE_SLIT, *argv[1:], "--format", fmt])
+        for argv in (braced, bare)
+    ]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1]
+
+
+def test_unknown_history_in_braces_is_a_usage_error_and_a_load_error(tmp_path, capsys):
+    rc, _, err = invoke(capsys, ["tau", THREE_SLIT, "--event", "{1,zebra}"])
+    assert rc == 1 and "zebra" in err
+    bad = tmp_path / "table.json"
+    bad.write_text(json.dumps({
+        "sample_space": ["a"],
+        "measure": {"event_table": {"{}": 0, "{a}": 1, "{a,zebra}": 1}},
+    }))
+    rc, out, err = invoke(capsys, ["validate", str(bad)])
+    assert rc == 2 and out == "" and "zebra" in err
+
+
 def test_missing_file_is_a_load_error(capsys):
     rc, _, err = invoke(capsys, ["validate", str(THEORIES / "nope.json")])
     assert rc == 2

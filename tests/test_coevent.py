@@ -33,7 +33,7 @@ from coevents import (
 )
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
 from coevents.coevent import enumerate_classical, preclusive_dual_events, principal_event
-from coevents.eventalg import EventFamily, iter_supermasks, set_bits
+from coevents.eventalg import EventFamily, filter_principal, iter_supermasks, set_bits
 from coevents.measure import null_cover_exists, null_sets
 
 from conftest import algebra_of_size
@@ -534,6 +534,25 @@ def test_a_mask_built_dual_is_the_coevent_of_its_support(data, n):
     assert explicit in space and dual in space
     other = data.draw(st.frozensets(st.integers(0, alg.size - 1)), label="other support")
     assert (dual == Coevent(alg, other)) == (other == explicit.support)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_a_dual_stores_no_support_and_a_support_fixes_its_principal_mask(data, n):
+    alg = EventAlgebra(SampleSpace(tuple("abcd"[:n])))
+    p = data.draw(st.integers(0, alg.size - 1), label="p")
+    dual, explicit = dual_of_event(alg.event(p), include_empty_dual=True), explicit_dual(alg, p)
+    assert dual.support == explicit.support
+    assert dual._support is None  # derived on the read, not stored
+    for copied in (pickle.loads(pickle.dumps(dual)), copy.deepcopy(dual), copy.copy(dual)):
+        assert copied == dual and copied.principal_mask == p and copied._support is None
+    assert pickle.loads(pickle.dumps(explicit))._support == explicit.support
+    support = data.draw(st.frozensets(st.integers(0, alg.size - 1)), label="support")
+    phi = Coevent(alg, support)
+    assert phi.principal_mask == filter_principal(support, n)
+    assert copy.deepcopy(phi)._support == support
+    with pytest.raises(AttributeError):
+        phi.principal_mask = 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,6 +10,7 @@ from coevents import (
     EventFamily,
     MismatchedSpace,
     SampleSpace,
+    UnknownHistory,
     complement,
     down_closure,
     implies,
@@ -192,6 +193,27 @@ def test_submask_iterators_are_ascending_and_complete():
 def test_event_rendering(coin_algebra):
     assert str(coin_algebra.full) == "{h,t}"
     assert str(coin_algebra.empty) == "{}"
+
+
+@given(n=st.integers(1, 6), data=st.data())
+def test_every_event_name_parses_back_to_its_event(n, data):
+    labels = tuple(f"h{i}" for i in range(n))
+    alg = EventAlgebra(SampleSpace(labels))
+    names = alg.space.event_names
+    assert names == tuple(str(event) for event in alg.events())
+    mask = data.draw(st.integers(0, alg.size - 1), label="mask")
+    event = alg.event(mask)
+    assert alg.parse_event(names[mask]) == event
+    assert alg.parse_event(" " + ",".join(event.labels) + ",") == event
+
+
+def test_parse_event_drops_one_pair_of_braces_and_refuses_unknown_labels(coin_algebra):
+    assert coin_algebra.parse_event("{}") == coin_algebra.parse_event("") == coin_algebra.empty
+    assert coin_algebra.parse_event("{h,t}") == coin_algebra.full
+    with pytest.raises(UnknownHistory):
+        coin_algebra.parse_event("{{h}}")
+    with pytest.raises(UnknownHistory):
+        coin_algebra.parse_event("{h,x}")
 
 
 def test_event_family_dedupes_and_orders(coin_algebra):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -323,7 +324,7 @@ MEASURE_KINDS = ["additive", "amplitude", "decoherence", "table"]
 def test_validators_match_brute_force(kind, data):
     m = draw_measure(data, kind)
     if kind == "decoherence":
-        assert m.quantum_report == brute_force_quantum(m)
+        assert validate_quantum(m) == brute_force_quantum(m)
     where = data.draw(st.sampled_from((None,) + PERTURBED_EVENTS), label="perturbed")
     if where is not None:
         m = perturb(data, m, where)
@@ -407,7 +408,20 @@ def test_rank_one_matrix_reproduces_three_slit():
     spec = DecoherenceSpec.from_amplitudes(space, amps)
     m = measure_from_decoherence(spec)
     assert dict(m.values) == dict(three_slit().values)
-    assert m.quantum_report is not None and m.quantum_report.ok
+    assert validate_quantum(m).ok
+
+
+def test_measure_from_decoherence_runs_no_validator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_from_decoherence ran a sum-rule validator")
+
+    monkeypatch.setattr(measure_mod, "validate_quantum", refuse)
+    monkeypatch.setattr(measure_mod, "validate_classical", refuse)
+    space = SampleSpace(("1", "2", "3"))
+    amps = [GaussianRational.real(1), GaussianRational.real(1), GaussianRational.real(-1)]
+    m = measure_from_decoherence(DecoherenceSpec.from_amplitudes(space, amps))
+    assert m == three_slit()
+    assert [f.name for f in dataclasses.fields(Measure)] == ["algebra", "values"]
 
 
 def test_diagonal_matrix_gives_uniform_classical():
@@ -453,14 +467,11 @@ def test_hermiticity_and_normalization_are_checked():
 def test_corrupted_matrix_raises_non_real_diagonal():
     space = SampleSpace(("a", "b"))
     i_one = GaussianRational(Fraction(0), Fraction(1))
-    spec = DecoherenceSpec.from_rows(
-        space,
-        [
-            [GaussianRational.real(Fraction(1, 2)), i_one],
-            [GaussianRational.real(Fraction(1, 2)), GaussianRational()],
-        ],
-        check=False,
-    )
+    rows = [
+        [GaussianRational.real(Fraction(1, 2)), i_one],
+        [GaussianRational.real(Fraction(1, 2)), GaussianRational()],
+    ]
+    spec = DecoherenceSpec(space, tuple(map(tuple, rows)))
     with pytest.raises(NonRealDiagonal):
         measure_from_decoherence(spec)
 
@@ -481,7 +492,7 @@ def test_random_rank_one_matrices_pass_quantum():
             if total.re * total.re + total.im * total.im != 0:
                 break
         m = measure_from_decoherence(DecoherenceSpec.from_amplitudes(space, amps))
-        assert m.quantum_report is not None and m.quantum_report.ok
+        assert validate_quantum(m).ok
 
 
 def brute_force_pair_sums(d: DecoherenceSpec) -> dict[int, GaussianRational]:
@@ -513,7 +524,7 @@ def test_decoherence_sums_match_brute_force(data):
     if data.draw(st.booleans(), label="real diagonal"):
         for i in range(n):
             rows[i][i] = GaussianRational.real(rows[i][i].re)
-    spec = DecoherenceSpec.from_rows(space, rows, check=False)
+    spec = DecoherenceSpec(space, tuple(map(tuple, rows)))
     sums = brute_force_pair_sums(spec)
     non_real = [mask for mask, total in sums.items() if not total.is_real]
     if non_real:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevents import ParseError, ValidationError
+from coevents import ParseError, ValidationError, validate_quantum
 from coevents.theoryfile import load, load_data, parse_complex, parse_rational
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
@@ -39,8 +39,7 @@ def test_load_decoherence_fixture():
     theory = load(THEORIES / "four_slit_decoherence.json")
     assert theory.measure_kind == "decoherence"
     assert theory.measure.values[theory.space.full_mask] == 1
-    assert theory.measure.quantum_report is not None
-    assert theory.measure.quantum_report.ok
+    assert validate_quantum(theory.measure).ok
 
 
 def test_rational_parsing():
