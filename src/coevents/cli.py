@@ -158,10 +158,13 @@ def _report_json(rep: measure_mod.ValidationReport, names: Sequence[str]) -> dic
 
 def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
     values = theory.measure.values
+    texts = {num: str(values.fraction(num)) for num in set(values.nums)}
     return {
         "labels": list(theory.space.labels),
         "measure_kind": theory.measure_kind,
-        "values": {name: str(values[m]) for m, name in enumerate(theory.space.event_names)},
+        "values": {
+            name: texts[num] for name, num in zip(theory.space.event_names, values.nums)
+        },
         "options": {
             "include-empty-dual": theory.options.include_empty_dual,
             "brute-force-cap": theory.options.brute_force_cap,

@@ -79,10 +79,19 @@ class SampleSpace:
         return (1 << self.n) - 1
 
     def index(self, label: str) -> int:
+        return self.bit(label).bit_length() - 1
+
+    def bit(self, label: str) -> int:
+        """The bit of history ``label`` in an event mask, 1 << its index."""
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._bits[label]
+        except (KeyError, TypeError):
             raise UnknownHistory(f"history {label!r} not in sample space {self.labels}")
+
+    @cached_property
+    def _bits(self) -> dict[str, int]:
+        """Each label's bit, looked up in one table built on first use."""
+        return {label: 1 << i for i, label in enumerate(self.labels)}
 
     @cached_property
     def event_names(self) -> tuple[str, ...]:
@@ -174,9 +183,10 @@ class EventAlgebra:
         return Event(self.space, mask)
 
     def event_from_labels(self, labels: Iterable[str]) -> Event:
+        bit = self.space.bit
         mask = 0
         for lab in labels:
-            mask |= 1 << self.space.index(lab)
+            mask |= bit(lab)
         return Event(self.space, mask)
 
     def parse_event(self, text: str) -> Event:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvalidPartition, MismatchedSpace, NonRealDiagonal
 from .eventalg import (
@@ -80,20 +80,72 @@ class Violation:
         return f"{self.rule} {evs}: got {self.got}, expected {self.expected}"
 
 
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a sum-rule validation.
 
-    ``ok`` is the rule's closed-form verdict, so it never depends on the
-    list.  ``violations`` holds the first violations in canonical order,
-    as many as the validator's limit allows; ``truncated`` is set when
-    more were left unlisted.
+    ``ok`` is the rule's closed-form verdict, decided when the validator
+    is called, so it never depends on the list.  ``violations`` holds the
+    first violations in canonical order, as many as the validator's limit
+    allows; ``truncated`` is set when more were left unlisted.  A failing
+    validator keeps its lister and limit, and the listing runs once, on
+    the first read of ``violations`` or ``truncated``: a caller that reads
+    only ``ok`` walks no pairs or triples.  Two reports are equal when
+    their rule, verdict, violations and cut are.
     """
 
-    rule: str  # "classical" | "quantum"
-    violations: tuple[Violation, ...]
-    ok: bool
-    truncated: bool = False
+    __slots__ = ("rule", "ok", "_listing", "_lister", "_limit")
+
+    def __init__(
+        self,
+        rule: str,  # "classical" | "quantum"
+        violations: Iterable[Violation],
+        ok: bool,
+        truncated: bool = False,
+    ) -> None:
+        self.rule, self.ok = rule, ok
+        self._listing: Optional[tuple[tuple[Violation, ...], bool]] = (
+            tuple(violations), truncated
+        )
+
+    @classmethod
+    def _failed(
+        cls, rule: str, lister: Callable[[], Iterator[Violation]], limit: Optional[int]
+    ) -> "ValidationReport":
+        """A failing report whose witnesses ``lister()`` lists on first read."""
+        report = cls(rule, (), ok=False)
+        report._listing, report._lister, report._limit = None, lister, limit
+        return report
+
+    def _listed(self) -> tuple[tuple[Violation, ...], bool]:
+        if self._listing is None:
+            self._listing = first_witnesses(self._lister(), self._limit)
+            del self._lister
+        return self._listing
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        return self._listed()[0]
+
+    @property
+    def truncated(self) -> bool:
+        return self._listed()[1]
+
+    def _key(self) -> tuple:
+        return (self.rule, self.ok, self.violations, self.truncated)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ValidationReport):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ValidationReport(rule={self.rule!r}, violations={self.violations!r}, "
+            f"ok={self.ok!r}, truncated={self.truncated!r})"
+        )
 
 
 class MeasureValues(Mapping[int, Fraction]):
@@ -326,12 +378,12 @@ def validate_classical(
     mu(A) = mu(low(A)) + mu(A minus low(A)) for every nonempty A, where
     low(A) is A's lowest history.  Only a failing rule walks the
     disjoint pairs, to list its first ``limit`` violations in canonical
-    order (all of them when ``limit`` is None).
+    order (all of them when ``limit`` is None), and only when the
+    report's ``violations`` are first read.
     """
     if _is_additive(m.values.nums, m.algebra.size):
         return ValidationReport("classical", (), ok=True)
-    violations, truncated = first_witnesses(_additivity_violations(m), limit)
-    return ValidationReport("classical", violations, ok=False, truncated=truncated)
+    return ValidationReport._failed("classical", partial(_additivity_violations, m), limit)
 
 
 def _additivity_violations(m: Measure) -> Iterator[Violation]:
@@ -364,18 +416,17 @@ def validate_quantum(
     quantum measure and its generalizations", 2002).  The violations are
     listed in canonical order, negative values first, then
     normalization, then the level-2 triples, the first ``limit`` of them
-    (all when ``limit`` is None); only a failing level-2 rule walks the
-    disjoint triples.
+    (all when ``limit`` is None), on the first read of the report's
+    ``violations``; only a failing level-2 rule walks the disjoint triples.
     """
     x, size = m.values.nums, m.algebra.size
     nonnegative = min(x) >= 0
     grade2 = _is_grade2(x, size)
     if nonnegative and grade2 and x[size - 1] == m.values.den:
         return ValidationReport("quantum", (), ok=True)
-    violations, truncated = first_witnesses(
-        _quantum_violations(m, nonnegative, grade2), limit
+    return ValidationReport._failed(
+        "quantum", partial(_quantum_violations, m, nonnegative, grade2), limit
     )
-    return ValidationReport("quantum", violations, ok=False, truncated=truncated)
 
 
 def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator[Violation]:
@@ -445,20 +496,29 @@ class DecoherenceSpec:
         return cls.from_rows(space, rows)
 
     def check_invariants(self) -> None:
+        """Hermiticity and total sum 1, tested on integer numerators over
+        the common denominator of the real parts and of the imaginary parts.
+        A Hermitian matrix's imaginary parts cancel in the sum."""
         n = self.space.n
+        re_den, re = _integer_rows([[g.re for g in row] for row in self.entries])
+        _, im = _integer_rows([[g.im for g in row] for row in self.entries])
         for i in range(n):
             for j in range(n):
-                if self.entries[i][j] != self.entries[j][i].conjugate():
+                if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
                     raise ValueError(
                         f"matrix is not Hermitian at ({self.space.labels[i]}, "
                         f"{self.space.labels[j]})"
                     )
-        total = GaussianRational()
-        for row in self.entries:
-            for v in row:
-                total = total + v
-        if total != GaussianRational.real(1):
+        re_total = sum(map(sum, re))
+        if re_total != re_den:
+            total = GaussianRational.real(Fraction(re_total, re_den))
             raise ValueError(f"matrix entries sum to {total}, expected 1")
+
+
+def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """A rational matrix as its common denominator and the integer numerators over it."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
 
 
 def _pair_sums(matrix: Sequence[Sequence[int]], size: int) -> list[int]:
@@ -484,8 +544,7 @@ def _pair_sums(matrix: Sequence[Sequence[int]], size: int) -> list[int]:
 
 def _pair_sum_values(matrix: Sequence[Sequence[Fraction]], size: int) -> MeasureValues:
     """:func:`_pair_sums` of a rational matrix, in integers over its common denominator."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    den, scaled = _integer_rows(matrix)
     return MeasureValues(den, _pair_sums(scaled, size))
 
 

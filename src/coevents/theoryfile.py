@@ -19,7 +19,6 @@ Measure stanzas: "event_table" (event rendering -> value, total),
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,8 +27,6 @@ from typing import Any
 from .errors import ParseError, ValidationError
 from .eventalg import EventAlgebra, SampleSpace
 from .measure import DecoherenceSpec, GaussianRational, Measure, measure_from_decoherence
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 @dataclass(frozen=True)
@@ -55,16 +52,20 @@ def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
+        num, slash, den = value.strip().partition("/")
+        digits = num[1:] if num.startswith(("+", "-")) else num
+        # isdecimal holds of exactly the characters \d matches, and int reads them.
+        if not (digits.isdecimal() and (not slash or den.isdecimal())):
             raise ValidationError(
                 f"{where}: {value!r} is not an exact rational (use an integer or \"p/q\")"
             )
         try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValidationError(f"{where}: {value!r} has a zero denominator")
+            p, q = int(digits), int(den) if slash else 1
         except ValueError as exc:  # more digits than Python converts
             raise ValidationError(f"{where}: {exc}")
+        if not q:
+            raise ValidationError(f"{where}: {value!r} has a zero denominator")
+        return Fraction(-p if num.startswith("-") else p, q)
     if isinstance(value, float):
         raise ValidationError(
             f"{where}: floating-point literal {value!r} rejected; values must be exact"
@@ -129,10 +130,11 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
             raise ValidationError("event_table must map event renderings to values")
         values: dict[int, Fraction] = {}
         for key, raw in body.items():
-            mask = _parse_event_key(key, algebra, f"event_table[{key!r}]")
+            where = f"event_table[{key!r}]"
+            mask = _parse_event_key(key, algebra, where)
             if mask in values:
                 raise ValidationError(f"event_table: event {key!r} given twice")
-            values[mask] = parse_rational(raw, f"event_table[{key!r}]")
+            values[mask] = parse_rational(raw, where)
         missing = [m for m in range(algebra.size) if m not in values]
         if missing:
             raise ValidationError(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from coevents import (
     validate_quantum,
 )
 from coevents.catalog import complex_phases, dirac, fair_coin, three_slit
-from coevents.eventalg import WITNESS_LIST_CAP
+from coevents.eventalg import WITNESS_LIST_CAP, first_witnesses
 
 from conftest import LETTER_LABELS
 
@@ -398,6 +399,87 @@ def test_default_limit_cuts_a_large_listing():
     assert rep.violations == validate_classical(m, limit=None).violations[: len(rep.violations)]
 
 
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_deferred_reports_equal_the_eager_listing(kind, data):
+    """A report lists its witnesses on first read; what it lists, and its
+    cut, are those of first_witnesses run at once on the full listing,
+    whichever of ``violations`` and ``truncated`` is read first."""
+    m = draw_measure(data, kind)
+    where = data.draw(st.sampled_from((None,) + PERTURBED_EVENTS), label="perturbed")
+    if where is not None:
+        m = perturb(data, m, where)
+    oracles = {validate_classical: brute_force_classical, validate_quantum: brute_force_quantum}
+    for validator, oracle in oracles.items():
+        full = oracle(m)
+        for limit in (None, 0, 1, WITNESS_LIST_CAP):
+            violations, truncated = first_witnesses(iter(full.violations), limit)
+            eager = ValidationReport(full.rule, violations, ok=full.ok, truncated=truncated)
+            rep = validator(m, limit=limit)
+            assert rep.ok == full.ok
+            if data.draw(st.booleans(), label="read truncated first"):
+                assert rep.truncated == truncated
+            assert rep == eager and hash(rep) == hash(eager)
+            assert (rep.violations, rep.truncated) == (violations, truncated)
+
+
+def test_witnesses_are_listed_once_on_first_read(monkeypatch):
+    """No pair or triple is walked until the report's witnesses are read,
+    and a second read walks none."""
+    steps = {"pairs": 0, "triples": 0}
+
+    def counting(name, walk):
+        def counted(size):
+            for step in walk(size):
+                steps[name] += 1
+                yield step
+        return counted
+
+    monkeypatch.setattr(
+        measure_mod, "_iter_disjoint_pairs",
+        counting("pairs", measure_mod._iter_disjoint_pairs),
+    )
+    monkeypatch.setattr(
+        measure_mod, "_iter_disjoint_triples",
+        counting("triples", measure_mod._iter_disjoint_triples),
+    )
+    alg = EventAlgebra(SampleSpace(tuple("abcd")))
+    m = Measure(alg, {k: Fraction(k**3) for k in range(alg.size)})  # fails both rules
+    listers = {
+        validate_classical: lambda: measure_mod._additivity_violations(m),
+        validate_quantum: lambda: measure_mod._quantum_violations(m, True, False),
+    }
+    for validator, read in [
+        (validate_classical, "violations"), (validate_classical, "truncated"),
+        (validate_quantum, "violations"), (validate_quantum, "truncated"),
+    ]:
+        steps.update(pairs=0, triples=0)
+        eager = first_witnesses(listers[validator](), 3)
+        eager_steps = dict(steps)
+        steps.update(pairs=0, triples=0)
+        rep = validator(m, limit=3)
+        assert not rep.ok
+        assert steps == {"pairs": 0, "triples": 0}
+        first = getattr(rep, read)
+        walked = dict(steps)
+        assert walked == eager_steps and walked["pairs"] > 0
+        assert (walked["triples"] > 0) == (validator is validate_quantum)
+        assert (rep.violations, rep.truncated) == eager
+        assert getattr(rep, read) == first
+        assert (len(rep.violations), rep.truncated) == (3, True)
+        assert steps == walked
+
+
+def test_reports_pickle_before_and_after_listing():
+    m = three_slit()
+    unlisted, listed = validate_classical(m, limit=1), validate_classical(m, limit=1)
+    assert listed.truncated
+    for rep in (unlisted, listed):
+        copied = pickle.loads(pickle.dumps(rep))
+        assert copied == rep and copied.truncated and len(copied.violations) == 1
+
+
 # ---------------------------------------------------------------------------
 # Decoherence matrices
 
@@ -462,6 +544,49 @@ def test_hermiticity_and_normalization_are_checked():
                 [GaussianRational(), GaussianRational.real(1)],
             ],
         )
+
+
+def fraction_invariant_error(d: DecoherenceSpec) -> str | None:
+    """Oracle: the Hermiticity and sum checks on GaussianRational sums, and
+    the message each raises."""
+    n = d.space.n
+    for i in range(n):
+        for j in range(n):
+            if d.entries[i][j] != d.entries[j][i].conjugate():
+                return f"matrix is not Hermitian at ({d.space.labels[i]}, {d.space.labels[j]})"
+    total = GaussianRational()
+    for row in d.entries:
+        for v in row:
+            total = total + v
+    if total != GaussianRational.real(1):
+        return f"matrix entries sum to {total}, expected 1"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_invariant_errors_match_the_fraction_oracle(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    space = SampleSpace(tuple("abcd"[:n]))
+    rows = data.draw(st.lists(
+        st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    if data.draw(st.booleans(), label="hermitian"):
+        for i in range(n):
+            rows[i][i] = GaussianRational.real(rows[i][i].re)
+            for j in range(i + 1, n):
+                rows[j][i] = rows[i][j].conjugate()
+    total = sum((x.re for row in rows for x in row), Fraction(0))
+    if total and data.draw(st.booleans(), label="normalised"):
+        rows = [[x * GaussianRational.real(1 / total) for x in row] for row in rows]
+    spec = DecoherenceSpec(space, tuple(map(tuple, rows)))
+    expected = fraction_invariant_error(spec)
+    if expected is None:
+        spec.check_invariants()
+    else:
+        with pytest.raises(ValueError) as caught:
+            spec.check_invariants()
+        assert str(caught.value) == expected
 
 
 def test_corrupted_matrix_raises_non_real_diagonal():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -53,6 +54,61 @@ def test_rational_parsing():
         parse_rational("1/2/3", "x")
     with pytest.raises(ValidationError):
         parse_rational(True, "x")
+
+
+_OLD_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def regex_parse_rational(text: str, where: str) -> Fraction:
+    """Oracle: the string branch of the loader's first parser, a regex then
+    ``Fraction(str)``."""
+    if not _OLD_RATIONAL_RE.match(text.strip()):
+        raise ValidationError(
+            f"{where}: {text!r} is not an exact rational (use an integer or \"p/q\")"
+        )
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValidationError(f"{where}: {text!r} has a zero denominator")
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}")
+
+
+def assert_parses_as_the_regex_did(text: str) -> None:
+    try:
+        expected = regex_parse_rational(text, "x")
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as caught:
+            parse_rational(text, "x")
+        assert str(caught.value) == str(exc)
+    else:
+        got = parse_rational(text, "x")
+        assert type(got) is Fraction and got == expected
+
+
+# Signs, slashes, padding and inner spaces, "_", "." and "e", a superscript
+# two (a digit but not a decimal), Arabic-Indic and full-width digits.
+RATIONAL_ALPHABET = "0123456789+-/ _.e\t\n\u00b2\u0663\u0660\uff11"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.text(alphabet=RATIONAL_ALPHABET, max_size=10)
+    | st.from_regex(r"\s*[+-]?\d{1,4}(/\d{1,4})?\s*", fullmatch=True)
+    | st.text(alphabet=st.characters(whitelist_categories=("Nd", "No", "Zs")), max_size=6)
+)
+def test_rational_strings_parse_as_the_regex_did(text):
+    assert_parses_as_the_regex_did(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "-0/0", "1//2", "/2", "1/", "+", "-", "", " ", "+-1", "--1", "1 /2", "1/ 2",
+    "1_000", "٣/٤", "²", "1/²", "²/1", "00012/0004", " -7/21 ", "+5",
+    "9" * 4300, "9" * 4301, "-" + "9" * 4301, "1/" + "9" * 4301, "9" * 4301 + "/0",
+    "1" * 5000 + "/" + "2" * 5000,
+])
+def test_rational_edge_strings_parse_as_the_regex_did(text):
+    assert_parses_as_the_regex_did(text)
 
 
 def test_complex_parsing():
