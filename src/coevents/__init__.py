@@ -44,7 +44,6 @@ from .coevent import (
 from .errors import (
     CapExceeded,
     CoeventsError,
-    ConsistencyError,
     EmptyEventDual,
     InvalidPartition,
     MismatchedSpace,

@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 from .coevent import Coevent, CoeventSpace, check_modus_ponens
 from .errors import (
     CapExceeded,
-    ConsistencyError,
     MismatchedSpace,
     NotMultiplicative,
     NotUpperMode,
@@ -306,26 +305,19 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     By distributivity the union/intersection closure C is the union-closure
     of the intersection-closure M of the generators, two frontier passes
     of O(|C| |M|) set operations; the pairwise worklist is the test
-    oracle.  The Boolean closure is all unions of the signature atoms
-    (members of V indistinguishable by every generator).
+    oracle.  The Boolean closure is all of 2^V: its atoms are the classes
+    of members that no generator tells apart, and distinct members of V
+    have distinct supports, so some event A lies in one support and not
+    the other, and the row tau(A) separates them.  Every atom is one
+    member.  The tests compare it with a brute-force closure.
     """
     if mode not in ("upper", "boolean"):
         raise ValueError(f"unknown completion mode {mode!r}")
     if len(space) > cap:
         raise CapExceeded("completion closure", cap, len(space))
-    generators = set(space.tau_table)
-    if mode == "upper":
-        current = closure(closure(generators, int.__and__), int.__or__)
-    else:
-        gens = sorted(generators)
-        atoms: dict[tuple[int, ...], int] = {}
-        for i in range(len(space)):
-            signature = tuple(g >> i & 1 for g in gens)
-            atoms[signature] = atoms.get(signature, 0) | (1 << i)
-        unions = [0]
-        for atom in atoms.values():
-            unions += [u | atom for u in unions]
-        current = set(unions)
+    if mode == "boolean":
+        return Completion(mode, space, tuple(range(1 << len(space))))
+    current = closure(closure(set(space.tau_table), int.__and__), int.__or__)
     return Completion(mode, space, tuple(sorted(current)))
 
 
@@ -363,8 +355,9 @@ class AuditRecord:
     """The six truth values comparing event-side and valuation-side logic.
 
     The AND identity (phi(A) * phi(B) = f(tau(A) & tau(B)) = phi(A & B))
-    always holds for multiplicative coevents; the OR side may not, and
-    ``or_discrepancy`` flags exactly that anhomomorphism.
+    always holds for multiplicative coevents: at a dual p*, p <= A & B iff
+    p <= A and p <= B, so all three read the same bit.  The OR side may
+    not, and ``or_discrepancy`` flags exactly that anhomomorphism.
     """
 
     pivot: Coevent
@@ -399,7 +392,7 @@ def and_or_audit(
         raise NotMultiplicative("audit is defined for nonzero multiplicative coevents")
     i = space.index_of(phi)
     t = space.tau_table
-    record = AuditRecord(
+    return AuditRecord(
         pivot=phi,
         a=a,
         b=b,
@@ -410,9 +403,6 @@ def and_or_audit(
         f_meet=(t[a.mask] & t[b.mask]) >> i & 1,
         f_join=(t[a.mask] | t[b.mask]) >> i & 1,
     )
-    if not record.and_identity_holds:
-        raise ConsistencyError("AND identity failed for a multiplicative coevent")
-    return record
 
 
 def or_discrepancies(space: CoeventSpace) -> Iterator[tuple[int, int, int]]:

@@ -35,7 +35,8 @@ from .eventalg import (
 from .measure import Measure
 
 #: Brute-force enumeration of all maps EA -> Z2 walks 2**(2**n) supports;
-#: n = 3 (256 maps) is the default cap, n = 4 (65536) the hard one.
+#: n = 3 (256 maps) is the default cap, n = 4 (65536) the hard one, which
+#: no cap argument lifts.
 BRUTE_FORCE_CAP = 3
 BRUTE_FORCE_HARD_CAP = 4
 
@@ -171,6 +172,11 @@ class CoeventSpace:
     algebra: EventAlgebra
     members: tuple[Coevent, ...]
     provenance: str = field(default="user-supplied", compare=False)
+
+    def __post_init__(self) -> None:
+        # A space is a set: the Boolean completion's size rests on it.
+        if len(self._index) != len(self.members):
+            raise ValueError("coevent space members must be distinct; use build")
 
     @cached_property
     def _index(self) -> dict[int | frozenset[int], int]:
@@ -401,10 +407,11 @@ def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> Coe
     construction, so neither is checked again.
     """
     n = algebra.space.n
-    if n > min(cap, BRUTE_FORCE_HARD_CAP):
-        raise CapExceeded(
-            "brute-force coevent enumeration", min(cap, BRUTE_FORCE_HARD_CAP), n
-        )
+    what = "brute-force coevent enumeration"
+    if n > BRUTE_FORCE_HARD_CAP:
+        raise CapExceeded(what, BRUTE_FORCE_HARD_CAP, n, override=None)
+    if n > cap:
+        raise CapExceeded(what, cap, n)
     members = tuple(
         Coevent._unchecked(algebra, frozenset(support))
         for support in _supports_in_order(algebra.size)

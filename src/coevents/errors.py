@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class CoeventsError(Exception):
     """Base class for all errors raised by this package."""
@@ -19,17 +21,19 @@ class CapExceeded(CoeventsError):
     """An enumeration would exceed its size cap.
 
     Carries enough context for a caller (notably the CLI) to tell the
-    user which cap fired and how to override it.
+    user which cap fired and how to override it; ``override`` is None for
+    a hard cap, which nothing lifts.
     """
 
-    def __init__(self, what: str, limit: int, requested: int, override: str = "--cap"):
+    def __init__(
+        self, what: str, limit: int, requested: int, override: Optional[str] = "--cap"
+    ):
         self.what = what
         self.limit = limit
         self.requested = requested
         self.override = override
-        super().__init__(
-            f"{what}: size {requested} exceeds cap {limit} (override with {override})"
-        )
+        how = "hard cap, no override" if override is None else f"override with {override}"
+        super().__init__(f"{what}: size {requested} exceeds cap {limit} ({how})")
 
 
 class InvalidPartition(CoeventsError):
@@ -58,14 +62,6 @@ class NotUpperMode(CoeventsError):
 
 class NotASubobject(CoeventsError):
     """A selection is not monotone, so it is not a subobject."""
-
-
-class ConsistencyError(CoeventsError):
-    """A result broke a law that holds for every valid input.
-
-    Raised when an audited multiplicative coevent fails the AND identity.
-    Seeing this means a bug, not bad input.
-    """
 
 
 class ParseError(CoeventsError):

@@ -123,9 +123,6 @@ class Event:
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def issubset(self, other: "Event") -> bool:
         _require_same_space(self, other)
         return self.mask & other.mask == self.mask
@@ -261,12 +258,6 @@ class EventFamily:
     def __contains__(self, event: Event) -> bool:
         _require_same_space(Event(self.space, 0), event)
         return event.mask in set(self.masks)
-
-    def union_mask(self) -> int:
-        out = 0
-        for m in self.masks:
-            out |= m
-        return out
 
     def __str__(self) -> str:
         names = self.space.event_names

@@ -580,7 +580,10 @@ def null_sets(m: Measure) -> EventFamily:
 
 def null_cover_exists(m: Measure) -> bool:
     """True iff the union of all null sets is the whole sample space."""
-    return null_sets(m).union_mask() == m.algebra.space.full_mask
+    covered = 0
+    for mask in m.null_masks:
+        covered |= mask
+    return covered == m.algebra.space.full_mask
 
 
 @dataclass(frozen=True)

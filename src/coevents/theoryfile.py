@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
+from .coevent import BRUTE_FORCE_CAP
 from .errors import ParseError, ValidationError
 from .eventalg import EventAlgebra, SampleSpace
 from .measure import DecoherenceSpec, GaussianRational, Measure, measure_from_decoherence
@@ -32,7 +33,7 @@ from .measure import DecoherenceSpec, GaussianRational, Measure, measure_from_de
 @dataclass(frozen=True)
 class TheoryOptions:
     include_empty_dual: bool = False
-    brute_force_cap: int = 3
+    brute_force_cap: int = BRUTE_FORCE_CAP
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
     include_empty = options.get("include-empty-dual", False)
     if not isinstance(include_empty, bool):
         raise ValidationError("options.include-empty-dual must be a boolean")
-    cap = options.get("brute-force-cap", 3)
+    cap = options.get("brute-force-cap", BRUTE_FORCE_CAP)
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValidationError("options.brute-force-cap must be a positive integer")
 

@@ -110,8 +110,7 @@ def order_report_oracle(space: CoeventSpace) -> OrderReport:
 
 def audit_oracle(space: CoeventSpace) -> dict[str, Any]:
     """Oracle: the all-pairs audit section, one ``and_or_audit`` record per
-    (coevent, pair) with A <= B; a failed AND identity raises
-    ``ConsistencyError`` from inside ``and_or_audit``."""
+    (coevent, pair) with A <= B; every record must satisfy the AND identity."""
     alg = space.algebra
     discrepancies = []
     checked = 0
@@ -120,6 +119,7 @@ def audit_oracle(space: CoeventSpace) -> dict[str, Any]:
             for b in range(a, alg.size):
                 record = and_or_audit(phi, alg.event(a), alg.event(b), space)
                 checked += 1
+                assert record.and_identity_holds, record
                 if record.or_discrepancy:
                     discrepancies.append(
                         {"coevent": rendered, "a": str(record.a), "b": str(record.b)}
@@ -142,6 +142,24 @@ def upper_closure_oracle(space: CoeventSpace) -> set[int]:
         for i, x in enumerate(items):
             for y in items[i:]:
                 fresh |= {x & y, x | y} - current
+        if not fresh:
+            return current
+        current |= fresh
+
+
+def boolean_closure_oracle(space: CoeventSpace) -> set[int]:
+    """Oracle: the tau image closed under union, intersection and complement
+    by a pairwise worklist, run to a fixed point."""
+    full = (1 << len(space)) - 1
+    current = set(space.tau_table)
+    while True:
+        fresh = set()
+        items = sorted(current)
+        for i, x in enumerate(items):
+            fresh.add(x ^ full)
+            for y in items[i:]:
+                fresh |= {x & y, x | y}
+        fresh -= current
         if not fresh:
             return current
         current |= fresh

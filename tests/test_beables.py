@@ -34,6 +34,7 @@ from coevents.theoryfile import load_data
 from conftest import (
     algebra_of_size,
     audit_oracle,
+    boolean_closure_oracle,
     dual_up_masks,
     order_report_oracle,
     upper_closure_oracle,
@@ -339,7 +340,21 @@ def test_boolean_completion_is_the_full_powerset(n):
     # tau separates the duals, so the generated Boolean algebra is everything
     space = mce(n)
     completion = complete(space, "boolean")
-    assert set(completion.member_bits) == set(range(1 << len(space)))
+    assert [alpha.bits for alpha in completion] == list(range(1 << len(space)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_boolean_completion_matches_the_closure(data):
+    """On spaces with non-duals and the zero map, the Boolean completion is
+    the closure of the tau image under union, intersection and complement."""
+    drawn = data.draw(mixed_spaces(), label="space")
+    alg = drawn.algebra
+    space = CoeventSpace.build(
+        alg, drawn.members[:6] + (Coevent(alg, ()),), "user-supplied"
+    )
+    completion = complete(space, "boolean")
+    assert completion.member_bits == tuple(sorted(boolean_closure_oracle(space)))
 
 
 def test_boolean_completion_contains_upper(small_algebra):
@@ -488,6 +503,7 @@ def test_truth_functions_are_boolean_homomorphisms(n):
         f = TruthFunction(space, phi)
         for abits in range(size):
             alpha = ValuationEvent(space, abits)
+            assert f(alpha) == truth_evaluate(f, alpha) == (phi in alpha)
             assert truth_evaluate(f, ~alpha) == 1 - truth_evaluate(f, alpha)
             for bbits in range(size):
                 beta = ValuationEvent(space, bbits)

@@ -138,6 +138,9 @@ def test_invalid_file_is_a_load_error(tmp_path, capsys):
     bad.write_text('{"sample_space": ["a", "a"], "measure": {"atom_weights": {"a": 1}}}')
     rc, _, err = invoke(capsys, ["validate", str(bad)])
     assert rc == 2 and "distinct" in err
+    bad.write_text('{"sample_space": ["a"], "measure": {"amplitudes": [1], "weights": 1}}')
+    rc, out, err = invoke(capsys, ["validate", str(bad)])
+    assert rc == 2 and out == "" and "measure: unknown fields ['weights']" in err
 
 
 def test_zero_denominator_is_a_load_error(tmp_path, capsys):
@@ -204,10 +207,21 @@ def test_brute_force_cap_exit_code(tmp_path, capsys):
         )
     )
     rc, _, err = invoke(capsys, ["coevents", str(big), "--set", "all"])
-    assert rc == 3 and "--cap" in err
+    assert rc == 3 and "size 4 exceeds cap 3 (override with --cap)" in err
     rc, out, _ = invoke(capsys, ["coevents", str(big), "--set", "all", "--cap", "4"])
     assert rc == 0
     assert '"count": 65536' in out or "count: 65536" in out
+    # no --cap lifts the hard cap, so its message names none
+    argv = ["coevents", amplitude_file(tmp_path, 5), "--set", "all", "--cap", "9"]
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 3 and out == ""
+    assert "size 5 exceeds cap 4 (hard cap, no override)" in err and "--cap" not in err
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cap_below_one_is_a_usage_error(capsys, cap):
+    rc, out, err = invoke(capsys, ["complete", THREE_SLIT, "--cap", cap])
+    assert rc == 1 and out == "" and "--cap must be at least 1" in err
 
 
 def test_successful_run_exits_zero(capsys):
@@ -497,3 +511,19 @@ def test_report_contains_all_sections(capsys):
     # nothing at this size should have been skipped
     for name, section in report["sections"].items():
         assert "skipped" not in section, name
+
+
+def test_report_skips_the_sections_over_their_caps(tmp_path, capsys):
+    """At n=5 the 31 duals pass the completion cap of 20 members and the
+    topos instance cap of 4 histories; the report names each cap and goes on."""
+    report = machine(capsys, ["report", amplitude_file(tmp_path, 5)])
+    sections = report["sections"]
+    for mode in ("upper", "boolean"):
+        assert sections[f"complete-{mode}"] == {
+            "skipped": "completion closure: size 31 exceeds cap 20 (override with --cap)"
+        }
+    assert sections["topos"] == {
+        "skipped": "dual-poset topos instance: size 5 exceeds cap 4 (override with --cap)"
+    }
+    assert sections["coevents-multiplicative"]["count"] == 31
+    assert sum("skipped" in section for section in sections.values()) == 3

@@ -300,11 +300,14 @@ def test_principal_mask_predicates_match_pairwise_definitions(drawn):
 
 
 def test_brute_force_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as exc:
         enumerate_coevents(algebra_of_size(4))
+    assert (exc.value.limit, exc.value.override) == (3, "--cap")
     assert len(enumerate_coevents(algebra_of_size(4), cap=4)) == 1 << 16
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as exc:  # the hard cap: no cap argument lifts it
         enumerate_coevents(EventAlgebra(SampleSpace(tuple(f"x{i}" for i in range(5)))), cap=8)
+    assert (exc.value.limit, exc.value.override) == (4, None)
+    assert str(exc.value).endswith("size 5 exceeds cap 4 (hard cap, no override)")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -492,6 +495,11 @@ def test_coevent_space_dedupes_and_orders(coin_algebra):
         coin_algebra, [omega_star, h_star, h_star], "user-supplied"
     )
     assert str(space) == "[{h}*, {h,t}*]"
+    # built directly, a space is a set: a dual and the coevent of its support are equal
+    h_support = Coevent(coin_algebra, h_star.support)
+    for members in ((h_star, h_star), (h_star, omega_star, h_support)):
+        with pytest.raises(ValueError, match="distinct"):
+            CoeventSpace(coin_algebra, members)
 
 
 def test_rendering_of_general_coevents(coin_algebra):

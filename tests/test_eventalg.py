@@ -39,6 +39,7 @@ def test_sample_space_rejects_duplicates_and_bad_sizes():
 
 def test_label_order_defines_the_encoding():
     space = SampleSpace(("t", "h"))
+    assert SampleSpace(["t", "h"]) == space  # a list is held as a tuple
     alg = EventAlgebra(space)
     assert alg.event_from_labels(["t"]).mask == 1
     assert str(alg.event_from_labels(["h", "t"])) == "{t,h}"
@@ -221,6 +222,9 @@ def test_event_family_dedupes_and_orders(coin_algebra):
     family = EventFamily.from_events([coin_algebra.full, h, h])
     assert family.masks == (h.mask, coin_algebra.full.mask)
     assert str(family) == "[{h}, {h,t}]"
+    assert h in family and coin_algebra.empty not in family
+    with pytest.raises(MismatchedSpace):
+        EventAlgebra(SampleSpace(("x",))).full in family
 
 
 @given(masks=st.lists(st.integers(0, 7), max_size=10))

@@ -18,6 +18,7 @@ from coevents import (
     GaussianRational,
     InvalidPartition,
     Measure,
+    MismatchedSpace,
     NonRealDiagonal,
     SampleSpace,
     ValidationReport,
@@ -84,6 +85,9 @@ def test_constructors_match_per_event_sums(data):
 def test_fair_coin_is_classical():
     rep = validate_classical(fair_coin())
     assert rep.ok and rep.violations == ()
+    assert repr(rep) == (
+        "ValidationReport(rule='classical', violations=(), ok=True, truncated=False)"
+    )
 
 
 def test_three_slit_fails_classical_with_the_singleton_pair():
@@ -92,6 +96,7 @@ def test_three_slit_fails_classical_with_the_singleton_pair():
     first = rep.violations[0]
     assert [str(ev) for ev in first.events] == ["{1}", "{2}"]
     assert (first.got, first.expected) == (Fraction(4), Fraction(2))
+    assert str(first) == "additivity {1} {2}: got 4, expected 2"
 
 
 def test_dirac_is_classical():
@@ -222,6 +227,9 @@ def test_measure_from_table():
     alg = EventAlgebra(SampleSpace(("h", "t")))
     m = Measure.from_table(alg, {0: 0, 1: "1/2", 2: Fraction(1, 2), 3: 1})
     assert m.values[1] == Fraction(1, 2)
+    assert m(alg.event(1)) == Fraction(1, 2) and m(alg.full) == 1
+    with pytest.raises(MismatchedSpace):
+        m(EventAlgebra(SampleSpace(("h", "t", "x"))).full)
     assert validate_classical(m).ok
 
 

@@ -126,6 +126,8 @@ def test_poset_axioms_are_checked():
         FinitePoset(("a", "b"), (0b11, 0b11))
     with pytest.raises(ValueError, match="transitive"):
         FinitePoset(("a", "b", "c"), (0b011, 0b110, 0b100))
+    with pytest.raises(ValueError, match="distinct"):
+        FinitePoset(("a", "a"), (0b01, 0b10))
 
 
 def test_poset_rows_must_be_bitmasks_over_the_elements():
@@ -306,6 +308,7 @@ def test_sieve_rendering():
     p = chain(2)
     assert str(Sieve(p, "c0", 0b11)) == "@c0: [c0, c1]"
     assert str(Sieve(p, "c0", 0)) == "@c0: []"
+    assert "c1" in Sieve(p, "c0", 0b10) and "c0" not in Sieve(p, "c0", 0b10)
 
 
 def test_restriction_of_the_empty_sieve_is_empty():
