@@ -11,6 +11,7 @@ on the former.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .coevent import Coevent, CoeventSpace, check_modus_ponens
@@ -295,8 +296,12 @@ class Completion:
     def __iter__(self) -> Iterator[ValuationEvent]:
         return iter(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
+        return frozenset(self.member_bits)
+
     def __contains__(self, alpha: ValuationEvent) -> bool:
-        return alpha.space == self.space and alpha.bits in set(self.member_bits)
+        return alpha.space == self.space and alpha.bits in self._member_set
 
 
 def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Completion:
@@ -309,10 +314,14 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     of members that no generator tells apart, and distinct members of V
     have distinct supports, so some event A lies in one support and not
     the other, and the row tau(A) separates them.  Every atom is one
-    member.  The tests compare it with a brute-force closure.
+    member.  The tests compare it with a brute-force closure.  Its
+    2^|V| members are refused above |V| = COMPLETION_CAP whatever
+    ``cap`` says.
     """
     if mode not in ("upper", "boolean"):
         raise ValueError(f"unknown completion mode {mode!r}")
+    if mode == "boolean" and len(space) > COMPLETION_CAP:
+        raise CapExceeded("completion closure", COMPLETION_CAP, len(space), override=None)
     if len(space) > cap:
         raise CapExceeded("completion closure", cap, len(space))
     if mode == "boolean":

@@ -233,18 +233,23 @@ def section_complete(space: CoeventSpace, cap: Optional[int], mode: str) -> dict
     completion = beables.complete(
         space, mode, cap=cap if cap is not None else beables.COMPLETION_CAP
     )
-    member_set = set(completion.member_bits)
-    full = (1 << len(space)) - 1
     non_boolean_witness = None
-    for bits in completion.member_bits:
-        if bits ^ full not in member_set:
-            non_boolean_witness = space.render(bits)
-            break
+    if mode == "boolean":
+        # all of 2^V in ascending bit order, complemented by construction
+        members = space.subset_renderings()
+    else:
+        members = [space.render(bits) for bits in completion.member_bits]
+        member_set = set(completion.member_bits)
+        full = (1 << len(space)) - 1
+        for bits in completion.member_bits:
+            if bits ^ full not in member_set:
+                non_boolean_witness = space.render(bits)
+                break
     return {
         "set": space.provenance,
         "mode": mode,
         "size": len(completion),
-        "members": [space.render(bits) for bits in completion.member_bits],
+        "members": members,
         "boolean": non_boolean_witness is None,
         "non_boolean_witness": non_boolean_witness,
     }

@@ -260,6 +260,20 @@ class CoeventSpace:
         names = self.renderings
         return "[" + ", ".join(names[i] for i in set_bits(bits)) + "]"
 
+    def subset_renderings(self) -> list[str]:
+        """``render(bits)`` for every ``bits`` in ``range(1 << len(self))``, in that order.
+
+        Bit i is member i, so each member doubles the list: the subsets
+        without it, then each of them again with its name appended (the
+        empty set's copy is the singleton).  One string is built per
+        subset, with no ``set_bits`` walk or join.
+        """
+        out = ["[]"]
+        for name in self.renderings:
+            tail = ", " + name + "]"
+            out += ["[" + name + "]"] + [s[:-1] + tail for s in out[1:]]
+        return out
+
     def __str__(self) -> str:
         return self.render((1 << len(self)) - 1)
 

@@ -357,6 +357,16 @@ def test_boolean_completion_matches_the_closure(data):
     assert completion.member_bits == tuple(sorted(boolean_closure_oracle(space)))
 
 
+@pytest.mark.parametrize("mode", ["upper", "boolean"])
+def test_completion_membership_is_its_member_bits(mode):
+    space = mce(3)
+    completion = complete(space, mode)
+    for bits in range(1 << len(space)):
+        alpha = ValuationEvent(space, bits)
+        assert (alpha in completion) == (bits in completion.member_bits)
+    assert ValuationEvent(mce(2), 0) not in completion
+
+
 def test_boolean_completion_contains_upper(small_algebra):
     space = enumerate_multiplicative(small_algebra)
     upper = set(complete(space, "upper").member_bits)
@@ -377,6 +387,15 @@ def test_completion_cap():
     complete(space, "upper")
     with pytest.raises(CapExceeded):
         complete(space, "upper", cap=10)
+    # 2^|V| members: above |V| = 20 no cap lifts the Boolean completion's refusal
+    space = enumerate_multiplicative(EventAlgebra(SampleSpace(tuple("abcde"))))  # 31 duals
+    for cap in (20, 31, 2**31):
+        with pytest.raises(CapExceeded) as exc:
+            complete(space, "boolean", cap=cap)
+        assert (exc.value.limit, exc.value.override) == (20, None)
+    with pytest.raises(CapExceeded) as exc:
+        complete(space, "upper", cap=30)
+    assert (exc.value.limit, exc.value.override) == (30, "--cap")
 
 
 def test_non_boolean_witness_at_n2():
@@ -639,9 +658,10 @@ def test_or_discrepancies_match_the_per_pair_audit(space):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_rendering_matches_per_member_str(data):
-    """``render(bits)`` against the per-object join, on spaces of duals,
-    non-duals and (when drawn) the zero map; each event's name against
-    ``str(Event)``."""
+    """``render(bits)`` against the per-object join, and the doubling in
+    ``subset_renderings`` against ``render`` on every bit pattern, on spaces
+    of duals, non-duals and (when drawn) the zero map; each event's name
+    against ``str(Event)``."""
     space = data.draw(mixed_spaces(), label="space")
     alg = space.algebra
     if data.draw(st.booleans(), label="with the zero map"):
@@ -650,6 +670,7 @@ def test_rendering_matches_per_member_str(data):
     val = ValuationEvent(space, bits)
     per_member = "[" + ", ".join(str(phi) for phi in val.members) + "]"
     assert space.render(bits) == str(val) == per_member
+    assert space.subset_renderings() == [space.render(b) for b in range(1 << len(space))]
     assert str(space) == "[" + ", ".join(str(phi) for phi in space.members) + "]"
     names = alg.space.event_names
     assert names == tuple(str(Event(alg.space, m)) for m in range(alg.size))
@@ -657,6 +678,11 @@ def test_rendering_matches_per_member_str(data):
         if phi.principal_mask is None:
             events = (str(Event(alg.space, m)) for m in sorted(phi.support))
             assert str(phi) == "[" + ", ".join(events) + "]"
+
+
+def test_subset_renderings_of_the_empty_space():
+    space = CoeventSpace(algebra_of_size(2), ())
+    assert space.subset_renderings() == ["[]"]
 
 
 def test_valuation_event_rendering():

@@ -9,7 +9,8 @@ import pytest
 
 from coevents import coevent as coevent_module, topos as topos_module
 from coevents.cli import run
-from coevents.coevent import Coevent
+from coevents.coevent import Coevent, enumerate_multiplicative
+from coevents.theoryfile import load
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
 FAIR_COIN = str(THEORIES / "fair_coin.json")
@@ -284,6 +285,39 @@ def test_complete_content(capsys):
     assert report["sections"]["complete"]["size"] == 8
 
 
+def test_boolean_completion_lists_every_subset_in_bit_order(capsys):
+    """All 15 duals at n=4: 2^15 members, the empty set first and all of V last."""
+    path = str(THEORIES / "four_slit_decoherence.json")
+    report = machine(capsys, ["complete", path, "--mode", "boolean"])
+    section = report["sections"]["complete"]
+    space = enumerate_multiplicative(load(path).algebra)
+    assert section["size"] == len(section["members"]) == 32768
+    assert section["members"][0] == "[]"
+    assert section["members"][-1] == str(space)
+    assert section["members"][1 << 14] == f"[{space.renderings[14]}]"
+    assert section["boolean"] is True and section["non_boolean_witness"] is None
+
+
+def test_boolean_completion_of_an_empty_scheme(tmp_path, capsys):
+    """Amplitudes (1, -1): the full event is null, so no dual is preclusive."""
+    path = tmp_path / "cancelling.json"
+    path.write_text(json.dumps({"sample_space": ["a", "b"], "measure": {"amplitudes": [1, -1]}}))
+    report = machine(capsys, ["coevents", str(path), "--set", "scheme"])
+    assert report["sections"]["coevents"]["count"] == 0
+    report = machine(capsys, ["complete", str(path), "--set", "scheme", "--mode", "boolean"])
+    section = report["sections"]["complete"]
+    assert section["members"] == ["[]"] and section["size"] == 1
+    assert section["boolean"] is True and section["non_boolean_witness"] is None
+
+
+def test_boolean_completion_hard_cap(capsys):
+    """2^|V| members: no --cap lifts |V| <= 20, and the message says so."""
+    argv = ["complete", str(THEORIES / "eight_slit.json"), "--mode", "boolean", "--cap", "255"]
+    rc, out, err = invoke(capsys, argv)
+    assert rc == 3 and out == ""
+    assert "size 255 exceeds cap 20 (hard cap, no override)" in err
+
+
 def test_audit_single_pair(capsys):
     report = machine(
         capsys,
@@ -518,10 +552,12 @@ def test_report_skips_the_sections_over_their_caps(tmp_path, capsys):
     topos instance cap of 4 histories; the report names each cap and goes on."""
     report = machine(capsys, ["report", amplitude_file(tmp_path, 5)])
     sections = report["sections"]
-    for mode in ("upper", "boolean"):
-        assert sections[f"complete-{mode}"] == {
-            "skipped": "completion closure: size 31 exceeds cap 20 (override with --cap)"
-        }
+    assert sections["complete-upper"] == {
+        "skipped": "completion closure: size 31 exceeds cap 20 (override with --cap)"
+    }
+    assert sections["complete-boolean"] == {
+        "skipped": "completion closure: size 31 exceeds cap 20 (hard cap, no override)"
+    }
     assert sections["topos"] == {
         "skipped": "dual-poset topos instance: size 5 exceeds cap 4 (override with --cap)"
     }
