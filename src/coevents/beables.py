@@ -10,8 +10,8 @@ on the former.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Iterator, Optional
 
 from .coevent import Coevent, CoeventSpace, check_modus_ponens
@@ -23,8 +23,8 @@ from .errors import (
 )
 from .eventalg import (
     WITNESS_LIST_CAP,
+    ByMask,
     Event,
-    EventsByMask,
     first_witnesses,
     iter_supermasks,
 )
@@ -90,12 +90,12 @@ def tau(a: Event, space: CoeventSpace) -> ValuationEvent:
     """The valuation event of all members of V mapping A to true.
 
     For the space of all duals this is the up-set of A's dual in the
-    dual order: the duals of the nonempty subsets of A.  It is read from
-    the space's tau table.
+    dual order: the duals of the nonempty subsets of A.  It is the
+    space's tau row of A, read on demand.
     """
     if a.space != space.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
-    return ValuationEvent(space, space.tau_table[a.mask])
+    return ValuationEvent(space, space.tau_row(a.mask))
 
 
 @dataclass(frozen=True)
@@ -124,24 +124,91 @@ def truth_evaluate(f: TruthFunction, alpha: ValuationEvent) -> int:
 # Order comparison
 
 
-@dataclass
+_ORDER_KEYS = ("injectivity", "pushforward", "orders", "meet", "join")
+
+
 class OrderReport:
     """Exhaustive comparison of the pushed-forward and inclusion orders.
 
     Each flag is a closed-form verdict and never depends on the lists.
     Under the key of each false flag, ``witnesses`` lists the first
     failing pairs in ascending mask order, as many as the report's limit
-    allows; ``truncated`` names the lists that were cut.
+    allows; ``truncated`` names the lists that were cut.  A report from
+    :func:`order_report` lists them once, on the first read of
+    ``witnesses`` or ``truncated``: a caller that reads only the flags
+    walks no pairs.  Two reports are equal when their flags, witnesses,
+    notes and cuts are.
     """
 
-    tau_injective: bool
-    pushforward_well_defined: bool
-    orders_agree: bool
-    meet_agree: bool
-    join_agree: bool
-    witnesses: dict[str, tuple[tuple[Event, Event], ...]]
-    notes: tuple[str, ...] = ()
-    truncated: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = (
+        "tau_injective",
+        "pushforward_well_defined",
+        "orders_agree",
+        "meet_agree",
+        "join_agree",
+        "notes",
+        "_listing",
+        "_lister",
+    )
+
+    def __init__(
+        self,
+        tau_injective: bool,
+        pushforward_well_defined: bool,
+        orders_agree: bool,
+        meet_agree: bool,
+        join_agree: bool,
+        witnesses: dict[str, tuple[tuple[Event, Event], ...]],
+        notes: tuple[str, ...] = (),
+        truncated: frozenset[str] = frozenset(),
+    ) -> None:
+        self.tau_injective = tau_injective
+        self.pushforward_well_defined = pushforward_well_defined
+        self.orders_agree = orders_agree
+        self.meet_agree = meet_agree
+        self.join_agree = join_agree
+        self.notes = notes
+        self._listing: Optional[tuple[dict, frozenset[str]]] = (
+            witnesses, frozenset(truncated)
+        )
+
+    def _listed(self) -> tuple[dict[str, tuple[tuple[Event, Event], ...]], frozenset[str]]:
+        if self._listing is None:
+            self._listing = self._lister()
+            del self._lister
+        return self._listing
+
+    @property
+    def witnesses(self) -> dict[str, tuple[tuple[Event, Event], ...]]:
+        return self._listed()[0]
+
+    @property
+    def truncated(self) -> frozenset[str]:
+        return self._listed()[1]
+
+    def _key(self) -> tuple:
+        flags = (
+            self.tau_injective,
+            self.pushforward_well_defined,
+            self.orders_agree,
+            self.meet_agree,
+            self.join_agree,
+        )
+        return flags + (self.witnesses, self.notes, self.truncated)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OrderReport):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"OrderReport(tau_injective={self.tau_injective!r}, "
+            f"pushforward_well_defined={self.pushforward_well_defined!r}, "
+            f"orders_agree={self.orders_agree!r}, meet_agree={self.meet_agree!r}, "
+            f"join_agree={self.join_agree!r}, witnesses={self.witnesses!r}, "
+            f"notes={self.notes!r}, truncated={self.truncated!r})"
+        )
 
 
 def order_report(
@@ -149,16 +216,28 @@ def order_report(
 ) -> OrderReport:
     """Compare, over all pairs of history events, the two order structures.
 
-    Each flag is decided by a closed form over the tau table I, where
-    Omega is the full event and {i} a single history, or over the
-    members:
+    On a space of duals every flag is a closed form over the principals,
+    read with no tau row: tau(A) is the members p* with p inside A, so
+
+    - tau is monotone, so the pushed-forward order is well defined, and
+      tau(A & B) = tau(A) & tau(B), since p <= A & B iff p <= A and
+      p <= B: both flags always hold;
+    - tau is injective, and A <= B iff tau(A) <= tau(B), iff every
+      single history {j} is a principal: then tau(A) names the histories
+      of A, and otherwise tau({j}) = tau({}) breaks both;
+    - tau(A | B) = tau(A) | tau(B) iff no principal has two histories or
+      more: a principal p = {i, j, ...} lies inside {i} | (p - {i}) and
+      inside neither, while a principal of at most one history lies
+      inside A | B only if it lies inside A or B.
+
+    Any other space decides each flag by a closed form over its tau
+    table I, where Omega is the full event and {i} a single history:
 
     - injectivity of tau: I[A] is distinct for every A, O(2^n);
     - well-definedness of the pushed-forward order, i.e. monotonicity
       A <= B implies tau(A) <= tau(B) (pushing the order forward along
       a non-injective tau is consistent exactly when tau is monotone):
-      every member's support is upward closed (:func:`check_modus_ponens`),
-      O(|V|) on duals, whose filters pass at once;
+      every member's support is upward closed (:func:`check_modus_ponens`);
     - order agreement, A <= B iff tau(A) <= tau(B): tau is monotone and
       I[{i}] is not inside I[Omega - {i}] for any i, O(n 2^n).  (If A is
       not inside B, pick i in A - B: were I[A] <= I[B], monotonicity
@@ -170,28 +249,79 @@ def order_report(
       with every I[{i}] with i in A, checked one bit at a time, O(2^n).
 
     Pairs of events are walked only to list a failing flag's witnesses,
-    by that flag's pairwise definition, and each walk stops after the
-    first ``limit`` witnesses (None lists them all).
+    by that flag's pairwise definition, on the first read of the
+    report's ``witnesses`` or ``truncated``.  Each walk reads a tau row
+    once per visited mask (see :func:`_order_witnesses`) and stops after
+    the first ``limit`` witnesses (None lists them all).
+    """
+    principals = space.principals
+    if principals is None:
+        flags = _flags_from_table(space)
+    else:
+        flags = _flags_from_principals(principals, space.algebra.space.n)
+    injective, monotone, orders, meet, join = flags
+
+    notes = []
+    if not monotone:
+        notes.append(
+            "pushed-forward order is not well defined (tau is not monotone); "
+            "no claims about it are made"
+        )
+    if not injective and monotone:
+        notes.append(
+            "tau is not injective; the pushed-forward order is taken on the image"
+        )
+
+    report = OrderReport(*flags, dict.fromkeys(_ORDER_KEYS, ()), tuple(notes))
+    failing = tuple(key for key, holds in zip(_ORDER_KEYS, flags) if not holds)
+    if failing:
+        report._listing = None
+        report._lister = partial(_order_witnesses, space, failing, limit)
+    return report
+
+
+def _flags_from_principals(principals: tuple[int, ...], n: int) -> tuple[bool, ...]:
+    """:func:`order_report`'s flags over a space of duals, from its principals."""
+    singletons = set(principals).issuperset(1 << i for i in range(n))
+    return singletons, True, singletons, True, not any(p & (p - 1) for p in principals)
+
+
+def _flags_from_table(space: CoeventSpace) -> tuple[bool, ...]:
+    """:func:`order_report`'s flags over any space, from its tau table."""
+    size = space.algebra.size
+    n, full = space.algebra.space.n, size - 1
+    images = space.tau_table
+    monotone = all(map(check_modus_ponens, space))
+    return (
+        len(set(images)) == size,
+        monotone,
+        monotone and all(images[1 << i] & ~images[full ^ 1 << i] for i in range(n)),
+        all(
+            images[full ^ c] == images[full ^ c ^ (c & -c)] & images[full ^ (c & -c)]
+            for c in range(1, size)
+        ),
+        all(images[a] == images[a ^ (a & -a)] | images[a & -a] for a in range(1, size)),
+    )
+
+
+def _order_witnesses(
+    space: CoeventSpace, failing: tuple[str, ...], limit: Optional[int]
+) -> tuple[dict[str, tuple[tuple[Event, Event], ...]], frozenset[str]]:
+    """The first ``limit`` witnesses of each failing flag, and the cut lists.
+
+    The injectivity witnesses group every event by its row, so when they
+    are listed every walk reads the whole tau table, as on a space that
+    holds a non-dual, whose rows are that table.  Otherwise each row is
+    read on demand, once per visited mask.
     """
     alg = space.algebra
-    n, size = alg.space.n, alg.size
+    size = alg.size
     full = size - 1
-    images = space.tau_table
-
-    injective = len(set(images)) == size
-    monotone = all(map(check_modus_ponens, space))
-    orders = monotone and all(
-        images[1 << i] & ~images[full ^ 1 << i] for i in range(n)
-    )
-    meet = all(
-        images[full ^ c] == images[full ^ c ^ (c & -c)] & images[full ^ (c & -c)]
-        for c in range(1, size)
-    )
-    join = all(
-        images[a] == images[a ^ (a & -a)] | images[a & -a] for a in range(1, size)
-    )
-
-    ev = EventsByMask(alg)
+    if space.principals is None or "injectivity" in failing:
+        images = space.tau_table
+    else:
+        images = ByMask(space.tau_row)
+    ev = ByMask(alg.event)
 
     def injectivity_pairs():
         by_image: dict[int, list[int]] = {}
@@ -221,47 +351,30 @@ def order_report(
                     yield ev[a], ev[b]
 
     def join_pairs():
+        duals = space.principals is not None
         for a in range(size):
+            # Over duals, (A, B) fails only at a principal that meets A
+            # without lying inside A or inside Omega - A.
+            if duals and not images[full] & ~images[a] & ~images[full ^ a]:
+                continue
             for b in range(a, size):
                 if images[a | b] != images[a] | images[b]:
                     yield ev[a], ev[b]
 
     listers = {
-        "injectivity": (injective, injectivity_pairs),
-        "pushforward": (monotone, pushforward_pairs),
-        "orders": (orders, orders_pairs),
-        "meet": (meet, meet_pairs),
-        "join": (join, join_pairs),
+        "injectivity": injectivity_pairs,
+        "pushforward": pushforward_pairs,
+        "orders": orders_pairs,
+        "meet": meet_pairs,
+        "join": join_pairs,
     }
-    witnesses: dict[str, tuple[tuple[Event, Event], ...]] = dict.fromkeys(listers, ())
+    witnesses: dict[str, tuple[tuple[Event, Event], ...]] = dict.fromkeys(_ORDER_KEYS, ())
     truncated = set()
-    for key, (holds, pairs) in listers.items():
-        if not holds:
-            witnesses[key], cut = first_witnesses(pairs(), limit)
-            if cut:
-                truncated.add(key)
-
-    notes = []
-    if not monotone:
-        notes.append(
-            "pushed-forward order is not well defined (tau is not monotone); "
-            "no claims about it are made"
-        )
-    if not injective and monotone:
-        notes.append(
-            "tau is not injective; the pushed-forward order is taken on the image"
-        )
-
-    return OrderReport(
-        tau_injective=injective,
-        pushforward_well_defined=monotone,
-        orders_agree=orders,
-        meet_agree=meet,
-        join_agree=join,
-        witnesses=witnesses,
-        notes=tuple(notes),
-        truncated=frozenset(truncated),
-    )
+    for key in failing:
+        witnesses[key], cut = first_witnesses(listers[key](), limit)
+        if cut:
+            truncated.add(key)
+    return witnesses, frozenset(truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +506,25 @@ def and_or_audit(
 ) -> AuditRecord:
     """Evaluate both routes for AND and OR at one coevent and event pair.
 
-    The valuation side is the pivot's bit of the tau-table rows of A and B.
+    The valuation side is the pivot's bit of the tau rows of A and B.
     """
     if phi not in space:
         raise MismatchedSpace("coevent is not a member of the space")
     if phi.principal_mask is None:
         raise NotMultiplicative("audit is defined for nonzero multiplicative coevents")
     i = space.index_of(phi)
-    t = space.tau_table
+    phi_a, phi_b = phi(a), phi(b)  # raise MismatchedSpace before a row is read
+    row_a, row_b = space.tau_row(a.mask), space.tau_row(b.mask)
     return AuditRecord(
         pivot=phi,
         a=a,
         b=b,
-        phi_a=phi(a),  # raises MismatchedSpace before the table is read
-        phi_b=phi(b),
+        phi_a=phi_a,
+        phi_b=phi_b,
         phi_meet=phi(a & b),
         phi_join=phi(a | b),
-        f_meet=(t[a.mask] & t[b.mask]) >> i & 1,
-        f_join=(t[a.mask] | t[b.mask]) >> i & 1,
+        f_meet=(row_a & row_b) >> i & 1,
+        f_join=(row_a | row_b) >> i & 1,
     )
 
 

@@ -27,6 +27,7 @@ from .eventalg import (
     Event,
     EventAlgebra,
     EventFamily,
+    down_set,
     filter_principal,
     iter_supermasks,
     masks_lacking,
@@ -214,40 +215,74 @@ class CoeventSpace:
     @cached_property
     def principals(self) -> Optional[tuple[int, ...]]:
         """Each member's principal mask, in member order, or None when some
-        member is not a dual.  The tau table, the dual order and the audit
-        read it."""
+        member is not a dual.  Tau rows, the closed-form order flags, the
+        dual order and the audit read it."""
         principals = tuple(phi.principal_mask for phi in self.members)
         return None if None in principals else principals
+
+    @cached_property
+    def _start(self) -> Optional[int]:
+        """s when the members of a space of duals are s*, (s + 1)*, ... in
+        that order, as over all duals, else None."""
+        principals = self.principals
+        if principals is None:
+            return None
+        start = principals[0] if principals else 0
+        return start if principals == tuple(range(start, start + len(principals))) else None
+
+    @cached_property
+    def _holding(self) -> tuple[int, ...]:
+        """For each history j, the members of a space of duals whose
+        principal holds j, as bits."""
+        holding = [0] * self.algebra.space.n
+        for i, p in enumerate(self.principals):
+            for j in set_bits(p):
+                holding[j] |= 1 << i
+        return tuple(holding)
+
+    def tau_row(self, mask: int) -> int:
+        """tau(A) as bits over the members: bit i is set iff member i maps A to 1.
+
+        On a space of duals a member p* maps A to 1 iff p is inside A.
+        When the members are s*, (s + 1)*, ... the row is the submasks of
+        A (:func:`down_set`, |A| doublings) from s on, shifted down by s.
+        Otherwise it is every member but those whose principal holds a
+        history outside A, one OR per such history.  Any other space
+        reads :attr:`tau_table`.
+        """
+        if self.principals is None:
+            return self.tau_table[mask]
+        everyone = (1 << len(self.members)) - 1
+        if self._start is not None:
+            return down_set(mask) >> self._start & everyone
+        outside = 0
+        for j in set_bits(self.algebra.space.full_mask ^ mask):
+            outside |= self._holding[j]
+        return everyone & ~outside
 
     @cached_property
     def tau_table(self) -> tuple[int, ...]:
         """tau(A) for each event mask A: the members whose support holds A, as bits.
 
-        Built once, on first use; tau, the order report, the completions,
-        the audit and chi all read it.  When every member is a dual p*,
-        whose support holds A iff p is inside A, bit i is set at member
-        i's principal mask and spread to every superset by the OR
-        subset-zeta transform (Yates's method): for each history j, each
-        mask holding j ORs in the row of that mask without j.  That is
-        O(n 2^n) row ORs, where scanning the supports touches 3^n masks.
-        Any other space scans the supports.
+        All 2^n rows, built once, on first use, for the callers that read
+        every row: the upper completion, the order report's injectivity
+        witnesses and the test oracles.  On a space of duals the members
+        left out of tau(A) are those whose principal holds a history
+        outside A, so their sets double once per history j: the events
+        without j add the members holding j.  Any other space scans the
+        supports.
         """
-        size = self.algebra.size
-        table = [0] * size
-        principals = self.principals
-        if principals is None:
-            for i, phi in enumerate(self.members):
-                bit = 1 << i
-                for m in phi.support:
-                    table[m] |= bit
-            return tuple(table)
-        for i, p in enumerate(principals):
-            table[p] |= 1 << i
-        for j in range(self.algebra.space.n):
-            step = 1 << j
-            for high in range(step, size, 2 * step):
-                for m in range(high, high + step):
-                    table[m] |= table[m - step]
+        if self.principals is not None:
+            outside = [0]
+            for members in self._holding:
+                outside = [x | members for x in outside] + outside
+            everyone = (1 << len(self.members)) - 1
+            return tuple(everyone & ~x for x in outside)
+        table = [0] * self.algebra.size
+        for i, phi in enumerate(self.members):
+            bit = 1 << i
+            for m in phi.support:
+                table[m] |= bit
         return tuple(table)
 
     @cached_property

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar
 
 from .errors import MismatchedSpace, UnknownHistory
 
@@ -186,15 +186,25 @@ class EventAlgebra:
             mask |= bit(lab)
         return Event(self.space, mask)
 
-    def parse_event(self, text: str) -> Event:
-        """The event written ``{a,b}``, as events print, or ``a,b``.
+    def parse_mask(self, text: str) -> int:
+        """The mask of the event written ``{a,b}``, as events print, or ``a,b``.
 
         Empty parts are skipped, so ``{}`` and ``""`` are the empty event.
+        An unknown label raises :class:`UnknownHistory`.
         """
         text = text.strip()
         if text.startswith("{") and text.endswith("}"):
             text = text[1:-1]
-        return self.event_from_labels(part for part in text.split(",") if part)
+        bit = self.space.bit
+        mask = 0
+        for part in text.split(","):
+            if part:
+                mask |= bit(part)
+        return mask
+
+    def parse_event(self, text: str) -> Event:
+        """The event that :meth:`parse_mask` reads from ``text``."""
+        return Event(self.space, self.parse_mask(text))
 
     def events(self) -> Iterator[Event]:
         """All events in canonical (ascending mask) order."""
@@ -202,20 +212,21 @@ class EventAlgebra:
             yield Event(self.space, mask)
 
 
-class EventsByMask(dict):
-    """The events of an algebra by mask, each built on its first lookup.
+class ByMask(dict):
+    """``fn(mask)`` by mask, each computed on its first lookup.
 
     A witness list names few distinct events many times over, so a
-    lister builds each of them once without building all 2^n.
+    lister builds each event, or reads each tau row, once without doing
+    all 2^n.
     """
 
-    def __init__(self, algebra: EventAlgebra) -> None:
+    def __init__(self, fn: Callable[[int], object]) -> None:
         super().__init__()
-        self.algebra = algebra
+        self.fn = fn
 
-    def __missing__(self, mask: int) -> Event:
-        event = self[mask] = self.algebra.event(mask)
-        return event
+    def __missing__(self, mask: int):
+        value = self[mask] = self.fn(mask)
+        return value
 
 
 @dataclass(frozen=True)
@@ -316,6 +327,20 @@ def iter_supermasks(mask: int, full: int) -> Iterator[int]:
     comp = full ^ mask
     for extra in iter_submasks(comp):
         yield mask | extra
+
+
+def down_set(mask: int) -> int:
+    """The integer whose bit m is set iff m is a submask of ``mask``.
+
+    One doubling per history in ``mask``: the submasks holding history j
+    are those without it, shifted up by 2^j.
+    """
+    down = 1
+    while mask:
+        low = mask & -mask
+        down |= down << low
+        mask ^= low
+    return down
 
 
 def masks_lacking(n: int, i: int) -> int:

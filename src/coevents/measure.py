@@ -20,10 +20,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import InvalidPartition, MismatchedSpace, NonRealDiagonal
 from .eventalg import (
     WITNESS_LIST_CAP,
+    ByMask,
     Event,
     EventAlgebra,
     EventFamily,
-    EventsByMask,
     SampleSpace,
     first_witnesses,
     iter_submasks,
@@ -297,15 +297,22 @@ class Measure:
     ) -> "Measure":
         """Measure of A as |sum of the amplitudes in A|^2.
 
-        That is the sum over k, l in A of the real part of the rank-one
-        matrix a_k * conj(a_l), re_k * re_l + im_k * im_l; the squared
-        modulus is exact.
+        The real and imaginary parts are scaled to integers over their
+        common denominator d, each part's sums over every event are built
+        by doubling (the events holding history i are those without it,
+        plus a_i), and mu(A) = re(A)^2 + im(A)^2 over d^2, exactly.
         """
         if len(amplitudes) != space.n:
             raise ValueError("need exactly one amplitude per history")
-        rank_one = [[a.re * b.re + a.im * b.im for b in amplitudes] for a in amplitudes]
-        algebra = EventAlgebra(space)
-        return cls(algebra, _pair_sum_values(rank_one, algebra.size))
+        d = math.lcm(*(x.denominator for a in amplitudes for x in (a.re, a.im)))
+        re_sums, im_sums = [0], [0]
+        for a in amplitudes:
+            re = a.re.numerator * (d // a.re.denominator)
+            im = a.im.numerator * (d // a.im.denominator)
+            re_sums += [s + re for s in re_sums]
+            im_sums += [s + im for s in im_sums]
+        nums = [x * x + y * y for x, y in zip(re_sums, im_sums)]
+        return cls(EventAlgebra(space), MeasureValues(d * d, nums))
 
 
 def _iter_disjoint_pairs(size: int):
@@ -387,7 +394,7 @@ def validate_classical(
 
 
 def _additivity_violations(m: Measure) -> Iterator[Violation]:
-    v, ev = m.values, EventsByMask(m.algebra)
+    v, ev = m.values, ByMask(m.algebra.event)
     x = v.nums
     for a, b in _iter_disjoint_pairs(m.algebra.size):
         got, expected = x[a | b], x[a] + x[b]
@@ -440,7 +447,7 @@ def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator
         yield Violation("normalization", (alg.full,), v[alg.space.full_mask], Fraction(1))
     if grade2:
         return
-    ev = EventsByMask(alg)
+    ev = ByMask(alg.event)
     for a, b, c in _iter_disjoint_triples(alg.size):
         got = x[a | b | c]
         expected = x[a | b] + x[b | c] + x[c | a] - x[a] - x[b] - x[c]

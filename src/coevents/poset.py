@@ -134,12 +134,11 @@ def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
 
     A dual sits below another exactly when its principal event contains
     the other's, so the up-set of p* is the members whose support holds
-    p: the tau-table row of p.
+    p: the tau row of p, read on demand, one per member.
     """
     principals = space.principals
     if principals is None:
         raise NotMultiplicative(
             "dual order requires every member to be a nonzero multiplicative coevent"
         )
-    table = space.tau_table
-    return FinitePoset(space.members, tuple(table[p] for p in principals))
+    return FinitePoset(space.members, tuple(map(space.tau_row, principals)))

@@ -87,7 +87,7 @@ def parse_complex(value: Any, where: str) -> GaussianRational:
 
 def _parse_event_key(key: str, algebra: EventAlgebra, where: str) -> int:
     try:
-        return algebra.parse_event(key).mask
+        return algebra.parse_mask(key)
     except Exception as exc:
         raise ValidationError(f"{where}: bad event {key!r}: {exc}")
 

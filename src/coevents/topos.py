@@ -312,7 +312,7 @@ def build_instance(space: CoeventSpace, cap: int = MCE_INSTANCE_CAP) -> CoeventT
     """The instance over a space of nonzero duals (NotMultiplicative otherwise).
 
     The support selection is a subobject iff phi <= psi carries every
-    event of phi's support into psi's, i.e. iff every tau-table row is an
+    event of phi's support into psi's, i.e. iff every tau row is an
     up-set of the dual order.  Over duals that holds by construction: if
     p* is in tau(A), so p <= A, and q* is above p*, so q <= p, then q <= A.
     The tests check it with :func:`is_subobject`.
@@ -344,8 +344,8 @@ def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventTop
 def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
     """Characteristic map of the support subobject at context phi and event A.
 
-    The sieve of contexts above phi whose support contains A: tau(A) from
-    the space's table, restricted to phi's up-set.  Both are up-sets of
+    The sieve of contexts above phi whose support contains A: the
+    space's tau row of A, read on demand, restricted to phi's up-set.  Both are up-sets of
     the dual order, so their meet is one.  The tests compare it with
     :func:`characteristic_map`.
     """
@@ -354,4 +354,4 @@ def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
     if a.space != instance.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
     space, poset = instance.space, instance.poset
-    return Sieve._unchecked(poset, phi, space.tau_table[a.mask] & poset.up[space.index_of(phi)])
+    return Sieve._unchecked(poset, phi, space.tau_row(a.mask) & poset.up[space.index_of(phi)])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,8 @@ from coevents import (
     tau,
     truth_evaluate,
 )
+from coevents import beables as beables_mod
+from coevents.beables import OrderReport, _flags_from_principals, _flags_from_table
 from coevents.catalog import three_slit
 from coevents.cli import section_audit
 from coevents.coevent import enumerate_classical, multiplicative_scheme
@@ -76,6 +80,25 @@ def mixed_spaces(draw) -> CoeventSpace:
     )
 
 
+@st.composite
+def dual_spaces(draw) -> CoeventSpace:
+    """A space of duals over n <= 6 histories: a run of principals s, s + 1,
+    ... (s = 0 holds the empty dual) or any set of them, the empty one
+    among them or not, in ascending order or shuffled."""
+    n = draw(st.integers(1, 6), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
+    if draw(st.booleans(), label="a run"):
+        start = draw(st.integers(0, alg.size - 1), label="start")
+        principals = list(range(start, draw(st.integers(start, alg.size), label="stop")))
+    else:
+        masks = st.sets(st.integers(0, alg.size - 1), max_size=12)
+        principals = sorted(draw(masks, label="principals"))
+    if draw(st.booleans(), label="shuffled"):
+        principals = draw(st.permutations(principals), label="order")
+    members = [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals]
+    return CoeventSpace(alg, tuple(members), "user-supplied")
+
+
 # ---------------------------------------------------------------------------
 # tau
 
@@ -99,6 +122,19 @@ def test_tau_table_matches_the_member_scan(space):
     assert space.tau_table == tuple(member_scan(m, space) for m in range(alg.size))
     for mask in range(alg.size):
         assert tau(alg.event(mask), space).bits == member_scan(mask, space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=dual_spaces())
+def test_tau_rows_of_a_dual_space_match_the_member_scan(space):
+    """Each row on demand, and the table, against the supports read once."""
+    supports = [phi.support for phi in space]
+    scan = [
+        sum(1 << i for i, support in enumerate(supports) if mask in support)
+        for mask in range(space.algebra.size)
+    ]
+    assert [space.tau_row(mask) for mask in range(space.algebra.size)] == scan
+    assert list(space.tau_table) == scan
 
 
 def test_tau_examples_n2():
@@ -238,6 +274,44 @@ def test_order_report_matches_the_pairwise_oracle(space):
     assert_cut_witness_lists_are_prefixes(space)
 
 
+@settings(max_examples=100, deadline=None)
+@given(space=dual_spaces())
+def test_closed_form_flags_equal_the_table_formulas_and_the_oracle(space):
+    closed = _flags_from_principals(space.principals, space.algebra.space.n)
+    assert closed == _flags_from_table(space)
+    assert closed == tuple(getattr(order_report_oracle(space), f) for f in FLAGS)
+    assert closed == tuple(getattr(order_report(space), f) for f in FLAGS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    space=dual_spaces(),
+    limit=st.sampled_from([0, 1, 5, None]),
+    truncated_first=st.booleans(),
+)
+def test_lazily_listed_witnesses_equal_the_eager_listing(space, limit, truncated_first):
+    """Whichever of ``witnesses`` and ``truncated`` is read first, the report
+    equals one built with the oracle's lists cut at the limit."""
+    full = order_report_oracle(space).witnesses
+    rep = order_report(space, limit)
+    first = rep.truncated if truncated_first else rep.witnesses
+    witnesses = {key: pairs[:limit] for key, pairs in full.items()}
+    cut = {key for key, pairs in full.items() if limit is not None and len(pairs) > limit}
+    assert (rep.witnesses, rep.truncated) == (witnesses, cut)
+    assert first == (cut if truncated_first else witnesses)
+    flags = [getattr(rep, f) for f in FLAGS]
+    assert rep == OrderReport(*flags, witnesses, rep.notes, frozenset(cut))
+
+
+def test_order_reports_pickle_before_and_after_listing():
+    unlisted, listed = order_report(mce(3), limit=2), order_report(mce(3), limit=2)
+    assert listed.truncated == {"join"}
+    for rep in (unlisted, listed):
+        copied = pickle.loads(pickle.dumps(rep))
+        assert copied == rep and repr(copied) == repr(rep)
+        assert copied.truncated == {"join"} and len(copied.witnesses["join"]) == 2
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("include_empty", [False, True])
 def test_cut_witness_lists_on_dual_spaces(n, include_empty):
@@ -254,7 +328,9 @@ def test_default_limit_cuts_the_join_witnesses():
 
 def test_order_report_walks_no_pairs_when_every_flag_holds(monkeypatch):
     """Over the classical space tau(A) is A itself, so every flag holds; at
-    n = 12 a walk over the 2^24 ordered pairs would take many seconds."""
+    n = 12 a walk over the 2^24 ordered pairs would take many seconds.
+    Over all duals at n = 8 join fails, yet reading the flags builds no
+    event and walks no pair; the first read of the witnesses lists them."""
     alg = EventAlgebra(SampleSpace(tuple("abcdefghijkl")))
     space = enumerate_classical(alg)
 
@@ -263,15 +339,20 @@ def test_order_report_walks_no_pairs_when_every_flag_holds(monkeypatch):
 
     monkeypatch.setattr(EventAlgebra, "events", no_events)
     rep = order_report(space)
-    assert (
-        rep.tau_injective,
-        rep.pushforward_well_defined,
-        rep.orders_agree,
-        rep.meet_agree,
-        rep.join_agree,
-    ) == (True,) * 5
+    assert tuple(getattr(rep, f) for f in FLAGS) == (True,) * 5
     assert all(pairs == () for pairs in rep.witnesses.values())
     assert rep.notes == ()
+
+    duals = enumerate_multiplicative(EventAlgebra(SampleSpace(tuple("abcdefgh"))))
+    with monkeypatch.context() as patch:
+        patch.setattr(Event, "__post_init__", no_events)
+        patch.setattr(beables_mod, "first_witnesses", no_events)
+        rep = order_report(duals)
+        assert tuple(getattr(rep, f) for f in FLAGS) == (True,) * 4 + (False,)
+        assert rep.notes == ()
+    join = rep.witnesses["join"]
+    assert rep.truncated == {"join"} and len(join) == WITNESS_LIST_CAP
+    assert join == order_report_oracle(duals).witnesses["join"][:WITNESS_LIST_CAP]
 
 
 def test_meet_agreement_exhaustive(small_algebra):

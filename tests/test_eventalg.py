@@ -20,7 +20,7 @@ from coevents import (
     sym_diff,
     up_closure,
 )
-from coevents.eventalg import iter_submasks, iter_supermasks
+from coevents.eventalg import down_set, iter_submasks, iter_supermasks
 
 from conftest import algebra_of_size
 
@@ -206,6 +206,7 @@ def test_every_event_name_parses_back_to_its_event(n, data):
     event = alg.event(mask)
     assert alg.parse_event(names[mask]) == event
     assert alg.parse_event(" " + ",".join(event.labels) + ",") == event
+    assert alg.parse_mask(names[mask]) == alg.parse_mask(",".join(event.labels)) == mask
 
 
 def test_parse_event_drops_one_pair_of_braces_and_refuses_unknown_labels(coin_algebra):
@@ -215,6 +216,14 @@ def test_parse_event_drops_one_pair_of_braces_and_refuses_unknown_labels(coin_al
         coin_algebra.parse_event("{{h}}")
     with pytest.raises(UnknownHistory):
         coin_algebra.parse_event("{h,x}")
+    assert coin_algebra.parse_mask(" {t} ") == 0b10 and coin_algebra.parse_mask("{}") == 0
+    with pytest.raises(UnknownHistory, match="'x'"):
+        coin_algebra.parse_mask("h,x")
+
+
+@given(mask=st.integers(0, (1 << 10) - 1))
+def test_down_set_holds_exactly_the_submasks(mask):
+    assert down_set(mask) == sum(1 << m for m in iter_submasks(mask))
 
 
 def test_event_family_dedupes_and_orders(coin_algebra):

@@ -175,6 +175,24 @@ def test_measure_must_be_total():
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
+def test_amplitude_subset_sums_equal_the_rank_one_pair_sums(data):
+    """Oracle: the rank-one matrix re_k re_l + im_k im_l, built in Fractions
+    and summed over the pairs inside each event.  Both routes reduce to one
+    (den, nums) pair, so the tables are equal as pairs, with int parts and
+    zero amplitudes among the draws."""
+    n = data.draw(st.integers(1, 7), label="n")
+    space = SampleSpace(tuple("abcdefg"[:n]))
+    parts = st.one_of(small_fractions, st.integers(-3, 3))
+    amplitude = st.one_of(st.just(GaussianRational()), st.builds(GaussianRational, parts, parts))
+    amps = data.draw(st.lists(amplitude, min_size=n, max_size=n), label="amplitudes")
+    rank_one = [[a.re * b.re + a.im * b.im for b in amps] for a in amps]
+    assert Measure.from_amplitudes(space, amps).values == measure_mod._pair_sum_values(
+        rank_one, 1 << n
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
 def test_values_read_back_exactly_from_one_reduced_pair(data):
     """Values are integer numerators over one denominator, reduced together;
     every read gives back the table's value as a Fraction."""

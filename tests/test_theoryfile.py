@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevents import ParseError, ValidationError, validate_quantum
+from coevents import Event, ParseError, ValidationError, validate_quantum
 from coevents.theoryfile import load, load_data, parse_complex, parse_rational
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
@@ -158,6 +158,21 @@ def test_event_table_forms(tmp_path):
     theory = load(write_theory(tmp_path, data))
     assert theory.measure.values[0b11] == 1
     assert theory.measure.values[0b10] == Fraction(1, 2)
+
+
+def test_event_table_keys_are_read_as_masks_with_no_event_built(monkeypatch):
+    def no_event(self):
+        raise AssertionError("an Event was built")
+
+    monkeypatch.setattr(Event, "__post_init__", no_event)
+    data = {
+        "sample_space": ["a", "b", "c"],
+        "measure": {"event_table": {
+            "{" + ",".join("abc"[i] for i in range(3) if m >> i & 1) + "}": m
+            for m in range(8)
+        }},
+    }
+    assert load_data(data).measure.values.nums == tuple(range(8))
 
 
 def test_event_table_must_be_total(tmp_path):
