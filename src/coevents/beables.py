@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator, Optional
+from typing import Container, Iterator, Optional, Sequence
 
 from .coevent import Coevent, CoeventSpace, check_modus_ponens
 from .errors import (
@@ -388,12 +388,16 @@ class Completion:
     mode="upper": closure under union and intersection; over the space
     of all duals every member is an upper set of the dual order and the
     result is a Heyting algebra (a finite locale), not Boolean in
-    general.  mode="boolean": additionally closed under complement.
+    general.  mode="boolean": additionally closed under complement,
+    which is all of 2^V.  ``member_bits`` holds the members' bit
+    patterns in ascending order: a sorted tuple in upper mode, and
+    ``range(1 << |V|)`` in Boolean mode, so that nothing 2^|V| long is
+    built until someone reads it.
     """
 
     mode: str
     space: CoeventSpace
-    member_bits: tuple[int, ...]
+    member_bits: Sequence[int]
 
     def __post_init__(self) -> None:
         if self.mode not in ("upper", "boolean"):
@@ -410,7 +414,10 @@ class Completion:
         return iter(self.members)
 
     @cached_property
-    def _member_set(self) -> frozenset[int]:
+    def _member_set(self) -> Container[int]:
+        # a range answers membership by comparison
+        if isinstance(self.member_bits, range):
+            return self.member_bits
         return frozenset(self.member_bits)
 
     def __contains__(self, alpha: ValuationEvent) -> bool:
@@ -428,7 +435,8 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     have distinct supports, so some event A lies in one support and not
     the other, and the row tau(A) separates them.  Every atom is one
     member.  The tests compare it with a brute-force closure.  Its
-    2^|V| members are refused above |V| = COMPLETION_CAP whatever
+    members are held as ``range(1 << |V|)``, so building it costs
+    nothing, and they are refused above |V| = COMPLETION_CAP whatever
     ``cap`` says.
     """
     if mode not in ("upper", "boolean"):
@@ -438,7 +446,7 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     if len(space) > cap:
         raise CapExceeded("completion closure", cap, len(space))
     if mode == "boolean":
-        return Completion(mode, space, tuple(range(1 << len(space))))
+        return Completion(mode, space, range(1 << len(space)))
     current = closure(closure(set(space.tau_table), int.__and__), int.__or__)
     return Completion(mode, space, tuple(sorted(current)))
 

@@ -26,7 +26,7 @@ from .errors import (
     UnknownHistory,
     ValidationError,
 )
-from .eventalg import WITNESS_LIST_CAP, Event, set_bits
+from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, set_bits
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
@@ -229,30 +229,37 @@ def section_orders(space: CoeventSpace, limit: Optional[int]) -> dict[str, Any]:
     return section
 
 
-def section_complete(space: CoeventSpace, cap: Optional[int], mode: str) -> dict[str, Any]:
+def section_complete(
+    space: CoeventSpace, cap: Optional[int], mode: str, limit: Optional[int] = WITNESS_LIST_CAP
+) -> dict[str, Any]:
+    """The completion's size and verdict, and its first ``limit`` members
+    in ascending bit order, with ``members_truncated`` when more exist."""
     completion = beables.complete(
         space, mode, cap=cap if cap is not None else beables.COMPLETION_CAP
     )
     non_boolean_witness = None
     if mode == "boolean":
         # all of 2^V in ascending bit order, complemented by construction
-        members = space.subset_renderings()
+        members, cut = first_witnesses(space.subset_renderings(limit), limit)
     else:
-        members = [space.render(bits) for bits in completion.member_bits]
+        members, cut = first_witnesses(map(space.render, completion.member_bits), limit)
         member_set = set(completion.member_bits)
         full = (1 << len(space)) - 1
         for bits in completion.member_bits:
             if bits ^ full not in member_set:
                 non_boolean_witness = space.render(bits)
                 break
-    return {
+    section = {
         "set": space.provenance,
         "mode": mode,
         "size": len(completion),
-        "members": members,
+        "members": list(members),
         "boolean": non_boolean_witness is None,
         "non_boolean_witness": non_boolean_witness,
     }
+    if cut:
+        section["members_truncated"] = True
+    return section
 
 
 def section_audit(

@@ -295,16 +295,22 @@ class CoeventSpace:
         names = self.renderings
         return "[" + ", ".join(names[i] for i in set_bits(bits)) + "]"
 
-    def subset_renderings(self) -> list[str]:
-        """``render(bits)`` for every ``bits`` in ``range(1 << len(self))``, in that order.
+    def subset_renderings(self, limit: Optional[int] = None) -> list[str]:
+        """``render(bits)`` for ``bits`` in ``range(1 << len(self))``, in that order.
 
         Bit i is member i, so each member doubles the list: the subsets
         without it, then each of them again with its name appended (the
         empty set's copy is the singleton).  One string is built per
-        subset, with no ``set_bits`` walk or join.
+        subset, with no ``set_bits`` walk or join.  With a ``limit`` the
+        doubling stops once the list holds more than ``limit`` strings:
+        the result is the full list's first ``1 << limit.bit_length()``
+        strings (all 2^|V| if that is fewer), at most 2·limit + 1
+        whatever |V| is.
         """
         out = ["[]"]
         for name in self.renderings:
+            if limit is not None and len(out) > limit:
+                break
             tail = ", " + name + "]"
             out += ["[" + name + "]"] + [s[:-1] + tail for s in out[1:]]
         return out

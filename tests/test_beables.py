@@ -30,7 +30,7 @@ from coevents import (
 from coevents import beables as beables_mod
 from coevents.beables import OrderReport, _flags_from_principals, _flags_from_table
 from coevents.catalog import three_slit
-from coevents.cli import section_audit
+from coevents.cli import section_audit, section_complete
 from coevents.coevent import enumerate_classical, multiplicative_scheme
 from coevents.eventalg import WITNESS_LIST_CAP
 from coevents.theoryfile import load_data
@@ -435,7 +435,7 @@ def test_boolean_completion_matches_the_closure(data):
         alg, drawn.members[:6] + (Coevent(alg, ()),), "user-supplied"
     )
     completion = complete(space, "boolean")
-    assert completion.member_bits == tuple(sorted(boolean_closure_oracle(space)))
+    assert tuple(completion.member_bits) == tuple(sorted(boolean_closure_oracle(space)))
 
 
 @pytest.mark.parametrize("mode", ["upper", "boolean"])
@@ -764,6 +764,46 @@ def test_rendering_matches_per_member_str(data):
 def test_subset_renderings_of_the_empty_space():
     space = CoeventSpace(algebra_of_size(2), ())
     assert space.subset_renderings() == ["[]"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_subset_renderings_stop_doubling_past_the_limit(data):
+    """With a limit the list is the full list's prefix of the first power of
+    two above the limit (or all of it): its first ``limit`` strings are the
+    full list's, and it holds more than ``limit`` iff the full list does."""
+    space = data.draw(st.one_of(mixed_spaces(), dual_spaces()), label="space")
+    full = space.subset_renderings()
+    assert space.subset_renderings(None) == full
+    for limit in (0, 1, 5):
+        head = space.subset_renderings(limit)
+        assert head == full[: 1 << limit.bit_length()]
+        assert head[:limit] == full[:limit]
+        assert (len(head) > limit) == (len(full) > limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_section_complete_lists_the_first_members_and_marks_the_cut(data):
+    """Both modes list ``render(b)`` for the first min(size, limit) member
+    bits in ascending order, and add ``members_truncated`` iff size > limit;
+    every other key is the uncut section's."""
+    drawn = data.draw(st.one_of(mixed_spaces(), dual_spaces()), label="space")
+    space = CoeventSpace(drawn.algebra, drawn.members[:6], "user-supplied")
+    mode = data.draw(st.sampled_from(["upper", "boolean"]), label="mode")
+    if mode == "upper":
+        member_bits = sorted(upper_closure_oracle(space))
+    else:
+        member_bits = range(1 << len(space))
+    uncut = section_complete(space, None, mode, limit=None)
+    assert uncut["size"] == len(member_bits)
+    assert uncut["members"] == [space.render(b) for b in member_bits]
+    assert "members_truncated" not in uncut
+    for limit in (0, 1, 5, WITNESS_LIST_CAP):
+        section = section_complete(space, None, mode, limit)
+        assert section["members"] == [space.render(b) for b in member_bits[:limit]]
+        assert section.pop("members_truncated", False) == (len(member_bits) > limit)
+        assert {**section, "members": uncut["members"]} == uncut
 
 
 def test_valuation_event_rendering():

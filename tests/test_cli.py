@@ -9,7 +9,8 @@ import pytest
 
 from coevents import coevent as coevent_module, topos as topos_module
 from coevents.cli import run
-from coevents.coevent import Coevent, enumerate_multiplicative
+from coevents.coevent import Coevent, enumerate_classical, enumerate_multiplicative
+from coevents.eventalg import WITNESS_LIST_CAP
 from coevents.theoryfile import load
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
@@ -286,15 +287,19 @@ def test_complete_content(capsys):
 
 
 def test_boolean_completion_lists_every_subset_in_bit_order(capsys):
-    """All 15 duals at n=4: 2^15 members, the empty set first and all of V last."""
+    """All 15 duals at n=4: 2^15 members, the empty set first and all of V
+    last; the CLI lists the first WITNESS_LIST_CAP of them and marks the cut."""
     path = str(THEORIES / "four_slit_decoherence.json")
     report = machine(capsys, ["complete", path, "--mode", "boolean"])
     section = report["sections"]["complete"]
     space = enumerate_multiplicative(load(path).algebra)
-    assert section["size"] == len(section["members"]) == 32768
-    assert section["members"][0] == "[]"
-    assert section["members"][-1] == str(space)
-    assert section["members"][1 << 14] == f"[{space.renderings[14]}]"
+    members = space.subset_renderings()
+    assert section["size"] == len(members) == 32768
+    assert members[0] == "[]"
+    assert members[-1] == str(space)
+    assert members[1 << 14] == f"[{space.renderings[14]}]"
+    assert section["members"] == members[:WITNESS_LIST_CAP]
+    assert section["members_truncated"] is True
     assert section["boolean"] is True and section["non_boolean_witness"] is None
 
 
@@ -308,6 +313,26 @@ def test_boolean_completion_of_an_empty_scheme(tmp_path, capsys):
     section = report["sections"]["complete"]
     assert section["members"] == ["[]"] and section["size"] == 1
     assert section["boolean"] is True and section["non_boolean_witness"] is None
+
+
+def test_boolean_completion_at_sixteen_classical_members_lists_the_first(tmp_path, capsys):
+    """n=16, the classical coevents: 2^16 members, the first WITNESS_LIST_CAP listed."""
+    argv = ["complete", amplitude_file(tmp_path, 16), "--set", "classical", "--mode", "boolean"]
+    section = machine(capsys, argv)["sections"]["complete"]
+    space = enumerate_classical(load(argv[1]).algebra)
+    assert section["size"] == 65536
+    assert section["members"] == [space.render(b) for b in range(WITNESS_LIST_CAP)]
+    assert section["members_truncated"] is True
+    assert section["boolean"] is True and section["non_boolean_witness"] is None
+
+
+def test_empty_scheme_completions_are_listed_whole(tmp_path, capsys):
+    path = tmp_path / "cancelling.json"
+    path.write_text(json.dumps({"sample_space": ["a", "b"], "measure": {"amplitudes": [1, -1]}}))
+    for mode in ("upper", "boolean"):
+        argv = ["complete", str(path), "--set", "scheme", "--mode", mode]
+        section = machine(capsys, argv)["sections"]["complete"]
+        assert section["members"] == ["[]"] and "members_truncated" not in section
 
 
 def test_boolean_completion_hard_cap(capsys):

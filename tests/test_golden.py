@@ -5,8 +5,8 @@ The files under ``tests/golden/`` are ``coevents <verb> <theory> --format
 format.  A golden named ``<verb>_<theory>`` runs the verb with its default
 flags.  One named ``<verb>-<case>_<theory>`` runs it with the flags that
 ``FLAGS`` lists for ``<verb>-<case>``.  ``report`` is kept only for the two
-small theories: on ``four_slit_decoherence`` it is megabytes long and takes
-seconds.  A change that means to alter the output regenerates a golden
+small theories; on ``four_slit_decoherence`` its machine form is about
+126 KB.  A change that means to alter the output regenerates a golden
 with, for example,
 
     PYTHONPATH=src python -m coevents validate demos/theories/three_slit.json \\
