@@ -555,6 +555,14 @@ def or_discrepancies(space: CoeventSpace) -> Iterator[tuple[int, int, int]]:
             inside = a & p
             if inside in (0, p):
                 continue
-            for b in iter_supermasks(p ^ inside, full):
+            # b = outside | extra over the submasks extra of free, ascending
+            outside = p ^ inside
+            free = full ^ outside
+            extra = 0
+            while True:
+                b = outside | extra
                 if b >= a and b & inside != inside:
                     yield i, a, b
+                if extra == free:
+                    break
+                extra = (extra - free) & free

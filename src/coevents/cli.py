@@ -199,12 +199,14 @@ def section_coevents(
 
 
 def section_tau(space: CoeventSpace, event: Event) -> dict[str, Any]:
-    val = beables.tau(event, space)
+    # only the row's members are rendered, not the whole space
+    row = beables.tau(event, space).bits
+    members = [str(space.members[i]) for i in set_bits(row)]
     return {
         "set": space.provenance,
         "event": str(event),
-        "valuation_event": str(val),
-        "members": [space.renderings[i] for i in set_bits(val.bits)],
+        "valuation_event": "[" + ", ".join(members) + "]",
+        "members": members,
     }
 
 
@@ -346,14 +348,16 @@ def section_topos(
             "sieve": instance.render_sieve(sieve),
         }
     else:
+        # chi_vsupp for every (context, event) cell: the event's tau row
+        # restricted to the context's up-set, each row read once
+        space, poset = instance.space, instance.poset
         names = instance.algebra.space.event_names
-        rows = []
-        for phi, rendered in zip(instance.space, instance.space.renderings):
-            for ev, name in zip(instance.algebra.events(), names):
-                sieve = topos.chi_vsupp(instance, phi, ev)
-                rows.append(
-                    {"context": rendered, "event": name, "sieve": instance.render_sieve(sieve)}
-                )
+        tau_rows = [space.tau_row(mask) for mask in range(len(names))]
+        rows = [
+            {"context": rendered, "event": name, "sieve": f"@{rendered}: {space.render(row & up)}"}
+            for rendered, up in zip(space.renderings, poset.up)
+            for row, name in zip(tau_rows, names)
+        ]
         section["chi"] = {"mode": "table", "rows": rows}
     section["notes"] = notes
     return section
@@ -444,32 +448,106 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
 # Rendering
 
 
+_json_string = json.encoder.encode_basestring
+
+
 def render_machine(report: dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The report as canonical JSON: ``json.dumps(report, sort_keys=True,
+    indent=2, ensure_ascii=False)`` and a newline, written in one pass.
+
+    ``json.dumps`` with an indent runs CPython's pure-Python encoder; this
+    writer keeps only its C string encoder.  It takes dicts with str keys,
+    lists, tuples, str, int, bool and None; any other value raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _render_lines(value: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
+def _write_json(value: Any, pad: str, out: list[str]) -> None:
+    """Append ``value`` as indented JSON, ``pad`` being its own line's indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(_json_string(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{\n" + inner
         for key in sorted(value):
             item = value[key]
-            if isinstance(item, (dict, list)):
+            kind = type(item)
+            # the scalars most reports hold, inline; the rest one level down
+            if kind is str:
+                out.append(f"{lead}{_json_string(key)}: {_json_string(item)}")
+            elif kind is bool:
+                out.append(f"{lead}{_json_string(key)}: {'true' if item else 'false'}")
+            elif kind is int:
+                out.append(f"{lead}{_json_string(key)}: {int.__repr__(item)}")
+            else:
+                out.append(f"{lead}{_json_string(key)}: ")
+                _write_json(item, inner, out)
+            lead = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(item) is str for item in value):
+            items = f",\n{inner}".join(map(_json_string, value))
+            out.append(f"[\n{inner}{items}\n{pad}]")
+            return
+        lead = "[\n" + inner
+        for item in value:
+            out.append(lead)
+            _write_json(item, inner, out)
+            lead = ",\n" + inner
+        out.append(f"\n{pad}]")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_text(value: Any, pad: str, out: list[str]) -> None:
+    """Append the lines of a dict or a list at indent ``pad``: a scalar on
+    its key's or dash's line, a dict or list on the lines below, one level in."""
+    inner = pad + "  "
+    if type(value) is dict:
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(f"{pad}{key}: {item}")
+            elif kind is dict or kind is list:
                 out.append(f"{pad}{key}:")
-                _render_lines(item, indent + 1, out)
+                _write_text(item, inner, out)
             else:
                 out.append(f"{pad}{key}: {_scalar(item)}")
-    elif isinstance(value, list):
+    elif type(value) is list:
         if not value:
             out.append(f"{pad}(none)")
-        for item in value:
-            if isinstance(item, (dict, list)):
-                out.append(f"{pad}-")
-                _render_lines(item, indent + 1, out)
-            else:
-                out.append(f"{pad}- {_scalar(item)}")
+        elif any(type(item) is dict or type(item) is list for item in value):
+            for item in value:
+                if type(item) is dict or type(item) is list:
+                    out.append(f"{pad}-")
+                    _write_text(item, inner, out)
+                else:
+                    out.append(f"{pad}- {_scalar(item)}")
+        else:
+            out.extend([f"{pad}- {_scalar(item)}" for item in value])
 
 
 def _scalar(value: Any) -> str:
+    if type(value) is str:
+        return value
     if value is True:
         return "yes"
     if value is False:
@@ -480,20 +558,17 @@ def _scalar(value: Any) -> str:
 
 
 def render_text(report: dict[str, Any]) -> str:
-    out: list[str] = [f"command: {report['command']}"]
     theory = report["theory"]
-    out.append(
-        "theory: "
-        + ",".join(theory["labels"])
-        + f" ({theory['measure_kind']})"
-    )
-    out.append("")
-    out.append("# measure")
-    _render_lines(theory["values"], 1, out)
+    out = [
+        f"command: {report['command']}",
+        "theory: " + ",".join(theory["labels"]) + f" ({theory['measure_kind']})",
+        "",
+        "# measure",
+    ]
+    _write_text(theory["values"], "  ", out)
     for name in sorted(report["sections"]):
-        out.append("")
-        out.append(f"# {name}")
-        _render_lines(report["sections"][name], 1, out)
+        out += ("", f"# {name}")
+        _write_text(report["sections"][name], "  ", out)
     return "\n".join(out) + "\n"
 
 

@@ -173,3 +173,50 @@ def small_algebra(request) -> EventAlgebra:
 @pytest.fixture(scope="session")
 def theory_corpus():
     return corpus()
+
+
+def render_text_oracle(report: dict[str, Any]) -> str:
+    """Oracle: the text report as first written, with each container
+    rendered by one call that rebuilds its indent from the depth and tests
+    for dicts and lists with ``isinstance``."""
+
+    def scalar(value: Any) -> str:
+        if value is True:
+            return "yes"
+        if value is False:
+            return "no"
+        if value is None:
+            return "-"
+        return str(value)
+
+    def lines(value: Any, indent: int, out: list[str]) -> None:
+        pad = "  " * indent
+        if isinstance(value, dict):
+            for key in sorted(value):
+                item = value[key]
+                if isinstance(item, (dict, list)):
+                    out.append(f"{pad}{key}:")
+                    lines(item, indent + 1, out)
+                else:
+                    out.append(f"{pad}{key}: {scalar(item)}")
+        elif isinstance(value, list):
+            if not value:
+                out.append(f"{pad}(none)")
+            for item in value:
+                if isinstance(item, (dict, list)):
+                    out.append(f"{pad}-")
+                    lines(item, indent + 1, out)
+                else:
+                    out.append(f"{pad}- {scalar(item)}")
+
+    out: list[str] = [f"command: {report['command']}"]
+    theory = report["theory"]
+    out.append("theory: " + ",".join(theory["labels"]) + f" ({theory['measure_kind']})")
+    out.append("")
+    out.append("# measure")
+    lines(theory["values"], 1, out)
+    for name in sorted(report["sections"]):
+        out.append("")
+        out.append(f"# {name}")
+        lines(report["sections"][name], 1, out)
+    return "\n".join(out) + "\n"

@@ -30,10 +30,11 @@ from coevents import (
 from coevents import beables as beables_mod
 from coevents.beables import OrderReport, _flags_from_principals, _flags_from_table
 from coevents.catalog import three_slit
-from coevents.cli import section_audit, section_complete
+from coevents.cli import section_audit, section_complete, section_tau, section_topos
 from coevents.coevent import enumerate_classical, multiplicative_scheme
-from coevents.eventalg import WITNESS_LIST_CAP
+from coevents.eventalg import WITNESS_LIST_CAP, set_bits
 from coevents.theoryfile import load_data
+from coevents.topos import build_instance, chi_vsupp
 
 from conftest import (
     algebra_of_size,
@@ -771,15 +772,25 @@ def test_subset_renderings_of_the_empty_space():
 def test_subset_renderings_stop_doubling_past_the_limit(data):
     """With a limit the list is the full list's prefix of the first power of
     two above the limit (or all of it): its first ``limit`` strings are the
-    full list's, and it holds more than ``limit`` iff the full list does."""
+    full list's, and it holds more than ``limit`` iff the full list does.
+
+    The full list has 2^|V| strings and a drawn run of duals has up to 64
+    members, so the full list itself is built only for |V| <= 12; every
+    drawn space checks its cut lists against ``render`` of each bit pattern.
+    """
     space = data.draw(st.one_of(mixed_spaces(), dual_spaces()), label="space")
-    full = space.subset_renderings()
-    assert space.subset_renderings(None) == full
+    size = 1 << len(space)
+    full = space.subset_renderings() if len(space) <= 12 else None
+    if full is not None:
+        assert full == [space.render(b) for b in range(size)]
+        assert space.subset_renderings(None) == full
     for limit in (0, 1, 5):
         head = space.subset_renderings(limit)
-        assert head == full[: 1 << limit.bit_length()]
-        assert head[:limit] == full[:limit]
-        assert (len(head) > limit) == (len(full) > limit)
+        assert head == [space.render(b) for b in range(min(size, 1 << limit.bit_length()))]
+        if full is not None:
+            assert head == full[: 1 << limit.bit_length()]
+            assert head[:limit] == full[:limit]
+        assert (len(head) > limit) == (size > limit)
 
 
 @settings(max_examples=100, deadline=None)
@@ -804,6 +815,42 @@ def test_section_complete_lists_the_first_members_and_marks_the_cut(data):
         assert section["members"] == [space.render(b) for b in member_bits[:limit]]
         assert section.pop("members_truncated", False) == (len(member_bits) > limit)
         assert {**section, "members": uncut["members"]} == uncut
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=dual_spaces())
+def test_chi_table_rows_are_the_single_queries(space):
+    """Each row of the topos section's χ table is ``render_sieve(chi_vsupp(...))``
+    for its (context, event) cell: contexts in member order, then events in
+    mask order."""
+    instance = build_instance(space, cap=space.algebra.space.n)
+    names = space.algebra.space.event_names
+    assert section_topos(instance, None, False, None, None)["chi"] == {
+        "mode": "table",
+        "rows": [
+            {
+                "context": rendered,
+                "event": names[event.mask],
+                "sieve": instance.render_sieve(chi_vsupp(instance, phi, event)),
+            }
+            for phi, rendered in zip(space, space.renderings)
+            for event in space.algebra.events()
+        ],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_section_tau_renders_the_row(data):
+    """The tau section lists the row's members and renders the row as
+    ``space.render`` does, on spaces of duals and mixed spaces."""
+    space = data.draw(st.one_of(dual_spaces(), mixed_spaces()), label="space")
+    event = space.algebra.event(data.draw(st.integers(0, space.algebra.size - 1), label="A"))
+    row = space.tau_row(event.mask)
+    section = section_tau(space, event)
+    assert section["valuation_event"] == space.render(row) == str(tau(event, space))
+    assert section["members"] == [space.renderings[i] for i in set_bits(row)]
+    assert (section["set"], section["event"]) == (space.provenance, str(event))
 
 
 def test_valuation_event_rendering():

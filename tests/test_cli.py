@@ -6,12 +6,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coevents import coevent as coevent_module, topos as topos_module
-from coevents.cli import run
+from coevents.cli import render_machine, render_text, run
 from coevents.coevent import Coevent, enumerate_classical, enumerate_multiplicative
 from coevents.eventalg import WITNESS_LIST_CAP
 from coevents.theoryfile import load
+
+from conftest import render_text_oracle
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
 FAIR_COIN = str(THEORIES / "fair_coin.json")
@@ -588,3 +591,61 @@ def test_report_skips_the_sections_over_their_caps(tmp_path, capsys):
     }
     assert sections["coevents-multiplicative"]["count"] == 31
     assert sum("skipped" in section for section in sections.values()) == 3
+
+
+# ---------------------------------------------------------------------------
+# Writers: render_machine against json.dumps, render_text against the oracle
+
+# Strings a report may carry: non-ASCII, quotes, backslashes, control
+# characters and the line separators JSON leaves unescaped.
+TEXTS = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé∗{}\u2028'), st.characters()),
+    max_size=8,
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**80), 2**80), TEXTS
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(TEXTS, max_size=4),
+        st.dictionaries(TEXTS, inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+REPORTS = st.fixed_dictionaries(
+    {
+        "command": TEXTS,
+        "theory": st.fixed_dictionaries(
+            {
+                "labels": st.lists(TEXTS, max_size=3),
+                "measure_kind": TEXTS,
+                "values": st.dictionaries(TEXTS, TEXTS, max_size=4),
+            }
+        ),
+        "sections": st.dictionaries(TEXTS, TREES, max_size=3),
+    }
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=st.one_of(REPORTS, st.dictionaries(TEXTS, TREES, max_size=5)))
+def test_render_machine_is_json_dumps_with_an_indent(tree):
+    expected = json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert render_machine(tree) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=REPORTS)
+def test_render_text_matches_the_oracle(report):
+    assert render_text(report) == render_text_oracle(report)
+
+
+@pytest.mark.parametrize("value", [0.5, float("nan"), {1, 2}, frozenset(), b"x"])
+@pytest.mark.parametrize("where", ["value", "item", "nested"])
+def test_render_machine_refuses_values_outside_its_types(value, where):
+    report = {"value": {"a": value}, "item": {"a": [1, value]}, "nested": {"a": [{"b": value}]}}
+    with pytest.raises(TypeError):
+        render_machine(report[where])
