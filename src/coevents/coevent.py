@@ -1,7 +1,8 @@
 """Coevents: truth-valuation maps from the event algebra to Z2.
 
-A coevent is stored by its support, the set of events it maps to 1,
-except a dual, which is stored by its principal mask.
+A coevent is held in one of two forms.  A dual p* is held as its
+principal mask p alone.  Any other coevent is held as one integer of
+support bits: bit A is set iff it maps the event with mask A to 1.
 Classical coevents are exactly the Boolean homomorphisms (evaluation
 at a single history); multiplicative coevents preserve meets and are
 dual to events via the principal element of their filter support.
@@ -28,9 +29,8 @@ from .eventalg import (
     EventAlgebra,
     EventFamily,
     down_set,
-    filter_principal,
-    iter_supermasks,
     masks_lacking,
+    principal_of,
     set_bits,
 )
 from .measure import Measure
@@ -43,32 +43,36 @@ BRUTE_FORCE_HARD_CAP = 4
 
 
 def _init(
-    phi: Coevent,
-    algebra: EventAlgebra,
-    support: Optional[frozenset[int]],
-    principal: Optional[int],
-) -> None:
-    """Set the three slots of a new coevent; a dual has no support."""
+    phi: Coevent, algebra: EventAlgebra, principal: Optional[int], bits: Optional[int]
+) -> Coevent:
+    """Set the three slots of a new coevent; a dual stores no support bits."""
     object.__setattr__(phi, "algebra", algebra)
-    object.__setattr__(phi, "_support", support)
     object.__setattr__(phi, "principal_mask", principal)
+    object.__setattr__(phi, "_bits", bits)
+    return phi
+
+
+def _hold(phi: Coevent, algebra: EventAlgebra, bits: int) -> Coevent:
+    """Hold a new coevent with support bits ``bits`` in its form: the dual
+    of a filter's principal mask, else the bits."""
+    p = principal_of(bits, algebra.space.full_mask)
+    return _init(phi, algebra, p, None if p is not None else bits)
 
 
 class Coevent:
     """A map from the event algebra to {0, 1}.
 
-    Held as its support, the set of events it maps to 1, except a dual
-    p* built by the constructions below, which is held as its principal
-    mask p alone; its support, the supersets of p, is derived on each
-    read and never stored.  ``principal_mask`` is the mask p whose
-    supersets are exactly the support, else None: not None iff the
-    coevent is the dual p* (the constant-one map when p = 0).  Every
-    constructor fixes it.  Equality and hashing use the principal mask
-    whenever a coevent has one, else the support, so a dual equals the
-    coevent built from its support.
+    Held in one of two forms, which every constructor chooses.  A dual
+    p*, the map true exactly on the supersets of p, is held as
+    ``principal_mask`` = p and nothing else (the constant-one map when
+    p = 0).  Any other coevent is held as one integer of support bits,
+    bit A set iff it maps A to 1, with ``principal_mask`` None.  A
+    support that is a filter is held as its dual, so equality and
+    hashing read p for a dual and the support bits otherwise, and a
+    dual equals the coevent built from its support.
     """
 
-    __slots__ = ("algebra", "_support", "principal_mask")
+    __slots__ = ("algebra", "principal_mask", "_bits")
 
     def __init__(self, algebra: EventAlgebra, support: Iterable[int]) -> None:
         support = frozenset(support)
@@ -76,21 +80,12 @@ class Coevent:
         bad = [m for m in support if not 0 <= m < size]
         if bad:
             raise ValueError(f"support masks {bad[:4]} outside the algebra")
-        _init(self, algebra, support, filter_principal(support, algebra.space.n))
-
-    @classmethod
-    def _unchecked(cls, algebra: EventAlgebra, support: frozenset[int]) -> "Coevent":
-        """A coevent from a support already known to lie inside the algebra."""
-        phi = object.__new__(cls)
-        _init(phi, algebra, support, filter_principal(support, algebra.space.n))
-        return phi
+        _hold(self, algebra, sum(1 << m for m in support))
 
     @classmethod
     def _dual(cls, algebra: EventAlgebra, p: int) -> "Coevent":
         """The dual p*, held as its principal mask p, a mask of the algebra."""
-        phi = object.__new__(cls)
-        _init(phi, algebra, None, p)
-        return phi
+        return _init(object.__new__(cls), algebra, p, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -99,27 +94,29 @@ class Coevent:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
-    def support(self) -> frozenset[int]:
-        """The events mapped to 1, as masks."""
-        if self._support is None:
-            full = self.algebra.space.full_mask
-            return frozenset(iter_supermasks(self.principal_mask, full))
-        return self._support
+    def _support_bits(self) -> int:
+        """Bit A is set iff the coevent maps A to 1; a dual p*'s, the
+        supersets of p, are derived on each read and never stored."""
+        p = self.principal_mask
+        if p is None:
+            return self._bits
+        return down_set(self.algebra.space.full_mask ^ p) << p
 
     @property
-    def support_key(self) -> tuple[int, ...]:
-        """Canonical support encoding: member masks in ascending order."""
-        return tuple(sorted(self.support))
+    def support(self) -> frozenset[int]:
+        """The events mapped to 1, as masks."""
+        return frozenset(set_bits(self._support_bits))
 
     @property
     def is_zero(self) -> bool:
-        return self.principal_mask is None and not self._support
+        return self._bits == 0
 
     @property
-    def _key(self) -> int | frozenset[int]:
-        """The principal mask if there is one, else the support."""
+    def _key(self) -> int:
+        """p for a dual, else the complement of the support bits: a dual's
+        key is never negative and any other coevent's always is."""
         p = self.principal_mask
-        return self._support if p is None else p
+        return ~self._bits if p is None else p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coevent):
@@ -133,12 +130,9 @@ class Coevent:
         return f"Coevent(algebra={self.algebra!r}, support={self.support!r})"
 
     def __reduce__(self) -> tuple:
-        if self._support is None:
+        if self._bits is None:
             return Coevent._dual, (self.algebra, self.principal_mask)
-        return Coevent, (self.algebra, self._support)
-
-    def support_family(self) -> EventFamily:
-        return EventFamily.from_masks(self.algebra.space, self.support)
+        return Coevent, (self.algebra, set_bits(self._bits))
 
     def __call__(self, event: Event) -> int:
         if event.space != self.algebra.space:
@@ -146,13 +140,14 @@ class Coevent:
         p = self.principal_mask
         if p is not None:
             return 1 if event.mask & p == p else 0
-        return 1 if event.mask in self._support else 0
+        return self._bits >> event.mask & 1
 
     def __str__(self) -> str:
         p = self.principal_mask
         if p is not None:
             return f"{Event(self.algebra.space, p)}*"
-        return str(self.support_family())
+        names = self.algebra.space.event_names
+        return "[" + ", ".join(names[m] for m in set_bits(self._bits)) + "]"
 
 
 def evaluate(phi: Coevent, event: Event) -> int:
@@ -164,8 +159,8 @@ def evaluate(phi: Coevent, event: Event) -> int:
 class CoeventSpace:
     """A finite set of coevents over one algebra, canonically ordered.
 
-    The canonical order is lexicographic on the support encoding
-    (ascending member masks).  A dual's least support mask is its
+    The canonical order is lexicographic on the supports, each read as
+    its ascending list of event masks.  A dual's least support mask is its
     principal mask, so for duals it is ascending principal masks, the
     order in which the constructions below build their spaces.
     """
@@ -180,7 +175,7 @@ class CoeventSpace:
             raise ValueError("coevent space members must be distinct; use build")
 
     @cached_property
-    def _index(self) -> dict[int | frozenset[int], int]:
+    def _index(self) -> dict[int, int]:
         return {phi._key: i for i, phi in enumerate(self.members)}
 
     @classmethod
@@ -191,9 +186,9 @@ class CoeventSpace:
         for phi in coevents:
             if phi.algebra != algebra:
                 raise MismatchedSpace("coevent belongs to a different algebra")
-            unique[phi.support_key] = phi
-        ordered = tuple(unique[k] for k in sorted(unique))
-        return cls(algebra, ordered, provenance)
+            unique[phi._key] = phi
+        ordered = sorted(unique.values(), key=lambda phi: set_bits(phi._support_bits))
+        return cls(algebra, tuple(ordered), provenance)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -269,8 +264,8 @@ class CoeventSpace:
         witnesses and the test oracles.  On a space of duals the members
         left out of tau(A) are those whose principal holds a history
         outside A, so their sets double once per history j: the events
-        without j add the members holding j.  Any other space scans the
-        supports.
+        without j add the members holding j.  Any other space scans each
+        member's support bits, a dual's among them.
         """
         if self.principals is not None:
             outside = [0]
@@ -281,7 +276,7 @@ class CoeventSpace:
         table = [0] * self.algebra.size
         for i, phi in enumerate(self.members):
             bit = 1 << i
-            for m in phi.support:
+            for m in set_bits(phi._support_bits):
                 table[m] |= bit
         return tuple(table)
 
@@ -368,7 +363,7 @@ def is_classical(phi: Coevent) -> bool:
     Preserving meets makes a nonzero support a filter, the supersets of
     a principal event P; preserving complements and joins as well
     forces P to be a single history.  So phi is classical iff its
-    principal mask has one bit, an O(|support|) test.  The pairwise
+    principal mask has one bit, fixed when phi was built.  The pairwise
     definition is the oracle in the tests.
     """
     p = phi.principal_mask
@@ -380,7 +375,7 @@ def is_multiplicative(phi: Coevent, include_empty_dual: bool = False) -> bool:
 
     The zero map satisfies it; a nonzero phi does iff its support is a
     filter (upward closed and closed under meets), which its principal
-    mask decides in O(|support|).  The constant-one map satisfies the
+    mask, fixed when phi was built, decides.  The constant-one map satisfies the
     pointwise identity but asserts the impossible event; under the
     default convention it is rejected, matching the default exclusion
     of the empty event's dual.  Pass ``include_empty_dual=True`` for the
@@ -396,27 +391,30 @@ def is_preclusive(phi: Coevent, m: Measure) -> bool:
     """True iff phi maps every measure-zero event to 0 (the measure's null masks).
 
     A dual p* is, iff no null event contains p: bit p of the null sets'
-    down-closure is clear.
+    down-closure is clear.  Any other coevent is, iff its support bits
+    at the null masks are all clear.
     """
     if phi.algebra != m.algebra:
         raise MismatchedSpace("coevent and measure live on different algebras")
     p = phi.principal_mask
     if p is not None:
         return not m.null_down_set >> p & 1
-    return phi._support.isdisjoint(m.null_masks)
+    bits = phi._bits
+    return not any(bits >> a & 1 for a in m.null_masks)
 
 
 def check_modus_ponens(phi: Coevent) -> bool:
     """True iff A <= B and phi(A) = 1 imply phi(B) = 1.
 
     Equivalent to the support being upward closed: at once for a filter
-    (a principal mask), else iff each member A has every A | {i} in the
-    support, O(n |support|).  The superset walk is the test oracle.
+    (a principal mask), else iff for each history i the members without
+    i, shifted up by 2^i to their unions with {i}, are all members, n
+    operations on the support bits.  The superset walk is the test oracle.
     """
     if phi.principal_mask is not None:
         return True
-    n = phi.algebra.space.n
-    return all(m | 1 << i in phi.support for m in phi.support for i in range(n))
+    bits, n = phi._bits, phi.algebra.space.n
+    return not any((bits & masks_lacking(n, i)) << (1 << i) & ~bits for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +456,7 @@ def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> Coe
 
     Deliberately capped; this is the oracle against which the
     constructive enumerations are checked on small instances.  The
-    supports are made in canonical order and lie in the algebra by
-    construction, so neither is checked again.
+    supports are made as support bits, in canonical order.
     """
     n = algebra.space.n
     what = "brute-force coevent enumeration"
@@ -468,28 +465,29 @@ def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> Coe
     if n > cap:
         raise CapExceeded(what, cap, n)
     members = tuple(
-        Coevent._unchecked(algebra, frozenset(support))
-        for support in _supports_in_order(algebra.size)
+        _hold(object.__new__(Coevent), algebra, bits)
+        for bits in _supports_in_order(algebra.size)
     )
     return CoeventSpace(algebra, members, provenance="all")
 
 
-def _supports_in_order(size: int) -> Iterator[tuple[int, ...]]:
-    """Every set of masks below ``size`` as its ascending tuple, in canonical order.
+def _supports_in_order(size: int) -> Iterator[int]:
+    """Every set of masks below ``size`` as its bits, in canonical order.
 
     Canonical (lexicographic) order is depth first over the masks: each
     support comes just before its extensions by larger masks.  So the
     successor of S is S plus (its last mask + 1) while that is a mask,
     else S with its last two masks replaced by (its second-last + 1).
     """
-    support: tuple[int, ...] = ()
+    bits = 0
     while True:
-        yield support
-        last = support[-1] if support else -1
+        yield bits
+        last = bits.bit_length() - 1  # -1 for the empty support
         if last + 1 < size:
-            support += (last + 1,)
-        elif len(support) > 1:
-            support = support[:-2] + (support[-2] + 1,)
+            bits |= 1 << (last + 1)
+        elif bits != 1 << last:
+            second = (bits ^ 1 << last).bit_length() - 1
+            bits ^= (1 << last) ^ (1 << second) ^ (1 << (second + 1))
         else:
             return
 

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import MismatchedSpace, UnknownHistory
 
@@ -364,19 +364,18 @@ def down_closure(a: Event) -> EventFamily:
     return EventFamily(a.space, tuple(iter_submasks(a.mask)))
 
 
-def filter_principal(masks: Collection[int], n: int) -> Optional[int]:
-    """The mask p with ``masks`` exactly the filter of supersets of p, else None.
+def principal_of(bits: int, full: int) -> Optional[int]:
+    """The mask p whose supersets within ``full`` are exactly the events
+    whose bits are set in ``bits``, else None.
 
-    ``masks`` are distinct events of an n-history space.  Each contains
-    their intersection p, so they lie inside the 2^(n - |p|) supersets
-    of p and are all of them iff there are that many.
+    A filter's least member is its principal p, since every member
+    contains p, and its supersets are the submasks of ``full ^ p``
+    shifted up by p: one :func:`down_set`, compared with ``bits``.
     """
-    if not masks:
+    if not bits:
         return None
-    p = (1 << n) - 1
-    for m in masks:
-        p &= m
-    return p if len(masks) == 1 << (n - p.bit_count()) else None
+    p = (bits & -bits).bit_length() - 1
+    return p if bits == down_set(full ^ p) << p else None
 
 
 def is_filter(family: EventFamily) -> tuple[bool, Optional[Event]]:
@@ -385,9 +384,9 @@ def is_filter(family: EventFamily) -> tuple[bool, Optional[Event]]:
     A filter is nonempty, upward closed, and closed under intersection.
     On the full powerset carrier it is exactly the supersets of its
     principal (least) element, which is returned alongside ``True``.
-    Costs O(|family|); see :func:`filter_principal`.
+    Reads the family as one integer of bits; see :func:`principal_of`.
     """
-    p = filter_principal(family.masks, family.space.n)
+    p = principal_of(sum(1 << m for m in family.masks), family.space.full_mask)
     if p is None:
         return False, None
     return True, Event(family.space, p)

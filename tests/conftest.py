@@ -4,7 +4,7 @@ import pytest
 
 from typing import Any
 
-from coevents import CoeventSpace, EventAlgebra, SampleSpace
+from coevents import Coevent, CoeventSpace, EventAlgebra, SampleSpace
 from coevents.beables import OrderReport, and_or_audit
 from coevents.coevent import principal_event
 from coevents.catalog import corpus
@@ -29,6 +29,11 @@ def abc_algebra() -> EventAlgebra:
 
 def algebra_of_size(n: int) -> EventAlgebra:
     return EventAlgebra(SampleSpace(LETTER_LABELS[:n]))
+
+
+def support_key(phi: Coevent) -> tuple[int, ...]:
+    """A coevent's support as its ascending masks, the order-defining key."""
+    return tuple(sorted(phi.support))
 
 
 def dual_up_masks(space: CoeventSpace) -> list[int]:

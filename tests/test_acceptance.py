@@ -54,7 +54,7 @@ from coevents.topos import (
     sieves_at,
 )
 
-from conftest import LETTER_LABELS, algebra_of_size, dual_up_masks
+from conftest import LETTER_LABELS, algebra_of_size, dual_up_masks, support_key
 from test_topos import all_subobjects, poset_corpus
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
@@ -92,27 +92,27 @@ def test_criterion_02_homomorphism_census():
             everything = enumerate_coevents(alg)
             assert len(everything) == 1 << alg.size
 
-            classical = {phi.support_key for phi in everything if is_classical(phi)}
+            classical = {support_key(phi) for phi in everything if is_classical(phi)}
             expected = {
-                classical_from_history(alg, lab).support_key
+                support_key(classical_from_history(alg, lab))
                 for lab in alg.space.labels
             }
             assert classical == expected and len(classical) == n
 
             zero_key = ()
             literal = {
-                phi.support_key
+                support_key(phi)
                 for phi in everything
                 if is_multiplicative(phi, include_empty_dual=True)
             }
             assert literal == {
-                phi.support_key
+                support_key(phi)
                 for phi in enumerate_multiplicative(alg, include_empty_dual=True)
             } | {zero_key}
 
-            strict = {phi.support_key for phi in everything if is_multiplicative(phi)}
+            strict = {support_key(phi) for phi in everything if is_multiplicative(phi)}
             assert strict == {
-                phi.support_key for phi in enumerate_multiplicative(alg)
+                support_key(phi) for phi in enumerate_multiplicative(alg)
             } | {zero_key}
 
 

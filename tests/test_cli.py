@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coevents import coevent as coevent_module, topos as topos_module
 from coevents.cli import render_machine, render_text, run
 from coevents.coevent import Coevent, enumerate_classical, enumerate_multiplicative
-from coevents.eventalg import WITNESS_LIST_CAP
+from coevents.eventalg import WITNESS_LIST_CAP, iter_supermasks
 from coevents.theoryfile import load
 
 from conftest import render_text_oracle
@@ -467,15 +467,16 @@ def test_verbs_on_all_duals_derive_no_support(tmp_path, capsys, monkeypatch, arg
     report never derive a support, and print the same bytes as a run that
     builds every dual from its explicit support."""
     argv = [argv[0], amplitude_file(tmp_path, 10), "--format", fmt, *argv[1:]]
-    plain = coevent_module.iter_supermasks
+    plain = Coevent._support_bits.fget
     derived = []
+    spy = property(lambda phi: derived.append(phi) or plain(phi))
     with monkeypatch.context() as m:
-        m.setattr(coevent_module, "iter_supermasks", lambda *a: derived.append(a) or plain(*a))
+        m.setattr(Coevent, "_support_bits", spy)
         rc, out, _ = invoke(capsys, argv)
     assert rc == 0 and derived == []
 
     def explicit(cls, algebra, p):
-        return Coevent(algebra, plain(p, algebra.space.full_mask))
+        return Coevent(algebra, iter_supermasks(p, algebra.space.full_mask))
 
     with monkeypatch.context() as m:
         m.setattr(Coevent, "_dual", classmethod(explicit))

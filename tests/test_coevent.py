@@ -33,10 +33,10 @@ from coevents import (
 )
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
 from coevents.coevent import enumerate_classical, preclusive_dual_events, principal_event
-from coevents.eventalg import EventFamily, filter_principal, iter_supermasks, set_bits
+from coevents.eventalg import Event, EventFamily, iter_supermasks, set_bits
 from coevents.measure import null_cover_exists, null_sets
 
-from conftest import algebra_of_size
+from conftest import algebra_of_size, support_key
 
 
 def zero_coevent(alg: EventAlgebra) -> Coevent:
@@ -107,9 +107,9 @@ def test_is_classical_examples(coin_algebra):
 def test_classical_census_by_brute_force(n):
     alg = algebra_of_size(n)
     everything = enumerate_coevents(alg)
-    found = {phi.support_key for phi in everything if is_classical(phi)}
+    found = {support_key(phi) for phi in everything if is_classical(phi)}
     expected = {
-        classical_from_history(alg, lab).support_key for lab in alg.space.labels
+        support_key(classical_from_history(alg, lab)) for lab in alg.space.labels
     }
     assert found == expected
     assert len(found) == n
@@ -192,23 +192,23 @@ def test_multiplicative_census_by_brute_force(n):
     alg = algebra_of_size(n)
     everything = enumerate_coevents(alg)
 
-    strict = {phi.support_key for phi in everything if is_multiplicative(phi)}
+    strict = {support_key(phi) for phi in everything if is_multiplicative(phi)}
     expected_strict = {
-        phi.support_key for phi in enumerate_multiplicative(alg)
-    } | {zero_coevent(alg).support_key}
+        support_key(phi) for phi in enumerate_multiplicative(alg)
+    } | {support_key(zero_coevent(alg))}
     assert strict == expected_strict
 
     literal = {
-        phi.support_key
+        support_key(phi)
         for phi in everything
         if is_multiplicative(phi, include_empty_dual=True)
     }
     expected_literal = {
-        phi.support_key
+        support_key(phi)
         for phi in enumerate_multiplicative(alg, include_empty_dual=True)
-    } | {zero_coevent(alg).support_key}
+    } | {support_key(zero_coevent(alg))}
     assert literal == expected_literal
-    assert literal - strict == {constant_one(alg).support_key}
+    assert literal - strict == {support_key(constant_one(alg))}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -216,7 +216,7 @@ def test_nonzero_multiplicative_iff_filter_support(n):
     alg = algebra_of_size(n)
     for phi in enumerate_coevents(alg):
         lhs = is_multiplicative(phi, include_empty_dual=True) and not phi.is_zero
-        rhs = is_filter(phi.support_family())[0]
+        rhs = is_filter(EventFamily.from_masks(alg.space, phi.support))[0]
         assert lhs == rhs
 
 
@@ -230,6 +230,21 @@ def test_classical_implies_multiplicative(n):
 
 # ---------------------------------------------------------------------------
 # The principal-mask closed forms against their pairwise definitions
+
+
+def filter_principal(masks: frozenset[int], n: int) -> int | None:
+    """Oracle: the mask p with ``masks`` exactly the supersets of p, else None.
+
+    Each of the distinct masks contains their intersection p, so they lie
+    inside the 2^(n - |p|) supersets of p and are all of them iff there
+    are that many.
+    """
+    if not masks:
+        return None
+    p = (1 << n) - 1
+    for m in masks:
+        p &= m
+    return p if len(masks) == 1 << (n - p.bit_count()) else None
 
 
 def filter_oracle(support: frozenset[int], full: int) -> bool:
@@ -259,11 +274,13 @@ def classical_oracle(phi: Coevent) -> bool:
 
 
 @st.composite
-def supports(draw):
-    """An algebra of n <= 5 histories and a support on it: random, or a
-    filter of supersets with nothing, one mask added or one removed."""
-    n = draw(st.integers(1, 5), label="n")
-    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+def supports(draw, alg=None):
+    """An algebra of n <= 5 histories, unless one is given, and a support on
+    it: random, or a filter of supersets with nothing, one mask added or one
+    removed."""
+    if alg is None:
+        n = draw(st.integers(1, 5), label="n")
+        alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
     full = alg.space.full_mask
     kind = draw(st.sampled_from(["random", "filter", "plus one", "minus one"]), label="kind")
     if kind == "random":
@@ -354,16 +371,16 @@ def scheme_oracle(measure) -> set[tuple[int, ...]]:
     keep = set()
     for mask in preclusive:
         if not any(other != mask and other & mask == other for other in preclusive):
-            keep.add(dual_of_event(alg.event(mask)).support_key)
+            keep.add(support_key(dual_of_event(alg.event(mask))))
     return keep
 
 
 @st.composite
-def measures_with_zeros(draw) -> Measure:
-    """An exact measure over n <= 5 histories from amplitudes in {-1, 0, 1}
+def measures_with_zeros(draw, max_n: int = 5) -> Measure:
+    """An exact measure over n <= max_n histories from amplitudes in {-1, 0, 1}
     (so interference makes some zeros), with more zeros injected at random
     events; the empty event is null or not."""
-    n = draw(st.integers(1, 5), label="n")
+    n = draw(st.integers(1, max_n), label="n")
     space = SampleSpace(tuple("abcde"[:n]))
     amps = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n), label="amplitudes")
     m = Measure.from_amplitudes(space, [GaussianRational.real(a) for a in amps])
@@ -384,7 +401,7 @@ def test_preclusive_duals_and_scheme_match_pairwise_definitions(m):
     ]
     assert preclusive_dual_events(m).masks == tuple(preclusive)
     scheme = multiplicative_scheme(m)
-    assert [phi.support_key for phi in scheme] == sorted(scheme_oracle(m))
+    assert [support_key(phi) for phi in scheme] == sorted(scheme_oracle(m))
     assert scheme.provenance == "scheme"
     classical = [phi for phi in enumerate_classical(alg) if is_preclusive(phi, m)]
     assert classical_preclusive_set(m).members == tuple(classical)
@@ -423,7 +440,7 @@ def test_multiplicative_scheme_examples(build, expected):
     m = build()
     scheme = multiplicative_scheme(m)
     assert str(scheme) == expected
-    assert {phi.support_key for phi in scheme} == scheme_oracle(m)
+    assert {support_key(phi) for phi in scheme} == scheme_oracle(m)
 
 
 def test_scheme_is_an_antichain(theory_corpus):
@@ -551,14 +568,16 @@ def test_a_dual_stores_no_support_and_a_support_fixes_its_principal_mask(data, n
     p = data.draw(st.integers(0, alg.size - 1), label="p")
     dual, explicit = dual_of_event(alg.event(p), include_empty_dual=True), explicit_dual(alg, p)
     assert dual.support == explicit.support
-    assert dual._support is None  # derived on the read, not stored
+    assert dual._bits is None  # derived on the read, not stored
+    assert explicit._bits is None and explicit.principal_mask == p  # held as the dual
     for copied in (pickle.loads(pickle.dumps(dual)), copy.deepcopy(dual), copy.copy(dual)):
-        assert copied == dual and copied.principal_mask == p and copied._support is None
-    assert pickle.loads(pickle.dumps(explicit))._support == explicit.support
+        assert copied == dual and copied.principal_mask == p and copied._bits is None
     support = data.draw(st.frozensets(st.integers(0, alg.size - 1)), label="support")
     phi = Coevent(alg, support)
     assert phi.principal_mask == filter_principal(support, n)
-    assert copy.deepcopy(phi)._support == support
+    bits = sum(1 << m for m in support)
+    assert phi._bits == (None if phi.principal_mask is not None else bits)
+    assert copy.deepcopy(phi)._bits == phi._bits
     with pytest.raises(AttributeError):
         phi.principal_mask = 0
 
@@ -572,7 +591,7 @@ def test_building_the_explicit_supports_gives_the_mask_built_space(data, n, incl
     built = CoeventSpace.build(alg, [explicit_dual(alg, p) for p in masks], "multiplicative")
     assert built == space
     for phi, psi in zip(built, space):
-        assert phi == psi and phi.support_key == psi.support_key
+        assert phi == psi and support_key(phi) == support_key(psi)
         assert built.index_of(psi) == space.index_of(phi)
     assert built.tau_table == space.tau_table
 
@@ -583,7 +602,7 @@ def test_the_zeta_tau_table_of_all_duals_is_the_support_scan(n, include_empty):
     alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
     space = enumerate_multiplicative(alg, include_empty_dual=include_empty)
     table = space.tau_table
-    assert all(phi._support is None for phi in space)  # read no support
+    assert all(phi._bits is None for phi in space)  # read no support
     assert table == support_scan(space)
 
 
@@ -608,3 +627,51 @@ def test_preclusive_and_zero_on_duals_match_their_supports(m):
         assert is_preclusive(dual, m) == is_preclusive(explicit_dual(alg, p), m)
         assert dual.is_zero is False and not explicit_dual(alg, p).is_zero
     assert zero_coevent(alg).is_zero and is_preclusive(zero_coevent(alg), m)
+
+
+# ---------------------------------------------------------------------------
+# The two forms: a dual's principal mask, any other coevent's support bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_support_bits_never_share_a_key_with_a_dual(n):
+    """Every support at n <= 3: a coevent held as its support bits S never
+    equals or hashes like the dual whose principal mask is S as an int, a
+    space holds both apart, and pickle and copy keep each coevent's form."""
+    alg = algebra_of_size(n)
+    for bits in range(1 << alg.size):
+        phi = Coevent(alg, set_bits(bits))
+        for copied in (pickle.loads(pickle.dumps(phi)), copy.copy(phi), copy.deepcopy(phi)):
+            assert copied == phi
+            assert (copied.principal_mask, copied._bits) == (phi.principal_mask, phi._bits)
+        if phi.principal_mask is not None or bits >= alg.size:
+            continue
+        dual = Coevent._dual(alg, bits)
+        assert phi != dual and dual != phi and hash(phi) != hash(dual)
+        space = CoeventSpace.build(alg, [dual, phi], "user-supplied")
+        assert len(space) == 2 and space.index_of(phi) != space.index_of(dual)
+    zero, one = zero_coevent(alg), dual_of_event(alg.empty, include_empty_dual=True)
+    assert zero._bits == 0 and one.principal_mask == 0
+    assert zero != one and hash(zero) != hash(one)
+    space = CoeventSpace(alg, (zero, one))
+    assert (space.index_of(zero), space.index_of(one)) == (0, 1)
+    assert zero in space and one in space
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=measures_with_zeros(max_n=4), data=st.data())
+def test_support_bits_match_the_frozenset_oracles(m, data):
+    alg = m.algebra
+    n, full = alg.space.n, alg.space.full_mask
+    _, support = data.draw(supports(alg), label="support")
+    phi = Coevent(alg, support)
+    p = filter_principal(support, n)
+    assert phi.principal_mask == p and phi.support == support
+    assert [phi(alg.event(a)) for a in range(alg.size)] == [
+        int(a in support) for a in range(alg.size)
+    ]
+    assert is_preclusive(phi, m) == support.isdisjoint(m.null_masks)
+    walk = all(s in support for a in support for s in iter_supermasks(a, full))
+    assert check_modus_ponens(phi) == walk
+    family = str(EventFamily.from_masks(alg.space, support))
+    assert str(phi) == (family if p is None else f"{Event(alg.space, p)}*")
