@@ -27,6 +27,7 @@ from .eventalg import (
     Event,
     first_witnesses,
     iter_supermasks,
+    set_bits,
 )
 from .poset import closure, poset_of_coevents
 
@@ -47,9 +48,8 @@ class ValuationEvent:
 
     @property
     def members(self) -> tuple[Coevent, ...]:
-        return tuple(
-            phi for i, phi in enumerate(self.space.members) if self.bits >> i & 1
-        )
+        members = self.space.members
+        return tuple(members[i] for i in set_bits(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -280,7 +280,7 @@ def order_report(
     return report
 
 
-def _flags_from_principals(principals: tuple[int, ...], n: int) -> tuple[bool, ...]:
+def _flags_from_principals(principals: Sequence[int], n: int) -> tuple[bool, ...]:
     """:func:`order_report`'s flags over a space of duals, from its principals."""
     singletons = set(principals).issuperset(1 << i for i in range(n))
     return singletons, True, singletons, True, not any(p & (p - 1) for p in principals)

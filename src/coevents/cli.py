@@ -201,7 +201,8 @@ def section_coevents(
 def section_tau(space: CoeventSpace, event: Event) -> dict[str, Any]:
     # only the row's members are rendered, not the whole space
     row = beables.tau(event, space).bits
-    members = [str(space.members[i]) for i in set_bits(row)]
+    keys, sample_space = space.keys, space.algebra.space
+    members = [coevent.render_key(sample_space, keys[i]) for i in set_bits(row)]
     return {
         "set": space.provenance,
         "event": str(event),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -28,6 +28,7 @@ from .eventalg import (
     Event,
     EventAlgebra,
     EventFamily,
+    SampleSpace,
     down_set,
     masks_lacking,
     principal_of,
@@ -42,21 +43,28 @@ BRUTE_FORCE_CAP = 3
 BRUTE_FORCE_HARD_CAP = 4
 
 
-def _init(
-    phi: Coevent, algebra: EventAlgebra, principal: Optional[int], bits: Optional[int]
-) -> Coevent:
-    """Set the three slots of a new coevent; a dual stores no support bits."""
+def _init(phi: Coevent, algebra: EventAlgebra, key: int) -> Coevent:
+    """Set the three slots of a new coevent from its key; a dual stores no support bits."""
     object.__setattr__(phi, "algebra", algebra)
-    object.__setattr__(phi, "principal_mask", principal)
-    object.__setattr__(phi, "_bits", bits)
+    object.__setattr__(phi, "principal_mask", key if key >= 0 else None)
+    object.__setattr__(phi, "_bits", ~key if key < 0 else None)
     return phi
 
 
-def _hold(phi: Coevent, algebra: EventAlgebra, bits: int) -> Coevent:
-    """Hold a new coevent with support bits ``bits`` in its form: the dual
-    of a filter's principal mask, else the bits."""
-    p = principal_of(bits, algebra.space.full_mask)
-    return _init(phi, algebra, p, None if p is not None else bits)
+def _key_of(bits: int, full: int) -> int:
+    """The key of the coevent with support bits ``bits``."""
+    p = principal_of(bits, full)
+    return ~bits if p is None else p
+
+
+def render_key(space: SampleSpace, key: int) -> str:
+    """``str`` of the coevent with key ``key`` over ``space``: a dual p* as
+    the labels of p, starred, any other coevent as its support's events."""
+    if key >= 0:
+        labels = space.labels
+        return "{" + ",".join([labels[i] for i in set_bits(key)]) + "}*"
+    names = space.event_names
+    return "[" + ", ".join([names[m] for m in set_bits(~key)]) + "]"
 
 
 class Coevent:
@@ -80,12 +88,13 @@ class Coevent:
         bad = [m for m in support if not 0 <= m < size]
         if bad:
             raise ValueError(f"support masks {bad[:4]} outside the algebra")
-        _hold(self, algebra, sum(1 << m for m in support))
+        _init(self, algebra, _key_of(sum(1 << m for m in support), algebra.space.full_mask))
 
     @classmethod
-    def _dual(cls, algebra: EventAlgebra, p: int) -> "Coevent":
-        """The dual p*, held as its principal mask p, a mask of the algebra."""
-        return _init(object.__new__(cls), algebra, p, None)
+    def _of_key(cls, algebra: EventAlgebra, key: int) -> "Coevent":
+        """The coevent whose key is ``key``: the dual p* for a mask p >= 0,
+        else the coevent with support bits ~key, which are not a filter."""
+        return _init(object.__new__(cls), algebra, key)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -130,9 +139,7 @@ class Coevent:
         return f"Coevent(algebra={self.algebra!r}, support={self.support!r})"
 
     def __reduce__(self) -> tuple:
-        if self._bits is None:
-            return Coevent._dual, (self.algebra, self.principal_mask)
-        return Coevent, (self.algebra, set_bits(self._bits))
+        return Coevent._of_key, (self.algebra, self._key)
 
     def __call__(self, event: Event) -> int:
         if event.space != self.algebra.space:
@@ -143,11 +150,7 @@ class Coevent:
         return self._bits >> event.mask & 1
 
     def __str__(self) -> str:
-        p = self.principal_mask
-        if p is not None:
-            return f"{Event(self.algebra.space, p)}*"
-        names = self.algebra.space.event_names
-        return "[" + ", ".join(names[m] for m in set_bits(self._bits)) + "]"
+        return render_key(self.algebra.space, self._key)
 
 
 def evaluate(phi: Coevent, event: Event) -> int:
@@ -155,9 +158,32 @@ def evaluate(phi: Coevent, event: Event) -> int:
     return phi(event)
 
 
-@dataclass(frozen=True)
+def _fill(
+    space: CoeventSpace, algebra: EventAlgebra, keys: Iterable[int], provenance: str
+) -> CoeventSpace:
+    """Set a new space's fields, holding keys s, s + 1, ... as a range."""
+    if not isinstance(keys, range):
+        keys = tuple(keys)
+        run = range(keys[0], keys[0] + len(keys)) if keys and keys[0] >= 0 else range(0)
+        if keys == tuple(run):
+            keys = run
+        elif len(set(keys)) != len(keys):  # the Boolean completion's size rests on it
+            raise ValueError("coevent space members must be distinct; use build")
+    object.__setattr__(space, "algebra", algebra)
+    object.__setattr__(space, "keys", keys)
+    object.__setattr__(space, "provenance", provenance)
+    return space
+
+
+@dataclass(frozen=True, init=False)
 class CoeventSpace:
     """A finite set of coevents over one algebra, canonically ordered.
+
+    The space is held as its members' keys (``Coevent._key``): p for a
+    dual p*, and ~S, always negative, for any other coevent with support
+    bits S.  The keys are ``range(s, s + k)`` when the members are s*,
+    (s + 1)*, ..., as over all duals, and a tuple otherwise; ``members``
+    builds the coevents from them on first read.
 
     The canonical order is lexicographic on the supports, each read as
     its ascending list of event masks.  A dual's least support mask is its
@@ -166,17 +192,23 @@ class CoeventSpace:
     """
 
     algebra: EventAlgebra
-    members: tuple[Coevent, ...]
+    keys: Sequence[int]
     provenance: str = field(default="user-supplied", compare=False)
 
-    def __post_init__(self) -> None:
-        # A space is a set: the Boolean completion's size rests on it.
-        if len(self._index) != len(self.members):
-            raise ValueError("coevent space members must be distinct; use build")
+    def __init__(
+        self, algebra: EventAlgebra, members: Iterable[Coevent], provenance: str = "user-supplied"
+    ) -> None:
+        members = tuple(members)
+        if any(phi.algebra != algebra for phi in members):
+            raise MismatchedSpace("coevent belongs to a different algebra")
+        _fill(self, algebra, [phi._key for phi in members], provenance)
 
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {phi._key: i for i, phi in enumerate(self.members)}
+    @classmethod
+    def _of_keys(
+        cls, algebra: EventAlgebra, keys: Iterable[int], provenance: str
+    ) -> "CoeventSpace":
+        """The space of the coevents with keys ``keys``, given in canonical order."""
+        return _fill(object.__new__(cls), algebra, keys, provenance)
 
     @classmethod
     def build(
@@ -188,42 +220,46 @@ class CoeventSpace:
                 raise MismatchedSpace("coevent belongs to a different algebra")
             unique[phi._key] = phi
         ordered = sorted(unique.values(), key=lambda phi: set_bits(phi._support_bits))
-        return cls(algebra, tuple(ordered), provenance)
+        return cls._of_keys(algebra, [phi._key for phi in ordered], provenance)
+
+    @cached_property
+    def members(self) -> tuple[Coevent, ...]:
+        """The coevents, in member order, built from the keys on first read."""
+        return tuple([Coevent._of_key(self.algebra, key) for key in self.keys])
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {key: i for i, key in enumerate(self.keys)}
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Coevent]:
         return iter(self.members)
 
     def __contains__(self, phi: Coevent) -> bool:
-        return phi.algebra == self.algebra and phi._key in self._index
+        try:
+            return self.index_of(phi) >= 0
+        except ValueError:
+            return False
 
     def index_of(self, phi: Coevent) -> int:
         if phi.algebra != self.algebra:
             raise ValueError("coevent belongs to a different algebra")
+        keys = self.keys  # a range answers by arithmetic
         try:
-            return self._index[phi._key]
-        except KeyError:
+            return keys.index(phi._key) if isinstance(keys, range) else self._index[phi._key]
+        except (KeyError, ValueError):
             raise ValueError("coevent is not a member of the space")
 
     @cached_property
-    def principals(self) -> Optional[tuple[int, ...]]:
+    def principals(self) -> Optional[Sequence[int]]:
         """Each member's principal mask, in member order, or None when some
-        member is not a dual.  Tau rows, the closed-form order flags, the
-        dual order and the audit read it."""
-        principals = tuple(phi.principal_mask for phi in self.members)
-        return None if None in principals else principals
-
-    @cached_property
-    def _start(self) -> Optional[int]:
-        """s when the members of a space of duals are s*, (s + 1)*, ... in
-        that order, as over all duals, else None."""
-        principals = self.principals
-        if principals is None:
-            return None
-        start = principals[0] if principals else 0
-        return start if principals == tuple(range(start, start + len(principals))) else None
+        member is not a dual: the keys, a range or a tuple, when none is
+        negative.  Tau rows, the closed-form order flags, the dual order
+        and the audit read it."""
+        keys = self.keys
+        return keys if isinstance(keys, range) or min(keys, default=0) >= 0 else None
 
     @cached_property
     def _holding(self) -> tuple[int, ...]:
@@ -239,17 +275,18 @@ class CoeventSpace:
         """tau(A) as bits over the members: bit i is set iff member i maps A to 1.
 
         On a space of duals a member p* maps A to 1 iff p is inside A.
-        When the members are s*, (s + 1)*, ... the row is the submasks of
-        A (:func:`down_set`, |A| doublings) from s on, shifted down by s.
+        When the principals are ``range(s, s + k)`` the row is the submasks
+        of A (:func:`down_set`, |A| doublings) from s on, shifted down by s.
         Otherwise it is every member but those whose principal holds a
         history outside A, one OR per such history.  Any other space
         reads :attr:`tau_table`.
         """
-        if self.principals is None:
+        principals = self.principals
+        if principals is None:
             return self.tau_table[mask]
-        everyone = (1 << len(self.members)) - 1
-        if self._start is not None:
-            return down_set(mask) >> self._start & everyone
+        everyone = (1 << len(principals)) - 1
+        if isinstance(principals, range):
+            return down_set(mask) >> principals.start & everyone
         outside = 0
         for j in set_bits(self.algebra.space.full_mask ^ mask):
             outside |= self._holding[j]
@@ -271,7 +308,7 @@ class CoeventSpace:
             outside = [0]
             for members in self._holding:
                 outside = [x | members for x in outside] + outside
-            everyone = (1 << len(self.members)) - 1
+            everyone = (1 << len(self)) - 1
             return tuple(everyone & ~x for x in outside)
         table = [0] * self.algebra.size
         for i, phi in enumerate(self.members):
@@ -282,8 +319,9 @@ class CoeventSpace:
 
     @cached_property
     def renderings(self) -> tuple[str, ...]:
-        """Each member's string, in member order."""
-        return tuple(str(phi) for phi in self.members)
+        """Each member's string, in member order, rendered from its key."""
+        space = self.algebra.space
+        return tuple([render_key(space, key) for key in self.keys])
 
     def render(self, bits: int) -> str:
         """The set of members whose bit is set in ``bits``, from their renderings."""
@@ -320,7 +358,7 @@ class CoeventSpace:
 
 def classical_from_history(algebra: EventAlgebra, label: str) -> Coevent:
     """The evaluation map at one history: true on events containing it."""
-    return Coevent._dual(algebra, 1 << algebra.space.index(label))
+    return Coevent._of_key(algebra, 1 << algebra.space.index(label))
 
 
 def dual_of_event(a: Event, include_empty_dual: bool = False) -> Coevent:
@@ -334,7 +372,7 @@ def dual_of_event(a: Event, include_empty_dual: bool = False) -> Coevent:
         raise EmptyEventDual(
             "dual of the empty event requested; pass include_empty_dual=True"
         )
-    return Coevent._dual(EventAlgebra(a.space), a.mask)
+    return Coevent._of_key(EventAlgebra(a.space), a.mask)
 
 
 def dual_of_coevent(phi: Coevent, include_empty_dual: bool = False) -> Event:
@@ -423,7 +461,7 @@ def check_modus_ponens(phi: Coevent) -> bool:
 
 def enumerate_classical(algebra: EventAlgebra) -> CoeventSpace:
     """All single-history evaluation maps (all homomorphisms)."""
-    return _dual_space(algebra, (1 << i for i in range(algebra.space.n)), "classical")
+    return CoeventSpace._of_keys(algebra, [1 << i for i in range(algebra.space.n)], "classical")
 
 
 def classical_preclusive_set(m: Measure) -> CoeventSpace:
@@ -434,8 +472,8 @@ def classical_preclusive_set(m: Measure) -> CoeventSpace:
     null sets.
     """
     covered = m.null_down_set
-    keep = (1 << i for i in range(m.algebra.space.n) if not covered >> (1 << i) & 1)
-    return _dual_space(m.algebra, keep, "classical")
+    keep = [1 << i for i in range(m.algebra.space.n) if not covered >> (1 << i) & 1]
+    return CoeventSpace._of_keys(m.algebra, keep, "classical")
 
 
 def enumerate_multiplicative(
@@ -443,12 +481,7 @@ def enumerate_multiplicative(
 ) -> CoeventSpace:
     """The duals of all (by default, nonempty) events."""
     start = 0 if include_empty_dual else 1
-    return _dual_space(algebra, range(start, algebra.size), "multiplicative")
-
-
-def _dual_space(algebra: EventAlgebra, masks: Iterable[int], provenance: str) -> CoeventSpace:
-    """The space of the duals of ``masks``, given ascending, so in canonical order."""
-    return CoeventSpace(algebra, tuple(Coevent._dual(algebra, p) for p in masks), provenance)
+    return CoeventSpace._of_keys(algebra, range(start, algebra.size), "multiplicative")
 
 
 def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> CoeventSpace:
@@ -456,7 +489,8 @@ def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> Coe
 
     Deliberately capped; this is the oracle against which the
     constructive enumerations are checked on small instances.  The
-    supports are made as support bits, in canonical order.
+    supports are made as support bits, in canonical order, and handed
+    over as keys.
     """
     n = algebra.space.n
     what = "brute-force coevent enumeration"
@@ -464,11 +498,9 @@ def enumerate_coevents(algebra: EventAlgebra, cap: int = BRUTE_FORCE_CAP) -> Coe
         raise CapExceeded(what, BRUTE_FORCE_HARD_CAP, n, override=None)
     if n > cap:
         raise CapExceeded(what, cap, n)
-    members = tuple(
-        _hold(object.__new__(Coevent), algebra, bits)
-        for bits in _supports_in_order(algebra.size)
-    )
-    return CoeventSpace(algebra, members, provenance="all")
+    full = algebra.space.full_mask
+    keys = [_key_of(bits, full) for bits in _supports_in_order(algebra.size)]
+    return CoeventSpace._of_keys(algebra, keys, "all")
 
 
 def _supports_in_order(size: int) -> Iterator[int]:
@@ -525,7 +557,7 @@ def multiplicative_scheme(m: Measure) -> CoeventSpace:
     above_one = 0  # bit A set iff some nonempty A - {i} has a preclusive dual
     for i in range(n):
         above_one |= (preclusive & masks_lacking(n, i)) << (1 << i)
-    return _dual_space(m.algebra, set_bits(preclusive & ~above_one), "scheme")
+    return CoeventSpace._of_keys(m.algebra, set_bits(preclusive & ~above_one), "scheme")
 
 
 def principal_event(phi: Coevent) -> Event:

@@ -58,9 +58,8 @@ class Sieve:
 
     @property
     def members(self) -> tuple[Hashable, ...]:
-        return tuple(
-            e for j, e in enumerate(self.poset.elements) if self.bits >> j & 1
-        )
+        elements = self.poset.elements
+        return tuple(elements[j] for j in set_bits(self.bits))
 
     def __contains__(self, x: Hashable) -> bool:
         return bool(self.bits >> self.poset.index(x) & 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import pickle
 
 import pytest
@@ -66,33 +67,37 @@ def member_scan(mask: int, space: CoeventSpace) -> int:
 
 
 @st.composite
-def mixed_spaces(draw) -> CoeventSpace:
+def mixed_spaces(draw, include_empty: bool = True) -> CoeventSpace:
     """A space over n <= 4 histories: random supports, most of them not
-    filters, next to duals (the constant-one map among them)."""
+    filters, next to duals (the constant-one map among them unless
+    ``include_empty`` is False)."""
     alg = algebra_of_size(draw(st.integers(1, 4), label="n"))
     events = st.integers(0, alg.size - 1)
     supports = draw(st.lists(st.frozensets(events), max_size=5), label="supports")
-    principals = draw(st.lists(events, min_size=1, max_size=5), label="principals")
+    principals = st.integers(0 if include_empty else 1, alg.size - 1)
+    principals = draw(st.lists(principals, min_size=1, max_size=5), label="principals")
+    members = [Coevent(alg, support) for support in supports] + [
+        dual_of_event(alg.event(p), include_empty_dual=True) for p in principals
+    ]
     return CoeventSpace.build(
-        alg,
-        [Coevent(alg, support) for support in supports]
-        + [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals],
-        "user-supplied",
+        alg, [phi for phi in members if include_empty or phi.principal_mask != 0], "user-supplied"
     )
 
 
 @st.composite
-def dual_spaces(draw) -> CoeventSpace:
+def dual_spaces(draw, include_empty: bool = True) -> CoeventSpace:
     """A space of duals over n <= 6 histories: a run of principals s, s + 1,
     ... (s = 0 holds the empty dual) or any set of them, the empty one
-    among them or not, in ascending order or shuffled."""
+    among them or not (never, if ``include_empty`` is False), in ascending
+    order or shuffled."""
     n = draw(st.integers(1, 6), label="n")
     alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
+    lowest = 0 if include_empty else 1
     if draw(st.booleans(), label="a run"):
-        start = draw(st.integers(0, alg.size - 1), label="start")
+        start = draw(st.integers(lowest, alg.size - 1), label="start")
         principals = list(range(start, draw(st.integers(start, alg.size), label="stop")))
     else:
-        masks = st.sets(st.integers(0, alg.size - 1), max_size=12)
+        masks = st.sets(st.integers(lowest, alg.size - 1), max_size=12)
         principals = sorted(draw(masks, label="principals"))
     if draw(st.booleans(), label="shuffled"):
         principals = draw(st.permutations(principals), label="order")
@@ -113,7 +118,54 @@ def test_principals_are_the_member_masks_exactly_when_all_are_duals(space):
         p = min(phi.support, key=int.bit_count, default=None)
         if p is not None and phi.support == {a for a in range(space.algebra.size) if a & p == p}:
             masks.append(p)
-    assert space.principals == (tuple(masks) if len(masks) == len(space) else None)
+    principals = None if space.principals is None else tuple(space.principals)
+    assert principals == (tuple(masks) if len(masks) == len(space) else None)
+
+
+def rendering_oracle(phi: Coevent) -> str:
+    """A coevent's string from its events' strings: p* for a dual, else
+    the list of its support's events."""
+    alg = phi.algebra
+    if phi.principal_mask is not None:
+        return f"{alg.event(phi.principal_mask)}*"
+    return "[" + ", ".join(str(alg.event(m)) for m in sorted(phi.support)) + "]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), include_empty=st.booleans())
+def test_a_space_rebuilt_from_its_members_is_the_same_space(data, include_empty):
+    """A space held as keys against the same space built from its Coevents."""
+    spaces = st.one_of(dual_spaces(include_empty), mixed_spaces(include_empty))
+    space = data.draw(spaces, label="space")
+    alg = space.algebra
+    rebuilt = CoeventSpace(alg, space.members, space.provenance)
+    assert rebuilt == space and hash(rebuilt) == hash(space)
+    principals = [phi.principal_mask for phi in space.members]
+    start = principals[0] if principals and principals[0] is not None else 0
+    a_run = principals == list(range(start, start + len(principals)))
+    assert isinstance(space.keys, range) == isinstance(rebuilt.keys, range) == a_run
+    assert space.principals == rebuilt.principals
+    assert space.principals == (None if None in principals else space.keys)
+    for i, phi in enumerate(space.members):
+        assert space.index_of(phi) == rebuilt.index_of(phi) == i
+        assert phi in space and phi in rebuilt
+    members = set(space.members)
+    outsiders = (Coevent(alg, set_bits(bits)) for bits in range(1 << alg.size))
+    outsider = next((phi for phi in outsiders if phi not in members), None)
+    if outsider is not None:  # at n = 1 a space may hold all four coevents
+        for s in (space, rebuilt):
+            assert outsider not in s
+            with pytest.raises(ValueError, match="not a member"):
+                s.index_of(outsider)
+    assert [space.tau_row(m) for m in range(alg.size)] == [
+        rebuilt.tau_row(m) for m in range(alg.size)
+    ]
+    assert space.renderings == rebuilt.renderings
+    assert space.renderings == tuple(map(rendering_oracle, space.members))
+    for copied in (pickle.loads(pickle.dumps(space)), copy.copy(space), copy.deepcopy(space)):
+        assert copied == space and copied.keys == space.keys
+        assert type(copied.keys) is type(space.keys) and copied.provenance == space.provenance
+        assert copied.members == space.members and copied.renderings == space.renderings
 
 
 @settings(max_examples=100, deadline=None)

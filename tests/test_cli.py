@@ -385,8 +385,10 @@ def test_topos_scheme_notes_the_antichain(capsys):
 def test_topos_renders_each_coevent_once(capsys, monkeypatch):
     """The chi table reads every sieve's strings from the space's renderings."""
     rendered = []
-    plain = Coevent.__str__
-    monkeypatch.setattr(Coevent, "__str__", lambda phi: rendered.append(phi) or plain(phi))
+    plain = coevent_module.render_key
+    monkeypatch.setattr(
+        coevent_module, "render_key", lambda space, key: rendered.append(key) or plain(space, key)
+    )
     rc, out, _ = invoke(capsys, ["topos", str(THEORIES / "four_slit_decoherence.json")])
     assert rc == 0 and "@{a}*: [{a}*]" in out
     assert len(rendered) == len(set(rendered)) == 15
@@ -475,13 +477,46 @@ def test_verbs_on_all_duals_derive_no_support(tmp_path, capsys, monkeypatch, arg
         rc, out, _ = invoke(capsys, argv)
     assert rc == 0 and derived == []
 
-    def explicit(cls, algebra, p):
-        return Coevent(algebra, iter_supermasks(p, algebra.space.full_mask))
+    def explicit(cls, algebra, key):
+        return Coevent(algebra, iter_supermasks(key, algebra.space.full_mask))
 
     with monkeypatch.context() as m:
-        m.setattr(Coevent, "_dual", classmethod(explicit))
+        m.setattr(Coevent, "_of_key", classmethod(explicit))
         rc, forced, _ = invoke(capsys, argv)
     assert rc == 0 and forced == out
+
+
+@pytest.mark.parametrize(
+    "argv, n, code",
+    [
+        (["tau", "--event", "x0"], 6, 0),
+        (["orders"], 6, 0),
+        (["audit"], 6, 0),
+        (["complete"], 6, 3),  # 63 duals: refused by the completion cap
+        (["complete"], 4, 0),
+        (["complete", "--mode", "boolean"], 4, 0),
+    ],
+    ids=["tau", "orders", "audit", "complete-n6", "complete-n4", "complete-boolean-n4"],
+)
+def test_verbs_on_all_duals_build_no_coevent(tmp_path, capsys, monkeypatch, argv, n, code):
+    """A space of duals is its keys: these verbs read rows, principals and
+    renderings from them and never build a member."""
+    built = []
+    of_key, init = Coevent._of_key.__func__, Coevent.__init__
+
+    def spied_of_key(cls, algebra, key):
+        built.append(key)
+        return of_key(cls, algebra, key)
+
+    def spied_init(phi, *args):
+        built.append(args)
+        init(phi, *args)
+
+    monkeypatch.setattr(Coevent, "_of_key", classmethod(spied_of_key))
+    monkeypatch.setattr(Coevent, "__init__", spied_init)
+    rc, out, _ = invoke(capsys, [argv[0], amplitude_file(tmp_path, n), *argv[1:]])
+    assert rc == code and built == []
+    assert (out != "") == (code == 0)
 
 
 @pytest.mark.parametrize(

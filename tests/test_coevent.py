@@ -646,7 +646,7 @@ def test_support_bits_never_share_a_key_with_a_dual(n):
             assert (copied.principal_mask, copied._bits) == (phi.principal_mask, phi._bits)
         if phi.principal_mask is not None or bits >= alg.size:
             continue
-        dual = Coevent._dual(alg, bits)
+        dual = Coevent._of_key(alg, bits)
         assert phi != dual and dual != phi and hash(phi) != hash(dual)
         space = CoeventSpace.build(alg, [dual, phi], "user-supplied")
         assert len(space) == 2 and space.index_of(phi) != space.index_of(dual)
