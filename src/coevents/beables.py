@@ -10,7 +10,7 @@ on the former.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Container, Iterator, Optional, Sequence
 
@@ -25,6 +25,7 @@ from .eventalg import (
     WITNESS_LIST_CAP,
     ByMask,
     Event,
+    ListedOnRead,
     first_witnesses,
     iter_supermasks,
     set_bits,
@@ -125,90 +126,34 @@ def truth_evaluate(f: TruthFunction, alpha: ValuationEvent) -> int:
 
 
 _ORDER_KEYS = ("injectivity", "pushforward", "orders", "meet", "join")
+_FLAG_FIELDS = (
+    "tau_injective", "pushforward_well_defined", "orders_agree", "meet_agree", "join_agree"
+)
 
 
-class OrderReport:
+@dataclass
+class OrderReport(ListedOnRead):
     """Exhaustive comparison of the pushed-forward and inclusion orders.
 
     Each flag is a closed-form verdict and never depends on the lists.
     Under the key of each false flag, ``witnesses`` lists the first
     failing pairs in ascending mask order, as many as the report's limit
     allows; ``truncated`` names the lists that were cut.  A report from
-    :func:`order_report` lists them once, on the first read of
-    ``witnesses`` or ``truncated``: a caller that reads only the flags
-    walks no pairs.  Two reports are equal when their flags, witnesses,
-    notes and cuts are.
+    :func:`order_report` lists them on the first read of either
+    (:class:`~coevents.eventalg.ListedOnRead`): a caller that reads only
+    the flags walks no pairs.
     """
 
-    __slots__ = (
-        "tau_injective",
-        "pushforward_well_defined",
-        "orders_agree",
-        "meet_agree",
-        "join_agree",
-        "notes",
-        "_listing",
-        "_lister",
-    )
+    tau_injective: bool
+    pushforward_well_defined: bool
+    orders_agree: bool
+    meet_agree: bool
+    join_agree: bool
+    witnesses: dict[str, tuple[tuple[Event, Event], ...]]
+    notes: tuple[str, ...] = ()
+    truncated: frozenset[str] = field(default_factory=frozenset)
 
-    def __init__(
-        self,
-        tau_injective: bool,
-        pushforward_well_defined: bool,
-        orders_agree: bool,
-        meet_agree: bool,
-        join_agree: bool,
-        witnesses: dict[str, tuple[tuple[Event, Event], ...]],
-        notes: tuple[str, ...] = (),
-        truncated: frozenset[str] = frozenset(),
-    ) -> None:
-        self.tau_injective = tau_injective
-        self.pushforward_well_defined = pushforward_well_defined
-        self.orders_agree = orders_agree
-        self.meet_agree = meet_agree
-        self.join_agree = join_agree
-        self.notes = notes
-        self._listing: Optional[tuple[dict, frozenset[str]]] = (
-            witnesses, frozenset(truncated)
-        )
-
-    def _listed(self) -> tuple[dict[str, tuple[tuple[Event, Event], ...]], frozenset[str]]:
-        if self._listing is None:
-            self._listing = self._lister()
-            del self._lister
-        return self._listing
-
-    @property
-    def witnesses(self) -> dict[str, tuple[tuple[Event, Event], ...]]:
-        return self._listed()[0]
-
-    @property
-    def truncated(self) -> frozenset[str]:
-        return self._listed()[1]
-
-    def _key(self) -> tuple:
-        flags = (
-            self.tau_injective,
-            self.pushforward_well_defined,
-            self.orders_agree,
-            self.meet_agree,
-            self.join_agree,
-        )
-        return flags + (self.witnesses, self.notes, self.truncated)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OrderReport):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"OrderReport(tau_injective={self.tau_injective!r}, "
-            f"pushforward_well_defined={self.pushforward_well_defined!r}, "
-            f"orders_agree={self.orders_agree!r}, meet_agree={self.meet_agree!r}, "
-            f"join_agree={self.join_agree!r}, witnesses={self.witnesses!r}, "
-            f"notes={self.notes!r}, truncated={self.truncated!r})"
-        )
+    _witness_fields = ("witnesses", "truncated")
 
 
 def order_report(
@@ -272,12 +217,11 @@ def order_report(
             "tau is not injective; the pushed-forward order is taken on the image"
         )
 
-    report = OrderReport(*flags, dict.fromkeys(_ORDER_KEYS, ()), tuple(notes))
     failing = tuple(key for key, holds in zip(_ORDER_KEYS, flags) if not holds)
-    if failing:
-        report._listing = None
-        report._lister = partial(_order_witnesses, space, failing, limit)
-    return report
+    if not failing:
+        return OrderReport(*flags, dict.fromkeys(_ORDER_KEYS, ()), tuple(notes))
+    verdicts = dict(zip(_FLAG_FIELDS, flags), notes=tuple(notes))
+    return OrderReport._deferred(partial(_order_witnesses, space, failing, limit), **verdicts)
 
 
 def _flags_from_principals(principals: Sequence[int], n: int) -> tuple[bool, ...]:

@@ -13,7 +13,7 @@ and classical iff that event is a single history.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -67,6 +67,7 @@ def render_key(space: SampleSpace, key: int) -> str:
     return "[" + ", ".join([names[m] for m in set_bits(~key)]) + "]"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Coevent:
     """A map from the event algebra to {0, 1}.
 
@@ -80,7 +81,9 @@ class Coevent:
     dual equals the coevent built from its support.
     """
 
-    __slots__ = ("algebra", "principal_mask", "_bits")
+    algebra: EventAlgebra
+    principal_mask: Optional[int]
+    _bits: Optional[int]
 
     def __init__(self, algebra: EventAlgebra, support: Iterable[int]) -> None:
         support = frozenset(support)
@@ -95,12 +98,6 @@ class Coevent:
         """The coevent whose key is ``key``: the dual p* for a mask p >= 0,
         else the coevent with support bits ~key, which are not a filter."""
         return _init(object.__new__(cls), algebra, key)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def _support_bits(self) -> int:
@@ -127,18 +124,13 @@ class Coevent:
         p = self.principal_mask
         return ~self._bits if p is None else p
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Coevent):
-            return NotImplemented
-        return self.algebra == other.algebra and self._key == other._key
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # the generated __eq__ compares all three fields
         return hash(self._key)
 
     def __repr__(self) -> str:
         return f"Coevent(algebra={self.algebra!r}, support={self.support!r})"
 
-    def __reduce__(self) -> tuple:
+    def __reduce__(self) -> tuple:  # by key, on every Python, not by slotted state
         return Coevent._of_key, (self.algebra, self._key)
 
     def __call__(self, event: Event) -> int:

@@ -8,6 +8,7 @@ here is immutable and exact, and every other module builds on it.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -25,6 +26,7 @@ MAX_HISTORIES = 16
 WITNESS_LIST_CAP = 1000
 
 _T = TypeVar("_T")
+_R = TypeVar("_R", bound="ListedOnRead")
 
 
 def first_witnesses(
@@ -40,6 +42,36 @@ def first_witnesses(
         return tuple(witnesses), False
     head = tuple(islice(witnesses, limit + 1))
     return head[:limit], len(head) > limit
+
+
+class ListedOnRead:
+    """Base of a dataclass report whose witness fields are listed on first read.
+
+    The subclass names its witness fields in ``_witness_fields``; a
+    default among them must come from ``field(default_factory=...)``, so
+    that no class attribute shadows the unset field.  :meth:`_deferred`
+    makes a report with its verdict fields set, its witness fields unset
+    and a lister held; the first read of any witness field calls
+    ``lister()`` once, takes its values in ``_witness_fields`` order and
+    drops the lister.  A caller that reads only the verdicts lists
+    nothing.
+    """
+
+    _witness_fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _deferred(cls: type[_R], lister: Callable[[], tuple], **verdicts: object) -> _R:
+        report = object.__new__(cls)
+        report.__dict__.update(verdicts, _lister=lister)
+        return report
+
+    def __getattr__(self, name: str) -> object:
+        state = self.__dict__
+        if name not in self._witness_fields or "_lister" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state.update(zip(self._witness_fields, state["_lister"]()))
+        del state["_lister"]
+        return state[name]
 
 
 @dataclass(frozen=True)
@@ -268,7 +300,8 @@ class EventFamily:
 
     def __contains__(self, event: Event) -> bool:
         _require_same_space(Event(self.space, 0), event)
-        return event.mask in set(self.masks)
+        i = bisect_left(self.masks, event.mask)  # the masks are sorted and distinct
+        return i < len(self.masks) and self.masks[i] == event.mask
 
     def __str__(self) -> str:
         names = self.space.event_names

@@ -12,7 +12,7 @@ exact zero tests, so there is no floating-point mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -24,6 +24,7 @@ from .eventalg import (
     Event,
     EventAlgebra,
     EventFamily,
+    ListedOnRead,
     SampleSpace,
     first_witnesses,
     iter_submasks,
@@ -80,72 +81,25 @@ class Violation:
         return f"{self.rule} {evs}: got {self.got}, expected {self.expected}"
 
 
-class ValidationReport:
+@dataclass(frozen=True)
+class ValidationReport(ListedOnRead):
     """Outcome of a sum-rule validation.
 
     ``ok`` is the rule's closed-form verdict, decided when the validator
     is called, so it never depends on the list.  ``violations`` holds the
     first violations in canonical order, as many as the validator's limit
     allows; ``truncated`` is set when more were left unlisted.  A failing
-    validator keeps its lister and limit, and the listing runs once, on
-    the first read of ``violations`` or ``truncated``: a caller that reads
-    only ``ok`` walks no pairs or triples.  Two reports are equal when
-    their rule, verdict, violations and cut are.
+    validator's report lists them on the first read of either
+    (:class:`~coevents.eventalg.ListedOnRead`): a caller that reads only
+    ``ok`` walks no pairs or triples.
     """
 
-    __slots__ = ("rule", "ok", "_listing", "_lister", "_limit")
+    rule: str  # "classical" | "quantum"
+    violations: tuple[Violation, ...]
+    ok: bool
+    truncated: bool = field(default_factory=bool)
 
-    def __init__(
-        self,
-        rule: str,  # "classical" | "quantum"
-        violations: Iterable[Violation],
-        ok: bool,
-        truncated: bool = False,
-    ) -> None:
-        self.rule, self.ok = rule, ok
-        self._listing: Optional[tuple[tuple[Violation, ...], bool]] = (
-            tuple(violations), truncated
-        )
-
-    @classmethod
-    def _failed(
-        cls, rule: str, lister: Callable[[], Iterator[Violation]], limit: Optional[int]
-    ) -> "ValidationReport":
-        """A failing report whose witnesses ``lister()`` lists on first read."""
-        report = cls(rule, (), ok=False)
-        report._listing, report._lister, report._limit = None, lister, limit
-        return report
-
-    def _listed(self) -> tuple[tuple[Violation, ...], bool]:
-        if self._listing is None:
-            self._listing = first_witnesses(self._lister(), self._limit)
-            del self._lister
-        return self._listing
-
-    @property
-    def violations(self) -> tuple[Violation, ...]:
-        return self._listed()[0]
-
-    @property
-    def truncated(self) -> bool:
-        return self._listed()[1]
-
-    def _key(self) -> tuple:
-        return (self.rule, self.ok, self.violations, self.truncated)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ValidationReport):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"ValidationReport(rule={self.rule!r}, violations={self.violations!r}, "
-            f"ok={self.ok!r}, truncated={self.truncated!r})"
-        )
+    _witness_fields = ("violations", "truncated")
 
 
 class MeasureValues(Mapping[int, Fraction]):
@@ -390,7 +344,15 @@ def validate_classical(
     """
     if _is_additive(m.values.nums, m.algebra.size):
         return ValidationReport("classical", (), ok=True)
-    return ValidationReport._failed("classical", partial(_additivity_violations, m), limit)
+    lister = partial(_first_violations, limit, _additivity_violations, m)
+    return ValidationReport._deferred(lister, rule="classical", ok=False)
+
+
+def _first_violations(
+    limit: Optional[int], violations: Callable[..., Iterator[Violation]], *args: object
+) -> tuple[tuple[Violation, ...], bool]:
+    """A failing report's listing: the first ``limit`` of ``violations(*args)``."""
+    return first_witnesses(violations(*args), limit)
 
 
 def _additivity_violations(m: Measure) -> Iterator[Violation]:
@@ -431,9 +393,8 @@ def validate_quantum(
     grade2 = _is_grade2(x, size)
     if nonnegative and grade2 and x[size - 1] == m.values.den:
         return ValidationReport("quantum", (), ok=True)
-    return ValidationReport._failed(
-        "quantum", partial(_quantum_violations, m, nonnegative, grade2), limit
-    )
+    lister = partial(_first_violations, limit, _quantum_violations, m, nonnegative, grade2)
+    return ValidationReport._deferred(lister, rule="quantum", ok=False)
 
 
 def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator[Violation]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -363,6 +364,33 @@ def test_order_reports_pickle_before_and_after_listing():
         copied = pickle.loads(pickle.dumps(rep))
         assert copied == rep and repr(copied) == repr(rep)
         assert copied.truncated == {"join"} and len(copied.witnesses["join"]) == 2
+
+
+def test_an_unlisted_order_report_lists_only_on_a_witness_field(monkeypatch):
+    """On a report not yet listed, a misspelt name raises AttributeError and
+    lists nothing; a copy or deep copy taken then equals the listed report;
+    and the dataclass fields are the public ones only."""
+    calls, walk = [], beables_mod._order_witnesses
+
+    def spy(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(beables_mod, "_order_witnesses", spy)
+    rep = order_report(mce(3), limit=2)
+    assert not rep.join_agree
+    for name in ("witness", "truncate", "_listing", "__setstate__"):
+        with pytest.raises(AttributeError):
+            getattr(rep, name)
+    copies = copy.copy(rep), copy.deepcopy(rep)
+    assert calls == []
+    assert [f.name for f in dataclasses.fields(rep)] == [*FLAGS, "witnesses", "notes", "truncated"]
+    assert rep.truncated == {"join"} and len(rep.witnesses["join"]) == 2 and len(calls) == 1
+    assert set(vars(rep)) == {f.name for f in dataclasses.fields(rep)}  # the lister is dropped
+    for copied in copies:
+        assert copied == rep and repr(copied) == repr(rep)
+    assert len(calls) == 3  # each copy listed once, on its own first read
+    assert OrderReport.__hash__ is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

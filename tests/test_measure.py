@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -504,6 +505,34 @@ def test_reports_pickle_before_and_after_listing():
     for rep in (unlisted, listed):
         copied = pickle.loads(pickle.dumps(rep))
         assert copied == rep and copied.truncated and len(copied.violations) == 1
+
+
+@pytest.mark.parametrize("validator", [validate_classical, validate_quantum])
+def test_an_unlisted_report_lists_only_on_a_witness_field(monkeypatch, validator):
+    """On a report not yet listed, a misspelt name raises AttributeError and
+    lists nothing; a copy or deep copy taken then equals the listed report;
+    and the dataclass fields are the public ones only."""
+    calls, listing = [], measure_mod._first_violations
+
+    def spy(*args):
+        calls.append(args)
+        return listing(*args)
+
+    monkeypatch.setattr(measure_mod, "_first_violations", spy)
+    alg = EventAlgebra(SampleSpace(tuple("abc")))
+    rep = validator(Measure(alg, {k: Fraction(k**3) for k in range(alg.size)}), limit=1)
+    assert not rep.ok
+    for name in ("violation", "truncate", "_listing", "__setstate__"):
+        with pytest.raises(AttributeError):
+            getattr(rep, name)
+    copies = copy.copy(rep), copy.deepcopy(rep)
+    assert calls == []
+    assert [f.name for f in dataclasses.fields(rep)] == ["rule", "violations", "ok", "truncated"]
+    assert rep.truncated and len(rep.violations) == 1 and len(calls) == 1
+    assert set(vars(rep)) == {f.name for f in dataclasses.fields(rep)}  # the lister is dropped
+    for copied in copies:
+        assert copied == rep and hash(copied) == hash(rep) and repr(copied) == repr(rep)
+    assert len(calls) == 3  # each copy listed once, on its own first read
 
 
 # ---------------------------------------------------------------------------
