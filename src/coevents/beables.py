@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Container, Iterator, Optional, Sequence
 
-from .coevent import Coevent, CoeventSpace, check_modus_ponens
+from .coevent import Coevent, CoeventSpace, modus_ponens_key
 from .errors import (
     CapExceeded,
     MismatchedSpace,
@@ -182,7 +182,7 @@ def order_report(
     - well-definedness of the pushed-forward order, i.e. monotonicity
       A <= B implies tau(A) <= tau(B) (pushing the order forward along
       a non-injective tau is consistent exactly when tau is monotone):
-      every member's support is upward closed (:func:`check_modus_ponens`);
+      every member's support is upward closed (:func:`modus_ponens_key`);
     - order agreement, A <= B iff tau(A) <= tau(B): tau is monotone and
       I[{i}] is not inside I[Omega - {i}] for any i, O(n 2^n).  (If A is
       not inside B, pick i in A - B: were I[A] <= I[B], monotonicity
@@ -235,7 +235,7 @@ def _flags_from_table(space: CoeventSpace) -> tuple[bool, ...]:
     size = space.algebra.size
     n, full = space.algebra.space.n, size - 1
     images = space.tau_table
-    monotone = all(map(check_modus_ponens, space))
+    monotone = all(modus_ponens_key(key, n) for key in space.keys)
     return (
         len(set(images)) == size,
         monotone,

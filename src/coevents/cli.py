@@ -185,15 +185,16 @@ def section_validate(theory: HistoriesTheory, limit: Optional[int]) -> dict[str,
 def section_coevents(
     theory: HistoriesTheory, space: CoeventSpace, include_empty: bool
 ) -> dict[str, Any]:
+    m, n = theory.measure, space.algebra.space.n
     members = [
         {
             "coevent": rendered,
-            "classical": coevent.is_classical(phi),
-            "multiplicative": coevent.is_multiplicative(phi, include_empty_dual=include_empty),
-            "preclusive": coevent.is_preclusive(phi, theory.measure),
-            "modus_ponens": coevent.check_modus_ponens(phi),
+            "classical": coevent.classical_key(key),
+            "multiplicative": coevent.multiplicative_key(key, include_empty),
+            "preclusive": coevent.preclusive_key(key, m),
+            "modus_ponens": coevent.modus_ponens_key(key, n),
         }
-        for phi, rendered in zip(space, space.renderings)
+        for key, rendered in zip(space.keys, space.renderings)
     ]
     return {"set": space.provenance, "count": len(space), "members": members}
 

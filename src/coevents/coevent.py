@@ -57,6 +57,12 @@ def _key_of(bits: int, full: int) -> int:
     return ~bits if p is None else p
 
 
+def _bits_of(key: int, full: int) -> int:
+    """The support bits of the coevent with key ``key``: a dual p*'s, the
+    supersets of p, are derived on each read and never stored."""
+    return ~key if key < 0 else down_set(full ^ key) << key
+
+
 def render_key(space: SampleSpace, key: int) -> str:
     """``str`` of the coevent with key ``key`` over ``space``: a dual p* as
     the labels of p, starred, any other coevent as its support's events."""
@@ -101,12 +107,8 @@ class Coevent:
 
     @property
     def _support_bits(self) -> int:
-        """Bit A is set iff the coevent maps A to 1; a dual p*'s, the
-        supersets of p, are derived on each read and never stored."""
-        p = self.principal_mask
-        if p is None:
-            return self._bits
-        return down_set(self.algebra.space.full_mask ^ p) << p
+        """Bit A is set iff the coevent maps A to 1 (:func:`_bits_of` its key)."""
+        return _bits_of(self._key, self.algebra.space.full_mask)
 
     @property
     def support(self) -> frozenset[int]:
@@ -206,13 +208,13 @@ class CoeventSpace:
     def build(
         cls, algebra: EventAlgebra, coevents: Iterable[Coevent], provenance: str
     ) -> "CoeventSpace":
-        unique = {}
+        unique = set()
         for phi in coevents:
             if phi.algebra != algebra:
                 raise MismatchedSpace("coevent belongs to a different algebra")
-            unique[phi._key] = phi
-        ordered = sorted(unique.values(), key=lambda phi: set_bits(phi._support_bits))
-        return cls._of_keys(algebra, [phi._key for phi in ordered], provenance)
+            unique.add(phi._key)
+        keys = sorted(unique, key=lambda key: set_bits(_bits_of(key, algebra.space.full_mask)))
+        return cls._of_keys(algebra, keys, provenance)
 
     @cached_property
     def members(self) -> tuple[Coevent, ...]:
@@ -294,7 +296,7 @@ class CoeventSpace:
         left out of tau(A) are those whose principal holds a history
         outside A, so their sets double once per history j: the events
         without j add the members holding j.  Any other space scans each
-        member's support bits, a dual's among them.
+        key's support bits (:func:`_bits_of`), a dual's among them.
         """
         if self.principals is not None:
             outside = [0]
@@ -302,10 +304,10 @@ class CoeventSpace:
                 outside = [x | members for x in outside] + outside
             everyone = (1 << len(self)) - 1
             return tuple(everyone & ~x for x in outside)
-        table = [0] * self.algebra.size
-        for i, phi in enumerate(self.members):
+        table, full = [0] * self.algebra.size, self.algebra.space.full_mask
+        for i, key in enumerate(self.keys):
             bit = 1 << i
-            for m in set_bits(phi._support_bits):
+            for m in set_bits(_bits_of(key, full)):
                 table[m] |= bit
         return tuple(table)
 
@@ -386,65 +388,75 @@ def dual_of_coevent(phi: Coevent, include_empty_dual: bool = False) -> Event:
 # Classification predicates
 
 
+def classical_key(key: int) -> bool:
+    """:func:`is_classical` read from a key: a principal mask of one bit (not 0 or ~0)."""
+    return key > 0 and not key & (key - 1)
+
+
 def is_classical(phi: Coevent) -> bool:
     """True iff phi is a Boolean-lattice homomorphism into Z2.
 
     That is, phi preserves complements and every meet and join.
     Preserving meets makes a nonzero support a filter, the supersets of
     a principal event P; preserving complements and joins as well
-    forces P to be a single history.  So phi is classical iff its
-    principal mask has one bit, fixed when phi was built.  The pairwise
+    forces P to be a single history.  So phi is classical iff its key is
+    a principal mask of one bit (:func:`classical_key`).  The pairwise
     definition is the oracle in the tests.
     """
-    p = phi.principal_mask
-    return p is not None and p.bit_count() == 1
+    return classical_key(phi._key)
+
+
+def multiplicative_key(key: int, include_empty_dual: bool = False) -> bool:
+    """:func:`is_multiplicative` read from a key: the zero coevent's ~0, or a
+    principal mask, 0 (the constant-one map) only if ``include_empty_dual``."""
+    return key > 0 or key == ~0 or include_empty_dual and key == 0
 
 
 def is_multiplicative(phi: Coevent, include_empty_dual: bool = False) -> bool:
     """True iff phi(A & B) = phi(A) * phi(B) for all pairs.
 
     The zero map satisfies it; a nonzero phi does iff its support is a
-    filter (upward closed and closed under meets), which its principal
-    mask, fixed when phi was built, decides.  The constant-one map satisfies the
-    pointwise identity but asserts the impossible event; under the
-    default convention it is rejected, matching the default exclusion
-    of the empty event's dual.  Pass ``include_empty_dual=True`` for the
-    literal pointwise reading.
+    filter (upward closed and closed under meets), iff its key is a
+    principal mask (:func:`multiplicative_key`).  The constant-one map
+    satisfies the pointwise identity but asserts the impossible event;
+    under the default convention it is rejected, matching the default
+    exclusion of the empty event's dual.  Pass ``include_empty_dual=True``
+    for the literal pointwise reading.
     """
-    if phi.is_zero:
-        return True
-    p = phi.principal_mask
-    return p is not None and (include_empty_dual or p != 0)
+    return multiplicative_key(phi._key, include_empty_dual)
+
+
+def preclusive_key(key: int, m: Measure) -> bool:
+    """:func:`is_preclusive` read from a key over m's algebra: a dual p* iff
+    no null event contains p (bit p of the null sets' down-closure is
+    clear), any other iff the support bits ~key at the null masks are clear."""
+    if key >= 0:
+        return not m.null_down_set >> key & 1
+    return not any(~key >> a & 1 for a in m.null_masks)
 
 
 def is_preclusive(phi: Coevent, m: Measure) -> bool:
-    """True iff phi maps every measure-zero event to 0 (the measure's null masks).
-
-    A dual p* is, iff no null event contains p: bit p of the null sets'
-    down-closure is clear.  Any other coevent is, iff its support bits
-    at the null masks are all clear.
-    """
+    """True iff phi maps every measure-zero event to 0 (:func:`preclusive_key`)."""
     if phi.algebra != m.algebra:
         raise MismatchedSpace("coevent and measure live on different algebras")
-    p = phi.principal_mask
-    if p is not None:
-        return not m.null_down_set >> p & 1
-    bits = phi._bits
-    return not any(bits >> a & 1 for a in m.null_masks)
+    return preclusive_key(phi._key, m)
+
+
+def modus_ponens_key(key: int, n: int) -> bool:
+    """:func:`check_modus_ponens` read from a key over n histories: at once
+    for a principal mask, else iff for each history i the members of the
+    support S = ~key without i, shifted up by 2^i to their unions with
+    {i}, all lie in S, so miss the bits of the key: n operations."""
+    return key >= 0 or not any((~key & masks_lacking(n, i)) << (1 << i) & key for i in range(n))
 
 
 def check_modus_ponens(phi: Coevent) -> bool:
     """True iff A <= B and phi(A) = 1 imply phi(B) = 1.
 
-    Equivalent to the support being upward closed: at once for a filter
-    (a principal mask), else iff for each history i the members without
-    i, shifted up by 2^i to their unions with {i}, are all members, n
-    operations on the support bits.  The superset walk is the test oracle.
+    Equivalent to an upward-closed support, read from phi's key by
+    :func:`modus_ponens_key`.  The superset walk is the test oracle.
     """
-    if phi.principal_mask is not None:
-        return True
-    bits, n = phi._bits, phi.algebra.space.n
-    return not any((bits & masks_lacking(n, i)) << (1 << i) & ~bits for i in range(n))
+    return modus_ponens_key(phi._key, phi.algebra.space.n)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +475,7 @@ def classical_preclusive_set(m: Measure) -> CoeventSpace:
     event contains i.  Empty exactly when the sample space is covered by
     null sets.
     """
-    covered = m.null_down_set
-    keep = [1 << i for i in range(m.algebra.space.n) if not covered >> (1 << i) & 1]
+    keep = [1 << i for i in range(m.algebra.space.n) if preclusive_key(1 << i, m)]
     return CoeventSpace._of_keys(m.algebra, keep, "classical")
 
 

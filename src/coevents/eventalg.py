@@ -269,9 +269,9 @@ class EventFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        masks = self.masks
-        if not all(map(operator.lt, masks, masks[1:])):  # one pass, sort only if needed
-            object.__setattr__(self, "masks", tuple(sorted(set(masks))))
+        masks = tuple(self.masks)  # from any iterable: equality and hashing need a tuple
+        ordered = all(map(operator.lt, masks, masks[1:]))  # one pass, sort only if needed
+        object.__setattr__(self, "masks", masks if ordered else tuple(sorted(set(masks))))
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventFamily":

@@ -487,7 +487,7 @@ def test_verbs_on_all_duals_derive_no_support(tmp_path, capsys, monkeypatch, arg
 
 
 @pytest.mark.parametrize(
-    "argv, n, code",
+    "argv, theory, code",
     [
         (["tau", "--event", "x0"], 6, 0),
         (["orders"], 6, 0),
@@ -495,12 +495,25 @@ def test_verbs_on_all_duals_derive_no_support(tmp_path, capsys, monkeypatch, arg
         (["complete"], 6, 3),  # 63 duals: refused by the completion cap
         (["complete"], 4, 0),
         (["complete", "--mode", "boolean"], 4, 0),
+        (["coevents", "--set", "multiplicative"], 6, 0),
+        # n = 7: at n = 6 the amplitudes sum to 0, the full event is null and the scheme empty
+        (["coevents", "--set", "scheme"], 7, 0),
+        (["coevents", "--set", "classical"], 6, 0),
+        # the brute-force space holds non-duals: rows and flags come from support bits
+        (["coevents", "--set", "all"], THREE_SLIT, 0),
+        (["orders", "--set", "all"], THREE_SLIT, 0),
     ],
-    ids=["tau", "orders", "audit", "complete-n6", "complete-n4", "complete-boolean-n4"],
+    ids=[
+        "tau", "orders", "audit", "complete-n6", "complete-n4", "complete-boolean-n4",
+        "coevents-multiplicative", "coevents-scheme", "coevents-classical",
+        "coevents-all-three-slit", "orders-all-three-slit",
+    ],
 )
-def test_verbs_on_all_duals_build_no_coevent(tmp_path, capsys, monkeypatch, argv, n, code):
-    """A space of duals is its keys: these verbs read rows, principals and
-    renderings from them and never build a member."""
+def test_verbs_on_all_duals_build_no_coevent(tmp_path, capsys, monkeypatch, argv, theory, code):
+    """A space is its keys: these verbs read rows, principals, flags and
+    renderings from them and never build a member, on a space of duals or
+    on the brute-force space with its non-duals (``theory`` is n for an
+    amplitude file, else a theory path)."""
     built = []
     of_key, init = Coevent._of_key.__func__, Coevent.__init__
 
@@ -514,7 +527,8 @@ def test_verbs_on_all_duals_build_no_coevent(tmp_path, capsys, monkeypatch, argv
 
     monkeypatch.setattr(Coevent, "_of_key", classmethod(spied_of_key))
     monkeypatch.setattr(Coevent, "__init__", spied_init)
-    rc, out, _ = invoke(capsys, [argv[0], amplitude_file(tmp_path, n), *argv[1:]])
+    path = theory if isinstance(theory, str) else amplitude_file(tmp_path, theory)
+    rc, out, _ = invoke(capsys, [argv[0], path, *argv[1:]])
     assert rc == code and built == []
     assert (out != "") == (code == 0)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,11 +33,14 @@ from coevents import (
     multiplicative_scheme,
 )
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
+from coevents.cli import section_coevents
 from coevents.coevent import enumerate_classical, preclusive_dual_events, principal_event
 from coevents.eventalg import Event, EventFamily, iter_supermasks, set_bits
 from coevents.measure import null_cover_exists, null_sets
+from coevents.theoryfile import HistoriesTheory, TheoryOptions
 
 from conftest import algebra_of_size, support_key
+from test_beables import dual_spaces, mixed_spaces
 
 
 def zero_coevent(alg: EventAlgebra) -> Coevent:
@@ -376,12 +380,13 @@ def scheme_oracle(measure) -> set[tuple[int, ...]]:
 
 
 @st.composite
-def measures_with_zeros(draw, max_n: int = 5) -> Measure:
-    """An exact measure over n <= max_n histories from amplitudes in {-1, 0, 1}
-    (so interference makes some zeros), with more zeros injected at random
-    events; the empty event is null or not."""
-    n = draw(st.integers(1, max_n), label="n")
-    space = SampleSpace(tuple("abcde"[:n]))
+def measures_with_zeros(draw, max_n: int = 5, space: Optional[SampleSpace] = None) -> Measure:
+    """An exact measure over n <= max_n histories, or over ``space`` if one is
+    given, from amplitudes in {-1, 0, 1} (so interference makes some zeros),
+    with more zeros injected at random events; the empty event is null or not."""
+    if space is None:
+        space = SampleSpace(tuple("abcde"[: draw(st.integers(1, max_n), label="n")]))
+    n = space.n
     amps = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n), label="amplitudes")
     m = Measure.from_amplitudes(space, [GaussianRational.real(a) for a in amps])
     zeros = draw(st.frozensets(st.integers(0, (1 << n) - 1)), label="zeros")
@@ -675,3 +680,37 @@ def test_support_bits_match_the_frozenset_oracles(m, data):
     assert check_modus_ponens(phi) == walk
     family = str(EventFamily.from_masks(alg.space, support))
     assert str(phi) == (family if p is None else f"{Event(alg.space, p)}*")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coevents_rows_match_the_pairwise_definitions(data):
+    """section_coevents reads its four flags from the members' keys; each row
+    must agree with the flag's definition on the member's support.  Spaces
+    with and without the constant-one map (and, mixed, with the zero
+    coevent) are read under both empty-dual conventions."""
+    spaces = data.draw(st.sampled_from([mixed_spaces, dual_spaces]), label="spaces")
+    space = data.draw(spaces(include_empty=data.draw(st.booleans())), label="space")
+    include_empty = data.draw(st.booleans(), label="include_empty_dual")
+    alg = space.algebra
+    m = data.draw(measures_with_zeros(space=alg.space), label="measure")
+    theory = HistoriesTheory(alg.space, alg, m, TheoryOptions(include_empty), "amplitudes")
+    full = alg.space.full_mask
+    rows = [
+        {
+            "coevent": (
+                str(EventFamily.from_masks(alg.space, phi.support))
+                if phi.principal_mask is None
+                else f"{Event(alg.space, phi.principal_mask)}*"
+            ),
+            "classical": classical_oracle(phi),
+            "multiplicative": multiplicative_oracle(phi, include_empty),
+            "preclusive": phi.support.isdisjoint(m.null_masks),
+            "modus_ponens": all(
+                s in phi.support for a in phi.support for s in iter_supermasks(a, full)
+            ),
+        }
+        for phi in space.members
+    ]
+    section = section_coevents(theory, space, include_empty)
+    assert section == {"set": space.provenance, "count": len(space), "members": rows}

@@ -244,3 +244,10 @@ def test_event_family_masks_are_ascending_and_distinct(masks):
     for given_masks in (masks, sorted(masks)):
         assert EventFamily.from_masks(space, given_masks).masks == expected
         assert EventFamily(space, tuple(given_masks)).masks == expected
+        # a list or a generator is stored as the same tuple, so the families
+        # are equal and hash alike
+        canonical = EventFamily(space, expected)
+        for form in (list(given_masks), (mask for mask in given_masks)):
+            family = EventFamily(space, form)
+            assert type(family.masks) is tuple and family.masks == expected
+            assert family == canonical and hash(family) == hash(canonical)

@@ -7,7 +7,9 @@ flags.  One named ``<verb>-<case>_<theory>`` runs it with the flags that
 ``FLAGS`` lists for ``<verb>-<case>``.  Larger outputs are pinned by
 exit code, byte count and sha256 (``PINNED``), on the theory files under
 ``tests/golden/theories/``, and so are the ``validate`` and ``orders``
-outputs on the catalog corpus written there (``CORPUS_PINNED``).
+outputs on the catalog corpus written there (``CORPUS_PINNED``) and the
+brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
+(``BRUTE_FORCE_PINNED``).
 ``report`` is kept only for the two small theories; on
 ``four_slit_decoherence`` its machine form is about 126 KB.  A change
 that means to alter the output regenerates a golden with, for example,
@@ -113,6 +115,27 @@ def test_cli_output_at_n12_matches_its_pinned_hash(capsys, case):
     rc = run([verb, str(theory), "--format", fmt, *flags])
     out = capsys.readouterr().out.encode("utf-8")
     assert (rc, len(out), hashlib.sha256(out).hexdigest()) == PINNED[case]
+
+
+#: ``coevents four_slit_decoherence.json --set all --cap 4 --format <fmt>``:
+#: exit code, stdout bytes and sha256.  The brute-force space at n = 4 holds
+#: 65,536 members, 65,520 of them held as support bits, not as duals.
+BRUTE_FORCE_PINNED = {
+    "machine": (
+        0, 15101892, "94c03dc504eb1fa49b3e7f7ed5f513e1728ba38f0ce4306f08c3f447b492a4d0"
+    ),
+    "text": (
+        0, 10981288, "530719d4440b7bb6a06dbaaf8836c226b55ca17c14028425bcdc2c2cc938dd1e"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", BRUTE_FORCE_PINNED)
+def test_brute_force_coevents_at_n4_match_their_pinned_hash(capsys, fmt):
+    theory = THEORIES / "four_slit_decoherence.json"
+    rc = run(["coevents", str(theory), "--set", "all", "--cap", "4", "--format", fmt])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (rc, len(out), hashlib.sha256(out).hexdigest()) == BRUTE_FORCE_PINNED[fmt]
 
 
 #: ``coevents <verb> <theory>.json <flags> --format <fmt>``: exit code, stdout
