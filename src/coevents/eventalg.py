@@ -133,6 +133,11 @@ class SampleSpace:
             names += [f"{s},{label}" if s else label for s in names]
         return tuple("{" + s + "}" for s in names)
 
+    @cached_property
+    def event_masks(self) -> dict[str, int]:
+        """The mask of every event by its ``str``, the inverse of :attr:`event_names`."""
+        return dict(zip(self.event_names, range(len(self.event_names))))
+
 
 @dataclass(frozen=True)
 class Event:

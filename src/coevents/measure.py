@@ -7,6 +7,13 @@ common denominator, and every sum rule, sign test and zero test compares
 those integers; ``Fraction`` values are built only when read.  Inputs
 are ``fractions.Fraction`` / Gaussian rationals: preclusion hinges on
 exact zero tests, so there is no floating-point mode.
+
+Each kind of measure input has one integer core that builds the value
+table from :data:`Ratio` pairs (:meth:`MeasureValues.of_ratios`,
+:func:`atom_weight_values`, :func:`amplitude_values`,
+:func:`decoherence_values`); the constructors that take ``Fraction`` /
+Gaussian rationals read their inputs' numerators and denominators and
+call it, and the theory-file loader calls it on the pairs it parses.
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ from .eventalg import (
     iter_submasks,
     masks_lacking,
 )
+
+#: An exact rational as an integer numerator and a positive denominator,
+#: not necessarily in lowest terms.
+Ratio = tuple[int, int]
+#: A Gaussian rational as the ratios of its real and imaginary parts.
+ComplexRatio = tuple[Ratio, Ratio]
 
 
 @dataclass(frozen=True)
@@ -120,14 +133,18 @@ class MeasureValues(Mapping[int, Fraction]):
     def __init__(self, den: int, nums: Sequence[int]) -> None:
         g = math.gcd(den, *nums)
         self.den = den // g
-        self.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
+        self.nums = tuple([x // g for x in nums] if g != 1 else nums)
         self._fractions: dict[int, Fraction] = {}
 
     @classmethod
-    def of(cls, values: Sequence[Fraction | int]) -> "MeasureValues":
-        """The table of ``values[m]`` for m = 0, 1, ..., over their common denominator."""
-        den = math.lcm(*(v.denominator for v in values))
-        return cls(den, [v.numerator * (den // v.denominator) for v in values])
+    def of_ratios(cls, ratios: Sequence[Ratio]) -> "MeasureValues":
+        """The table of ``p / q`` for the pairs ``ratios[m]`` = (p, q), m = 0, 1, ...
+
+        Reduced, the pair (den, nums) is the same for every spelling of
+        the same rationals, so it equals the pair of their ``Fraction``s.
+        """
+        den, (nums,) = _integer_rows([ratios])
+        return cls(den, nums)
 
     def fraction(self, num: int) -> Fraction:
         """``num / den``, built once per numerator."""
@@ -193,7 +210,7 @@ class Measure:
                 f"measure must be total on the algebra; missing masks {missing[:4]}, "
                 f"extra masks {extra[:4]}"
             )
-        table = MeasureValues.of([self.values[m] for m in range(size)])
+        table = MeasureValues.of_ratios([_ratio_of(self.values[m]) for m in range(size)])
         object.__setattr__(self, "values", table)
 
     def __call__(self, event: Event) -> Fraction:
@@ -205,6 +222,15 @@ class Measure:
     def null_masks(self) -> tuple[int, ...]:
         """The masks of exactly zero measure, ascending; found once, on first use."""
         return tuple(mask for mask, x in enumerate(self.values.nums) if not x)
+
+    @cached_property
+    def null_down_bytes(self) -> bytes:
+        """:attr:`null_down_set` as bytes: bit A is bit A % 8 of byte A // 8.
+
+        Reading one bit of a byte string costs O(1); shifting the 2^n-bit
+        integer to read it copies the integer.
+        """
+        return self.null_down_set.to_bytes((self.algebra.size + 7) // 8, "little")
 
     @cached_property
     def null_down_set(self) -> int:
@@ -233,40 +259,70 @@ class Measure:
     def from_atom_weights(
         cls, space: SampleSpace, weights: Mapping[str, Fraction | int]
     ) -> "Measure":
-        """Additive measure from per-history weights (classical input)."""
-        missing = [lab for lab in space.labels if lab not in weights]
-        if missing:
-            raise ValueError(f"missing weights for histories {missing}")
-        extra = [lab for lab in weights if lab not in space.labels]
-        if extra:
-            raise ValueError(f"weights given for unknown histories {extra}")
-        w = [Fraction(weights[lab]) for lab in space.labels]
-        diagonal = [[x if k == j else 0 for j in range(space.n)] for k, x in enumerate(w)]
-        algebra = EventAlgebra(space)
-        return cls(algebra, _pair_sum_values(diagonal, algebra.size))
+        """Additive measure from per-history weights (classical input):
+        :func:`atom_weight_values` of the weights as ``Fraction``s."""
+        ratios = {lab: _ratio_of(Fraction(w)) for lab, w in weights.items()}
+        return cls(EventAlgebra(space), atom_weight_values(space, ratios))
 
     @classmethod
     def from_amplitudes(
         cls, space: SampleSpace, amplitudes: Sequence[GaussianRational]
     ) -> "Measure":
-        """Measure of A as |sum of the amplitudes in A|^2.
+        """Measure of A as |sum of the amplitudes in A|^2
+        (:func:`amplitude_values`)."""
+        parts = [(_ratio_of(a.re), _ratio_of(a.im)) for a in amplitudes]
+        return cls(EventAlgebra(space), amplitude_values(space, parts))
 
-        The real and imaginary parts are scaled to integers over their
-        common denominator d, each part's sums over every event are built
-        by doubling (the events holding history i are those without it,
-        plus a_i), and mu(A) = re(A)^2 + im(A)^2 over d^2, exactly.
-        """
-        if len(amplitudes) != space.n:
-            raise ValueError("need exactly one amplitude per history")
-        d = math.lcm(*(x.denominator for a in amplitudes for x in (a.re, a.im)))
-        re_sums, im_sums = [0], [0]
-        for a in amplitudes:
-            re = a.re.numerator * (d // a.re.denominator)
-            im = a.im.numerator * (d // a.im.denominator)
-            re_sums += [s + re for s in re_sums]
-            im_sums += [s + im for s in im_sums]
-        nums = [x * x + y * y for x, y in zip(re_sums, im_sums)]
-        return cls(EventAlgebra(space), MeasureValues(d * d, nums))
+
+def _ratio_of(x: Fraction | int) -> Ratio:
+    return x.numerator, x.denominator
+
+
+def _integer_rows(rows: Sequence[Sequence[Ratio]]) -> tuple[int, list[list[int]]]:
+    """Rows of ratios as their least common denominator and the integer
+    numerators over it."""
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return den, [[p * (den // q) for p, q in row] for row in rows]
+
+
+def atom_weight_values(space: SampleSpace, weights: Mapping[str, Ratio]) -> MeasureValues:
+    """The additive table of per-history weights, each label's a ratio.
+
+    Every label of the space must have a weight, and no other may.  The
+    weights are scaled to integers over their common denominator and
+    summed over every event by doubling: the events holding history i
+    are those without it, each plus w_i.
+    """
+    missing = [lab for lab in space.labels if lab not in weights]
+    if missing:
+        raise ValueError(f"missing weights for histories {missing}")
+    extra = [lab for lab in weights if lab not in space.labels]
+    if extra:
+        raise ValueError(f"weights given for unknown histories {extra}")
+    den, (w,) = _integer_rows([[weights[lab] for lab in space.labels]])
+    sums = [0]
+    for x in w:
+        sums += [s + x for s in sums]
+    return MeasureValues(den, sums)
+
+
+def amplitude_values(space: SampleSpace, amplitudes: Sequence[ComplexRatio]) -> MeasureValues:
+    """The table of |sum of the amplitudes in A|^2, one amplitude per history.
+
+    The real and imaginary parts are scaled to integers over their
+    common denominator d, each part's sums over every event are built
+    by doubling (the events holding history i are those without it,
+    plus a_i), and mu(A) = re(A)^2 + im(A)^2 over d^2, exactly.
+    """
+    if len(amplitudes) != space.n:
+        raise ValueError("need exactly one amplitude per history")
+    d, (re_parts, im_parts) = _integer_rows(list(zip(*amplitudes)))
+    re_sums, im_sums = [0], [0]
+    for re, im in zip(re_parts, im_parts):
+        re_sums += [s + re for s in re_sums]
+        im_sums += [s + im for s in im_sums]
+    nums = [x * x + y * y for x, y in zip(re_sums, im_sums)]
+    return MeasureValues(d * d, nums)
 
 
 def _iter_disjoint_pairs(size: int):
@@ -422,8 +478,8 @@ def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator
 class DecoherenceSpec:
     """A Hermitian, normalized matrix of pairwise history interferences.
 
-    entries[i][j] is the value on the history pair (i, j); Hermiticity
-    and total sum 1 are machine-checked by :meth:`from_rows`.
+    entries[i][j] is the value on the history pair (i, j); the shape,
+    Hermiticity and total sum 1 are machine-checked by :meth:`from_rows`.
     """
 
     space: SampleSpace
@@ -433,10 +489,7 @@ class DecoherenceSpec:
     def from_rows(
         cls, space: SampleSpace, rows: Sequence[Sequence[GaussianRational]]
     ) -> "DecoherenceSpec":
-        entries = tuple(tuple(row) for row in rows)
-        if len(entries) != space.n or any(len(r) != space.n for r in entries):
-            raise ValueError(f"decoherence matrix must be {space.n}x{space.n}")
-        spec = cls(space, entries)
+        spec = cls(space, tuple(tuple(row) for row in rows))
         spec.check_invariants()
         return spec
 
@@ -464,55 +517,78 @@ class DecoherenceSpec:
         return cls.from_rows(space, rows)
 
     def check_invariants(self) -> None:
-        """Hermiticity and total sum 1, tested on integer numerators over
-        the common denominator of the real parts and of the imaginary parts.
-        A Hermitian matrix's imaginary parts cancel in the sum."""
-        n = self.space.n
-        re_den, re = _integer_rows([[g.re for g in row] for row in self.entries])
-        _, im = _integer_rows([[g.im for g in row] for row in self.entries])
-        for i in range(n):
-            for j in range(n):
-                if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
-                    raise ValueError(
-                        f"matrix is not Hermitian at ({self.space.labels[i]}, "
-                        f"{self.space.labels[j]})"
-                    )
-        re_total = sum(map(sum, re))
-        if re_total != re_den:
-            total = GaussianRational.real(Fraction(re_total, re_den))
-            raise ValueError(f"matrix entries sum to {total}, expected 1")
+        """The shape n x n, Hermiticity and total sum 1 (:func:`_checked_matrix`)."""
+        _checked_matrix(
+            self.space,
+            [[(_ratio_of(g.re), _ratio_of(g.im)) for g in row] for row in self.entries],
+        )
 
 
-def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """A rational matrix as its common denominator and the integer numerators over it."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+def _checked_matrix(
+    space: SampleSpace, rows: Sequence[Sequence[ComplexRatio]]
+) -> tuple[int, list[list[int]]]:
+    """A decoherence matrix's real parts as integer rows over their common
+    denominator, once the matrix is checked to be n x n, Hermitian and of
+    total sum 1.
+
+    Hermiticity and the sum are tested on integer numerators over the
+    common denominator of the real parts and of the imaginary parts.  A
+    Hermitian matrix's imaginary parts cancel in the sum.
+    """
+    n = space.n
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"decoherence matrix must be {n}x{n}")
+    re_den, re = _integer_rows([[z[0] for z in row] for row in rows])
+    _, im = _integer_rows([[z[1] for z in row] for row in rows])
+    for i in range(n):
+        for j in range(n):
+            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
+                raise ValueError(
+                    f"matrix is not Hermitian at ({space.labels[i]}, {space.labels[j]})"
+                )
+    re_total = sum(map(sum, re))
+    if re_total != re_den:
+        total = GaussianRational.real(Fraction(re_total, re_den))
+        raise ValueError(f"matrix entries sum to {total}, expected 1")
+    return re_den, re
+
+
+def decoherence_values(
+    space: SampleSpace, rows: Sequence[Sequence[ComplexRatio]]
+) -> MeasureValues:
+    """The table of a decoherence matrix given as rows of complex ratios:
+    mu(A) is the matrix summed over the pairs of histories inside A.
+
+    The matrix is checked as :meth:`DecoherenceSpec.from_rows` checks it
+    (:func:`_checked_matrix`), and a Hermitian matrix's sums are real, so
+    only the real parts are summed.
+    """
+    den, re = _checked_matrix(space, rows)
+    return MeasureValues(den, _pair_sums(re, 1 << space.n))
 
 
 def _pair_sums(matrix: Sequence[Sequence[int]], size: int) -> list[int]:
     """For every mask A, the sum of matrix[k][l] over histories k, l in A.
 
-    With i and j the two lowest histories of A, each sum takes O(1) steps:
-    s(A) = s(A - i) + s(A - j) - s(A - {i, j}) + matrix[i][j] + matrix[j][i].
+    Built by doubling: the events holding history i, above every history
+    placed so far, are those without it, each plus matrix[i][i] and the
+    cross terms matrix[i][k] + matrix[k][i] of every k it holds.  Those
+    cross sums are built by doubling too, so each history costs O(2^i).
     """
-    sums = [0] * size
-    for a in range(1, size):
-        no_i = a & (a - 1)
-        i = (a ^ no_i).bit_length() - 1
-        if no_i == 0:
-            sums[a] = matrix[i][i]
-            continue
-        no_ij = no_i & (no_i - 1)
-        j = (no_i ^ no_ij).bit_length() - 1
-        sums[a] = (
-            sums[no_i] + sums[a ^ (1 << j)] - sums[no_ij] + matrix[i][j] + matrix[j][i]
-        )
+    sums = [0]
+    for i in range(size.bit_length() - 1):
+        row = matrix[i]
+        cross = [row[i]]
+        for k in range(i):
+            c = row[k] + matrix[k][i]
+            cross += [x + c for x in cross]
+        sums += [s + x for s, x in zip(sums, cross)]
     return sums
 
 
 def _pair_sum_values(matrix: Sequence[Sequence[Fraction]], size: int) -> MeasureValues:
     """:func:`_pair_sums` of a rational matrix, in integers over its common denominator."""
-    den, scaled = _integer_rows(matrix)
+    den, scaled = _integer_rows([[_ratio_of(x) for x in row] for row in matrix])
     return MeasureValues(den, _pair_sums(scaled, size))
 
 

@@ -14,6 +14,11 @@ rationals are written as integers or "p/q" strings, complex entries as
 Measure stanzas: "event_table" (event rendering -> value, total),
 "atom_weights" (label -> value), "amplitudes" (one per history), or
 "decoherence" (n x n Hermitian matrix summing to 1).
+
+Each number is read as an integer numerator and a positive denominator,
+as written, and each stanza's pairs go to its integer core in
+:mod:`coevents.measure`; no ``Fraction`` is built per entry.  The
+``where`` of an error message is written only when the error is raised.
 """
 
 from __future__ import annotations
@@ -22,12 +27,21 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .coevent import BRUTE_FORCE_CAP
 from .errors import ParseError, ValidationError
 from .eventalg import EventAlgebra, SampleSpace
-from .measure import DecoherenceSpec, GaussianRational, Measure, measure_from_decoherence
+from .measure import (
+    ComplexRatio,
+    GaussianRational,
+    Measure,
+    MeasureValues,
+    Ratio,
+    amplitude_values,
+    atom_weight_values,
+    decoherence_values,
+)
 
 
 @dataclass(frozen=True)
@@ -47,49 +61,112 @@ class HistoriesTheory:
     measure_kind: str  # which stanza the measure came from
 
 
-def parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(f"{where}: booleans are not numbers")
-    if isinstance(value, int):
-        return Fraction(value)
+class _Unreadable(Exception):
+    """A number that is not an exact rational; the message follows the
+    ``where`` of its entry."""
+
+
+def _ratio(value: Any) -> Ratio:
+    """``value`` as an integer numerator and a positive denominator, as
+    written (``"2/4"`` is (2, 4)), or :class:`_Unreadable`."""
     if isinstance(value, str):
         num, slash, den = value.strip().partition("/")
-        digits = num[1:] if num.startswith(("+", "-")) else num
+        sign = num[:1]
+        digits = num[1:] if sign == "-" or sign == "+" else num
         # isdecimal holds of exactly the characters \d matches, and int reads them.
         if not (digits.isdecimal() and (not slash or den.isdecimal())):
-            raise ValidationError(
-                f"{where}: {value!r} is not an exact rational (use an integer or \"p/q\")"
+            raise _Unreadable(
+                f": {value!r} is not an exact rational (use an integer or \"p/q\")"
             )
         try:
             p, q = int(digits), int(den) if slash else 1
         except ValueError as exc:  # more digits than Python converts
-            raise ValidationError(f"{where}: {exc}")
+            raise _Unreadable(f": {exc}") from None
         if not q:
-            raise ValidationError(f"{where}: {value!r} has a zero denominator")
-        return Fraction(-p if num.startswith("-") else p, q)
+            raise _Unreadable(f": {value!r} has a zero denominator")
+        return -p if sign == "-" else p, q
+    if isinstance(value, bool):
+        raise _Unreadable(": booleans are not numbers")
+    if isinstance(value, int):
+        return value, 1
     if isinstance(value, float):
-        raise ValidationError(
-            f"{where}: floating-point literal {value!r} rejected; values must be exact"
-        )
-    raise ValidationError(f"{where}: expected a rational, got {type(value).__name__}")
+        raise _Unreadable(f": floating-point literal {value!r} rejected; values must be exact")
+    raise _Unreadable(f": expected a rational, got {type(value).__name__}")
+
+
+def _complex_ratio(value: Any) -> ComplexRatio:
+    """A complex entry, a rational or a ``{"re": ..., "im": ...}`` object,
+    as the ratios of its real and imaginary parts."""
+    if not isinstance(value, dict):
+        return _ratio(value), (0, 1)
+    if not value.keys() <= {"re", "im"}:
+        raise _Unreadable(f": unknown complex fields {sorted(value.keys() - {'re', 'im'})}")
+    return _part(value, "re"), _part(value, "im")
+
+
+def _part(value: dict, name: str) -> Ratio:
+    try:
+        return _ratio(value.get(name, 0))
+    except _Unreadable as exc:
+        raise _Unreadable(f".{name}{exc}") from None
+
+
+def parse_rational(value: Any, where: str) -> Fraction:
+    try:
+        return Fraction(*_ratio(value))
+    except _Unreadable as exc:
+        raise ValidationError(f"{where}{exc}") from None
 
 
 def parse_complex(value: Any, where: str) -> GaussianRational:
-    if isinstance(value, dict):
-        extra = set(value) - {"re", "im"}
-        if extra:
-            raise ValidationError(f"{where}: unknown complex fields {sorted(extra)}")
-        re_part = parse_rational(value.get("re", 0), where + ".re")
-        im_part = parse_rational(value.get("im", 0), where + ".im")
-        return GaussianRational(re_part, im_part)
-    return GaussianRational(parse_rational(value, where), Fraction(0))
-
-
-def _parse_event_key(key: str, algebra: EventAlgebra, where: str) -> int:
     try:
-        return algebra.parse_mask(key)
-    except Exception as exc:
-        raise ValidationError(f"{where}: bad event {key!r}: {exc}")
+        re, im = _complex_ratio(value)
+    except _Unreadable as exc:
+        raise ValidationError(f"{where}{exc}") from None
+    return GaussianRational(Fraction(*re), Fraction(*im))
+
+
+def _read(entries: Iterable[tuple[Any, Any]], read: Callable[[Any], Any], where: str) -> list:
+    """``read`` of each entry's value, in order; a rejected value raises
+    :class:`ValidationError` at ``where.format(key)``."""
+    out = []
+    try:
+        for key, raw in entries:
+            out.append(read(raw))
+    except _Unreadable as exc:
+        raise ValidationError(f"{where.format(key)}{exc}") from None
+    return out
+
+
+def _event_table_values(body: dict, algebra: EventAlgebra) -> MeasureValues:
+    """The table an ``event_table`` stanza writes, total on the algebra.
+
+    A key written as its event prints is one lookup in
+    :attr:`~coevents.eventalg.SampleSpace.event_masks`; any other
+    spelling is read by :meth:`~coevents.eventalg.EventAlgebra.parse_mask`.
+    """
+    masks = algebra.space.event_masks
+    ratios: list[Ratio | None] = [None] * algebra.size
+    for key, raw in body.items():
+        mask = masks.get(key)
+        if mask is None:
+            try:
+                mask = algebra.parse_mask(key)
+            except Exception as exc:
+                raise ValidationError(f"event_table[{key!r}]: bad event {key!r}: {exc}")
+        if ratios[mask] is not None:
+            raise ValidationError(f"event_table: event {key!r} given twice")
+        try:
+            ratios[mask] = _ratio(raw)
+        except _Unreadable as exc:
+            raise ValidationError(f"event_table[{key!r}]{exc}") from None
+    if None in ratios:
+        missing = [m for m, r in enumerate(ratios) if r is None]
+        raise ValidationError(
+            f"event_table must be total; missing {algebra.event(missing[0])}"
+            + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
+        )
+    return MeasureValues.of_ratios(ratios)
 
 
 def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
@@ -129,53 +206,35 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
     if kind == "event_table":
         if not isinstance(body, dict):
             raise ValidationError("event_table must map event renderings to values")
-        values: dict[int, Fraction] = {}
-        for key, raw in body.items():
-            where = f"event_table[{key!r}]"
-            mask = _parse_event_key(key, algebra, where)
-            if mask in values:
-                raise ValidationError(f"event_table: event {key!r} given twice")
-            values[mask] = parse_rational(raw, where)
-        missing = [m for m in range(algebra.size) if m not in values]
-        if missing:
-            raise ValidationError(
-                f"event_table must be total; missing {algebra.event(missing[0])}"
-                + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
-            )
-        measure = Measure(algebra, values)
+        values = _event_table_values(body, algebra)
     elif kind == "atom_weights":
         if not isinstance(body, dict):
             raise ValidationError("atom_weights must map history labels to values")
-        weights = {
-            lab: parse_rational(raw, f"atom_weights[{lab!r}]")
-            for lab, raw in body.items()
-        }
+        weights = dict(zip(body, _read(body.items(), _ratio, "atom_weights[{!r}]")))
         try:
-            measure = Measure.from_atom_weights(space, weights)
+            values = atom_weight_values(space, weights)
         except ValueError as exc:
             raise ValidationError(f"atom_weights: {exc}")
     elif kind == "amplitudes":
         if not isinstance(body, list):
             raise ValidationError("amplitudes must be a list, one entry per history")
-        amps = [
-            parse_complex(raw, f"amplitudes[{i}]") for i, raw in enumerate(body)
-        ]
+        amps = _read(enumerate(body), _complex_ratio, "amplitudes[{}]")
         try:
-            measure = Measure.from_amplitudes(space, amps)
+            values = amplitude_values(space, amps)
         except ValueError as exc:
             raise ValidationError(f"amplitudes: {exc}")
     else:
         if not isinstance(body, list) or not all(isinstance(r, list) for r in body):
             raise ValidationError("decoherence must be a matrix (list of rows)")
         rows = [
-            [parse_complex(raw, f"decoherence[{i}][{j}]") for j, raw in enumerate(row)]
+            _read(enumerate(row), _complex_ratio, f"decoherence[{i}][{{}}]")
             for i, row in enumerate(body)
         ]
         try:
-            spec = DecoherenceSpec.from_rows(space, rows)
+            values = decoherence_values(space, rows)
         except ValueError as exc:
             raise ValidationError(f"decoherence: {exc}")
-        measure = measure_from_decoherence(spec)
+    measure = Measure(algebra, values)
 
     options = data.get("options", {})
     if not isinstance(options, dict):

@@ -9,7 +9,8 @@ exit code, byte count and sha256 (``PINNED``), on the theory files under
 ``tests/golden/theories/``, and so are the ``validate`` and ``orders``
 outputs on the catalog corpus written there (``CORPUS_PINNED``) and the
 brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
-(``BRUTE_FORCE_PINNED``).
+(``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
+two larger theory files that pin what the loader reads (``LOADER_PINNED``).
 ``report`` is kept only for the two small theories; on
 ``four_slit_decoherence`` its machine form is about 126 KB.  A change
 that means to alter the output regenerates a golden with, for example,
@@ -351,3 +352,48 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
     rc = run([verb, str(ROOT / "golden" / "theories" / f"{name}.json"), "--format", fmt, *flags])
     out = capsys.readouterr().out.encode("utf-8")
     assert (rc, len(out), hashlib.sha256(out).hexdigest()) == CORPUS_PINNED[case]
+
+
+#: ``coevents <verb> <theory>.json --format <fmt>``: exit code, stdout bytes
+#: and sha256, on two theory files under ``tests/golden/theories/`` written
+#: once from ``bench/gen.py``.  ``event_table_8`` is
+#: ``gen.theory("event_table", gen.rng_for(24, "golden", "event_table", 8), 8)``
+#: with the key of every third mask of two or more histories written in
+#: reverse label order without braces (``"b,a"`` for ``"{a,b}"``) and the
+#: value of every fifth mask doubled above and below the slash
+#: (``"0/2"``); ``decoherence_7`` is ``gen.theory("decoherence",
+#: gen.rng_for(24, "golden", "decoherence", 7), 7)``, a 7 x 7 complex matrix.
+LOADER_PINNED = {
+    ("event_table_8", "validate", "machine"): (
+        0, 216906, "a41a5a7388ee4a38c3fc5ba399403fc53e3599e186b583d829c759259a9980b1"
+    ),
+    ("event_table_8", "validate", "text"): (
+        0, 139234, "214dcb959a84f14e36b5609745cbb9234d72c6cd1e6eba7b317588f53cd6953c"
+    ),
+    ("event_table_8", "coevents", "machine"): (
+        0, 54222, "76884e2eef1ba3b6dd1160887502c2a6793d989fd16e196eeae5d3572dc2d62e"
+    ),
+    ("event_table_8", "coevents", "text"): (
+        0, 37103, "c57ba54defb8f6776e222d97baaa595911e381f0d57033849be0ebb59de06dd9"
+    ),
+    ("decoherence_7", "validate", "machine"): (
+        0, 207478, "8280b400a028a042e9f84af3693bcae29e8c614f58fe9730e64f0aad89fac51d"
+    ),
+    ("decoherence_7", "validate", "text"): (
+        0, 133525, "b42b01a5f26dd5151a8925b089547faf1760a9bae21ec63ef65500c23116a682"
+    ),
+    ("decoherence_7", "coevents", "machine"): (
+        0, 27060, "e9559dc1686d90310c3187b98631247bc36b85db66afc36883f35ce0bd9b3a7c"
+    ),
+    ("decoherence_7", "coevents", "text"): (
+        0, 18396, "0620ea2c073599c330d6deae91ce037271b73b28a0c9ffb508d82624222b91a8"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_PINNED, ids=lambda case: ":".join(case))
+def test_cli_output_on_loaded_files_matches_its_pinned_hash(capsys, case):
+    name, verb, fmt = case
+    rc = run([verb, str(ROOT / "golden" / "theories" / f"{name}.json"), "--format", fmt])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (rc, len(out), hashlib.sha256(out).hexdigest()) == LOADER_PINNED[case]

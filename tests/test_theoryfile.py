@@ -10,7 +10,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevents import Event, ParseError, ValidationError, validate_quantum
+from coevents import (
+    DecoherenceSpec,
+    Event,
+    EventAlgebra,
+    GaussianRational,
+    Measure,
+    ParseError,
+    SampleSpace,
+    ValidationError,
+    measure_from_decoherence,
+    validate_quantum,
+)
+from coevents import theoryfile
 from coevents.theoryfile import load, load_data, parse_complex, parse_rational
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
@@ -298,6 +310,264 @@ def test_float_amplitudes_rejected(tmp_path):
                 {"sample_space": ["a"], "measure": {"amplitudes": [0.5]}},
             )
         )
+
+
+# ---------------------------------------------------------------------------
+# The integer loader against the Fraction route
+
+
+def fraction_route(labels: list[str], kind: str, body) -> Measure:
+    """Oracle: a measure stanza read one ``Fraction`` per number, through
+    ``parse_rational``/``parse_complex`` and the ``Fraction`` constructors,
+    with the loader's messages and their order."""
+    space = SampleSpace(tuple(labels))
+    algebra = EventAlgebra(space)
+    if kind == "event_table":
+        values = {}
+        for key, raw in body.items():
+            where = f"event_table[{key!r}]"
+            try:
+                mask = algebra.parse_mask(key)
+            except Exception as exc:
+                raise ValidationError(f"{where}: bad event {key!r}: {exc}")
+            if mask in values:
+                raise ValidationError(f"event_table: event {key!r} given twice")
+            values[mask] = parse_rational(raw, where)
+        missing = [m for m in range(algebra.size) if m not in values]
+        if missing:
+            raise ValidationError(
+                f"event_table must be total; missing {algebra.event(missing[0])}"
+                + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
+            )
+        return Measure(algebra, values)
+    try:
+        if kind == "atom_weights":
+            weights = {lab: parse_rational(raw, f"atom_weights[{lab!r}]") for lab, raw in body.items()}
+            return Measure.from_atom_weights(space, weights)
+        if kind == "amplitudes":
+            amps = [parse_complex(raw, f"amplitudes[{i}]") for i, raw in enumerate(body)]
+            return Measure.from_amplitudes(space, amps)
+        rows = [
+            [parse_complex(raw, f"decoherence[{i}][{j}]") for j, raw in enumerate(row)]
+            for i, row in enumerate(body)
+        ]
+        return measure_from_decoherence(DecoherenceSpec.from_rows(space, rows))
+    except ValueError as exc:
+        raise ValidationError(f"{kind}: {exc}")
+
+
+@st.composite
+def spellings(draw, x: Fraction):
+    """``x`` as a theory file may write it: an int, or a signed, padded,
+    unreduced ``"p/q"`` or ``"p"`` string."""
+    k = draw(st.integers(1, 4), label="unreduced by")
+    p, q = x.numerator * k, x.denominator * k
+    if q == 1 and draw(st.booleans(), label="as an int"):
+        return p
+    sign = "-" if p < 0 else draw(st.sampled_from(["", "+"]), label="plus")
+    text = f"{sign}{abs(p)}" + (f"/{q}" if q != 1 or draw(st.booleans()) else "")
+    pad = st.sampled_from(["", " ", "\t", "\n "])
+    return draw(pad, label="before") + text + draw(pad, label="after")
+
+
+@st.composite
+def complex_spellings(draw, z: GaussianRational):
+    if z.im == 0 and draw(st.booleans(), label="as a rational"):
+        return draw(spellings(z.re))
+    entry = {}
+    for name in ("re", "im"):
+        part = getattr(z, name)
+        if part or draw(st.booleans(), label=f"{name} written"):
+            entry[name] = draw(spellings(part))
+    return entry
+
+
+@st.composite
+def key_spellings(draw, labels: tuple[str, ...]):
+    """An event's labels as an ``event_table`` key: as the event prints, or
+    reordered, with or without braces, with empty parts and outer spaces."""
+    if draw(st.booleans(), label="as it prints"):
+        return "{" + ",".join(labels) + "}"
+    parts = list(draw(st.permutations(labels), label="order"))
+    if draw(st.booleans(), label="an empty part"):
+        parts.insert(draw(st.integers(0, len(parts)), label="at"), "")
+    text = ",".join(parts)
+    if draw(st.booleans(), label="braces"):
+        text = "{" + text + "}"
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "  "]))
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+LOADER_LABELS = ("a", "bb", "c", "d1")
+
+
+@st.composite
+def stanzas(draw, kind: str):
+    """A well-formed stanza of ``kind``, every number respelled, and the
+    measure of the numbers drawn; a decoherence matrix is Hermitian with
+    total 1, its two halves written apart."""
+    n = draw(st.integers(1, 4), label="n")
+    labels = LOADER_LABELS[:n]
+    space = SampleSpace(labels)
+    if kind == "event_table":
+        keys = [
+            draw(key_spellings(tuple(lab for i, lab in enumerate(labels) if m >> i & 1)))
+            for m in range(1 << n)
+        ]
+        values = {m: draw(rationals) for m in draw(st.permutations(range(1 << n)))}
+        body = {keys[m]: draw(spellings(x)) for m, x in values.items()}
+        measure = Measure(EventAlgebra(space), values)
+    elif kind == "atom_weights":
+        weights = {lab: draw(rationals) for lab in draw(st.permutations(labels))}
+        body = {lab: draw(spellings(x)) for lab, x in weights.items()}
+        measure = Measure.from_atom_weights(space, weights)
+    elif kind == "amplitudes":
+        amps = [GaussianRational(draw(rationals), draw(rationals)) for _ in range(n)]
+        body = [draw(complex_spellings(a)) for a in amps]
+        measure = Measure.from_amplitudes(space, amps)
+    else:
+        rows = [[GaussianRational() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = GaussianRational.real(draw(rationals))
+            for j in range(i + 1, n):
+                rows[i][j] = GaussianRational(draw(rationals), draw(rationals))
+                rows[j][i] = rows[i][j].conjugate()
+        total = sum((z.re for row in rows for z in row), Fraction(0))
+        if total == 0:
+            rows[0][0] = rows[0][0] + GaussianRational.real(1)
+            total = Fraction(1)
+        rows = [[z * GaussianRational.real(1 / total) for z in row] for row in rows]
+        body = [[draw(complex_spellings(z)) for z in row] for row in rows]
+        measure = measure_from_decoherence(DecoherenceSpec.from_rows(space, rows))
+    return list(labels), body, measure
+
+
+def same_on_both_routes(labels: list[str], kind: str, body) -> None:
+    """The loader and the oracle build the same (den, nums), or raise the
+    same message."""
+    try:
+        expected = fraction_route(labels, kind, body)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as caught:
+            load_data({"sample_space": labels, "measure": {kind: body}})
+        assert str(caught.value) == str(exc)
+    else:
+        got = load_data({"sample_space": labels, "measure": {kind: body}}).measure
+        assert (got.values.den, got.values.nums) == (expected.values.den, expected.values.nums)
+
+
+STANZA_KINDS = ("event_table", "atom_weights", "amplitudes", "decoherence")
+
+
+@pytest.mark.parametrize("kind", STANZA_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_loader_builds_the_fraction_routes_pair(kind, data):
+    """Also against the measure of the numbers drawn, which no parser read."""
+    labels, body, measure = data.draw(stanzas(kind), label="stanza")
+    same_on_both_routes(labels, kind, body)
+    assert load_data({"sample_space": labels, "measure": {kind: body}}).measure == measure
+
+
+BAD_NUMBERS = (True, 0.5, "1/0", "-3/00", "1_0", "x", None, [1], "1/2/3", "9" * 4301)
+
+
+@pytest.mark.parametrize("kind", STANZA_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_loader_raises_the_fraction_routes_message(kind, data):
+    """Broken stanzas: a bad number anywhere (two, so the first must win),
+    and by kind a repeated key in another spelling, a missing key, a
+    missing or unknown label, a wrong length, a complex entry with an
+    unknown field, a ragged matrix, a non-Hermitian pair or a total that
+    is not 1."""
+    labels, body, _ = data.draw(stanzas(kind), label="stanza")
+    entries = (
+        [(body, key) for key in body] if isinstance(body, dict)
+        else [(body, i) for i in range(len(body))] if kind == "amplitudes"
+        else [(row, j) for row in body for j in range(len(row))]
+    )
+    breaks = ["number"]
+    if kind == "event_table":
+        breaks += ["twice", "missing", "label"]
+    elif kind == "atom_weights":
+        breaks += ["missing", "label"]
+    elif kind == "amplitudes":
+        breaks += ["missing", "extra", "field"]
+    else:
+        breaks += ["ragged", "field", "hermitian", "total"]
+    how = data.draw(st.sampled_from(breaks), label="break")
+    if how == "number":
+        for _ in range(data.draw(st.integers(1, 2), label="bad numbers")):
+            holder, key = data.draw(st.sampled_from(entries), label="entry")
+            holder[key] = data.draw(st.sampled_from(BAD_NUMBERS), label="bad number")
+    elif how == "twice":
+        key = data.draw(st.sampled_from(sorted(body)), label="key")
+        parts = [part for part in key.strip().strip("{}").split(",") if part]
+        body[",".join(reversed(parts)) + ","] = 0
+    elif how == "missing":
+        del body[data.draw(st.sampled_from(sorted(body))) if isinstance(body, dict) else -1]
+    elif how == "label":
+        body["{zz}" if kind == "event_table" else "zz"] = 1
+    elif how == "extra":
+        body.append(1)
+    elif how == "field":
+        holder, key = data.draw(st.sampled_from(entries), label="entry")
+        holder[key] = {"re": 1, "imag": 0}
+    elif how == "ragged":
+        row = data.draw(st.sampled_from(body), label="row")
+        if data.draw(st.booleans(), label="longer"):
+            row.append(0)
+        else:
+            row.pop()
+    elif how == "hermitian":
+        holder, key = data.draw(st.sampled_from(entries), label="entry")
+        holder[key] = {"re": "7/5", "im": "1/3"}
+    else:
+        holder, key = data.draw(st.sampled_from(entries[:1]), label="entry")
+        holder[key] = {"re": "1/7", "im": 0} if len(body) > 1 else "2/7"
+    same_on_both_routes(labels, kind, body)
+
+
+@pytest.mark.parametrize("kind", STANZA_KINDS)
+def test_loading_builds_no_fraction_per_entry(monkeypatch, kind):
+    """No number of a theory file is read through ``parse_rational`` or
+    ``parse_complex``, and loading builds no ``Fraction`` at all."""
+    data = {
+        "sample_space": ["a", "b", "c"],
+        "measure": {kind: {
+            "event_table": {
+                "{" + ",".join("abc"[i] for i in range(3) if m >> i & 1) + "}": f"{m}/36"
+                for m in range(8)
+            },
+            "atom_weights": {"a": "1/6", "b": "2/6", "c": "1/2"},
+            "amplitudes": [{"re": "1/2", "im": "1/2"}, "-1/4", {"im": "-1/2"}],
+            "decoherence": [
+                ["1/4", {"re": "1/8", "im": "1/8"}, 0],
+                [{"re": "1/8", "im": "-1/8"}, "1/4", 0],
+                [0, 0, "1/4"],
+            ],
+        }[kind]},
+    }
+    expected = load_data(data).measure
+
+    def refuse(*args):
+        raise AssertionError("a number was read through the Fraction parser")
+
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(theoryfile, "parse_rational", refuse)
+    monkeypatch.setattr(theoryfile, "parse_complex", refuse)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    got = load_data(data).measure
+    assert built == []
+    monkeypatch.undo()
+    assert (got.values.den, got.values.nums) == (expected.values.den, expected.values.nums)
 
 
 # ---------------------------------------------------------------------------
