@@ -29,6 +29,7 @@ from .eventalg import (
     first_witnesses,
     iter_supermasks,
     set_bits,
+    unchecked,
 )
 from .poset import closure, poset_of_coevents
 
@@ -221,7 +222,8 @@ def order_report(
     if not failing:
         return OrderReport(*flags, dict.fromkeys(_ORDER_KEYS, ()), tuple(notes))
     verdicts = dict(zip(_FLAG_FIELDS, flags), notes=tuple(notes))
-    return OrderReport._deferred(partial(_order_witnesses, space, failing, limit), **verdicts)
+    lister = partial(_order_witnesses, space, failing, limit)
+    return unchecked(OrderReport, _lister=lister, **verdicts)
 
 
 def _flags_from_principals(principals: Sequence[int], n: int) -> tuple[bool, ...]:

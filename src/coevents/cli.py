@@ -347,7 +347,7 @@ def section_topos(
             "mode": "single",
             "context": str(phi),
             "event": str(event),
-            "sieve": instance.render_sieve(sieve),
+            "sieve": str(sieve),
         }
     else:
         # chi_vsupp for every (context, event) cell: the event's tau row

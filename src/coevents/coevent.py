@@ -33,6 +33,7 @@ from .eventalg import (
     masks_lacking,
     principal_of,
     set_bits,
+    unchecked,
 )
 from .measure import Measure
 
@@ -152,21 +153,13 @@ def evaluate(phi: Coevent, event: Event) -> int:
     return phi(event)
 
 
-def _fill(
-    space: CoeventSpace, algebra: EventAlgebra, keys: Iterable[int], provenance: str
-) -> CoeventSpace:
-    """Set a new space's fields, holding keys s, s + 1, ... as a range."""
-    if not isinstance(keys, range):
-        keys = tuple(keys)
-        run = range(keys[0], keys[0] + len(keys)) if keys and keys[0] >= 0 else range(0)
-        if keys == tuple(run):
-            keys = run
-        elif len(set(keys)) != len(keys):  # the Boolean completion's size rests on it
-            raise ValueError("coevent space members must be distinct; use build")
-    object.__setattr__(space, "algebra", algebra)
-    object.__setattr__(space, "keys", keys)
-    object.__setattr__(space, "provenance", provenance)
-    return space
+def _held(keys: Iterable[int]) -> Sequence[int]:
+    """The keys as held by a space: s, s + 1, ... as a range, else a tuple."""
+    if isinstance(keys, range):
+        return keys
+    keys = tuple(keys)
+    run = range(keys[0], keys[0] + len(keys)) if keys and keys[0] >= 0 else range(0)
+    return run if keys == tuple(run) else keys
 
 
 @dataclass(frozen=True, init=False)
@@ -195,14 +188,18 @@ class CoeventSpace:
         members = tuple(members)
         if any(phi.algebra != algebra for phi in members):
             raise MismatchedSpace("coevent belongs to a different algebra")
-        _fill(self, algebra, [phi._key for phi in members], provenance)
+        keys = _held([phi._key for phi in members])
+        if len(set(keys)) != len(keys):  # the Boolean completion's size rests on it
+            raise ValueError("coevent space members must be distinct; use build")
+        self.__dict__.update(algebra=algebra, keys=keys, provenance=provenance)
 
     @classmethod
     def _of_keys(
         cls, algebra: EventAlgebra, keys: Iterable[int], provenance: str
     ) -> "CoeventSpace":
-        """The space of the coevents with keys ``keys``, given in canonical order."""
-        return _fill(object.__new__(cls), algebra, keys, provenance)
+        """The space of the coevents with the distinct keys ``keys``, given
+        in canonical order."""
+        return unchecked(cls, algebra=algebra, keys=_held(keys), provenance=provenance)
 
     @classmethod
     def build(

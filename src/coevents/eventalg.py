@@ -26,7 +26,6 @@ MAX_HISTORIES = 16
 WITNESS_LIST_CAP = 1000
 
 _T = TypeVar("_T")
-_R = TypeVar("_R", bound="ListedOnRead")
 
 
 def first_witnesses(
@@ -44,26 +43,30 @@ def first_witnesses(
     return head[:limit], len(head) > limit
 
 
+def unchecked(cls: type[_T], **fields: object) -> _T:
+    """A ``cls`` (without ``__slots__``) with ``fields`` set and no
+    ``__init__`` or ``__post_init__`` run: for a value the library builds
+    whose laws hold by construction, which the tests pass through the
+    checked public constructor."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 class ListedOnRead:
     """Base of a dataclass report whose witness fields are listed on first read.
 
     The subclass names its witness fields in ``_witness_fields``; a
     default among them must come from ``field(default_factory=...)``, so
-    that no class attribute shadows the unset field.  :meth:`_deferred`
-    makes a report with its verdict fields set, its witness fields unset
-    and a lister held; the first read of any witness field calls
-    ``lister()`` once, takes its values in ``_witness_fields`` order and
-    drops the lister.  A caller that reads only the verdicts lists
-    nothing.
+    that no class attribute shadows the unset field.  A report made by
+    ``unchecked(cls, _lister=lister, **verdicts)`` has its verdict fields
+    set, its witness fields unset and a lister held; the first read of
+    any witness field calls ``lister()`` once, takes its values in
+    ``_witness_fields`` order and drops the lister.  A caller that reads
+    only the verdicts lists nothing.
     """
 
     _witness_fields: tuple[str, ...] = ()
-
-    @classmethod
-    def _deferred(cls: type[_R], lister: Callable[[], tuple], **verdicts: object) -> _R:
-        report = object.__new__(cls)
-        report.__dict__.update(verdicts, _lister=lister)
-        return report
 
     def __getattr__(self, name: str) -> object:
         state = self.__dict__

@@ -36,6 +36,7 @@ from .eventalg import (
     first_witnesses,
     iter_submasks,
     masks_lacking,
+    unchecked,
 )
 
 #: An exact rational as an integer numerator and a positive denominator,
@@ -401,7 +402,7 @@ def validate_classical(
     if _is_additive(m.values.nums, m.algebra.size):
         return ValidationReport("classical", (), ok=True)
     lister = partial(_first_violations, limit, _additivity_violations, m)
-    return ValidationReport._deferred(lister, rule="classical", ok=False)
+    return unchecked(ValidationReport, _lister=lister, rule="classical", ok=False)
 
 
 def _first_violations(
@@ -450,7 +451,7 @@ def validate_quantum(
     if nonnegative and grade2 and x[size - 1] == m.values.den:
         return ValidationReport("quantum", (), ok=True)
     lister = partial(_first_violations, limit, _quantum_violations, m, nonnegative, grade2)
-    return ValidationReport._deferred(lister, rule="quantum", ok=False)
+    return unchecked(ValidationReport, _lister=lister, rule="quantum", ok=False)
 
 
 def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator[Violation]:

@@ -10,19 +10,21 @@ test, the closure and the implication from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .coevent import CoeventSpace
 from .errors import MismatchedSpace, NotMultiplicative
-from .eventalg import set_bits
+from .eventalg import set_bits, unchecked
 
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A finite partial order held as its up-set rows, validated at construction.
+    """A finite partial order held as its up-set rows.
 
     ``up[i]`` is the bitmask, over the element order, of the elements at
-    or above ``elements[i]``.
+    or above ``elements[i]``.  The constructor checks the order's laws;
+    the dual order (:func:`poset_of_coevents`) holds them by construction.
     """
 
     elements: tuple[Hashable, ...]
@@ -50,7 +52,6 @@ class FinitePoset:
                         f"relation is not transitive through "
                         f"({self.elements[i]}, {self.elements[j]}, {self.elements[k]})"
                     )
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
     @classmethod
     def from_pairs(
@@ -70,6 +71,10 @@ class FinitePoset:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _index(self) -> dict[Hashable, int]:
+        return {e: i for i, e in enumerate(self.elements)}
 
     def index(self, x: Hashable) -> int:
         try:
@@ -134,11 +139,13 @@ def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
 
     A dual sits below another exactly when its principal event contains
     the other's, so the up-set of p* is the members whose support holds
-    p: the tau row of p, read on demand, one per member.
+    p: the tau row of p, read on demand, one per member.  Containment is
+    a partial order, so the rows are not checked; the tests check them.
     """
     principals = space.principals
     if principals is None:
         raise NotMultiplicative(
             "dual order requires every member to be a nonzero multiplicative coevent"
         )
-    return FinitePoset(space.members, tuple(map(space.tau_row, principals)))
+    rows = tuple(map(space.tau_row, principals))
+    return unchecked(FinitePoset, elements=space.members, up=rows)

@@ -22,7 +22,7 @@ from .coevent import (
     multiplicative_scheme,
 )
 from .errors import CapExceeded, MismatchedSpace, NotASubobject
-from .eventalg import Event, EventAlgebra, set_bits
+from .eventalg import Event, EventAlgebra, set_bits, unchecked
 from .measure import Measure
 from .poset import FinitePoset, poset_of_coevents
 
@@ -47,15 +47,6 @@ class Sieve:
         if not self.poset.is_up_set(self.bits):
             raise ValueError("sieve members must be upward closed")
 
-    @classmethod
-    def _unchecked(cls, poset: FinitePoset, at: Hashable, bits: int) -> "Sieve":
-        """A sieve from bits already known to be an up-set above the anchor."""
-        sieve = object.__new__(cls)
-        object.__setattr__(sieve, "poset", poset)
-        object.__setattr__(sieve, "at", at)
-        object.__setattr__(sieve, "bits", bits)
-        return sieve
-
     @property
     def members(self) -> tuple[Hashable, ...]:
         elements = self.poset.elements
@@ -75,27 +66,26 @@ def sieves_at(
     inside p's up-set."""
     if len(poset) > cap:
         raise CapExceeded("sieve enumeration", cap, len(poset))
-    return tuple(
-        Sieve._unchecked(poset, p, bits) for bits in poset.up_sets(poset.up[poset.index(p)])
-    )
+    up = poset.up[poset.index(p)]
+    return tuple(unchecked(Sieve, poset=poset, at=p, bits=bits) for bits in poset.up_sets(up))
 
 
 def sieve_meet(a: Sieve, b: Sieve) -> Sieve:
     _require_same_anchor(a, b)
-    return Sieve(a.poset, a.at, a.bits & b.bits)
+    return unchecked(Sieve, poset=a.poset, at=a.at, bits=a.bits & b.bits)
 
 
 def sieve_join(a: Sieve, b: Sieve) -> Sieve:
     _require_same_anchor(a, b)
-    return Sieve(a.poset, a.at, a.bits | b.bits)
+    return unchecked(Sieve, poset=a.poset, at=a.at, bits=a.bits | b.bits)
 
 
 def sieve_implication(a: Sieve, b: Sieve) -> Sieve:
     """Heyting implication in the locale of sieves at a common anchor."""
     _require_same_anchor(a, b)
     poset = a.poset
-    anchor_up = poset.up[poset.index(a.at)]
-    return Sieve(poset, a.at, poset.implication(a.bits, b.bits, anchor_up))
+    bits = poset.implication(a.bits, b.bits, poset.up[poset.index(a.at)])
+    return unchecked(Sieve, poset=poset, at=a.at, bits=bits)
 
 
 def _require_same_anchor(a: Sieve, b: Sieve) -> None:
@@ -195,7 +185,7 @@ def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Siev
     for j in set_bits(s.poset.up[s.poset.index(p)]):
         if x in s.selections[j]:
             bits |= 1 << j
-    return Sieve(s.poset, p, bits)
+    return unchecked(Sieve, poset=s.poset, at=p, bits=bits)
 
 
 def characteristic_naturality_failures(
@@ -230,7 +220,8 @@ class SubobjectClassifier:
             raise MismatchedSpace("sieve over a different poset")
         if not self.poset.leq(sieve.at, q):
             raise ValueError("restriction target must be above the sieve's anchor")
-        return Sieve(self.poset, q, sieve.bits & self.poset.up[self.poset.index(q)])
+        bits = sieve.bits & self.poset.up[self.poset.index(q)]
+        return unchecked(Sieve, poset=self.poset, at=q, bits=bits)
 
 
 def classifier(poset: FinitePoset, cap: int = SIEVE_ENUMERATION_CAP) -> SubobjectClassifier:
@@ -246,9 +237,10 @@ def classifier_functoriality_failures(
     Restricting a sieve to q keeps the bits of q's up-set row.  A Sieve's
     bits lie inside its anchor's row, so the identity law holds at p iff
     each sieve there is anchored at p.  The composition law cannot fail:
-    FinitePoset validates transitivity, so up[k] is inside up[j] whenever
-    j <= k, and restricting to j then k keeps the same bits as restricting
-    to k.  The tests walk both laws through ``transition``.
+    the order is transitive (checked by ``FinitePoset`` on a caller's
+    poset, by construction in the dual order), so up[k] is inside up[j]
+    whenever j <= k, and restricting to j then k keeps the same bits as
+    restricting to k.  The tests walk both laws through ``transition``.
     """
     return tuple(
         (p, p, p)
@@ -294,12 +286,6 @@ class CoeventToposInstance:
             ),
         )
 
-    def render_sieve(self, sieve: Sieve) -> str:
-        """``str(sieve)``, reading each context's string from the space's
-        renderings by bit index, so no coevent is rendered again."""
-        space = self.space
-        return f"@{space.renderings[self.poset.index(sieve.at)]}: {space.render(sieve.bits)}"
-
 
 def check_instance_cap(n: int, cap: int = MCE_INSTANCE_CAP) -> None:
     """Refuse an instance over more than ``cap`` histories, before any enumeration."""
@@ -314,7 +300,8 @@ def build_instance(space: CoeventSpace, cap: int = MCE_INSTANCE_CAP) -> CoeventT
     event of phi's support into psi's, i.e. iff every tau row is an
     up-set of the dual order.  Over duals that holds by construction: if
     p* is in tau(A), so p <= A, and q* is above p*, so q <= p, then q <= A.
-    The tests check it with :func:`is_subobject`.
+    The tests check it with :func:`is_subobject`.  The dual order is
+    built unchecked (:func:`poset_of_coevents`).
     """
     check_instance_cap(space.algebra.space.n, cap)
     return CoeventToposInstance(space, poset_of_coevents(space))
@@ -348,9 +335,11 @@ def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
     the dual order, so their meet is one.  The tests compare it with
     :func:`characteristic_map`.
     """
-    if phi not in instance.space:
+    space, poset = instance.space, instance.poset
+    try:
+        i = space.index_of(phi)
+    except ValueError:
         raise MismatchedSpace("coevent is not in the instance's base poset")
     if a.space != instance.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
-    space, poset = instance.space, instance.poset
-    return Sieve._unchecked(poset, phi, space.tau_row(a.mask) & poset.up[space.index_of(phi)])
+    return unchecked(Sieve, poset=poset, at=phi, bits=space.tau_row(a.mask) & poset.up[i])

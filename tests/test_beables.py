@@ -900,7 +900,7 @@ def test_section_complete_lists_the_first_members_and_marks_the_cut(data):
 @settings(max_examples=60, deadline=None)
 @given(space=dual_spaces())
 def test_chi_table_rows_are_the_single_queries(space):
-    """Each row of the topos section's χ table is ``render_sieve(chi_vsupp(...))``
+    """Each row of the topos section's χ table is ``str(chi_vsupp(...))``
     for its (context, event) cell: contexts in member order, then events in
     mask order."""
     instance = build_instance(space, cap=space.algebra.space.n)
@@ -911,7 +911,7 @@ def test_chi_table_rows_are_the_single_queries(space):
             {
                 "context": rendered,
                 "event": names[event.mask],
-                "sieve": instance.render_sieve(chi_vsupp(instance, phi, event)),
+                "sieve": str(chi_vsupp(instance, phi, event)),
             }
             for phi, rendered in zip(space, space.renderings)
             for event in space.algebra.events()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,9 +43,13 @@ from coevents.topos import (
     sieve_join,
     sieve_meet,
 )
+from coevents.beables import complete, heyting_implication
+from coevents.cli import run
 from coevents.coevent import enumerate_multiplicative, principal_event
 
 from conftest import algebra_of_size
+
+THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
 
 
 def one_point() -> FinitePoset:
@@ -426,6 +431,23 @@ def test_sieve_heyting_axioms(poset):
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
+def test_sieve_results_pass_the_checked_constructor(poset):
+    """The sieve operations, restriction and the characteristic map build
+    their results unchecked; each must still pass ``Sieve``'s validation."""
+    omega = classifier(poset)
+    results = []
+    for p in poset.elements:
+        sieves = omega.sieves(p)
+        for a, b in itertools.product(sieves, repeat=2):
+            results += [sieve_meet(a, b), sieve_join(a, b), sieve_implication(a, b)]
+        above = [q for q in poset.elements if poset.leq(p, q)]
+        results += [omega.transition(s, q) for s in sieves for q in above]
+        for s in all_subobjects(poset, ("x",)):
+            results.append(characteristic_map(s, p, "x"))
+    assert all(Sieve(s.poset, s.at, s.bits) == s for s in results)
+
+
 # ---------------------------------------------------------------------------
 # Characteristic maps
 
@@ -548,6 +570,57 @@ def test_dual_order_rows_are_principal_containment(data):
     for i, p in enumerate(principals):
         # p* <= q* iff q is inside p
         assert poset.up[i] == sum(1 << j for j, q in enumerate(principals) if q & p == q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_dual_order_passes_the_checked_constructor(data):
+    """poset_of_coevents builds the dual order without FinitePoset's law
+    checks and indexes it lazily; the validated constructor accepts the
+    same rows, and the index is the space's, with or without the
+    constant-one map."""
+    drawn = draw_dual_space(data, max_n=5)
+    alg = drawn.algebra
+    members = [phi for phi in drawn.members if phi.principal_mask != 0]
+    if data.draw(st.booleans(), label="with the constant-one map"):
+        members.append(dual_of_event(alg.empty, include_empty_dual=True))
+    space = CoeventSpace.build(alg, members, "user-supplied")
+    poset = poset_of_coevents(space)
+    assert poset == FinitePoset(space.members, poset.up)
+    assert all(poset.index(phi) == space.index_of(phi) for phi in space.members)
+
+
+def test_library_orders_skip_the_poset_checks(capsys, monkeypatch):
+    """On all duals, building an instance, the Heyting implication and both
+    forms of the topos verb run no FinitePoset validation; the public
+    constructors still do, and a space still refuses a repeated member."""
+    checked = []
+    validate = FinitePoset.__post_init__
+
+    def spied(poset):
+        checked.append(poset.elements)
+        validate(poset)
+
+    monkeypatch.setattr(FinitePoset, "__post_init__", spied)
+    alg = algebra_of_size(4)
+    build_instance(enumerate_multiplicative(alg, include_empty_dual=True))
+    build_mce_instance(alg)
+    space = enumerate_multiplicative(algebra_of_size(3))
+    completion = complete(space, "upper")
+    for alpha in completion.members:
+        heyting_implication(alpha, completion.members[0], completion)
+    theory = str(THEORIES / "four_slit_decoherence.json")
+    for argv in (["topos", theory], ["topos", theory, "--context", "a,b", "--event", "a"]):
+        assert run(argv) == 0
+    assert "@{a,b}*: [{a}*]" in capsys.readouterr().out
+    assert checked == []
+
+    two = FinitePoset(("x", "y"), (0b11, 0b10))
+    assert FinitePoset.from_pairs(("x", "y"), [("x", "y")]) == two
+    assert checked == [("x", "y")] * 2
+    phi = dual_of_event(alg.full)
+    with pytest.raises(ValueError, match="members must be distinct"):
+        CoeventSpace(alg, [phi, phi])
 
 
 @settings(max_examples=100, deadline=None)
