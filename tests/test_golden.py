@@ -10,7 +10,8 @@ exit code, byte count and sha256 (``PINNED``), on the theory files under
 outputs on the catalog corpus written there (``CORPUS_PINNED``) and the
 brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
 (``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
-two larger theory files that pin what the loader reads (``LOADER_PINNED``).
+two larger theory files that pin what the loader reads, with the largest
+``audit`` and ``topos`` row lists (``LOADER_PINNED``).
 ``report`` is kept only for the two small theories; on
 ``four_slit_decoherence`` its machine form is about 126 KB.  A change
 that means to alter the output regenerates a golden with, for example,
@@ -354,8 +355,8 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
     assert (rc, len(out), hashlib.sha256(out).hexdigest()) == CORPUS_PINNED[case]
 
 
-#: ``coevents <verb> <theory>.json --format <fmt>``: exit code, stdout bytes
-#: and sha256, on two theory files under ``tests/golden/theories/`` written
+#: ``coevents <verb> <theory>.json <flags> --format <fmt>``: exit code,
+#: stdout bytes and sha256, on two theory files under ``tests/golden/theories/`` written
 #: once from ``bench/gen.py``.  ``event_table_8`` is
 #: ``gen.theory("event_table", gen.rng_for(24, "golden", "event_table", 8), 8)``
 #: with the key of every third mask of two or more histories written in
@@ -363,6 +364,8 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 #: value of every fifth mask doubled above and below the slash
 #: (``"0/2"``); ``decoherence_7`` is ``gen.theory("decoherence",
 #: gen.rng_for(24, "golden", "decoherence", 7), 7)``, a 7 x 7 complex matrix.
+#: The all-pairs ``audit`` on ``decoherence_7`` and the ``topos --cap 8`` χ
+#: table on ``event_table_8`` (65,280 rows) are the largest row lists pinned.
 LOADER_PINNED = {
     ("event_table_8", "validate", "machine"): (
         0, 216906, "a41a5a7388ee4a38c3fc5ba399403fc53e3599e186b583d829c759259a9980b1"
@@ -388,12 +391,25 @@ LOADER_PINNED = {
     ("decoherence_7", "coevents", "text"): (
         0, 18396, "0620ea2c073599c330d6deae91ce037271b73b28a0c9ffb508d82624222b91a8"
     ),
+    ("decoherence_7", "audit", "machine"): (
+        0, 18818304, "fb89c1750dcf45d7ab4fabc05e7985f87d77587dd281d0ac65cdb2fc01a6409c"
+    ),
+    ("decoherence_7", "audit", "text"): (
+        0, 11810039, "9f1790c93b09b78c860f5a0b0a87ac22adb0fedc2696c28ebf40d59e39b325e9"
+    ),
+    ("event_table_8", "topos --cap 8", "machine"): (
+        0, 11263537, "c1e19df61173ed29509598db86c6de3095fe5d17ff7f5332c0e72b678ae9980c"
+    ),
+    ("event_table_8", "topos --cap 8", "text"): (
+        0, 8452511, "a42fb3b68ff3d228911766b1422c4a7228ef2f7df05bd82ca1f6865b1cde4f60"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", LOADER_PINNED, ids=lambda case: ":".join(case))
 def test_cli_output_on_loaded_files_matches_its_pinned_hash(capsys, case):
-    name, verb, fmt = case
-    rc = run([verb, str(ROOT / "golden" / "theories" / f"{name}.json"), "--format", fmt])
+    name, command, fmt = case
+    verb, *flags = command.split()
+    rc = run([verb, str(ROOT / "golden" / "theories" / f"{name}.json"), "--format", fmt, *flags])
     out = capsys.readouterr().out.encode("utf-8")
     assert (rc, len(out), hashlib.sha256(out).hexdigest()) == LOADER_PINNED[case]
