@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import beables, coevent, measure as measure_mod, topos
 from .coevent import CoeventSpace
@@ -30,6 +30,30 @@ from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, set_bits
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
+
+
+class RowTable:
+    """A list of rows of one shape, as the writers print a list of dicts.
+
+    ``columns`` are the column names in sorted order, ``flags`` those of
+    them that hold a bool in every row (every other column holds a str),
+    and ``rows`` the value tuples, each in column order.  Both writers
+    build one template per table and test the value types once per column.
+    """
+
+    __slots__ = ("columns", "flags", "rows")
+
+    def __init__(
+        self, columns: Sequence[str], flags: Sequence[str], rows: Sequence[tuple]
+    ) -> None:
+        self.columns, self.flags, self.rows = tuple(columns), frozenset(flags), rows
+
+    def dicts(self) -> list[dict[str, Any]]:
+        """The rows as the dicts that the writers print."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
+    def __eq__(self, other: object) -> bool:
+        return self.dicts() == other
 
 
 class _UsageError(Exception):
@@ -186,16 +210,20 @@ def section_coevents(
     theory: HistoriesTheory, space: CoeventSpace, include_empty: bool
 ) -> dict[str, Any]:
     m, n = theory.measure, space.algebra.space.n
-    members = [
-        {
-            "coevent": rendered,
-            "classical": coevent.classical_key(key),
-            "multiplicative": coevent.multiplicative_key(key, include_empty),
-            "preclusive": coevent.preclusive_key(key, m),
-            "modus_ponens": coevent.modus_ponens_key(key, n),
-        }
-        for key, rendered in zip(space.keys, space.renderings)
-    ]
+    members = RowTable(
+        ("classical", "coevent", "modus_ponens", "multiplicative", "preclusive"),
+        ("classical", "modus_ponens", "multiplicative", "preclusive"),
+        [
+            (
+                coevent.classical_key(key),
+                rendered,
+                coevent.modus_ponens_key(key, n),
+                coevent.multiplicative_key(key, include_empty),
+                coevent.preclusive_key(key, m),
+            )
+            for key, rendered in zip(space.keys, space.renderings)
+        ],
+    )
     return {"set": space.provenance, "count": len(space), "members": members}
 
 
@@ -290,16 +318,17 @@ def section_audit(
             "and_identity_holds": record.and_identity_holds,
             "or_discrepancy": record.or_discrepancy,
         }
-    events = space.algebra.space.event_names
+    events, renderings = space.algebra.space.event_names, space.renderings
     size = len(events)
     return {
         "mode": "all-pairs",
         "checked": len(space) * size * (size + 1) // 2,
         "and_identity_ok": True,
-        "or_discrepancies": [
-            {"coevent": space.renderings[i], "a": events[a], "b": events[b]}
-            for i, a, b in beables.or_discrepancies(space)
-        ],
+        "or_discrepancies": RowTable(
+            ("a", "b", "coevent"),
+            (),
+            [(events[a], events[b], renderings[i]) for i, a, b in beables.or_discrepancies(space)],
+        ),
     }
 
 
@@ -356,11 +385,14 @@ def section_topos(
         names = instance.algebra.space.event_names
         tau_rows = [space.tau_row(mask) for mask in range(len(names))]
         rows = [
-            {"context": rendered, "event": name, "sieve": f"@{rendered}: {space.render(row & up)}"}
+            (rendered, name, f"@{rendered}: {space.render(row & up)}")
             for rendered, up in zip(space.renderings, poset.up)
             for row, name in zip(tau_rows, names)
         ]
-        section["chi"] = {"mode": "table", "rows": rows}
+        section["chi"] = {
+            "mode": "table",
+            "rows": RowTable(("context", "event", "sieve"), (), rows),
+        }
     section["notes"] = notes
     return section
 
@@ -451,6 +483,8 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
 
 
 _json_string = json.encoder.encode_basestring
+_JSON_FLAGS, _TEXT_FLAGS = ("false", "true"), ("no", "yes")
+_NESTED = (dict, list, RowTable)  # the containers that the text writer nests
 
 
 def render_machine(report: dict[str, Any]) -> str:
@@ -459,7 +493,9 @@ def render_machine(report: dict[str, Any]) -> str:
 
     ``json.dumps`` with an indent runs CPython's pure-Python encoder; this
     writer keeps only its C string encoder.  It takes dicts with str keys,
-    lists, tuples, str, int, bool and None; any other value raises TypeError.
+    lists, tuples, str, int, bool, None and row tables (written as their
+    :meth:`RowTable.dicts`); any other value, or a row table value outside
+    its column's type, raises TypeError.
     """
     out: list[str] = []
     _write_json(report, "", out)
@@ -514,37 +550,76 @@ def _write_json(value: Any, pad: str, out: list[str]) -> None:
         out.append(int.__repr__(value))
     elif value is None:
         out.append("null")
+    elif kind is RowTable:
+        if not value.rows:
+            out.append("[]")
+            return
+        inner, field = pad + "  ", pad + "    "
+        keys = [_json_string(name).replace("%", "%%") for name in value.columns]
+        template = "{" + ",".join([f"\n{field}{key}: %s" for key in keys])
+        template += f"\n{inner}}}" if keys else "}"
+        lines = _filled_rows(value, template, _JSON_FLAGS, _json_string)
+        out.append(f"[\n{inner}" + f",\n{inner}".join(lines) + f"\n{pad}]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _filled_rows(
+    table: RowTable, template: str, words: tuple[str, str], encode: Optional[Callable]
+) -> Iterator[str]:
+    """Each row of ``table`` put into the ``%``-template, a column at a time:
+    a flag column as ``words`` (for False, True), any other column through
+    ``encode`` (the JSON string encoder refuses any value that is not a
+    str), or as it is when ``encode`` is None."""
+    if encode is None and not table.flags:
+        return map(template.__mod__, table.rows)
+    columns = []
+    for name, values in zip(table.columns, zip(*table.rows)):
+        if name in table.flags:
+            if set(map(type, values)) != {bool}:
+                raise TypeError(f"flag column {name!r} holds a value that is not a bool")
+            columns.append(map(words.__getitem__, values))
+        else:
+            columns.append(values if encode is None else map(encode, values))
+    return map(template.__mod__, zip(*columns) if table.columns else table.rows)
+
+
 def _write_text(value: Any, pad: str, out: list[str]) -> None:
-    """Append the lines of a dict or a list at indent ``pad``: a scalar on
-    its key's or dash's line, a dict or list on the lines below, one level in."""
+    """Append the lines of a dict, a list or a row table at indent ``pad``:
+    a scalar on its key's or dash's line, a container on the lines below,
+    one level in."""
     inner = pad + "  "
-    if type(value) is dict:
+    kind = type(value)
+    if kind is dict:
         for key in sorted(value):
             item = value[key]
             kind = type(item)
             if kind is str:
                 out.append(f"{pad}{key}: {item}")
-            elif kind is dict or kind is list:
+            elif kind in _NESTED:
                 out.append(f"{pad}{key}:")
                 _write_text(item, inner, out)
             else:
                 out.append(f"{pad}{key}: {_scalar(item)}")
-    elif type(value) is list:
+    elif kind is list:
         if not value:
             out.append(f"{pad}(none)")
-        elif any(type(item) is dict or type(item) is list for item in value):
+        elif any(type(item) in _NESTED for item in value):
             for item in value:
-                if type(item) is dict or type(item) is list:
+                if type(item) in _NESTED:
                     out.append(f"{pad}-")
                     _write_text(item, inner, out)
                 else:
                     out.append(f"{pad}- {_scalar(item)}")
         else:
             out.extend([f"{pad}- {_scalar(item)}" for item in value])
+    elif kind is RowTable:
+        if not value.rows:
+            out.append(f"{pad}(none)")
+            return
+        names = [name.replace("%", "%%") for name in value.columns]
+        template = f"{pad}-" + "".join([f"\n{inner}{name}: %s" for name in names])
+        out.append("\n".join(_filled_rows(value, template, _TEXT_FLAGS, None)))
 
 
 def _scalar(value: Any) -> str:

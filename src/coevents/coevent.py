@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -62,6 +63,9 @@ def _bits_of(key: int, full: int) -> int:
     """The support bits of the coevent with key ``key``: a dual p*'s, the
     supersets of p, are derived on each read and never stored."""
     return ~key if key < 0 else down_set(full ^ key) << key
+
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits as false/true bytes
 
 
 def render_key(space: SampleSpace, key: int) -> str:
@@ -310,14 +314,24 @@ class CoeventSpace:
 
     @cached_property
     def renderings(self) -> tuple[str, ...]:
-        """Each member's string, in member order, rendered from its key."""
-        space = self.algebra.space
-        return tuple([render_key(space, key) for key in self.keys])
+        """Each member's string, in member order, rendered from its key.
+
+        A range of duals p* over at least half of the 2^n events, as all
+        duals are, reads the name of each event p, starred, from the sample
+        space's ``event_names``.  Other keys go through :func:`render_key`,
+        so a space of a few keys, such as a scheme of one or two members,
+        builds no table of all 2^n names.
+        """
+        space, keys = self.algebra.space, self.keys
+        if isinstance(keys, range) and 2 * len(keys) > space.full_mask:
+            return tuple([name + "*" for name in space.event_names[keys.start : keys.stop]])
+        return tuple([render_key(space, key) for key in keys])
 
     def render(self, bits: int) -> str:
-        """The set of members whose bit is set in ``bits``, from their renderings."""
-        names = self.renderings
-        return "[" + ", ".join(names[i] for i in set_bits(bits)) + "]"
+        """The set of members whose bit is set in ``bits``, from their
+        renderings, selected by the binary digits of ``bits`` read as bytes."""
+        digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
+        return "[" + ", ".join(compress(self.renderings, digits)) + "]"
 
     def subset_renderings(self, limit: Optional[int] = None) -> list[str]:
         """``render(bits)`` for ``bits`` in ``range(1 << len(self))``, in that order.

@@ -174,11 +174,15 @@ def is_subobject(s: SubobjectOfConstant) -> tuple[bool, tuple[tuple[Hashable, Ha
     return not witnesses, tuple(witnesses)
 
 
-def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Sieve:
-    """The sieve of contexts above p at which x belongs to the selection."""
+def _require_subobject(s: SubobjectOfConstant) -> None:
     ok, witnesses = is_subobject(s)
     if not ok:
         raise NotASubobject(f"selection is not monotone; witnesses {witnesses[:3]}")
+
+
+def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Sieve:
+    """The sieve of contexts above p at which x belongs to the selection."""
+    _require_subobject(s)
     if x not in s.ambient:
         raise ValueError(f"{x} is not in the ambient set")
     bits = 0
@@ -191,15 +195,24 @@ def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Siev
 def characteristic_naturality_failures(
     s: SubobjectOfConstant,
 ) -> tuple[tuple[Hashable, Hashable, Hashable], ...]:
-    """Triples (p, q, x) where restriction does not commute with the map."""
+    """Triples (p, q, x) where restriction does not commute with the map.
+
+    Monotonicity is checked once, as :func:`characteristic_map` checks it.
+    The map's sieve at p for x is then the elements selecting x, as bits,
+    inside p's up-set row, read with no :func:`characteristic_map` call.
+    """
+    _require_subobject(s)
+    poset, ambient = s.poset, sorted(s.ambient, key=str)
+    selecting = dict.fromkeys(ambient, 0)
+    for j, selection in enumerate(s.selections):
+        for x in selection:
+            selecting[x] |= 1 << j
     failures = []
-    poset = s.poset
     for i, row in enumerate(poset.up):
         for j in set_bits(row):
-            for x in sorted(s.ambient, key=str):
-                at_q = characteristic_map(s, poset.elements[j], x)
-                restricted = characteristic_map(s, poset.elements[i], x).bits & poset.up[j]
-                if at_q.bits != restricted:
+            up_j = poset.up[j]
+            for x in ambient:
+                if selecting[x] & up_j != selecting[x] & row & up_j:
                     failures.append((poset.elements[i], poset.elements[j], x))
     return tuple(failures)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coevents import coevent as coevent_module, topos as topos_module
-from coevents.cli import render_machine, render_text, run
+from coevents.cli import RowTable, render_machine, render_text, run
 from coevents.coevent import Coevent, enumerate_classical, enumerate_multiplicative
 from coevents.eventalg import WITNESS_LIST_CAP, iter_supermasks
 from coevents.theoryfile import load
@@ -383,15 +383,23 @@ def test_topos_scheme_notes_the_antichain(capsys):
 
 
 def test_topos_renders_each_coevent_once(capsys, monkeypatch):
-    """The chi table reads every sieve's strings from the space's renderings."""
+    """The chi table reads every sieve's strings from the space's renderings.
+
+    A range of duals (all 15 at n=4) reads them from the event names with
+    no ``render_key`` call; the scheme's three scattered keys are rendered
+    once each, not once per cell of the 3 x 16 table."""
     rendered = []
     plain = coevent_module.render_key
     monkeypatch.setattr(
         coevent_module, "render_key", lambda space, key: rendered.append(key) or plain(space, key)
     )
-    rc, out, _ = invoke(capsys, ["topos", str(THEORIES / "four_slit_decoherence.json")])
+    theory = str(THEORIES / "four_slit_decoherence.json")
+    rc, out, _ = invoke(capsys, ["topos", theory])
     assert rc == 0 and "@{a}*: [{a}*]" in out
-    assert len(rendered) == len(set(rendered)) == 15
+    assert rendered == []
+    rc, out, _ = invoke(capsys, ["topos", theory, "--set", "scheme"])
+    assert rc == 0 and "@{a,b}*: [{a,b}*]" in out
+    assert sorted(rendered) == [3, 5, 6]
 
 
 def test_audit_reads_the_set_flag(capsys):
@@ -693,9 +701,65 @@ def test_render_text_matches_the_oracle(report):
     assert render_text(report) == render_text_oracle(report)
 
 
+# Row tables: sorted distinct column names (some with the template's own
+# "%"), any of them flag columns holding bools, the others strings.
+@st.composite
+def row_tables(draw):
+    names = st.one_of(TEXTS, st.sampled_from(["%", "%s", "a%%"]))
+    columns = sorted(draw(st.sets(names, max_size=4)))
+    flags = draw(st.sets(st.sampled_from(columns))) if columns else set()
+    cells = [st.booleans() if name in flags else TEXTS for name in columns]
+    return RowTable(columns, flags, draw(st.lists(st.tuples(*cells), max_size=4)))
+
+
+ROW_TREES = st.recursive(
+    st.one_of(SCALARS, row_tables()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(TEXTS, inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+
+
+def with_dicts(tree):
+    """``tree`` with every row table replaced by its list of dicts."""
+    if type(tree) is RowTable:
+        return tree.dicts()
+    if type(tree) is dict:
+        return {key: with_dicts(item) for key, item in tree.items()}
+    if type(tree) is list:
+        return [with_dicts(item) for item in tree]
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(sections=st.dictionaries(TEXTS, ROW_TREES, max_size=3))
+def test_writers_print_a_row_table_as_its_dicts(sections):
+    report = {"command": "x", "theory": {"labels": [], "measure_kind": "y", "values": {}}}
+    report["sections"] = sections
+    plain = with_dicts(report)
+    expected = json.dumps(plain, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert render_machine(report) == expected
+    assert render_text(report) == render_text_oracle(plain)
+
+
 @pytest.mark.parametrize("value", [0.5, float("nan"), {1, 2}, frozenset(), b"x"])
-@pytest.mark.parametrize("where", ["value", "item", "nested"])
+@pytest.mark.parametrize("where", ["value", "item", "nested", "column", "flag"])
 def test_render_machine_refuses_values_outside_its_types(value, where):
-    report = {"value": {"a": value}, "item": {"a": [1, value]}, "nested": {"a": [{"b": value}]}}
+    report = {
+        "value": {"a": value},
+        "item": {"a": [1, value]},
+        "nested": {"a": [{"b": value}]},
+        "column": {"a": RowTable(("a", "b"), ("b",), [("s", True), (value, False)])},
+        "flag": {"a": RowTable(("a", "b"), ("b",), [("s", True), ("t", value)])},
+    }
     with pytest.raises(TypeError):
         render_machine(report[where])
+
+
+@pytest.mark.parametrize("value", [1, 0, None, "yes"])
+def test_render_machine_refuses_a_flag_that_is_not_a_bool(value):
+    """A dict would print 1 as ``1``; a flag column holds bools only."""
+    with pytest.raises(TypeError):
+        render_machine({"a": RowTable(("a",), ("a",), [(True,), (value,)])})

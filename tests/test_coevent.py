@@ -34,7 +34,12 @@ from coevents import (
 )
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
 from coevents.cli import section_coevents
-from coevents.coevent import enumerate_classical, preclusive_dual_events, principal_event
+from coevents.coevent import (
+    enumerate_classical,
+    preclusive_dual_events,
+    principal_event,
+    render_key,
+)
 from coevents.eventalg import Event, EventFamily, iter_supermasks, set_bits
 from coevents.measure import null_cover_exists, null_sets
 from coevents.theoryfile import HistoriesTheory, TheoryOptions
@@ -714,3 +719,24 @@ def test_coevents_rows_match_the_pairwise_definitions(data):
     ]
     section = section_coevents(theory, space, include_empty)
     assert section == {"set": space.provenance, "count": len(space), "members": rows}
+
+
+@pytest.mark.parametrize(
+    "keys, reads_names",
+    [
+        (range(1, 16), True),
+        (range(0, 16), True),
+        (range(8, 16), True),
+        (range(9, 16), False),
+        (range(5, 6), False),
+        ((3, 5, 6), False),
+    ],
+)
+def test_renderings_read_the_event_names_only_for_a_long_range(keys, reads_names):
+    """At n=4 a range of 8 or more duals reads ``event_names``; a shorter
+    range or a tuple renders each key and leaves the names unbuilt."""
+    alg = EventAlgebra(SampleSpace(tuple("abcd")))
+    space = CoeventSpace._of_keys(alg, keys, "user-supplied")
+    renderings = space.renderings
+    assert ("event_names" in alg.space.__dict__) == reads_names
+    assert renderings == tuple(render_key(alg.space, key) for key in keys)
