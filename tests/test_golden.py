@@ -10,7 +10,7 @@ exit code, byte count and sha256 (``PINNED``), on the theory files under
 outputs on the catalog corpus written there (``CORPUS_PINNED``) and the
 brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
 (``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
-two larger theory files that pin what the loader reads, with the largest
+three larger theory files that pin what the loader reads, with the largest
 ``audit`` and ``topos`` row lists (``LOADER_PINNED``).
 ``report`` is kept only for the two small theories; on
 ``four_slit_decoherence`` its machine form is about 126 KB.  A change
@@ -105,6 +105,12 @@ PINNED = {
     ),
     ("topos --cap 12 --context a,b --event a", "text"): (
         0, 164998, "45b5e925f591bc4a25407fbf22343c66e7466835eaaa80cc490b6af5f4725c59"
+    ),
+    ("validate", "machine"): (
+        0, 327932, "b39edf361bc95537f2eb7b608745c10aecc308b69bc713e54d0bffded3dbba3a"
+    ),
+    ("validate", "text"): (
+        0, 213103, "56dbcf5eda4c7ba7218831eda7cd55287e39586e43766107ca3e874a538698dd"
     ),
 }
 
@@ -356,8 +362,8 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 
 
 #: ``coevents <verb> <theory>.json <flags> --format <fmt>``: exit code,
-#: stdout bytes and sha256, on two theory files under ``tests/golden/theories/`` written
-#: once from ``bench/gen.py``.  ``event_table_8`` is
+#: stdout bytes and sha256, on three theory files under ``tests/golden/theories/``,
+#: two of them written once from ``bench/gen.py``.  ``event_table_8`` is
 #: ``gen.theory("event_table", gen.rng_for(24, "golden", "event_table", 8), 8)``
 #: with the key of every third mask of two or more histories written in
 #: reverse label order without braces (``"b,a"`` for ``"{a,b}"``) and the
@@ -366,6 +372,10 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 #: gen.rng_for(24, "golden", "decoherence", 7), 7)``, a 7 x 7 complex matrix.
 #: The all-pairs ``audit`` on ``decoherence_7`` and the ``topos --cap 8`` χ
 #: table on ``event_table_8`` (65,280 rows) are the largest row lists pinned.
+#: ``amplitudes_wide_7``, written by hand, holds seven amplitudes whose parts
+#: are rationals of 19 to 24 digits over one 22-digit denominator, with a
+#: zero amplitude, one that cancels another and a real one, summing to 1;
+#: its measure's numerators run to 48 digits, past any machine integer.
 LOADER_PINNED = {
     ("event_table_8", "validate", "machine"): (
         0, 216906, "a41a5a7388ee4a38c3fc5ba399403fc53e3599e186b583d829c759259a9980b1"
@@ -402,6 +412,12 @@ LOADER_PINNED = {
     ),
     ("event_table_8", "topos --cap 8", "text"): (
         0, 8452511, "a42fb3b68ff3d228911766b1422c4a7228ef2f7df05bd82ca1f6865b1cde4f60"
+    ),
+    ("amplitudes_wide_7", "validate", "machine"): (
+        0, 328784, "b2058abf3ba8a3b125ead812f148237d2fe5b2764d63c212c9ef92143c1d9b45"
+    ),
+    ("amplitudes_wide_7", "validate", "text"): (
+        0, 262916, "38693673961579b956a8f36d11c1697ae84912f42879471dd749b54c0c52bae3"
     ),
 }
 
