@@ -10,8 +10,8 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cache, cached_property
+from itertools import compress, count, islice
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import MismatchedSpace, UnknownHistory
@@ -358,9 +358,13 @@ def iter_submasks(mask: int) -> Iterator[int]:
         s = (s - mask) & mask
 
 
+#: Binary digits as the bytes 0 and 1, for ``itertools.compress``.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def set_bits(bits: int) -> list[int]:
-    """The positions of the set bits, in ascending order."""
-    return [a for a, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+    """The positions of the set bits of ``bits`` >= 0, in ascending order."""
+    return list(compress(count(), bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)))
 
 
 def iter_supermasks(mask: int, full: int) -> Iterator[int]:
@@ -384,11 +388,13 @@ def down_set(mask: int) -> int:
     return down
 
 
+@cache
 def masks_lacking(n: int, i: int) -> int:
     """The 2^n-bit integer whose bit A is set iff history i is not in A.
 
     In ascending order the masks come in runs of 2^i without i and 2^i
-    with it, so this is a run of ones repeated every 2^(i+1) bits.
+    with it, so this is a run of ones repeated every 2^(i+1) bits.  Each
+    (n, i) is built once, by one 2^n-bit division, and kept.
     """
     run = 1 << i
     return ((1 << run) - 1) * (((1 << (1 << n)) - 1) // ((1 << 2 * run) - 1))

@@ -14,11 +14,20 @@ table from :data:`Ratio` pairs (:meth:`MeasureValues.of_ratios`,
 :func:`decoherence_values`); the constructors that take ``Fraction`` /
 Gaussian rationals read their inputs' numerators and denominators and
 call it, and the theory-file loader calls it on the pairs it parses.
+
+The atom-weight, amplitude and pair-sum cores hold the 2^n-value table
+as one packed Python int, the value on mask A in the signed field at
+bit w*A (:func:`_field_bits`), so each history costs a few whole-integer
+steps.  Their tables have grade at most 2, so the gcd that reduces
+them is that of the denominator and the values on events of at most two
+histories, read from the inputs; the table is divided by it once and
+unpacked once into ``nums`` (:func:`_table_values`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -138,6 +147,13 @@ class MeasureValues(Mapping[int, Fraction]):
         self._fractions: dict[int, Fraction] = {}
 
     @classmethod
+    def _reduced(cls, den: int, nums: Sequence[int]) -> "MeasureValues":
+        """The table of ``nums[m] / den`` for a pair already reduced by its gcd."""
+        values = object.__new__(cls)
+        values.den, values.nums, values._fractions = den, tuple(nums), {}
+        return values
+
+    @classmethod
     def of_ratios(cls, ratios: Sequence[Ratio]) -> "MeasureValues":
         """The table of ``p / q`` for the pairs ``ratios[m]`` = (p, q), m = 0, 1, ...
 
@@ -222,7 +238,13 @@ class Measure:
     @cached_property
     def null_masks(self) -> tuple[int, ...]:
         """The masks of exactly zero measure, ascending; found once, on first use."""
-        return tuple(mask for mask, x in enumerate(self.values.nums) if not x)
+        nums, found, mask = self.values.nums, [], -1
+        try:
+            while True:
+                mask = nums.index(0, mask + 1)
+                found.append(mask)
+        except ValueError:
+            return tuple(found)
 
     @cached_property
     def null_down_bytes(self) -> bytes:
@@ -290,9 +312,12 @@ def atom_weight_values(space: SampleSpace, weights: Mapping[str, Ratio]) -> Meas
     """The additive table of per-history weights, each label's a ratio.
 
     Every label of the space must have a weight, and no other may.  The
-    weights are scaled to integers over their common denominator and
-    summed over every event by doubling: the events holding history i
-    are those without it, each plus w_i.
+    weights are scaled to integers w_i over their common denominator and
+    summed over every event as one packed table (:func:`_field_bits`):
+    the events holding history i are those without it, each plus w_i, so
+    each history adds one shifted copy of the table so far, raised by
+    w_i in every field.  The table is additive, so the reducing gcd is
+    that of the denominator and the w_i.
     """
     missing = [lab for lab in space.labels if lab not in weights]
     if missing:
@@ -301,29 +326,100 @@ def atom_weight_values(space: SampleSpace, weights: Mapping[str, Ratio]) -> Meas
     if extra:
         raise ValueError(f"weights given for unknown histories {extra}")
     den, (w,) = _integer_rows([[weights[lab] for lab in space.labels]])
-    sums = [0]
-    for x in w:
-        sums += [s + x for s in sums]
-    return MeasureValues(den, sums)
+    bits = _field_bits(sum(map(abs, w)))
+    table, ones = 0, 1
+    for i, x in enumerate(w):
+        shift = bits << i
+        table += (table + x * ones) << shift
+        ones += ones << shift
+    return _table_values(den, math.gcd(den, *w), table, ones, bits)
 
 
 def amplitude_values(space: SampleSpace, amplitudes: Sequence[ComplexRatio]) -> MeasureValues:
     """The table of |sum of the amplitudes in A|^2, one amplitude per history.
 
     The real and imaginary parts are scaled to integers over their
-    common denominator d, each part's sums over every event are built
-    by doubling (the events holding history i are those without it,
-    plus a_i), and mu(A) = re(A)^2 + im(A)^2 over d^2, exactly.
+    common denominator d, and mu(A) = re(A)^2 + im(A)^2 over d^2,
+    exactly.  The part sums re(A), im(A) and the table are each held as
+    one packed integer (:func:`_field_bits`), bounded by
+    (sum |re|)^2 + (sum |im|)^2.  The events holding history i, with
+    parts (a, b), are those without it, so their half of the table is
+
+        table + 2a re_sums + 2b im_sums + (a^2 + b^2) ones
+
+    a few whole-integer steps per history.  The table has grade 2, so
+    the reducing gcd is that of d^2, each |a_i|^2 and each cross term
+    2 (re_i re_j + im_i im_j).
     """
     if len(amplitudes) != space.n:
         raise ValueError("need exactly one amplitude per history")
     d, (re_parts, im_parts) = _integer_rows(list(zip(*amplitudes)))
-    re_sums, im_sums = [0], [0]
-    for re, im in zip(re_parts, im_parts):
-        re_sums += [s + re for s in re_sums]
-        im_sums += [s + im for s in im_sums]
-    nums = [x * x + y * y for x, y in zip(re_sums, im_sums)]
-    return MeasureValues(d * d, nums)
+    bits = _field_bits(sum(map(abs, re_parts)) ** 2 + sum(map(abs, im_parts)) ** 2)
+    table = re_sums = im_sums = 0
+    ones, shift, last = 1, bits, bits << space.n - 1
+    for a, b in zip(re_parts, im_parts):
+        table += (table + (a * re_sums + b * im_sums << 1) + (a * a + b * b) * ones) << shift
+        if shift != last:  # the part sums are read only by the histories above
+            re_sums += (re_sums + a * ones) << shift
+            im_sums += (im_sums + b * ones) << shift
+        ones += ones << shift
+        shift <<= 1
+    g = math.gcd(d * d, *[a * a + b * b for a, b in zip(re_parts, im_parts)])
+    for i in range(1, space.n):
+        if g == 1:
+            break
+        a, b = re_parts[i], im_parts[i]
+        g = math.gcd(g, *[a * c + b * e << 1 for c, e in zip(re_parts[:i], im_parts[:i])])
+    return _table_values(d * d, g, table, ones, bits)
+
+
+def _field_bits(bound: int) -> int:
+    """The field width, in bits, of a packed table whose values lie in
+    [-bound, bound]: the fewest bytes, a power of two, whose signed range
+    holds that interval.
+
+    A packed table holds the value on mask A at bit ``bits * A`` of one
+    Python int, as the exact integer sum of value(A) * 2^(bits * A).  A
+    field may go negative or carry while the table is built; only the
+    final values must fit, so that :func:`_table_values` can read them
+    back.
+    """
+    nbytes = 1
+    while bound.bit_length() >= 8 * nbytes:
+        nbytes *= 2
+    return 8 * nbytes
+
+
+#: The signed ``memoryview`` format of each field width up to 8 bytes.
+_FIELD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _table_values(den: int, g: int, table: int, ones: int, bits: int) -> MeasureValues:
+    """The :class:`MeasureValues` of a packed table of numerators over den.
+
+    ``g`` divides den and every value, and is their gcd, so one whole-
+    integer division reduces the table.  ``ones`` holds 1 in every field.
+    Adding 2^(bits - 1) to each field and flipping that bit back gives
+    each field's two's complement with no borrow between fields, so the
+    table's bytes read back as a ``memoryview`` of signed ints, or, for
+    fields wider than 8 bytes, one ``int.from_bytes`` per field.
+    """
+    if g != 1:
+        den //= g
+        table //= g
+    half = ones << bits - 1
+    raw = ((table + half) ^ half).to_bytes(half.bit_length() // 8, sys.byteorder)
+    if bits in _FIELD_FORMATS:
+        nums = tuple(memoryview(raw).cast(_FIELD_FORMATS[bits]))
+    else:
+        step = bits // 8
+        nums = [
+            int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)
+            for k in range(0, len(raw), step)
+        ]
+    if sys.byteorder == "big":  # the bytes run from the last field to the first
+        nums = nums[::-1]
+    return MeasureValues._reduced(den, nums)
 
 
 def _iter_disjoint_pairs(size: int):
@@ -562,35 +658,49 @@ def decoherence_values(
 
     The matrix is checked as :meth:`DecoherenceSpec.from_rows` checks it
     (:func:`_checked_matrix`), and a Hermitian matrix's sums are real, so
-    only the real parts are summed.
+    only the real parts are summed (:func:`_pair_sum_table`).
     """
     den, re = _checked_matrix(space, rows)
-    return MeasureValues(den, _pair_sums(re, 1 << space.n))
+    return _pair_sum_table(den, re, 1 << space.n)
 
 
-def _pair_sums(matrix: Sequence[Sequence[int]], size: int) -> list[int]:
-    """For every mask A, the sum of matrix[k][l] over histories k, l in A.
+def _pair_sum_table(den: int, matrix: Sequence[Sequence[int]], size: int) -> MeasureValues:
+    """The table of mask A -> the sum of matrix[k][l] over histories k, l in
+    A, over den, for the ``size`` = 2^n masks of an n x n matrix.
 
-    Built by doubling: the events holding history i, above every history
-    placed so far, are those without it, each plus matrix[i][i] and the
-    cross terms matrix[i][k] + matrix[k][i] of every k it holds.  Those
-    cross sums are built by doubling too, so each history costs O(2^i).
+    The table is one packed integer (:func:`_field_bits`), bounded by the
+    sum of |matrix[k][l]|.  The events holding history i are those
+    without it, each plus the cross sum matrix[i][i] + the sum of
+    matrix[i][k] + matrix[k][i] over the histories k < i it holds.  That
+    cross sum is packed over the 2^i events below i by doubling too, so
+    history i costs O(i) whole-integer steps.  The table has grade 2, so
+    the reducing gcd is that of den, the diagonal and each
+    matrix[k][l] + matrix[l][k].
     """
-    sums = [0]
-    for i in range(size.bit_length() - 1):
+    n = size.bit_length() - 1
+    bits = _field_bits(sum(abs(x) for row in matrix for x in row))
+    table, ones, ones_below = 0, 1, []
+    for i in range(n):
         row = matrix[i]
-        cross = [row[i]]
-        for k in range(i):
-            c = row[k] + matrix[k][i]
-            cross += [x + c for x in cross]
-        sums += [s + x for s, x in zip(sums, cross)]
-    return sums
+        cross = row[i]
+        for k, below in enumerate(ones_below):
+            cross += (cross + (row[k] + matrix[k][i]) * below) << (bits << k)
+        table += (table + cross) << (bits << i)
+        ones_below.append(ones)
+        ones += ones << (bits << i)
+    g = math.gcd(
+        den,
+        *(matrix[i][i] for i in range(n)),
+        *(matrix[k][l] + matrix[l][k] for k in range(n) for l in range(k)),
+    )
+    return _table_values(den, g, table, ones, bits)
 
 
 def _pair_sum_values(matrix: Sequence[Sequence[Fraction]], size: int) -> MeasureValues:
-    """:func:`_pair_sums` of a rational matrix, in integers over its common denominator."""
+    """:func:`_pair_sum_table` of a rational matrix, in integers over its
+    common denominator."""
     den, scaled = _integer_rows([[_ratio_of(x) for x in row] for row in matrix])
-    return MeasureValues(den, _pair_sums(scaled, size))
+    return _pair_sum_table(den, scaled, size)
 
 
 def measure_from_decoherence(d: DecoherenceSpec) -> Measure:

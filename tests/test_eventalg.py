@@ -20,7 +20,7 @@ from coevents import (
     sym_diff,
     up_closure,
 )
-from coevents.eventalg import down_set, iter_submasks, iter_supermasks
+from coevents.eventalg import down_set, iter_submasks, iter_supermasks, masks_lacking, set_bits
 
 from conftest import algebra_of_size
 
@@ -224,6 +224,19 @@ def test_parse_event_drops_one_pair_of_braces_and_refuses_unknown_labels(coin_al
 @given(mask=st.integers(0, (1 << 10) - 1))
 def test_down_set_holds_exactly_the_submasks(mask):
     assert down_set(mask) == sum(1 << m for m in iter_submasks(mask))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_masks_lacking_holds_exactly_the_masks_without_the_history(n):
+    for i in range(n):
+        expected = sum(1 << a for a in range(1 << n) if not a >> i & 1)
+        assert masks_lacking(n, i) == expected
+        assert masks_lacking(n, i) is masks_lacking(n, i)  # built once per (n, i)
+
+
+@given(bits=st.one_of(st.integers(0, 1 << 12), st.integers(0, 1 << 3000)))
+def test_set_bits_lists_the_set_positions_in_ascending_order(bits):
+    assert set_bits(bits) == [a for a in range(bits.bit_length()) if bits >> a & 1]
 
 
 def test_event_family_dedupes_and_orders(coin_algebra):

@@ -192,6 +192,120 @@ def test_amplitude_subset_sums_equal_the_rank_one_pair_sums(data):
     )
 
 
+# The list-doubling cores that the packed tables replaced, kept as oracles.
+# Each builds every event's value in a Python list, one history at a time
+# (the events holding history i are those without it, plus its term), and
+# reduces through the checked ``MeasureValues(den, nums)``.
+
+
+def doubling_atom_weight_values(weights: list[measure_mod.Ratio]) -> measure_mod.MeasureValues:
+    den, (w,) = measure_mod._integer_rows([weights])
+    sums = [0]
+    for x in w:
+        sums += [s + x for s in sums]
+    return measure_mod.MeasureValues(den, sums)
+
+
+def doubling_amplitude_values(
+    amplitudes: list[measure_mod.ComplexRatio],
+) -> measure_mod.MeasureValues:
+    d, (re_parts, im_parts) = measure_mod._integer_rows(list(zip(*amplitudes)))
+    re_sums, im_sums = [0], [0]
+    for re, im in zip(re_parts, im_parts):
+        re_sums += [s + re for s in re_sums]
+        im_sums += [s + im for s in im_sums]
+    return measure_mod.MeasureValues(d * d, [x * x + y * y for x, y in zip(re_sums, im_sums)])
+
+
+def doubling_pair_sums(den: int, matrix: list[list[int]]) -> measure_mod.MeasureValues:
+    sums = [0]
+    for i, row in enumerate(matrix):
+        cross = [row[i]]
+        for k in range(i):
+            c = row[k] + matrix[k][i]
+            cross += [x + c for x in cross]
+        sums += [s + x for s, x in zip(sums, cross)]
+    return measure_mod.MeasureValues(den, sums)
+
+
+# Numerators from small to past 2^80, so that squares and sums run past
+# 2^64 and the packed tables read back fields wider than 8 bytes.
+wide_ints = st.one_of(
+    st.integers(-3, 3), st.integers(-(1 << 20), 1 << 20), st.integers(-(1 << 80), 1 << 80)
+)
+wide_ratios = st.one_of(
+    st.tuples(st.integers(-3, 3), st.sampled_from([1, 2, 5])),
+    st.tuples(wide_ints, st.one_of(st.integers(1, 6), st.integers(1, 1 << 70))),
+)
+wide_amplitudes = st.one_of(
+    st.just(((0, 1), (0, 1))), st.tuples(wide_ratios, wide_ratios), st.tuples(wide_ratios, st.just((0, 3)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_tables_equal_the_list_doubling_cores(data):
+    """The three packed cores give the (den, nums) pair of the list-doubling
+    cores, reduced through the checked constructor, at n <= 10: negative
+    parts, zero amplitudes, mixed denominators and values past 2^64."""
+    n = data.draw(st.integers(1, 10), label="n")
+    space = SampleSpace(tuple("abcdefghij"[:n]))
+    pairs = lambda table: (table.den, table.nums)
+    weights = data.draw(st.lists(wide_ratios, min_size=n, max_size=n), label="weights")
+    assert pairs(measure_mod.atom_weight_values(space, dict(zip(space.labels, weights)))) == pairs(
+        doubling_atom_weight_values(weights)
+    )
+    amps = data.draw(st.lists(wide_amplitudes, min_size=n, max_size=n), label="amplitudes")
+    assert pairs(measure_mod.amplitude_values(space, amps)) == pairs(
+        doubling_amplitude_values(amps)
+    )
+    den = data.draw(st.one_of(st.integers(1, 12), st.integers(1, 1 << 70)), label="den")
+    matrix = data.draw(st.lists(
+        st.lists(wide_ints, min_size=n, max_size=n), min_size=n, max_size=n
+    ), label="matrix")
+    assert pairs(measure_mod._pair_sum_table(den, matrix, 1 << n)) == pairs(
+        doubling_pair_sums(den, matrix)
+    )
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64, 128, 256])
+def test_packed_fields_hold_the_ends_of_their_signed_range(bits):
+    """A table whose largest |value| is its bound reads back at every field
+    width: the bound 2^(bits-1) - 1 keeps the width, one more doubles it,
+    and both signs read back from the same width."""
+    top = (1 << bits - 1) - 1
+    assert measure_mod._field_bits(top) == bits and measure_mod._field_bits(top + 1) == 2 * bits
+    space = SampleSpace(("a", "b"))
+    for x, y in ((top, 0), (-top, 0), (top - 1, 1), (-1, 1 - top), (top + 1, 0), (-top - 1, 0)):
+        weights = [(x, 1), (y, 1)]
+        got = measure_mod.atom_weight_values(space, dict(zip(space.labels, weights)))
+        assert (got.den, got.nums) == (1, (0, x, y, x + y))
+        assert got == doubling_atom_weight_values(weights)
+
+
+def test_amplitude_gcd_reads_the_cross_terms():
+    """(1+2i)/5 and (2+i)/5: d^2 and both |a_i|^2 share the factor 5, but
+    mu({a,b}) = 18/25 does not, so only the cross term 2(1*2 + 2*1) = 8
+    keeps the table from being divided by 5."""
+    space = SampleSpace(("a", "b"))
+    table = measure_mod.amplitude_values(space, [((1, 5), (2, 5)), ((2, 5), (1, 5))])
+    assert (table.den, table.nums) == (25, (0, 5, 5, 18))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_null_masks_are_the_zero_numerators(data):
+    """The walk from zero to zero finds what a scan of every numerator
+    finds, on random tables with many zeros, on the all-zero table and on a
+    table whose only null is the empty event."""
+    n = data.draw(st.integers(1, 6), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
+    drawn = data.draw(st.lists(st.integers(-2, 2), min_size=alg.size, max_size=alg.size))
+    for nums in (drawn, [0] * alg.size, [0] + [1] * (alg.size - 1)):
+        m = Measure(alg, measure_mod.MeasureValues(1, nums))
+        assert m.null_masks == tuple(mask for mask, x in enumerate(nums) if not x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_values_read_back_exactly_from_one_reduced_pair(data):
