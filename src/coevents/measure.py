@@ -237,14 +237,16 @@ class Measure:
 
     @cached_property
     def null_masks(self) -> tuple[int, ...]:
-        """The masks of exactly zero measure, ascending; found once, on first use."""
+        """The masks of exactly zero measure, ascending; found once, on first use.
+
+        ``tuple.count`` and ``tuple.index`` scan the numerators in C, so
+        the Python loop runs once per null mask, not once per event.
+        """
         nums, found, mask = self.values.nums, [], -1
-        try:
-            while True:
-                mask = nums.index(0, mask + 1)
-                found.append(mask)
-        except ValueError:
-            return tuple(found)
+        for _ in range(nums.count(0)):
+            mask = nums.index(0, mask + 1)
+            found.append(mask)
+        return tuple(found)
 
     @cached_property
     def null_down_bytes(self) -> bytes:
@@ -384,10 +386,8 @@ def _field_bits(bound: int) -> int:
     final values must fit, so that :func:`_table_values` can read them
     back.
     """
-    nbytes = 1
-    while bound.bit_length() >= 8 * nbytes:
-        nbytes *= 2
-    return 8 * nbytes
+    # bound.bit_length() // 8 + 1 bytes hold the range; round up to 2^k
+    return 8 << (bound.bit_length() // 8).bit_length()
 
 
 #: The signed ``memoryview`` format of each field width up to 8 bytes.
