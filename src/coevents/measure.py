@@ -31,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvalidPartition, MismatchedSpace, NonRealDiagonal
@@ -357,21 +358,19 @@ def amplitude_values(space: SampleSpace, amplitudes: Sequence[ComplexRatio]) -> 
         raise ValueError("need exactly one amplitude per history")
     d, (re_parts, im_parts) = _integer_rows(list(zip(*amplitudes)))
     bits = _field_bits(sum(map(abs, re_parts)) ** 2 + sum(map(abs, im_parts)) ** 2)
+    parts = list(zip(re_parts, im_parts))
     table = re_sums = im_sums = 0
     ones, shift, last = 1, bits, bits << space.n - 1
-    for a, b in zip(re_parts, im_parts):
+    for a, b in parts:
         table += (table + (a * re_sums + b * im_sums << 1) + (a * a + b * b) * ones) << shift
         if shift != last:  # the part sums are read only by the histories above
             re_sums += (re_sums + a * ones) << shift
             im_sums += (im_sums + b * ones) << shift
         ones += ones << shift
         shift <<= 1
-    g = math.gcd(d * d, *[a * a + b * b for a, b in zip(re_parts, im_parts)])
-    for i in range(1, space.n):
-        if g == 1:
-            break
-        a, b = re_parts[i], im_parts[i]
-        g = math.gcd(g, *[a * c + b * e << 1 for c, e in zip(re_parts[:i], im_parts[:i])])
+    g = math.gcd(d * d, *[a * a + b * b for a, b in parts])
+    if g != 1:
+        g = math.gcd(g, 2 * math.gcd(*[a * c + b * e for (a, b), (c, e) in combinations(parts, 2)]))
     return _table_values(d * d, g, table, ones, bits)
 
 
@@ -688,11 +687,9 @@ def _pair_sum_table(den: int, matrix: Sequence[Sequence[int]], size: int) -> Mea
         table += (table + cross) << (bits << i)
         ones_below.append(ones)
         ones += ones << (bits << i)
-    g = math.gcd(
-        den,
-        *(matrix[i][i] for i in range(n)),
-        *(matrix[k][l] + matrix[l][k] for k in range(n) for l in range(k)),
-    )
+    g = math.gcd(den, *[matrix[i][i] for i in range(n)])
+    if g != 1:
+        g = math.gcd(g, *[matrix[k][l] + matrix[l][k] for k, l in combinations(range(n), 2)])
     return _table_values(den, g, table, ones, bits)
 
 
