@@ -372,7 +372,7 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 #: gen.rng_for(24, "golden", "decoherence", 7), 7)``, a 7 x 7 complex matrix.
 #: The all-pairs ``audit`` on ``decoherence_7`` and the ``topos --cap 8`` χ
 #: table on ``event_table_8`` (65,280 rows) are the largest row lists pinned.
-#: ``amplitudes_wide_7``, written by hand, holds seven amplitudes whose parts
+#: ``amplitudes_wide_7`` holds seven amplitudes whose parts
 #: are rationals of 19 to 24 digits over one 22-digit denominator, with a
 #: zero amplitude, one that cancels another and a real one, summing to 1;
 #: its measure's numerators run to 48 digits, past any machine integer.
