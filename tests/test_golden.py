@@ -11,7 +11,8 @@ outputs on the catalog corpus written there (``CORPUS_PINNED``) and the
 brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
 (``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
 three larger theory files that pin what the loader reads, with the largest
-``audit`` and ``topos`` row lists (``LOADER_PINNED``).
+``audit`` and ``topos`` row lists, and the upper completion and ``topos``
+over all 31 duals of an n = 5 theory (``LOADER_PINNED``).
 ``report`` is kept only for the two small theories; on
 ``four_slit_decoherence`` its machine form is about 126 KB.  A change
 that means to alter the output regenerates a golden with, for example,
@@ -49,6 +50,9 @@ FLAGS = {
     "coevents-all": ["--set", "all"],
     "coevents-classical": ["--set", "classical"],
     "audit-empty": ["--include-empty-dual"],
+    "complete-empty": ["--include-empty-dual"],
+    "complete-scheme": ["--set", "scheme"],
+    "topos-empty": ["--include-empty-dual"],
     "report-witnesses": ["--witnesses", "5"],
 }
 
@@ -376,6 +380,9 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 #: are rationals of 19 to 24 digits over one 22-digit denominator, with a
 #: zero amplitude, one that cancels another and a real one, summing to 1;
 #: its measure's numerators run to 48 digits, past any machine integer.
+#: ``amplitudes_5`` (amplitudes 1, 1, -1, 1, -1) pins the upper completion
+#: of all 31 duals (7,581 up-sets, the first 1,000 listed) and the topos
+#: instance over them with its 992-row χ table.
 LOADER_PINNED = {
     ("event_table_8", "validate", "machine"): (
         0, 216906, "a41a5a7388ee4a38c3fc5ba399403fc53e3599e186b583d829c759259a9980b1"
@@ -418,6 +425,18 @@ LOADER_PINNED = {
     ),
     ("amplitudes_wide_7", "validate", "text"): (
         0, 262916, "38693673961579b956a8f36d11c1697ae84912f42879471dd749b54c0c52bae3"
+    ),
+    ("amplitudes_5", "complete --mode upper --cap 31", "machine"): (
+        0, 79977, "cdb17d166ba8774f306bb5c53b026e569e76ad9949057988127dda3134e2e251"
+    ),
+    ("amplitudes_5", "complete --mode upper --cap 31", "text"): (
+        0, 74384, "f60c762d0e1531c4dc443ff81ad4b01143ea1ed6d4734659ab264e72bc86ed9d"
+    ),
+    ("amplitudes_5", "topos --cap 31", "machine"): (
+        0, 140761, "01fffb47705104d7649b463860a4976823272c96336a7e5de824a4a24b41cb13"
+    ),
+    ("amplitudes_5", "topos --cap 31", "text"): (
+        0, 97197, "eac06e0446348fb5e68c37efe5b38b3b9003a5affeb55dfcbb77fc581a14849e"
     ),
 }
 
