@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Container, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterator, Optional, Sequence
 
 from .coevent import Coevent, CoeventSpace, modus_ponens_key
 from .errors import (
@@ -31,7 +31,7 @@ from .eventalg import (
     set_bits,
     unchecked,
 )
-from .poset import closure, poset_of_coevents
+from .poset import poset_of_coevents, up_sets
 
 #: The completions live inside 2**|V|, so closure is capped.
 COMPLETION_CAP = 20
@@ -373,10 +373,16 @@ class Completion:
 def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Completion:
     """Closure of {tau(A)} under the mode's operations.
 
-    By distributivity the union/intersection closure C is the union-closure
-    of the intersection-closure M of the generators, two frontier passes
-    of O(|C| |M|) set operations; the pairwise worklist is the test
-    oracle.  The Boolean closure is all of 2^V: its atoms are the classes
+    On a space of duals the union/intersection closure is the up-sets of
+    the dual order: each tau row is one, an up-set is the union of the
+    rows tau(p) of its members p*, and tau(∅) is the empty set unless the
+    constant-one dual ∅* is a member, which lies in every row.  So it is
+    :func:`~coevents.poset.up_sets` over the dual order's rows tau(p),
+    less ∅ when ∅* is a member, with no closure and no coevent built.  On any other
+    space, by distributivity the closure C is the union-closure of the
+    intersection-closure M of the generators, two frontier passes of
+    O(|C| |M|) set operations.  The pairwise worklist is the test oracle
+    of both.  The Boolean closure is all of 2^V: its atoms are the classes
     of members that no generator tells apart, and distinct members of V
     have distinct supports, so some event A lies in one support and not
     the other, and the row tau(A) separates them.  Every atom is one
@@ -393,8 +399,24 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         raise CapExceeded("completion closure", cap, len(space))
     if mode == "boolean":
         return Completion(mode, space, range(1 << len(space)))
-    current = closure(closure(set(space.tau_table), int.__and__), int.__or__)
-    return Completion(mode, space, tuple(sorted(current)))
+    principals = space.principals
+    if principals is None:
+        current = _closure(_closure(set(space.tau_table), int.__and__), int.__or__)
+        return Completion(mode, space, tuple(sorted(current)))
+    rows = [space.tau_row(p) for p in principals]
+    members = up_sets(rows, (1 << len(rows)) - 1)
+    if 0 in principals:
+        del members[0]
+    return Completion(mode, space, tuple(members))
+
+
+def _closure(generators: set[int], op: Callable[[int, int], int]) -> set[int]:
+    """The closure of the generators under an associative, commutative op."""
+    closed, frontier = set(generators), generators
+    while frontier:
+        frontier = {op(x, g) for x in frontier for g in generators} - closed
+        closed |= frontier
+    return closed
 
 
 def heyting_implication(

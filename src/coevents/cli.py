@@ -274,7 +274,7 @@ def section_complete(
         # all of 2^V in ascending bit order, complemented by construction
         members, cut = first_witnesses(space.subset_renderings(limit), limit)
     else:
-        members, cut = first_witnesses(map(space.render, completion.member_bits), limit)
+        members, cut = first_witnesses(space.render_each(completion.member_bits), limit)
         member_set = set(completion.member_bits)
         full = (1 << len(space)) - 1
         for bits in completion.member_bits:
@@ -380,14 +380,15 @@ def section_topos(
         }
     else:
         # chi_vsupp for every (context, event) cell: the event's tau row
-        # restricted to the context's up-set, each row read once
-        space, poset = instance.space, instance.poset
+        # restricted to the context p*'s up-set, tau(A) & tau(p) = tau(A & p),
+        # so each of the 2^n rows is rendered once
+        space = instance.space
         names = instance.algebra.space.event_names
-        tau_rows = [space.tau_row(mask) for mask in range(len(names))]
+        sieves = [space.render(row) for row in space.tau_table]
         rows = [
-            (rendered, name, f"@{rendered}: {space.render(row & up)}")
-            for rendered, up in zip(space.renderings, poset.up)
-            for row, name in zip(tau_rows, names)
+            (rendered, name, f"@{rendered}: {sieves[a & p]}")
+            for rendered, p in zip(space.renderings, space.principals)
+            for a, name in enumerate(names)
         ]
         section["chi"] = {
             "mode": "table",

@@ -333,6 +333,31 @@ class CoeventSpace:
         digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
         return "[" + ", ".join(compress(self.renderings, digits)) + "]"
 
+    def render_each(self, bits: Iterable[int]) -> Iterator[str]:
+        """``render(b)`` for each b of ``bits``, in turn.
+
+        When b less its last member (its highest bit) came earlier in
+        ``bits``, b's string is that one's with the member's name appended,
+        as :meth:`subset_renderings` builds its strings; any other b goes
+        through :meth:`render`.  In ascending-principal order the last
+        member of an up-set of the dual order lies above no other member,
+        so the up-set less it is an up-set and a smaller int: listed
+        ascending, each member of the upper completion extends an earlier
+        one.
+        """
+        names, done = self.renderings, {0: "[]"}
+        for b in bits:
+            if b not in done:
+                last = b.bit_length() - 1
+                rest = done.get(b ^ 1 << last)
+                if rest is None:
+                    done[b] = self.render(b)
+                elif rest == "[]":
+                    done[b] = "[" + names[last] + "]"
+                else:
+                    done[b] = rest[:-1] + ", " + names[last] + "]"
+            yield done[b]
+
     def subset_renderings(self, limit: Optional[int] = None) -> list[str]:
         """``render(bits)`` for ``bits`` in ``range(1 << len(self))``, in that order.
 

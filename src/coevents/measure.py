@@ -192,6 +192,10 @@ class MeasureValues(Mapping[int, Fraction]):
         return f"MeasureValues(den={self.den}, nums={self.nums})"
 
 
+#: The bit that mask e sets in byte e // 8 of a bitmask's bytes, by e % 8.
+_BYTE_BITS = tuple(1 << i for i in range(8))
+
+
 @dataclass(frozen=True)
 class Measure:
     """A total, exact-valued set function on the event algebra.
@@ -262,15 +266,19 @@ class Measure:
     def null_down_set(self) -> int:
         """The null sets' down-closure: bit A is set iff some null event contains A.
 
-        One 2^n-bit integer over the event masks, built once, one history
-        at a time: every covered event that holds history i covers itself
-        minus i as well.  That is O(n 2^n) bit operations, done as n
-        shifts.  A dual A* is preclusive iff bit A is clear.
+        One 2^n-bit integer over the event masks, built once.  The null
+        masks are set as bits of a bytearray, one byte write each, read as
+        one integer: O(#nulls + 2^n / 8), where ORing ``1 << e`` into the
+        integer per mask would copy it each time.  Then one history at a
+        time, every covered event that holds history i covers itself minus
+        i as well: O(n 2^n) bit operations, done as n shifts.  A dual A*
+        is preclusive iff bit A is clear.
         """
         n = self.algebra.space.n
-        covered = 0
+        found, bit = bytearray(self.algebra.size + 7 >> 3), _BYTE_BITS
         for e in self.null_masks:
-            covered |= 1 << e
+            found[e >> 3] |= bit[e & 7]
+        covered = int.from_bytes(found, "little")
         for i in range(n):
             covered |= covered >> (1 << i) & masks_lacking(n, i)
         return covered

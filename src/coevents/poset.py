@@ -1,17 +1,17 @@
-"""Finite posets as up-set rows: up-sets, their ∪-closure and Heyting implication.
+"""Finite posets as up-set rows: their up-sets, by doubling, and Heyting implication.
 
 The up-sets of a finite poset form a finite locale, and two layers use
 one: the upper completion over a space of duals (:mod:`.beables`) is
 exactly the up-sets of the dual order, and the sieves of a varying set
 (:mod:`.topos`) are the up-sets above an anchor.  Both take the up-set
-test, the closure and the implication from here.
+enumeration (:func:`up_sets`) and the implication from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .coevent import CoeventSpace
 from .errors import MismatchedSpace, NotMultiplicative
@@ -90,18 +90,12 @@ class FinitePoset:
         up = self.up
         return all(up[j] & ~bits == 0 for j in set_bits(bits))
 
-    def up_sets(self, within: Optional[int] = None) -> tuple[int, ...]:
+    def up_sets(self, within: Optional[int] = None) -> list[int]:
         """The up-sets inside the up-set ``within`` (by default the whole
-        poset), ascending.
-
-        Every up-set is the union of the principal up-sets of its
-        elements, so these are the empty set and the ∪-closure of the
-        rows of ``within``'s elements.
-        """
+        poset), ascending (:func:`up_sets`)."""
         if within is None:
             within = (1 << len(self.up)) - 1
-        rows = {self.up[j] for j in set_bits(within)}
-        return tuple(sorted(closure(rows, int.__or__) | {0}))
+        return up_sets(self.up, within)
 
     def implication(self, a: int, b: int, within: Optional[int] = None) -> int:
         """Heyting implication a => b among the up-sets inside ``within``.
@@ -125,13 +119,30 @@ class FinitePoset:
         return all(row == 1 << i for i, row in enumerate(self.up))
 
 
-def closure(generators: set[int], op: Callable[[int, int], int]) -> set[int]:
-    """The closure of the generators under an associative, commutative op."""
-    closed, frontier = set(generators), generators
-    while frontier:
-        frontier = {op(x, g) for x in frontier for g in generators} - closed
-        closed |= frontier
-    return closed
+def up_sets(up: Sequence[int], within: int) -> list[int]:
+    """The up-sets inside the up-set ``within`` of the order whose up-set
+    rows are ``up``, ascending.
+
+    Built by doubling over ``within``'s elements in a linear extension:
+    an element's strict up-set is smaller than its own, so ascending
+    ``up[j].bit_count()`` is one, and each of its elements comes earlier.
+    Element j keeps the sets built so far, the up-sets of the elements
+    before it, and adds ``u | 1 << j`` for each u that holds its strict
+    up-set.  When each row has no element above its own index, as the
+    dual order in ascending-principal order has, index order is a linear
+    extension in which each new set is larger than every old one, so the
+    list is built ascending; any other order is sorted at the end.
+    """
+    order = set_bits(within)
+    ascending = all(up[j] >> j == 1 for j in order)
+    if not ascending:
+        order = sorted(order, key=lambda j: up[j].bit_count())
+    sets = [0]
+    for j in order:
+        bit = 1 << j
+        strict = up[j] ^ bit
+        sets += [u | bit for u in sets if u & strict == strict]
+    return sets if ascending else sorted(sets)
 
 
 def poset_of_coevents(space: CoeventSpace) -> FinitePoset:

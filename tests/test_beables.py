@@ -479,6 +479,28 @@ def test_upper_completion_matches_the_worklist_on_duals_and_classical(n):
         assert set(complete(space, "upper").member_bits) == upper_closure_oracle(space)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_upper_completion_of_duals_in_any_member_order_is_the_worklist(data):
+    """On a space of duals built by ``CoeventSpace`` in a drawn member
+    order, with and without the constant-one dual, the up-sets read from
+    the tau rows are the worklist closure, and ``section_complete`` lists
+    each member as ``render`` does: out of ascending-principal order a
+    member less its highest member need not be a member."""
+    alg = algebra_of_size(data.draw(st.integers(1, 4), label="n"))
+    principals = st.lists(st.integers(1, alg.size - 1), unique=True, max_size=7)
+    principals = data.draw(principals, label="principals")
+    if data.draw(st.booleans(), label="the constant-one dual"):
+        principals.append(0)
+    principals = data.draw(st.permutations(principals), label="order")
+    duals = [dual_of_event(alg.event(p), include_empty_dual=True) for p in principals]
+    space = CoeventSpace(alg, duals, "user-supplied")
+    member_bits = complete(space, "upper", cap=len(space)).member_bits
+    assert member_bits == tuple(sorted(upper_closure_oracle(space)))
+    section = section_complete(space, len(space), "upper", limit=None)
+    assert section["members"] == [space.render(b) for b in member_bits]
+
+
 def test_upper_completion_sizes():
     # sizes cross-checked against the brute-force upper-set oracle above
     assert len(complete(mce(1), "upper")) == 2
@@ -840,6 +862,20 @@ def test_rendering_matches_per_member_str(data):
         if phi.principal_mask is None:
             events = (str(Event(alg.space, m)) for m in sorted(phi.support))
             assert str(phi) == "[" + ", ".join(events) + "]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_render_each_is_render_in_any_order(data):
+    """``render_each`` gives ``render(b)`` for bit patterns in any order,
+    repeats among them, on spaces of duals and mixed spaces."""
+    space = data.draw(st.one_of(mixed_spaces(), dual_spaces()), label="space")
+    patterns = st.integers(0, (1 << len(space)) - 1)
+    bits = data.draw(st.lists(patterns, max_size=40), label="bits")
+    assert list(space.render_each(bits)) == [space.render(b) for b in bits]
+    assert list(space.render_each(range(min(1 << len(space), 256)))) == [
+        space.render(b) for b in range(min(1 << len(space), 256))
+    ]
 
 
 def test_subset_renderings_of_the_empty_space():

@@ -381,7 +381,7 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 #: zero amplitude, one that cancels another and a real one, summing to 1;
 #: its measure's numerators run to 48 digits, past any machine integer.
 #: ``amplitudes_5`` (amplitudes 1, 1, -1, 1, -1) pins the upper completion
-#: of all 31 duals (7,581 up-sets, the first 1,000 listed) and the topos
+#: of all 31 duals (7,580 members, the first 1,000 listed) and the topos
 #: instance over them with its 992-row χ table.
 LOADER_PINNED = {
     ("event_table_8", "validate", "machine"): (

@@ -33,7 +33,7 @@ from coevents import (
     validate_quantum,
 )
 from coevents.catalog import complex_phases, dirac, fair_coin, three_slit
-from coevents.eventalg import WITNESS_LIST_CAP, first_witnesses
+from coevents.eventalg import WITNESS_LIST_CAP, down_set, first_witnesses
 
 from conftest import LETTER_LABELS
 
@@ -302,6 +302,27 @@ def test_null_masks_are_the_zero_numerators(data):
     for nums in (drawn, [0] * alg.size, [0] + [1] * (alg.size - 1)):
         m = Measure(alg, measure_mod.MeasureValues(1, nums))
         assert m.null_masks == tuple(mask for mask, x in enumerate(nums) if not x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_null_down_set_is_the_per_mask_or(data):
+    """The null masks, set as bits of a bytearray and closed downward by
+    shifts, give what ORing each null mask's submasks (``down_set``) into
+    one integer gives; ``null_down_bytes`` holds the same bits.  Up to
+    n = 10, so a table runs to 128 bytes, with the no-null and all-null
+    tables as well."""
+    n = data.draw(st.integers(1, 10), label="n")
+    alg = EventAlgebra(SampleSpace(tuple("abcdefghij"[:n])))
+    nulls = data.draw(st.sets(st.integers(0, alg.size - 1), max_size=40), label="nulls")
+    for zeros in (nulls, set(), set(range(alg.size))):
+        nums = [int(e not in zeros) for e in range(alg.size)]
+        m = Measure(alg, measure_mod.MeasureValues(1, nums))
+        covered = 0
+        for e in zeros:
+            covered |= down_set(e)
+        assert m.null_down_set == covered
+        assert m.null_down_bytes == covered.to_bytes((alg.size + 7) // 8, "little")
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,34 @@ def assert_up_sets_match_the_submask_walk(poset: FinitePoset) -> None:
 @pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
 def test_up_sets_and_sieves_match_the_submask_walk(poset):
     assert_up_sets_match_the_submask_walk(poset)
+
+
+def permuted(poset: FinitePoset, order: tuple[int, ...]) -> FinitePoset:
+    """The same order with its elements listed as ``order`` gives their indices."""
+    position = {old: new for new, old in enumerate(order)}
+
+    def moved(row: int) -> int:
+        return sum(1 << position[j] for j in set_bits(row))
+
+    return FinitePoset(
+        tuple(poset.elements[i] for i in order), tuple(moved(poset.up[i]) for i in order)
+    )
+
+
+@pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
+def test_up_sets_and_sieves_match_the_submask_walk_in_any_element_order(poset):
+    """Listed in reverse and in 20 shuffled orders, most of them not linear
+    extensions (some element above a later one), the up-sets are still
+    those of the submask walk, ascending."""
+    k = len(poset)
+    orders = [tuple(reversed(range(k)))]
+    orders += [tuple(random.Random(seed).sample(range(k), k)) for seed in range(20)]
+    extensions = 0
+    for order in orders:
+        listed = permuted(poset, order)
+        extensions += all(row >> j == 1 for j, row in enumerate(listed.up))
+        assert_up_sets_match_the_submask_walk(listed)
+    assert extensions < len(orders) or poset.is_antichain()
 
 
 @settings(max_examples=100, deadline=None)
