@@ -52,6 +52,7 @@ FLAGS = {
     "audit-empty": ["--include-empty-dual"],
     "complete-empty": ["--include-empty-dual"],
     "complete-scheme": ["--set", "scheme"],
+    "complete-all": ["--set", "all", "--cap", "16"],
     "topos-empty": ["--include-empty-dual"],
     "report-witnesses": ["--witnesses", "5"],
 }
