@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Container, Iterator, Optional, Sequence
+from typing import Container, Iterator, Optional, Sequence
 
 from .coevent import Coevent, CoeventSpace, modus_ponens_key
 from .errors import (
@@ -331,14 +331,14 @@ def _order_witnesses(
 class Completion:
     """Closure of the tau image inside the valuation event algebra.
 
-    mode="upper": closure under union and intersection; over the space
-    of all duals every member is an upper set of the dual order and the
-    result is a Heyting algebra (a finite locale), not Boolean in
-    general.  mode="boolean": additionally closed under complement,
-    which is all of 2^V.  ``member_bits`` holds the members' bit
-    patterns in ascending order: a sorted tuple in upper mode, and
-    ``range(1 << |V|)`` in Boolean mode, so that nothing 2^|V| long is
-    built until someone reads it.
+    mode="upper": closure under union and intersection; every member is
+    an up-set of the members ordered by support inclusion (the dual
+    order, over a space of duals) and the result is a Heyting algebra
+    (a finite locale), not Boolean in general.  mode="boolean":
+    additionally closed under complement, which is all of 2^V.
+    ``member_bits`` holds the members' bit patterns in ascending order:
+    a sorted tuple in upper mode, and ``range(1 << |V|)`` in Boolean
+    mode, so that nothing 2^|V| long is built until someone reads it.
     """
 
     mode: str
@@ -373,17 +373,20 @@ class Completion:
 def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Completion:
     """Closure of {tau(A)} under the mode's operations.
 
-    On a space of duals the union/intersection closure is the up-sets of
-    the dual order: each tau row is one, an up-set is the union of the
-    rows tau(p) of its members p*, and tau(∅) is the empty set unless the
-    constant-one dual ∅* is a member, which lies in every row.  So it is
-    :func:`~coevents.poset.up_sets` over the dual order's rows tau(p),
-    less ∅ when ∅* is a member, with no closure and no coevent built.  On any other
-    space, by distributivity the closure C is the union-closure of the
-    intersection-closure M of the generators, two frontier passes of
-    O(|C| |M|) set operations.  The pairwise worklist is the test oracle
-    of both.  The Boolean closure is all of 2^V: its atoms are the classes
-    of members that no generator tells apart, and distinct members of V
+    The union/intersection closure is the up-sets of the members ordered
+    by support inclusion (Birkhoff), antisymmetric as the members are
+    distinct: each tau row, the members whose support holds A, is one;
+    the rows holding a nonzero member i meet in i's up-set; and every
+    up-set is a union of these.  The zero coevent lies in no row and the
+    constant-one dual ∅* in every row, so the up-sets are taken inside
+    every member but the zero coevent, less ∅ when ∅* is a member.  On
+    duals i's up-set is the tau row of its principal, read on demand;
+    otherwise it is the AND of the tau table's rows that hold i.  So it
+    is :func:`~coevents.poset.up_sets` over those rows, with no closure
+    and no coevent built; the pairwise worklist is its test oracle.
+
+    The Boolean closure is all of 2^V: its atoms are the classes of
+    members that no generator tells apart, and distinct members of V
     have distinct supports, so some event A lies in one support and not
     the other, and the row tau(A) separates them.  Every atom is one
     member.  The tests compare it with a brute-force closure.  Its
@@ -399,24 +402,19 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         raise CapExceeded("completion closure", cap, len(space))
     if mode == "boolean":
         return Completion(mode, space, range(1 << len(space)))
-    principals = space.principals
-    if principals is None:
-        current = _closure(_closure(set(space.tau_table), int.__and__), int.__or__)
-        return Completion(mode, space, tuple(sorted(current)))
-    rows = [space.tau_row(p) for p in principals]
-    members = up_sets(rows, (1 << len(rows)) - 1)
-    if 0 in principals:
+    keys, everyone = space.keys, (1 << len(space)) - 1
+    if space.principals is None:
+        rows = [everyone] * len(keys)
+        for row in space.tau_table:
+            for i in set_bits(row):
+                rows[i] &= row
+    else:
+        rows = [space.tau_row(p) for p in keys]
+    within = everyone ^ (1 << keys.index(~0) if ~0 in keys else 0)
+    members = up_sets(rows, within)
+    if 0 in keys:
         del members[0]
     return Completion(mode, space, tuple(members))
-
-
-def _closure(generators: set[int], op: Callable[[int, int], int]) -> set[int]:
-    """The closure of the generators under an associative, commutative op."""
-    closed, frontier = set(generators), generators
-    while frontier:
-        frontier = {op(x, g) for x in frontier for g in generators} - closed
-        closed |= frontier
-    return closed
 
 
 def heyting_implication(

@@ -26,6 +26,7 @@ from .errors import (
     ZeroCoevent,
 )
 from .eventalg import (
+    _DIGIT_BYTES,
     Event,
     EventAlgebra,
     EventFamily,
@@ -63,9 +64,6 @@ def _bits_of(key: int, full: int) -> int:
     """The support bits of the coevent with key ``key``: a dual p*'s, the
     supersets of p, are derived on each read and never stored."""
     return ~key if key < 0 else down_set(full ^ key) << key
-
-
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" digits as false/true bytes
 
 
 def render_key(space: SampleSpace, key: int) -> str:

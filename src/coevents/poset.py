@@ -1,9 +1,10 @@
 """Finite posets as up-set rows: their up-sets, by doubling, and Heyting implication.
 
 The up-sets of a finite poset form a finite locale, and two layers use
-one: the upper completion over a space of duals (:mod:`.beables`) is
-exactly the up-sets of the dual order, and the sieves of a varying set
-(:mod:`.topos`) are the up-sets above an anchor.  Both take the up-set
+one: the upper completion (:mod:`.beables`) is exactly the up-sets of
+the members ordered by support inclusion, the dual order over a space
+of duals, and the sieves of a varying set (:mod:`.topos`) are the
+up-sets above an anchor.  Both take the up-set
 enumeration (:func:`up_sets`) and the implication from here.
 """
 

@@ -501,6 +501,60 @@ def test_upper_completion_of_duals_in_any_member_order_is_the_worklist(data):
     assert section["members"] == [space.render(b) for b in member_bits]
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_upper_completion_of_mixed_spaces_in_any_member_order_is_the_worklist(data):
+    """On a space of random supports and duals built by ``CoeventSpace`` in a
+    drawn member order, so that the zero coevent and the constant-one dual
+    sit at any index, the up-sets of the support order are the worklist
+    closure, and ``section_complete`` lists each member as ``render`` does."""
+    alg = algebra_of_size(data.draw(st.integers(1, 3), label="n"))
+    events = st.integers(0, alg.size - 1)
+    supports = data.draw(st.lists(st.frozensets(events), max_size=5), label="supports")
+    principals = data.draw(st.lists(st.integers(0, alg.size - 1), max_size=3), label="principals")
+    if data.draw(st.booleans(), label="the zero coevent"):
+        supports.append(frozenset())
+    if data.draw(st.booleans(), label="the constant-one dual"):
+        principals.append(0)
+    members = [Coevent(alg, support) for support in supports] + [
+        dual_of_event(alg.event(p), include_empty_dual=True) for p in principals
+    ]
+    members = data.draw(st.permutations(list(dict.fromkeys(members))), label="order")
+    space = CoeventSpace(alg, members, "user-supplied")
+    member_bits = complete(space, "upper", cap=len(space)).member_bits
+    assert member_bits == tuple(sorted(upper_closure_oracle(space)))
+    section = section_complete(space, len(space), "upper", limit=None)
+    assert section["members"] == [space.render(b) for b in member_bits]
+
+
+@pytest.mark.parametrize(
+    "names, expected",
+    [
+        ("", (0,)),
+        ("zero", (0,)),
+        ("one", (1,)),
+        ("zero,one", (2,)),
+        ("one,zero", (1,)),
+        ("first,zero,one", (4, 5)),
+    ],
+)
+def test_upper_completion_of_degenerate_spaces_at_n2(names, expected):
+    """Over n = 2 histories, members named in order: the zero coevent lies
+    in no tau row, so no member holds it, and the constant-one dual lies
+    in every row, so ∅ is no member beside it.  "first" is the dual of
+    the first history."""
+    alg = algebra_of_size(2)
+    coevents = {
+        "zero": Coevent(alg, ()),
+        "one": dual_of_event(alg.empty, include_empty_dual=True),
+        "first": dual_of_event(alg.event(1)),
+    }
+    members = [coevents[name] for name in names.split(",") if name]
+    space = CoeventSpace(alg, members, "user-supplied")
+    member_bits = complete(space, "upper", cap=len(space)).member_bits
+    assert member_bits == expected == tuple(sorted(upper_closure_oracle(space)))
+
+
 def test_upper_completion_sizes():
     # sizes cross-checked against the brute-force upper-set oracle above
     assert len(complete(mce(1), "upper")) == 2
