@@ -10,6 +10,7 @@ on the former.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Container, Iterator, Optional, Sequence
@@ -385,6 +386,13 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     is :func:`~coevents.poset.up_sets` over those rows, with no closure
     and no coevent built; the pairwise worklist is its test oracle.
 
+    Members with supports of one size are pairwise incomparable, so w of
+    them give 2^w - 1 up-sets at least.  A space over COMPLETION_CAP
+    members, which only a raised ``cap`` lets through, is refused,
+    whatever ``cap`` says, before any up-set is listed when its widest
+    support size is shared by more than COMPLETION_CAP members.  A dual
+    p*'s support size is 2^(n - |p|), any other's its popcount.
+
     The Boolean closure is all of 2^V: its atoms are the classes of
     members that no generator tells apart, and distinct members of V
     have distinct supports, so some event A lies in one support and not
@@ -403,6 +411,12 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     if mode == "boolean":
         return Completion(mode, space, range(1 << len(space)))
     keys, everyone = space.keys, (1 << len(space)) - 1
+    if len(space) > COMPLETION_CAP:
+        n = space.algebra.space.n
+        sizes = Counter(1 << n - k.bit_count() if k >= 0 else (~k).bit_count() for k in keys)
+        widest = max(sizes.values())
+        if widest > COMPLETION_CAP:
+            raise CapExceeded("completion closure", COMPLETION_CAP, widest, override=None)
     if space.principals is None:
         rows = [everyone] * len(keys)
         for row in space.tau_table:

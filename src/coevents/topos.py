@@ -144,75 +144,80 @@ def constant_varying_set(poset: FinitePoset, ambient: Iterable) -> VaryingSet:
     return VaryingSet(poset, tuple(q for _ in poset.elements), transitions)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SubobjectOfConstant:
-    """A candidate selection of a subset of the ambient set at each element."""
+    """A candidate selection of a subset of the ambient set at each element.
+
+    Held as its columns: ``columns[x]`` is the elements whose selection
+    holds x, as bits over the element order, so χ at p is ``columns[x] &
+    up[p]``.  The constructor turns the selections into columns once.
+    """
 
     poset: FinitePoset
-    ambient: frozenset
-    selections: tuple[frozenset, ...]
+    columns: Mapping[Hashable, int]
 
-    def __post_init__(self) -> None:
-        if len(self.selections) != len(self.poset):
+    def __init__(self, poset: FinitePoset, ambient: Iterable, selections: Iterable) -> None:
+        selections, ambient = tuple(map(frozenset, selections)), frozenset(ambient)
+        if len(selections) != len(poset):
             raise ValueError("one selection per poset element required")
-        for sel in self.selections:
-            if not sel <= self.ambient:
-                raise ValueError("selections must be subsets of the ambient set")
+        if not all(sel <= ambient for sel in selections):
+            raise ValueError("selections must be subsets of the ambient set")
+        columns = {x: sum(1 << i for i, sel in enumerate(selections) if x in sel) for x in ambient}
+        self.__dict__.update(poset=poset, columns=columns)
+
+    @property
+    def ambient(self) -> frozenset:
+        return frozenset(self.columns)
 
     def selection(self, p: Hashable) -> frozenset:
-        return self.selections[self.poset.index(p)]
+        i = self.poset.index(p)
+        return frozenset(x for x, column in self.columns.items() if column >> i & 1)
+
+    @cached_property
+    def _verdict(self) -> tuple[bool, tuple[tuple[Hashable, Hashable], ...]]:
+        return is_subobject(self)  # decided once, for every characteristic map
 
 
 def is_subobject(s: SubobjectOfConstant) -> tuple[bool, tuple[tuple[Hashable, Hashable], ...]]:
-    """Monotonicity of the selection; witnesses are the violating pairs."""
-    witnesses = [
-        (s.poset.elements[i], s.poset.elements[j])
-        for i, row in enumerate(s.poset.up)
-        for j in set_bits(row & ~(1 << i))
-        if not s.selections[i] <= s.selections[j]
-    ]
+    """Monotonicity: every column is an up-set.  The witnesses are the pairs
+    (p, q), q above p and outside a column holding p, by p's index, then q's."""
+    up, elements = s.poset.up, s.poset.elements
+    missing = [0] * len(up)
+    for column in s.columns.values():
+        for i in set_bits(column):
+            missing[i] |= up[i] & ~column
+    witnesses = [(elements[i], elements[j]) for i, row in enumerate(missing) for j in set_bits(row)]
     return not witnesses, tuple(witnesses)
 
 
 def _require_subobject(s: SubobjectOfConstant) -> None:
-    ok, witnesses = is_subobject(s)
+    ok, witnesses = s._verdict
     if not ok:
         raise NotASubobject(f"selection is not monotone; witnesses {witnesses[:3]}")
 
 
 def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Sieve:
-    """The sieve of contexts above p at which x belongs to the selection."""
+    """The sieve of contexts above p at which x belongs to the selection:
+    x's column ANDed with p's up-set row, the rule :func:`chi_vsupp` reads
+    with A's tau row as the column.  Monotonicity is the cached verdict."""
     _require_subobject(s)
-    if x not in s.ambient:
+    if x not in s.columns:
         raise ValueError(f"{x} is not in the ambient set")
-    bits = 0
-    for j in set_bits(s.poset.up[s.poset.index(p)]):
-        if x in s.selections[j]:
-            bits |= 1 << j
-    return unchecked(Sieve, poset=s.poset, at=p, bits=bits)
+    return unchecked(Sieve, poset=s.poset, at=p, bits=s.columns[x] & s.poset.up[s.poset.index(p)])
 
 
 def characteristic_naturality_failures(
     s: SubobjectOfConstant,
 ) -> tuple[tuple[Hashable, Hashable, Hashable], ...]:
-    """Triples (p, q, x) where restriction does not commute with the map.
-
-    Monotonicity is checked once, as :func:`characteristic_map` checks it.
-    The map's sieve at p for x is then the elements selecting x, as bits,
-    inside p's up-set row, read with no :func:`characteristic_map` call.
-    """
+    """Triples (p, q, x), p <= q, where restriction does not commute with the map:
+    x's column meets up(q) outside up(p), possible only if the order is not transitive."""
     _require_subobject(s)
-    poset, ambient = s.poset, sorted(s.ambient, key=str)
-    selecting = dict.fromkeys(ambient, 0)
-    for j, selection in enumerate(s.selections):
-        for x in selection:
-            selecting[x] |= 1 << j
-    failures = []
+    poset, columns, failures = s.poset, s.columns, []
+    ambient = sorted(columns, key=str)
     for i, row in enumerate(poset.up):
         for j in set_bits(row):
-            up_j = poset.up[j]
             for x in ambient:
-                if selecting[x] & up_j != selecting[x] & row & up_j:
+                if columns[x] & poset.up[j] & ~row:
                     failures.append((poset.elements[i], poset.elements[j], x))
     return tuple(failures)
 
@@ -289,15 +294,10 @@ class CoeventToposInstance:
 
     @cached_property
     def support_subobject(self) -> SubobjectOfConstant:
-        """The support selection as sets of events, built on first use."""
-        space = self.algebra.space
-        return SubobjectOfConstant(
-            self.poset,
-            frozenset(self.algebra.events()),
-            tuple(
-                frozenset(Event(space, m) for m in phi.support) for phi in self.space.members
-            ),
-        )
+        """The support selection, built on first use: the column of event A is
+        its tau row, the members whose support holds A (``space.tau_table``)."""
+        columns = dict(zip(self.algebra.events(), self.space.tau_table))
+        return unchecked(SubobjectOfConstant, poset=self.poset, columns=columns)
 
 
 def check_instance_cap(n: int, cap: int = MCE_INSTANCE_CAP) -> None:
@@ -343,10 +343,10 @@ def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventTop
 def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
     """Characteristic map of the support subobject at context phi and event A.
 
-    The sieve of contexts above phi whose support contains A: the
-    space's tau row of A, read on demand, restricted to phi's up-set.  Both are up-sets of
-    the dual order, so their meet is one.  The tests compare it with
-    :func:`characteristic_map`.
+    The sieve of contexts above phi whose support contains A: the tau row
+    of A, read on demand, ANDed with phi's up-set row, as
+    :func:`characteristic_map` reads A's column.  No subobject is built or
+    checked: the dual order makes every tau row an up-set.
     """
     space, poset = instance.space, instance.poset
     try:

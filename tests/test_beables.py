@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import dataclasses
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -499,6 +501,47 @@ def test_upper_completion_of_duals_in_any_member_order_is_the_worklist(data):
     assert member_bits == tuple(sorted(upper_closure_oracle(space)))
     section = section_complete(space, len(space), "upper", limit=None)
     assert section["members"] == [space.render(b) for b in member_bits]
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=mixed_spaces())
+def test_upper_completion_holds_two_to_the_widest_support_size_less_one(space):
+    """Members whose supports have one size are pairwise incomparable, so w
+    of them give at least 2^w - 1 up-sets: the bound the hard cap reads."""
+    sizes = Counter(len(phi.support) for phi in space.members)
+    w = max(sizes.values())
+    assert len(complete(space, "upper", cap=len(space)).member_bits) >= 2**w - 1
+
+
+@pytest.mark.parametrize("principals, widest", [((1, 2, 4), 21), ((1, 2, 6), 20)])
+def test_upper_completion_refuses_a_support_size_held_by_more_than_the_cap(
+    monkeypatch, principals, widest
+):
+    """Over n = 3, 18 non-filter supports of 4 events and the duals {i}*,
+    whose support size 4 is read from |p|, share one size: w = 21 is
+    refused before any up-set is listed.  With one dual moved to {b,c}*
+    (support size 2), w = 20 passes the check and reaches the listing."""
+
+    class Listed(Exception):
+        pass
+
+    def listing(*args, **kwargs):
+        raise Listed
+
+    monkeypatch.setattr(beables_mod, "up_sets", listing)
+    alg = algebra_of_size(3)
+    filters = {frozenset(a for a in range(8) if a & p == p) for p in (1, 2, 4)}
+    others = [s for s in map(frozenset, itertools.combinations(range(8), 4)) if s not in filters]
+    members = [Coevent(alg, s) for s in others[:18]] + [
+        dual_of_event(alg.event(p)) for p in principals
+    ]
+    space = CoeventSpace.build(alg, members, "user-supplied")
+    if widest > 20:
+        with pytest.raises(CapExceeded, match=r"size 21 exceeds cap 20 \(hard cap"):
+            complete(space, "upper", cap=len(space))
+    else:
+        with pytest.raises(Listed):
+            complete(space, "upper", cap=len(space))
 
 
 @settings(max_examples=150, deadline=None)

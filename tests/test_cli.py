@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevents import coevent as coevent_module, topos as topos_module
+from coevents import beables as beables_module, coevent as coevent_module, topos as topos_module
 from coevents.cli import RowTable, render_machine, render_text, run
 from coevents.coevent import Coevent, enumerate_classical, enumerate_multiplicative
 from coevents.eventalg import WITNESS_LIST_CAP, iter_supermasks
@@ -338,12 +338,26 @@ def test_empty_scheme_completions_are_listed_whole(tmp_path, capsys):
         assert section["members"] == ["[]"] and "members_truncated" not in section
 
 
-def test_boolean_completion_hard_cap(capsys):
-    """2^|V| members: no --cap lifts |V| <= 20, and the message says so."""
-    argv = ["complete", str(THEORIES / "eight_slit.json"), "--mode", "boolean", "--cap", "255"]
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["complete", str(THEORIES / "eight_slit.json"), "--mode", "boolean", "--cap", "255"], 255),
+        (["complete", str(THEORIES / "three_slit.json"), "--set", "all", "--cap", "256"], 70),
+    ],
+    ids=["boolean", "upper-antichain"],
+)
+def test_boolean_completion_hard_cap(capsys, monkeypatch, argv, size):
+    """2^|V| members: no --cap lifts |V| <= 20, and the message says so.  An
+    upper completion whose widest support size holds w > 20 members has at
+    least 2^w - 1 up-sets, and is refused the same way before any is listed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed up-sets before the hard cap fired")
+
+    monkeypatch.setattr(beables_module, "up_sets", refuse)
     rc, out, err = invoke(capsys, argv)
     assert rc == 3 and out == ""
-    assert "size 255 exceeds cap 20 (hard cap, no override)" in err
+    assert f"size {size} exceeds cap 20 (hard cap, no override)" in err
 
 
 def test_audit_single_pair(capsys):

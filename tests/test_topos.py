@@ -11,6 +11,7 @@ from coevents import (
     CapExceeded,
     CoeventSpace,
     CoeventToposInstance,
+    Event,
     EventAlgebra,
     FinitePoset,
     GaussianRational,
@@ -617,6 +618,75 @@ def test_characteristic_naturality_checks_monotonicity_once(monkeypatch):
     instance = build_mce_instance(algebra_of_size(3), cap=7)
     assert characteristic_naturality_failures(instance.support_subobject) == ()
     assert len(calls) == 1
+
+
+def test_characteristic_maps_check_monotonicity_once_across_calls(monkeypatch):
+    """Every χ cell of one subobject reads one verdict, decided on the first call."""
+    calls = []
+    plain = topos_module.is_subobject
+    monkeypatch.setattr(topos_module, "is_subobject", lambda s: calls.append(s) or plain(s))
+    instance = build_mce_instance(algebra_of_size(3))
+    s = instance.support_subobject
+    cells = [characteristic_map(s, phi, ev) for phi in s.poset.elements for ev in s.ambient]
+    assert len(cells) == 56 and len(calls) == 1
+    bad = SubobjectOfConstant(chain(2), frozenset({"x"}), (frozenset({"x"}), frozenset()))
+    for _ in range(3):
+        with pytest.raises(NotASubobject):
+            characteristic_map(bad, "c0", "x")
+    assert len(calls) == 2
+
+
+def is_subobject_oracle(poset: FinitePoset, selections: tuple) -> tuple:
+    """The pairwise walk over comparable pairs, one subset test per pair."""
+    witnesses = [
+        (poset.elements[i], poset.elements[j])
+        for i, row in enumerate(poset.up)
+        for j in set_bits(row & ~(1 << i))
+        if not selections[i] <= selections[j]
+    ]
+    return not witnesses, tuple(witnesses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_is_subobject_matches_the_pairwise_walk(data):
+    """Same verdict and the same witnesses, in the same order, as the
+    pairwise subset walk, on any reflexive relation built unchecked; the
+    selections and the ambient set read back as given."""
+    n = data.draw(st.integers(1, 5), label="n")
+    up = tuple(
+        1 << i | data.draw(st.integers(0, (1 << n) - 1), label=f"up[{i}]") for i in range(n)
+    )
+    poset = unchecked(FinitePoset, elements=tuple(f"e{i}" for i in range(n)), up=up)
+    ambient = frozenset(data.draw(st.sets(st.sampled_from("xyzw")), label="ambient"))
+    pick = st.sets(st.sampled_from(sorted(ambient))) if ambient else st.just(set())
+    selections = tuple(frozenset(data.draw(pick, label=f"sel[{i}]")) for i in range(n))
+    s = SubobjectOfConstant(poset, ambient, selections)
+    assert is_subobject(s) == is_subobject_oracle(poset, selections)
+    assert s.ambient == ambient
+    assert [s.selection(p) for p in poset.elements] == list(selections)
+
+
+def test_subobject_constructor_checks():
+    p = chain(2)
+    with pytest.raises(ValueError, match="one selection per poset element"):
+        SubobjectOfConstant(p, frozenset({"x"}), (frozenset({"x"}),))
+    with pytest.raises(ValueError, match="subsets of the ambient set"):
+        SubobjectOfConstant(p, frozenset({"x"}), (frozenset({"x"}), frozenset({"y"})))
+    s = SubobjectOfConstant(p, frozenset({"x"}), (frozenset(), frozenset({"x"})))
+    with pytest.raises(ValueError, match="not in the ambient set"):
+        characteristic_map(s, "c0", "y")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_support_selection_is_each_members_support(n, include_empty):
+    inst = build_mce_instance(algebra_of_size(n), include_empty_dual=include_empty)
+    space = inst.algebra.space
+    s = inst.support_subobject
+    assert s.ambient == frozenset(inst.algebra.events())
+    for phi in inst.space.members:
+        assert s.selection(phi) == frozenset(Event(space, m) for m in phi.support)
 
 
 # ---------------------------------------------------------------------------
