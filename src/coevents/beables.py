@@ -413,8 +413,8 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     keys, everyone = space.keys, (1 << len(space)) - 1
     if len(space) > COMPLETION_CAP:
         n = space.algebra.space.n
-        sizes = Counter(1 << n - k.bit_count() if k >= 0 else (~k).bit_count() for k in keys)
-        widest = max(sizes.values())
+        sizes = (1 << n - k.bit_count() if k >= 0 else (~k).bit_count() for k in keys)
+        widest = max(Counter(sizes).values())
         if widest > COMPLETION_CAP:
             raise CapExceeded("completion closure", COMPLETION_CAP, widest, override=None)
     if space.principals is None:
