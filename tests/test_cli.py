@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import json
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevents import beables as beables_module, coevent as coevent_module, topos as topos_module
+from coevents import (
+    beables as beables_module,
+    cli as cli_module,
+    coevent as coevent_module,
+    topos as topos_module,
+)
 from coevents.cli import RowTable, render_machine, render_text, run
 from coevents.coevent import Coevent, enumerate_classical, enumerate_multiplicative
 from coevents.eventalg import WITNESS_LIST_CAP, iter_supermasks
@@ -232,6 +240,83 @@ def test_cap_below_one_is_a_usage_error(capsys, cap):
 def test_successful_run_exits_zero(capsys):
     rc, out, err = invoke(capsys, ["validate", THREE_SLIT])
     assert rc == 0 and err == ""
+
+
+WITNESSES_ONLY = "usage error: --witnesses is for validate, orders and report only, not {}"
+NOT_DUALS = {
+    "audit": "error: audit is defined for nonzero multiplicative coevents",
+    "topos": "error: dual order requires every member to be a nonzero multiplicative coevent",
+}
+SINGLE_QUERY = {"--context": "1,2", "--event": "1", "--event-b": "3"}
+REFUSALS = [
+    *[
+        ([verb, "--mode", "upper"], THREE_SLIT, 1,
+         f"usage error: --mode is for complete only, not {verb}")
+        for verb in VERBS if verb != "complete"
+    ],
+    *[
+        ([verb, "--witnesses", "5"], THREE_SLIT, 1, WITNESSES_ONLY.format(verb))
+        for verb in ("coevents", "tau", "complete", "audit", "topos")
+    ],
+    (["validate", "--witnesses", "-1"], THREE_SLIT, 1,
+     "usage error: --witnesses must be at least 0"),
+    # a verb that does not take the flag is refused before its value is read
+    (["coevents", "--witnesses", "-1"], THREE_SLIT, 1, WITNESSES_ONLY.format("coevents")),
+    # --mode is read before --witnesses, and both before the file
+    (["audit", "--mode", "upper", "--witnesses", "5"], THREE_SLIT, 1,
+     "usage error: --mode is for complete only, not audit"),
+    (["tau", "--mode", "upper"], None, 1, "usage error: --mode is for complete only, not tau"),
+    (["tau"], THREE_SLIT, 1, "usage error: tau needs --event"),
+    (["tau"], None, 2, "error: [Errno 2] No such file or directory: {theory!r}"),
+    *[
+        (["audit", *(word for flag in given for word in (flag, SINGLE_QUERY[flag]))],
+         THREE_SLIT, 1,
+         "usage error: audit single query also needs "
+         + " and ".join(flag for flag in SINGLE_QUERY if flag not in given))
+        for given in [("--context",), ("--event",), ("--event-b",), ("--context", "--event"),
+                      ("--context", "--event-b"), ("--event", "--event-b")]
+    ],
+    (["topos", "--context", "1,2"], THREE_SLIT, 1,
+     "usage error: topos single query also needs --event"),
+    (["topos", "--event", "1"], THREE_SLIT, 1,
+     "usage error: topos single query also needs --context"),
+    # every verb parses all three event flags, before its own flag rules
+    (["validate", "--event", "zebra"], THREE_SLIT, 1,
+     "usage error: history 'zebra' not in sample space ('1', '2', '3')"),
+    (["audit", "--context", "zebra", "--event", "1"], THREE_SLIT, 1,
+     "usage error: history 'zebra' not in sample space ('1', '2', '3')"),
+    (["validate", "--cap", "0"], THREE_SLIT, 1, "usage error: --cap must be at least 1"),
+    # a partial single query is refused before the instance cap
+    (["topos", "--context", "x0"], 8, 1, "usage error: topos single query also needs --event"),
+    (["topos"], 8, 3, "cap exceeded: dual-poset topos instance: size 8 exceeds cap 4 "
+     "(override with --cap)"),
+    (["complete"], 6, 3, "cap exceeded: completion closure: size 63 exceeds cap 20 "
+     "(override with --cap)"),
+    (["coevents", "--set", "all", "--cap", "9"], 5, 3, "cap exceeded: brute-force coevent "
+     "enumeration: size 5 exceeds cap 4 (hard cap, no override)"),
+    *[([verb, "--set", "all"], THREE_SLIT, 2, NOT_DUALS[verb]) for verb in ("audit", "topos")],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, theory, code, first_line",
+    REFUSALS,
+    ids=[
+        " ".join([argv[0], {None: "missing"}.get(theory, f"n{theory}"), *argv[1:]])
+        if not isinstance(theory, str) else " ".join(argv)
+        for argv, theory, *_ in REFUSALS
+    ],
+)
+def test_refusals_are_pinned(tmp_path, capsys, argv, theory, code, first_line):
+    """Each refusal's exit code and first stderr line, with nothing on
+    stdout (``theory`` is n for an amplitude file, None for a missing file,
+    else a theory path)."""
+    if theory is None:
+        theory = str(tmp_path / "missing.json")
+    elif isinstance(theory, int):
+        theory = amplitude_file(tmp_path, theory)
+    rc, out, err = invoke(capsys, [argv[0], theory, *argv[1:]])
+    assert (rc, out, err.splitlines()[0]) == (code, "", first_line.format(theory=theory))
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +748,51 @@ def test_report_skips_the_sections_over_their_caps(tmp_path, capsys):
     }
     assert sections["coevents-multiplicative"]["count"] == 31
     assert sum("skipped" in section for section in sections.values()) == 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_report_ignores_the_set_and_query_flags(capsys, fmt):
+    """report runs its own sets, with no single query."""
+    plain = invoke(capsys, ["report", THREE_SLIT, "--format", fmt])
+    flagged = invoke(
+        capsys,
+        ["report", THREE_SLIT, "--set", "all", "--event", "1", "--context", "1", "--format", fmt],
+    )
+    assert flagged == plain and plain[0] == 0
+
+
+def test_every_cli_span_is_a_hook_point_that_report_reaches(capsys, monkeypatch):
+    """The traced benchmark wraps each ``cli.*`` span that ``bench/layers.py``
+    names by rebinding the module-level name, so each span must be a
+    module-level function, and report must reach every section it runs
+    through that name at call time."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    spans = layers.SPANS["cli"]
+    for span in spans:
+        fn = getattr(cli_module, span)
+        assert inspect.isfunction(fn) and fn.__module__ == "coevents.cli", span
+        assert fn.__qualname__ == span, span
+    counts = Counter()
+    for span in spans:
+        if span.startswith("section_"):
+
+            def counted(*args, _span=span, _fn=getattr(cli_module, span), **kwargs):
+                counts[_span] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli_module, span, counted)
+    rc, _, _ = invoke(capsys, ["report", THREE_SLIT])
+    assert rc == 0
+    assert counts == {
+        "section_theory": 1, "section_validate": 1, "section_coevents": 3,
+        "section_orders": 1, "section_complete": 2, "section_audit": 1, "section_topos": 1,
+    }
+    assert {span for span in spans if span.startswith("section_")} - set(counts) == {
+        "section_tau"
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
 (``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
 three larger theory files that pin what the loader reads, with the largest
 ``audit`` and ``topos`` row lists, and the upper completion and ``topos``
-over all 31 duals of an n = 5 theory (``LOADER_PINNED``).
-``report`` is kept only for the two small theories; on
-``four_slit_decoherence`` its machine form is about 126 KB.  A change
-that means to alter the output regenerates a golden with, for example,
+over all 31 duals of an n = 5 theory, with ``report`` there (three
+sections skipped at the default caps, none but the Boolean completion at
+``--cap 31``) and ``report --include-empty-dual`` on ``three_slit``
+(``LOADER_PINNED``).  Whole-file ``report`` goldens are kept only for the
+two small demo theories; on ``four_slit_decoherence`` its machine form is
+about 126 KB.  A change that means to alter the output regenerates a
+golden with, for example,
 
     PYTHONPATH=src python -m coevents validate demos/theories/three_slit.json \\
         --format machine > tests/golden/validate_three_slit.json
@@ -438,6 +441,24 @@ LOADER_PINNED = {
     ),
     ("amplitudes_5", "topos --cap 31", "text"): (
         0, 97197, "eac06e0446348fb5e68c37efe5b38b3b9003a5affeb55dfcbb77fc581a14849e"
+    ),
+    ("amplitudes_5", "report", "machine"): (
+        0, 266245, "fdc24bfd0a795c04b85e767e2152b122b88a12f7612d47acef95f1a9d7637a6f"
+    ),
+    ("amplitudes_5", "report", "text"): (
+        0, 162072, "fa1bdba5ac82eabd3526d4a634e278351c8aaa4412a97751909b83762f68be0b"
+    ),
+    ("amplitudes_5", "report --cap 31", "machine"): (
+        0, 484850, "2d8679b98c2b8b3e5cb86a3712bb314920c7af1ef8609b5807e682ca91489517"
+    ),
+    ("amplitudes_5", "report --cap 31", "text"): (
+        0, 332588, "0d87e16f09b4636df2bfe94e6b2007c723db4bebff7d3a079a98d8e432d6597d"
+    ),
+    ("three_slit", "report --include-empty-dual", "machine"): (
+        0, 27114, "929eded8d4149bed82742291033c332528766ca33d413c33ca6eb014e9670e07"
+    ),
+    ("three_slit", "report --include-empty-dual", "text"): (
+        0, 20008, "4b028e227ca70f92e4300f4551e31954d52c58c4a3df3209c16aeb11611c6ac0"
     ),
 }
 
