@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import beables, coevent, measure as measure_mod, topos
 from .coevent import CoeventSpace
@@ -67,28 +67,69 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Verb(NamedTuple):
+    """A verb's help line, its sections (name -> builder and arguments; by
+    default its own builder over the ``--set`` space), its own flags (a verb
+    not listing one refuses it), the flags it needs, and its query's flags."""
+
+    help: str
+    sections: Optional[dict[str, tuple[str, ...]]] = None
+    flags: tuple[str, ...] = ()
+    needs: tuple[str, ...] = ()
+    query: tuple[str, ...] = ()
+
+
+_VERBS = {
+    "validate": _Verb("sum rules, null sets, null cover", flags=("--witnesses",)),
+    "coevents": _Verb("enumerate and classify a coevent set"),
+    "tau": _Verb("embed one history event into valuation events", needs=("--event",)),
+    "orders": _Verb("compare the pushed-forward and inclusion orders", flags=("--witnesses",)),
+    "complete": _Verb(
+        "close the tau image under unions/intersections (and complements)", flags=("--mode",)
+    ),
+    "audit": _Verb(
+        "compare AND/OR evaluation on both sides of tau",
+        query=("--context", "--event", "--event-b"),
+    ),
+    "topos": _Verb(
+        "dual-poset instance, classifier, characteristic maps", query=("--context", "--event")
+    ),
+    # the other verbs' builders, over the duals
+    "report": _Verb(
+        "all of the above in one document",
+        {
+            "validate": ("validate",),
+            "coevents-classical": ("coevents", "classical"),
+            "coevents-multiplicative": ("coevents", "multiplicative"),
+            "coevents-scheme": ("coevents", "scheme"),
+            "orders": ("orders", "multiplicative"),
+            "complete-upper": ("complete", "multiplicative", "upper"),
+            "complete-boolean": ("complete", "multiplicative", "boolean"),
+            "audit": ("audit", "multiplicative"),
+            "topos": ("topos", "multiplicative"),
+        },
+        flags=("--witnesses",),
+    ),
+}
+
+
+def _listed(words: Sequence[str]) -> str:
+    """``a``, ``a and b``, ``a, b and c``."""
+    return ", ".join(words[:-1]) + " and " + words[-1] if len(words) > 1 else words[0]
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The one parser, built on first use; parsing leaves it unchanged."""
-    commands = {
-        "validate": "sum rules, null sets, null cover",
-        "coevents": "enumerate and classify a coevent set",
-        "tau": "embed one history event into valuation events",
-        "orders": "compare the pushed-forward and inclusion orders",
-        "complete": "close the tau image under unions/intersections (and complements)",
-        "audit": "compare AND/OR evaluation on both sides of tau",
-        "topos": "dual-poset instance, classifier, characteristic maps",
-        "report": "all of the above in one document",
-    }
     parser = _Parser(
         prog="coevents",
         description="Analyze a finite histories theory: measures, coevents, order\n"
         "structure, completions, and the varying-set classifier.",
         epilog="commands:\n"
-        + "\n".join(f"  {name:<10} {text}" for name, text in commands.items()),
+        + "\n".join(f"  {name:<10} {verb.help}" for name, verb in _VERBS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=commands, metavar="command", help="listed below")
+    parser.add_argument("command", choices=_VERBS, metavar="command", help="listed below")
     parser.add_argument("theory", help="path to a theory file")
     parser.add_argument(
         "--set",
@@ -143,21 +184,6 @@ def _build_parser() -> _Parser:
         help="complete only: which completion to build (default: upper)",
     )
     return parser
-
-
-def _coevent_space(
-    theory: HistoriesTheory, set_name: str, include_empty: bool, cap: Optional[int]
-) -> CoeventSpace:
-    alg = theory.algebra
-    if set_name == "classical":
-        return coevent.enumerate_classical(alg)
-    if set_name == "multiplicative":
-        return coevent.enumerate_multiplicative(alg, include_empty_dual=include_empty)
-    if set_name == "scheme":
-        return coevent.multiplicative_scheme(theory.measure)
-    return coevent.enumerate_coevents(
-        alg, cap=cap if cap is not None else theory.options.brute_force_cap
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,85 +424,61 @@ def section_topos(
     return section
 
 
-def _require_single_query(command: str, flags: dict[str, Optional[Event]]) -> None:
-    """A single query needs all of its flags; name the missing ones."""
-    missing = [flag for flag, value in flags.items() if value is None]
-    if 0 < len(missing) < len(flags):
-        raise _UsageError(f"{command} single query also needs {' and '.join(missing)}")
-
-
-def _skippable(builder, *args) -> dict[str, Any]:
-    try:
-        return builder(*args)
-    except CapExceeded as exc:
-        return {"skipped": str(exc)}
-
-
 def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
+    """Build ``command``'s sections from the verb table.  A section over its
+    cap is skipped inside ``report``; in any other verb CapExceeded propagates."""
+    verb = _VERBS[command]
     include_empty = args.include_empty_dual or theory.options.include_empty_dual
     cap = args.cap
     limit = WITNESS_LIST_CAP if args.witnesses is None else args.witnesses
-    parse = theory.algebra.parse_event
-    event = parse(args.event) if args.event is not None else None
-    event_b = parse(args.event_b) if args.event_b is not None else None
-    context = parse(args.context) if args.context is not None else None
-
-    def space_of(set_name: str) -> CoeventSpace:
-        return _coevent_space(theory, set_name, include_empty, cap)
-
     topos_cap = cap if cap is not None else topos.MCE_INSTANCE_CAP
+    parse = theory.algebra.parse_event
+    texts = {"--event": args.event, "--event-b": args.event_b, "--context": args.context}
+    given = {flag: None if text is None else parse(text) for flag, text in texts.items()}
+    if any(given[flag] is None for flag in verb.needs):
+        raise _UsageError(f"{command} needs {_listed(verb.needs)}")
+    missing = [flag for flag in verb.query if given[flag] is None]
+    if 0 < len(missing) < len(verb.query):
+        raise _UsageError(f"{command} single query also needs {_listed(missing)}")
+    taken = {flag: given[flag] for flag in verb.needs + verb.query}  # a verb reads only its own
+    context, event, event_b = map(taken.get, ("--context", "--event", "--event-b"))
 
-    def topos_of(
-        space: CoeventSpace, context: Optional[Event], event: Optional[Event]
-    ) -> dict[str, Any]:
-        instance = topos.build_instance(space, topos_cap)
+    @functools.cache
+    def space(set_name: str) -> CoeventSpace:
+        alg = theory.algebra
+        if set_name == "classical":
+            return coevent.enumerate_classical(alg)
+        if set_name == "multiplicative":
+            return coevent.enumerate_multiplicative(alg, include_empty_dual=include_empty)
+        if set_name == "scheme":
+            return coevent.multiplicative_scheme(theory.measure)
+        brute_force_cap = cap if cap is not None else theory.options.brute_force_cap
+        return coevent.enumerate_coevents(alg, cap=brute_force_cap)
+
+    def topos_over(s: str = args.set) -> dict[str, Any]:
+        topos.check_instance_cap(theory.space.n, topos_cap)  # before the space is built
+        instance = topos.build_instance(space(s), topos_cap)
         return section_topos(instance, cap, include_empty, context, event)
 
-    sections: dict[str, Any] = {}
-    if command == "validate":
-        sections["validate"] = section_validate(theory, limit)
-    elif command == "coevents":
-        sections["coevents"] = section_coevents(theory, space_of(args.set), include_empty)
-    elif command == "tau":
-        if event is None:
-            raise _UsageError("tau needs --event")
-        sections["tau"] = section_tau(space_of(args.set), event)
-    elif command == "orders":
-        sections["orders"] = section_orders(space_of(args.set), limit)
-    elif command == "complete":
-        sections["complete"] = section_complete(space_of(args.set), cap, args.mode or "upper")
-    elif command == "audit":
-        _require_single_query(
-            command, {"--context": context, "--event": event, "--event-b": event_b}
-        )
-        sections["audit"] = section_audit(
-            space_of(args.set), include_empty, context, event, event_b
-        )
-    elif command == "topos":
-        _require_single_query(command, {"--context": context, "--event": event})
-        topos.check_instance_cap(theory.space.n, topos_cap)
-        sections["topos"] = topos_of(space_of(args.set), context, event)
-    elif command == "report":
-        sections["validate"] = section_validate(theory, limit)
-        # Each space is built once.  Only the completions and the topos
-        # instance have caps that a theory can exceed, so only they are skipped.
-        spaces = {name: space_of(name) for name in ("classical", "multiplicative", "scheme")}
-        for set_name, space in spaces.items():
-            sections[f"coevents-{set_name}"] = section_coevents(theory, space, include_empty)
-        duals = spaces["multiplicative"]
-        sections["orders"] = section_orders(duals, limit)
-        for mode in ("upper", "boolean"):
-            sections[f"complete-{mode}"] = _skippable(section_complete, duals, cap, mode)
-        sections["audit"] = section_audit(duals, include_empty, None, None, None)
-        sections["topos"] = _skippable(topos_of, duals, None, None)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise _UsageError(f"unknown command {command!r}")
-
-    return {
-        "command": command,
-        "theory": section_theory(theory),
-        "sections": sections,
+    # each builder looks its section_* up in the module globals when it runs
+    builders = {
+        "validate": lambda: section_validate(theory, limit),
+        "coevents": lambda s=args.set: section_coevents(theory, space(s), include_empty),
+        "tau": lambda s=args.set: section_tau(space(s), event),
+        "orders": lambda s=args.set: section_orders(space(s), limit),
+        "complete": lambda s=args.set, m=args.mode or "upper": section_complete(space(s), cap, m),
+        "audit": lambda s=args.set: section_audit(space(s), include_empty, context, event, event_b),
+        "topos": topos_over,
     }
+    sections: dict[str, Any] = {}
+    for name, (builder, *arguments) in (verb.sections or {command: (command,)}).items():
+        try:
+            sections[name] = builders[builder](*arguments)
+        except CapExceeded as exc:
+            if command != "report":
+                raise
+            sections[name] = {"skipped": str(exc)}
+    return {"command": command, "theory": section_theory(theory), "sections": sections}
 
 
 # ---------------------------------------------------------------------------
@@ -658,15 +660,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.mode is not None and args.command != "complete":
-            raise _UsageError(f"--mode is for complete only, not {args.command}")
-        if args.witnesses is not None:
-            if args.command not in ("validate", "orders", "report"):
-                raise _UsageError(
-                    f"--witnesses is for validate, orders and report only, not {args.command}"
-                )
-            if args.witnesses < 0:
-                raise _UsageError("--witnesses must be at least 0")
+        for flag in sorted({flag for verb in _VERBS.values() for flag in verb.flags}):
+            if getattr(args, flag[2:]) is not None and flag not in _VERBS[args.command].flags:
+                takers = [name for name, verb in _VERBS.items() if flag in verb.flags]
+                raise _UsageError(f"{flag} is for {_listed(takers)} only, not {args.command}")
+        if args.witnesses is not None and args.witnesses < 0:
+            raise _UsageError("--witnesses must be at least 0")
         if args.cap is not None and args.cap < 1:
             raise _UsageError("--cap must be at least 1")
     except _UsageError as exc:
