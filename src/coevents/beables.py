@@ -10,10 +10,11 @@ on the former.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Container, Iterator, Optional, Sequence
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 from .coevent import Coevent, CoeventSpace, modus_ponens_key
 from .errors import (
@@ -333,13 +334,13 @@ class Completion:
     """Closure of the tau image inside the valuation event algebra.
 
     mode="upper": closure under union and intersection; every member is
-    an up-set of the members ordered by support inclusion (the dual
-    order, over a space of duals) and the result is a Heyting algebra
-    (a finite locale), not Boolean in general.  mode="boolean":
+    an up-set of the space's ``up_rows`` and the result is a Heyting
+    algebra (a finite locale), not Boolean in general.  mode="boolean":
     additionally closed under complement, which is all of 2^V.
     ``member_bits`` holds the members' bit patterns in ascending order:
     a sorted tuple in upper mode, and ``range(1 << |V|)`` in Boolean
-    mode, so that nothing 2^|V| long is built until someone reads it.
+    mode, so that nothing 2^|V| long is built until someone reads it;
+    :meth:`holds` answers membership by binary search of it.
     """
 
     mode: str
@@ -360,15 +361,14 @@ class Completion:
     def __iter__(self) -> Iterator[ValuationEvent]:
         return iter(self.members)
 
-    @cached_property
-    def _member_set(self) -> Container[int]:
-        # a range answers membership by comparison
-        if isinstance(self.member_bits, range):
-            return self.member_bits
-        return frozenset(self.member_bits)
+    def holds(self, bits: int) -> bool:
+        """True iff ``bits`` is a member's bit pattern: ``member_bits`` is
+        sorted and distinct, a range in Boolean mode, so one bisection."""
+        i = bisect_left(self.member_bits, bits)
+        return i < len(self.member_bits) and self.member_bits[i] == bits
 
     def __contains__(self, alpha: ValuationEvent) -> bool:
-        return alpha.space == self.space and alpha.bits in self._member_set
+        return alpha.space == self.space and self.holds(alpha.bits)
 
 
 def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Completion:
@@ -380,11 +380,10 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     the rows holding a nonzero member i meet in i's up-set; and every
     up-set is a union of these.  The zero coevent lies in no row and the
     constant-one dual ∅* in every row, so the up-sets are taken inside
-    every member but the zero coevent, less ∅ when ∅* is a member.  On
-    duals i's up-set is the tau row of its principal, read on demand;
-    otherwise it is the AND of the tau table's rows that hold i.  So it
-    is :func:`~coevents.poset.up_sets` over those rows, with no closure
-    and no coevent built; the pairwise worklist is its test oracle.
+    every member but the zero coevent, less ∅ when ∅* is a member.  So
+    it is :func:`~coevents.poset.up_sets` over the space's ``up_rows``,
+    with no closure and no coevent built; the pairwise worklist is its
+    test oracle.
 
     Members with supports of one size are pairwise incomparable, so w of
     them give 2^w - 1 up-sets at least.  A space over COMPLETION_CAP
@@ -417,15 +416,8 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         widest = max(Counter(sizes).values())
         if widest > COMPLETION_CAP:
             raise CapExceeded("completion closure", COMPLETION_CAP, widest, override=None)
-    if space.principals is None:
-        rows = [everyone] * len(keys)
-        for row in space.tau_table:
-            for i in set_bits(row):
-                rows[i] &= row
-    else:
-        rows = [space.tau_row(p) for p in keys]
     within = everyone ^ (1 << keys.index(~0) if ~0 in keys else 0)
-    members = up_sets(rows, within)
+    members = up_sets(space.up_rows, within)
     if 0 in keys:
         del members[0]
     return Completion(mode, space, tuple(members))
@@ -449,7 +441,7 @@ def heyting_implication(
     _require_same_valuation_space(alpha, beta)
     if alpha.space != completion.space:
         raise MismatchedSpace("valuation events over a different coevent space")
-    if alpha not in completion or beta not in completion:
+    if not (completion.holds(alpha.bits) and completion.holds(beta.bits)):
         raise ValueError("operands must be members of the completion")
 
     poset = poset_of_coevents(completion.space)

@@ -301,10 +301,9 @@ def section_complete(
         members, cut = first_witnesses(space.subset_renderings(limit), limit)
     else:
         members, cut = first_witnesses(space.render_each(completion.member_bits), limit)
-        member_set = set(completion.member_bits)
         full = (1 << len(space)) - 1
         for bits in completion.member_bits:
-            if bits ^ full not in member_set:
+            if not completion.holds(bits ^ full):
                 non_boolean_witness = space.render(bits)
                 break
     section = {

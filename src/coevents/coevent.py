@@ -311,6 +311,22 @@ class CoeventSpace:
         return tuple(table)
 
     @cached_property
+    def up_rows(self) -> tuple[int, ...]:
+        """Row i holds the members whose support contains member i's: the
+        up-set rows of the support order, built once.  Over duals it is the
+        dual order, row i the tau row of i's principal; otherwise the AND,
+        from all ones, of the tau rows that hold i (the zero coevent, in
+        none, keeps all ones).  The upper completion and the dual order
+        (:func:`~coevents.poset.poset_of_coevents`) read it."""
+        if self.principals is not None:
+            return tuple(map(self.tau_row, self.principals))
+        rows = [(1 << len(self)) - 1] * len(self)
+        for row in self.tau_table:
+            for i in set_bits(row):
+                rows[i] &= row
+        return tuple(rows)
+
+    @cached_property
     def renderings(self) -> tuple[str, ...]:
         """Each member's string, in member order, rendered from its key.
 
@@ -596,8 +612,3 @@ def multiplicative_scheme(m: Measure) -> CoeventSpace:
     for i in range(n):
         above_one |= (preclusive & masks_lacking(n, i)) << (1 << i)
     return CoeventSpace._of_keys(m.algebra, set_bits(preclusive & ~above_one), "scheme")
-
-
-def principal_event(phi: Coevent) -> Event:
-    """Principal event of a nonzero multiplicative coevent (any convention)."""
-    return dual_of_coevent(phi, include_empty_dual=True)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
+from numbers import Rational
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvalidPartition, MismatchedSpace, NonRealDiagonal
@@ -84,7 +85,7 @@ class GaussianRational:
 
     @classmethod
     def real(cls, value: Fraction | int) -> "GaussianRational":
-        return cls(Fraction(value), Fraction(0))
+        return cls(Fraction(*_ratio_of(value)))
 
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else "-"
@@ -285,17 +286,19 @@ class Measure:
 
     @classmethod
     def from_table(
-        cls, algebra: EventAlgebra, table: Mapping[int, Fraction | int]
+        cls, algebra: EventAlgebra, table: Mapping[int, Fraction | int | str]
     ) -> "Measure":
-        return cls(algebra, {m: Fraction(v) for m, v in table.items()})
+        """The measure with the given value per mask; a string such as
+        ``"1/2"`` is read as a ``Fraction``."""
+        return cls(algebra, {m: Fraction(v) if isinstance(v, str) else v for m, v in table.items()})
 
     @classmethod
     def from_atom_weights(
         cls, space: SampleSpace, weights: Mapping[str, Fraction | int]
     ) -> "Measure":
         """Additive measure from per-history weights (classical input):
-        :func:`atom_weight_values` of the weights as ``Fraction``s."""
-        ratios = {lab: _ratio_of(Fraction(w)) for lab, w in weights.items()}
+        :func:`atom_weight_values` of the weights as ratios."""
+        ratios = {lab: _ratio_of(w) for lab, w in weights.items()}
         return cls(EventAlgebra(space), atom_weight_values(space, ratios))
 
     @classmethod
@@ -309,6 +312,10 @@ class Measure:
 
 
 def _ratio_of(x: Fraction | int) -> Ratio:
+    """An exact rational's numerator and denominator; any other value, a
+    float among them, is refused rather than read as a binary fraction."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"{x!r} is not an exact rational (an int or a Fraction)")
     return x.numerator, x.denominator
 
 

@@ -150,14 +150,12 @@ def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
     """The dual order on a space of nonzero multiplicative coevents.
 
     A dual sits below another exactly when its principal event contains
-    the other's, so the up-set of p* is the members whose support holds
-    p: the tau row of p, read on demand, one per member.  Containment is
-    a partial order, so the rows are not checked; the tests check them.
+    the other's, so its up-set rows are the space's ``up_rows``, built
+    once per space.  Containment is a partial order, so the rows are not
+    checked; the tests check them.
     """
-    principals = space.principals
-    if principals is None:
+    if space.principals is None:
         raise NotMultiplicative(
             "dual order requires every member to be a nonzero multiplicative coevent"
         )
-    rows = tuple(map(space.tau_row, principals))
-    return unchecked(FinitePoset, elements=space.members, up=rows)
+    return unchecked(FinitePoset, elements=space.members, up=space.up_rows)

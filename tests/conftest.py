@@ -6,7 +6,7 @@ from typing import Any
 
 from coevents import Coevent, CoeventSpace, EventAlgebra, SampleSpace
 from coevents.beables import OrderReport, and_or_audit
-from coevents.coevent import principal_event
+from coevents.coevent import dual_of_coevent
 from coevents.catalog import corpus
 
 LETTER_LABELS = ("a", "b", "c", "d")
@@ -39,7 +39,7 @@ def support_key(phi: Coevent) -> tuple[int, ...]:
 def dual_up_masks(space: CoeventSpace) -> list[int]:
     """Oracle: per member of a space of duals, the bitmask of members above
     it in the dual order (those whose principal event lies inside its own)."""
-    principals = [principal_event(phi).mask for phi in space.members]
+    principals = [dual_of_coevent(phi, include_empty_dual=True).mask for phi in space.members]
     return [
         sum(1 << j for j, q in enumerate(principals) if q & p == q) for p in principals
     ]

@@ -37,6 +37,7 @@ from coevents.catalog import three_slit
 from coevents.cli import section_audit, section_complete, section_tau, section_topos
 from coevents.coevent import enumerate_classical, multiplicative_scheme
 from coevents.eventalg import WITNESS_LIST_CAP, set_bits
+from coevents.poset import poset_of_coevents
 from coevents.theoryfile import load_data
 from coevents.topos import build_instance, chi_vsupp
 
@@ -646,6 +647,67 @@ def test_completion_membership_is_its_member_bits(mode):
         alpha = ValuationEvent(space, bits)
         assert (alpha in completion) == (bits in completion.member_bits)
     assert ValuationEvent(mce(2), 0) not in completion
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=mixed_spaces(), mode=st.sampled_from(["upper", "boolean"]))
+def test_completion_holds_exactly_its_member_bits(space, mode):
+    """On spaces with non-duals, the zero coevent and ∅*, ``holds`` and
+    ``in`` answer for every bit pattern as a set of the member bits does,
+    and the non-Boolean witness is the set scan's: the first member whose
+    complement is no member."""
+    completion = complete(space, mode, cap=len(space))
+    members = set(completion.member_bits)
+    for bits in range(1 << len(space)):
+        expected = bits in members
+        assert completion.holds(bits) == expected
+        assert (ValuationEvent(space, bits) in completion) == expected
+    full = (1 << len(space)) - 1
+    scan = next((b for b in completion.member_bits if b ^ full not in members), None)
+    witness = section_complete(space, len(space), mode)["non_boolean_witness"]
+    assert witness == (None if scan is None else space.render(scan))
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=st.one_of(mixed_spaces(), dual_spaces()))
+def test_up_rows_are_the_support_inclusion_order(space):
+    """Row i holds the members whose support contains member i's.  Over
+    duals that is each principal's tau row, otherwise the AND of the tau
+    table's rows that hold i, and the dual order reads the same rows."""
+    supports = [phi.support for phi in space.members]
+    assert space.up_rows == tuple(
+        sum(1 << j for j, other in enumerate(supports) if other >= support)
+        for support in supports
+    )
+    if space.principals is None:
+        rows = [(1 << len(space)) - 1] * len(space)
+        for row in space.tau_table:
+            for i in set_bits(row):
+                rows[i] &= row
+        assert space.up_rows == tuple(rows)
+    else:
+        assert space.up_rows == tuple(space.tau_row(p) for p in space.principals)
+        assert poset_of_coevents(space).up is space.up_rows
+
+
+def test_the_dual_order_is_built_once_per_space(monkeypatch):
+    """The upper completion and two Heyting implications over it read
+    each member's tau row once: all three share the space's ``up_rows``."""
+    alg = algebra_of_size(3)
+    space = CoeventSpace(alg, [dual_of_event(alg.event(p)) for p in range(1, alg.size)])
+    reads = Counter()
+    tau_row = CoeventSpace.tau_row
+
+    def counted(self, mask):
+        reads[mask] += 1
+        return tau_row(self, mask)
+
+    monkeypatch.setattr(CoeventSpace, "tau_row", counted)
+    completion = complete(space, "upper")
+    alpha, beta = (ValuationEvent(space, completion.member_bits[i]) for i in (3, -4))
+    heyting_implication(alpha, beta, completion)
+    heyting_implication(beta, alpha, completion)
+    assert reads == Counter(space.principals)
 
 
 def test_boolean_completion_contains_upper(small_algebra):

@@ -37,7 +37,6 @@ from coevents.cli import section_coevents
 from coevents.coevent import (
     enumerate_classical,
     preclusive_dual_events,
-    principal_event,
     render_key,
 )
 from coevents.eventalg import Event, EventFamily, iter_supermasks, set_bits
@@ -316,7 +315,7 @@ def test_principal_mask_predicates_match_pairwise_definitions(drawn):
         for m in support:
             meet &= m
         assert principal.mask == phi.principal_mask == meet
-        assert principal_event(phi).mask == meet
+        assert dual_of_coevent(phi, include_empty_dual=True).mask == meet
         assert str(phi) == f"{principal}*"
     for include_empty_dual in (False, True):
         assert is_multiplicative(phi, include_empty_dual) == multiplicative_oracle(

@@ -385,6 +385,40 @@ def test_measure_from_table():
     assert validate_classical(m).ok
 
 
+# A float is a binary fraction (0.1 is 3602879701896397/2^55), never an
+# exact input: each constructor refuses one with a TypeError that names it.
+
+
+def test_from_table_refuses_a_float():
+    alg = EventAlgebra(SampleSpace(("h", "t")))
+    with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
+        Measure.from_table(alg, {0: 0, 1: 0.5, 2: "1/2", 3: 1})
+
+
+def test_from_atom_weights_refuses_a_float():
+    with pytest.raises(TypeError, match=r"^0\.1 is not an exact rational"):
+        Measure.from_atom_weights(SampleSpace(("a", "b")), {"a": 0.1, "b": 0.9})
+
+
+def test_measure_refuses_a_float():
+    alg = EventAlgebra(SampleSpace(("h",)))
+    with pytest.raises(TypeError, match=r"^0\.0 is not an exact rational"):
+        Measure(alg, {0: 0.0, 1: 1.0})
+
+
+def test_from_amplitudes_refuses_a_float_part():
+    space = SampleSpace(("a", "b"))
+    amplitudes = [GaussianRational(0.5, 0), GaussianRational.real(1)]
+    with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
+        Measure.from_amplitudes(space, amplitudes)
+
+
+def test_real_gaussian_rational_refuses_a_float():
+    assert GaussianRational.real(Fraction(1, 2)) == GaussianRational(Fraction(1, 2))
+    with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
+        GaussianRational.real(0.5)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form verdicts against brute-force enumeration
 

@@ -47,7 +47,7 @@ from coevents.topos import (
 )
 from coevents.beables import complete, heyting_implication
 from coevents.cli import run
-from coevents.coevent import enumerate_multiplicative, principal_event
+from coevents.coevent import dual_of_coevent, enumerate_multiplicative
 
 from conftest import algebra_of_size
 
@@ -839,7 +839,8 @@ def test_chi_two_routes_and_oracle(n, include_empty):
         for mask in range(alg.size):
             ev = alg.event(mask)
             sieve = chi_vsupp(inst, phi, ev)
-            assert sieve.bits == tau(ev & principal_event(phi), inst.space).bits
+            principal = dual_of_coevent(phi, include_empty_dual=True)
+            assert sieve.bits == tau(ev & principal, inst.space).bits
             expected = chi_oracle(inst, phi, ev)
             assert {j for j in range(len(inst.poset)) if sieve.bits >> j & 1} == expected
 
@@ -875,7 +876,8 @@ def test_chi_matches_the_tau_route_on_random_dual_spaces(data):
     inst = build_instance(space, cap=alg.space.n)
     phi = data.draw(st.sampled_from(space.members), label="context")
     ev = alg.event(data.draw(st.integers(0, alg.size - 1), label="event"))
-    assert chi_vsupp(inst, phi, ev).bits == tau(ev & principal_event(phi), space).bits
+    principal = dual_of_coevent(phi, include_empty_dual=True)
+    assert chi_vsupp(inst, phi, ev).bits == tau(ev & principal, space).bits
 
 
 def test_chi_examples(coin_algebra):
@@ -919,5 +921,5 @@ def test_scheme_instance_chi_still_cross_checks():
     for phi in inst.poset.elements:
         for mask in range(alg.size):
             ev = alg.event(mask)
-            via_tau = tau(ev & principal_event(phi), inst.space)
+            via_tau = tau(ev & dual_of_coevent(phi, include_empty_dual=True), inst.space)
             assert chi_vsupp(inst, phi, ev).bits == via_tau.bits
