@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .eventalg import (
     ByMask,
     Event,
     ListedOnRead,
+    Record,
     first_witnesses,
     iter_supermasks,
     set_bits,
@@ -39,12 +39,16 @@ from .poset import poset_of_coevents, up_sets
 COMPLETION_CAP = 20
 
 
-@dataclass(frozen=True)
-class ValuationEvent:
+class ValuationEvent(Record):
     """A subset of a coevent space V, stored as a bitmask over its members."""
 
     space: CoeventSpace
     bits: int
+
+    def __init__(self, space: CoeventSpace, bits: int) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.bits < (1 << len(self.space)):
@@ -102,8 +106,7 @@ def tau(a: Event, space: CoeventSpace) -> ValuationEvent:
     return ValuationEvent(space, space.tau_row(a.mask))
 
 
-@dataclass(frozen=True)
-class TruthFunction:
+class TruthFunction(Record):
     """The Boolean homomorphism on valuation events pinned to one coevent."""
 
     space: CoeventSpace
@@ -134,8 +137,7 @@ _FLAG_FIELDS = (
 )
 
 
-@dataclass
-class OrderReport(ListedOnRead):
+class OrderReport(ListedOnRead, Record):
     """Exhaustive comparison of the pushed-forward and inclusion orders.
 
     Each flag is a closed-form verdict and never depends on the lists.
@@ -154,9 +156,10 @@ class OrderReport(ListedOnRead):
     join_agree: bool
     witnesses: dict[str, tuple[tuple[Event, Event], ...]]
     notes: tuple[str, ...] = ()
-    truncated: frozenset[str] = field(default_factory=frozenset)
+    truncated: frozenset[str] = frozenset()
 
     _witness_fields = ("witnesses", "truncated")
+    __hash__ = None  # its witnesses are a dict
 
 
 def order_report(
@@ -329,8 +332,7 @@ def _order_witnesses(
 # Completions
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(Record):
     """Closure of the tau image inside the valuation event algebra.
 
     mode="upper": closure under union and intersection; every member is
@@ -452,8 +454,7 @@ def heyting_implication(
 # Truth-function audits
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(Record):
     """The six truth values comparing event-side and valuation-side logic.
 
     The AND identity (phi(A) * phi(B) = f(tau(A) & tau(B)) = phi(A & B))

@@ -26,7 +26,7 @@ from .errors import (
     UnknownHistory,
     ValidationError,
 )
-from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, set_bits
+from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, iter_submasks, set_bits
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
@@ -406,15 +406,15 @@ def section_topos(
     else:
         # chi_vsupp for every (context, event) cell: the event's tau row
         # restricted to the context p*'s up-set, tau(A) & tau(p) = tau(A & p),
-        # so each of the 2^n rows is rendered once
+        # so each of the 2^n rows is rendered once, and each context's cell
+        # strings once per submask of p
         space = instance.space
         names = instance.algebra.space.event_names
         sieves = [space.render(row) for row in space.tau_table]
-        rows = [
-            (rendered, name, f"@{rendered}: {sieves[a & p]}")
-            for rendered, p in zip(space.renderings, space.principals)
-            for a, name in enumerate(names)
-        ]
+        rows = []
+        for rendered, p in zip(space.renderings, space.principals):
+            cells = {a: f"@{rendered}: {sieves[a]}" for a in iter_submasks(p)}
+            rows += [(rendered, name, cells[a & p]) for a, name in enumerate(names)]
         section["chi"] = {
             "mode": "table",
             "rows": RowTable(("context", "event", "sieve"), (), rows),

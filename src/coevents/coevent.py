@@ -13,7 +13,6 @@ and classical iff that event is a single history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
@@ -30,6 +29,7 @@ from .eventalg import (
     Event,
     EventAlgebra,
     EventFamily,
+    Record,
     SampleSpace,
     down_set,
     masks_lacking,
@@ -76,7 +76,6 @@ def render_key(space: SampleSpace, key: int) -> str:
     return "[" + ", ".join([names[m] for m in set_bits(~key)]) + "]"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Coevent:
     """A map from the event algebra to {0, 1}.
 
@@ -87,9 +86,11 @@ class Coevent:
     bit A set iff it maps A to 1, with ``principal_mask`` None.  A
     support that is a filter is held as its dual, so equality and
     hashing read p for a dual and the support bits otherwise, and a
-    dual equals the coevent built from its support.
+    dual equals the coevent built from its support.  A coevent is
+    immutable: its three slots are set once, by :func:`_init`.
     """
 
+    __slots__ = ("algebra", "principal_mask", "_bits")
     algebra: EventAlgebra
     principal_mask: Optional[int]
     _bits: Optional[int]
@@ -129,8 +130,21 @@ class Coevent:
         p = self.principal_mask
         return ~self._bits if p is None else p
 
-    def __hash__(self) -> int:  # the generated __eq__ compares all three fields
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.principal_mask, self._bits) == (
+            other.algebra, other.principal_mask, other._bits
+        )
+
+    def __hash__(self) -> int:
         return hash(self._key)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of Coevent")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of Coevent")
 
     def __repr__(self) -> str:
         return f"Coevent(algebra={self.algebra!r}, support={self.support!r})"
@@ -164,8 +178,7 @@ def _held(keys: Iterable[int]) -> Sequence[int]:
     return run if keys == tuple(run) else keys
 
 
-@dataclass(frozen=True, init=False)
-class CoeventSpace:
+class CoeventSpace(Record, compare=("algebra", "keys")):
     """A finite set of coevents over one algebra, canonically ordered.
 
     The space is held as its members' keys (``Coevent._key``): p for a
@@ -182,7 +195,7 @@ class CoeventSpace:
 
     algebra: EventAlgebra
     keys: Sequence[int]
-    provenance: str = field(default="user-supplied", compare=False)
+    provenance: str  # not compared
 
     def __init__(
         self, algebra: EventAlgebra, members: Iterable[Coevent], provenance: str = "user-supplied"

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, count, islice
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import MismatchedSpace, UnknownHistory
 
@@ -53,12 +52,118 @@ def unchecked(cls: type[_T], **fields: object) -> _T:
     return value
 
 
+class Record:
+    """Base of an immutable value class whose fields are its annotations.
+
+    A subclass declares its fields as annotations in its class body, in
+    order, the fields with a default last.  Unless the body defines them,
+    the subclass gets:
+
+    - ``__init__``, taking the fields by position or by name and then
+      calling ``self.__post_init__()`` if the class has one, looked up on
+      each call so that it can be replaced;
+    - ``__repr__``, as ``Name(field=value, ...)``;
+    - ``__eq__`` and ``__hash__`` over the fields named in the class
+      keyword ``compare`` (all of them by default): equal to an instance
+      of the same class whose compared fields are equal, and hashed by
+      them.  With ``eq=False`` instances compare and hash by identity.
+
+    Assigning or deleting an attribute raises ``AttributeError``; the
+    constructors set fields with ``object.__setattr__``, and
+    ``cached_property`` writes to the instance dict.  A default is held
+    by ``__init__`` and taken off the class, so no class attribute stands
+    in for an unset field (see :class:`ListedOnRead`).  The methods are
+    closures over the field names, built once per class with no code
+    generation.  A hot constructor is written by hand in the class body.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(
+        cls, eq: bool = True, compare: Optional[Sequence[str]] = None, **kwargs: Any
+    ) -> None:
+        super().__init_subclass__(**kwargs)
+        body = cls.__dict__
+        cls._fields = names = tuple(cls.__annotations__)
+        defaults = {name: body[name] for name in names if name in body}
+        if tuple(defaults) != names[len(names) - len(defaults):]:
+            raise TypeError(f"{cls.__name__}: the fields with a default must come last")
+        for name in defaults:
+            delattr(cls, name)
+        if "__init__" not in body:
+            cls.__init__ = _record_init(names, defaults, hasattr(cls, "__post_init__"))
+        if "__repr__" not in body:
+            cls.__repr__ = _record_repr(names)
+        if eq and "__eq__" not in body:
+            key = operator.attrgetter(*(names if compare is None else compare))
+
+            def __eq__(self: Record, other: object) -> bool:
+                if other.__class__ is self.__class__:
+                    return self is other or key(self) == key(other)
+                return NotImplemented
+
+            cls.__eq__ = __eq__
+            if "__hash__" not in body:
+                cls.__hash__ = lambda self: hash(key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+def _record_repr(names: tuple[str, ...]) -> Callable[[Record], str]:
+    def __repr__(self: Record) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
+        return f"{type(self).__qualname__}({fields})"
+
+    return __repr__
+
+
+def _record_init(
+    names: tuple[str, ...], defaults: dict[str, object], post_init: bool
+) -> Callable[..., None]:
+    """``__init__`` of a record: fields by position, the defaulted ones
+    optional, take the short path; keywords are bound by :func:`_bound`."""
+    size, set_field, tail = len(names), object.__setattr__, tuple(defaults.values())
+    least = size - len(tail)
+
+    def __init__(self: Record, *args: object, **kwargs: object) -> None:
+        if kwargs or not least <= len(args) <= size:
+            args = _bound(names, defaults, args, kwargs)
+        elif len(args) < size:
+            args += tail[len(args) - least:]
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    return __init__
+
+
+def _bound(
+    names: tuple[str, ...], defaults: dict[str, object], args: tuple, kwargs: dict[str, object]
+) -> list[object]:
+    """One value per field, in field order, from ``args``, then ``kwargs`` or the defaults."""
+    if len(args) > len(names):
+        raise TypeError(f"__init__() takes {len(names)} fields but {len(args)} were given")
+    try:
+        rest = [kwargs.pop(name) if name in kwargs else defaults[name] for name in names[len(args):]]
+    except KeyError as missing:
+        raise TypeError(f"__init__() missing field argument {missing}") from None
+    if kwargs:
+        raise TypeError(f"__init__() got unexpected or repeated arguments {sorted(kwargs)}")
+    return [*args, *rest]
+
+
 class ListedOnRead:
-    """Base of a dataclass report whose witness fields are listed on first read.
+    """Mixin of a :class:`Record` report whose witness fields are listed on first read.
 
     The subclass names its witness fields in ``_witness_fields``; a
-    default among them must come from ``field(default_factory=...)``, so
-    that no class attribute shadows the unset field.  A report made by
+    default among them is held by ``__init__``, not by the class, so no
+    class attribute shadows the unset field.  A report made by
     ``unchecked(cls, _lister=lister, **verdicts)`` has its verdict fields
     set, its witness fields unset and a lister held; the first read of
     any witness field calls ``lister()`` once, takes its values in
@@ -77,8 +182,7 @@ class ListedOnRead:
         return state[name]
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class SampleSpace(Record):
     """An ordered tuple of distinct history labels.
 
     The label order is fixed at construction; it defines the canonical
@@ -142,12 +246,16 @@ class SampleSpace:
         return dict(zip(self.event_names, range(len(self.event_names))))
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A subset of a sample space, stored as an n-bit characteristic mask."""
 
     space: SampleSpace
     mask: int
+
+    def __init__(self, space: SampleSpace, mask: int) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.mask <= self.space.full_mask:
@@ -193,8 +301,7 @@ def _require_same_space(a: Event, b: Event) -> None:
         )
 
 
-@dataclass(frozen=True)
-class EventAlgebra:
+class EventAlgebra(Record):
     """The full powerset 2^Omega of a sample space.
 
     Set inclusion is the partial order; meet/join/complement are the
@@ -269,8 +376,7 @@ class ByMask(dict):
         return value
 
 
-@dataclass(frozen=True)
-class EventFamily:
+class EventFamily(Record):
     """A deduplicated, canonically ordered set of events over one space."""
 
     space: SampleSpace

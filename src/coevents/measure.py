@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -43,6 +42,7 @@ from .eventalg import (
     EventAlgebra,
     EventFamily,
     ListedOnRead,
+    Record,
     SampleSpace,
     first_witnesses,
     iter_submasks,
@@ -57,27 +57,44 @@ Ratio = tuple[int, int]
 ComplexRatio = tuple[Ratio, Ratio]
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+class GaussianRational(Record):
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The constructor refuses a part that is not an ``int`` or a
+    ``Fraction``, as :func:`_ratio_of` does; sums, differences, products
+    and conjugates of exact parts are exact, so they are built unchecked.
+    """
+
+    re: Fraction
+    im: Fraction
+
+    def __init__(self, re: Fraction | int = Fraction(0), im: Fraction | int = Fraction(0)) -> None:
+        for part in (re, im):
+            _ratio_of(part)  # refuses a float, or any other inexact part, by name
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    @classmethod
+    def _exact(cls, re: Fraction | int, im: Fraction | int) -> "GaussianRational":
+        value = object.__new__(cls)
+        object.__setattr__(value, "re", re)
+        object.__setattr__(value, "im", im)
+        return value
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return self._exact(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self._exact(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
+        return self._exact(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return self._exact(self.re, -self.im)
 
     @property
     def is_real(self) -> bool:
@@ -92,8 +109,7 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed instance of a measure law, with its witness events."""
 
     rule: str  # "additivity" | "level2" | "nonnegativity" | "normalization"
@@ -101,13 +117,20 @@ class Violation:
     got: Fraction
     expected: Fraction
 
+    def __init__(
+        self, rule: str, events: tuple[Event, ...], got: Fraction, expected: Fraction
+    ) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "got", got)
+        object.__setattr__(self, "expected", expected)
+
     def __str__(self) -> str:
         evs = " ".join(str(ev) for ev in self.events)
         return f"{self.rule} {evs}: got {self.got}, expected {self.expected}"
 
 
-@dataclass(frozen=True)
-class ValidationReport(ListedOnRead):
+class ValidationReport(ListedOnRead, Record):
     """Outcome of a sum-rule validation.
 
     ``ok`` is the rule's closed-form verdict, decided when the validator
@@ -122,7 +145,7 @@ class ValidationReport(ListedOnRead):
     rule: str  # "classical" | "quantum"
     violations: tuple[Violation, ...]
     ok: bool
-    truncated: bool = field(default_factory=bool)
+    truncated: bool = False
 
     _witness_fields = ("violations", "truncated")
 
@@ -197,8 +220,7 @@ class MeasureValues(Mapping[int, Fraction]):
 _BYTE_BITS = tuple(1 << i for i in range(8))
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """A total, exact-valued set function on the event algebra.
 
     A *valid* measure is nonnegative, has value 1 on the full event and
@@ -510,7 +532,7 @@ def validate_classical(
     report's ``violations`` are first read.
     """
     if _is_additive(m.values.nums, m.algebra.size):
-        return ValidationReport("classical", (), ok=True)
+        return ValidationReport("classical", (), True)
     lister = partial(_first_violations, limit, _additivity_violations, m)
     return unchecked(ValidationReport, _lister=lister, rule="classical", ok=False)
 
@@ -559,7 +581,7 @@ def validate_quantum(
     nonnegative = min(x) >= 0
     grade2 = _is_grade2(x, size)
     if nonnegative and grade2 and x[size - 1] == m.values.den:
-        return ValidationReport("quantum", (), ok=True)
+        return ValidationReport("quantum", (), True)
     lister = partial(_first_violations, limit, _quantum_violations, m, nonnegative, grade2)
     return unchecked(ValidationReport, _lister=lister, rule="quantum", ok=False)
 
@@ -585,8 +607,7 @@ def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator
             )
 
 
-@dataclass(frozen=True)
-class DecoherenceSpec:
+class DecoherenceSpec(Record):
     """A Hermitian, normalized matrix of pairwise history interferences.
 
     entries[i][j] is the value on the history pair (i, j); the shape,
@@ -753,8 +774,7 @@ def null_cover_exists(m: Measure) -> bool:
     return covered == m.algebra.space.full_mask
 
 
-@dataclass(frozen=True)
-class CoarseGraining:
+class CoarseGraining(Record):
     """A partition of the sample space into nonempty disjoint blocks."""
 
     blocks: EventFamily
@@ -780,8 +800,7 @@ class CoarseGraining:
         ))
 
 
-@dataclass(frozen=True)
-class CoarseGrainedMeasure:
+class CoarseGrainedMeasure(Record):
     """The restriction of a measure to the subalgebra generated by a partition."""
 
     graining: CoarseGraining

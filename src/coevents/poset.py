@@ -10,17 +10,15 @@ enumeration (:func:`up_sets`) and the implication from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .coevent import CoeventSpace
 from .errors import MismatchedSpace, NotMultiplicative
-from .eventalg import set_bits, unchecked
+from .eventalg import Record, set_bits, unchecked
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Record):
     """A finite partial order held as its up-set rows.
 
     ``up[i]`` is the bitmask, over the element order, of the elements at

@@ -24,14 +24,13 @@ as written, and each stanza's pairs go to its integer core in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .coevent import BRUTE_FORCE_CAP
 from .errors import ParseError, ValidationError
-from .eventalg import EventAlgebra, SampleSpace
+from .eventalg import EventAlgebra, Record, SampleSpace
 from .measure import (
     ComplexRatio,
     GaussianRational,
@@ -44,14 +43,12 @@ from .measure import (
 )
 
 
-@dataclass(frozen=True)
-class TheoryOptions:
+class TheoryOptions(Record):
     include_empty_dual: bool = False
     brute_force_cap: int = BRUTE_FORCE_CAP
 
 
-@dataclass(frozen=True)
-class HistoriesTheory:
+class HistoriesTheory(Record):
     """A sample space, its event algebra, an exact measure, and options."""
 
     space: SampleSpace
@@ -249,13 +246,7 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValidationError("options.brute-force-cap must be a positive integer")
 
-    return HistoriesTheory(
-        space=space,
-        algebra=algebra,
-        measure=measure,
-        options=TheoryOptions(include_empty_dual=include_empty, brute_force_cap=cap),
-        measure_kind=kind,
-    )
+    return HistoriesTheory(space, algebra, measure, TheoryOptions(include_empty, cap), kind)
 
 
 def load(path: str | Path) -> HistoriesTheory:

@@ -11,7 +11,6 @@ subobject of the constant varying set of history events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
@@ -22,7 +21,7 @@ from .coevent import (
     multiplicative_scheme,
 )
 from .errors import CapExceeded, MismatchedSpace, NotASubobject
-from .eventalg import Event, EventAlgebra, set_bits, unchecked
+from .eventalg import Event, EventAlgebra, Record, set_bits, unchecked
 from .measure import Measure
 from .poset import FinitePoset, poset_of_coevents
 
@@ -33,13 +32,18 @@ SIEVE_ENUMERATION_CAP = 12
 MCE_INSTANCE_CAP = 4
 
 
-@dataclass(frozen=True)
-class Sieve:
+class Sieve(Record):
     """An upper set of elements above an anchor: one local truth value."""
 
     poset: FinitePoset
     at: Hashable
     bits: int
+
+    def __init__(self, poset: FinitePoset, at: Hashable, bits: int) -> None:
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.bits & ~self.poset.up[self.poset.index(self.at)]:
@@ -93,8 +97,7 @@ def _require_same_anchor(a: Sieve, b: Sieve) -> None:
         raise MismatchedSpace("sieves at different anchors")
 
 
-@dataclass(frozen=True, eq=False)
-class VaryingSet:
+class VaryingSet(Record, eq=False):
     """Fibers over a poset with identity/composition-checked transitions."""
 
     poset: FinitePoset
@@ -144,8 +147,7 @@ def constant_varying_set(poset: FinitePoset, ambient: Iterable) -> VaryingSet:
     return VaryingSet(poset, tuple(q for _ in poset.elements), transitions)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class SubobjectOfConstant:
+class SubobjectOfConstant(Record, eq=False):
     """A candidate selection of a subset of the ambient set at each element.
 
     Held as its columns: ``columns[x]`` is the elements whose selection
@@ -222,8 +224,7 @@ def characteristic_naturality_failures(
     return tuple(failures)
 
 
-@dataclass(frozen=True, eq=False)
-class SubobjectClassifier:
+class SubobjectClassifier(Record, eq=False):
     """The varying set of sieves with restriction as transition."""
 
     poset: FinitePoset
@@ -272,8 +273,7 @@ def classifier_functoriality_failures(
 # The instance over a dual-ordered coevent space
 
 
-@dataclass(frozen=True, eq=False)
-class CoeventToposInstance:
+class CoeventToposInstance(Record, eq=False):
     """A space of duals in the dual order, each context selecting its support.
 
     The poset's elements are the space's members, in order.  Build one

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 import pickle
 import random
@@ -408,15 +407,39 @@ def test_measure_refuses_a_float():
 
 def test_from_amplitudes_refuses_a_float_part():
     space = SampleSpace(("a", "b"))
-    amplitudes = [GaussianRational(0.5, 0), GaussianRational.real(1)]
     with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
-        Measure.from_amplitudes(space, amplitudes)
+        Measure.from_amplitudes(space, [GaussianRational(0.5, 0), GaussianRational.real(1)])
 
 
 def test_real_gaussian_rational_refuses_a_float():
     assert GaussianRational.real(Fraction(1, 2)) == GaussianRational(Fraction(1, 2))
     with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
         GaussianRational.real(0.5)
+
+
+def test_gaussian_rational_refuses_an_inexact_part_and_builds_results_unchecked(monkeypatch):
+    for parts in ((0.5, 0), (Fraction(1), 0.5)):
+        with pytest.raises(TypeError, match=r"^0\.5 is not an exact rational"):
+            GaussianRational(*parts)
+    with pytest.raises(TypeError, match=r"^'1/2' is not an exact rational"):
+        GaussianRational(im="1/2")
+    assert GaussianRational() == GaussianRational(0, 0)
+
+    g, h = GaussianRational(1, Fraction(1, 2)), GaussianRational(Fraction(-2, 3), 3)
+    expected = (
+        GaussianRational(Fraction(1, 3), Fraction(7, 2)),
+        GaussianRational(Fraction(5, 3), Fraction(-5, 2)),
+        GaussianRational(Fraction(-13, 6), Fraction(8, 3)),
+        GaussianRational(1, Fraction(-1, 2)),
+    )
+
+    def refuse(x):
+        raise AssertionError("an arithmetic result was checked")
+
+    monkeypatch.setattr(measure_mod, "_ratio_of", refuse)  # results are exact by construction
+    results = (g + h, g - h, g * h, g.conjugate())
+    assert results == expected
+    assert all(type(part) in (int, Fraction) for r in results for part in (r.re, r.im))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +701,7 @@ def test_reports_pickle_before_and_after_listing():
 def test_an_unlisted_report_lists_only_on_a_witness_field(monkeypatch, validator):
     """On a report not yet listed, a misspelt name raises AttributeError and
     lists nothing; a copy or deep copy taken then equals the listed report;
-    and the dataclass fields are the public ones only."""
+    and the record fields are the public ones only."""
     calls, listing = [], measure_mod._first_violations
 
     def spy(*args):
@@ -694,9 +717,9 @@ def test_an_unlisted_report_lists_only_on_a_witness_field(monkeypatch, validator
             getattr(rep, name)
     copies = copy.copy(rep), copy.deepcopy(rep)
     assert calls == []
-    assert [f.name for f in dataclasses.fields(rep)] == ["rule", "violations", "ok", "truncated"]
+    assert list(type(rep)._fields) == ["rule", "violations", "ok", "truncated"]
     assert rep.truncated and len(rep.violations) == 1 and len(calls) == 1
-    assert set(vars(rep)) == {f.name for f in dataclasses.fields(rep)}  # the lister is dropped
+    assert set(vars(rep)) == set(type(rep)._fields)  # the lister is dropped
     for copied in copies:
         assert copied == rep and hash(copied) == hash(rep) and repr(copied) == repr(rep)
     assert len(calls) == 3  # each copy listed once, on its own first read
@@ -725,7 +748,7 @@ def test_measure_from_decoherence_runs_no_validator(monkeypatch):
     amps = [GaussianRational.real(1), GaussianRational.real(1), GaussianRational.real(-1)]
     m = measure_from_decoherence(DecoherenceSpec.from_amplitudes(space, amps))
     assert m == three_slit()
-    assert [f.name for f in dataclasses.fields(Measure)] == ["algebra", "values"]
+    assert list(Measure._fields) == ["algebra", "values"]
 
 
 def test_diagonal_matrix_gives_uniform_classical():
