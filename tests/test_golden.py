@@ -7,7 +7,9 @@ flags.  One named ``<verb>-<case>_<theory>`` runs it with the flags that
 ``FLAGS`` lists for ``<verb>-<case>``.  Larger outputs are pinned by
 exit code, byte count and sha256 (``PINNED``), on the theory files under
 ``tests/golden/theories/``, and so are the ``validate`` and ``orders``
-outputs on the catalog corpus written there (``CORPUS_PINNED``) and the
+outputs on the catalog corpus written there (``CORPUS_PINNED``), the
+outputs that read the null sets, at n = 16 among them
+(``NULL_SET_PINNED``), and the
 brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
 (``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
 three larger theory files that pin what the loader reads, with the largest
@@ -131,6 +133,55 @@ def test_cli_output_at_n12_matches_its_pinned_hash(capsys, case):
     rc = run([verb, str(theory), "--format", fmt, *flags])
     out = capsys.readouterr().out.encode("utf-8")
     assert (rc, len(out), hashlib.sha256(out).hexdigest()) == PINNED[case]
+
+
+#: ``coevents <verb> <theory>.json <flags> --format <fmt>``: exit code,
+#: stdout bytes and sha256, for the outputs that read the null sets.
+#: ``amplitudes_16`` (1, 1, -1, ... on a..p) has 4,368 null events and a
+#: 462-member scheme; the scheme is also pinned on a theory whose fields
+#: are wider than 64 bits (``amplitudes_wide_7``), on a decoherence
+#: matrix, and on an event table, whose measure is built from numerators.
+NULL_SET_PINNED = {
+    ("amplitudes_16", "validate", "machine"): (
+        0, 2441149, "352c8ef67f587b2aeafe2dac23e9299a55c24acec57e18708212f817d6b673fe"
+    ),
+    ("amplitudes_16", "validate", "text"): (
+        0, 1753959, "779310ae4c771365256d5be5001a83a606fc85537583b8425c73b97d1a313a70"
+    ),
+    ("amplitudes_16", "coevents --set scheme", "machine"): (
+        0, 2209490, "c4dde7037b2103738aa2f451c733e78d6b5e1f9040949055e07124ab45dc2b58"
+    ),
+    ("amplitudes_16", "coevents --set scheme", "text"): (
+        0, 1592964, "79f17c82470bc55a441b6b955377a944bb3069e3f82fe4567f28bb22e577e827"
+    ),
+    ("amplitudes_wide_7", "coevents --set scheme", "machine"): (
+        0, 14932, "423706e516f52dd6733793d37be8396ff4b48920e8cc47a77307041818aedcd2"
+    ),
+    ("amplitudes_wide_7", "coevents --set scheme", "text"): (
+        0, 13273, "edf840218fd7036bc3fa28c9f5c427609c7d8366513b5cc75fc4fa5da09f1d5c"
+    ),
+    ("decoherence_7", "coevents --set scheme", "machine"): (
+        0, 5408, "f97b4ad37aedfd36f52de4020e8cd445d7c483c24309edd7b0ac05e4c51c565a"
+    ),
+    ("decoherence_7", "coevents --set scheme", "text"): (
+        0, 3584, "b8d647849137f28ca98b2024c6434613b89ad2e2d958a0e39aa061340daf39e7"
+    ),
+    ("event_table_8", "coevents --set scheme", "machine"): (
+        0, 9449, "6df082d1060f0c992d5eed3d1e4523e91e8a02ee8412c0b95a4a3ac9a6e515e6"
+    ),
+    ("event_table_8", "coevents --set scheme", "text"): (
+        0, 6409, "dc7c3f00a4d8c7c43392e0ce46b0af86a893f2af30ca5f075c7cc0292c7b85ac"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NULL_SET_PINNED, ids=lambda case: ":".join(case))
+def test_null_set_outputs_match_their_pinned_hash(capsys, case):
+    name, command, fmt = case
+    verb, *flags = command.split()
+    rc = run([verb, str(ROOT / "golden" / "theories" / f"{name}.json"), "--format", fmt, *flags])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (rc, len(out), hashlib.sha256(out).hexdigest()) == NULL_SET_PINNED[case]
 
 
 #: ``coevents four_slit_decoherence.json --set all --cap 4 --format <fmt>``:
