@@ -20,8 +20,10 @@ as one packed Python int, the value on mask A in the signed field at
 bit w*A (:func:`_field_bits`), so each history costs a few whole-integer
 steps.  Their tables have grade at most 2, so the gcd that reduces
 them is that of the denominator and the values on events of at most two
-histories, read from the inputs; the table is divided by it once and
-unpacked once into ``nums`` (:func:`_table_values`).
+histories, read from the inputs; the table is divided by it once
+(:func:`_table_values`).  Its null sets are read from the packed fields
+as one bitset, and its numerators are unpacked into ``nums`` only when
+first read.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .eventalg import (
     first_witnesses,
     iter_submasks,
     masks_lacking,
+    set_bits,
     unchecked,
 )
 
@@ -159,23 +162,37 @@ class MeasureValues(Mapping[int, Fraction]):
     ``Fraction`` on first read of its numerator and caches it, so a table
     of few distinct values builds few Fractions.  The sum rules are linear
     and homogeneous, so they hold of the values iff they hold of the
-    numerators: the validators, the sign and normalization tests and the
-    null masks read ``nums`` and ``den`` directly, in integer arithmetic.
+    numerators: the validators and the sign and normalization tests read
+    ``nums`` and ``den`` directly, in integer arithmetic.
+
+    ``null_bits`` holds the null sets as one 2^n-bit integer: bit m is set
+    iff ``nums[m] == 0``.  A table built from numerators finds it once,
+    when built.  A packed table (:func:`_table_values`) reads it from its
+    fields and keeps its fields' bytes and width, not a tuple: ``nums`` is
+    unpacked on its first read, so a caller that asks only about null sets
+    never builds the 2^n numerators.  Either way the table pickles, copies
+    and compares as its (den, nums) pair.
     """
 
-    __slots__ = ("den", "nums", "_fractions")
+    __slots__ = ("den", "null_bits", "_size", "_nums", "_packed", "_fractions")
 
     def __init__(self, den: int, nums: Sequence[int]) -> None:
         g = math.gcd(den, *nums)
         self.den = den // g
-        self.nums = tuple([x // g for x in nums] if g != 1 else nums)
-        self._fractions: dict[int, Fraction] = {}
+        self._nums = nums = tuple([x // g for x in nums] if g != 1 else nums)
+        self._size, self._packed, self._fractions = len(nums), None, {}
+        self.null_bits = _zero_bits(nums)
 
     @classmethod
-    def _reduced(cls, den: int, nums: Sequence[int]) -> "MeasureValues":
-        """The table of ``nums[m] / den`` for a pair already reduced by its gcd."""
+    def _of_fields(
+        cls, den: int, raw: bytes, bits: int, size: int, null_bits: int
+    ) -> "MeasureValues":
+        """The table of ``size`` numerators over den, reduced, held as the
+        bytes ``raw`` of its ``bits``-wide two's complement fields in native
+        byte order (see :func:`_table_values`)."""
         values = object.__new__(cls)
-        values.den, values.nums, values._fractions = den, tuple(nums), {}
+        values.den, values.null_bits, values._size = den, null_bits, size
+        values._nums, values._packed, values._fractions = None, (raw, bits), {}
         return values
 
     @classmethod
@@ -188,6 +205,16 @@ class MeasureValues(Mapping[int, Fraction]):
         den, (nums,) = _integer_rows([ratios])
         return cls(den, nums)
 
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """The numerators over ``den``, one per mask; a packed table unpacks
+        them on this first read and then drops its bytes."""
+        nums = self._nums
+        if nums is None:
+            nums = self._nums = _unpacked(*self._packed)
+            self._packed = None
+        return nums
+
     def fraction(self, num: int) -> Fraction:
         """``num / den``, built once per numerator."""
         try:
@@ -197,15 +224,15 @@ class MeasureValues(Mapping[int, Fraction]):
             return value
 
     def __getitem__(self, mask: int) -> Fraction:
-        if not (isinstance(mask, int) and 0 <= mask < len(self.nums)):
+        if not (isinstance(mask, int) and 0 <= mask < self._size):
             raise KeyError(mask)
         return self.fraction(self.nums[mask])
 
     def __len__(self) -> int:
-        return len(self.nums)
+        return self._size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self.nums)))
+        return iter(range(self._size))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MeasureValues):
@@ -216,8 +243,19 @@ class MeasureValues(Mapping[int, Fraction]):
         return f"MeasureValues(den={self.den}, nums={self.nums})"
 
 
-#: The bit that mask e sets in byte e // 8 of a bitmask's bytes, by e % 8.
-_BYTE_BITS = tuple(1 << i for i in range(8))
+def _zero_bits(nums: Sequence[int]) -> int:
+    """The integer whose bit m is set iff ``nums[m] == 0``.
+
+    ``count`` and ``index`` scan the numerators in C, so the Python loop
+    runs once per zero, and each zero is one byte write in a bytearray,
+    read as one integer at the end: ORing ``1 << m`` into the integer per
+    zero would copy it each time.
+    """
+    found, mask = bytearray(len(nums) + 7 >> 3), -1
+    for _ in range(nums.count(0)):
+        mask = nums.index(0, mask + 1)
+        found[mask >> 3] |= 1 << (mask & 7)
+    return int.from_bytes(found, "little")
 
 
 class Measure(Record):
@@ -265,16 +303,9 @@ class Measure(Record):
 
     @cached_property
     def null_masks(self) -> tuple[int, ...]:
-        """The masks of exactly zero measure, ascending; found once, on first use.
-
-        ``tuple.count`` and ``tuple.index`` scan the numerators in C, so
-        the Python loop runs once per null mask, not once per event.
-        """
-        nums, found, mask = self.values.nums, [], -1
-        for _ in range(nums.count(0)):
-            mask = nums.index(0, mask + 1)
-            found.append(mask)
-        return tuple(found)
+        """The masks of exactly zero measure, ascending; listed once, on
+        first use, from the table's ``null_bits`` (:func:`set_bits`)."""
+        return tuple(set_bits(self.values.null_bits))
 
     @cached_property
     def null_down_bytes(self) -> bytes:
@@ -289,19 +320,14 @@ class Measure(Record):
     def null_down_set(self) -> int:
         """The null sets' down-closure: bit A is set iff some null event contains A.
 
-        One 2^n-bit integer over the event masks, built once.  The null
-        masks are set as bits of a bytearray, one byte write each, read as
-        one integer: O(#nulls + 2^n / 8), where ORing ``1 << e`` into the
-        integer per mask would copy it each time.  Then one history at a
-        time, every covered event that holds history i covers itself minus
-        i as well: O(n 2^n) bit operations, done as n shifts.  A dual A*
-        is preclusive iff bit A is clear.
+        One 2^n-bit integer over the event masks, built once.  It starts
+        from the table's ``null_bits``; then one history at a time, every
+        covered event that holds history i covers itself minus i as well:
+        O(n 2^n) bit operations, done as n shifts.  A dual A* is
+        preclusive iff bit A is clear.
         """
         n = self.algebra.space.n
-        found, bit = bytearray(self.algebra.size + 7 >> 3), _BYTE_BITS
-        for e in self.null_masks:
-            found[e >> 3] |= bit[e & 7]
-        covered = int.from_bytes(found, "little")
+        covered = self.values.null_bits
         for i in range(n):
             covered |= covered >> (1 << i) & masks_lacking(n, i)
         return covered
@@ -328,8 +354,8 @@ class Measure(Record):
         cls, space: SampleSpace, amplitudes: Sequence[GaussianRational]
     ) -> "Measure":
         """Measure of A as |sum of the amplitudes in A|^2
-        (:func:`amplitude_values`)."""
-        parts = [(_ratio_of(a.re), _ratio_of(a.im)) for a in amplitudes]
+        (:func:`amplitude_values`), the parts read by :func:`_parts_of`."""
+        parts = [_parts_of(a) for a in amplitudes]
         return cls(EventAlgebra(space), amplitude_values(space, parts))
 
 
@@ -339,6 +365,12 @@ def _ratio_of(x: Fraction | int) -> Ratio:
     if not isinstance(x, Rational):
         raise TypeError(f"{x!r} is not an exact rational (an int or a Fraction)")
     return x.numerator, x.denominator
+
+
+def _parts_of(g: GaussianRational) -> ComplexRatio:
+    """A Gaussian rational's parts as ratios, read as they are: its
+    constructor has already refused an inexact part."""
+    return (g.re.numerator, g.re.denominator), (g.im.numerator, g.im.denominator)
 
 
 def _integer_rows(rows: Sequence[Sequence[Ratio]]) -> tuple[int, list[list[int]]]:
@@ -428,6 +460,9 @@ def _field_bits(bound: int) -> int:
 
 #: The signed ``memoryview`` format of each field width up to 8 bytes.
 _FIELD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+#: A field's top byte, as the binary digit of its null bit: "1" iff the
+#: byte's top bit is clear.
+_NULL_DIGITS = bytes(49 - (b >> 7) for b in range(256))
 
 
 def _table_values(den: int, g: int, table: int, ones: int, bits: int) -> MeasureValues:
@@ -436,26 +471,47 @@ def _table_values(den: int, g: int, table: int, ones: int, bits: int) -> Measure
     ``g`` divides den and every value, and is their gcd, so one whole-
     integer division reduces the table.  ``ones`` holds 1 in every field.
     Adding 2^(bits - 1) to each field and flipping that bit back gives
-    each field's two's complement with no borrow between fields, so the
-    table's bytes read back as a ``memoryview`` of signed ints, or, for
-    fields wider than 8 bytes, one ``int.from_bytes`` per field.
+    each field's two's complement with no borrow between fields; the
+    table keeps those fields' bytes and unpacks them on first read
+    (:func:`_unpacked`).
+
+    The null bits are read from the same fields in a few whole-integer
+    steps.  With ``low`` the bits below each field's top bit,
+    ``((x & low) + low) | x`` sets a field's top bit iff the field is
+    nonzero, with no carry between fields.  Its big-endian bytes, taken
+    one per field from the top, run from the last mask to the first, so
+    translated to binary digits (``_NULL_DIGITS``) they are ``null_bits``
+    written out, read by one ``int(digits, 2)``.
     """
     if g != 1:
         den //= g
         table //= g
     half = ones << bits - 1
-    raw = ((table + half) ^ half).to_bytes(half.bit_length() // 8, sys.byteorder)
+    fields = (table + half) ^ half
+    low, width = half - ones, half.bit_length() // 8
+    tops = (((fields & low) + low) | fields).to_bytes(width, "big")[:: bits // 8]
+    raw = fields.to_bytes(width, sys.byteorder)
+    return MeasureValues._of_fields(
+        den, raw, bits, len(tops), int(tops.translate(_NULL_DIGITS), 2)
+    )
+
+
+def _unpacked(raw: bytes, bits: int) -> tuple[int, ...]:
+    """The signed ``bits``-wide fields of a packed table's bytes, in native
+    byte order, as a tuple from the first mask's: a ``memoryview`` of
+    signed ints, or, for fields wider than 8 bytes, one ``int.from_bytes``
+    per field."""
     if bits in _FIELD_FORMATS:
         nums = tuple(memoryview(raw).cast(_FIELD_FORMATS[bits]))
     else:
         step = bits // 8
-        nums = [
+        nums = tuple([
             int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)
             for k in range(0, len(raw), step)
-        ]
+        ])
     if sys.byteorder == "big":  # the bytes run from the last field to the first
         nums = nums[::-1]
-    return MeasureValues._reduced(den, nums)
+    return nums
 
 
 def _iter_disjoint_pairs(size: int):
@@ -649,11 +705,9 @@ class DecoherenceSpec(Record):
         return cls.from_rows(space, rows)
 
     def check_invariants(self) -> None:
-        """The shape n x n, Hermiticity and total sum 1 (:func:`_checked_matrix`)."""
-        _checked_matrix(
-            self.space,
-            [[(_ratio_of(g.re), _ratio_of(g.im)) for g in row] for row in self.entries],
-        )
+        """The shape n x n, Hermiticity and total sum 1 (:func:`_checked_matrix`),
+        the parts read by :func:`_parts_of`."""
+        _checked_matrix(self.space, [[_parts_of(g) for g in row] for row in self.entries])
 
 
 def _checked_matrix(
@@ -767,11 +821,16 @@ def null_sets(m: Measure) -> EventFamily:
 
 
 def null_cover_exists(m: Measure) -> bool:
-    """True iff the union of all null sets is the whole sample space."""
-    covered = 0
-    for mask in m.null_masks:
-        covered |= mask
-    return covered == m.algebra.space.full_mask
+    """True iff the union of all null sets is the whole sample space.
+
+    Read from the table's ``null_bits``: history i lies in some null set
+    iff a null bit falls outside the masks lacking i, one AND per history.
+    """
+    null, n = m.values.null_bits, m.algebra.space.n
+    for i in range(n):
+        if null & masks_lacking(n, i) == null:
+            return False
+    return True
 
 
 class CoarseGraining(Record):

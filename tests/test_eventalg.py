@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coevents import (
     EventAlgebra,
@@ -234,9 +235,35 @@ def test_masks_lacking_holds_exactly_the_masks_without_the_history(n):
         assert masks_lacking(n, i) is masks_lacking(n, i)  # built once per (n, i)
 
 
-@given(bits=st.one_of(st.integers(0, 1 << 12), st.integers(0, 1 << 3000)))
+def bit_positions(bits: int) -> list[int]:
+    return [a for a in range(bits.bit_length()) if bits >> a & 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.one_of(
+    st.integers(0, 1 << 12),
+    st.integers(0, 1 << 3000),
+    st.integers(0, 16).map(lambda i: 1 << (1 << i) - 1),
+    st.sets(st.integers(0, (1 << 16) - 1), max_size=80).map(lambda at: sum(1 << a for a in at)),
+    st.binary(max_size=1 << 13).map(lambda raw: int.from_bytes(raw, "little")),
+))
 def test_set_bits_lists_the_set_positions_in_ascending_order(bits):
-    assert set_bits(bits) == [a for a in range(bits.bit_length()) if bits >> a & 1]
+    """On 0, single bits, and sparse and dense ints of up to 2^16 bits."""
+    assert set_bits(bits) == bit_positions(bits)
+
+
+@pytest.mark.parametrize("length", [64, 2048, 2049, 1 << 16])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_set_bits_lists_ints_at_the_strategy_crossover(length, extra):
+    """One set bit in 8 of the length, and one fewer or one more: the
+    last int below the dense path's threshold and the first two on it.
+    The sparse ones of 2^11 bits and of one bit more are listed whole
+    and by words."""
+    ones = -(-length // 8) + extra
+    at = random.Random(length * 3 + extra).sample(range(length - 1), ones - 1) + [length - 1]
+    bits = sum(1 << a for a in at)
+    assert (bits.bit_count() << 3 >= bits.bit_length()) == (extra >= 0)
+    assert set_bits(bits) == bit_positions(bits) == sorted(at)
 
 
 def test_event_family_dedupes_and_orders(coin_algebra):

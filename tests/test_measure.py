@@ -306,9 +306,9 @@ def test_null_masks_are_the_zero_numerators(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_null_down_set_is_the_per_mask_or(data):
-    """The null masks, set as bits of a bytearray and closed downward by
-    shifts, give what ORing each null mask's submasks (``down_set``) into
-    one integer gives; ``null_down_bytes`` holds the same bits.  Up to
+    """The null bits, closed downward by shifts, give what ORing each null
+    mask's submasks (``down_set``) into one integer gives;
+    ``null_down_bytes`` holds the same bits.  Up to
     n = 10, so a table runs to 128 bytes, with the no-null and all-null
     tables as well."""
     n = data.draw(st.integers(1, 10), label="n")
@@ -322,6 +322,96 @@ def test_null_down_set_is_the_per_mask_or(data):
             covered |= down_set(e)
         assert m.null_down_set == covered
         assert m.null_down_bytes == covered.to_bytes((alg.size + 7) // 8, "little")
+
+
+#: Common factors of a packed table's inputs, from 1 up to 2^45: each
+#: widens the fields, from 8 bits to 128, and over a denominator of the same
+#: factor it is divided out again by a reducing gcd of its square.
+PACKED_SCALES = (1, 1 << 5, 1 << 12, 1 << 28, 1 << 45)
+
+
+def packed_tables(data, n: int, scale: int, reduced: bool):
+    """A builder of one packed table of each stanza kind on n histories, from
+    small parts, so that many events cancel to 0, each part times
+    ``scale``, over a denominator of ``scale`` when ``reduced``: amplitudes,
+    atom weights (negative ones among them) and a symmetric pair-sum
+    matrix.  Each call builds the three tables afresh."""
+    space = SampleSpace(tuple("abcdefgh"[:n]))
+    q = scale if reduced else 1
+    small = st.integers(-2, 2)
+    parts = data.draw(st.lists(st.tuples(small, small), min_size=n, max_size=n), label="amps")
+    weights = data.draw(st.lists(small, min_size=n, max_size=n), label="weights")
+    upper = data.draw(st.lists(small, min_size=n * n, max_size=n * n), label="matrix")
+    matrix = [[upper[min(i, j) * n + max(i, j)] * scale for j in range(n)] for i in range(n)]
+    return lambda: [
+        measure_mod.amplitude_values(space, [((a * scale, q), (b * scale, q)) for a, b in parts]),
+        measure_mod.atom_weight_values(
+            space, {lab: (w * scale, q) for lab, w in zip(space.labels, weights)}
+        ),
+        measure_mod._pair_sum_table(q, matrix, 1 << n),
+    ]
+
+
+def test_packed_scales_give_every_field_width():
+    """The scales reach fields of 8, 16, 32, 64 and 128 bits, and over a
+    denominator of the scale the table is reduced back to small values."""
+    space = SampleSpace(("a", "b", "c"))
+    widths = []
+    for scale in PACKED_SCALES:
+        for q in (1, scale):
+            parts = [((s * scale, q), (0, 1)) for s in (1, 1, -1)]
+            table = measure_mod.amplitude_values(space, parts)
+            widths.append(table._packed[1])
+            assert (table.den, table.nums[7]) == ((1, scale * scale) if q == 1 else (1, 1))
+    assert widths == [8, 8, 16, 16, 32, 32, 64, 64, 128, 128]
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["gcd1", "reduced"])
+@pytest.mark.parametrize("scale", PACKED_SCALES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_null_bits_of_packed_tables_match_their_numerators(scale, reduced, data):
+    """A packed table's ``null_bits``, read from its fields, has bit m set
+    iff numerator m is 0, and so has its twin built from the numerators;
+    the measure's null masks, down-closure and cover verdict, read from the
+    bits before any numerator is unpacked, equal their definitions."""
+    n = data.draw(st.integers(1, 8), label="n")
+    for table in packed_tables(data, n, scale, reduced)():
+        m = Measure(EventAlgebra(SampleSpace(tuple("abcdefgh"[:n]))), table)
+        null_masks, down, cover = m.null_masks, m.null_down_set, null_cover_exists(m)
+        assert table._nums is None  # nothing above read the numerators
+        nulls = [mask for mask, x in enumerate(table.nums) if x == 0]
+        assert table.null_bits == sum(1 << mask for mask, x in enumerate(table.nums) if x == 0)
+        assert measure_mod.MeasureValues(table.den, table.nums).null_bits == table.null_bits
+        assert null_masks == tuple(nulls)
+        covered = 0
+        for mask in nulls:
+            covered |= down_set(mask)
+        assert down == covered
+        union = 0
+        for mask in nulls:
+            union |= mask
+        assert cover == (union == m.algebra.space.full_mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_tables_pickle_copy_and_compare_before_and_after_unpacking(data):
+    """A packed table pickles, copies and deep-copies to one equal to its
+    twin built from the numerators, whether or not its numerators have
+    been unpacked, and neither pickling nor copying unpacks them."""
+    n = data.draw(st.integers(1, 6), label="n")
+    scale = data.draw(st.sampled_from(PACKED_SCALES), label="scale")
+    reduced = data.draw(st.booleans(), label="reduced")
+    build = packed_tables(data, n, scale, reduced)
+    for before, after in zip(build(), build()):
+        twin = measure_mod.MeasureValues(after.den, after.nums)
+        for table in (before, after):
+            copies = [pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)]
+            assert (table._nums is None) == (table is before)
+            for copied in copies + [table]:
+                assert copied == twin and twin == copied
+                assert copied.null_bits == twin.null_bits and len(copied) == len(twin)
 
 
 @settings(max_examples=100, deadline=None)
