@@ -8,7 +8,6 @@ here is immutable and exact, and every other module builds on it.
 from __future__ import annotations
 
 import operator
-import sys
 from bisect import bisect_left
 from functools import cache, cached_property
 from itertools import compress, count, islice
@@ -472,31 +471,22 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def set_bits(bits: int) -> list[int]:
     """The positions of the set bits of ``bits`` >= 0, in ascending order.
 
-    An int with at least one set bit in 8 of its length is written as
-    binary digits and read by ``compress``, one pass over its length.  A
-    sparser one is listed by lowest bits, a few integer steps per set bit.
-    Each step copies the int it works on, so an int longer than 2^11 bits
-    is read as 64-bit words, ``compress`` finding the nonzero ones, and
-    each word is listed by its lowest bits.  Measured on CPython 3.11 from
-    2^4 to 2^16 bits, a set bit costs about as much in the lowest-bit loop
-    as 8 bits do in the pass, so the constant 8 keeps every list within
-    1.2 times the faster path's time, and up to 2^11 bits the whole int
-    costs no more than its words.
+    A dense int is written as binary digits and read by ``compress``, one
+    pass over its length L.  A sparse one is listed by lowest bits, one
+    step per set bit, and each step copies the int.  Measured on CPython
+    3.11 from 2^6 to 2^16 bits, a step costs about as much as the pass
+    pays for 8 + L/512 bits, so an int with k set bits is sparse iff
+    k * (8 + L/512) < L, that is k * (L + 4096) < 512 * L: below 2^12 bits
+    about one set bit in 8, and near 480 set bits at 2^16.
     """
-    if bits.bit_count() << 3 >= bits.bit_length():
+    length = bits.bit_length()
+    if bits.bit_count() * (length + 4096) >= length << 9:
         return list(compress(count(), bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)))
-    if bits >> 2048:
-        words = memoryview(bits.to_bytes(bits.bit_length() + 63 >> 6 << 3, sys.byteorder))
-        words = words.cast("Q")
-        chunks = ((base, words[base >> 6]) for base in compress(count(0, 64), words))
-    else:
-        chunks = ((0, bits),)
     found = []
-    for base, word in chunks:
-        while word:
-            low = word & -word
-            found.append(base + low.bit_length() - 1)
-            word ^= low
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
     return found
 
 

@@ -208,11 +208,11 @@ class MeasureValues(Mapping[int, Fraction]):
     @property
     def nums(self) -> tuple[int, ...]:
         """The numerators over ``den``, one per mask; a packed table unpacks
-        them on this first read and then drops its bytes."""
+        them on this first read and keeps its bytes, so a read racing the
+        first one unpacks them too rather than finding them gone."""
         nums = self._nums
         if nums is None:
             nums = self._nums = _unpacked(*self._packed)
-            self._packed = None
         return nums
 
     def fraction(self, num: int) -> Fraction:

@@ -235,34 +235,39 @@ def test_masks_lacking_holds_exactly_the_masks_without_the_history(n):
         assert masks_lacking(n, i) is masks_lacking(n, i)  # built once per (n, i)
 
 
+@given(bits=st.one_of(st.integers(0, 1 << 12), st.integers(0, 1 << 3000)))
+def test_set_bits_lists_the_set_positions_in_ascending_order(bits):
+    assert set_bits(bits) == [a for a in range(bits.bit_length()) if bits >> a & 1]
+
+
 def bit_positions(bits: int) -> list[int]:
     return [a for a in range(bits.bit_length()) if bits >> a & 1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(bits=st.one_of(
-    st.integers(0, 1 << 12),
-    st.integers(0, 1 << 3000),
     st.integers(0, 16).map(lambda i: 1 << (1 << i) - 1),
-    st.sets(st.integers(0, (1 << 16) - 1), max_size=80).map(lambda at: sum(1 << a for a in at)),
+    st.sets(st.integers(0, (1 << 16) - 1), max_size=600).map(lambda at: sum(1 << a for a in at)),
     st.binary(max_size=1 << 13).map(lambda raw: int.from_bytes(raw, "little")),
 ))
-def test_set_bits_lists_the_set_positions_in_ascending_order(bits):
-    """On 0, single bits, and sparse and dense ints of up to 2^16 bits."""
+def test_set_bits_lists_single_bits_and_sparse_and_dense_ints_of_up_to_2_16_bits(bits):
     assert set_bits(bits) == bit_positions(bits)
 
 
-@pytest.mark.parametrize("length", [64, 2048, 2049, 1 << 16])
+def crossover_count(length: int) -> int:
+    """The fewest set bits that ``set_bits`` lists by the dense pass."""
+    return -(-(length << 9) // (length + 4096))
+
+
+@pytest.mark.parametrize("length", [64, 2048, 4096, 1 << 16])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_set_bits_lists_ints_at_the_strategy_crossover(length, extra):
-    """One set bit in 8 of the length, and one fewer or one more: the
-    last int below the dense path's threshold and the first two on it.
-    The sparse ones of 2^11 bits and of one bit more are listed whole
-    and by words."""
-    ones = -(-length // 8) + extra
+    """The last int below the dense pass's threshold and the first two on
+    it, from about one set bit in 8 at 64 bits to 483 set bits at 2^16."""
+    ones = crossover_count(length) + extra
     at = random.Random(length * 3 + extra).sample(range(length - 1), ones - 1) + [length - 1]
     bits = sum(1 << a for a in at)
-    assert (bits.bit_count() << 3 >= bits.bit_length()) == (extra >= 0)
+    assert (bits.bit_count() * (length + 4096) >= length << 9) == (extra >= 0)
     assert set_bits(bits) == bit_positions(bits) == sorted(at)
 
 
