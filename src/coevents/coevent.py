@@ -28,7 +28,6 @@ from .eventalg import (
     _DIGIT_BYTES,
     Event,
     EventAlgebra,
-    EventFamily,
     Record,
     SampleSpace,
     down_set,
@@ -492,11 +491,11 @@ def is_multiplicative(phi: Coevent, include_empty_dual: bool = False) -> bool:
 def preclusive_key(key: int, m: Measure) -> bool:
     """:func:`is_preclusive` read from a key over m's algebra: a dual p* iff
     no null event contains p (bit p of the null sets' down-closure is
-    clear, read from its bytes in O(1)), any other iff the support bits
-    ~key at the null masks are clear."""
+    clear, read from its bytes in O(1)), any other iff its support bits
+    ~key miss the null sets' bits, one AND."""
     if key >= 0:
         return not m.null_down_bytes[key >> 3] >> (key & 7) & 1
-    return not any(~key >> a & 1 for a in m.null_masks)
+    return not ~key & m.values.null_bits
 
 
 def is_preclusive(phi: Coevent, m: Measure) -> bool:
@@ -594,16 +593,6 @@ def _supports_in_order(size: int) -> Iterator[int]:
 def _preclusive_bits(m: Measure) -> int:
     """Bit A is set iff A is nonempty and its dual A* is preclusive."""
     return ~m.null_down_set & ((1 << m.algebra.size) - 2)
-
-
-def preclusive_dual_events(m: Measure) -> EventFamily:
-    """Nonempty events whose dual is preclusive.
-
-    A dual A* is preclusive iff no null event contains A; the family
-    is an up-set in the event algebra.  Read from the null sets'
-    down-closure in O(n 2^n).
-    """
-    return EventFamily.from_masks(m.algebra.space, set_bits(_preclusive_bits(m)))
 
 
 def multiplicative_scheme(m: Measure) -> CoeventSpace:

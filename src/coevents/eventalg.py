@@ -203,7 +203,7 @@ class SampleSpace(Record):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("history labels must be pairwise distinct")
         for lab in self.labels:
-            if not lab or any(c in lab for c in ",{}"):
+            if not lab or "," in lab or "{" in lab or "}" in lab:
                 raise ValueError(
                     f"history label {lab!r} is empty or contains ',', '{{' or '}}', "
                     "so events would not render apart"
@@ -234,11 +234,16 @@ class SampleSpace(Record):
 
     @cached_property
     def event_names(self) -> tuple[str, ...]:
-        """``str`` of every event, indexed by mask; built once, on first use."""
-        names = [""]
+        """``str`` of every event, indexed by mask; built once, on first use.
+
+        The nonempty events holding label i are {i} and, in order, each
+        nonempty event below it with ``,i`` appended.
+        """
+        inner: list[str] = []
         for label in self.labels:
-            names += [f"{s},{label}" if s else label for s in names]
-        return tuple("{" + s + "}" for s in names)
+            tail = "," + label
+            inner += [label] + [s + tail for s in inner]
+        return ("{}", *["{" + s + "}" for s in inner])
 
     @cached_property
     def event_masks(self) -> dict[str, int]:

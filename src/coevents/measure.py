@@ -24,14 +24,20 @@ histories, read from the inputs; the table is divided by it once
 (:func:`_table_values`).  Its null sets are read from the packed fields
 as one bitset, and its numerators are unpacked into ``nums`` only when
 first read.
+
+Both sum rules are read from one Möbius transform of the packed fields,
+the interference terms of every event (:func:`_interference`), built once
+per table and shared by the validators; a passing verdict unpacks no
+numerator and runs no loop per event.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -172,15 +178,20 @@ class MeasureValues(Mapping[int, Fraction]):
     unpacked on its first read, so a caller that asks only about null sets
     never builds the 2^n numerators.  Either way the table pickles, copies
     and compares as its (den, nums) pair.
+
+    The sum rules read the fields (:attr:`packed`), which a table built
+    from numerators packs on first read, and their Möbius transform
+    (:attr:`interference`), built once.
     """
 
-    __slots__ = ("den", "null_bits", "_size", "_nums", "_packed", "_fractions")
+    __slots__ = ("den", "null_bits", "_size", "_nums", "_packed", "_fractions", "_interference")
 
     def __init__(self, den: int, nums: Sequence[int]) -> None:
         g = math.gcd(den, *nums)
         self.den = den // g
         self._nums = nums = tuple([x // g for x in nums] if g != 1 else nums)
         self._size, self._packed, self._fractions = len(nums), None, {}
+        self._interference = None
         self.null_bits = _zero_bits(nums)
 
     @classmethod
@@ -188,11 +199,12 @@ class MeasureValues(Mapping[int, Fraction]):
         cls, den: int, raw: bytes, bits: int, size: int, null_bits: int
     ) -> "MeasureValues":
         """The table of ``size`` numerators over den, reduced, held as the
-        bytes ``raw`` of its ``bits``-wide two's complement fields in native
-        byte order (see :func:`_table_values`)."""
+        bytes ``raw`` of its ``bits``-wide two's complement fields, little-
+        endian from the first mask's (see :func:`_table_values`)."""
         values = object.__new__(cls)
         values.den, values.null_bits, values._size = den, null_bits, size
         values._nums, values._packed, values._fractions = None, (raw, bits), {}
+        values._interference = None
         return values
 
     @classmethod
@@ -214,6 +226,25 @@ class MeasureValues(Mapping[int, Fraction]):
         if nums is None:
             nums = self._nums = _unpacked(*self._packed)
         return nums
+
+    @property
+    def packed(self) -> tuple[bytes, int]:
+        """The fields' bytes and width in bits, as :meth:`_of_fields` holds
+        them; a table built from numerators packs them on this first read
+        (:func:`_packed`)."""
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = _packed(self._nums)
+        return packed
+
+    @property
+    def interference(self) -> int:
+        """The interference terms of every event, packed
+        (:func:`_interference`), built on this first read."""
+        terms = self._interference
+        if terms is None:
+            terms = self._interference = _interference(*self.packed, self._size)
+        return terms
 
     def fraction(self, num: int) -> Fraction:
         """``num / den``, built once per numerator."""
@@ -472,8 +503,8 @@ def _table_values(den: int, g: int, table: int, ones: int, bits: int) -> Measure
     integer division reduces the table.  ``ones`` holds 1 in every field.
     Adding 2^(bits - 1) to each field and flipping that bit back gives
     each field's two's complement with no borrow between fields; the
-    table keeps those fields' bytes and unpacks them on first read
-    (:func:`_unpacked`).
+    table keeps those fields' little-endian bytes and unpacks them on
+    first read (:func:`_unpacked`).
 
     The null bits are read from the same fields in a few whole-integer
     steps.  With ``low`` the bits below each field's top bit,
@@ -490,28 +521,118 @@ def _table_values(den: int, g: int, table: int, ones: int, bits: int) -> Measure
     fields = (table + half) ^ half
     low, width = half - ones, half.bit_length() // 8
     tops = (((fields & low) + low) | fields).to_bytes(width, "big")[:: bits // 8]
-    raw = fields.to_bytes(width, sys.byteorder)
+    raw = fields.to_bytes(width, "little")
     return MeasureValues._of_fields(
         den, raw, bits, len(tops), int(tops.translate(_NULL_DIGITS), 2)
     )
 
 
 def _unpacked(raw: bytes, bits: int) -> tuple[int, ...]:
-    """The signed ``bits``-wide fields of a packed table's bytes, in native
-    byte order, as a tuple from the first mask's: a ``memoryview`` of
-    signed ints, or, for fields wider than 8 bytes, one ``int.from_bytes``
-    per field."""
+    """The signed ``bits``-wide fields of a packed table's little-endian
+    bytes, as a tuple from the first mask's: a ``memoryview`` of signed
+    ints, or, for fields wider than 8 bytes, one ``int.from_bytes`` per
+    field."""
     if bits in _FIELD_FORMATS:
-        nums = tuple(memoryview(raw).cast(_FIELD_FORMATS[bits]))
-    else:
-        step = bits // 8
-        nums = tuple([
-            int.from_bytes(raw[k:k + step], sys.byteorder, signed=True)
-            for k in range(0, len(raw), step)
-        ])
-    if sys.byteorder == "big":  # the bytes run from the last field to the first
-        nums = nums[::-1]
-    return nums
+        if sys.byteorder == "little":
+            return tuple(memoryview(raw).cast(_FIELD_FORMATS[bits]))
+        # reversed, the bytes run from the last field to the first, each big-endian
+        return tuple(memoryview(raw[::-1]).cast(_FIELD_FORMATS[bits]))[::-1]
+    step = bits // 8
+    return tuple([
+        int.from_bytes(raw[k:k + step], "little", signed=True) for k in range(0, len(raw), step)
+    ])
+
+
+def _packed(nums: Sequence[int]) -> tuple[bytes, int]:
+    """The inverse of :func:`_unpacked`: numerators as the little-endian
+    bytes of their fields, each as wide as :func:`_field_bits` makes it,
+    and that width; one ``struct.pack`` for fields of up to 8 bytes."""
+    bits = _field_bits(max(map(abs, nums)))
+    if bits in _FIELD_FORMATS:
+        return struct.pack(f"<{len(nums)}{_FIELD_FORMATS[bits]}", *nums), bits
+    step = bits // 8
+    return b"".join([x.to_bytes(step, "little", signed=True) for x in nums]), bits
+
+
+#: Each byte with its top bit flipped: a two's complement field whose top
+#: byte is so translated holds the field plus 2^(bits - 1), which is >= 0.
+_FLIP_TOP = bytes(b ^ 0x80 for b in range(256))
+
+
+def _interference(raw: bytes, bits: int, size: int) -> int:
+    """The interference terms I(A) = sum over B <= A of (-1)^|A - B| mu(B)
+    of a packed table, as one packed integer: its Möbius transform.
+
+    The ``bits``-wide fields are widened to w = bits + n bits, rounded up
+    to bytes, by one extended-slice assignment per byte of a field, and
+    offset by 2^(bits - 1) by flipping each top bit, so that every field
+    holds mu(A) + 2^(bits - 1) >= 0.  Then for each history i, every field
+    holding i takes the field without i away and adds 2^(bits + i), one
+    whole-integer step with the masks of :func:`_mobius_tables`.  Field A
+    then holds I(A) + 2^(bits + max(A)) in [0, 2^w), and field {} holds
+    mu({}) + 2^(bits - 1) (Björklund, Husfeldt, Kaski and Koivisto,
+    "Fourier meets Möbius: fast subset convolution", STOC 2007).
+    """
+    n = size.bit_length() - 1
+    w8, lacks, offsets, _, _ = _mobius_tables(n, bits)
+    step = bits // 8
+    wide = bytearray(w8 * size)
+    for k in range(step - 1):
+        wide[k::w8] = raw[k::step]
+    wide[step - 1::w8] = raw[step - 1::step].translate(_FLIP_TOP)
+    terms = int.from_bytes(wide, "little")
+    for i in range(n):
+        terms += (offsets[i] - (terms & lacks[i])) << (w8 * 8 << i)
+    return terms
+
+
+@lru_cache(maxsize=16)
+def _mobius_tables(
+    n: int, bits: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, int]]:
+    """The packed masks of :func:`_interference` on n histories and
+    ``bits``-wide values, built once: the widened field's bytes w8; per
+    history i, the fields of the masks lacking i, all ones, and the
+    offset 2^(bits + i) in each of them; the offsets a transform's fields
+    hold; and the fields of the events of more than two and of more than
+    three histories, all ones, each with field {}.
+
+    The offsets and the two masks are built over the first 2^i masks and
+    doubled, one history at a time: the masks holding i are those
+    without it, shifted up by 2^i fields, with one history more.
+    """
+    w8 = bits // 8 + (n + 7) // 8
+    w, size, empty = w8 * 8, 1 << n, (1 << w8 * 8) - 1
+    ones = int.from_bytes((b"\1" + bytes(w8 - 1)) * size, "little")
+    lacks = tuple(
+        int.from_bytes((b"\xff" * (w8 << i) + bytes(w8 << i)) * (size >> i + 1), "little")
+        for i in range(n)
+    )
+    offsets = tuple((ones & lack) << bits + i for i, lack in enumerate(lacks))
+    expected, low = 1 << bits - 1, 1
+    at_least = [empty, 0, 0, 0]  # the fields of at least k histories
+    for i in range(n):
+        shift = w << i
+        expected |= low << bits + i << shift
+        low |= low << shift
+        at_least = [at_least[0] | at_least[0] << shift] + [
+            more | fewer << shift for more, fewer in zip(at_least[1:], at_least)
+        ]
+    return w8, lacks, offsets, expected, (at_least[2] | empty, at_least[3] | empty)
+
+
+def _obeys_grade(values: MeasureValues, grade: int) -> bool:
+    """True iff mu({}) = 0 and I(A) = 0 for every event A of more than
+    ``grade`` (1 or 2) histories: the transform XORed with the offsets it
+    holds, then one AND with the fields of those events and of {}.
+
+    mu is additive iff this holds at grade 1, and satisfies the level-2
+    sum rule iff it holds at grade 2 (Sorkin, "Quantum mechanics as
+    quantum measure theory", 1994).
+    """
+    terms, (_, bits) = values.interference, values.packed
+    _, _, _, expected, above = _mobius_tables(len(values).bit_length() - 1, bits)
+    return not (terms ^ expected) & above[grade - 1]
 
 
 def _iter_disjoint_pairs(size: int):
@@ -536,58 +657,19 @@ def _iter_disjoint_triples(size: int):
                 yield a, b, c
 
 
-def _is_additive(values: Sequence[int], size: int) -> bool:
-    """The closed form of :func:`validate_classical`'s verdict, on numerators.
-
-    It holds on every disjoint pair iff it holds on each (low(A),
-    A minus low(A)): at A = {i} that forces mu(empty) = 0, and by
-    induction mu(A) is then the sum of its atoms.
-    """
-    return all(
-        values[a] == values[a & -a] + values[a & (a - 1)] for a in range(1, size)
-    )
-
-
-def _is_grade2(values: Sequence[int], size: int) -> bool:
-    """The closed form of :func:`validate_quantum`'s level-2 verdict, on numerators.
-
-    The triples ({i}, {j}, C) it checks are among the rule's triples.
-    Conversely the grade-2 extension
-    nu(A) = sum mu(i) + sum_{i<j} (mu(ij) - mu(i) - mu(j)) satisfies the
-    rule and the same recurrence, and agrees with mu on events of at most
-    two histories, so by induction mu = nu.
-    """
-    if values[0] != 0:
-        return False
-    for a in range(size):
-        rest = a & (a - 1)
-        c = rest & (rest - 1)
-        if c == 0:
-            continue
-        i = a ^ rest
-        j = rest ^ c
-        expected = (
-            values[i | j] + values[i | c] + values[j | c]
-            - values[i] - values[j] - values[c]
-        )
-        if values[a] != expected:
-            return False
-    return True
-
-
 def validate_classical(
     m: Measure, limit: Optional[int] = WITNESS_LIST_CAP
 ) -> ValidationReport:
     """Check the additive (Kolmogorov) sum rule on every disjoint pair.
 
-    The verdict costs O(2^n): additivity holds iff
-    mu(A) = mu(low(A)) + mu(A minus low(A)) for every nonempty A, where
-    low(A) is A's lowest history.  Only a failing rule walks the
-    disjoint pairs, to list its first ``limit`` violations in canonical
-    order (all of them when ``limit`` is None), and only when the
-    report's ``violations`` are first read.
+    The verdict is read from the interference terms: additivity holds iff
+    mu(empty) = 0 and I(A) = 0 for every A of two or more histories
+    (:func:`_obeys_grade`).  Only a failing rule walks the disjoint pairs,
+    to list its first ``limit`` violations in canonical order (all of
+    them when ``limit`` is None), and only when the report's
+    ``violations`` are first read.
     """
-    if _is_additive(m.values.nums, m.algebra.size):
+    if _obeys_grade(m.values, 1):
         return ValidationReport("classical", (), True)
     lister = partial(_first_violations, limit, _additivity_violations, m)
     return unchecked(ValidationReport, _lister=lister, rule="classical", ok=False)
@@ -619,24 +701,24 @@ def validate_quantum(
 
         mu(A|B|C) = mu(A|B) + mu(B|C) + mu(C|A) - mu(A) - mu(B) - mu(C)
 
-    The verdict costs O(2^n).  The rule holds iff mu(empty) = 0 and, for
-    every event A of at least three histories,
-
-        mu(A) = mu(ij) + mu(iC) + mu(jC) - mu(i) - mu(j) - mu(C)
-
-    where i and j are A's two lowest histories and C = A minus {i, j}.
-    This is the grade-2 characterisation (Sorkin, "Quantum mechanics as
-    quantum measure theory", 1994; Salgado, "Some identities for the
-    quantum measure and its generalizations", 2002).  The violations are
-    listed in canonical order, negative values first, then
-    normalization, then the level-2 triples, the first ``limit`` of them
-    (all when ``limit`` is None), on the first read of the report's
-    ``violations``; only a failing level-2 rule walks the disjoint triples.
+    The rule holds iff mu(empty) = 0 and the interference term I(A)
+    vanishes on every event A of at least three histories
+    (:func:`_obeys_grade`): the grade-2 characterisation (Sorkin,
+    "Quantum mechanics as quantum measure theory", 1994; Salgado, "Some
+    identities for the quantum measure and its generalizations", 2002).
+    Nonnegativity is read from the sign bit of each packed field, and
+    normalization from the last field.  The violations are listed in
+    canonical order, negative values first, then normalization, then the
+    level-2 triples, the first ``limit`` of them (all when ``limit`` is
+    None), on the first read of the report's ``violations``; only a
+    failing level-2 rule walks the disjoint triples.
     """
-    x, size = m.values.nums, m.algebra.size
-    nonnegative = min(x) >= 0
-    grade2 = _is_grade2(x, size)
-    if nonnegative and grade2 and x[size - 1] == m.values.den:
+    values = m.values
+    raw, bits = values.packed
+    step = bits // 8
+    nonnegative = raw[step - 1::step].isascii()  # no field's top bit is set
+    grade2 = _obeys_grade(values, 2)
+    if nonnegative and grade2 and int.from_bytes(raw[-step:], "little", signed=True) == values.den:
         return ValidationReport("quantum", (), True)
     lister = partial(_first_violations, limit, _quantum_violations, m, nonnegative, grade2)
     return unchecked(ValidationReport, _lister=lister, rule="quantum", ok=False)
@@ -718,20 +800,23 @@ def _checked_matrix(
     total sum 1.
 
     Hermiticity and the sum are tested on integer numerators over the
-    common denominator of the real parts and of the imaginary parts.  A
-    Hermitian matrix's imaginary parts cancel in the sum.
+    common denominator of the real parts and of the imaginary parts:
+    Hermiticity as one comparison of each with its transpose, negated for
+    the imaginary parts; only a matrix that fails it has its entries
+    walked, to name the first pair that differs.  A Hermitian matrix's
+    imaginary parts cancel in the sum.
     """
     n = space.n
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"decoherence matrix must be {n}x{n}")
     re_den, re = _integer_rows([[z[0] for z in row] for row in rows])
     _, im = _integer_rows([[z[1] for z in row] for row in rows])
-    for i in range(n):
-        for j in range(n):
-            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
-                raise ValueError(
-                    f"matrix is not Hermitian at ({space.labels[i]}, {space.labels[j]})"
-                )
+    if re != [list(col) for col in zip(*re)] or im != [[-x for x in col] for col in zip(*im)]:
+        i, j = next(
+            (i, j) for i in range(n) for j in range(n)
+            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]
+        )
+        raise ValueError(f"matrix is not Hermitian at ({space.labels[i]}, {space.labels[j]})")
     re_total = sum(map(sum, re))
     if re_total != re_den:
         total = GaussianRational.real(Fraction(re_total, re_den))
@@ -890,10 +975,9 @@ def is_decoherent(m: Measure, graining: CoarseGraining) -> bool:
 
     The subalgebra of k blocks is a copy of the powerset of the blocks,
     so this is additivity of pick -> mu(union of the picked blocks),
-    decided by the closed form of :func:`validate_classical` in O(2^k).
+    read from its interference terms as :func:`validate_classical` reads it.
     """
     if graining.blocks.space != m.algebra.space:
         raise MismatchedSpace("partition belongs to a different sample space")
     x = m.values.nums
-    unions = _block_unions(graining)
-    return _is_additive([x[u] for u in unions], len(unions))
+    return _obeys_grade(MeasureValues(1, [x[u] for u in _block_unions(graining)]), 1)

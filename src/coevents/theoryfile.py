@@ -24,7 +24,6 @@ as written, and each stanza's pairs go to its integer core in
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -33,7 +32,6 @@ from .errors import ParseError, ValidationError
 from .eventalg import EventAlgebra, Record, SampleSpace
 from .measure import (
     ComplexRatio,
-    GaussianRational,
     Measure,
     MeasureValues,
     Ratio,
@@ -68,20 +66,22 @@ def _ratio(value: Any) -> Ratio:
     written (``"2/4"`` is (2, 4)), or :class:`_Unreadable`."""
     if isinstance(value, str):
         num, slash, den = value.strip().partition("/")
-        sign = num[:1]
-        digits = num[1:] if sign == "-" or sign == "+" else num
-        # isdecimal holds of exactly the characters \d matches, and int reads them.
-        if not (digits.isdecimal() and (not slash or den.isdecimal())):
+        # isdecimal holds of exactly the characters \d matches, and int reads
+        # them, after one sign.
+        if not (
+            (num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal())
+            and (den.isdecimal() or not slash)
+        ):
             raise _Unreadable(
                 f": {value!r} is not an exact rational (use an integer or \"p/q\")"
             )
         try:
-            p, q = int(digits), int(den) if slash else 1
+            p, q = int(num), int(den) if slash else 1
         except ValueError as exc:  # more digits than Python converts
             raise _Unreadable(f": {exc}") from None
         if not q:
             raise _Unreadable(f": {value!r} has a zero denominator")
-        return -p if sign == "-" else p, q
+        return p, q
     if isinstance(value, bool):
         raise _Unreadable(": booleans are not numbers")
     if isinstance(value, int):
@@ -91,36 +91,24 @@ def _ratio(value: Any) -> Ratio:
     raise _Unreadable(f": expected a rational, got {type(value).__name__}")
 
 
+_PARTS = {"re", "im"}
+
+
 def _complex_ratio(value: Any) -> ComplexRatio:
     """A complex entry, a rational or a ``{"re": ..., "im": ...}`` object,
-    as the ratios of its real and imaginary parts."""
+    as the ratios of its real and imaginary parts, each read by one
+    :func:`_ratio` call; the message of an unreadable part names it."""
     if not isinstance(value, dict):
         return _ratio(value), (0, 1)
-    if not value.keys() <= {"re", "im"}:
-        raise _Unreadable(f": unknown complex fields {sorted(value.keys() - {'re', 'im'})}")
-    return _part(value, "re"), _part(value, "im")
-
-
-def _part(value: dict, name: str) -> Ratio:
+    if not value.keys() <= _PARTS:
+        raise _Unreadable(f": unknown complex fields {sorted(value.keys() - _PARTS)}")
+    part = ".re"
     try:
-        return _ratio(value.get(name, 0))
+        re = _ratio(value.get("re", 0))
+        part = ".im"
+        return re, _ratio(value.get("im", 0))
     except _Unreadable as exc:
-        raise _Unreadable(f".{name}{exc}") from None
-
-
-def parse_rational(value: Any, where: str) -> Fraction:
-    try:
-        return Fraction(*_ratio(value))
-    except _Unreadable as exc:
-        raise ValidationError(f"{where}{exc}") from None
-
-
-def parse_complex(value: Any, where: str) -> GaussianRational:
-    try:
-        re, im = _complex_ratio(value)
-    except _Unreadable as exc:
-        raise ValidationError(f"{where}{exc}") from None
-    return GaussianRational(Fraction(*re), Fraction(*im))
+        raise _Unreadable(f"{part}{exc}") from None
 
 
 def _read(entries: Iterable[tuple[Any, Any]], read: Callable[[Any], Any], where: str) -> list:
@@ -139,13 +127,12 @@ def _event_table_values(body: dict, algebra: EventAlgebra) -> MeasureValues:
     """The table an ``event_table`` stanza writes, total on the algebra.
 
     A key written as its event prints is one lookup in
-    :attr:`~coevents.eventalg.SampleSpace.event_masks`; any other
-    spelling is read by :meth:`~coevents.eventalg.EventAlgebra.parse_mask`.
+    :attr:`~coevents.eventalg.SampleSpace.event_masks`, all of them in one
+    ``map``; any other spelling is read by
+    :meth:`~coevents.eventalg.EventAlgebra.parse_mask`.
     """
-    masks = algebra.space.event_masks
     ratios: list[Ratio | None] = [None] * algebra.size
-    for key, raw in body.items():
-        mask = masks.get(key)
+    for key, mask, raw in zip(body, map(algebra.space.event_masks.get, body), body.values()):
         if mask is None:
             try:
                 mask = algebra.parse_mask(key)
@@ -250,11 +237,19 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
 
 
 def load(path: str | Path) -> HistoriesTheory:
-    """Parse and validate a theory file."""
+    """Parse and validate a theory file.
+
+    The file is read as bytes and decoded as strict UTF-8; CRLF and a
+    lone CR are read as LF, as a text-mode read does, so a parse error
+    names the same line and column.
+    """
+    with open(path, "rb", buffering=0) as file:
+        raw = file.read()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -35,8 +35,9 @@ from coevents import (
 from coevents.catalog import dirac, fair_coin, four_slit, three_slit
 from coevents.cli import section_coevents
 from coevents.coevent import (
+    _preclusive_bits,
     enumerate_classical,
-    preclusive_dual_events,
+    preclusive_key,
     render_key,
 )
 from coevents.eventalg import Event, EventFamily, iter_supermasks, set_bits
@@ -399,6 +400,12 @@ def measures_with_zeros(draw, max_n: int = 5, space: Optional[SampleSpace] = Non
     return Measure(m.algebra, values)
 
 
+def preclusive_dual_events(m: Measure) -> EventFamily:
+    """The nonempty events whose dual is preclusive, read from the null
+    sets' down-closure (``_preclusive_bits``)."""
+    return EventFamily.from_masks(m.algebra.space, set_bits(_preclusive_bits(m)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=measures_with_zeros())
 def test_preclusive_duals_and_scheme_match_pairwise_definitions(m):
@@ -636,6 +643,20 @@ def test_preclusive_and_zero_on_duals_match_their_supports(m):
         assert is_preclusive(dual, m) == is_preclusive(explicit_dual(alg, p), m)
         assert dual.is_zero is False and not explicit_dual(alg, p).is_zero
     assert zero_coevent(alg).is_zero and is_preclusive(zero_coevent(alg), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=measures_with_zeros(max_n=6), data=st.data())
+def test_preclusive_key_on_a_support_is_the_per_null_mask_test(m, data):
+    """On a coevent held as its support bits (a negative key), one AND with
+    the null bits answers what testing the support bit at each null mask
+    answers, on random supports and on those that hold or miss every null."""
+    alg = m.algebra
+    drawn = data.draw(st.integers(0, (1 << alg.size) - 1), label="support bits")
+    everything = (1 << alg.size) - 1
+    for bits in (drawn, drawn & ~m.values.null_bits, drawn | m.values.null_bits, 0, everything):
+        key = ~bits
+        assert preclusive_key(key, m) == (not any(~key >> a & 1 for a in m.null_masks))
 
 
 # ---------------------------------------------------------------------------

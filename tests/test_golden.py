@@ -12,7 +12,8 @@ outputs that read the null sets, at n = 16 among them
 (``NULL_SET_PINNED``), and the
 brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
 (``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
-three larger theory files that pin what the loader reads, with the largest
+three larger theory files that pin what the loader reads, the ``validate``
+outputs on one n = 12 file of each stanza kind but amplitudes, with the largest
 ``audit`` and ``topos`` row lists, and the upper completion and ``topos``
 over all 31 duals of an n = 5 theory, with ``report`` there (three
 sections skipped at the default caps, none but the Boolean completion at
@@ -437,8 +438,31 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 #: its measure's numerators run to 48 digits, past any machine integer.
 #: ``amplitudes_5`` (amplitudes 1, 1, -1, 1, -1) pins the upper completion
 #: of all 31 duals (7,580 members, the first 1,000 listed) and the topos
-#: instance over them with its 992-row χ table.
+#: instance over them with its 992-row χ table.  ``<kind>_12``, one file
+#: per stanza kind other than amplitudes at n = 12, is
+#: ``gen.theory(kind, gen.rng_for(36, "golden", kind, 12), 12)`` written
+#: with ``json.dumps(data, indent=1)``; its ``validate`` outputs were pinned
+#: before the verdicts were read from the interference terms and the loader
+#: read files as bytes.
 LOADER_PINNED = {
+    ("atom_weights_12", "validate", "machine"): (
+        0, 131616, "4395122cd6fbac0fe76cab8a5148298a376200de7812be18cbee2fde25a9baa5"
+    ),
+    ("atom_weights_12", "validate", "text"): (
+        0, 94379, "498c50bed2559665311a6160c542845a23a963ab85f288ec5259c88260e53ccc"
+    ),
+    ("decoherence_12", "validate", "machine"): (
+        0, 366991, "c70dc415bb31489150baaed5ac9accea132ed09187fe084601740e29d0cf9b46"
+    ),
+    ("decoherence_12", "validate", "text"): (
+        0, 254723, "39fdce5223efd39315f41343668d265a57a4a0b2ebb1d671fb34d625793aaf5d"
+    ),
+    ("event_table_12", "validate", "machine"): (
+        0, 362159, "a36c5c354cb795cc7a047e09e230e4b4d3b05bcc2fe47a8788b655b6ccc21e80"
+    ),
+    ("event_table_12", "validate", "text"): (
+        0, 249891, "807c030bef693ce11f19e3628ea2643ff4d4e5beb7f6d649daadbac973d21fb0"
+    ),
     ("event_table_8", "validate", "machine"): (
         0, 216906, "a41a5a7388ee4a38c3fc5ba399403fc53e3599e186b583d829c759259a9980b1"
     ),

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,6 +34,7 @@ from coevents import (
 )
 from coevents.catalog import complex_phases, dirac, fair_coin, three_slit
 from coevents.eventalg import WITNESS_LIST_CAP, down_set, first_witnesses
+from coevents.theoryfile import load
 
 from conftest import LETTER_LABELS
 
@@ -536,6 +538,43 @@ def test_gaussian_rational_refuses_an_inexact_part_and_builds_results_unchecked(
 # Closed-form verdicts against brute-force enumeration
 
 
+def is_additive_oracle(values, size: int) -> bool:
+    """Additivity on numerators, by its closed form: it holds on every
+    disjoint pair iff it holds on each (low(A), A minus low(A)); at
+    A = {i} that forces mu(empty) = 0, and by induction mu(A) is then the
+    sum of its atoms."""
+    return all(
+        values[a] == values[a & -a] + values[a & (a - 1)] for a in range(1, size)
+    )
+
+
+def is_grade2_oracle(values, size: int) -> bool:
+    """The level-2 sum rule on numerators, by its closed form.
+
+    The triples ({i}, {j}, C) it checks are among the rule's triples.
+    Conversely the grade-2 extension
+    nu(A) = sum mu(i) + sum_{i<j} (mu(ij) - mu(i) - mu(j)) satisfies the
+    rule and the same recurrence, and agrees with mu on events of at most
+    two histories, so by induction mu = nu.
+    """
+    if values[0] != 0:
+        return False
+    for a in range(size):
+        rest = a & (a - 1)
+        c = rest & (rest - 1)
+        if c == 0:
+            continue
+        i = a ^ rest
+        j = rest ^ c
+        expected = (
+            values[i | j] + values[i | c] + values[j | c]
+            - values[i] - values[j] - values[c]
+        )
+        if values[a] != expected:
+            return False
+    return True
+
+
 def brute_force_classical(m: Measure) -> ValidationReport:
     """Oracle: additivity on every unordered disjoint pair, a <= b."""
     alg, v = m.algebra, m.values
@@ -641,9 +680,98 @@ def test_validators_match_brute_force(kind, data):
     assert validate_quantum(m, limit=None) == quantum
     # A wrong "fails" verdict would only cost an enumeration, so check it too.
     size = m.algebra.size
-    assert measure_mod._is_additive(m.values.nums, size) == classical.ok
+    assert is_additive_oracle(m.values.nums, size) == classical.ok
     level2_ok = all(v.rule != "level2" for v in quantum.violations)
-    assert measure_mod._is_grade2(m.values.nums, size) == level2_ok
+    assert is_grade2_oracle(m.values.nums, size) == level2_ok
+
+
+def packed_values(den: int, nums: list[int]) -> measure_mod.MeasureValues:
+    """The table of ``nums`` over den packed as the integer cores pack theirs,
+    through ``_table_values``."""
+    bits = measure_mod._field_bits(max(map(abs, nums)))
+    table = sum(x << bits * mask for mask, x in enumerate(nums))
+    ones = sum(1 << bits * mask for mask in range(len(nums)))
+    return measure_mod._table_values(den, math.gcd(den, *nums), table, ones, bits)
+
+
+STANZA_KINDS = ("event_table", "atom_weights", "amplitudes", "decoherence")
+#: Perturbations of one entry, from 1 to past 2^64 and 2^100, so that the
+#: perturbed table's fields are 8 to 128 bits wide.
+DELTAS = (1, 3, 1 << 20, 1 << 60, 1 << 100)
+
+
+def stanza_values(data, kind: str) -> measure_mod.MeasureValues:
+    """A table of one stanza kind on n <= 8 histories, from its integer core,
+    its small parts times a scale of up to 2^70, over a denominator that may
+    be reduced away; an event table holds the values of another kind as
+    numerators.  Then, about half the time, one entry moved by a drawn
+    delta of either sign, the table repacked as its core packs it (an event
+    table: as numerators)."""
+    n = data.draw(st.integers(1, 8), label="n")
+    space = SampleSpace(tuple("abcdefgh"[:n]))
+    q = data.draw(st.sampled_from([1, 2, 9]), label="den")
+    scale = data.draw(st.sampled_from([1, 1, 1 << 28, 1 << 70]), label="scale")
+    small = st.integers(-2, 2).map(lambda x: x * scale)
+    source = kind if kind != "event_table" else data.draw(
+        st.sampled_from(STANZA_KINDS[1:]), label="values of"
+    )
+    if source == "atom_weights":
+        weights = data.draw(st.lists(small, min_size=n, max_size=n), label="weights")
+        table = measure_mod.atom_weight_values(
+            space, {lab: (w, q) for lab, w in zip(space.labels, weights)}
+        )
+    elif source == "amplitudes":
+        parts = data.draw(st.lists(st.tuples(small, small), min_size=n, max_size=n), label="amps")
+        table = measure_mod.amplitude_values(space, [((a, q), (b, q)) for a, b in parts])
+    else:
+        upper = data.draw(st.lists(small, min_size=n * n, max_size=n * n), label="matrix")
+        matrix = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+        table = measure_mod._pair_sum_table(q, matrix, 1 << n)
+    nums = list(table.nums)
+    if data.draw(st.booleans(), label="perturbed") or kind == "event_table":
+        if nums and data.draw(st.booleans(), label="perturb one entry"):
+            mask = data.draw(st.integers(0, len(nums) - 1), label="mask")
+            delta = data.draw(st.sampled_from(DELTAS), label="delta")
+            nums[mask] += delta if data.draw(st.booleans(), label="up") else -delta
+        if kind == "event_table":
+            return measure_mod.MeasureValues(table.den, nums)
+        return packed_values(table.den, nums)
+    return table
+
+
+@pytest.mark.parametrize("kind", STANZA_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verdicts_from_the_interference_terms_match_the_closed_forms(kind, data):
+    """Both sum-rule verdicts, read from the Möbius transform, against the
+    closed-form oracles on the numerators, for tables of every stanza kind
+    with one entry perturbed or none; nonnegativity and normalization as
+    the quantum report lists them: the negative events first, then
+    normalization iff the last numerator is not the denominator."""
+    table = stanza_values(data, kind)
+    m = Measure(EventAlgebra(SampleSpace(tuple("abcdefgh"[:len(table).bit_length() - 1]))), table)
+    classical, quantum = validate_classical(m), validate_quantum(m)
+    additive, grade2 = measure_mod._obeys_grade(table, 1), measure_mod._obeys_grade(table, 2)
+    x, size = table.nums, len(table)
+    assert additive == classical.ok == is_additive_oracle(x, size)
+    assert grade2 == is_grade2_oracle(x, size)
+    normalized = x[-1] == table.den
+    assert quantum.ok == (min(x) >= 0 and grade2 and normalized)
+    negatives = [mask for mask, value in enumerate(x) if value < 0]
+    listed = validate_quantum(m, limit=len(negatives) + 1).violations
+    assert [(v.rule, v.events[0].mask) for v in listed[:len(negatives)]] == [
+        ("nonnegativity", mask) for mask in negatives
+    ]
+    after = listed[len(negatives):]
+    assert (bool(after) and after[0].rule == "normalization") == (not normalized)
+
+
+def test_a_passing_packed_table_unpacks_no_numerator():
+    """Both validators pass on a packed table with its numerators unread."""
+    path = Path(__file__).resolve().parent / "golden" / "theories" / "atom_weights_12.json"
+    m = load(path).measure
+    assert validate_classical(m).ok and validate_quantum(m).ok
+    assert m.values._nums is None
 
 
 @pytest.mark.parametrize("kind", MEASURE_KINDS)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import re
 import tempfile
@@ -23,9 +24,29 @@ from coevents import (
     validate_quantum,
 )
 from coevents import theoryfile
-from coevents.theoryfile import load, load_data, parse_complex, parse_rational
+from coevents.cli import run
+from coevents.theoryfile import load, load_data
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
+
+
+def parse_rational(value, where: str) -> Fraction:
+    """The loader's reading of one rational (``_ratio``) as a ``Fraction``,
+    its refusal as the loader words it at ``where``."""
+    try:
+        return Fraction(*theoryfile._ratio(value))
+    except theoryfile._Unreadable as exc:
+        raise ValidationError(f"{where}{exc}") from None
+
+
+def parse_complex(value, where: str) -> GaussianRational:
+    """The loader's reading of one complex entry (``_complex_ratio``) as a
+    ``GaussianRational``, its refusal as the loader words it at ``where``."""
+    try:
+        re, im = theoryfile._complex_ratio(value)
+    except theoryfile._Unreadable as exc:
+        raise ValidationError(f"{where}{exc}") from None
+    return GaussianRational(Fraction(*re), Fraction(*im))
 
 
 def write_theory(tmp_path: Path, data) -> Path:
@@ -313,6 +334,118 @@ def test_float_amplitudes_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Files the loader reads as a text-mode read did
+
+THREE_SLIT_FILE = (
+    '{\n  "sample_space": ["1", "2", "3"],\n  "measure": {"amplitudes": [1, 1, -1]}\n}\n'
+)
+#: ``validate`` on three_slit: stdout's length and sha256 per format.
+THREE_SLIT_VALIDATE = {
+    "machine": (1466, "f151472d3f1858b6e80e61d6717d04e687b574b5a3fcb523945fd7a7aaa05ecb"),
+    "text": (771, "bb0c7ec79b14fd90a19f890ce77a586782a2b81cdf348b10b7d2c90ca7990f9d"),
+}
+MISPLACED_COMMA = (
+    "theory.json: line 3, column 40: Expecting property name enclosed in double quotes"
+)
+
+
+def json_bytes(measure: dict, labels: list[str]) -> bytes:
+    return json.dumps({"sample_space": labels, "measure": measure}, ensure_ascii=False).encode()
+
+
+def weights_bytes(a: str, b: str) -> bytes:
+    return json_bytes({"atom_weights": {"a": a, "b": b}}, ["a", "b"])
+
+
+#: A theory file's bytes, and what ``coevents validate theory.json`` prints,
+#: taken while the loader still read files with ``Path.read_text``: per
+#: format, stdout's length and sha256 (exit 0, nothing on stderr), or the
+#: stderr line of both formats after ``error: `` (exit 2,
+#: nothing on stdout).  CRLF and lone CR read as LF, so a parse error names
+#: the same line and column; a byte-order mark is refused by ``json``;
+#: numbers may be padded, signed and written in any decimal digits, but
+#: not with "_" or as a superscript.
+LOADER_EDGES = {
+    "crlf": (THREE_SLIT_FILE.replace("\n", "\r\n").encode(), THREE_SLIT_VALIDATE),
+    "crlf-broken": (
+        THREE_SLIT_FILE.replace("-1]", "-1],").replace("\n", "\r\n").encode(), MISPLACED_COMMA
+    ),
+    "cr": (THREE_SLIT_FILE.replace("\n", "\r").encode(), THREE_SLIT_VALIDATE),
+    "cr-broken": (
+        THREE_SLIT_FILE.replace("-1]", "-1],").replace("\n", "\r").encode(), MISPLACED_COMMA
+    ),
+    "cr-in-label": (
+        b'{"sample_space": ["a\rb"],\r\n "measure": {"amplitudes": [1]}}',
+        "theory.json: line 1, column 21: Invalid control character at",
+    ),
+    "bom": (
+        b"\xef\xbb\xbf" + THREE_SLIT_FILE.encode(),
+        "theory.json: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+    ),
+    "invalid-utf8": (
+        b'{\n "sample_space": ["a\xff"],\n "measure": {"amplitudes": [1]}\n}\n',
+        "theory.json: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 22:"
+        " invalid start byte",
+    ),
+    "padded": (weights_bytes(" 1/2 ", "\t1/2\n"), {
+        "machine": (573, "146d5496a5570cbc23721c03b5e04b3a2a17a20552c77dba58afca749ed4cae5"),
+        "text": (254, "0385bbe72bb30196a8eb77581625ae6511614cff856a62c0eb832fab77f27ebc"),
+    }),
+    "plus": (json_bytes({"amplitudes": ["+3", {"re": "-2", "im": "+0/5"}]}, ["a", "b"]), {
+        "machine": (768, "395d997d42c1ec5df489b59d191d8d1610e6f6d0d0a1f5382d1db3524a4e5ce5"),
+        "text": (351, "ec10a70edd7ec178e10daf20f179d10d9beb59f97e9025c0ba7f7f883321aa8e"),
+    }),
+    "underscore": (
+        weights_bytes("1/2", "1_0"),
+        "atom_weights['b']: '1_0' is not an exact rational (use an integer or \"p/q\")",
+    ),
+    # Arabic-Indic one and four, a full-width three
+    "unicode-digits": (weights_bytes("\u0661/\u0664", "\uff13/4"), {
+        "machine": (573, "2290e38ba5bc435ee4f2b90ebb51f1b8904e1f71b57cef6cd3acb2fde123b820"),
+        "text": (254, "0da16760efeee315b6334fa50cc7a9359b82497bb4914c3844139fe03bf088ad"),
+    }),
+    "superscript": (
+        weights_bytes("1/2", "\u00b2"),
+        "atom_weights['b']: '\u00b2' is not an exact rational (use an integer or \"p/q\")",
+    ),
+    "twice": (
+        json_bytes(
+            {"event_table": {"{}": 0, "{a}": "1/4", "{a,b}": 1, "{b}": "3/4", "{b,a}": 1}},
+            ["a", "b"],
+        ),
+        "event_table: event '{b,a}' given twice",
+    ),
+    "non-hermitian": (
+        json_bytes({"decoherence": [
+            ["1/3", {"re": "1/9", "im": "1/9"}, 0],
+            [{"re": "1/9", "im": "-1/9"}, "1/3", {"im": "1/5"}],
+            [0, {"im": "1/5"}, "1/3"],
+        ]}, ["a", "b", "c"]),
+        "decoherence: matrix is not Hermitian at (b, c)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+@pytest.mark.parametrize("case", LOADER_EDGES)
+def test_loader_edge_files_print_what_a_text_mode_read_printed(
+    tmp_path, monkeypatch, capsys, case, fmt
+):
+    content, expected = LOADER_EDGES[case]
+    monkeypatch.chdir(tmp_path)
+    Path("theory.json").write_bytes(content)
+    rc = run(["validate", "theory.json", "--format", fmt])
+    captured = capsys.readouterr()
+    out = captured.out.encode("utf-8")
+    if isinstance(expected, str):
+        assert (rc, out, captured.err) == (2, b"", f"error: {expected}\n")
+    else:
+        assert (rc, len(out), hashlib.sha256(out).hexdigest(), captured.err) == (
+            0, *expected[fmt], ""
+        )
+
+
+# ---------------------------------------------------------------------------
 # The integer loader against the Fraction route
 
 
@@ -531,8 +664,7 @@ def test_integer_loader_raises_the_fraction_routes_message(kind, data):
 
 @pytest.mark.parametrize("kind", STANZA_KINDS)
 def test_loading_builds_no_fraction_per_entry(monkeypatch, kind):
-    """No number of a theory file is read through ``parse_rational`` or
-    ``parse_complex``, and loading builds no ``Fraction`` at all."""
+    """Loading builds no ``Fraction`` at all."""
     data = {
         "sample_space": ["a", "b", "c"],
         "measure": {kind: {
@@ -551,9 +683,6 @@ def test_loading_builds_no_fraction_per_entry(monkeypatch, kind):
     }
     expected = load_data(data).measure
 
-    def refuse(*args):
-        raise AssertionError("a number was read through the Fraction parser")
-
     built = []
     new = Fraction.__new__
 
@@ -561,8 +690,6 @@ def test_loading_builds_no_fraction_per_entry(monkeypatch, kind):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(theoryfile, "parse_rational", refuse)
-    monkeypatch.setattr(theoryfile, "parse_complex", refuse)
     monkeypatch.setattr(Fraction, "__new__", counted)
     got = load_data(data).measure
     assert built == []
