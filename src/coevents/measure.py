@@ -178,10 +178,6 @@ class MeasureValues(Mapping[int, Fraction]):
     unpacked on its first read, so a caller that asks only about null sets
     never builds the 2^n numerators.  Either way the table pickles, copies
     and compares as its (den, nums) pair.
-
-    The sum rules read the fields (:attr:`packed`), which a table built
-    from numerators packs on first read, and their Möbius transform
-    (:attr:`interference`), built once.
     """
 
     __slots__ = ("den", "null_bits", "_size", "_nums", "_packed", "_fractions", "_interference")
@@ -556,22 +552,22 @@ def _packed(nums: Sequence[int]) -> tuple[bytes, int]:
 
 #: Each byte with its top bit flipped: a two's complement field whose top
 #: byte is so translated holds the field plus 2^(bits - 1), which is >= 0.
-_FLIP_TOP = bytes(b ^ 0x80 for b in range(256))
+_FLIP_TOP = bytes(range(128, 256)) + bytes(range(128))
 
 
 def _interference(raw: bytes, bits: int, size: int) -> int:
     """The interference terms I(A) = sum over B <= A of (-1)^|A - B| mu(B)
-    of a packed table, as one packed integer: its Möbius transform.
+    of a packed table, as one packed integer: its Möbius transform
+    (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius",
+    STOC 2007).
 
-    The ``bits``-wide fields are widened to w = bits + n bits, rounded up
-    to bytes, by one extended-slice assignment per byte of a field, and
-    offset by 2^(bits - 1) by flipping each top bit, so that every field
-    holds mu(A) + 2^(bits - 1) >= 0.  Then for each history i, every field
-    holding i takes the field without i away and adds 2^(bits + i), one
-    whole-integer step with the masks of :func:`_mobius_tables`.  Field A
-    then holds I(A) + 2^(bits + max(A)) in [0, 2^w), and field {} holds
-    mu({}) + 2^(bits - 1) (Björklund, Husfeldt, Kaski and Koivisto,
-    "Fourier meets Möbius: fast subset convolution", STOC 2007).
+    The fields are widened to w = bits + n bits, rounded up to bytes, one
+    slice assignment per byte of a field, and each top bit is flipped, so
+    field A holds mu(A) + 2^(bits - 1) >= 0.  For each history i, every
+    field holding i then takes away the field without i and adds
+    2^(bits + i), so that none goes negative: one whole-integer step.
+    Field A ends as I(A) + 2^(bits + max(A)) and field {} as
+    mu({}) + 2^(bits - 1), each in [0, 2^w).
     """
     n = size.bit_length() - 1
     w8, lacks, offsets, _, _ = _mobius_tables(n, bits)
@@ -590,16 +586,13 @@ def _interference(raw: bytes, bits: int, size: int) -> int:
 def _mobius_tables(
     n: int, bits: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, int]]:
-    """The packed masks of :func:`_interference` on n histories and
-    ``bits``-wide values, built once: the widened field's bytes w8; per
-    history i, the fields of the masks lacking i, all ones, and the
-    offset 2^(bits + i) in each of them; the offsets a transform's fields
-    hold; and the fields of the events of more than two and of more than
-    three histories, all ones, each with field {}.
-
-    The offsets and the two masks are built over the first 2^i masks and
-    doubled, one history at a time: the masks holding i are those
-    without it, shifted up by 2^i fields, with one history more.
+    """The packed masks of :func:`_interference` for n histories and
+    ``bits``-wide values: the widened field's bytes; per history i, the
+    fields lacking i, all ones, and 2^(bits + i) in each of them; the
+    offsets a transform's fields end with; and the fields of more than
+    one and of more than two histories, all ones, with field {}.  The last
+    three are doubled one history at a time, the masks holding i being
+    those without it, 2^i fields up, with one history more.
     """
     w8 = bits // 8 + (n + 7) // 8
     w, size, empty = w8 * 8, 1 << n, (1 << w8 * 8) - 1
@@ -622,13 +615,11 @@ def _mobius_tables(
 
 
 def _obeys_grade(values: MeasureValues, grade: int) -> bool:
-    """True iff mu({}) = 0 and I(A) = 0 for every event A of more than
-    ``grade`` (1 or 2) histories: the transform XORed with the offsets it
-    holds, then one AND with the fields of those events and of {}.
-
-    mu is additive iff this holds at grade 1, and satisfies the level-2
-    sum rule iff it holds at grade 2 (Sorkin, "Quantum mechanics as
-    quantum measure theory", 1994).
+    """True iff mu({}) = 0 and I(A) = 0 for every A of more than ``grade``
+    histories: the transform XORed with its offsets, then one AND.  mu is
+    additive iff this holds at grade 1, and obeys the level-2 sum rule iff
+    it holds at grade 2 (Sorkin, "Quantum mechanics as quantum measure
+    theory", 1994).
     """
     terms, (_, bits) = values.interference, values.packed
     _, _, _, expected, above = _mobius_tables(len(values).bit_length() - 1, bits)
