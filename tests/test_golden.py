@@ -8,8 +8,8 @@ flags.  One named ``<verb>-<case>_<theory>`` runs it with the flags that
 exit code, byte count and sha256 (``PINNED``), on the theory files under
 ``tests/golden/theories/``, and so are the ``validate`` and ``orders``
 outputs on the catalog corpus written there (``CORPUS_PINNED``), the
-outputs that read the null sets, at n = 16 among them
-(``NULL_SET_PINNED``), and the
+outputs that read the null sets, at n = 16 and on complex amplitudes at
+n = 11 among them (``NULL_SET_PINNED``), and the
 brute-force ``coevents --set all --cap 4`` on ``four_slit_decoherence``
 (``BRUTE_FORCE_PINNED``), and the ``validate`` and ``coevents`` outputs on
 three larger theory files that pin what the loader reads, the ``validate``
@@ -154,6 +154,18 @@ NULL_SET_PINNED = {
     ),
     ("amplitudes_16", "coevents --set scheme", "text"): (
         0, 1592964, "79f17c82470bc55a441b6b955377a944bb3069e3f82fe4567f28bb22e577e827"
+    ),
+    ("amplitudes_complex_11", "validate", "machine"): (
+        0, 272043, "d3ba329ce4c729c6879e0ebf39aec2c9be431ff2b979d1d3d8033567b92f404e"
+    ),
+    ("amplitudes_complex_11", "validate", "text"): (
+        0, 178153, "7fcab138cc2a25628e10583c8b5d81468fde1c165a40be97e3e08b460922c044"
+    ),
+    ("amplitudes_complex_11", "coevents --set scheme", "machine"): (
+        0, 68061, "9f32d994e15020592d14848ea9c4e418109559537dbaea30536710ea6db7a22d"
+    ),
+    ("amplitudes_complex_11", "coevents --set scheme", "text"): (
+        0, 48052, "aeb9120b08c21e2b2e0378b3a551a6b699307fd790b622207a82ac8297b730df"
     ),
     ("amplitudes_wide_7", "coevents --set scheme", "machine"): (
         0, 14932, "423706e516f52dd6733793d37be8396ff4b48920e8cc47a77307041818aedcd2"
