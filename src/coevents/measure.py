@@ -23,7 +23,10 @@ them is that of the denominator and the values on events of at most two
 histories, read from the inputs; the table is divided by it once
 (:func:`_table_values`).  Its null sets are read from the packed fields
 as one bitset, and its numerators are unpacked into ``nums`` only when
-first read.
+first read.  An amplitude table is built only on its first value read;
+until then its null sets are read from the packed amplitude sums
+(:func:`_amplitude_null_bits`), as mu(A) = 0 iff the sum of the
+amplitudes in A is 0.
 
 Both sum rules are read from one Möbius transform of the packed fields,
 the interference terms of every event (:func:`_interference`), built once
@@ -176,19 +179,28 @@ class MeasureValues(Mapping[int, Fraction]):
     when built.  A packed table (:func:`_table_values`) reads it from its
     fields and keeps its fields' bytes and width, not a tuple: ``nums`` is
     unpacked on its first read, so a caller that asks only about null sets
-    never builds the 2^n numerators.  Either way the table pickles, copies
-    and compares as its (den, nums) pair.
+    never builds the 2^n numerators.  An amplitude table
+    (:func:`amplitude_values`) holds only the amplitudes' integer parts
+    over their common denominator, as plain data: it builds its packed
+    table, and with it ``den``, on the first read of ``den``, ``nums``,
+    ``packed``, ``interference`` or a value, and reads ``null_bits``
+    before that from the amplitude sums (:func:`_amplitude_null_bits`).
+    Either way the table pickles, copies and compares as its (den, nums)
+    pair.
     """
 
-    __slots__ = ("den", "null_bits", "_size", "_nums", "_packed", "_fractions", "_interference")
+    __slots__ = (
+        "_den", "_null_bits", "_size", "_nums", "_packed", "_fractions", "_interference",
+        "_amplitudes",
+    )
 
     def __init__(self, den: int, nums: Sequence[int]) -> None:
         g = math.gcd(den, *nums)
-        self.den = den // g
+        self._den = den // g
         self._nums = nums = tuple([x // g for x in nums] if g != 1 else nums)
         self._size, self._packed, self._fractions = len(nums), None, {}
-        self._interference = None
-        self.null_bits = _zero_bits(nums)
+        self._interference = self._amplitudes = None
+        self._null_bits = _zero_bits(nums)
 
     @classmethod
     def _of_fields(
@@ -198,10 +210,50 @@ class MeasureValues(Mapping[int, Fraction]):
         bytes ``raw`` of its ``bits``-wide two's complement fields, little-
         endian from the first mask's (see :func:`_table_values`)."""
         values = object.__new__(cls)
-        values.den, values.null_bits, values._size = den, null_bits, size
+        values._den, values._null_bits, values._size = den, null_bits, size
         values._nums, values._packed, values._fractions = None, (raw, bits), {}
-        values._interference = None
+        values._interference = values._amplitudes = None
         return values
+
+    @classmethod
+    def _of_amplitudes(
+        cls, d: int, re_parts: tuple[int, ...], im_parts: tuple[int, ...]
+    ) -> "MeasureValues":
+        """The table of |sum of the amplitudes in A|^2 over d^2, the
+        amplitudes' integer parts over d given, held unbuilt (see
+        :meth:`_build`)."""
+        values = object.__new__(cls)
+        values._den = values._null_bits = values._nums = values._packed = None
+        values._size, values._fractions = 1 << len(re_parts), {}
+        values._interference, values._amplitudes = None, (d, re_parts, im_parts)
+        return values
+
+    def _build(self) -> "MeasureValues":
+        """An amplitude table's packed table (:func:`_amplitude_table`),
+        whose fields, null bits and ``den`` it takes, each in one
+        assignment: a read racing this one finds each either unset, and
+        builds the table too, or set to its final value."""
+        table = _amplitude_table(*self._amplitudes)
+        self._packed, self._null_bits, self._den = table._packed, table._null_bits, table._den
+        return table
+
+    @property
+    def den(self) -> int:
+        """The common denominator, > 0; an amplitude table builds its
+        packed table on this first read (:meth:`_build`)."""
+        den = self._den
+        return self._build()._den if den is None else den
+
+    @property
+    def null_bits(self) -> int:
+        """The null sets as one 2^n-bit integer, bit m set iff ``nums[m] ==
+        0``.  An amplitude table whose packed table is not built reads them
+        from its amplitude sums (:func:`_amplitude_null_bits`) and builds
+        no table."""
+        bits = self._null_bits
+        if bits is None:
+            bits = self._null_bits = _amplitude_null_bits(*self._amplitudes[1:])
+        return bits
 
     @classmethod
     def of_ratios(cls, ratios: Sequence[Ratio]) -> "MeasureValues":
@@ -220,16 +272,19 @@ class MeasureValues(Mapping[int, Fraction]):
         first one unpacks them too rather than finding them gone."""
         nums = self._nums
         if nums is None:
-            nums = self._nums = _unpacked(*self._packed)
+            nums = self._nums = _unpacked(*self.packed)
         return nums
 
     @property
     def packed(self) -> tuple[bytes, int]:
         """The fields' bytes and width in bits, as :meth:`_of_fields` holds
         them; a table built from numerators packs them on this first read
-        (:func:`_packed`)."""
+        (:func:`_packed`), and an amplitude table builds them
+        (:meth:`_build`)."""
         packed = self._packed
         if packed is None:
+            if self._amplitudes is not None:
+                return self._build()._packed
             packed = self._packed = _packed(self._nums)
         return packed
 
@@ -381,7 +436,11 @@ class Measure(Record):
         cls, space: SampleSpace, amplitudes: Sequence[GaussianRational]
     ) -> "Measure":
         """Measure of A as |sum of the amplitudes in A|^2
-        (:func:`amplitude_values`), the parts read by :func:`_parts_of`."""
+        (:func:`amplitude_values`), the parts read by :func:`_parts_of`.
+
+        The value table is built on its first read; the null sets, and
+        what is read from them alone (the scheme, the preclusive sets, the
+        null cover), come from the amplitude sums and build no table."""
         parts = [_parts_of(a) for a in amplitudes]
         return cls(EventAlgebra(space), amplitude_values(space, parts))
 
@@ -439,10 +498,27 @@ def amplitude_values(space: SampleSpace, amplitudes: Sequence[ComplexRatio]) -> 
 
     The real and imaginary parts are scaled to integers over their
     common denominator d, and mu(A) = re(A)^2 + im(A)^2 over d^2,
-    exactly.  The part sums re(A), im(A) and the table are each held as
-    one packed integer (:func:`_field_bits`), bounded by
-    (sum |re|)^2 + (sum |im|)^2.  The events holding history i, with
-    parts (a, b), are those without it, so their half of the table is
+    exactly.  The table holds only those integer parts and d: it is
+    built on the first read of a value, ``den`` or ``nums``
+    (:func:`_amplitude_table`), and its null sets, the events whose
+    amplitude sum is 0, are read from the sums alone
+    (:func:`_amplitude_null_bits`), so the scheme, the preclusive sets
+    and the null cover build no table.
+    """
+    if len(amplitudes) != space.n:
+        raise ValueError("need exactly one amplitude per history")
+    d, (re_parts, im_parts) = _integer_rows(list(zip(*amplitudes)))
+    return MeasureValues._of_amplitudes(d, tuple(re_parts), tuple(im_parts))
+
+
+def _amplitude_table(d: int, re_parts: Sequence[int], im_parts: Sequence[int]) -> MeasureValues:
+    """The packed table of |sum of the amplitudes in A|^2 over d^2, the
+    amplitudes' integer parts over d given.
+
+    The part sums re(A), im(A) and the table are each held as one packed
+    integer (:func:`_field_bits`), bounded by (sum |re|)^2 + (sum |im|)^2.
+    The events holding history i, with parts (a, b), are those without
+    it, so their half of the table is
 
         table + 2a re_sums + 2b im_sums + (a^2 + b^2) ones
 
@@ -450,13 +526,10 @@ def amplitude_values(space: SampleSpace, amplitudes: Sequence[ComplexRatio]) -> 
     the reducing gcd is that of d^2, each |a_i|^2 and each cross term
     2 (re_i re_j + im_i im_j).
     """
-    if len(amplitudes) != space.n:
-        raise ValueError("need exactly one amplitude per history")
-    d, (re_parts, im_parts) = _integer_rows(list(zip(*amplitudes)))
     bits = _field_bits(sum(map(abs, re_parts)) ** 2 + sum(map(abs, im_parts)) ** 2)
     parts = list(zip(re_parts, im_parts))
     table = re_sums = im_sums = 0
-    ones, shift, last = 1, bits, bits << space.n - 1
+    ones, shift, last = 1, bits, bits << len(parts) - 1
     for a, b in parts:
         table += (table + (a * re_sums + b * im_sums << 1) + (a * a + b * b) * ones) << shift
         if shift != last:  # the part sums are read only by the histories above
@@ -468,6 +541,26 @@ def amplitude_values(space: SampleSpace, amplitudes: Sequence[ComplexRatio]) -> 
     if g != 1:
         g = math.gcd(g, 2 * math.gcd(*[a * c + b * e for (a, b), (c, e) in combinations(parts, 2)]))
     return _table_values(d * d, g, table, ones, bits)
+
+
+def _amplitude_null_bits(re_parts: Sequence[int], im_parts: Sequence[int]) -> int:
+    """The null bits of the amplitude table of the integer parts given,
+    read from its amplitude sums: mu(A) = 0 iff re(A) = im(A) = 0.
+
+    One packed integer holds re(A) + im(A) 2^h in the field of A, 2h bits
+    wide, with h = :func:`_field_bits` of the larger of sum |re| and sum
+    |im|; as |re(A)| < 2^(h - 1), a field is 0 iff both sums are.  The
+    events holding history i, with parts (a, b), are those without it,
+    each plus a + b 2^h: two whole-integer steps per history.
+    """
+    h = _field_bits(max(sum(map(abs, re_parts)), sum(map(abs, im_parts))))
+    bits = 2 * h
+    sums, ones, shift = 0, 1, bits
+    for a, b in zip(re_parts, im_parts):
+        sums += (sums + (a + (b << h)) * ones) << shift
+        ones += ones << shift
+        shift <<= 1
+    return _signed_fields(sums, ones, bits)[1]
 
 
 def _field_bits(bound: int) -> int:
@@ -497,30 +590,37 @@ def _table_values(den: int, g: int, table: int, ones: int, bits: int) -> Measure
 
     ``g`` divides den and every value, and is their gcd, so one whole-
     integer division reduces the table.  ``ones`` holds 1 in every field.
-    Adding 2^(bits - 1) to each field and flipping that bit back gives
-    each field's two's complement with no borrow between fields; the
-    table keeps those fields' little-endian bytes and unpacks them on
-    first read (:func:`_unpacked`).
-
-    The null bits are read from the same fields in a few whole-integer
-    steps.  With ``low`` the bits below each field's top bit,
-    ``((x & low) + low) | x`` sets a field's top bit iff the field is
-    nonzero, with no carry between fields.  Its big-endian bytes, taken
-    one per field from the top, run from the last mask to the first, so
-    translated to binary digits (``_NULL_DIGITS``) they are ``null_bits``
-    written out, read by one ``int(digits, 2)``.
+    The table keeps its fields' two's complement little-endian bytes
+    (:func:`_signed_fields`), with the null bits read from them, and unpacks
+    them on first read (:func:`_unpacked`).
     """
     if g != 1:
         den //= g
         table //= g
+    fields, null_bits = _signed_fields(table, ones, bits)
+    raw = fields.to_bytes((ones.bit_length() - 1 + bits) // 8, "little")
+    return MeasureValues._of_fields(den, raw, bits, len(raw) * 8 // bits, null_bits)
+
+
+def _signed_fields(table: int, ones: int, bits: int) -> tuple[int, int]:
+    """A packed table's fields in two's complement, and the integer whose
+    bit m is set iff field m is 0; ``ones`` holds 1 in every field.
+
+    Adding 2^(bits - 1) to each field and flipping that bit back gives
+    each field's two's complement with no borrow between fields.  The
+    null bits are read from those fields in a few whole-integer steps.
+    With ``low`` the bits below each field's top bit, ``((x & low) + low)
+    | x`` sets a field's top bit iff the field is nonzero, with no carry
+    between fields.  Its big-endian bytes, taken one per field from the
+    top, run from the last mask to the first, so translated to binary
+    digits (``_NULL_DIGITS``) they are the null bits written out, read by
+    one ``int(digits, 2)``.
+    """
     half = ones << bits - 1
     fields = (table + half) ^ half
-    low, width = half - ones, half.bit_length() // 8
-    tops = (((fields & low) + low) | fields).to_bytes(width, "big")[:: bits // 8]
-    raw = fields.to_bytes(width, "little")
-    return MeasureValues._of_fields(
-        den, raw, bits, len(tops), int(tops.translate(_NULL_DIGITS), 2)
-    )
+    low = half - ones
+    tops = (((fields & low) + low) | fields).to_bytes(half.bit_length() // 8, "big")
+    return fields, int(tops[:: bits // 8].translate(_NULL_DIGITS), 2)
 
 
 def _unpacked(raw: bytes, bits: int) -> tuple[int, ...]:
@@ -565,53 +665,53 @@ def _interference(raw: bytes, bits: int, size: int) -> int:
     slice assignment per byte of a field, and each top bit is flipped, so
     field A holds mu(A) + 2^(bits - 1) >= 0.  For each history i, every
     field holding i then takes away the field without i and adds
-    2^(bits + i), so that none goes negative: one whole-integer step.
+    2^(bits + i), so that none goes negative: one whole-integer step, its
+    offsets read from the fields lacking i as it runs.
     Field A ends as I(A) + 2^(bits + max(A)) and field {} as
     mu({}) + 2^(bits - 1), each in [0, 2^w).
     """
     n = size.bit_length() - 1
-    w8, lacks, offsets, _, _ = _mobius_tables(n, bits)
+    w8, lacks, ones, _, _ = _mobius_tables(n, bits)
     step = bits // 8
     wide = bytearray(w8 * size)
     for k in range(step - 1):
         wide[k::w8] = raw[k::step]
     wide[step - 1::w8] = raw[step - 1::step].translate(_FLIP_TOP)
     terms = int.from_bytes(wide, "little")
-    for i in range(n):
-        terms += (offsets[i] - (terms & lacks[i])) << (w8 * 8 << i)
+    for i, lack in enumerate(lacks):
+        terms += (((ones & lack) << bits + i) - (terms & lack)) << (w8 * 8 << i)
     return terms
 
 
 @lru_cache(maxsize=16)
 def _mobius_tables(
     n: int, bits: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, int]]:
+) -> tuple[int, tuple[int, ...], int, int, tuple[int, int]]:
     """The packed masks of :func:`_interference` for n histories and
     ``bits``-wide values: the widened field's bytes; per history i, the
-    fields lacking i, all ones, and 2^(bits + i) in each of them; the
-    offsets a transform's fields end with; and the fields of more than
-    one and of more than two histories, all ones, with field {}.  The last
-    three are doubled one history at a time, the masks holding i being
-    those without it, 2^i fields up, with one history more.
+    fields lacking i, all ones; 1 in every field; the offsets a
+    transform's fields end with; and the fields of more than one and of
+    more than two histories, all ones, with field {}.  The last four are
+    doubled one history at a time, the masks holding i being those
+    without it, 2^i fields up, with one history more.  An entry holds
+    n + 4 ints of 2^n widened fields.
     """
     w8 = bits // 8 + (n + 7) // 8
     w, size, empty = w8 * 8, 1 << n, (1 << w8 * 8) - 1
-    ones = int.from_bytes((b"\1" + bytes(w8 - 1)) * size, "little")
     lacks = tuple(
         int.from_bytes((b"\xff" * (w8 << i) + bytes(w8 << i)) * (size >> i + 1), "little")
         for i in range(n)
     )
-    offsets = tuple((ones & lack) << bits + i for i, lack in enumerate(lacks))
-    expected, low = 1 << bits - 1, 1
+    expected, ones = 1 << bits - 1, 1
     at_least = [empty, 0, 0, 0]  # the fields of at least k histories
     for i in range(n):
         shift = w << i
-        expected |= low << bits + i << shift
-        low |= low << shift
+        expected |= ones << bits + i << shift
+        ones |= ones << shift
         at_least = [at_least[0] | at_least[0] << shift] + [
             more | fewer << shift for more, fewer in zip(at_least[1:], at_least)
         ]
-    return w8, lacks, offsets, expected, (at_least[2] | empty, at_least[3] | empty)
+    return w8, lacks, ones, expected, (at_least[2] | empty, at_least[3] | empty)
 
 
 def _obeys_grade(values: MeasureValues, grade: int) -> bool:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,15 +27,18 @@ from coevents import (
     SampleSpace,
     ValidationReport,
     Violation,
+    classical_preclusive_set,
     coarse_grain,
     is_decoherent,
     measure_from_decoherence,
+    multiplicative_scheme,
     null_cover_exists,
     null_sets,
     validate_classical,
     validate_quantum,
 )
 from coevents.catalog import complex_phases, dirac, fair_coin, three_slit
+from coevents.coevent import preclusive_key
 from coevents.eventalg import WITNESS_LIST_CAP, down_set, first_witnesses
 from coevents.theoryfile import load
 
@@ -363,7 +369,7 @@ def test_packed_scales_give_every_field_width():
         for q in (1, scale):
             parts = [((s * scale, q), (0, 1)) for s in (1, 1, -1)]
             table = measure_mod.amplitude_values(space, parts)
-            widths.append(table._packed[1])
+            widths.append(table.packed[1])
             assert (table.den, table.nums[7]) == ((1, scale * scale) if q == 1 else (1, 1))
     assert widths == [8, 8, 16, 16, 32, 32, 64, 64, 128, 128]
 
@@ -414,6 +420,148 @@ def test_packed_tables_pickle_copy_and_compare_before_and_after_unpacking(data):
             for copied in copies + [table]:
                 assert copied == twin and twin == copied
                 assert copied.null_bits == twin.null_bits and len(copied) == len(twin)
+
+
+def amplitude_tables(data, n: int, scale: int, reduced: bool):
+    """A builder of the amplitude table of n drawn amplitudes, each part
+    from -2..2, so that many events cancel to 0, times ``scale``, over a
+    denominator of ``scale`` when ``reduced``; all real, all imaginary or
+    complex, so that either part sum may set the width of the sums'
+    fields.  Each call builds the table afresh, unbuilt."""
+    space = SampleSpace(tuple("abcdefghi"[:n]))
+    q = scale if reduced else 1
+    small = st.integers(-2, 2)
+    parts = data.draw(st.lists(st.tuples(small, small), min_size=n, max_size=n), label="amps")
+    kind = data.draw(st.sampled_from(["complex", "real", "imaginary"]), label="kind")
+    if kind != "complex":
+        parts = [(a, 0) if kind == "real" else (0, b) for a, b in parts]
+    ratios = [((a * scale, q), (b * scale, q)) for a, b in parts]
+    return lambda: measure_mod.amplitude_values(space, ratios)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["gcd1", "reduced"])
+@pytest.mark.parametrize("scale", PACKED_SCALES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_amplitude_null_bits_from_the_sums_match_the_table(scale, reduced, data):
+    """An amplitude table's ``null_bits``, read before anything else, come
+    from its amplitude sums and build no table; they equal the bits read
+    from the fields of a twin whose numerators were read first, and the
+    numerator scan; reading the numerators after them changes nothing."""
+    n = data.draw(st.integers(1, 9), label="n")
+    build = amplitude_tables(data, n, scale, reduced)
+    lazy, read = build(), build()
+    nums = read.nums
+    bits = lazy.null_bits
+    assert lazy._packed is None and lazy._den is None  # no table was built
+    assert bits == read.null_bits == measure_mod._zero_bits(nums)
+    assert lazy.nums == nums and lazy.null_bits == bits
+
+
+def test_no_amplitude_sum_hides_in_the_other_part():
+    """An event whose real sum is 2^k and whose imaginary sum is -1, or the
+    reverse, is not null, for every k up to 100, while {b, c}, whose
+    parts cancel, is: neither part's sum can carry into the other's bits
+    of a field, whichever part is the larger, and 2^k reaches the top of
+    every field width."""
+    space = SampleSpace(("a", "b", "c"))
+    for k in range(101):
+        q = 1 << k
+        for parts in ([(q, 0), (0, -1), (0, 1)], [(0, q), (-1, 0), (1, 0)]):
+            ratios = [((a, 1), (b, 1)) for a, b in parts]
+            lazy, read = (measure_mod.amplitude_values(space, ratios) for _ in range(2))
+            assert lazy.null_bits == measure_mod._zero_bits(read.nums) == 0b1000001, k
+
+
+#: Each read that builds an unbuilt amplitude table, as a function of it.
+FIRST_READS = {
+    "den": lambda t: t.den,
+    "nums": lambda t: t.nums,
+    "packed": lambda t: t.packed,
+    "interference": lambda t: t.interference,
+    "value": lambda t: t[len(t) - 1],
+    "repr": repr,
+}
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["gcd1", "reduced"])
+@pytest.mark.parametrize("scale", PACKED_SCALES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_an_unbuilt_amplitude_table_reads_as_one_read_first(scale, reduced, data):
+    """Whichever read comes first, an amplitude table gives what a twin
+    whose values were all read first gives, and compares equal to it; its
+    pickle, copy and deep copy stay unbuilt until read, and then read as
+    the twin does."""
+    n = data.draw(st.integers(1, 9), label="n")
+    build = amplitude_tables(data, n, scale, reduced)
+    twin = build()
+    values = [twin[mask] for mask in twin]
+    for name, first in FIRST_READS.items():
+        lazy = build()
+        assert first(lazy) == first(twin), name
+        assert [lazy[mask] for mask in lazy] == values
+    for name, first in FIRST_READS.items():
+        lazy = build()
+        copies = [pickle.loads(pickle.dumps(lazy)), copy.copy(lazy), copy.deepcopy(lazy)]
+        assert lazy._den is None and all(c._den is None and c._packed is None for c in copies)
+        for copied in copies + [lazy]:
+            assert first(copied) == first(twin), name
+            assert copied == twin and twin == copied
+            assert copied.null_bits == twin.null_bits and copied.interference == twin.interference
+
+
+def test_racing_first_reads_of_an_amplitude_table_agree():
+    """Threads racing to the first reads of one amplitude table, each in
+    its own order, all read what a table built before them holds."""
+    space = SampleSpace(tuple("abcdefghij"))
+    ratios = [((a, 7), (b, 5)) for a, b in zip(range(-5, 5), range(3, -7, -1))]
+    twin = measure_mod.amplitude_values(space, ratios)
+    names = ("den", "nums", "packed", "null_bits", "interference")
+    expected = [getattr(twin, name) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            lazy = measure_mod.amplitude_values(space, ratios)
+            seen = [None] * 8
+
+            def read(k: int) -> None:
+                order = names[k % 5:] + names[:k % 5]
+                got = {name: getattr(lazy, name) for name in order}
+                seen[k] = [got[name] for name in names]
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_scale_scheme_op_builds_no_amplitude_table():
+    """The scheme op that the benchmark's ``scale`` workload times reads only
+    the null sets, so it leaves the amplitude table unbuilt: on complex
+    amplitudes with 14 null sets, and on three slits."""
+    path = Path(__file__).resolve().parent / "golden" / "theories" / "amplitudes_complex_11.json"
+    theory = json.loads(path.read_text())
+    space = SampleSpace(tuple(theory["sample_space"]))
+    amps = [
+        GaussianRational(Fraction(a["re"]), Fraction(a["im"]))
+        for a in theory["measure"]["amplitudes"]
+    ]
+    three = [GaussianRational.real(1), GaussianRational.real(1), GaussianRational.real(-1)]
+    for space, amps, count in ((space, amps, 14), (SampleSpace(("1", "2", "3")), three, 3)):
+        m = Measure.from_amplitudes(space, amps)
+        null_cover_exists(m), classical_preclusive_set(m), str(multiplicative_scheme(m))
+        nulls = null_sets(m)
+        [preclusive_key(key, m) for key in range(m.algebra.size)]
+        assert m.values._packed is None and m.values._den is None
+        assert nulls.masks == tuple(mask for mask, v in m.values.items() if v == 0)
+        assert len(nulls) == count
 
 
 @settings(max_examples=100, deadline=None)
