@@ -665,13 +665,15 @@ def _interference(raw: bytes, bits: int, size: int) -> int:
     slice assignment per byte of a field, and each top bit is flipped, so
     field A holds mu(A) + 2^(bits - 1) >= 0.  For each history i, every
     field holding i then takes away the field without i and adds
-    2^(bits + i), so that none goes negative: one whole-integer step, its
-    offsets read from the fields lacking i as it runs.
-    Field A ends as I(A) + 2^(bits + max(A)) and field {} as
-    mu({}) + 2^(bits - 1), each in [0, 2^w).
+    2^(bits + i), so that none goes negative: one whole-integer step.
+    Before it no field exceeds 2^(bits + i), so 2^(bits + i) less each
+    field, masked to the fields lacking i, borrows nothing between
+    fields, and no offset need be cached per history.  Field A ends as
+    I(A) + 2^(bits + max(A)) and field {} as mu({}) + 2^(bits - 1), each
+    in [0, 2^w).
     """
     n = size.bit_length() - 1
-    w8, lacks, ones, _, _ = _mobius_tables(n, bits)
+    w8, lacks, tops, _, _ = _mobius_tables(n, bits)
     step = bits // 8
     wide = bytearray(w8 * size)
     for k in range(step - 1):
@@ -679,7 +681,7 @@ def _interference(raw: bytes, bits: int, size: int) -> int:
     wide[step - 1::w8] = raw[step - 1::step].translate(_FLIP_TOP)
     terms = int.from_bytes(wide, "little")
     for i, lack in enumerate(lacks):
-        terms += (((ones & lack) << bits + i) - (terms & lack)) << (w8 * 8 << i)
+        terms += (((tops << i) - terms) & lack) << (w8 * 8 << i)
     return terms
 
 
@@ -689,7 +691,7 @@ def _mobius_tables(
 ) -> tuple[int, tuple[int, ...], int, int, tuple[int, int]]:
     """The packed masks of :func:`_interference` for n histories and
     ``bits``-wide values: the widened field's bytes; per history i, the
-    fields lacking i, all ones; 1 in every field; the offsets a
+    fields lacking i, all ones; 2^bits in every field; the offsets a
     transform's fields end with; and the fields of more than one and of
     more than two histories, all ones, with field {}.  The last four are
     doubled one history at a time, the masks holding i being those
@@ -711,7 +713,7 @@ def _mobius_tables(
         at_least = [at_least[0] | at_least[0] << shift] + [
             more | fewer << shift for more, fewer in zip(at_least[1:], at_least)
         ]
-    return w8, lacks, ones, expected, (at_least[2] | empty, at_least[3] | empty)
+    return w8, lacks, ones << bits, expected, (at_least[2] | empty, at_least[3] | empty)
 
 
 def _obeys_grade(values: MeasureValues, grade: int) -> bool:
