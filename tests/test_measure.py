@@ -556,9 +556,12 @@ def test_the_scale_scheme_op_builds_no_amplitude_table():
     three = [GaussianRational.real(1), GaussianRational.real(1), GaussianRational.real(-1)]
     for space, amps, count in ((space, amps, 14), (SampleSpace(("1", "2", "3")), three, 3)):
         m = Measure.from_amplitudes(space, amps)
-        null_cover_exists(m), classical_preclusive_set(m), str(multiplicative_scheme(m))
+        null_cover_exists(m)
+        classical_preclusive_set(m)
+        str(multiplicative_scheme(m))
         nulls = null_sets(m)
-        [preclusive_key(key, m) for key in range(m.algebra.size)]
+        for key in range(m.algebra.size):
+            preclusive_key(key, m)
         assert m.values._packed is None and m.values._den is None
         assert nulls.masks == tuple(mask for mask, v in m.values.items() if v == 0)
         assert len(nulls) == count
