@@ -20,6 +20,7 @@ from .beables import (
     complete,
     heyting_implication,
     or_discrepancies,
+    or_discrepancy_count,
     order_report,
     tau,
     truth_evaluate,

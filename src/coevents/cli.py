@@ -30,6 +30,9 @@ from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, iter_submasks, s
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
+#: The most OR discrepancies the all-pairs audit lists (n=8 over all duals
+#: lists 1,398,097); a larger listing is refused before it is built.
+AUDIT_ROW_CAP = 2_000_000
 
 
 class RowTable:
@@ -343,6 +346,9 @@ def section_audit(
             "and_identity_holds": record.and_identity_holds,
             "or_discrepancy": record.or_discrepancy,
         }
+    rows = beables.or_discrepancy_count(space)
+    if rows > AUDIT_ROW_CAP:
+        raise CapExceeded("all-pairs audit OR discrepancies", AUDIT_ROW_CAP, rows, override=None)
     events, renderings = space.algebra.space.event_names, space.renderings
     size = len(events)
     return {

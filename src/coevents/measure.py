@@ -22,11 +22,12 @@ steps.  Their tables have grade at most 2, so the gcd that reduces
 them is that of the denominator and the values on events of at most two
 histories, read from the inputs; the table is divided by it once
 (:func:`_table_values`).  Its null sets are read from the packed fields
-as one bitset, and its numerators are unpacked into ``nums`` only when
-first read.  An amplitude table is built only on its first value read;
-until then its null sets are read from the packed amplitude sums
-(:func:`_amplitude_null_bits`), as mu(A) = 0 iff the sum of the
-amplitudes in A is 0.
+as one bitset (:func:`_null_bits`), and its numerators are unpacked into
+``nums`` only when first read.  A table built from numerators is packed
+when built, and its null sets are read the same way.  An amplitude table
+is built only on its first value read; until then its null sets are read
+from the packed amplitude sums (:func:`_amplitude_null_bits`), as
+mu(A) = 0 iff the sum of the amplitudes in A is 0.
 
 Both sum rules are read from one Möbius transform of the packed fields,
 the interference terms of every event (:func:`_interference`), built once
@@ -175,11 +176,12 @@ class MeasureValues(Mapping[int, Fraction]):
     ``nums`` and ``den`` directly, in integer arithmetic.
 
     ``null_bits`` holds the null sets as one 2^n-bit integer: bit m is set
-    iff ``nums[m] == 0``.  A table built from numerators finds it once,
-    when built.  A packed table (:func:`_table_values`) reads it from its
-    fields and keeps its fields' bytes and width, not a tuple: ``nums`` is
-    unpacked on its first read, so a caller that asks only about null sets
-    never builds the 2^n numerators.  An amplitude table
+    iff ``nums[m] == 0``.  A built table holds its fields' bytes and width
+    (``packed``) and reads ``null_bits`` from them (:func:`_null_bits`):
+    a table built from numerators packs them when built (:func:`_packed`);
+    a packed table (:func:`_table_values`) keeps its fields, not a tuple,
+    and ``nums`` is unpacked on its first read, so a caller that asks only
+    about null sets never builds the 2^n numerators.  An amplitude table
     (:func:`amplitude_values`) holds only the amplitudes' integer parts
     over their common denominator, as plain data: it builds its packed
     table, and with it ``den``, on the first read of ``den``, ``nums``,
@@ -198,9 +200,11 @@ class MeasureValues(Mapping[int, Fraction]):
         g = math.gcd(den, *nums)
         self._den = den // g
         self._nums = nums = tuple([x // g for x in nums] if g != 1 else nums)
-        self._size, self._packed, self._fractions = len(nums), None, {}
+        self._size, self._fractions = len(nums), {}
         self._interference = self._amplitudes = None
-        self._null_bits = _zero_bits(nums)
+        raw, bits = self._packed = _packed(nums)
+        ones = int.from_bytes(b"\x01".ljust(bits // 8, b"\0") * len(nums), "little")
+        self._null_bits = _null_bits(int.from_bytes(raw, "little"), ones, bits)
 
     @classmethod
     def _of_fields(
@@ -278,15 +282,10 @@ class MeasureValues(Mapping[int, Fraction]):
     @property
     def packed(self) -> tuple[bytes, int]:
         """The fields' bytes and width in bits, as :meth:`_of_fields` holds
-        them; a table built from numerators packs them on this first read
-        (:func:`_packed`), and an amplitude table builds them
+        them; an amplitude table builds them on this first read
         (:meth:`_build`)."""
         packed = self._packed
-        if packed is None:
-            if self._amplitudes is not None:
-                return self._build()._packed
-            packed = self._packed = _packed(self._nums)
-        return packed
+        return self._build()._packed if packed is None else packed
 
     @property
     def interference(self) -> int:
@@ -323,21 +322,6 @@ class MeasureValues(Mapping[int, Fraction]):
 
     def __repr__(self) -> str:
         return f"MeasureValues(den={self.den}, nums={self.nums})"
-
-
-def _zero_bits(nums: Sequence[int]) -> int:
-    """The integer whose bit m is set iff ``nums[m] == 0``.
-
-    ``count`` and ``index`` scan the numerators in C, so the Python loop
-    runs once per zero, and each zero is one byte write in a bytearray,
-    read as one integer at the end: ORing ``1 << m`` into the integer per
-    zero would copy it each time.
-    """
-    found, mask = bytearray(len(nums) + 7 >> 3), -1
-    for _ in range(nums.count(0)):
-        mask = nums.index(0, mask + 1)
-        found[mask >> 3] |= 1 << (mask & 7)
-    return int.from_bytes(found, "little")
 
 
 class Measure(Record):
@@ -471,11 +455,9 @@ def atom_weight_values(space: SampleSpace, weights: Mapping[str, Ratio]) -> Meas
 
     Every label of the space must have a weight, and no other may.  The
     weights are scaled to integers w_i over their common denominator and
-    summed over every event as one packed table (:func:`_field_bits`):
-    the events holding history i are those without it, each plus w_i, so
-    each history adds one shifted copy of the table so far, raised by
-    w_i in every field.  The table is additive, so the reducing gcd is
-    that of the denominator and the w_i.
+    summed over every event as one packed table (:func:`_subset_sums`).
+    The table is additive, so the reducing gcd is that of the denominator
+    and the w_i.
     """
     missing = [lab for lab in space.labels if lab not in weights]
     if missing:
@@ -485,12 +467,23 @@ def atom_weight_values(space: SampleSpace, weights: Mapping[str, Ratio]) -> Meas
         raise ValueError(f"weights given for unknown histories {extra}")
     den, (w,) = _integer_rows([[weights[lab] for lab in space.labels]])
     bits = _field_bits(sum(map(abs, w)))
-    table, ones = 0, 1
-    for i, x in enumerate(w):
-        shift = bits << i
+    return _table_values(den, math.gcd(den, *w), *_subset_sums(w, bits), bits)
+
+
+def _subset_sums(terms: Sequence[int], bits: int) -> tuple[int, int]:
+    """The packed table (:func:`_field_bits`) of A -> the sum of terms[i]
+    over the histories i in A, and the packed ones, 1 in every field.
+
+    The events holding history i are those without it, each plus
+    terms[i], so each history adds one shifted copy of the table so far,
+    raised by terms[i] in every field: two whole-integer steps per history.
+    """
+    table, ones, shift = 0, 1, bits
+    for x in terms:
         table += (table + x * ones) << shift
         ones += ones << shift
-    return _table_values(den, math.gcd(den, *w), table, ones, bits)
+        shift <<= 1
+    return table, ones
 
 
 def amplitude_values(space: SampleSpace, amplitudes: Sequence[ComplexRatio]) -> MeasureValues:
@@ -549,18 +542,13 @@ def _amplitude_null_bits(re_parts: Sequence[int], im_parts: Sequence[int]) -> in
 
     One packed integer holds re(A) + im(A) 2^h in the field of A, 2h bits
     wide, with h = :func:`_field_bits` of the larger of sum |re| and sum
-    |im|; as |re(A)| < 2^(h - 1), a field is 0 iff both sums are.  The
-    events holding history i, with parts (a, b), are those without it,
-    each plus a + b 2^h: two whole-integer steps per history.
+    |im|; as |re(A)| < 2^(h - 1), a field is 0 iff both sums are.  History
+    i, with parts (a, b), adds a + b 2^h (:func:`_subset_sums`).
     """
     h = _field_bits(max(sum(map(abs, re_parts)), sum(map(abs, im_parts))))
     bits = 2 * h
-    sums, ones, shift = 0, 1, bits
-    for a, b in zip(re_parts, im_parts):
-        sums += (sums + (a + (b << h)) * ones) << shift
-        ones += ones << shift
-        shift <<= 1
-    return _signed_fields(sums, ones, bits)[1]
+    sums, ones = _subset_sums([a + (b << h) for a, b in zip(re_parts, im_parts)], bits)
+    return _null_bits(_signed_fields(sums, ones, bits), ones, bits)
 
 
 def _field_bits(bound: int) -> int:
@@ -591,24 +579,32 @@ def _table_values(den: int, g: int, table: int, ones: int, bits: int) -> Measure
     ``g`` divides den and every value, and is their gcd, so one whole-
     integer division reduces the table.  ``ones`` holds 1 in every field.
     The table keeps its fields' two's complement little-endian bytes
-    (:func:`_signed_fields`), with the null bits read from them, and unpacks
-    them on first read (:func:`_unpacked`).
+    (:func:`_signed_fields`), with the null bits read from them
+    (:func:`_null_bits`), and unpacks them on first read (:func:`_unpacked`).
     """
     if g != 1:
         den //= g
         table //= g
-    fields, null_bits = _signed_fields(table, ones, bits)
+    fields = _signed_fields(table, ones, bits)
     raw = fields.to_bytes((ones.bit_length() - 1 + bits) // 8, "little")
+    null_bits = _null_bits(fields, ones, bits)
     return MeasureValues._of_fields(den, raw, bits, len(raw) * 8 // bits, null_bits)
 
 
-def _signed_fields(table: int, ones: int, bits: int) -> tuple[int, int]:
-    """A packed table's fields in two's complement, and the integer whose
-    bit m is set iff field m is 0; ``ones`` holds 1 in every field.
+def _signed_fields(table: int, ones: int, bits: int) -> int:
+    """A packed table's fields in two's complement; ``ones`` holds 1 in
+    every field.  Adding 2^(bits - 1) to each field and flipping that bit
+    back gives each field's two's complement with no borrow between
+    fields."""
+    half = ones << bits - 1
+    return (table + half) ^ half
 
-    Adding 2^(bits - 1) to each field and flipping that bit back gives
-    each field's two's complement with no borrow between fields.  The
-    null bits are read from those fields in a few whole-integer steps.
+
+def _null_bits(fields: int, ones: int, bits: int) -> int:
+    """The integer whose bit m is set iff field m of the two's complement
+    ``bits``-wide fields is 0; ``ones`` holds 1 in every field.  Every
+    table's null bits are read by it.
+
     With ``low`` the bits below each field's top bit, ``((x & low) + low)
     | x`` sets a field's top bit iff the field is nonzero, with no carry
     between fields.  Its big-endian bytes, taken one per field from the
@@ -617,10 +613,9 @@ def _signed_fields(table: int, ones: int, bits: int) -> tuple[int, int]:
     one ``int(digits, 2)``.
     """
     half = ones << bits - 1
-    fields = (table + half) ^ half
     low = half - ones
     tops = (((fields & low) + low) | fields).to_bytes(half.bit_length() // 8, "big")
-    return fields, int(tops[:: bits // 8].translate(_NULL_DIGITS), 2)
+    return int(tops[:: bits // 8].translate(_NULL_DIGITS), 2)
 
 
 def _unpacked(raw: bytes, bits: int) -> tuple[int, ...]:
@@ -902,9 +897,8 @@ def _checked_matrix(
     n = space.n
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"decoherence matrix must be {n}x{n}")
-    re_den, re = _integer_rows([[z[0] for z in row] for row in rows])
-    _, im = _integer_rows([[z[1] for z in row] for row in rows])
-    if re != [list(col) for col in zip(*re)] or im != [[-x for x in col] for col in zip(*im)]:
+    (re_den, re), (_, im) = _part_rows(rows)
+    if re != [list(col) for col in zip(*re)] or not _antisymmetric(im):
         i, j = next(
             (i, j) for i in range(n) for j in range(n)
             if re[i][j] != re[j][i] or im[i][j] != -im[j][i]
@@ -915,6 +909,17 @@ def _checked_matrix(
         total = GaussianRational.real(Fraction(re_total, re_den))
         raise ValueError(f"matrix entries sum to {total}, expected 1")
     return re_den, re
+
+
+def _part_rows(rows: Sequence[Sequence[ComplexRatio]]) -> tuple[tuple[int, list[list[int]]], ...]:
+    """A complex matrix's real and imaginary parts, each as integer rows
+    over its own common denominator (:func:`_integer_rows`)."""
+    return tuple(_integer_rows([[z[k] for z in row] for row in rows]) for k in (0, 1))
+
+
+def _antisymmetric(matrix: Sequence[Sequence[int]]) -> bool:
+    """True iff the matrix is minus its transpose: one comparison."""
+    return matrix == [[-x for x in col] for col in zip(*matrix)]
 
 
 def decoherence_values(
@@ -961,35 +966,25 @@ def _pair_sum_table(den: int, matrix: Sequence[Sequence[int]], size: int) -> Mea
     return _table_values(den, g, table, ones, bits)
 
 
-def _pair_sum_values(matrix: Sequence[Sequence[Fraction]], size: int) -> MeasureValues:
-    """:func:`_pair_sum_table` of a rational matrix, in integers over its
-    common denominator."""
-    den, scaled = _integer_rows([[_ratio_of(x) for x in row] for row in matrix])
-    return _pair_sum_table(den, scaled, size)
-
-
 def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
     """mu(A) = sum of the matrix over pairs of histories inside A.
 
     Each value must come out real (automatic for a Hermitian matrix);
-    a nonzero imaginary part raises :class:`NonRealDiagonal`.  The sums
-    are taken in integers over the common denominator of the entries.
-    No sum rule is checked here; :func:`validate_quantum` reports on the
-    result.
+    a nonzero imaginary part raises :class:`NonRealDiagonal`, naming the
+    first event whose imaginary sum is not 0.  The parts are read as
+    integer rows over their common denominators, as the loader reads them
+    (:func:`_part_rows`), and summed by :func:`_pair_sum_table`.  No sum
+    rule is checked here; :func:`validate_quantum` reports on the result.
     """
     algebra = EventAlgebra(d.space)
-    n = d.space.n
-    values = _pair_sum_values([[g.re for g in row] for row in d.entries], algebra.size)
-    im = [[g.im for g in row] for row in d.entries]
+    (re_den, re), (im_den, im) = _part_rows([[_parts_of(g) for g in row] for row in d.entries])
+    values = _pair_sum_table(re_den, re, algebra.size)
     # Every imaginary sum vanishes iff the imaginary part is antisymmetric.
-    if any(im[i][j] != -im[j][i] for i in range(n) for j in range(i, n)):
-        im_sums = _pair_sum_values(im, algebra.size)
-        for mask, im_num in enumerate(im_sums.nums):
-            if im_num:
-                tot = GaussianRational(values[mask], im_sums[mask])
-                raise NonRealDiagonal(
-                    f"measure of {algebra.event(mask)} is {tot}; matrix is corrupted"
-                )
+    if not _antisymmetric(im):
+        im_sums = _pair_sum_table(im_den, im, algebra.size)
+        mask = next(mask for mask, im_num in enumerate(im_sums.nums) if im_num)
+        tot = GaussianRational(values[mask], im_sums[mask])
+        raise NonRealDiagonal(f"measure of {algebra.event(mask)} is {tot}; matrix is corrupted")
     return Measure(algebra, values)
 
 

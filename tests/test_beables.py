@@ -978,6 +978,34 @@ def test_all_pairs_audit_section_matches_the_per_pair_oracle(theory, include_emp
 
 
 @settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_or_discrepancy_count_is_the_length_of_the_listing(data):
+    """The closed-form count equals the listing's length on spaces of
+    duals up to n=5, with the empty dual or without, and on the scheme
+    of a theory; a space that holds a non-dual is refused with the
+    lister's message."""
+    space = data.draw(st.one_of(
+        dual_spaces(include_empty=data.draw(st.booleans(), label="empty dual")),
+        mixed_spaces(),
+        amplitude_theories().map(lambda theory: multiplicative_scheme(theory.measure)),
+    ).filter(lambda space: space.algebra.space.n <= 5), label="space")
+    if space.principals is None:
+        with pytest.raises(NotMultiplicative, match="audit is defined for nonzero multiplicative"):
+            beables_mod.or_discrepancy_count(space)
+        return
+    assert beables_mod.or_discrepancy_count(space) == len(list(or_discrepancies(space)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_or_discrepancy_count_over_all_duals(n, include_empty):
+    alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
+    space = enumerate_multiplicative(alg, include_empty_dual=include_empty)
+    count = beables_mod.or_discrepancy_count(space)
+    assert count == len(list(or_discrepancies(space))) == (7**n - 2 * 6**n + 5**n) // 2
+
+
+@settings(max_examples=100, deadline=None)
 @given(space=mixed_spaces())
 def test_or_discrepancies_match_the_per_pair_audit(space):
     """On a space of duals, the constant-one map possibly among them, the

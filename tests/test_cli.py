@@ -463,6 +463,35 @@ def test_audit_all_pairs(capsys):
     assert {"a": "{h}", "b": "{t}", "coevent": "{h,t}*"} in section["or_discrepancies"]
 
 
+@pytest.mark.parametrize(
+    "verb, n, skipped", [("audit", 9, False), ("audit --set scheme", 16, False), ("report", 9, True)]
+)
+def test_the_audit_refuses_more_rows_than_its_cap_before_listing_any(
+    tmp_path, capsys, monkeypatch, verb, n, skipped
+):
+    """Over its row cap the all-pairs audit is refused from the closed-form
+    count, before a pair is listed: ``audit`` exits 3, and ``report``
+    exits 0 with its audit section skipped."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed OR discrepancies before the row cap fired")
+
+    monkeypatch.setattr(beables_module, "or_discrepancies", refuse)
+    name, *flags = verb.split()
+    rc, out, err = invoke(capsys, [name, amplitude_file(tmp_path, n), *flags, "--format", "machine"])
+    if not skipped:
+        assert (rc, out) == (3, "") and re.fullmatch(
+            r"cap exceeded: all-pairs audit OR discrepancies: size \d+ exceeds cap 2000000 "
+            r"\(hard cap, no override\)\n", err
+        )
+        return
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["sections"]["audit"] == {
+        "skipped": "all-pairs audit OR discrepancies: size 11075670 exceeds cap 2000000 "
+        "(hard cap, no override)"
+    }
+
+
 def test_topos_single_query(capsys):
     report = machine(
         capsys,

@@ -194,9 +194,30 @@ def test_amplitude_subset_sums_equal_the_rank_one_pair_sums(data):
     amplitude = st.one_of(st.just(GaussianRational()), st.builds(GaussianRational, parts, parts))
     amps = data.draw(st.lists(amplitude, min_size=n, max_size=n), label="amplitudes")
     rank_one = [[a.re * b.re + a.im * b.im for b in amps] for a in amps]
-    assert Measure.from_amplitudes(space, amps).values == measure_mod._pair_sum_values(
-        rank_one, 1 << n
+    assert Measure.from_amplitudes(space, amps).values == pair_sum_values(rank_one, 1 << n)
+
+
+# The routes that the integer ones replaced, kept as oracles: the pair sums
+# of a ``Fraction`` matrix, and the null bits found by a numerator scan.
+
+
+def pair_sum_values(matrix: list[list[Fraction]], size: int) -> measure_mod.MeasureValues:
+    """The pair-sum table of a rational matrix, in integers over its common
+    denominator."""
+    den, scaled = measure_mod._integer_rows(
+        [[measure_mod._ratio_of(x) for x in row] for row in matrix]
     )
+    return measure_mod._pair_sum_table(den, scaled, size)
+
+
+def zero_bits(nums) -> int:
+    """The integer whose bit m is set iff ``nums[m] == 0``: ``count`` and
+    ``index`` scan the numerators, one byte write per zero."""
+    found, mask = bytearray(len(nums) + 7 >> 3), -1
+    for _ in range(nums.count(0)):
+        mask = nums.index(0, mask + 1)
+        found[mask >> 3] |= 1 << (mask & 7)
+    return int.from_bytes(found, "little")
 
 
 # The list-doubling cores that the packed tables replaced, kept as oracles.
@@ -277,7 +298,9 @@ def test_packed_tables_equal_the_list_doubling_cores(data):
 def test_packed_fields_hold_the_ends_of_their_signed_range(bits):
     """A table whose largest |value| is its bound reads back at every field
     width: the bound 2^(bits-1) - 1 keeps the width, one more doubles it,
-    and both signs read back from the same width."""
+    and both signs read back from the same width.  The table built from
+    the numerators is packed when built, and reads back its numerators and
+    the null bits of a scan of them."""
     top = (1 << bits - 1) - 1
     assert measure_mod._field_bits(top) == bits and measure_mod._field_bits(top + 1) == 2 * bits
     space = SampleSpace(("a", "b"))
@@ -286,6 +309,10 @@ def test_packed_fields_hold_the_ends_of_their_signed_range(bits):
         got = measure_mod.atom_weight_values(space, dict(zip(space.labels, weights)))
         assert (got.den, got.nums) == (1, (0, x, y, x + y))
         assert got == doubling_atom_weight_values(weights)
+        nums = (0, x, y, x + y)
+        built = measure_mod.MeasureValues(1, nums)
+        assert built._packed is not None and built.packed == got.packed
+        assert built.nums == nums and built.null_bits == zero_bits(nums) == got.null_bits
 
 
 def test_amplitude_gcd_reads_the_cross_terms():
@@ -454,7 +481,7 @@ def test_amplitude_null_bits_from_the_sums_match_the_table(scale, reduced, data)
     nums = read.nums
     bits = lazy.null_bits
     assert lazy._packed is None and lazy._den is None  # no table was built
-    assert bits == read.null_bits == measure_mod._zero_bits(nums)
+    assert bits == read.null_bits == zero_bits(nums)
     assert lazy.nums == nums and lazy.null_bits == bits
 
 
@@ -470,7 +497,7 @@ def test_no_amplitude_sum_hides_in_the_other_part():
         for parts in ([(q, 0), (0, -1), (0, 1)], [(0, q), (-1, 0), (1, 0)]):
             ratios = [((a, 1), (b, 1)) for a, b in parts]
             lazy, read = (measure_mod.amplitude_values(space, ratios) for _ in range(2))
-            assert lazy.null_bits == measure_mod._zero_bits(read.nums) == 0b1000001, k
+            assert lazy.null_bits == zero_bits(read.nums) == 0b1000001, k
 
 
 #: Each read that builds an unbuilt amplitude table, as a function of it.
