@@ -295,6 +295,13 @@ REFUSALS = [
     (["coevents", "--set", "all", "--cap", "9"], 5, 3, "cap exceeded: brute-force coevent "
      "enumeration: size 5 exceeds cap 4 (hard cap, no override)"),
     *[([verb, "--set", "all"], THREE_SLIT, 2, NOT_DUALS[verb]) for verb in ("audit", "topos")],
+    # single queries on a context outside the space, and on the empty event's dual
+    (["topos", "--set", "scheme", "--context", "1", "--event", "1"], THREE_SLIT, 1,
+     "usage error: coevent is not in the instance's base poset"),
+    (["topos", "--context", "", "--event", "1"], THREE_SLIT, 2,
+     "error: dual of the empty event requested; pass include_empty_dual=True"),
+    (["audit", "--set", "scheme", "--context", "1", "--event", "1", "--event-b", "2"],
+     THREE_SLIT, 1, "usage error: coevent is not a member of the space"),
 ]
 
 

@@ -17,8 +17,8 @@ outputs on one n = 12 file of each stanza kind but amplitudes, with the largest
 ``audit`` and ``topos`` row lists, and the upper completion and ``topos``
 over all 31 duals of an n = 5 theory, with ``report`` there (three
 sections skipped at the default caps, none but the Boolean completion at
-``--cap 31``) and ``report --include-empty-dual`` on ``three_slit``
-(``LOADER_PINNED``).  Whole-file ``report`` goldens are kept only for the
+``--cap 31``), ``report --include-empty-dual`` on ``three_slit`` and the
+single ``topos`` query over all duals at n = 16 (``LOADER_PINNED``).  Whole-file ``report`` goldens are kept only for the
 two small demo theories; on ``four_slit_decoherence`` its machine form is
 about 126 KB.  A change that means to alter the output regenerates a
 golden with, for example,
@@ -47,6 +47,9 @@ FLAGS = {
     "complete-boolean": ["--mode", "boolean"],
     "audit-single": ["--context", "1,2,3", "--event", "1,2", "--event-b", "3"],
     "topos-single": ["--context", "1,2", "--event", "1,2,3"],
+    "topos-scheme-single": ["--set", "scheme", "--context", "1,2", "--event", "1"],
+    "topos-classical-single": ["--set", "classical", "--context", "1", "--event", "1,2"],
+    "topos-empty-single": ["--include-empty-dual", "--context", "", "--event", "1"],
     "topos-scheme": ["--set", "scheme"],
     "topos-cap15": ["--cap", "15"],
     "orders-all": ["--set", "all"],
@@ -450,7 +453,8 @@ def test_cli_output_on_the_corpus_matches_its_pinned_hash(capsys, case):
 #: its measure's numerators run to 48 digits, past any machine integer.
 #: ``amplitudes_5`` (amplitudes 1, 1, -1, 1, -1) pins the upper completion
 #: of all 31 duals (7,580 members, the first 1,000 listed) and the topos
-#: instance over them with its 992-row χ table.  ``<kind>_12``, one file
+#: instance over them with its 992-row χ table.  ``amplitudes_16`` pins the
+#: single χ query over all 65,535 duals.  ``<kind>_12``, one file
 #: per stanza kind other than amplitudes at n = 12, is
 #: ``gen.theory(kind, gen.rng_for(36, "golden", kind, 12), 12)`` written
 #: with ``json.dumps(data, indent=1)``; its ``validate`` outputs were pinned
@@ -540,6 +544,12 @@ LOADER_PINNED = {
     ),
     ("amplitudes_5", "report --cap 31", "text"): (
         0, 332588, "0d87e16f09b4636df2bfe94e6b2007c723db4bebff7d3a079a98d8e432d6597d"
+    ),
+    ("amplitudes_16", "topos --cap 16 --context a,b --event a", "machine"): (
+        0, 4090454, "6211e4e0832b9ef80037a6fa77e096c6f3144522cbd2dae2f51c3a12fd13d21b"
+    ),
+    ("amplitudes_16", "topos --cap 16 --context a,b --event a", "text"): (
+        0, 3172467, "7e82e4657cad2832c534538bd207c5360a393a43b20c22e7ae8bd2adb57c46ff"
     ),
     ("three_slit", "report --include-empty-dual", "machine"): (
         0, 27114, "929eded8d4149bed82742291033c332528766ca33d413c33ca6eb014e9670e07"
