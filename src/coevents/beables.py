@@ -33,10 +33,12 @@ from .eventalg import (
     set_bits,
     unchecked,
 )
-from .poset import poset_of_coevents, up_sets
+from .poset import dual_principals, implication, up_sets
 
 #: The completions live inside 2**|V|, so closure is capped.
 COMPLETION_CAP = 20
+
+_AUDIT_NEEDS_DUALS = "audit is defined for nonzero multiplicative coevents"
 
 
 class ValuationEvent(Record):
@@ -435,8 +437,7 @@ def heyting_implication(
     the upper completion is the up-sets of the dual order, so the answer
     is that locale's implication, computed pointwise: a member of V
     belongs iff every member above it that lies in alpha also lies in
-    beta.  The tests
-    compare it with a scan of the completion's members.
+    beta.  The tests compare it with a scan of the completion's members.
     """
     if completion.mode != "upper":
         raise NotUpperMode("Heyting implication needs the union/intersection completion")
@@ -446,8 +447,9 @@ def heyting_implication(
     if not (completion.holds(alpha.bits) and completion.holds(beta.bits)):
         raise ValueError("operands must be members of the completion")
 
-    poset = poset_of_coevents(completion.space)
-    return ValuationEvent(completion.space, poset.implication(alpha.bits, beta.bits))
+    space = completion.space
+    dual_principals(space)
+    return ValuationEvent(space, implication(space.up_rows, alpha.bits, beta.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +494,7 @@ def and_or_audit(
     if phi not in space:
         raise MismatchedSpace("coevent is not a member of the space")
     if phi.principal_mask is None:
-        raise NotMultiplicative("audit is defined for nonzero multiplicative coevents")
+        raise NotMultiplicative(_AUDIT_NEEDS_DUALS)
     i = space.index_of(phi)
     phi_a, phi_b = phi(a), phi(b)  # raise MismatchedSpace before a row is read
     row_a, row_b = space.tau_row(a.mask), space.tau_row(b.mask)
@@ -520,7 +522,7 @@ def or_discrepancies(space: CoeventSpace) -> Iterator[tuple[int, int, int]]:
     order: member, then A, then B ascending.  Needs nonzero duals.
     """
     full = space.algebra.space.full_mask
-    for i, p in enumerate(_audited_principals(space)):
+    for i, p in enumerate(dual_principals(space, _AUDIT_NEEDS_DUALS)):
         for a in range(full + 1):
             inside = a & p
             if inside in (0, p):
@@ -549,13 +551,5 @@ def or_discrepancy_count(space: CoeventSpace) -> int:
     Over all nonempty duals the sum is (7^n - 2 6^n + 5^n)/2.
     """
     n = space.algebra.space.n
-    sizes = Counter(p.bit_count() for p in _audited_principals(space))
+    sizes = Counter(p.bit_count() for p in dual_principals(space, _AUDIT_NEEDS_DUALS))
     return sum(c * 4 ** (n - k) * (3**k - 2 ** (k + 1) + 1) // 2 for k, c in sizes.items())
-
-
-def _audited_principals(space: CoeventSpace) -> Sequence[int]:
-    """The principal masks of a space of nonzero duals; any other is refused."""
-    principals = space.principals
-    if principals is None:
-        raise NotMultiplicative("audit is defined for nonzero multiplicative coevents")
-    return principals

@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, iter_submasks, set_bits
+from .poset import dual_principals, up_sets
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
@@ -364,61 +365,61 @@ def section_audit(
 
 
 def section_topos(
-    instance: topos.CoeventToposInstance,
+    space: CoeventSpace,
     cap: Optional[int],
     include_empty: bool,
     context: Optional[Event],
     event: Optional[Event],
 ) -> dict[str, Any]:
+    principals = dual_principals(space)
+    # member i lies below another iff its up-set row holds more than itself
+    antichain = all(space.tau_row(p) == 1 << i for i, p in enumerate(principals))
     section: dict[str, Any] = {
-        "set": instance.space.provenance,
-        "poset": list(instance.space.renderings),
-        "antichain": instance.is_antichain,
+        "set": space.provenance,
+        "poset": list(space.renderings),
+        "antichain": antichain,
         # over duals every tau row is an up-set of the dual order, so the
         # support selection is a subobject by construction
         "vsupp_is_subobject": True,
     }
     notes = []
-    if instance.is_antichain and len(instance.poset) > 0:
+    if antichain and len(space) > 0:
         notes.append(
             "base poset is an anti-chain: every context's sieves collapse to "
             "the two classical truth values"
         )
     sieve_cap = cap if cap is not None else topos.SIEVE_ENUMERATION_CAP
-    if len(instance.poset) <= sieve_cap:
-        poset = instance.poset
+    if len(space) <= sieve_cap:
         section["classifier"] = {
             "checked": True,
             # every sieve at p is anchored at p, so restriction is functorial
             # by construction (see topos.classifier_functoriality_failures)
             "functorial": True,
-            "sieve_counts": [len(poset.up_sets(row)) for row in poset.up],
+            "sieve_counts": [len(up_sets(space.up_rows, row)) for row in space.up_rows],
         }
     else:
         section["classifier"] = {"checked": False, "functorial": None}
         notes.append(
-            f"classifier enumeration skipped: poset size {len(instance.poset)} "
+            f"classifier enumeration skipped: poset size {len(space)} "
             f"exceeds sieve cap {sieve_cap}"
         )
+    # χ at (p*, A) is tau(A) within p*'s up-set, over duals tau(A & p): "@p*: " and
+    # that row's rendering; the table renders each row once, each cell once per submask of p
     if context is not None:
         phi = coevent.dual_of_event(context, include_empty_dual=include_empty)
-        sieve = topos.chi_vsupp(instance, phi, event)
+        if context.mask not in principals:
+            raise MismatchedSpace("coevent is not in the instance's base poset")
         section["chi"] = {
             "mode": "single",
             "context": str(phi),
             "event": str(event),
-            "sieve": str(sieve),
+            "sieve": f"@{phi}: {space.render(space.tau_row(event.mask & context.mask))}",
         }
     else:
-        # chi_vsupp for every (context, event) cell: the event's tau row
-        # restricted to the context p*'s up-set, tau(A) & tau(p) = tau(A & p),
-        # so each of the 2^n rows is rendered once, and each context's cell
-        # strings once per submask of p
-        space = instance.space
-        names = instance.algebra.space.event_names
+        names = space.algebra.space.event_names
         sieves = [space.render(row) for row in space.tau_table]
         rows = []
-        for rendered, p in zip(space.renderings, space.principals):
+        for rendered, p in zip(space.renderings, principals):
             cells = {a: f"@{rendered}: {sieves[a]}" for a in iter_submasks(p)}
             rows += [(rendered, name, cells[a & p]) for a, name in enumerate(names)]
         section["chi"] = {
@@ -462,8 +463,7 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
 
     def topos_over(s: str = args.set) -> dict[str, Any]:
         topos.check_instance_cap(theory.space.n, topos_cap)  # before the space is built
-        instance = topos.build_instance(space(s), topos_cap)
-        return section_topos(instance, cap, include_empty, context, event)
+        return section_topos(space(s), cap, include_empty, context, event)
 
     # each builder looks its section_* up in the module globals when it runs
     builders = {

@@ -17,6 +17,8 @@ from .coevent import CoeventSpace
 from .errors import MismatchedSpace, NotMultiplicative
 from .eventalg import Record, set_bits, unchecked
 
+_NOT_DUALS = "dual order requires every member to be a nonzero multiplicative coevent"
+
 
 class FinitePoset(Record):
     """A finite partial order held as its up-set rows.
@@ -97,22 +99,8 @@ class FinitePoset(Record):
         return up_sets(self.up, within)
 
     def implication(self, a: int, b: int, within: Optional[int] = None) -> int:
-        """Heyting implication a => b among the up-sets inside ``within``.
-
-        ``within`` is an up-set (by default the whole poset) and a, b are
-        up-sets inside it.  The result is the largest such up-set whose
-        meet with a lies in b: the elements whose whole up-set avoids
-        a minus b.
-        """
-        up = self.up
-        if within is None:
-            within = (1 << len(up)) - 1
-        outside = a & ~b
-        bits = 0
-        for j in set_bits(within):
-            if up[j] & outside == 0:
-                bits |= 1 << j
-        return bits
+        """Heyting implication a => b inside ``within`` (:func:`implication`)."""
+        return implication(self.up, a, b, within)
 
     def is_antichain(self) -> bool:
         return all(row == 1 << i for i, row in enumerate(self.up))
@@ -144,6 +132,27 @@ def up_sets(up: Sequence[int], within: int) -> list[int]:
     return sets if ascending else sorted(sets)
 
 
+def implication(up: Sequence[int], a: int, b: int, within: Optional[int] = None) -> int:
+    """Heyting implication a => b of up-sets inside the up-set ``within`` (by
+    default all) of the order with up-set rows ``up``: the largest up-set whose
+    meet with a lies in b, the elements whose whole up-set avoids a minus b."""
+    if within is None:
+        within = (1 << len(up)) - 1
+    outside = a & ~b
+    bits = 0
+    for j in set_bits(within):
+        if up[j] & outside == 0:
+            bits |= 1 << j
+    return bits
+
+
+def dual_principals(space: CoeventSpace, message: str = _NOT_DUALS) -> Sequence[int]:
+    """The principals of a space of nonzero duals, else NotMultiplicative(message)."""
+    if space.principals is None:
+        raise NotMultiplicative(message)
+    return space.principals
+
+
 def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
     """The dual order on a space of nonzero multiplicative coevents.
 
@@ -152,8 +161,5 @@ def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
     once per space.  Containment is a partial order, so the rows are not
     checked; the tests check them.
     """
-    if space.principals is None:
-        raise NotMultiplicative(
-            "dual order requires every member to be a nonzero multiplicative coevent"
-        )
+    dual_principals(space)
     return unchecked(FinitePoset, elements=space.members, up=space.up_rows)

@@ -709,6 +709,20 @@ def test_the_dual_order_is_built_once_per_space(monkeypatch):
     assert reads == Counter(space.principals)
 
 
+def test_completion_and_implication_build_no_coevent(monkeypatch):
+    """Over all duals the upper completion and its Heyting implication read
+    the space's principals and up-set rows and never build a member."""
+    space = enumerate_multiplicative(algebra_of_size(3))
+    built = []
+    monkeypatch.setattr(Coevent, "_of_key", classmethod(lambda cls, *args: built.append(args)))
+    monkeypatch.setattr(Coevent, "__init__", lambda phi, *args: built.append(args))
+    completion = complete(space, "upper")
+    alpha, beta = (ValuationEvent(space, completion.member_bits[i]) for i in (3, -4))
+    assert heyting_implication(alpha, beta, completion).bits == 0b1111111  # alpha <= beta
+    assert heyting_implication(beta, alpha, completion) == alpha
+    assert built == []
+
+
 def test_boolean_completion_contains_upper(small_algebra):
     space = enumerate_multiplicative(small_algebra)
     upper = set(complete(space, "upper").member_bits)
@@ -1122,23 +1136,29 @@ def test_section_complete_lists_the_first_members_and_marks_the_cut(data):
 @settings(max_examples=60, deadline=None)
 @given(space=dual_spaces())
 def test_chi_table_rows_are_the_single_queries(space):
-    """Each row of the topos section's χ table is ``str(chi_vsupp(...))``
-    for its (context, event) cell: contexts in member order, then events in
-    mask order."""
+    """Each row of the topos section's χ table, and the single query's sieve
+    at its (context, event) cell, is ``str(chi_vsupp(...))``: contexts in
+    member order, then events in mask order."""
     instance = build_instance(space, cap=space.algebra.space.n)
-    names = space.algebra.space.event_names
-    assert section_topos(instance, None, False, None, None)["chi"] == {
+    alg, names = space.algebra, space.algebra.space.event_names
+    cells = [
+        (phi, rendered, event, str(chi_vsupp(instance, phi, event)))
+        for phi, rendered in zip(space, space.renderings)
+        for event in alg.events()
+    ]
+    assert section_topos(space, None, False, None, None)["chi"] == {
         "mode": "table",
         "rows": [
-            {
-                "context": rendered,
-                "event": names[event.mask],
-                "sieve": str(chi_vsupp(instance, phi, event)),
-            }
-            for phi, rendered in zip(space, space.renderings)
-            for event in space.algebra.events()
+            {"context": rendered, "event": names[event.mask], "sieve": sieve}
+            for _, rendered, event, sieve in cells
         ],
     }
+    for phi, _, event, sieve in cells:
+        context = alg.event(phi.principal_mask)
+        single = section_topos(space, None, context.is_empty, context, event)["chi"]
+        assert single == {
+            "mode": "single", "context": str(phi), "event": str(event), "sieve": sieve
+        }
 
 
 @settings(max_examples=100, deadline=None)

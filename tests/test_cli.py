@@ -645,11 +645,17 @@ def test_verbs_on_all_duals_derive_no_support(tmp_path, capsys, monkeypatch, arg
         # the brute-force space holds non-duals: rows and flags come from support bits
         (["coevents", "--set", "all"], THREE_SLIT, 0),
         (["orders", "--set", "all"], THREE_SLIT, 0),
+        # the topos section reads the dual order from the space, classifier included
+        (["topos", "--cap", "15"], 4, 0),
+        (["topos", "--set", "scheme"], 4, 0),
+        (["topos", "--set", "classical"], 4, 0),
+        (["report"], 4, 0),
     ],
     ids=[
         "tau", "orders", "audit", "complete-n6", "complete-n4", "complete-boolean-n4",
         "coevents-multiplicative", "coevents-scheme", "coevents-classical",
-        "coevents-all-three-slit", "orders-all-three-slit",
+        "coevents-all-three-slit", "orders-all-three-slit", "topos-cap15-n4",
+        "topos-scheme-n4", "topos-classical-n4", "report-n4",
     ],
 )
 def test_verbs_on_all_duals_build_no_coevent(tmp_path, capsys, monkeypatch, argv, theory, code):
