@@ -18,9 +18,9 @@ outputs on one n = 12 file of each stanza kind but amplitudes, with the largest
 over all 31 duals of an n = 5 theory, with ``report`` there (three
 sections skipped at the default caps, none but the Boolean completion at
 ``--cap 31``), ``report --include-empty-dual`` on ``three_slit`` and the
-single ``topos`` query over all duals at n = 16 (``LOADER_PINNED``).  Whole-file ``report`` goldens are kept only for the
-two small demo theories; on ``four_slit_decoherence`` its machine form is
-about 126 KB.  A change that means to alter the output regenerates a
+single ``topos`` query over all duals at n = 16 (``LOADER_PINNED``).
+Whole-file ``report`` goldens are kept only for the two small demo
+theories; on ``four_slit_decoherence`` its machine form is about 126 KB.  A change that means to alter the output regenerates a
 golden with, for example,
 
     PYTHONPATH=src python -m coevents validate demos/theories/three_slit.json \\
