@@ -15,7 +15,7 @@ from collections import Counter
 from functools import partial
 from typing import Iterator, Optional, Sequence
 
-from .coevent import Coevent, CoeventSpace, modus_ponens_key
+from .coevent import Coevent, CoeventSpace, dual_principals, modus_ponens_key
 from .errors import (
     CapExceeded,
     MismatchedSpace,
@@ -33,7 +33,7 @@ from .eventalg import (
     set_bits,
     unchecked,
 )
-from .poset import dual_principals, implication, up_sets
+from .poset import implication, up_sets
 
 #: The completions live inside 2**|V|, so closure is capped.
 COMPLETION_CAP = 20

@@ -17,7 +17,7 @@ import sys
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import beables, coevent, measure as measure_mod, topos
-from .coevent import CoeventSpace
+from .coevent import CoeventSpace, dual_principals
 from .errors import (
     CapExceeded,
     CoeventsError,
@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, iter_submasks, set_bits
-from .poset import dual_principals, up_sets
+from .poset import up_sets
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")

@@ -44,6 +44,8 @@ from .measure import Measure
 BRUTE_FORCE_CAP = 3
 BRUTE_FORCE_HARD_CAP = 4
 
+_NOT_DUALS = "dual order requires every member to be a nonzero multiplicative coevent"
+
 
 def _init(phi: Coevent, algebra: EventAlgebra, key: int) -> Coevent:
     """Set the three slots of a new coevent from its key; a dual stores no support bits."""
@@ -329,7 +331,7 @@ class CoeventSpace(Record, compare=("algebra", "keys")):
         dual order, row i the tau row of i's principal; otherwise the AND,
         from all ones, of the tau rows that hold i (the zero coevent, in
         none, keeps all ones).  The upper completion and the dual order
-        (:func:`~coevents.poset.poset_of_coevents`) read it."""
+        (:func:`~coevents.topos.poset_of_coevents`) read it."""
         if self.principals is not None:
             return tuple(map(self.tau_row, self.principals))
         rows = [(1 << len(self)) - 1] * len(self)
@@ -406,6 +408,13 @@ class CoeventSpace(Record, compare=("algebra", "keys")):
 
     def __str__(self) -> str:
         return self.render((1 << len(self)) - 1)
+
+
+def dual_principals(space: CoeventSpace, message: str = _NOT_DUALS) -> Sequence[int]:
+    """The principals of a space of nonzero duals, else NotMultiplicative(message)."""
+    if space.principals is None:
+        raise NotMultiplicative(message)
+    return space.principals
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The up-sets of a finite poset form a finite locale, and two layers use
 one: the upper completion (:mod:`.beables`) is exactly the up-sets of
 the members ordered by support inclusion, the dual order over a space
 of duals, and the sieves of a varying set (:mod:`.topos`) are the
-up-sets above an anchor.  Both take the up-set
-enumeration (:func:`up_sets`) and the implication from here.
+up-sets above an anchor.  Both take the up-set enumeration
+(:func:`up_sets`) and the implication from here.  Nothing here reads a
+coevent: the dual order is :func:`.topos.poset_of_coevents`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .coevent import CoeventSpace
-from .errors import MismatchedSpace, NotMultiplicative
-from .eventalg import Record, set_bits, unchecked
-
-_NOT_DUALS = "dual order requires every member to be a nonzero multiplicative coevent"
+from .errors import MismatchedSpace
+from .eventalg import Record, set_bits
 
 
 class FinitePoset(Record):
@@ -25,7 +23,7 @@ class FinitePoset(Record):
 
     ``up[i]`` is the bitmask, over the element order, of the elements at
     or above ``elements[i]``.  The constructor checks the order's laws;
-    the dual order (:func:`poset_of_coevents`) holds them by construction.
+    the dual order (:func:`.topos.poset_of_coevents`) holds them by construction.
     """
 
     elements: tuple[Hashable, ...]
@@ -144,22 +142,3 @@ def implication(up: Sequence[int], a: int, b: int, within: Optional[int] = None)
         if up[j] & outside == 0:
             bits |= 1 << j
     return bits
-
-
-def dual_principals(space: CoeventSpace, message: str = _NOT_DUALS) -> Sequence[int]:
-    """The principals of a space of nonzero duals, else NotMultiplicative(message)."""
-    if space.principals is None:
-        raise NotMultiplicative(message)
-    return space.principals
-
-
-def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
-    """The dual order on a space of nonzero multiplicative coevents.
-
-    A dual sits below another exactly when its principal event contains
-    the other's, so its up-set rows are the space's ``up_rows``, built
-    once per space.  Containment is a partial order, so the rows are not
-    checked; the tests check them.
-    """
-    dual_principals(space)
-    return unchecked(FinitePoset, elements=space.members, up=space.up_rows)

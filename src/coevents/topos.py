@@ -17,13 +17,14 @@ from typing import Hashable, Iterable, Mapping
 from .coevent import (
     Coevent,
     CoeventSpace,
+    dual_principals,
     enumerate_multiplicative,
     multiplicative_scheme,
 )
 from .errors import CapExceeded, MismatchedSpace, NotASubobject
 from .eventalg import Event, EventAlgebra, Record, set_bits, unchecked
 from .measure import Measure
-from .poset import FinitePoset, poset_of_coevents
+from .poset import FinitePoset
 
 #: Sieve enumeration lists every up-set above an anchor.
 SIEVE_ENUMERATION_CAP = 12
@@ -273,6 +274,16 @@ def classifier_functoriality_failures(
 # The instance over a dual-ordered coevent space
 
 
+def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
+    """The dual order on a space of nonzero multiplicative coevents: a dual
+    sits below another exactly when its principal event contains the
+    other's, so its up-set rows are the space's ``up_rows``, built once per
+    space.  Containment is a partial order, so the rows are not checked;
+    the tests check them."""
+    dual_principals(space)
+    return unchecked(FinitePoset, elements=space.members, up=space.up_rows)
+
+
 class CoeventToposInstance(Record, eq=False):
     """A space of duals in the dual order, each context selecting its support.
 
@@ -325,9 +336,10 @@ def build_mce_instance(
     include_empty_dual: bool = False,
     cap: int = MCE_INSTANCE_CAP,
 ) -> CoeventToposInstance:
-    """The instance over all duals in the dual order."""
+    """The instance over all duals in the dual order, refused before they are listed."""
     check_instance_cap(algebra.space.n, cap)
-    return build_instance(enumerate_multiplicative(algebra, include_empty_dual), cap)
+    duals = enumerate_multiplicative(algebra, include_empty_dual)
+    return CoeventToposInstance(duals, poset_of_coevents(duals))
 
 
 def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventToposInstance:

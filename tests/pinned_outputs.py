@@ -21,7 +21,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ENTRIES = json.loads((ROOT / "tests" / "golden" / "manifest.json").read_text(encoding="utf-8"))
+
+
+def entries() -> list[dict]:
+    """The manifest's entries, in file order."""
+    return json.loads((ROOT / "tests" / "golden" / "manifest.json").read_text(encoding="utf-8"))
 
 
 def mismatch(entry: dict, rc: int, out: bytes, err: str) -> str:
@@ -29,15 +33,10 @@ def mismatch(entry: dict, rc: int, out: bytes, err: str) -> str:
     else the entry as that run produced it, in the manifest's one-line form,
     then, indented, a note if stdout differs from the entry's golden file and
     the run's stderr."""
-    got = {"argv": entry["argv"], "exit": rc}
-    if "golden" in entry:
-        got["golden"] = entry["golden"]
-        differs = out != (ROOT / entry["golden"]).read_bytes()
-    else:
+    got = dict(entry, exit=rc)
+    if "golden" not in entry:
         got.update(bytes=len(out), sha256=hashlib.sha256(out).hexdigest())
-        differs = False
-    if "timeout" in entry:
-        got["timeout"] = entry["timeout"]
+    differs = "golden" in entry and out != (ROOT / entry["golden"]).read_bytes()
     if got == entry and not differs:
         return ""
     notes = [f"stdout differs from {entry['golden']}"] if differs else []
@@ -45,8 +44,8 @@ def mismatch(entry: dict, rc: int, out: bytes, err: str) -> str:
 
 
 def main() -> int:
-    failed = 0
-    for entry in ENTRIES:
+    listed, failed = entries(), 0
+    for entry in listed:
         command = [sys.executable, "-m", "coevents", *entry["argv"]]
         try:
             child = subprocess.run(
@@ -60,7 +59,7 @@ def main() -> int:
         if report:
             failed += 1
             print(report, flush=True)
-    print(f"{len(ENTRIES) - failed} of {len(ENTRIES)} pinned outputs match")
+    print(f"{len(listed) - failed} of {len(listed)} pinned outputs match")
     return 1 if failed else 0
 
 

@@ -36,9 +36,8 @@ from coevents.catalog import three_slit
 from coevents.cli import section_audit, section_complete, section_tau, section_topos
 from coevents.coevent import enumerate_classical, multiplicative_scheme
 from coevents.eventalg import WITNESS_LIST_CAP, set_bits
-from coevents.poset import poset_of_coevents
 from coevents.theoryfile import load_data
-from coevents.topos import build_instance, chi_vsupp
+from coevents.topos import build_instance, chi_vsupp, poset_of_coevents
 
 from conftest import (
     algebra_of_size,

@@ -25,10 +25,10 @@ import pytest
 
 from coevents import catalog, theoryfile
 from coevents.cli import run
-from pinned_outputs import ENTRIES, ROOT, mismatch
+from pinned_outputs import ROOT, entries, mismatch
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: " ".join(entry["argv"]))
+@pytest.mark.parametrize("entry", entries(), ids=lambda entry: " ".join(entry["argv"]))
 def test_cli_output_matches_its_manifest_entry(capsys, monkeypatch, entry):
     monkeypatch.chdir(ROOT)
     rc = run(entry["argv"])
