@@ -34,7 +34,7 @@ def test_cli_output_matches_its_manifest_entry(capsys, monkeypatch, entry):
     rc = run(entry["argv"])
     out, err = capsys.readouterr()
     report = mismatch(entry, rc, out.encode("utf-8"), err)
-    if report:  # not an assert, so that the check also runs under python -O
+    if report:  # fail with the report alone, so that its first line can be copied
         pytest.fail(report, pytrace=False)
 
 
