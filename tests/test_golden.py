@@ -17,9 +17,14 @@ the printed line.  A change that means to alter an output copies the
 printed line over the old one, or rewrites the golden file with
 ``python -m coevents <argv> > <golden>``, and lists the entries it changed
 in CHANGES.md.
+
+Each demo's stdout is pinned the same way, in ``tests/golden/demos/``
+under the demo's name.
 """
 
 from __future__ import annotations
+
+import runpy
 
 import pytest
 
@@ -42,3 +47,10 @@ def test_cli_output_matches_its_manifest_entry(capsys, monkeypatch, entry):
 def test_corpus_theory_files_load_the_catalog_measures(name):
     theory = theoryfile.load(ROOT / "tests" / "golden" / "theories" / f"{name}.json")
     assert theory.measure == catalog.corpus()[name]
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
+def test_demo_output_matches_its_golden_file(capsys, demo):
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (ROOT / "tests" / "golden" / "demos" / f"{demo.stem}.txt").read_bytes()
