@@ -1,6 +1,6 @@
 """The value classes: equality, hashing, immutability, repr, pickling and
 copying, as the ``Record`` base and ``Coevent`` give them, and the import
-cost of the package."""
+cost and the public names of the package."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import copy
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,3 +221,101 @@ def test_importing_the_package_runs_no_dataclass_machinery():
         [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+#: The package's public API: every name ``import coevents`` binds, less the
+#: submodules.  An API change edits this tuple, so that its diff shows it.
+PUBLIC_NAMES = (
+    "AuditRecord",
+    "CapExceeded",
+    "CoarseGraining",
+    "Coevent",
+    "CoeventSpace",
+    "CoeventToposInstance",
+    "CoeventsError",
+    "Completion",
+    "DecoherenceSpec",
+    "EmptyEventDual",
+    "Event",
+    "EventAlgebra",
+    "EventFamily",
+    "FinitePoset",
+    "GaussianRational",
+    "HistoriesTheory",
+    "InvalidPartition",
+    "Measure",
+    "MismatchedSpace",
+    "NonRealDiagonal",
+    "NotASubobject",
+    "NotMultiplicative",
+    "NotUpperMode",
+    "OrderReport",
+    "ParseError",
+    "SampleSpace",
+    "Sieve",
+    "SubobjectClassifier",
+    "SubobjectOfConstant",
+    "TheoryOptions",
+    "TruthFunction",
+    "UnknownHistory",
+    "ValidationError",
+    "ValidationReport",
+    "ValuationEvent",
+    "VaryingSet",
+    "Violation",
+    "ZeroCoevent",
+    "and_or_audit",
+    "build_instance",
+    "build_mce_instance",
+    "build_scheme_instance",
+    "characteristic_map",
+    "check_modus_ponens",
+    "chi_vsupp",
+    "classical_from_history",
+    "classical_preclusive_set",
+    "classifier",
+    "coarse_grain",
+    "complement",
+    "complete",
+    "constant_varying_set",
+    "down_closure",
+    "dual_of_coevent",
+    "dual_of_event",
+    "enumerate_classical",
+    "enumerate_coevents",
+    "enumerate_multiplicative",
+    "evaluate",
+    "heyting_implication",
+    "implies",
+    "is_classical",
+    "is_decoherent",
+    "is_filter",
+    "is_multiplicative",
+    "is_preclusive",
+    "is_subobject",
+    "join",
+    "load",
+    "measure_from_decoherence",
+    "meet",
+    "multiplicative_scheme",
+    "null_cover_exists",
+    "null_sets",
+    "or_discrepancies",
+    "or_discrepancy_count",
+    "order_report",
+    "sieves_at",
+    "sym_diff",
+    "tau",
+    "truth_evaluate",
+    "up_closure",
+    "validate_classical",
+    "validate_quantum",
+)
+
+
+def test_the_public_names_are_the_pinned_tuple():
+    public = (
+        name for name, value in vars(coevents).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert tuple(sorted(public)) == PUBLIC_NAMES
