@@ -8,6 +8,9 @@ measures (:mod:`.measure`), coevents and the multiplicative scheme
 (:mod:`.topos`), the finite-poset core both of these read their up-sets
 and Heyting implication from (:mod:`.poset`), and a file-driven CLI
 (:mod:`.cli`).
+
+Each operation has one spelling: an event's ``&``, ``|``, ``~`` and ``^``
+(implication is ``~a | b``), a coevent's ``phi(A)``, a truth function's ``f(alpha)``.
 """
 
 from .beables import (
@@ -23,7 +26,6 @@ from .beables import (
     or_discrepancy_count,
     order_report,
     tau,
-    truth_evaluate,
 )
 from .coevent import (
     Coevent,
@@ -36,7 +38,6 @@ from .coevent import (
     enumerate_classical,
     enumerate_coevents,
     enumerate_multiplicative,
-    evaluate,
     is_classical,
     is_multiplicative,
     is_preclusive,
@@ -62,14 +63,7 @@ from .eventalg import (
     EventAlgebra,
     EventFamily,
     SampleSpace,
-    complement,
-    down_closure,
-    implies,
     is_filter,
-    join,
-    meet,
-    sym_diff,
-    up_closure,
 )
 from .measure import (
     CoarseGraining,

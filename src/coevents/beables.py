@@ -119,14 +119,10 @@ class TruthFunction(Record):
             raise MismatchedSpace("pivot coevent is not a member of the space")
 
     def __call__(self, alpha: ValuationEvent) -> int:
-        return truth_evaluate(self, alpha)
-
-
-def truth_evaluate(f: TruthFunction, alpha: ValuationEvent) -> int:
-    """1 iff the pivot coevent belongs to the valuation event."""
-    if alpha.space != f.space:
-        raise MismatchedSpace("valuation event over a different coevent space")
-    return 1 if f.pivot in alpha else 0
+        """1 iff the pivot coevent belongs to the valuation event."""
+        if alpha.space != self.space:
+            raise MismatchedSpace("valuation event over a different coevent space")
+        return 1 if self.pivot in alpha else 0
 
 
 # ---------------------------------------------------------------------------

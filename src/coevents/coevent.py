@@ -165,11 +165,6 @@ class Coevent:
         return render_key(self.algebra.space, self._key)
 
 
-def evaluate(phi: Coevent, event: Event) -> int:
-    """phi(A): 1 iff A is in the support."""
-    return phi(event)
-
-
 def _held(keys: Iterable[int]) -> Sequence[int]:
     """The keys as held by a space: s, s + 1, ... as a range, else a tuple."""
     if isinstance(keys, range):

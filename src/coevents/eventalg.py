@@ -309,9 +309,9 @@ def _require_same_space(a: Event, b: Event) -> None:
 class EventAlgebra(Record):
     """The full powerset 2^Omega of a sample space.
 
-    Set inclusion is the partial order; meet/join/complement are the
-    set operations, which makes the algebra a Boolean lattice (and,
-    via AB = A&B and A+B = A^B, an algebra over Z2).
+    Set inclusion is the partial order; an event's ``&``, ``|`` and ``~``
+    are meet, join and complement, a Boolean lattice (implication is
+    ``~a | b``; via AB = A&B and A+B = A^B, an algebra over Z2).
     """
 
     space: SampleSpace
@@ -397,15 +397,11 @@ class EventFamily(Record):
         events = list(events)
         if not events:
             raise ValueError("cannot infer a sample space from an empty iterable; "
-                             "use from_masks")
+                             "use EventFamily(space, masks)")
         space = events[0].space
         for ev in events[1:]:
             _require_same_space(events[0], ev)
         return cls(space, tuple(ev.mask for ev in events))
-
-    @classmethod
-    def from_masks(cls, space: SampleSpace, masks: Iterable[int]) -> "EventFamily":
-        return cls(space, tuple(masks))
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -428,35 +424,7 @@ class EventFamily(Record):
 
 
 # ---------------------------------------------------------------------------
-# Lattice operations
-
-
-def meet(a: Event, b: Event) -> Event:
-    """A AND B (set intersection)."""
-    return a & b
-
-
-def join(a: Event, b: Event) -> Event:
-    """A OR B (set union)."""
-    return a | b
-
-
-def complement(a: Event) -> Event:
-    """NOT A (set complement in Omega)."""
-    return ~a
-
-
-def sym_diff(a: Event, b: Event) -> Event:
-    """Symmetric difference; addition in the Z2-algebra picture."""
-    return a ^ b
-
-
-def implies(a: Event, b: Event) -> Event:
-    """Boolean-lattice implication, NOT A OR B.
-
-    Equals the full event exactly when A is a subset of B.
-    """
-    return ~a | b
+# Submasks, supermasks and filters
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -526,17 +494,6 @@ def masks_lacking(n: int, i: int) -> int:
     """
     run = 1 << i
     return ((1 << run) - 1) * (((1 << (1 << n)) - 1) // ((1 << 2 * run) - 1))
-
-
-def up_closure(a: Event) -> EventFamily:
-    """All events containing A, in canonical order."""
-    full = a.space.full_mask
-    return EventFamily(a.space, tuple(iter_supermasks(a.mask, full)))
-
-
-def down_closure(a: Event) -> EventFamily:
-    """All events contained in A, in canonical order."""
-    return EventFamily(a.space, tuple(iter_submasks(a.mask)))
 
 
 def principal_of(bits: int, full: int) -> Optional[int]:

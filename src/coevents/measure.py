@@ -990,7 +990,7 @@ def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
 
 def null_sets(m: Measure) -> EventFamily:
     """All events of exactly zero measure, in canonical order."""
-    return EventFamily.from_masks(m.algebra.space, m.null_masks)
+    return EventFamily(m.algebra.space, m.null_masks)
 
 
 def null_cover_exists(m: Measure) -> bool:
@@ -1044,7 +1044,7 @@ def coarse_grain(m: Measure, graining: CoarseGraining) -> CoarseGrainedMeasure:
     """Restrict the measure to all unions of the partition's blocks."""
     if graining.blocks.space != m.algebra.space:
         raise MismatchedSpace("partition belongs to a different sample space")
-    family = EventFamily.from_masks(m.algebra.space, _block_unions(graining))
+    family = EventFamily(m.algebra.space, _block_unions(graining))
     return CoarseGrainedMeasure(
         graining, family, {mask: m.values[mask] for mask in family.masks}
     )

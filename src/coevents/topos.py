@@ -40,12 +40,6 @@ class Sieve(Record):
     at: Hashable
     bits: int
 
-    def __init__(self, poset: FinitePoset, at: Hashable, bits: int) -> None:
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "bits", bits)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.bits & ~self.poset.up[self.poset.index(self.at)]:
             raise ValueError("sieve members must lie above the anchor")
@@ -202,27 +196,13 @@ def _require_subobject(s: SubobjectOfConstant) -> None:
 def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Sieve:
     """The sieve of contexts above p at which x belongs to the selection:
     x's column ANDed with p's up-set row, the rule :func:`chi_vsupp` reads
-    with A's tau row as the column.  Monotonicity is the cached verdict."""
+    with A's tau row as the column.  Monotonicity is the cached verdict.
+    Natural with no check: χ(p, x) restricted to q >= p is ``columns[x] &
+    up[p] & up[q]``, which is χ(q, x), as up[q] ⊆ up[p] on a transitive order."""
     _require_subobject(s)
     if x not in s.columns:
         raise ValueError(f"{x} is not in the ambient set")
     return unchecked(Sieve, poset=s.poset, at=p, bits=s.columns[x] & s.poset.up[s.poset.index(p)])
-
-
-def characteristic_naturality_failures(
-    s: SubobjectOfConstant,
-) -> tuple[tuple[Hashable, Hashable, Hashable], ...]:
-    """Triples (p, q, x), p <= q, where restriction does not commute with the map:
-    x's column meets up(q) outside up(p), possible only if the order is not transitive."""
-    _require_subobject(s)
-    poset, columns, failures = s.poset, s.columns, []
-    ambient = sorted(columns, key=str)
-    for i, row in enumerate(poset.up):
-        for j in set_bits(row):
-            for x in ambient:
-                if columns[x] & poset.up[j] & ~row:
-                    failures.append((poset.elements[i], poset.elements[j], x))
-    return tuple(failures)
 
 
 class SubobjectClassifier(Record, eq=False):

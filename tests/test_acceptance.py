@@ -36,14 +36,12 @@ from coevents import (
     multiplicative_scheme,
     order_report,
     tau,
-    truth_evaluate,
     validate_classical,
     validate_quantum,
 )
 from coevents.catalog import corpus, three_slit
 from coevents.topos import (
     build_mce_instance,
-    characteristic_naturality_failures,
     chi_vsupp,
     classifier,
     classifier_functoriality_failures,
@@ -55,7 +53,7 @@ from coevents.topos import (
 )
 
 from conftest import LETTER_LABELS, algebra_of_size, dual_up_masks, support_key
-from test_topos import all_subobjects, poset_corpus
+from test_topos import all_subobjects, naturality_failures_oracle, poset_corpus
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
 
@@ -211,15 +209,11 @@ def test_criterion_07_truth_functions_and_audits():
                 f = TruthFunction(space, phi)
                 for abits in range(size):
                     alpha = ValuationEvent(space, abits)
-                    assert truth_evaluate(f, ~alpha) == 1 - truth_evaluate(f, alpha)
+                    assert f(~alpha) == 1 - f(alpha)
                     for bbits in range(size):
                         beta = ValuationEvent(space, bbits)
-                        assert truth_evaluate(f, alpha & beta) == (
-                            truth_evaluate(f, alpha) & truth_evaluate(f, beta)
-                        )
-                        assert truth_evaluate(f, alpha | beta) == (
-                            truth_evaluate(f, alpha) | truth_evaluate(f, beta)
-                        )
+                        assert f(alpha & beta) == f(alpha) & f(beta)
+                        assert f(alpha | beta) == f(alpha) | f(beta)
 
             alg = space.algebra
             discrepancies = 0
@@ -239,7 +233,7 @@ def test_criterion_08_topos_layer():
             omega = classifier(poset)
             assert classifier_functoriality_failures(omega) == ()
             for s in all_subobjects(poset, ("x", "y")):
-                assert characteristic_naturality_failures(s) == ()
+                assert naturality_failures_oracle(s) == ()
 
         for n in (1, 2, 3):
             instance = build_mce_instance(algebra_of_size(n))

@@ -28,7 +28,6 @@ from coevents import (
     or_discrepancies,
     order_report,
     tau,
-    truth_evaluate,
 )
 from coevents import beables as beables_mod
 from coevents.beables import OrderReport, _flags_from_principals, _flags_from_table
@@ -877,16 +876,12 @@ def test_truth_functions_are_boolean_homomorphisms(n):
         f = TruthFunction(space, phi)
         for abits in range(size):
             alpha = ValuationEvent(space, abits)
-            assert f(alpha) == truth_evaluate(f, alpha) == (phi in alpha)
-            assert truth_evaluate(f, ~alpha) == 1 - truth_evaluate(f, alpha)
+            assert f(alpha) == (phi in alpha)
+            assert f(~alpha) == 1 - f(alpha)
             for bbits in range(size):
                 beta = ValuationEvent(space, bbits)
-                assert truth_evaluate(f, alpha & beta) == (
-                    truth_evaluate(f, alpha) & truth_evaluate(f, beta)
-                )
-                assert truth_evaluate(f, alpha | beta) == (
-                    truth_evaluate(f, alpha) | truth_evaluate(f, beta)
-                )
+                assert f(alpha & beta) == f(alpha) & f(beta)
+                assert f(alpha | beta) == f(alpha) | f(beta)
 
 
 def test_truth_function_requires_member_pivot(coin_algebra):
@@ -894,6 +889,12 @@ def test_truth_function_requires_member_pivot(coin_algebra):
     foreign = Coevent(coin_algebra, frozenset([1, 2]))
     with pytest.raises(MismatchedSpace):
         TruthFunction(space, foreign)
+
+
+def test_truth_function_rejects_foreign_valuation_events():
+    f = TruthFunction(mce(2), mce(2).members[0])
+    with pytest.raises(MismatchedSpace, match="different coevent space"):
+        f(ValuationEvent(mce(3), 1))
 
 
 def test_audit_or_discrepancy_at_the_full_dual():
@@ -960,8 +961,8 @@ def test_audit_matches_the_truth_function_route(data):
     f = TruthFunction(space, phi)
     ta = ValuationEvent(space, member_scan(a.mask, space))
     tb = ValuationEvent(space, member_scan(b.mask, space))
-    assert record.f_meet == truth_evaluate(f, ta & tb)
-    assert record.f_join == truth_evaluate(f, ta | tb)
+    assert record.f_meet == f(ta & tb)
+    assert record.f_join == f(ta | tb)
     assert (record.phi_a, record.phi_b) == (phi(a), phi(b))
     assert (record.phi_meet, record.phi_join) == (phi(a & b), phi(a | b))
 

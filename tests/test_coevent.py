@@ -61,20 +61,18 @@ def constant_one(alg: EventAlgebra) -> Coevent:
 
 
 def test_evaluate_examples(coin_algebra):
-    from coevents import evaluate
-
     h_star = dual_of_event(coin_algebra.event_from_labels(["h"]))
-    assert evaluate(h_star, coin_algebra.full) == 1
+    assert h_star(coin_algebra.full) == 1
     assert h_star(coin_algebra.event_from_labels(["t"])) == 0
     assert zero_coevent(coin_algebra)(coin_algebra.full) == 0
 
 
 def test_evaluate_rejects_foreign_events(coin_algebra, abc_algebra):
-    from coevents import MismatchedSpace, evaluate
+    from coevents import MismatchedSpace
 
     h_star = dual_of_event(coin_algebra.event_from_labels(["h"]))
     with pytest.raises(MismatchedSpace):
-        evaluate(h_star, abc_algebra.full)
+        h_star(abc_algebra.full)
 
 
 @pytest.mark.parametrize("mask", [-1, 4])
@@ -225,7 +223,7 @@ def test_nonzero_multiplicative_iff_filter_support(n):
     alg = algebra_of_size(n)
     for phi in enumerate_coevents(alg):
         lhs = is_multiplicative(phi, include_empty_dual=True) and not phi.is_zero
-        rhs = is_filter(EventFamily.from_masks(alg.space, phi.support))[0]
+        rhs = is_filter(EventFamily(alg.space, phi.support))[0]
         assert lhs == rhs
 
 
@@ -308,7 +306,7 @@ def test_principal_mask_predicates_match_pairwise_definitions(drawn):
     alg, support = drawn
     phi = Coevent(alg, support)
     is_a_filter = filter_oracle(support, alg.space.full_mask)
-    ok, principal = is_filter(EventFamily.from_masks(alg.space, support))
+    ok, principal = is_filter(EventFamily(alg.space, support))
     assert ok == is_a_filter
     assert (phi.principal_mask is not None) == is_a_filter
     if is_a_filter:
@@ -403,7 +401,7 @@ def measures_with_zeros(draw, max_n: int = 5, space: Optional[SampleSpace] = Non
 def preclusive_dual_events(m: Measure) -> EventFamily:
     """The nonempty events whose dual is preclusive, read from the null
     sets' down-closure (``_preclusive_bits``)."""
-    return EventFamily.from_masks(m.algebra.space, set_bits(_preclusive_bits(m)))
+    return EventFamily(m.algebra.space, set_bits(_preclusive_bits(m)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -703,7 +701,7 @@ def test_support_bits_match_the_frozenset_oracles(m, data):
     assert is_preclusive(phi, m) == support.isdisjoint(m.null_masks)
     walk = all(s in support for a in support for s in iter_supermasks(a, full))
     assert check_modus_ponens(phi) == walk
-    family = str(EventFamily.from_masks(alg.space, support))
+    family = str(EventFamily(alg.space, support))
     assert str(phi) == (family if p is None else f"{Event(alg.space, p)}*")
 
 
@@ -724,7 +722,7 @@ def test_coevents_rows_match_the_pairwise_definitions(data):
     rows = [
         {
             "coevent": (
-                str(EventFamily.from_masks(alg.space, phi.support))
+                str(EventFamily(alg.space, phi.support))
                 if phi.principal_mask is None
                 else f"{Event(alg.space, phi.principal_mask)}*"
             ),

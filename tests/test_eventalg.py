@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -12,16 +13,15 @@ from coevents import (
     MismatchedSpace,
     SampleSpace,
     UnknownHistory,
-    complement,
-    down_closure,
-    implies,
     is_filter,
-    join,
-    meet,
-    sym_diff,
-    up_closure,
 )
-from coevents.eventalg import down_set, iter_submasks, iter_supermasks, masks_lacking, set_bits
+from coevents.eventalg import (
+    down_set,
+    iter_submasks,
+    iter_supermasks,
+    masks_lacking,
+    set_bits,
+)
 
 from conftest import algebra_of_size
 
@@ -50,41 +50,43 @@ def test_meet_join_complement_sym_diff(coin_algebra, abc_algebra):
     h = coin_algebra.event_from_labels(["h"])
     t = coin_algebra.event_from_labels(["t"])
     ht = coin_algebra.full
-    assert meet(h, ht) == h  # absorption
-    assert sym_diff(h, t) == ht  # disjoint union
+    assert h & ht == h  # absorption
+    assert h ^ t == ht  # disjoint union
     ab = abc_algebra.event_from_labels(["a", "b"])
-    assert complement(ab) == abc_algebra.event_from_labels(["c"])
-    assert str(complement(ab)) == "{c}"
+    assert ~ab == abc_algebra.event_from_labels(["c"])
+    assert str(~ab) == "{c}"
 
 
 def test_operations_reject_mismatched_spaces(coin_algebra, abc_algebra):
     h = coin_algebra.event_from_labels(["h"])
     a = abc_algebra.event_from_labels(["a"])
-    for op in (meet, join, sym_diff, implies):
+    for op in (operator.and_, operator.or_, operator.xor, lambda a, b: ~a | b):
         with pytest.raises(MismatchedSpace):
             op(h, a)
 
 
 def test_implies_examples(coin_algebra, abc_algebra):
     h = coin_algebra.event_from_labels(["h"])
-    assert implies(h, h) == coin_algebra.full
-    assert implies(coin_algebra.full, h) == h
+    assert ~h | h == coin_algebra.full
+    assert ~coin_algebra.full | h == h
     a = abc_algebra.event_from_labels(["a"])
     ab = abc_algebra.event_from_labels(["a", "b"])
-    assert implies(a, ab) == abc_algebra.full
+    assert ~a | ab == abc_algebra.full
 
 
 def test_implies_full_iff_subset(small_algebra):
     alg = small_algebra
     for a in alg.events():
         for b in alg.events():
-            assert (implies(a, b) == alg.full) == a.issubset(b)
+            assert (~a | b == alg.full) == a.issubset(b)
 
 
 def test_up_closure_examples(coin_algebra):
     h = coin_algebra.event_from_labels(["h"])
-    assert [ev.mask for ev in up_closure(h)] == [h.mask, coin_algebra.full.mask]
-    assert len(up_closure(coin_algebra.empty)) == 4
+    full = coin_algebra.space.full_mask
+    ups = EventFamily(coin_algebra.space, iter_supermasks(h.mask, full))
+    assert [ev.mask for ev in ups] == [h.mask, coin_algebra.full.mask]
+    assert len(EventFamily(coin_algebra.space, iter_supermasks(0, full))) == 4
 
 
 def test_down_closure_size_matches_subset_count(abc_algebra):
@@ -92,12 +94,15 @@ def test_down_closure_size_matches_subset_count(abc_algebra):
     # oracle: count subsets by scanning the whole algebra
     expected = sum(1 for ev in abc_algebra.events() if ev.issubset(ab))
     assert expected == 4
-    assert len(down_closure(ab)) == expected
+    assert len(EventFamily(abc_algebra.space, iter_submasks(ab.mask))) == expected
 
 
 def test_closures_are_canonically_ordered(small_algebra):
+    space = small_algebra.space
     for ev in small_algebra.events():
-        for family in (up_closure(ev), down_closure(ev)):
+        ups = EventFamily(space, iter_supermasks(ev.mask, space.full_mask))
+        downs = EventFamily(space, iter_submasks(ev.mask))
+        for family in (ups, downs):
             assert list(family.masks) == sorted(set(family.masks))
 
 
@@ -109,22 +114,24 @@ def test_is_filter_examples(coin_algebra):
     assert ok and principal == h
     ok, principal = is_filter(EventFamily.from_events([h, t, full]))
     assert not ok and principal is None
-    assert is_filter(EventFamily.from_masks(coin_algebra.space, [])) == (False, None)
+    assert is_filter(EventFamily(coin_algebra.space, [])) == (False, None)
 
 
 def test_up_closures_are_exactly_the_filters(small_algebra):
+    space = small_algebra.space
     for ev in small_algebra.events():
-        ok, principal = is_filter(up_closure(ev))
+        ok, principal = is_filter(EventFamily(space, iter_supermasks(ev.mask, space.full_mask)))
         assert ok and principal == ev
 
 
 def test_filter_is_filter_via_closure_oracle(abc_algebra):
     ab = abc_algebra.event_from_labels(["a", "b"])
-    family = up_closure(ab)
+    full = abc_algebra.space.full_mask
+    family = EventFamily(abc_algebra.space, iter_supermasks(ab.mask, full))
     ok, principal = is_filter(family)
     assert ok and principal == ab
     # oracle: the family is the up-closure of its minimal element
-    assert set(family.masks) == set(up_closure(principal).masks)
+    assert set(family.masks) == set(iter_supermasks(principal.mask, full))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -134,16 +141,16 @@ def test_filter_scan_intersection_closed_union_not(n):
     families = []
     for code in range(1 << size):
         masks = [m for m in range(size) if code >> m & 1]
-        families.append(EventFamily.from_masks(alg.space, masks))
+        families.append(EventFamily(alg.space, masks))
     filters = [f for f in families if is_filter(f)[0]]
     # every up-closure appears, and nothing else does
     assert len(filters) == size
     union_failures = 0
     for f in filters:
         for g in filters:
-            inter = EventFamily.from_masks(alg.space, set(f.masks) & set(g.masks))
+            inter = EventFamily(alg.space, set(f.masks) & set(g.masks))
             assert is_filter(inter)[0]
-            union = EventFamily.from_masks(alg.space, set(f.masks) | set(g.masks))
+            union = EventFamily(alg.space, set(f.masks) | set(g.masks))
             if not is_filter(union)[0]:
                 union_failures += 1
     if n == 2:
@@ -155,13 +162,13 @@ def test_boolean_lattice_axioms_exhaustive(small_algebra):
     events = list(alg.events())
     empty, full = alg.empty, alg.full
     for a in events:
-        assert meet(a, complement(a)) == empty
-        assert join(a, complement(a)) == full
+        assert a & ~a == empty
+        assert a | ~a == full
         for b in events:
-            assert meet(a, b) == meet(b, a)
-            assert join(a, b) == join(b, a)
-            assert meet(a, join(a, b)) == a
-            assert join(a, meet(a, b)) == a
+            assert a & b == b & a
+            assert a | b == b | a
+            assert a & (a | b) == a
+            assert a | (a & b) == a
     triples = itertools.product(events, repeat=3) if alg.size <= 8 else (
         (events[i], events[j], events[k])
         for i in range(0, alg.size, 3)
@@ -169,10 +176,10 @@ def test_boolean_lattice_axioms_exhaustive(small_algebra):
         for k in range(alg.size)
     )
     for a, b, c in triples:
-        assert meet(a, meet(b, c)) == meet(meet(a, b), c)
-        assert join(a, join(b, c)) == join(join(a, b), c)
-        assert meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
-        assert join(a, meet(b, c)) == meet(join(a, b), join(a, c))
+        assert a & (b & c) == (a & b) & c
+        assert a | (b | c) == (a | b) | c
+        assert a & (b | c) == (a & b) | (a & c)
+        assert a | (b & c) == (a | b) & (a | c)
 
 
 @given(data=st.data(), n=st.integers(min_value=1, max_value=6))
@@ -181,10 +188,10 @@ def test_lattice_laws_random_masks(data, n):
     masks = st.integers(min_value=0, max_value=alg.size - 1)
     a = alg.event(data.draw(masks))
     b = alg.event(data.draw(masks))
-    assert complement(complement(a)) == a
-    assert complement(meet(a, b)) == join(complement(a), complement(b))
-    assert complement(join(a, b)) == meet(complement(a), complement(b))
-    assert sym_diff(a, b) == join(meet(a, complement(b)), meet(b, complement(a)))
+    assert ~~a == a
+    assert ~(a & b) == ~a | ~b
+    assert ~(a | b) == ~a & ~b
+    assert a ^ b == (a & ~b) | (b & ~a)
 
 
 def test_submask_iterators_are_ascending_and_complete():
@@ -279,6 +286,8 @@ def test_event_family_dedupes_and_orders(coin_algebra):
     assert h in family and coin_algebra.empty not in family
     with pytest.raises(MismatchedSpace):
         EventAlgebra(SampleSpace(("x",))).full in family
+    with pytest.raises(ValueError, match=r"use EventFamily\(space, masks\)"):
+        EventFamily.from_events([])
 
 
 @given(masks=st.lists(st.integers(0, 7), max_size=10))
@@ -287,7 +296,6 @@ def test_event_family_masks_are_ascending_and_distinct(masks):
     space = algebra_of_size(3).space
     expected = tuple(sorted(set(masks)))
     for given_masks in (masks, sorted(masks)):
-        assert EventFamily.from_masks(space, given_masks).masks == expected
         assert EventFamily(space, tuple(given_masks)).masks == expected
         # a list or a generator is stored as the same tuple, so the families
         # are equal and hash alike

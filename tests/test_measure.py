@@ -1337,11 +1337,11 @@ def test_complex_phases_has_single_null_doubleton():
 def test_coarse_graining_validation():
     space = SampleSpace(("1", "2", "3"))
     with pytest.raises(InvalidPartition):
-        CoarseGraining(EventFamily.from_masks(space, [0b011, 0b110]))  # overlap
+        CoarseGraining(EventFamily(space, [0b011, 0b110]))  # overlap
     with pytest.raises(InvalidPartition):
-        CoarseGraining(EventFamily.from_masks(space, [0b011]))  # no cover
+        CoarseGraining(EventFamily(space, [0b011]))  # no cover
     with pytest.raises(InvalidPartition):
-        CoarseGraining(EventFamily.from_masks(space, [0, 0b111]))  # empty block
+        CoarseGraining(EventFamily(space, [0, 0b111]))  # empty block
 
 
 def test_three_slit_coarse_grainings():
@@ -1392,5 +1392,5 @@ def test_is_decoherent_matches_pairwise_definition(kind, data):
     blocks = {}
     for i, b in enumerate(owner):
         blocks[b] = blocks.get(b, 0) | 1 << i
-    graining = CoarseGraining(EventFamily.from_masks(m.algebra.space, blocks.values()))
+    graining = CoarseGraining(EventFamily(m.algebra.space, blocks.values()))
     assert is_decoherent(m, graining) == decoherence_oracle(m, graining)

@@ -275,28 +275,22 @@ PUBLIC_NAMES = (
     "classical_preclusive_set",
     "classifier",
     "coarse_grain",
-    "complement",
     "complete",
     "constant_varying_set",
-    "down_closure",
     "dual_of_coevent",
     "dual_of_event",
     "enumerate_classical",
     "enumerate_coevents",
     "enumerate_multiplicative",
-    "evaluate",
     "heyting_implication",
-    "implies",
     "is_classical",
     "is_decoherent",
     "is_filter",
     "is_multiplicative",
     "is_preclusive",
     "is_subobject",
-    "join",
     "load",
     "measure_from_decoherence",
-    "meet",
     "multiplicative_scheme",
     "null_cover_exists",
     "null_sets",
@@ -304,10 +298,7 @@ PUBLIC_NAMES = (
     "or_discrepancy_count",
     "order_report",
     "sieves_at",
-    "sym_diff",
     "tau",
-    "truth_evaluate",
-    "up_closure",
     "validate_classical",
     "validate_quantum",
 )

@@ -38,7 +38,6 @@ from coevents import topos as topos_module
 from coevents.catalog import four_slit, three_slit
 from coevents.eventalg import iter_submasks, set_bits, unchecked
 from coevents.topos import (
-    characteristic_naturality_failures,
     classifier_functoriality_failures,
     poset_of_coevents,
     sieve_implication,
@@ -542,7 +541,7 @@ def test_characteristic_naturality_exhaustively(poset):
     for s in all_subobjects(poset, ("x", "y")):
         ok, _ = is_subobject(s)
         assert ok
-        assert characteristic_naturality_failures(s) == ()
+        assert naturality_failures_oracle(s) == ()
 
 
 def test_characteristic_naturality_on_the_grid():
@@ -555,12 +554,14 @@ def test_characteristic_naturality_on_the_grid():
             frozenset({"x"}),
             tuple(frozenset({"x"}) if bits >> j & 1 else frozenset() for j in range(len(poset))),
         )
-        assert characteristic_naturality_failures(s) == ()
+        assert naturality_failures_oracle(s) == ()
 
 
 def naturality_failures_oracle(s: SubobjectOfConstant) -> tuple:
-    """The per-triple walk: two ``characteristic_map`` calls per (p, q, x),
-    each checking monotonicity again."""
+    """Triples (p, q, x), p <= q, where χ(p, x) restricted to q is not
+    χ(q, x): two ``characteristic_map`` calls per triple.  Empty on every
+    transitive order (see ``characteristic_map``), which the exhaustive
+    tests confirm cell by cell."""
     failures = []
     poset = s.poset
     for i, row in enumerate(poset.up):
@@ -571,53 +572,6 @@ def naturality_failures_oracle(s: SubobjectOfConstant) -> tuple:
                 if at_q.bits != restricted:
                     failures.append((poset.elements[i], poset.elements[j], x))
     return tuple(failures)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_characteristic_naturality_matches_the_per_triple_walk(data):
-    """Same triples, or the same refusal, as the per-triple walk.  The
-    relation is any reflexive one, built unchecked, so that an intransitive
-    relation lets a monotone selection fail naturality; the selections are
-    up-closed under it or drawn at random."""
-    n = data.draw(st.integers(1, 4), label="n")
-    up = tuple(
-        1 << i | data.draw(st.integers(0, (1 << n) - 1), label=f"up[{i}]") for i in range(n)
-    )
-    poset = unchecked(FinitePoset, elements=tuple(f"e{i}" for i in range(n)), up=up)
-    ambient = ("x", "y", "z")[: data.draw(st.integers(0, 3), label="ambient size")]
-    selecting = {x: data.draw(st.integers(0, (1 << n) - 1), label=x) for x in ambient}
-    if data.draw(st.booleans(), label="monotone"):
-        for x, bits in selecting.items():
-            while True:
-                closed = bits
-                for i in set_bits(bits):
-                    closed |= up[i]
-                if closed == bits:
-                    break
-                bits = closed
-            selecting[x] = bits
-    selections = tuple(
-        frozenset(x for x in ambient if selecting[x] >> i & 1) for i in range(n)
-    )
-    s = SubobjectOfConstant(poset, frozenset(ambient), selections)
-    try:
-        expected = naturality_failures_oracle(s)
-    except NotASubobject:
-        assert not is_subobject(s)[0]
-        with pytest.raises(NotASubobject):
-            characteristic_naturality_failures(s)
-    else:
-        assert characteristic_naturality_failures(s) == expected
-
-
-def test_characteristic_naturality_checks_monotonicity_once(monkeypatch):
-    calls = []
-    plain = topos_module.is_subobject
-    monkeypatch.setattr(topos_module, "is_subobject", lambda s: calls.append(s) or plain(s))
-    instance = build_mce_instance(algebra_of_size(3), cap=7)
-    assert characteristic_naturality_failures(instance.support_subobject) == ()
-    assert len(calls) == 1
 
 
 def test_characteristic_maps_check_monotonicity_once_across_calls(monkeypatch):
