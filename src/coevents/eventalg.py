@@ -8,6 +8,7 @@ here is immutable and exact, and every other module builds on it.
 from __future__ import annotations
 
 import operator
+import sys
 from bisect import bisect_left
 from functools import cache, cached_property
 from itertools import compress, count, islice
@@ -34,9 +35,10 @@ def first_witnesses(
     and whether any were left unlisted.
 
     One witness past the limit is drawn, only to tell whether the list
-    was cut; the rest of the walk is never made.
+    was cut; the rest of the walk is never made.  No tuple holds
+    ``sys.maxsize`` items, so a limit that large lists all, as None does.
     """
-    if limit is None:
+    if limit is None or limit >= sys.maxsize:
         return tuple(witnesses), False
     head = tuple(islice(witnesses, limit + 1))
     return head[:limit], len(head) > limit

@@ -725,6 +725,15 @@ def test_bad_witnesses_flag_is_a_usage_error(capsys, argv):
     assert rc == 1 and out == "" and "--witnesses" in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "orders", "report"])
+def test_a_witness_limit_no_listing_reaches_lists_everything(capsys, verb):
+    """A limit past the largest slice bound lists all, as a large one does."""
+    rc, listed, err = invoke(capsys, [verb, THREE_SLIT, "--witnesses", "1000000"])
+    assert rc == 0 and err == ""
+    for limit in (2**63 - 1, 10**30):
+        assert invoke(capsys, [verb, THREE_SLIT, "--witnesses", str(limit)]) == (0, listed, "")
+
+
 def test_include_empty_dual_flag_changes_the_space(capsys):
     report = machine(capsys, ["coevents", FAIR_COIN, "--set", "multiplicative"])
     assert report["sections"]["coevents"]["count"] == 3

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from coevents import (
 )
 from coevents.eventalg import (
     down_set,
+    first_witnesses,
     iter_submasks,
     iter_supermasks,
     masks_lacking,
@@ -192,6 +194,18 @@ def test_lattice_laws_random_masks(data, n):
     assert ~(a & b) == ~a | ~b
     assert ~(a | b) == ~a & ~b
     assert a ^ b == (a & ~b) | (b & ~a)
+
+
+@pytest.mark.parametrize("limit", [None, 5, sys.maxsize - 1, sys.maxsize, 10**30])
+def test_first_witnesses_lists_all_under_a_limit_no_listing_reaches(limit):
+    assert first_witnesses(iter(range(5)), limit) == (tuple(range(5)), False)
+
+
+def test_first_witnesses_cuts_at_the_limit_and_draws_one_more():
+    drawn = []
+    walk = (drawn.append(i) or i for i in range(10))
+    assert first_witnesses(walk, 3) == ((0, 1, 2), True)
+    assert drawn == [0, 1, 2, 3]
 
 
 def test_submask_iterators_are_ascending_and_complete():
