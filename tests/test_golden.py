@@ -18,8 +18,8 @@ printed line over the old one, or rewrites the golden file with
 ``python -m coevents <argv> > <golden>``, and lists the entries it changed
 in CHANGES.md.
 
-Each demo's stdout is pinned the same way, in ``tests/golden/demos/``
-under the demo's name.
+Each demo's stdout is pinned too, in ``tests/golden/demos/<demo>.txt``; the
+last test runs each demo in process and compares the bytes.
 """
 
 from __future__ import annotations
