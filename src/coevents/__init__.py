@@ -49,7 +49,6 @@ from .errors import (
     EmptyEventDual,
     InvalidPartition,
     MismatchedSpace,
-    NonRealDiagonal,
     NotASubobject,
     NotMultiplicative,
     NotUpperMode,

@@ -40,10 +40,6 @@ class InvalidPartition(CoeventsError):
     """Blocks are empty, overlapping, or do not cover the sample space."""
 
 
-class NonRealDiagonal(CoeventsError):
-    """A decoherence matrix produced a non-real event measure."""
-
-
 class EmptyEventDual(CoeventsError):
     """Dual of the empty event requested without include_empty_dual."""
 

@@ -46,7 +46,7 @@ from itertools import combinations
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import InvalidPartition, MismatchedSpace, NonRealDiagonal
+from .errors import InvalidPartition, MismatchedSpace
 from .eventalg import (
     WITNESS_LIST_CAP,
     ByMask,
@@ -836,20 +836,23 @@ def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator
 class DecoherenceSpec(Record):
     """A Hermitian, normalized matrix of pairwise history interferences.
 
-    entries[i][j] is the value on the history pair (i, j); the shape,
-    Hermiticity and total sum 1 are machine-checked by :meth:`from_rows`.
+    entries[i][j] is the value on the history pair (i, j).  The
+    constructor checks the shape n x n, Hermiticity and total sum 1 as the
+    loader does (:func:`_checked_matrix`), and raises ``ValueError`` on a
+    matrix that breaks one.
     """
 
     space: SampleSpace
     entries: tuple[tuple[GaussianRational, ...], ...]
 
+    def __post_init__(self) -> None:
+        _checked_matrix(self.space, [[_parts_of(g) for g in row] for row in self.entries])
+
     @classmethod
     def from_rows(
         cls, space: SampleSpace, rows: Sequence[Sequence[GaussianRational]]
     ) -> "DecoherenceSpec":
-        spec = cls(space, tuple(tuple(row) for row in rows))
-        spec.check_invariants()
-        return spec
+        return cls(space, tuple(tuple(row) for row in rows))
 
     @classmethod
     def from_amplitudes(
@@ -874,11 +877,6 @@ class DecoherenceSpec(Record):
         ]
         return cls.from_rows(space, rows)
 
-    def check_invariants(self) -> None:
-        """The shape n x n, Hermiticity and total sum 1 (:func:`_checked_matrix`),
-        the parts read by :func:`_parts_of`."""
-        _checked_matrix(self.space, [[_parts_of(g) for g in row] for row in self.entries])
-
 
 def _checked_matrix(
     space: SampleSpace, rows: Sequence[Sequence[ComplexRatio]]
@@ -897,8 +895,8 @@ def _checked_matrix(
     n = space.n
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"decoherence matrix must be {n}x{n}")
-    (re_den, re), (_, im) = _part_rows(rows)
-    if re != [list(col) for col in zip(*re)] or not _antisymmetric(im):
+    (re_den, re), (_, im) = [_integer_rows([[z[k] for z in row] for row in rows]) for k in (0, 1)]
+    if re != [list(col) for col in zip(*re)] or im != [[-x for x in col] for col in zip(*im)]:
         i, j = next(
             (i, j) for i in range(n) for j in range(n)
             if re[i][j] != re[j][i] or im[i][j] != -im[j][i]
@@ -911,26 +909,15 @@ def _checked_matrix(
     return re_den, re
 
 
-def _part_rows(rows: Sequence[Sequence[ComplexRatio]]) -> tuple[tuple[int, list[list[int]]], ...]:
-    """A complex matrix's real and imaginary parts, each as integer rows
-    over its own common denominator (:func:`_integer_rows`)."""
-    return tuple(_integer_rows([[z[k] for z in row] for row in rows]) for k in (0, 1))
-
-
-def _antisymmetric(matrix: Sequence[Sequence[int]]) -> bool:
-    """True iff the matrix is minus its transpose: one comparison."""
-    return matrix == [[-x for x in col] for col in zip(*matrix)]
-
-
 def decoherence_values(
     space: SampleSpace, rows: Sequence[Sequence[ComplexRatio]]
 ) -> MeasureValues:
     """The table of a decoherence matrix given as rows of complex ratios:
     mu(A) is the matrix summed over the pairs of histories inside A.
 
-    The matrix is checked as :meth:`DecoherenceSpec.from_rows` checks it
-    (:func:`_checked_matrix`), and a Hermitian matrix's sums are real, so
-    only the real parts are summed (:func:`_pair_sum_table`).
+    The matrix is checked as the :class:`DecoherenceSpec` constructor
+    checks it (:func:`_checked_matrix`), and a Hermitian matrix's sums are
+    real, so only the real parts are summed (:func:`_pair_sum_table`).
     """
     den, re = _checked_matrix(space, rows)
     return _pair_sum_table(den, re, 1 << space.n)
@@ -969,23 +956,13 @@ def _pair_sum_table(den: int, matrix: Sequence[Sequence[int]], size: int) -> Mea
 def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
     """mu(A) = sum of the matrix over pairs of histories inside A.
 
-    Each value must come out real (automatic for a Hermitian matrix);
-    a nonzero imaginary part raises :class:`NonRealDiagonal`, naming the
-    first event whose imaginary sum is not 0.  The parts are read as
-    integer rows over their common denominators, as the loader reads them
-    (:func:`_part_rows`), and summed by :func:`_pair_sum_table`.  No sum
-    rule is checked here; :func:`validate_quantum` reports on the result.
+    The spec's parts go through the loader's :func:`decoherence_values`;
+    the constructor has checked the matrix Hermitian, so each sum is real.
+    No sum rule is checked here; :func:`validate_quantum` reports on the
+    result.
     """
-    algebra = EventAlgebra(d.space)
-    (re_den, re), (im_den, im) = _part_rows([[_parts_of(g) for g in row] for row in d.entries])
-    values = _pair_sum_table(re_den, re, algebra.size)
-    # Every imaginary sum vanishes iff the imaginary part is antisymmetric.
-    if not _antisymmetric(im):
-        im_sums = _pair_sum_table(im_den, im, algebra.size)
-        mask = next(mask for mask, im_num in enumerate(im_sums.nums) if im_num)
-        tot = GaussianRational(values[mask], im_sums[mask])
-        raise NonRealDiagonal(f"measure of {algebra.event(mask)} is {tot}; matrix is corrupted")
-    return Measure(algebra, values)
+    rows = [[_parts_of(g) for g in row] for row in d.entries]
+    return Measure(EventAlgebra(d.space), decoherence_values(d.space, rows))
 
 
 def null_sets(m: Measure) -> EventFamily:

@@ -23,7 +23,6 @@ from coevents import (
     InvalidPartition,
     Measure,
     MismatchedSpace,
-    NonRealDiagonal,
     SampleSpace,
     ValidationReport,
     Violation,
@@ -1187,16 +1186,16 @@ def test_hermiticity_and_normalization_are_checked():
         )
 
 
-def fraction_invariant_error(d: DecoherenceSpec) -> str | None:
+def fraction_invariant_error(space: SampleSpace, rows) -> str | None:
     """Oracle: the Hermiticity and sum checks on GaussianRational sums, and
     the message each raises."""
-    n = d.space.n
+    n = space.n
     for i in range(n):
         for j in range(n):
-            if d.entries[i][j] != d.entries[j][i].conjugate():
-                return f"matrix is not Hermitian at ({d.space.labels[i]}, {d.space.labels[j]})"
+            if rows[i][j] != rows[j][i].conjugate():
+                return f"matrix is not Hermitian at ({space.labels[i]}, {space.labels[j]})"
     total = GaussianRational()
-    for row in d.entries:
+    for row in rows:
         for v in row:
             total = total + v
     if total != GaussianRational.real(1):
@@ -1220,26 +1219,26 @@ def test_invariant_errors_match_the_fraction_oracle(data):
     total = sum((x.re for row in rows for x in row), Fraction(0))
     if total and data.draw(st.booleans(), label="normalised"):
         rows = [[x * GaussianRational.real(1 / total) for x in row] for row in rows]
-    spec = DecoherenceSpec(space, tuple(map(tuple, rows)))
-    expected = fraction_invariant_error(spec)
+    expected = fraction_invariant_error(space, rows)
     if expected is None:
-        spec.check_invariants()
+        DecoherenceSpec(space, tuple(map(tuple, rows)))
     else:
         with pytest.raises(ValueError) as caught:
-            spec.check_invariants()
+            DecoherenceSpec(space, tuple(map(tuple, rows)))
         assert str(caught.value) == expected
 
 
-def test_corrupted_matrix_raises_non_real_diagonal():
+def test_corrupted_matrix_is_refused_by_the_constructor():
     space = SampleSpace(("a", "b"))
     i_one = GaussianRational(Fraction(0), Fraction(1))
     rows = [
         [GaussianRational.real(Fraction(1, 2)), i_one],
         [GaussianRational.real(Fraction(1, 2)), GaussianRational()],
     ]
-    spec = DecoherenceSpec(space, tuple(map(tuple, rows)))
-    with pytest.raises(NonRealDiagonal):
-        measure_from_decoherence(spec)
+    with pytest.raises(ValueError) as caught:
+        DecoherenceSpec(space, tuple(map(tuple, rows)))
+    assert str(caught.value) == fraction_invariant_error(space, rows)
+    assert str(caught.value) == "matrix is not Hermitian at (a, b)"
 
 
 def test_random_rank_one_matrices_pass_quantum():
@@ -1261,16 +1260,16 @@ def test_random_rank_one_matrices_pass_quantum():
         assert validate_quantum(m).ok
 
 
-def brute_force_pair_sums(d: DecoherenceSpec) -> dict[int, GaussianRational]:
+def brute_force_pair_sums(space: SampleSpace, rows) -> dict[int, GaussianRational]:
     """Oracle: the matrix summed over every pair of histories of each event."""
-    n = d.space.n
+    n = space.n
     sums = {}
     for mask in range(1 << n):
         total = GaussianRational()
         for k in range(n):
             for l in range(n):
                 if mask >> k & 1 and mask >> l & 1:
-                    total = total + d.entries[k][l]
+                    total = total + rows[k][l]
         sums[mask] = total
     return sums
 
@@ -1290,20 +1289,19 @@ def test_decoherence_sums_match_brute_force(data):
     if data.draw(st.booleans(), label="real diagonal"):
         for i in range(n):
             rows[i][i] = GaussianRational.real(rows[i][i].re)
-    spec = DecoherenceSpec(space, tuple(map(tuple, rows)))
-    sums = brute_force_pair_sums(spec)
-    non_real = [mask for mask, total in sums.items() if not total.is_real]
-    if non_real:
-        with pytest.raises(NonRealDiagonal) as caught:
-            measure_from_decoherence(spec)
-        first = non_real[0]
-        assert str(caught.value) == (
-            f"measure of {EventAlgebra(space).event(first)} is {sums[first]}; "
-            "matrix is corrupted"
-        )
+    total = sum((x.re for row in rows for x in row), Fraction(0))
+    if total and data.draw(st.booleans(), label="normalised"):
+        rows = [[x * GaussianRational.real(1 / total) for x in row] for row in rows]
+    expected = fraction_invariant_error(space, rows)
+    if expected is not None:
+        with pytest.raises(ValueError) as caught:
+            DecoherenceSpec(space, tuple(map(tuple, rows)))
+        assert str(caught.value) == expected
     else:
-        m = measure_from_decoherence(spec)
-        assert dict(m.values) == {mask: total.re for mask, total in sums.items()}
+        m = measure_from_decoherence(DecoherenceSpec(space, tuple(map(tuple, rows))))
+        sums = brute_force_pair_sums(space, rows)
+        assert all(z.is_real for z in sums.values())
+        assert dict(m.values) == {mask: z.re for mask, z in sums.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,6 @@ PUBLIC_NAMES = (
     "InvalidPartition",
     "Measure",
     "MismatchedSpace",
-    "NonRealDiagonal",
     "NotASubobject",
     "NotMultiplicative",
     "NotUpperMode",
