@@ -236,12 +236,26 @@ def load_data(data: Any, where: str = "theory") -> HistoriesTheory:
     return HistoriesTheory(space, algebra, measure, TheoryOptions(include_empty, cap), kind)
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict, refusing a key given twice, which
+    ``json`` would read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} given twice")
+            seen.add(key)
+    return obj
+
+
 def load(path: str | Path) -> HistoriesTheory:
     """Parse and validate a theory file.
 
     The file is read as bytes and decoded as strict UTF-8; CRLF and a
     lone CR are read as LF, as a text-mode read does, so a parse error
-    names the same line and column.
+    names the same line and column.  An object that gives a key twice
+    is a parse error.
     """
     with open(path, "rb", buffering=0) as file:
         raw = file.read()
@@ -251,9 +265,9 @@ def load(path: str | Path) -> HistoriesTheory:
         raise ParseError(f"{path}: not valid UTF-8: {exc}")
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except (RecursionError, ValueError) as exc:  # too deeply nested, or too many digits
+    except (RecursionError, ValueError) as exc:  # too deeply nested, too many digits, a key twice
         raise ParseError(f"{path}: {exc}")
     return load_data(data, where=str(path))

@@ -201,6 +201,27 @@ def test_unparseable_numbers_are_load_errors(tmp_path, capsys, amplitudes, where
     assert err.startswith("error: ") and where in err
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"sample_space": ["a"], "measure": {"event_table": '
+         '{"{}": 0, "{a}": "1/2", "{a}": "1/3"}}}', "{a}"),
+        ('{"sample_space": ["a"], "measure": {"amplitudes": [1], "amplitudes": [2]}}',
+         "amplitudes"),
+        ('{"sample_space": ["a"], "measure": {"amplitudes": [1]}, '
+         '"options": {"brute-force-cap": 2, "brute-force-cap": 3}}', "brute-force-cap"),
+        ('{"sample_space": ["a"], "measure": {"amplitudes": [{"re": 1, "re": 2}]}}', "re"),
+    ],
+    ids=["event", "stanza", "option", "complex-part"],
+)
+def test_a_key_given_twice_is_a_parse_error(tmp_path, capsys, text, key):
+    bad = tmp_path / "twice.json"
+    bad.write_text(text)
+    rc, out, err = invoke(capsys, ["validate", str(bad)])
+    assert rc == 2 and out == ""
+    assert err == f"error: {bad}: key {key!r} given twice\n"
+
+
 def test_label_that_cannot_be_written_is_a_load_error(tmp_path, capsys):
     bad = tmp_path / "surrogate.json"
     bad.write_text('{"sample_space": ["\\ud800"], "measure": {"amplitudes": [1]}}')
