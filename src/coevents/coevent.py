@@ -175,18 +175,20 @@ def _held(keys: Iterable[int]) -> Sequence[int]:
 
 
 class CoeventSpace(Record, compare=("algebra", "keys")):
-    """A finite set of coevents over one algebra, canonically ordered.
+    """A finite set of coevents over one algebra, in member order.
 
     The space is held as its members' keys (``Coevent._key``): p for a
     dual p*, and ~S, always negative, for any other coevent with support
     bits S.  The keys are ``range(s, s + k)`` when the members are s*,
     (s + 1)*, ..., as over all duals, and a tuple otherwise; ``members``
-    builds the coevents from them on first read.
+    builds the coevents from them on first read.  Two spaces are equal
+    when their algebras and keys are, so the order counts.
 
-    The canonical order is lexicographic on the supports, each read as
-    its ascending list of event masks.  A dual's least support mask is its
-    principal mask, so for duals it is ascending principal masks, the
-    order in which the constructions below build their spaces.
+    The constructor keeps the caller's order.  :meth:`build` and the
+    constructions below put the members in canonical order:
+    lexicographic on the supports, each read as its ascending list of
+    event masks.  A dual's least support mask is its principal mask, so
+    for duals it is ascending principal masks.
     """
 
     algebra: EventAlgebra

@@ -533,6 +533,16 @@ def test_coevent_space_dedupes_and_orders(coin_algebra):
             CoeventSpace(coin_algebra, members)
 
 
+def test_a_space_keeps_the_callers_order_and_build_sorts_it():
+    alg = three_slit().algebra
+    duals = enumerate_multiplicative(alg)
+    reversed_space = CoeventSpace(alg, reversed(duals.members))
+    assert reversed_space.keys == (7, 6, 5, 4, 3, 2, 1)
+    assert reversed_space != duals
+    built = CoeventSpace.build(alg, reversed_space.members, "multiplicative")
+    assert built == duals and built.keys == range(1, 8)
+
+
 def test_rendering_of_general_coevents(coin_algebra):
     assert str(zero_coevent(coin_algebra)) == "[]"
     ragged = Coevent(coin_algebra, frozenset([1, 2]))
