@@ -662,6 +662,40 @@ def test_integer_loader_raises_the_fraction_routes_message(kind, data):
     same_on_both_routes(labels, kind, body)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_loader_and_the_spec_refuse_the_same_matrices(data):
+    """A random complex matrix, often square, Hermitian or of total 1:
+    the loader refuses it with ``decoherence: <msg>`` exactly when the
+    ``DecoherenceSpec`` constructor raises ``ValueError(<msg>)``, and when
+    both accept it they build the same measure."""
+    n = data.draw(st.integers(1, 4), label="n")
+    labels = list(LOADER_LABELS[:n])
+    lengths = [n] * n
+    if data.draw(st.integers(0, 3), label="misshapen unless") == 0:
+        lengths = data.draw(st.lists(st.integers(0, 4), max_size=4), label="row lengths")
+    entry = st.builds(GaussianRational, rationals, rationals)
+    rows = [[data.draw(entry) for _ in range(k)] for k in lengths]
+    if lengths == [n] * n and data.draw(st.booleans(), label="hermitian"):
+        for i in range(n):
+            rows[i][i] = GaussianRational.real(rows[i][i].re)
+            for j in range(i + 1, n):
+                rows[j][i] = rows[i][j].conjugate()
+    total = sum((z.re for row in rows for z in row), Fraction(0))
+    if total and data.draw(st.booleans(), label="total 1"):
+        rows = [[z * GaussianRational.real(1 / total) for z in row] for row in rows]
+    body = [[data.draw(complex_spellings(z)) for z in row] for row in rows]
+    theory = {"sample_space": labels, "measure": {"decoherence": body}}
+    try:
+        spec = DecoherenceSpec(SampleSpace(tuple(labels)), tuple(map(tuple, rows)))
+    except ValueError as exc:
+        with pytest.raises(ValidationError) as caught:
+            load_data(theory)
+        assert str(caught.value) == f"decoherence: {exc}"
+    else:
+        assert load_data(theory).measure == measure_from_decoherence(spec)
+
+
 @pytest.mark.parametrize("kind", STANZA_KINDS)
 def test_loading_builds_no_fraction_per_entry(monkeypatch, kind):
     """Loading builds no ``Fraction`` at all."""
