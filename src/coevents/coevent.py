@@ -1,8 +1,8 @@
 """Coevents: truth-valuation maps from the event algebra to Z2.
 
-A coevent is held in one of two forms.  A dual p* is held as its
-principal mask p alone.  Any other coevent is held as one integer of
-support bits: bit A is set iff it maps the event with mask A to 1.
+A coevent is held as one integer, its key: p for a dual p*, its
+principal mask, and ~S, always negative, for any other coevent with
+support bits S (bit A is set iff it maps the event with mask A to 1).
 Classical coevents are exactly the Boolean homomorphisms (evaluation
 at a single history); multiplicative coevents preserve meets and are
 dual to events via the principal element of their filter support.
@@ -47,14 +47,6 @@ BRUTE_FORCE_HARD_CAP = 4
 _NOT_DUALS = "dual order requires every member to be a nonzero multiplicative coevent"
 
 
-def _init(phi: Coevent, algebra: EventAlgebra, key: int) -> Coevent:
-    """Set the three slots of a new coevent from its key; a dual stores no support bits."""
-    object.__setattr__(phi, "algebra", algebra)
-    object.__setattr__(phi, "principal_mask", key if key >= 0 else None)
-    object.__setattr__(phi, "_bits", ~key if key < 0 else None)
-    return phi
-
-
 def _key_of(bits: int, full: int) -> int:
     """The key of the coevent with support bits ``bits``."""
     p = principal_of(bits, full)
@@ -78,23 +70,20 @@ def render_key(space: SampleSpace, key: int) -> str:
 
 
 class Coevent:
-    """A map from the event algebra to {0, 1}.
+    """A map from the event algebra to {0, 1}, held as its key.
 
-    Held in one of two forms, which every constructor chooses.  A dual
-    p*, the map true exactly on the supersets of p, is held as
-    ``principal_mask`` = p and nothing else (the constant-one map when
-    p = 0).  Any other coevent is held as one integer of support bits,
-    bit A set iff it maps A to 1, with ``principal_mask`` None.  A
-    support that is a filter is held as its dual, so equality and
-    hashing read p for a dual and the support bits otherwise, and a
-    dual equals the coevent built from its support.  A coevent is
-    immutable: its three slots are set once, by :func:`_init`.
+    The key is p for a dual p*, the map true exactly on the supersets of
+    p (the constant-one map when p = 0), and ~S, always negative, for any
+    other coevent with support bits S (bit A set iff it maps A to 1).  A
+    support that is a filter is held as its dual, so a dual equals the
+    coevent built from its support; ``principal_mask`` is the key when it
+    is not negative, else None.  Equality and hashing read the key.  A
+    coevent is immutable: its two slots are set once, by a constructor.
     """
 
-    __slots__ = ("algebra", "principal_mask", "_bits")
+    __slots__ = ("algebra", "_key")
     algebra: EventAlgebra
-    principal_mask: Optional[int]
-    _bits: Optional[int]
+    _key: int
 
     def __init__(self, algebra: EventAlgebra, support: Iterable[int]) -> None:
         support = frozenset(support)
@@ -102,13 +91,24 @@ class Coevent:
         bad = [m for m in support if not 0 <= m < size]
         if bad:
             raise ValueError(f"support masks {bad[:4]} outside the algebra")
-        _init(self, algebra, _key_of(sum(1 << m for m in support), algebra.space.full_mask))
+        bits = sum(1 << m for m in support)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "_key", _key_of(bits, algebra.space.full_mask))
 
     @classmethod
     def _of_key(cls, algebra: EventAlgebra, key: int) -> "Coevent":
         """The coevent whose key is ``key``: the dual p* for a mask p >= 0,
         else the coevent with support bits ~key, which are not a filter."""
-        return _init(object.__new__(cls), algebra, key)
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "algebra", algebra)
+        object.__setattr__(phi, "_key", key)
+        return phi
+
+    @property
+    def principal_mask(self) -> Optional[int]:
+        """p for a dual p*, else None: the key when it is not negative."""
+        key = self._key
+        return key if key >= 0 else None
 
     @property
     def _support_bits(self) -> int:
@@ -122,21 +122,12 @@ class Coevent:
 
     @property
     def is_zero(self) -> bool:
-        return self._bits == 0
-
-    @property
-    def _key(self) -> int:
-        """p for a dual, else the complement of the support bits: a dual's
-        key is never negative and any other coevent's always is."""
-        p = self.principal_mask
-        return ~self._bits if p is None else p
+        return self._key == ~0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.algebra, self.principal_mask, self._bits) == (
-            other.algebra, other.principal_mask, other._bits
-        )
+        return self._key == other._key and self.algebra == other.algebra
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -156,10 +147,10 @@ class Coevent:
     def __call__(self, event: Event) -> int:
         if event.space != self.algebra.space:
             raise MismatchedSpace("event belongs to a different sample space")
-        p = self.principal_mask
-        if p is not None:
-            return 1 if event.mask & p == p else 0
-        return self._bits >> event.mask & 1
+        key = self._key
+        if key >= 0:
+            return 1 if event.mask & key == key else 0
+        return ~key >> event.mask & 1
 
     def __str__(self) -> str:
         return render_key(self.algebra.space, self._key)
@@ -327,8 +318,8 @@ class CoeventSpace(Record, compare=("algebra", "keys")):
         up-set rows of the support order, built once.  Over duals it is the
         dual order, row i the tau row of i's principal; otherwise the AND,
         from all ones, of the tau rows that hold i (the zero coevent, in
-        none, keeps all ones).  The upper completion and the dual order
-        (:func:`~coevents.topos.poset_of_coevents`) read it."""
+        none, keeps all ones).  The upper completion and the topos
+        instance's dual order (``CoeventToposInstance.poset``) read it."""
         if self.principals is not None:
             return tuple(map(self.tau_row, self.principals))
         rows = [(1 << len(self)) - 1] * len(self)

@@ -5,8 +5,9 @@ one: the upper completion (:mod:`.beables`) is exactly the up-sets of
 the members ordered by support inclusion, the dual order over a space
 of duals, and the sieves of a varying set (:mod:`.topos`) are the
 up-sets above an anchor.  Both take the up-set enumeration
-(:func:`up_sets`) and the implication from here.  Nothing here reads a
-coevent: the dual order is :func:`.topos.poset_of_coevents`.
+(:func:`up_sets`) and the implication (:func:`implication`) from here,
+the core's one spelling.  Nothing here reads a coevent: the dual order
+is ``CoeventToposInstance.poset``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ class FinitePoset(Record):
 
     ``up[i]`` is the bitmask, over the element order, of the elements at
     or above ``elements[i]``.  The constructor checks the order's laws;
-    the dual order (:func:`.topos.poset_of_coevents`) holds them by construction.
+    the dual order (``CoeventToposInstance.poset``) holds them by
+    construction.  Its up-sets are :func:`up_sets` of ``up``.
     """
 
     elements: tuple[Hashable, ...]
@@ -88,17 +90,6 @@ class FinitePoset(Record):
         """True iff the elements in ``bits`` are upward closed."""
         up = self.up
         return all(up[j] & ~bits == 0 for j in set_bits(bits))
-
-    def up_sets(self, within: Optional[int] = None) -> list[int]:
-        """The up-sets inside the up-set ``within`` (by default the whole
-        poset), ascending (:func:`up_sets`)."""
-        if within is None:
-            within = (1 << len(self.up)) - 1
-        return up_sets(self.up, within)
-
-    def implication(self, a: int, b: int, within: Optional[int] = None) -> int:
-        """Heyting implication a => b inside ``within`` (:func:`implication`)."""
-        return implication(self.up, a, b, within)
 
     def is_antichain(self) -> bool:
         return all(row == 1 << i for i, row in enumerate(self.up))

@@ -24,7 +24,7 @@ from .coevent import (
 from .errors import CapExceeded, MismatchedSpace, NotASubobject
 from .eventalg import Event, EventAlgebra, Record, set_bits, unchecked
 from .measure import Measure
-from .poset import FinitePoset
+from .poset import FinitePoset, implication, up_sets
 
 #: Sieve enumeration lists every up-set above an anchor.
 SIEVE_ENUMERATION_CAP = 12
@@ -66,7 +66,7 @@ def sieves_at(
     if len(poset) > cap:
         raise CapExceeded("sieve enumeration", cap, len(poset))
     up = poset.up[poset.index(p)]
-    return tuple(unchecked(Sieve, poset=poset, at=p, bits=bits) for bits in poset.up_sets(up))
+    return tuple(unchecked(Sieve, poset=poset, at=p, bits=bits) for bits in up_sets(poset.up, up))
 
 
 def sieve_meet(a: Sieve, b: Sieve) -> Sieve:
@@ -83,7 +83,7 @@ def sieve_implication(a: Sieve, b: Sieve) -> Sieve:
     """Heyting implication in the locale of sieves at a common anchor."""
     _require_same_anchor(a, b)
     poset = a.poset
-    bits = poset.implication(a.bits, b.bits, poset.up[poset.index(a.at)])
+    bits = implication(poset.up, a.bits, b.bits, poset.up[poset.index(a.at)])
     return unchecked(Sieve, poset=poset, at=a.at, bits=bits)
 
 
@@ -254,26 +254,23 @@ def classifier_functoriality_failures(
 # The instance over a dual-ordered coevent space
 
 
-def poset_of_coevents(space: CoeventSpace) -> FinitePoset:
-    """The dual order on a space of nonzero multiplicative coevents: a dual
-    sits below another exactly when its principal event contains the
-    other's, so its up-set rows are the space's ``up_rows``, built once per
-    space.  Containment is a partial order, so the rows are not checked;
-    the tests check them."""
-    dual_principals(space)
-    return unchecked(FinitePoset, elements=space.members, up=space.up_rows)
-
-
 class CoeventToposInstance(Record, eq=False):
     """A space of duals in the dual order, each context selecting its support.
 
-    The poset's elements are the space's members, in order.  Build one
-    with :func:`build_instance`; the selection is then a subobject of the
-    constant set of history events by construction.
+    The instance is its space; the poset is derived from it on first
+    read.  Build one with :func:`build_instance`; the selection is then a
+    subobject of the constant set of history events by construction.
     """
 
     space: CoeventSpace
-    poset: FinitePoset
+
+    @cached_property
+    def poset(self) -> FinitePoset:
+        """The dual order on the members, built on first read: p* <= q* iff q
+        is inside p, so the up-set rows are the space's ``up_rows``, a partial
+        order by construction and so not checked here (the tests check it)."""
+        space = self.space
+        return unchecked(FinitePoset, elements=space.members, up=space.up_rows)
 
     @property
     def algebra(self) -> EventAlgebra:
@@ -304,11 +301,12 @@ def build_instance(space: CoeventSpace, cap: int = MCE_INSTANCE_CAP) -> CoeventT
     event of phi's support into psi's, i.e. iff every tau row is an
     up-set of the dual order.  Over duals that holds by construction: if
     p* is in tau(A), so p <= A, and q* is above p*, so q <= p, then q <= A.
-    The tests check it with :func:`is_subobject`.  The dual order is
-    built unchecked (:func:`poset_of_coevents`).
+    The tests check it with :func:`is_subobject`.  Nothing is built here:
+    the members and the dual order wait for the first read of ``poset``.
     """
     check_instance_cap(space.algebra.space.n, cap)
-    return CoeventToposInstance(space, poset_of_coevents(space))
+    dual_principals(space)
+    return CoeventToposInstance(space)
 
 
 def build_mce_instance(
@@ -318,8 +316,7 @@ def build_mce_instance(
 ) -> CoeventToposInstance:
     """The instance over all duals in the dual order, refused before they are listed."""
     check_instance_cap(algebra.space.n, cap)
-    duals = enumerate_multiplicative(algebra, include_empty_dual)
-    return CoeventToposInstance(duals, poset_of_coevents(duals))
+    return CoeventToposInstance(enumerate_multiplicative(algebra, include_empty_dual))
 
 
 def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventToposInstance:

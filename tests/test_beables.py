@@ -36,7 +36,7 @@ from coevents.cli import section_audit, section_complete, section_tau, section_t
 from coevents.coevent import enumerate_classical, multiplicative_scheme
 from coevents.eventalg import WITNESS_LIST_CAP, set_bits
 from coevents.theoryfile import load_data
-from coevents.topos import build_instance, chi_vsupp, poset_of_coevents
+from coevents.topos import build_instance, chi_vsupp
 
 from conftest import (
     algebra_of_size,
@@ -684,7 +684,7 @@ def test_up_rows_are_the_support_inclusion_order(space):
         assert space.up_rows == tuple(rows)
     else:
         assert space.up_rows == tuple(space.tau_row(p) for p in space.principals)
-        assert poset_of_coevents(space).up is space.up_rows
+        assert build_instance(space, cap=space.algebra.space.n).poset.up is space.up_rows
 
 
 def test_the_dual_order_is_built_once_per_space(monkeypatch):

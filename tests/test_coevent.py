@@ -592,16 +592,17 @@ def test_a_dual_stores_no_support_and_a_support_fixes_its_principal_mask(data, n
     p = data.draw(st.integers(0, alg.size - 1), label="p")
     dual, explicit = dual_of_event(alg.event(p), include_empty_dual=True), explicit_dual(alg, p)
     assert dual.support == explicit.support
-    assert dual._bits is None  # derived on the read, not stored
-    assert explicit._bits is None and explicit.principal_mask == p  # held as the dual
+    assert Coevent.__slots__ == ("algebra", "_key")
+    assert dual._key == p  # the support is derived on the read, not stored
+    assert explicit._key == p and explicit.principal_mask == p  # held as the dual
     for copied in (pickle.loads(pickle.dumps(dual)), copy.deepcopy(dual), copy.copy(dual)):
-        assert copied == dual and copied.principal_mask == p and copied._bits is None
+        assert copied == dual and copied.principal_mask == p and copied._key == p
     support = data.draw(st.frozensets(st.integers(0, alg.size - 1)), label="support")
     phi = Coevent(alg, support)
     assert phi.principal_mask == filter_principal(support, n)
     bits = sum(1 << m for m in support)
-    assert phi._bits == (None if phi.principal_mask is not None else bits)
-    assert copy.deepcopy(phi)._bits == phi._bits
+    assert phi._key == (~bits if phi.principal_mask is None else phi.principal_mask)
+    assert copy.deepcopy(phi)._key == phi._key
     with pytest.raises(AttributeError):
         phi.principal_mask = 0
 
@@ -626,7 +627,7 @@ def test_the_zeta_tau_table_of_all_duals_is_the_support_scan(n, include_empty):
     alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
     space = enumerate_multiplicative(alg, include_empty_dual=include_empty)
     table = space.tau_table
-    assert all(phi._bits is None for phi in space)  # read no support
+    assert all(phi._key >= 0 for phi in space)  # read no support
     assert table == support_scan(space)
 
 
@@ -681,7 +682,7 @@ def test_support_bits_never_share_a_key_with_a_dual(n):
         phi = Coevent(alg, set_bits(bits))
         for copied in (pickle.loads(pickle.dumps(phi)), copy.copy(phi), copy.deepcopy(phi)):
             assert copied == phi
-            assert (copied.principal_mask, copied._bits) == (phi.principal_mask, phi._bits)
+            assert (copied.principal_mask, copied._key) == (phi.principal_mask, phi._key)
         if phi.principal_mask is not None or bits >= alg.size:
             continue
         dual = Coevent._of_key(alg, bits)
@@ -689,7 +690,7 @@ def test_support_bits_never_share_a_key_with_a_dual(n):
         space = CoeventSpace.build(alg, [dual, phi], "user-supplied")
         assert len(space) == 2 and space.index_of(phi) != space.index_of(dual)
     zero, one = zero_coevent(alg), dual_of_event(alg.empty, include_empty_dual=True)
-    assert zero._bits == 0 and one.principal_mask == 0
+    assert zero._key == ~0 and one.principal_mask == 0
     assert zero != one and hash(zero) != hash(one)
     space = CoeventSpace(alg, (zero, one))
     assert (space.index_of(zero), space.index_of(one)) == (0, 1)

@@ -39,7 +39,6 @@ from coevents.catalog import four_slit, three_slit
 from coevents.eventalg import iter_submasks, set_bits, unchecked
 from coevents.topos import (
     classifier_functoriality_failures,
-    poset_of_coevents,
     sieve_implication,
     sieve_join,
     sieve_meet,
@@ -47,6 +46,7 @@ from coevents.topos import (
 from coevents.beables import complete, heyting_implication
 from coevents.cli import run
 from coevents.coevent import dual_of_coevent, enumerate_multiplicative
+from coevents.poset import implication, up_sets
 
 from conftest import algebra_of_size
 
@@ -100,7 +100,7 @@ def poset_corpus() -> list[FinitePoset]:
         diamond(),
         n_poset(),
         grid_2x3(),
-        poset_of_coevents(enumerate_multiplicative(algebra_of_size(2))),
+        build_mce_instance(algebra_of_size(2)).poset,
     ]
 
 
@@ -214,7 +214,7 @@ def test_up_set_test_and_implication_against_brute_force(poset):
             for gamma in up_sets:
                 if gamma & a & ~b == 0:
                     largest |= gamma
-            assert poset.implication(a, b) == largest
+            assert implication(poset.up, a, b) == largest
 
 
 def test_antichain_detection():
@@ -351,7 +351,7 @@ def functoriality_oracle(omega: SubobjectClassifier) -> tuple:
 
 @pytest.mark.parametrize(
     "poset",
-    poset_corpus() + [poset_of_coevents(enumerate_multiplicative(algebra_of_size(3)))],
+    poset_corpus() + [build_mce_instance(algebra_of_size(3)).poset],
     ids=lambda p: f"P{len(p)}",
 )
 def test_functoriality_on_bits_matches_the_transition_route(poset):
@@ -375,12 +375,12 @@ def assert_up_sets_match_the_submask_walk(poset: FinitePoset) -> None:
     also pass the public constructor's validation."""
     for i, anchor in enumerate(poset.elements):
         walk = [b for b in iter_submasks(poset.up[i]) if poset.is_up_set(b)]
-        assert list(poset.up_sets(poset.up[i])) == walk
+        assert up_sets(poset.up, poset.up[i]) == walk
         sieves = sieves_at(poset, anchor, cap=len(poset))
         assert [s.bits for s in sieves] == walk
         assert all(Sieve(poset, anchor, s.bits) == s for s in sieves)
     whole = (1 << len(poset)) - 1
-    assert list(poset.up_sets()) == [b for b in iter_submasks(whole) if poset.is_up_set(b)]
+    assert up_sets(poset.up, whole) == [b for b in iter_submasks(whole) if poset.is_up_set(b)]
 
 
 @pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
@@ -419,7 +419,7 @@ def test_up_sets_and_sieves_match_the_submask_walk_in_any_element_order(poset):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_up_sets_and_sieves_match_the_submask_walk_on_dual_spaces(data):
-    assert_up_sets_match_the_submask_walk(poset_of_coevents(draw_dual_space(data, max_n=4)))
+    assert_up_sets_match_the_submask_walk(build_instance(draw_dual_space(data, max_n=4)).poset)
 
 
 def test_sieve_enumeration_cap():
@@ -680,7 +680,7 @@ def test_vsupp_is_a_subobject(n, include_empty):
 def test_dual_order_rows_are_principal_containment(data):
     space = draw_dual_space(data, max_n=4)
     principals = [phi.principal_mask for phi in space.members]
-    poset = poset_of_coevents(space)
+    poset = build_instance(space).poset
     assert poset.elements == space.members
     for i, p in enumerate(principals):
         # p* <= q* iff q is inside p
@@ -690,7 +690,7 @@ def test_dual_order_rows_are_principal_containment(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_the_dual_order_passes_the_checked_constructor(data):
-    """poset_of_coevents builds the dual order without FinitePoset's law
+    """An instance builds the dual order without FinitePoset's law
     checks and indexes it lazily; the validated constructor accepts the
     same rows, and the index is the space's, with or without the
     constant-one map."""
@@ -700,7 +700,7 @@ def test_the_dual_order_passes_the_checked_constructor(data):
     if data.draw(st.booleans(), label="with the constant-one map"):
         members.append(dual_of_event(alg.empty, include_empty_dual=True))
     space = CoeventSpace.build(alg, members, "user-supplied")
-    poset = poset_of_coevents(space)
+    poset = build_instance(space, cap=5).poset
     assert poset == FinitePoset(space.members, poset.up)
     assert all(poset.index(phi) == space.index_of(phi) for phi in space.members)
 
@@ -743,7 +743,7 @@ def test_library_orders_skip_the_poset_checks(capsys, monkeypatch):
 def test_support_verdict_matches_is_subobject(data):
     space = draw_dual_space(data, max_n=4)
     inst = build_instance(space)
-    assert inst.poset == poset_of_coevents(space)
+    assert inst.poset.elements == space.members and inst.poset.up is space.up_rows
     assert is_subobject(inst.support_subobject) == (True, ())
     assert all(inst.poset.is_up_set(row) for row in space.tau_table)
     # Under an arbitrary order on the members the selection may fail to be
@@ -756,8 +756,25 @@ def test_support_verdict_matches_is_subobject(data):
     order = FinitePoset.from_pairs(
         members, [(a, b) for a, b in pairs if space.index_of(a) < space.index_of(b)]
     )
-    ok = is_subobject(CoeventToposInstance(space, order).support_subobject)[0]
+    events = tuple(space.algebra.events())
+    selections = [[a for a in events if phi(a)] for phi in members]
+    ok = is_subobject(SubobjectOfConstant(order, events, selections))[0]
     assert ok == all(order.is_up_set(row) for row in space.tau_table)
+
+
+def test_an_instance_is_its_space_and_builds_its_order_on_first_read():
+    """The instance holds its space alone: neither the members nor the dual
+    order exist until ``poset`` is read, and the order is built once."""
+    assert CoeventToposInstance._fields == ("space",)
+    space = enumerate_multiplicative(algebra_of_size(3))
+    inst = build_instance(space)
+    assert inst == inst and inst != build_instance(space)  # compared by identity
+    assert "members" not in vars(space) and "up_rows" not in vars(space)
+    poset = inst.poset
+    assert poset is inst.poset and poset.elements is space.members
+    assert poset.up is space.up_rows
+    assert not hasattr(topos_module, "poset_of_coevents")
+    assert not hasattr(FinitePoset, "up_sets") and not hasattr(FinitePoset, "implication")
 
 
 def test_mce_instance_cap(monkeypatch):
