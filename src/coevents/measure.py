@@ -836,23 +836,31 @@ def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator
 class DecoherenceSpec(Record):
     """A Hermitian, normalized matrix of pairwise history interferences.
 
-    entries[i][j] is the value on the history pair (i, j).  The
-    constructor checks the shape n x n, Hermiticity and total sum 1 as the
-    loader does (:func:`_checked_matrix`), and raises ``ValueError`` on a
-    matrix that breaks one.
+    entries[i][j] is the value on the history pair (i, j), held as tuples.
+    The constructor refuses an entry that is not a GaussianRational with
+    ``TypeError``, by its labels, and checks the shape n x n, Hermiticity
+    and total sum 1 as the loader does (:func:`_checked_matrix`), with
+    ``ValueError``.  It keeps the integer real parts the check returns.
     """
 
     space: SampleSpace
     entries: tuple[tuple[GaussianRational, ...], ...]
 
     def __post_init__(self) -> None:
-        _checked_matrix(self.space, [[_parts_of(g) for g in row] for row in self.entries])
+        space, entries = self.space, tuple(map(tuple, self.entries))
+        _require_square(space, entries)
+        for a, row in zip(space.labels, entries):
+            for b, g in zip(space.labels, row):
+                if not isinstance(g, GaussianRational):
+                    raise TypeError(f"matrix entry at ({a}, {b}) is {g!r}, not a GaussianRational")
+        parts = [[_parts_of(g) for g in row] for row in entries]
+        self.__dict__.update(entries=entries, _checked=_checked_matrix(space, parts))
 
     @classmethod
     def from_rows(
         cls, space: SampleSpace, rows: Sequence[Sequence[GaussianRational]]
     ) -> "DecoherenceSpec":
-        return cls(space, tuple(tuple(row) for row in rows))
+        return cls(space, rows)
 
     @classmethod
     def from_amplitudes(
@@ -893,8 +901,7 @@ def _checked_matrix(
     imaginary parts cancel in the sum.
     """
     n = space.n
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"decoherence matrix must be {n}x{n}")
+    _require_square(space, rows)
     (re_den, re), (_, im) = [_integer_rows([[z[k] for z in row] for row in rows]) for k in (0, 1)]
     if re != [list(col) for col in zip(*re)] or im != [[-x for x in col] for col in zip(*im)]:
         i, j = next(
@@ -907,6 +914,13 @@ def _checked_matrix(
         total = GaussianRational.real(Fraction(re_total, re_den))
         raise ValueError(f"matrix entries sum to {total}, expected 1")
     return re_den, re
+
+
+def _require_square(space: SampleSpace, rows: Sequence[Sequence[object]]) -> None:
+    """Refuse a decoherence matrix that is not n x n, before its entries are read."""
+    n = space.n
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"decoherence matrix must be {n}x{n}")
 
 
 def decoherence_values(
@@ -956,13 +970,14 @@ def _pair_sum_table(den: int, matrix: Sequence[Sequence[int]], size: int) -> Mea
 def measure_from_decoherence(d: DecoherenceSpec) -> Measure:
     """mu(A) = sum of the matrix over pairs of histories inside A.
 
-    The spec's parts go through the loader's :func:`decoherence_values`;
-    the constructor has checked the matrix Hermitian, so each sum is real.
-    No sum rule is checked here; :func:`validate_quantum` reports on the
-    result.
+    The spec's constructor has checked the matrix Hermitian, so each sum
+    is real, and kept its real parts as integers over one denominator:
+    they are summed as the loader's :func:`decoherence_values` sums them
+    (:func:`_pair_sum_table`), with no second check.  No sum rule is
+    checked here; :func:`validate_quantum` reports on the result.
     """
-    rows = [[_parts_of(g) for g in row] for row in d.entries]
-    return Measure(EventAlgebra(d.space), decoherence_values(d.space, rows))
+    den, re = d._checked
+    return Measure(EventAlgebra(d.space), _pair_sum_table(den, re, 1 << d.space.n))
 
 
 def null_sets(m: Measure) -> EventFamily:

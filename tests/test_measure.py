@@ -1241,6 +1241,43 @@ def test_corrupted_matrix_is_refused_by_the_constructor():
     assert str(caught.value) == "matrix is not Hermitian at (a, b)"
 
 
+def test_a_matrix_entry_that_is_not_a_gaussian_rational_is_refused_by_its_labels():
+    with pytest.raises(TypeError, match=r"entry at \(a, a\) is 1, not a GaussianRational"):
+        DecoherenceSpec(SampleSpace(("a",)), ((1,),))
+    half = GaussianRational.real(Fraction(1, 2))
+    with pytest.raises(TypeError, match=r"entry at \(b, a\) is Fraction\(0, 1\)"):
+        DecoherenceSpec(SampleSpace(("a", "b")), ((half, GaussianRational()), (Fraction(0), half)))
+    with pytest.raises(ValueError, match="must be 1x1"):  # the shape is read first
+        DecoherenceSpec(SampleSpace(("a",)), ((half, 1),))
+
+
+def test_list_rows_give_the_tuple_row_spec():
+    space = SampleSpace(("a", "b"))
+    half, zero = GaussianRational.real(Fraction(1, 2)), GaussianRational()
+    listed = DecoherenceSpec(space, [[half, zero], [zero, half]])
+    tupled = DecoherenceSpec(space, ((half, zero), (zero, half)))
+    assert listed.entries == tupled.entries == ((half, zero), (zero, half))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert DecoherenceSpec.from_rows(space, [[half, zero], [zero, half]]) == tupled
+    assert measure_from_decoherence(listed) == measure_from_decoherence(tupled)
+
+
+def test_a_spec_and_its_measure_check_the_matrix_once(monkeypatch):
+    checks = []
+    checked_matrix = measure_mod._checked_matrix
+
+    def spied(space, rows):
+        checks.append(space)
+        return checked_matrix(space, rows)
+
+    monkeypatch.setattr(measure_mod, "_checked_matrix", spied)
+    space = SampleSpace(("a", "b", "c"))
+    amps = [GaussianRational(1), GaussianRational(0, 1), GaussianRational(0, -1)]
+    m = measure_from_decoherence(DecoherenceSpec.from_amplitudes(space, amps))
+    assert checks == [space]
+    assert m == Measure.from_amplitudes(space, amps)
+
+
 def test_random_rank_one_matrices_pass_quantum():
     rng = random.Random(11)
     for _ in range(30):
