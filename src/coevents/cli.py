@@ -73,14 +73,18 @@ class _Parser(argparse.ArgumentParser):
 
 class _Verb(NamedTuple):
     """A verb's help line, its sections (name -> builder and arguments; by
-    default its own builder over the ``--set`` space), its own flags (a verb
-    not listing one refuses it), the flags it needs, and its query's flags."""
+    default its own builder over the ``--set`` space), its own flags, the
+    flags it needs and its query's flags: it refuses any other (:attr:`reads`)."""
 
     help: str
     sections: Optional[dict[str, tuple[str, ...]]] = None
     flags: tuple[str, ...] = ()
     needs: tuple[str, ...] = ()
     query: tuple[str, ...] = ()
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        return self.flags + self.needs + self.query
 
 
 _VERBS = {
@@ -446,8 +450,7 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
     missing = [flag for flag in verb.query if given[flag] is None]
     if 0 < len(missing) < len(verb.query):
         raise _UsageError(f"{command} single query also needs {_listed(missing)}")
-    taken = {flag: given[flag] for flag in verb.needs + verb.query}  # a verb reads only its own
-    context, event, event_b = map(taken.get, ("--context", "--event", "--event-b"))
+    context, event, event_b = map(given.get, ("--context", "--event", "--event-b"))
 
     @functools.cache
     def space(set_name: str) -> CoeventSpace:
@@ -665,9 +668,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag in sorted({flag for verb in _VERBS.values() for flag in verb.flags}):
-            if getattr(args, flag[2:]) is not None and flag not in _VERBS[args.command].flags:
-                takers = [name for name, verb in _VERBS.items() if flag in verb.flags]
+        reads = _VERBS[args.command].reads
+        for flag in sorted({flag for verb in _VERBS.values() for flag in verb.reads}):
+            if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in reads:
+                takers = [name for name, verb in _VERBS.items() if flag in verb.reads]
                 raise _UsageError(f"{flag} is for {_listed(takers)} only, not {args.command}")
         if args.witnesses is not None and args.witnesses < 0:
             raise _UsageError("--witnesses must be at least 0")

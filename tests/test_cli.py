@@ -301,9 +301,14 @@ REFUSALS = [
      "usage error: topos single query also needs --event"),
     (["topos", "--event", "1"], THREE_SLIT, 1,
      "usage error: topos single query also needs --context"),
-    # every verb parses all three event flags, before its own flag rules
-    (["validate", "--event", "zebra"], THREE_SLIT, 1,
-     "usage error: history 'zebra' not in sample space ('1', '2', '3')"),
+    # a query flag that the verb does not read is refused before its value
+    # is parsed and before the file is read; a verb parses its own
+    (["validate", "--event", "zebra"], None, 1,
+     "usage error: --event is for tau, audit and topos only, not validate"),
+    (["tau", "--event-b", "3"], THREE_SLIT, 1,
+     "usage error: --event-b is for audit only, not tau"),
+    (["topos", "--context", "1", "--event", "1", "--event-b", "3"], THREE_SLIT, 1,
+     "usage error: --event-b is for audit only, not topos"),
     (["audit", "--context", "zebra", "--event", "1"], THREE_SLIT, 1,
      "usage error: history 'zebra' not in sample space ('1', '2', '3')"),
     (["validate", "--cap", "0"], THREE_SLIT, 1, "usage error: --cap must be at least 1"),
@@ -823,14 +828,22 @@ def test_report_skips_the_sections_over_their_caps(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
-def test_report_ignores_the_set_and_query_flags(capsys, fmt):
-    """report runs its own sets, with no single query."""
+def test_report_ignores_the_set_flag_and_refuses_the_query_flags(capsys, fmt):
+    """report runs its own sets, with no single query: --set, which has a
+    default, changes nothing, and a query flag is refused as any flag a
+    verb does not read is."""
     plain = invoke(capsys, ["report", THREE_SLIT, "--format", fmt])
-    flagged = invoke(
-        capsys,
-        ["report", THREE_SLIT, "--set", "all", "--event", "1", "--context", "1", "--format", fmt],
-    )
+    flagged = invoke(capsys, ["report", THREE_SLIT, "--set", "all", "--format", fmt])
     assert flagged == plain and plain[0] == 0
+    for flag, takers in [("--event", "tau, audit and topos"), ("--context", "audit and topos")]:
+        queried = ["report", THREE_SLIT, "--set", "all", flag, "1", "--format", fmt]
+        assert invoke(capsys, queried) == (
+            1, "", f"usage error: {flag} is for {takers} only, not report\n"
+        )
+    queried = ["report", THREE_SLIT, "--event", "1", "--context", "1", "--format", fmt]
+    assert invoke(capsys, queried)[2] == (
+        "usage error: --context is for audit and topos only, not report\n"
+    )
 
 
 def test_every_cli_span_is_a_hook_point_that_report_reaches(capsys, monkeypatch):
