@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import pickle
 from collections import Counter
@@ -31,10 +32,11 @@ from coevents import (
 )
 from coevents import beables as beables_mod
 from coevents.beables import OrderReport, _flags_from_principals, _flags_from_table
-from coevents.catalog import three_slit
+from coevents.catalog import four_slit, three_slit
 from coevents.cli import section_audit, section_complete, section_tau, section_topos
 from coevents.coevent import enumerate_classical, multiplicative_scheme
 from coevents.eventalg import WITNESS_LIST_CAP, set_bits
+from coevents.poset import implication
 from coevents.theoryfile import load_data
 from coevents.topos import build_instance, chi_vsupp
 
@@ -861,6 +863,58 @@ def test_general_spaces_support_reports_and_completions_only(coin_algebra):
     alpha = completion.members[0]
     with pytest.raises(ValueError, match="multiplicative"):
         heyting_implication(alpha, alpha, completion)
+
+
+@functools.cache
+def all_duals_and_their_or_failures(n: int, include_empty: bool):
+    """All duals over n histories, their upper completion when n <= 5, and
+    the pairs (A, B), A <= B, on which OR fails at some member."""
+    alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
+    space = enumerate_multiplicative(alg, include_empty)
+    completion = complete(space, "upper", cap=len(space)) if n <= 5 else None
+    return space, completion, {(a, b) for _, a, b in or_discrepancies(space)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), include_empty=st.booleans(), data=st.data())
+def test_the_heyting_laws_hold_on_the_tau_images_of_all_duals(n, include_empty, data):
+    """Over all duals, with or without the empty event's dual, tau carries
+    the event algebra's Heyting operations to the dual order's: the
+    implication tau(A) => tau(B) is tau(¬A ∪ B), the negation (the
+    implication into tau(∅)) is tau(¬A) and the meet is tau(A ∩ B); the
+    union of two tau rows is tau(A ∪ B) exactly when OR fails at no member
+    for that pair.  The implication is read from the up-set rows at
+    n <= 6 and from heyting_implication over the listed completion at
+    n <= 5."""
+    space, completion, or_fails = all_duals_and_their_or_failures(n, include_empty)
+    alg, full, row = space.algebra, space.algebra.space.full_mask, space.tau_row
+    a = data.draw(st.integers(0, full), label="A")
+    b = data.draw(st.integers(0, full), label="B")
+    assert implication(space.up_rows, row(a), row(b)) == row(full ^ a | b)
+    assert implication(space.up_rows, row(a), row(0)) == row(full ^ a)
+    assert row(a) & row(b) == row(a & b)
+    assert (row(a) | row(b) == row(a | b)) == ((min(a, b), max(a, b)) not in or_fails)
+    if completion is not None:
+        alpha, beta, bottom = (tau(alg.event(mask), space) for mask in (a, b, 0))
+        assert heyting_implication(alpha, beta, completion) == tau(alg.event(full ^ a | b), space)
+        assert heyting_implication(alpha, bottom, completion) == tau(alg.event(full ^ a), space)
+
+
+def test_on_a_scheme_of_doubletons_the_implication_is_the_row_route_not_tau():
+    """four_slit's scheme is the anti-chain {a,b}*, {a,c}*, {b,c}*, whose
+    members hold two histories each.  For A = {a,b} and B = {a,c}, {b,c}*
+    lies outside tau(A), so in tau(A) => tau(B), but {b,c} is not inside
+    ¬A ∪ B = {a,c,d}: there tau(¬A ∪ B) is not the implication, and the
+    up-set rows give heyting_implication's answer."""
+    space = multiplicative_scheme(four_slit())
+    alg = space.algebra
+    a, b = alg.event_from_labels("ab"), alg.event_from_labels("ac")
+    alpha, beta = tau(a, space), tau(b, space)
+    imp = heyting_implication(alpha, beta, complete(space, "upper"))
+    assert str(imp) == "[{a,c}*, {b,c}*]"
+    assert imp.bits == implication(space.up_rows, alpha.bits, beta.bits)
+    assert imp != tau(alg.event(alg.space.full_mask ^ a.mask | b.mask), space)
+    assert str(tau(alg.event(alg.space.full_mask ^ a.mask | b.mask), space)) == "[{a,c}*]"
 
 
 # ---------------------------------------------------------------------------
