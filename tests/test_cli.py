@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import re
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -878,6 +879,56 @@ def test_every_cli_span_is_a_hook_point_that_report_reaches(capsys, monkeypatch)
     assert {span for span in spans if span.startswith("section_")} - set(counts) == {
         "section_tau"
     }
+
+
+def test_every_span_the_traced_benchmark_wraps_still_resolves(monkeypatch):
+    """``bench/tracing.py`` installs a wrapper on every span that
+    ``bench/layers.py`` names, by its module-level name or, for the four
+    in its ``_METHODS``, on its class; installing fails if a span was
+    deleted or moved.  With a pass-through wrapper each span is rebound
+    while installed, and the returned undo puts back every ``coevents``
+    module attribute and the four class attributes, as the same objects."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    loaded = {}
+    for name in ("layers", "tracing"):
+        spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+        loaded[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, loaded[name])  # gone again after the test
+        spec.loader.exec_module(loaded[name])
+    tracing = loaded["tracing"]
+    methods = tracing._METHODS
+    assert len(methods) == 4
+
+    def attributes():
+        modules = tracing._modules()
+        assert "coevents.topos" in [module.__name__ for module in modules]
+        held = {(m.__name__, attr): value for m in modules for attr, value in vars(m).items()}
+        held.update({(cls, attr): cls.__dict__[attr] for cls, attr, _ in methods.values()})
+        return held
+
+    def pass_through(idx, name, fn):
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    before = attributes()
+    undo = tracing.install(pass_through)
+    try:
+        for name in loaded["layers"].NAMES:
+            layer, span = name.split(".")
+            if name in methods:
+                cls, attr, _ = methods[name]
+                assert cls.__dict__[attr] is not before[cls, attr], name
+            else:
+                home = f"coevents.{layer}"
+                assert getattr(sys.modules[home], span) is not before[home, span], name
+    finally:
+        undo()
+    after = attributes()
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []
 
 
 # ---------------------------------------------------------------------------
