@@ -26,6 +26,7 @@ from .eventalg import (
     WITNESS_LIST_CAP,
     ByMask,
     Event,
+    EventAlgebra,
     ListedOnRead,
     Record,
     first_witnesses,
@@ -145,6 +146,11 @@ class OrderReport(ListedOnRead, Record):
     :func:`order_report` lists them on the first read of either
     (:class:`~coevents.eventalg.ListedOnRead`): a caller that reads only
     the flags walks no pairs.
+
+    A report from :func:`order_report` also holds the same lists as
+    integer rows, ``rows``: under each key, the (A, B) mask pairs.  The
+    event pairs are built from the rows on their first read, so a caller
+    that reads only the rows builds no ``Event``.
     """
 
     tau_injective: bool
@@ -222,11 +228,18 @@ def order_report(
         )
 
     failing = tuple(key for key, holds in zip(_ORDER_KEYS, flags) if not holds)
-    if not failing:
-        return OrderReport(*flags, dict.fromkeys(_ORDER_KEYS, ()), tuple(notes))
     verdicts = dict(zip(_FLAG_FIELDS, flags), notes=tuple(notes))
-    lister = partial(_order_witnesses, space, failing, limit)
-    return unchecked(OrderReport, _lister=lister, **verdicts)
+    if not failing:
+        empty = dict.fromkeys(_ORDER_KEYS, ())
+        return unchecked(
+            OrderReport, rows=empty, witnesses=dict(empty), truncated=frozenset(), **verdicts
+        )
+    return unchecked(
+        OrderReport,
+        _lister=partial(_order_witnesses, space, failing, limit),
+        _of_rows=partial(_event_pairs, space.algebra),
+        **verdicts,
+    )
 
 
 def _flags_from_principals(principals: Sequence[int], n: int) -> tuple[bool, ...]:
@@ -255,13 +268,16 @@ def _flags_from_table(space: CoeventSpace) -> tuple[bool, ...]:
 
 def _order_witnesses(
     space: CoeventSpace, failing: tuple[str, ...], limit: Optional[int]
-) -> tuple[dict[str, tuple[tuple[Event, Event], ...]], frozenset[str]]:
-    """The first ``limit`` witnesses of each failing flag, and the cut lists.
+) -> tuple[dict[str, tuple[tuple[int, int], ...]], frozenset[str]]:
+    """The first ``limit`` witnesses of each failing flag, as mask pairs,
+    and the cut lists.
 
     The injectivity witnesses group every event by its row, so when they
     are listed every walk reads the whole tau table, as on a space that
     holds a non-dual, whose rows are that table.  Otherwise each row is
-    read on demand, once per visited mask.
+    read on demand, once per visited mask.  Each walk lists the pairs
+    (A, B) of one A at a time, so a cut list walks at most one A past
+    its last witness.
     """
     alg = space.algebra
     size = alg.size
@@ -270,7 +286,6 @@ def _order_witnesses(
         images = space.tau_table
     else:
         images = ByMask(space.tau_row)
-    ev = ByMask(alg.event)
 
     def injectivity_pairs():
         by_image: dict[int, list[int]] = {}
@@ -278,37 +293,34 @@ def _order_witnesses(
             by_image.setdefault(images[m], []).append(m)
         for a in range(size):
             same = by_image[images[a]]
-            for b in same[same.index(a) + 1:]:
-                yield ev[a], ev[b]
+            yield from [(a, b) for b in same[same.index(a) + 1:]]
 
     def pushforward_pairs():
         for a in range(size):
-            for b in iter_supermasks(a, full):
-                if images[a] & images[b] != images[a]:
-                    yield ev[a], ev[b]
+            row = images[a]
+            yield from [(a, b) for b in iter_supermasks(a, full) if row & images[b] != row]
 
     def orders_pairs():
         for a in range(size):
-            for b in range(size):
-                if (a & b == a) != (images[a] & images[b] == images[a]):
-                    yield ev[a], ev[b]
+            row = images[a]
+            yield from [
+                (a, b) for b in range(size) if (a & b == a) != (row & images[b] == row)
+            ]
 
     def meet_pairs():
         for a in range(size):
-            for b in range(a, size):
-                if images[a & b] != images[a] & images[b]:
-                    yield ev[a], ev[b]
+            row = images[a]
+            yield from [(a, b) for b in range(a, size) if images[a & b] != row & images[b]]
 
     def join_pairs():
         duals = space.principals is not None
         for a in range(size):
+            row = images[a]
             # Over duals, (A, B) fails only at a principal that meets A
             # without lying inside A or inside Omega - A.
-            if duals and not images[full] & ~images[a] & ~images[full ^ a]:
+            if duals and not images[full] & ~row & ~images[full ^ a]:
                 continue
-            for b in range(a, size):
-                if images[a | b] != images[a] | images[b]:
-                    yield ev[a], ev[b]
+            yield from [(a, b) for b in range(a, size) if images[a | b] != row | images[b]]
 
     listers = {
         "injectivity": injectivity_pairs,
@@ -317,13 +329,21 @@ def _order_witnesses(
         "meet": meet_pairs,
         "join": join_pairs,
     }
-    witnesses: dict[str, tuple[tuple[Event, Event], ...]] = dict.fromkeys(_ORDER_KEYS, ())
+    rows: dict[str, tuple[tuple[int, int], ...]] = dict.fromkeys(_ORDER_KEYS, ())
     truncated = set()
     for key in failing:
-        witnesses[key], cut = first_witnesses(listers[key](), limit)
+        rows[key], cut = first_witnesses(listers[key](), limit)
         if cut:
             truncated.add(key)
-    return witnesses, frozenset(truncated)
+    return rows, frozenset(truncated)
+
+
+def _event_pairs(
+    alg: EventAlgebra, rows: dict[str, tuple[tuple[int, int], ...]]
+) -> dict[str, tuple[tuple[Event, Event], ...]]:
+    """The event pairs that the mask pairs of each list name."""
+    ev = ByMask(alg.event)
+    return {key: tuple([(ev[a], ev[b]) for a, b in pairs]) for key, pairs in rows.items()}
 
 
 # ---------------------------------------------------------------------------

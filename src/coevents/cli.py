@@ -37,27 +37,42 @@ AUDIT_ROW_CAP = 2_000_000
 
 
 class RowTable:
-    """A list of rows of one shape, as the writers print a list of dicts.
+    """A list of rows of one shape, as the writers print a list of dicts or of lists.
 
     ``columns`` are the column names in sorted order, ``flags`` those of
-    them that hold a bool in every row (every other column holds a str),
-    and ``rows`` the value tuples, each in column order.  Both writers
-    build one template per table and test the value types once per column.
+    them that hold a bool in every row, ``lists`` those that hold a tuple
+    of str in every row, written as a list (every other column holds a
+    str), and ``rows`` the value tuples, each in column order.  With
+    ``columns`` None the rows have no column names: each is a tuple of
+    str, all of one length, written as a list.  Both writers build one
+    template per table and test the value types once per column.
     """
 
-    __slots__ = ("columns", "flags", "rows")
+    __slots__ = ("columns", "flags", "lists", "rows")
 
     def __init__(
-        self, columns: Sequence[str], flags: Sequence[str], rows: Sequence[tuple]
+        self,
+        columns: Optional[Sequence[str]],
+        flags: Sequence[str],
+        rows: Sequence[tuple],
+        lists: Sequence[str] = (),
     ) -> None:
-        self.columns, self.flags, self.rows = tuple(columns), frozenset(flags), rows
+        self.columns = None if columns is None else tuple(columns)
+        self.flags, self.lists, self.rows = frozenset(flags), frozenset(lists), rows
 
-    def dicts(self) -> list[dict[str, Any]]:
-        """The rows as the dicts that the writers print."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
+    def plain(self) -> list:
+        """The rows as the dicts, or with no column names the lists, that
+        the writers print, each tuple of a list column as a list."""
+        if self.columns is None:
+            return [list(row) for row in self.rows]
+        lists = self.lists
+        return [
+            {name: list(value) if name in lists else value for name, value in zip(self.columns, row)}
+            for row in self.rows
+        ]
 
     def __eq__(self, other: object) -> bool:
-        return self.dicts() == other
+        return self.plain() == other
 
 
 class _UsageError(Exception):
@@ -198,17 +213,23 @@ def _build_parser() -> _Parser:
 # Section builders (plain JSON-able dicts, canonical ordering throughout)
 
 
-def _violation_json(v: measure_mod.Violation, names: Sequence[str]) -> dict[str, Any]:
-    return {
-        "rule": v.rule,
-        "events": [names[ev.mask] for ev in v.events],
-        "got": str(v.got),
-        "expected": str(v.expected),
-    }
+#: A violation's columns, in sorted order; its events are a list column.
+_VIOLATION_COLUMNS = ("events", "expected", "got", "rule")
 
 
-def _report_json(rep: measure_mod.ValidationReport, names: Sequence[str]) -> dict[str, Any]:
-    section = {"ok": rep.ok, "violations": [_violation_json(v, names) for v in rep.violations]}
+def _report_json(
+    rep: measure_mod.ValidationReport, names: Sequence[str], values: measure_mod.MeasureValues
+) -> dict[str, Any]:
+    """A validator's verdict and its violations, read from the report's
+    integer rows; each numerator is turned into text once."""
+    rows = rep.rows
+    texts = values.texts({num for _, _, got, expected in rows for num in (got, expected)})
+    name = names.__getitem__
+    violations = [
+        (tuple(map(name, masks)), texts[expected], texts[got], rule)
+        for rule, masks, got, expected in rows
+    ]
+    section = {"ok": rep.ok, "violations": RowTable(_VIOLATION_COLUMNS, (), violations, ("events",))}
     if rep.truncated:
         section["violations_truncated"] = True
     return section
@@ -216,7 +237,7 @@ def _report_json(rep: measure_mod.ValidationReport, names: Sequence[str]) -> dic
 
 def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
     values = theory.measure.values
-    texts = {num: str(values.fraction(num)) for num in set(values.nums)}
+    texts = values.texts(set(values.nums))
     return {
         "labels": list(theory.space.labels),
         "measure_kind": theory.measure_kind,
@@ -233,8 +254,8 @@ def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
 def section_validate(theory: HistoriesTheory, limit: Optional[int]) -> dict[str, Any]:
     m, names = theory.measure, theory.space.event_names
     return {
-        "classical": _report_json(measure_mod.validate_classical(m, limit), names),
-        "quantum": _report_json(measure_mod.validate_quantum(m, limit), names),
+        "classical": _report_json(measure_mod.validate_classical(m, limit), names, m.values),
+        "quantum": _report_json(measure_mod.validate_quantum(m, limit), names, m.values),
         "null_sets": [names[mask] for mask in m.null_masks],
         "null_cover": measure_mod.null_cover_exists(m),
     }
@@ -285,8 +306,8 @@ def section_orders(space: CoeventSpace, limit: Optional[int]) -> dict[str, Any]:
         "meet_agree": rep.meet_agree,
         "join_agree": rep.join_agree,
         "witnesses": {
-            key: [[names[a.mask], names[b.mask]] for a, b in pairs]
-            for key, pairs in rep.witnesses.items()
+            key: RowTable(None, (), [(names[a], names[b]) for a, b in pairs])
+            for key, pairs in rep.rows.items()
         },
         "notes": list(rep.notes),
     }
@@ -399,7 +420,7 @@ def section_topos(
             # every sieve at p is anchored at p, so restriction is functorial
             # by construction (see topos.classifier_functoriality_failures)
             "functorial": True,
-            "sieve_counts": [len(up_sets(space.up_rows, row)) for row in space.up_rows],
+            "sieve_counts": _sieve_counts(space),
         }
     else:
         section["classifier"] = {"checked": False, "functorial": None}
@@ -432,6 +453,22 @@ def section_topos(
         }
     section["notes"] = notes
     return section
+
+
+def _sieve_counts(space: CoeventSpace) -> list[int]:
+    """The number of sieves at each member of a space of duals: the up-sets
+    of its up-set row.  When the space holds every nonzero dual, with or
+    without the empty event's, the principal up-set of p* is the duals
+    of the subsets of p, so the count depends on |p| alone and is listed
+    once per size; any other space lists each row's."""
+    rows, principals = space.up_rows, space.principals
+    if len(rows) - (0 in principals) < space.algebra.space.full_mask:
+        return [len(up_sets(rows, row)) for row in rows]
+    by_size: dict[int, int] = {}
+    for p, row in zip(principals, rows):
+        if p.bit_count() not in by_size:
+            by_size[p.bit_count()] = len(up_sets(rows, row))
+    return [by_size[p.bit_count()] for p in principals]
 
 
 def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
@@ -505,7 +542,7 @@ def render_machine(report: dict[str, Any]) -> str:
     ``json.dumps`` with an indent runs CPython's pure-Python encoder; this
     writer keeps only its C string encoder.  It takes dicts with str keys,
     lists, tuples, str, int, bool, None and row tables (written as their
-    :meth:`RowTable.dicts`); any other value, or a row table value outside
+    :meth:`RowTable.plain`); any other value, or a row table value outside
     its column's type, raises TypeError.
     """
     out: list[str] = []
@@ -565,34 +602,55 @@ def _write_json(value: Any, pad: str, out: list[str]) -> None:
         if not value.rows:
             out.append("[]")
             return
-        inner, field = pad + "  ", pad + "    "
-        keys = [_json_string(name).replace("%", "%%") for name in value.columns]
-        template = "{" + ",".join([f"\n{field}{key}: %s" for key in keys])
-        template += f"\n{inner}}}" if keys else "}"
-        lines = _filled_rows(value, template, _JSON_FLAGS, _json_string)
+        inner, field, item = pad + "  ", pad + "    ", pad + "      "
+        if value.columns is None:
+            width = len(value.rows[0])
+            template = "[" + ",".join([f"\n{field}%s"] * width) + f"\n{inner}]" if width else "[]"
+        else:
+            keys = [_json_string(name).replace("%", "%%") for name in value.columns]
+            template = "{" + ",".join([f"\n{field}{key}: %s" for key in keys])
+            template += f"\n{inner}}}" if keys else "}"
+
+        def nested(texts: tuple[str, ...]) -> str:
+            if not texts:
+                return "[]"
+            return f"[\n{item}" + f",\n{item}".join(map(_json_string, texts)) + f"\n{field}]"
+
+        lines = _filled_rows(value, template, _JSON_FLAGS, _json_string, nested)
         out.append(f"[\n{inner}" + f",\n{inner}".join(lines) + f"\n{pad}]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _filled_rows(
-    table: RowTable, template: str, words: tuple[str, str], encode: Optional[Callable]
+    table: RowTable,
+    template: str,
+    words: tuple[str, str],
+    encode: Optional[Callable],
+    nested: Callable[[tuple[str, ...]], str],
 ) -> Iterator[str]:
     """Each row of ``table`` put into the ``%``-template, a column at a time:
-    a flag column as ``words`` (for False, True), any other column through
-    ``encode`` (the JSON string encoder refuses any value that is not a
-    str), or as it is when ``encode`` is None."""
-    if encode is None and not table.flags:
-        return map(template.__mod__, table.rows)
+    a flag column as ``words`` (for False, True), a list column through
+    ``nested``, any other column, named or not, through ``encode`` (the
+    JSON string encoder refuses any value that is not a str), or as it is
+    when ``encode`` is None."""
+    rows = table.rows
+    names = (None,) * len(rows[0]) if table.columns is None else table.columns
+    if not names or (encode is None and not table.flags and not table.lists):
+        return map(template.__mod__, rows)
     columns = []
-    for name, values in zip(table.columns, zip(*table.rows)):
+    for name, values in zip(names, zip(*rows)):
         if name in table.flags:
             if set(map(type, values)) != {bool}:
                 raise TypeError(f"flag column {name!r} holds a value that is not a bool")
             columns.append(map(words.__getitem__, values))
+        elif name in table.lists:
+            if set(map(type, values)) != {tuple}:
+                raise TypeError(f"list column {name!r} holds a value that is not a tuple")
+            columns.append(map(nested, values))
         else:
             columns.append(values if encode is None else map(encode, values))
-    return map(template.__mod__, zip(*columns) if table.columns else table.rows)
+    return map(template.__mod__, zip(*columns))
 
 
 def _write_text(value: Any, pad: str, out: list[str]) -> None:
@@ -628,9 +686,24 @@ def _write_text(value: Any, pad: str, out: list[str]) -> None:
         if not value.rows:
             out.append(f"{pad}(none)")
             return
-        names = [name.replace("%", "%%") for name in value.columns]
-        template = f"{pad}-" + "".join([f"\n{inner}{name}: %s" for name in names])
-        out.append("\n".join(_filled_rows(value, template, _TEXT_FLAGS, None)))
+        item = inner + "  "
+        if value.columns is None:
+            width = len(value.rows[0])
+            template = f"{pad}-" + (f"\n{inner}- %s" * width if width else f"\n{inner}(none)")
+        else:
+            template = f"{pad}-" + "".join(
+                [
+                    f"\n{inner}{name.replace('%', '%%')}:" + ("%s" if name in value.lists else " %s")
+                    for name in value.columns
+                ]
+            )
+
+        def nested(texts: tuple[str, ...]) -> str:
+            if not texts:
+                return f"\n{item}(none)"
+            return "".join([f"\n{item}- {text}" for text in texts])
+
+        out.append("\n".join(_filled_rows(value, template, _TEXT_FLAGS, None, nested)))
 
 
 def _scalar(value: Any) -> str:

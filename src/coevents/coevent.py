@@ -334,14 +334,35 @@ class CoeventSpace(Record, compare=("algebra", "keys")):
 
         A range of duals p* over at least half of the 2^n events, as all
         duals are, reads the name of each event p, starred, from the sample
-        space's ``event_names``.  Other keys go through :func:`render_key`,
+        space's ``event_names``.  Other duals go through :func:`render_key`,
         so a space of a few keys, such as a scheme of one or two members,
-        builds no table of all 2^n names.
+        builds no table of all 2^n names.  Any other coevent, with support
+        S, extends the string of S less its highest mask when a member
+        before it had that support, as :meth:`render_each` does; in
+        canonical order every such prefix comes earlier.  The rest go
+        through :func:`render_key`.
         """
         space, keys = self.algebra.space, self.keys
         if isinstance(keys, range) and 2 * len(keys) > space.full_mask:
             return tuple([name + "*" for name in space.event_names[keys.start : keys.stop]])
-        return tuple([render_key(space, key) for key in keys])
+        if self.principals is not None:
+            return tuple([render_key(space, key) for key in keys])
+        names, done, out = space.event_names, {~0: "[]"}, []
+        for key in keys:
+            if key >= 0:
+                out.append(render_key(space, key))
+                continue
+            if key not in done:
+                last = (~key).bit_length() - 1
+                rest = done.get(key | 1 << last)  # the key of the support less mask `last`
+                if rest is None:
+                    done[key] = render_key(space, key)
+                elif rest == "[]":
+                    done[key] = "[" + names[last] + "]"
+                else:
+                    done[key] = rest[:-1] + ", " + names[last] + "]"
+            out.append(done[key])
+        return tuple(out)
 
     def render(self, bits: int) -> str:
         """The set of members whose bit is set in ``bits``, from their

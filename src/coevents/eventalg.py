@@ -161,27 +161,37 @@ def _bound(
 
 
 class ListedOnRead:
-    """Mixin of a :class:`Record` report whose witness fields are listed on first read.
+    """Mixin of a :class:`Record` report whose witnesses are listed on first read.
 
-    The subclass names its witness fields in ``_witness_fields``; a
-    default among them is held by ``__init__``, not by the class, so no
-    class attribute shadows the unset field.  A report made by
-    ``unchecked(cls, _lister=lister, **verdicts)`` has its verdict fields
-    set, its witness fields unset and a lister held; the first read of
-    any witness field calls ``lister()`` once, takes its values in
-    ``_witness_fields`` order and drops the lister.  A caller that reads
-    only the verdicts lists nothing.
+    The subclass names its witness fields in ``_witness_fields``, the
+    witness values first (``violations``, ``witnesses``), then the rest
+    (``truncated``); a default among them is held by ``__init__``, not by
+    the class, so no class attribute shadows the unset field.  A report
+    made by ``unchecked(cls, _lister=lister, _of_rows=of_rows,
+    **verdicts)`` has its verdict fields set, its witness fields unset
+    and both callables held.  The first read of ``rows`` or of any
+    witness field calls ``lister()`` once, which returns the witnesses as
+    integer rows, then the other witness fields' values; the first read
+    of the witness values builds them as ``of_rows(rows)``.  Each
+    callable is dropped once called.  A caller that reads only the
+    verdicts lists nothing, and one that reads only ``rows`` builds no
+    witness value.  A report built by the public constructor has no
+    ``rows``.
     """
 
     _witness_fields: tuple[str, ...] = ()
 
     def __getattr__(self, name: str) -> object:
-        state = self.__dict__
-        if name not in self._witness_fields or "_lister" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        state.update(zip(self._witness_fields, state["_lister"]()))
-        del state["_lister"]
-        return state[name]
+        state, fields = self.__dict__, self._witness_fields
+        if name in fields or name == "rows":
+            if "_lister" in state:
+                state["rows"], *rest = state.pop("_lister")()
+                state.update(zip(fields[1:], rest))
+            if name == fields[0] and "_of_rows" in state:
+                state[name] = state.pop("_of_rows")(state["rows"])
+            if name in state:
+                return state[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 class SampleSpace(Record):

@@ -153,6 +153,12 @@ class ValidationReport(ListedOnRead, Record):
     validator's report lists them on the first read of either
     (:class:`~coevents.eventalg.ListedOnRead`): a caller that reads only
     ``ok`` walks no pairs or triples.
+
+    A validator's report also holds the same listing as integer rows,
+    ``rows``: (rule, event masks, got, expected) for each violation, the
+    two values as numerators over the measure's ``values.den``.  The
+    violations are built from the rows on their first read, so a caller
+    that reads only the rows builds no ``Event`` or ``Fraction``.
     """
 
     rule: str  # "classical" | "quantum"
@@ -303,6 +309,16 @@ class MeasureValues(Mapping[int, Fraction]):
         except KeyError:
             value = self._fractions[num] = Fraction(num, self.den)
             return value
+
+    def texts(self, nums: Iterable[int]) -> dict[int, str]:
+        """``str(self.fraction(num))`` for each ``num``, written from the
+        reduced pair with no ``Fraction`` built: for the report writers,
+        which print each distinct value once."""
+        den, out = self.den, {}
+        for num in nums:
+            g = math.gcd(num, den)
+            out[num] = str(num // g) if g == den else f"{num // g}/{den // g}"
+        return out
 
     def __getitem__(self, mask: int) -> Fraction:
         if not (isinstance(mask, int) and 0 <= mask < self._size):
@@ -755,28 +771,55 @@ def validate_classical(
     (:func:`_obeys_grade`).  Only a failing rule walks the disjoint pairs,
     to list its first ``limit`` violations in canonical order (all of
     them when ``limit`` is None), and only when the report's
-    ``violations`` are first read.
+    ``violations`` or ``rows`` are first read.
     """
     if _obeys_grade(m.values, 1):
-        return ValidationReport("classical", (), True)
-    lister = partial(_first_violations, limit, _additivity_violations, m)
-    return unchecked(ValidationReport, _lister=lister, rule="classical", ok=False)
+        return _passed("classical")
+    return _listed_on_read("classical", limit, _additivity_violations, m)
+
+
+def _passed(rule: str) -> ValidationReport:
+    return unchecked(ValidationReport, rule=rule, rows=(), violations=(), ok=True, truncated=False)
+
+
+def _listed_on_read(
+    rule: str, limit: Optional[int], rows: Callable[..., Iterator[tuple]], m: Measure, *args
+) -> ValidationReport:
+    """A failing report: the first ``limit`` of ``rows(m, *args)`` are
+    listed on first read, and its violations are built from them on theirs."""
+    return unchecked(
+        ValidationReport,
+        _lister=partial(_first_violations, limit, rows, m, *args),
+        _of_rows=partial(_violations_of_rows, m),
+        rule=rule,
+        ok=False,
+    )
 
 
 def _first_violations(
-    limit: Optional[int], violations: Callable[..., Iterator[Violation]], *args: object
-) -> tuple[tuple[Violation, ...], bool]:
-    """A failing report's listing: the first ``limit`` of ``violations(*args)``."""
-    return first_witnesses(violations(*args), limit)
+    limit: Optional[int], rows: Callable[..., Iterator[tuple]], *args: object
+) -> tuple[tuple[tuple, ...], bool]:
+    """A failing report's listing: the first ``limit`` of ``rows(*args)``."""
+    return first_witnesses(rows(*args), limit)
 
 
-def _additivity_violations(m: Measure) -> Iterator[Violation]:
-    v, ev = m.values, ByMask(m.algebra.event)
-    x = v.nums
+def _violations_of_rows(m: Measure, rows: Iterable[tuple]) -> tuple[Violation, ...]:
+    """The violations that the rows (rule, masks, got, expected) name."""
+    fraction, ev = m.values.fraction, ByMask(m.algebra.event)
+    return tuple(
+        [
+            Violation(rule, tuple(map(ev.__getitem__, masks)), fraction(got), fraction(expected))
+            for rule, masks, got, expected in rows
+        ]
+    )
+
+
+def _additivity_violations(m: Measure) -> Iterator[tuple]:
+    x = m.values.nums
     for a, b in _iter_disjoint_pairs(m.algebra.size):
         got, expected = x[a | b], x[a] + x[b]
         if got != expected:
-            yield Violation("additivity", (ev[a], ev[b]), v.fraction(got), v.fraction(expected))
+            yield "additivity", (a, b), got, expected
 
 
 def validate_quantum(
@@ -798,8 +841,8 @@ def validate_quantum(
     normalization from the last field.  The violations are listed in
     canonical order, negative values first, then normalization, then the
     level-2 triples, the first ``limit`` of them (all when ``limit`` is
-    None), on the first read of the report's ``violations``; only a
-    failing level-2 rule walks the disjoint triples.
+    None), on the first read of the report's ``violations`` or ``rows``;
+    only a failing level-2 rule walks the disjoint triples.
     """
     values = m.values
     raw, bits = values.packed
@@ -807,30 +850,26 @@ def validate_quantum(
     nonnegative = raw[step - 1::step].isascii()  # no field's top bit is set
     grade2 = _obeys_grade(values, 2)
     if nonnegative and grade2 and int.from_bytes(raw[-step:], "little", signed=True) == values.den:
-        return ValidationReport("quantum", (), True)
-    lister = partial(_first_violations, limit, _quantum_violations, m, nonnegative, grade2)
-    return unchecked(ValidationReport, _lister=lister, rule="quantum", ok=False)
+        return _passed("quantum")
+    return _listed_on_read("quantum", limit, _quantum_violations, m, nonnegative, grade2)
 
 
-def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator[Violation]:
-    alg, v = m.algebra, m.values
-    x, den = v.nums, v.den
+def _quantum_violations(m: Measure, nonnegative: bool, grade2: bool) -> Iterator[tuple]:
+    v = m.values
+    x, den, full = v.nums, v.den, m.algebra.space.full_mask
     if not nonnegative:
-        for mask in range(alg.size):
+        for mask in range(m.algebra.size):
             if x[mask] < 0:
-                yield Violation("nonnegativity", (alg.event(mask),), v[mask], Fraction(0))
-    if x[alg.space.full_mask] != den:
-        yield Violation("normalization", (alg.full,), v[alg.space.full_mask], Fraction(1))
+                yield "nonnegativity", (mask,), x[mask], 0
+    if x[full] != den:
+        yield "normalization", (full,), x[full], den
     if grade2:
         return
-    ev = ByMask(alg.event)
-    for a, b, c in _iter_disjoint_triples(alg.size):
+    for a, b, c in _iter_disjoint_triples(m.algebra.size):
         got = x[a | b | c]
         expected = x[a | b] + x[b | c] + x[c | a] - x[a] - x[b] - x[c]
         if got != expected:
-            yield Violation(
-                "level2", (ev[a], ev[b], ev[c]), v.fraction(got), v.fraction(expected)
-            )
+            yield "level2", (a, b, c), got, expected
 
 
 class DecoherenceSpec(Record):

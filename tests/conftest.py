@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from fractions import Fraction
 from typing import Any
 
 from coevents import Coevent, CoeventSpace, EventAlgebra, SampleSpace
+from coevents.measure import Measure, ValidationReport, Violation
 from coevents.beables import OrderReport, and_or_audit
 from coevents.coevent import dual_of_coevent
 from coevents.catalog import corpus
@@ -111,6 +113,47 @@ def order_report_oracle(space: CoeventSpace) -> OrderReport:
         witnesses={k: tuple(v) for k, v in witnesses.items()},
         notes=tuple(notes),
     )
+
+
+def brute_force_classical(m: Measure) -> ValidationReport:
+    """Oracle: additivity on every unordered disjoint pair, a <= b."""
+    alg, v = m.algebra, m.values
+    violations = []
+    for a in range(alg.size):
+        for b in range(a, alg.size):
+            if a & b == 0 and v[a | b] != v[a] + v[b]:
+                violations.append(Violation(
+                    "additivity", (alg.event(a), alg.event(b)), v[a | b], v[a] + v[b]
+                ))
+    return ValidationReport("classical", tuple(violations), ok=not violations)
+
+
+def brute_force_quantum(m: Measure) -> ValidationReport:
+    """Oracle: sign and normalization, then every disjoint triple a <= b <= c."""
+    alg, v = m.algebra, m.values
+    violations = [
+        Violation("nonnegativity", (alg.event(k),), v[k], Fraction(0))
+        for k in range(alg.size)
+        if v[k] < 0
+    ]
+    if v[alg.space.full_mask] != 1:
+        violations.append(
+            Violation("normalization", (alg.full,), v[alg.space.full_mask], Fraction(1))
+        )
+    for a in range(alg.size):
+        for b in range(a, alg.size):
+            for c in range(b, alg.size):
+                if a & b or c & (a | b):
+                    continue
+                expected = v[a | b] + v[b | c] + v[a | c] - v[a] - v[b] - v[c]
+                if v[a | b | c] != expected:
+                    violations.append(Violation(
+                        "level2",
+                        (alg.event(a), alg.event(b), alg.event(c)),
+                        v[a | b | c],
+                        expected,
+                    ))
+    return ValidationReport("quantum", tuple(violations), ok=not violations)
 
 
 def audit_oracle(space: CoeventSpace) -> dict[str, Any]:

@@ -18,12 +18,20 @@ from coevents import (
     coevent as coevent_module,
     topos as topos_module,
 )
+from coevents.beables import order_report
 from coevents.cli import RowTable, render_machine, render_text, run
-from coevents.coevent import Coevent, enumerate_classical, enumerate_multiplicative
-from coevents.eventalg import WITNESS_LIST_CAP, iter_supermasks
+from coevents.coevent import Coevent, CoeventSpace, enumerate_classical, enumerate_multiplicative
+from coevents.eventalg import WITNESS_LIST_CAP, EventAlgebra, SampleSpace, iter_supermasks
+from coevents.measure import validate_classical, validate_quantum
+from coevents.poset import up_sets
 from coevents.theoryfile import load
 
-from conftest import render_text_oracle
+from conftest import (
+    brute_force_classical,
+    brute_force_quantum,
+    order_report_oracle,
+    render_text_oracle,
+)
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
 FAIR_COIN = str(THEORIES / "fair_coin.json")
@@ -620,6 +628,22 @@ def test_topos_refuses_a_large_theory_before_enumerating(tmp_path, capsys, monke
     assert rc == 3 and out == "" and "cap" in err
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sieve_counts_equal_the_listing_of_each_rows_up_sets(n):
+    """Over every dual, with or without the empty event's, in ascending or
+    reversed order, and over every dual but one, the counts are those of
+    listing each row's up-sets."""
+    alg = EventAlgebra(SampleSpace(tuple("abcde"[:n])))
+    spaces = []
+    for include_empty in (False, True):
+        space = enumerate_multiplicative(alg, include_empty_dual=include_empty)
+        members = space.members
+        spaces += [space, CoeventSpace(alg, members[::-1]), CoeventSpace(alg, members[1:])]
+    for space in spaces:
+        listed = [len(up_sets(space.up_rows, row)) for row in space.up_rows]
+        assert cli_module._sieve_counts(space) == listed
+
+
 def test_topos_at_cap_31_lists_every_sieve_of_the_n5_dual_order(tmp_path, capsys):
     start = time.perf_counter()
     report = machine(capsys, ["topos", amplitude_file(tmp_path, 5), "--cap", "31"])
@@ -743,6 +767,76 @@ def test_witnesses_flag_cuts_each_order_list_and_marks_it(capsys, set_name):
         assert {k: v for k, v in section.items() if k not in markers | {"witnesses"}} == {
             k: v for k, v in full.items() if k != "witnesses"
         }
+
+
+def rule_breaking_file(tmp_path, n: int) -> str:
+    """A theory whose table breaks every sum rule: negative values, a total
+    that is not 1, and additivity and level-2 failures."""
+    alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
+    table = {str(alg.event(m)): f"{m**3 % 11 - 3}/7" for m in range(1, alg.size)}
+    path = tmp_path / f"table-{n}.json"
+    data = {"sample_space": list(alg.space.labels), "measure": {"event_table": {"{}": 0, **table}}}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def cut_section(section: dict, verb: str, limit) -> dict:
+    """An uncut validate or orders section with each witness list cut to its
+    first ``limit`` rows (all when None), and marked when cut."""
+    section = json.loads(json.dumps(section))
+    if verb == "validate":
+        for rule in ("classical", "quantum"):
+            report = section[rule]
+            if limit is not None and len(report["violations"]) > limit:
+                report["violations_truncated"] = True
+            report["violations"] = report["violations"][:limit]
+    else:
+        for key, pairs in section["witnesses"].items():
+            if limit is not None and len(pairs) > limit:
+                section[f"{key}_truncated"] = True
+            section["witnesses"][key] = pairs[:limit]
+    return section
+
+
+@pytest.mark.parametrize("verb", ["validate", "orders"])
+def test_a_cut_prints_the_first_rows_of_the_uncut_listing(tmp_path, capsys, verb):
+    """At n=5, in both formats, ``--witnesses k`` prints the first k rows of
+    each uncut list, and a list's ``*_truncated`` key only when it is cut;
+    no flag is the default limit, which cuts none of these lists."""
+    path = rule_breaking_file(tmp_path, 5)
+    full = machine(capsys, [verb, path, "--witnesses", str(10**6)])
+    section = full["sections"][verb]
+    assert "_truncated" not in json.dumps(section)
+    if verb == "validate":
+        sizes = [len(section[rule]["violations"]) for rule in ("classical", "quantum")]
+    else:
+        sizes = [len(pairs) for pairs in section["witnesses"].values()]
+    assert max(sizes) > 37 and max(sizes) <= WITNESS_LIST_CAP
+    for limit in (0, 1, 37, None):
+        expected = dict(full, sections={verb: cut_section(section, verb, limit)})
+        flag = [] if limit is None else ["--witnesses", str(limit)]
+        json_text = json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert invoke(capsys, [verb, path, *flag, "--format", "machine"]) == (0, json_text, "")
+        assert invoke(capsys, [verb, path, *flag]) == (0, render_text_oracle(expected), "")
+
+
+def test_the_listings_of_a_cut_are_the_pairwise_oracles_cut(tmp_path):
+    """At n=5 the validators' violations and the order report's witnesses,
+    cut at each limit, are the first rows of the pairwise oracles'."""
+    theory = load(rule_breaking_file(tmp_path, 5))
+    m, space = theory.measure, enumerate_multiplicative(theory.algebra)
+    oracles = {
+        validate_classical: brute_force_classical(m).violations,
+        validate_quantum: brute_force_quantum(m).violations,
+    }
+    pairs = order_report_oracle(space).witnesses
+    for limit in (0, 1, 37, None):
+        for validator, violations in oracles.items():
+            rep = validator(m, limit)
+            assert rep.violations == violations[:limit]
+            assert rep.truncated == (limit is not None and len(violations) > limit)
+        rep = order_report(space, limit)
+        assert rep.witnesses == {key: listed[:limit] for key, listed in pairs.items()}
 
 
 @pytest.mark.parametrize("argv", [["validate", THREE_SLIT, "--witnesses", "-1"],
@@ -982,14 +1076,22 @@ def test_render_text_matches_the_oracle(report):
 
 
 # Row tables: sorted distinct column names (some with the template's own
-# "%"), any of them flag columns holding bools, the others strings.
+# "%"), each a flag column holding bools, a list column holding tuples of
+# strings (empty ones among them) or a column of strings; or rows with no
+# column names, tuples of strings all of one length.
 @st.composite
 def row_tables(draw):
+    if draw(st.booleans(), label="unnamed"):
+        width = draw(st.integers(0, 3), label="width")
+        return RowTable(None, (), draw(st.lists(st.tuples(*[TEXTS] * width), max_size=4)))
     names = st.one_of(TEXTS, st.sampled_from(["%", "%s", "a%%"]))
     columns = sorted(draw(st.sets(names, max_size=4)))
-    flags = draw(st.sets(st.sampled_from(columns))) if columns else set()
-    cells = [st.booleans() if name in flags else TEXTS for name in columns]
-    return RowTable(columns, flags, draw(st.lists(st.tuples(*cells), max_size=4)))
+    kinds = [draw(st.sampled_from(["str", "flag", "list"]), label=name) for name in columns]
+    cells = {"str": TEXTS, "flag": st.booleans(), "list": st.lists(TEXTS, max_size=3).map(tuple)}
+    rows = draw(st.lists(st.tuples(*[cells[kind] for kind in kinds]), max_size=4))
+    flags = [name for name, kind in zip(columns, kinds) if kind == "flag"]
+    lists = [name for name, kind in zip(columns, kinds) if kind == "list"]
+    return RowTable(columns, flags, rows, lists)
 
 
 ROW_TREES = st.recursive(
@@ -1002,14 +1104,14 @@ ROW_TREES = st.recursive(
 )
 
 
-def with_dicts(tree):
-    """``tree`` with every row table replaced by its list of dicts."""
+def with_plain(tree):
+    """``tree`` with every row table replaced by its list of dicts or lists."""
     if type(tree) is RowTable:
-        return tree.dicts()
+        return tree.plain()
     if type(tree) is dict:
-        return {key: with_dicts(item) for key, item in tree.items()}
+        return {key: with_plain(item) for key, item in tree.items()}
     if type(tree) is list:
-        return [with_dicts(item) for item in tree]
+        return [with_plain(item) for item in tree]
     return tree
 
 
@@ -1018,14 +1120,16 @@ def with_dicts(tree):
 def test_writers_print_a_row_table_as_its_dicts(sections):
     report = {"command": "x", "theory": {"labels": [], "measure_kind": "y", "values": {}}}
     report["sections"] = sections
-    plain = with_dicts(report)
+    plain = with_plain(report)
     expected = json.dumps(plain, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     assert render_machine(report) == expected
     assert render_text(report) == render_text_oracle(plain)
 
 
 @pytest.mark.parametrize("value", [0.5, float("nan"), {1, 2}, frozenset(), b"x"])
-@pytest.mark.parametrize("where", ["value", "item", "nested", "column", "flag"])
+@pytest.mark.parametrize(
+    "where", ["value", "item", "nested", "column", "flag", "list", "in list", "unnamed"]
+)
 def test_render_machine_refuses_values_outside_its_types(value, where):
     report = {
         "value": {"a": value},
@@ -1033,6 +1137,9 @@ def test_render_machine_refuses_values_outside_its_types(value, where):
         "nested": {"a": [{"b": value}]},
         "column": {"a": RowTable(("a", "b"), ("b",), [("s", True), (value, False)])},
         "flag": {"a": RowTable(("a", "b"), ("b",), [("s", True), ("t", value)])},
+        "list": {"a": RowTable(("a",), (), [(("s",),), (value,)], ("a",))},
+        "in list": {"a": RowTable(("a",), (), [(("s",),), (("t", value),)], ("a",))},
+        "unnamed": {"a": RowTable(None, (), [("s", "t"), ("u", value)])},
     }
     with pytest.raises(TypeError):
         render_machine(report[where])

@@ -769,3 +769,26 @@ def test_renderings_read_the_event_names_only_for_a_long_range(keys, reads_names
     renderings = space.renderings
     assert ("event_names" in alg.space.__dict__) == reads_names
     assert renderings == tuple(render_key(alg.space, key) for key in keys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_renderings_of_all_coevents_are_render_key(n):
+    """Over all coevents, in canonical order, each non-dual extends the
+    string of its support less the highest mask, rendered before it."""
+    alg = algebra_of_size(n)
+    space = enumerate_coevents(alg)
+    assert space.renderings == tuple(render_key(alg.space, key) for key in space.keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_renderings_of_any_space_are_render_key(data):
+    """Any subset of the coevents at n <= 3, in any order: a prefix rendered
+    before a member is extended, any other member goes through render_key."""
+    alg = algebra_of_size(data.draw(st.integers(1, 3), label="n"))
+    every = enumerate_coevents(alg).keys
+    keys = data.draw(st.lists(st.sampled_from(every), unique=True, max_size=40), label="keys")
+    if data.draw(st.booleans(), label="canonical order"):
+        keys.sort(key=every.index)
+    space = CoeventSpace._of_keys(alg, keys, "user-supplied")
+    assert space.renderings == tuple(render_key(alg.space, key) for key in keys)

@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ from coevents.coevent import preclusive_key
 from coevents.eventalg import WITNESS_LIST_CAP, down_set, first_witnesses
 from coevents.theoryfile import load
 
-from conftest import LETTER_LABELS
+from conftest import LETTER_LABELS, brute_force_classical, brute_force_quantum
 
 
 def amplitude_oracle(space: SampleSpace, amps: list[GaussianRational]) -> dict[int, Fraction]:
@@ -752,47 +753,6 @@ def is_grade2_oracle(values, size: int) -> bool:
     return True
 
 
-def brute_force_classical(m: Measure) -> ValidationReport:
-    """Oracle: additivity on every unordered disjoint pair, a <= b."""
-    alg, v = m.algebra, m.values
-    violations = []
-    for a in range(alg.size):
-        for b in range(a, alg.size):
-            if a & b == 0 and v[a | b] != v[a] + v[b]:
-                violations.append(Violation(
-                    "additivity", (alg.event(a), alg.event(b)), v[a | b], v[a] + v[b]
-                ))
-    return ValidationReport("classical", tuple(violations), ok=not violations)
-
-
-def brute_force_quantum(m: Measure) -> ValidationReport:
-    """Oracle: sign and normalization, then every disjoint triple a <= b <= c."""
-    alg, v = m.algebra, m.values
-    violations = [
-        Violation("nonnegativity", (alg.event(k),), v[k], Fraction(0))
-        for k in range(alg.size)
-        if v[k] < 0
-    ]
-    if v[alg.space.full_mask] != 1:
-        violations.append(
-            Violation("normalization", (alg.full,), v[alg.space.full_mask], Fraction(1))
-        )
-    for a in range(alg.size):
-        for b in range(a, alg.size):
-            for c in range(b, alg.size):
-                if a & b or c & (a | b):
-                    continue
-                expected = v[a | b] + v[b | c] + v[a | c] - v[a] - v[b] - v[c]
-                if v[a | b | c] != expected:
-                    violations.append(Violation(
-                        "level2",
-                        (alg.event(a), alg.event(b), alg.event(c)),
-                        v[a | b | c],
-                        expected,
-                    ))
-    return ValidationReport("quantum", tuple(violations), ok=not violations)
-
-
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
 # Mixed denominators, negative values and many exact zeros.
@@ -1036,6 +996,14 @@ def test_deferred_reports_equal_the_eager_listing(kind, data):
             assert (rep.violations, rep.truncated) == (violations, truncated)
 
 
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.fractions(max_denominator=60), min_size=1, max_size=16))
+def test_value_texts_are_the_strings_of_the_fractions(values):
+    table = measure_mod.MeasureValues.of_ratios([(f.numerator, f.denominator) for f in values])
+    nums = {*table.nums, 0, table.den, -table.den, 2 * table.den + 1}
+    assert table.texts(nums) == {num: str(table.fraction(num)) for num in nums}
+
+
 def test_witnesses_are_listed_once_on_first_read(monkeypatch):
     """No pair or triple is walked until the report's witnesses are read,
     and a second read walks none."""
@@ -1062,10 +1030,9 @@ def test_witnesses_are_listed_once_on_first_read(monkeypatch):
         validate_classical: lambda: measure_mod._additivity_violations(m),
         validate_quantum: lambda: measure_mod._quantum_violations(m, True, False),
     }
-    for validator, read in [
-        (validate_classical, "violations"), (validate_classical, "truncated"),
-        (validate_quantum, "violations"), (validate_quantum, "truncated"),
-    ]:
+    for validator, read in product(
+        (validate_classical, validate_quantum), ("violations", "truncated", "rows")
+    ):
         steps.update(pairs=0, triples=0)
         eager = first_witnesses(listers[validator](), 3)
         eager_steps = dict(steps)
@@ -1077,7 +1044,7 @@ def test_witnesses_are_listed_once_on_first_read(monkeypatch):
         walked = dict(steps)
         assert walked == eager_steps and walked["pairs"] > 0
         assert (walked["triples"] > 0) == (validator is validate_quantum)
-        assert (rep.violations, rep.truncated) == eager
+        assert (rep.rows, rep.truncated) == eager
         assert getattr(rep, read) == first
         assert (len(rep.violations), rep.truncated) == (3, True)
         assert steps == walked
@@ -1114,7 +1081,7 @@ def test_an_unlisted_report_lists_only_on_a_witness_field(monkeypatch, validator
     assert calls == []
     assert list(type(rep)._fields) == ["rule", "violations", "ok", "truncated"]
     assert rep.truncated and len(rep.violations) == 1 and len(calls) == 1
-    assert set(vars(rep)) == set(type(rep)._fields)  # the lister is dropped
+    assert set(vars(rep)) == {*type(rep)._fields, "rows"}  # the lister is dropped
     for copied in copies:
         assert copied == rep and hash(copied) == hash(rep) and repr(copied) == repr(rep)
     assert len(calls) == 3  # each copy listed once, on its own first read
