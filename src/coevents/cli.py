@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import beables, coevent, measure as measure_mod, topos
 from .coevent import CoeventSpace, dual_principals
@@ -26,7 +26,7 @@ from .errors import (
     UnknownHistory,
     ValidationError,
 )
-from .eventalg import WITNESS_LIST_CAP, Event, first_witnesses, iter_submasks, set_bits
+from .eventalg import WITNESS_LIST_CAP, Event, Record, first_witnesses, iter_submasks, set_bits
 from .poset import up_sets
 from .theoryfile import HistoriesTheory, load
 
@@ -86,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _Verb(NamedTuple):
+class _Verb(Record):
     """A verb's help line, its sections (name -> builder and arguments; by
     default its own builder over the ``--set`` space), its own flags, the
     flags it needs and its query's flags: it refuses any other (:attr:`reads`)."""

@@ -6,7 +6,10 @@ graining.  A measure's values are held as integer numerators over one
 common denominator, and every sum rule, sign test and zero test compares
 those integers; ``Fraction`` values are built only when read.  Inputs
 are ``fractions.Fraction`` / Gaussian rationals: preclusion hinges on
-exact zero tests, so there is no floating-point mode.
+exact zero tests, so there is no floating-point mode.  The functions that
+build or test a ``Fraction`` import ``fractions`` and ``numbers`` when
+called, so a caller that reads only the integers, as the CLI does, never
+loads them.
 
 Each kind of measure input has one integer core that builds the value
 table from :data:`Ratio` pairs (:meth:`MeasureValues.of_ratios`,
@@ -40,11 +43,10 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from collections.abc import Mapping
+from functools import cache, cached_property, lru_cache, partial
 from itertools import combinations
-from numbers import Rational
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidPartition, MismatchedSpace
 from .eventalg import (
@@ -63,11 +65,17 @@ from .eventalg import (
     unchecked,
 )
 
+if TYPE_CHECKING:  # the functions that build or test a Fraction import it when called
+    from fractions import Fraction
+
 #: An exact rational as an integer numerator and a positive denominator,
 #: not necessarily in lowest terms.
 Ratio = tuple[int, int]
 #: A Gaussian rational as the ratios of its real and imaginary parts.
 ComplexRatio = tuple[Ratio, Ratio]
+#: A part not given to the :class:`GaussianRational` constructor, which
+#: holds ``Fraction(0)`` for it.
+_ZERO = object()
 
 
 class GaussianRational(Record):
@@ -81,7 +89,12 @@ class GaussianRational(Record):
     re: Fraction
     im: Fraction
 
-    def __init__(self, re: Fraction | int = Fraction(0), im: Fraction | int = Fraction(0)) -> None:
+    def __init__(self, re: Fraction | int = _ZERO, im: Fraction | int = _ZERO) -> None:
+        if re is _ZERO or im is _ZERO:
+            import fractions
+
+            re = fractions.Fraction(0) if re is _ZERO else re
+            im = fractions.Fraction(0) if im is _ZERO else im
         for part in (re, im):
             _ratio_of(part)  # refuses a float, or any other inexact part, by name
         object.__setattr__(self, "re", re)
@@ -115,7 +128,9 @@ class GaussianRational(Record):
 
     @classmethod
     def real(cls, value: Fraction | int) -> "GaussianRational":
-        return cls(Fraction(*_ratio_of(value)))
+        import fractions
+
+        return cls(fractions.Fraction(*_ratio_of(value)))
 
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else "-"
@@ -169,7 +184,7 @@ class ValidationReport(ListedOnRead, Record):
     _witness_fields = ("violations", "truncated")
 
 
-class MeasureValues(Mapping[int, Fraction]):
+class MeasureValues(Mapping):
     """A total table of rational values, one per event mask, read-only.
 
     The value on mask m is ``nums[m] / den``: one denominator den > 0 for
@@ -307,7 +322,9 @@ class MeasureValues(Mapping[int, Fraction]):
         try:
             return self._fractions[num]
         except KeyError:
-            value = self._fractions[num] = Fraction(num, self.den)
+            import fractions
+
+            value = self._fractions[num] = fractions.Fraction(num, self.den)
             return value
 
     def texts(self, nums: Iterable[int]) -> dict[int, str]:
@@ -420,7 +437,10 @@ class Measure(Record):
     ) -> "Measure":
         """The measure with the given value per mask; a string such as
         ``"1/2"`` is read as a ``Fraction``."""
-        return cls(algebra, {m: Fraction(v) if isinstance(v, str) else v for m, v in table.items()})
+        import fractions
+
+        table = {m: fractions.Fraction(v) if isinstance(v, str) else v for m, v in table.items()}
+        return cls(algebra, table)
 
     @classmethod
     def from_atom_weights(
@@ -448,9 +468,18 @@ class Measure(Record):
 def _ratio_of(x: Fraction | int) -> Ratio:
     """An exact rational's numerator and denominator; any other value, a
     float among them, is refused rather than read as a binary fraction."""
-    if not isinstance(x, Rational):
+    if not isinstance(x, _rational()):
         raise TypeError(f"{x!r} is not an exact rational (an int or a Fraction)")
     return x.numerator, x.denominator
+
+
+@cache
+def _rational() -> type:
+    """``numbers.Rational``, imported on the first test of a value, once:
+    :func:`_ratio_of` runs once per value of a table given as a mapping."""
+    import numbers
+
+    return numbers.Rational
 
 
 def _parts_of(g: GaussianRational) -> ComplexRatio:
@@ -917,7 +946,9 @@ class DecoherenceSpec(Record):
         norm = total.re * total.re + total.im * total.im
         if norm == 0:
             raise ValueError("amplitudes sum to zero; matrix cannot be normalized")
-        scale = GaussianRational(Fraction(1, 1) / norm)
+        import fractions
+
+        scale = GaussianRational(fractions.Fraction(1, 1) / norm)
         rows = [
             [amplitudes[i] * amplitudes[j].conjugate() * scale for j in range(space.n)]
             for i in range(space.n)
@@ -950,7 +981,9 @@ def _checked_matrix(
         raise ValueError(f"matrix is not Hermitian at ({space.labels[i]}, {space.labels[j]})")
     re_total = sum(map(sum, re))
     if re_total != re_den:
-        total = GaussianRational.real(Fraction(re_total, re_den))
+        import fractions
+
+        total = GaussianRational.real(fractions.Fraction(re_total, re_den))
         raise ValueError(f"matrix entries sum to {total}, expected 1")
     return re_den, re
 

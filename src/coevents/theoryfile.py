@@ -24,7 +24,7 @@ as written, and each stanza's pairs go to its integer core in
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 from typing import Any, Callable, Iterable
 
 from .coevent import BRUTE_FORCE_CAP
@@ -249,7 +249,12 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def load(path: str | Path) -> HistoriesTheory:
+#: The one decoder of theory files, built once: ``json.loads`` with a hook
+#: builds a decoder per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
+def load(path: str | os.PathLike[str]) -> HistoriesTheory:
     """Parse and validate a theory file.
 
     The file is read as bytes and decoded as strict UTF-8; CRLF and a
@@ -265,7 +270,9 @@ def load(path: str | Path) -> HistoriesTheory:
         raise ParseError(f"{path}: not valid UTF-8: {exc}")
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        data = json.loads(text, object_pairs_hook=_object)
+        if text.startswith("\ufeff"):  # as json.loads refuses it; the decoder would not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except (RecursionError, ValueError) as exc:  # too deeply nested, too many digits, a key twice

@@ -24,6 +24,7 @@ from coevents.beables import (
     and_or_audit,
     complete,
 )
+from coevents.cli import _Verb
 from coevents.coevent import Coevent, CoeventSpace, enumerate_multiplicative
 from coevents.eventalg import Event, EventAlgebra, EventFamily, Record, SampleSpace
 from coevents.measure import (
@@ -34,6 +35,7 @@ from coevents.measure import (
     Measure,
     ValidationReport,
     Violation,
+    _ratio_of,
     coarse_grain,
 )
 from coevents.poset import FinitePoset
@@ -121,6 +123,7 @@ BUILDERS = {
         lambda: load_data({"sample_space": ["a", "c"], "measure": {"atom_weights": WEIGHTS_AC}}),
     ),
     Sieve: (lambda: Sieve(POSET, "x", 0b11), lambda: Sieve(POSET, "x", 0b10)),
+    _Verb: (lambda: _Verb("help", flags=("--a",)), lambda: _Verb("help", needs=("--a",))),
     # compared by identity: no second builder
     VaryingSet: (lambda: constant_varying_set(POSET, {1, 2}), None),
     SubobjectOfConstant: (lambda: SubobjectOfConstant(POSET, {1, 2}, [{1}, {1, 2}]), None),
@@ -139,7 +142,7 @@ def fields_of(value: object) -> tuple[str, ...]:
 
 def test_every_value_class_is_covered():
     records = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("coevents.")}
-    assert len(records) == 25 and records == set(BUILDERS) - {Coevent}
+    assert len(records) == 26 and records == set(BUILDERS) - {Coevent}
 
 
 @pytest.mark.parametrize("cls", list(BUILDERS), ids=lambda cls: cls.__name__)
@@ -209,18 +212,50 @@ def test_record_constructor_takes_fields_by_position_or_name():
             second: int
 
 
-def test_importing_the_package_runs_no_dataclass_machinery():
+#: Modules that no verb uses, kept off the start-up path: ``dataclasses``
+#: pulls in ``inspect``; ``fractions`` pulls in ``decimal`` and ``numbers``,
+#: which only the functions that take or build a ``Fraction`` import; the
+#: package has no use for ``pathlib``.
+OFF_THE_PATH = ("dataclasses", "decimal", "fractions", "inspect", "numbers", "pathlib")
+
+
+def test_importing_the_package_and_running_every_verb_loads_no_unused_module():
     """A fresh interpreter, without ``site`` so that only the package's own
-    imports count, imports neither ``dataclasses`` nor ``inspect``."""
-    src = str(Path(coevents.__file__).resolve().parent.parent)
+    imports count, imports the package and the CLI and runs every verb in
+    process, its stdout discarded; none of :data:`OFF_THE_PATH` is loaded,
+    while ``argparse`` and ``json``, which every run uses, are."""
+    root = Path(coevents.__file__).resolve().parent.parent.parent
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import coevents, coevents.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import contextlib, io\n"
+        "for argv in [['tau', '--event', '1'], ['validate'], ['coevents'], ['orders'], "
+        "['complete'], ['audit'], ['topos'], ['report']]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert coevents.cli.run(argv[:1] + [sys.argv[2]] + argv[1:]) == 0, argv\n"
+        "print(sorted(set(sys.argv[3:]) & set(sys.modules)), 'argparse' in sys.modules, "
+        "'json' in sys.modules)"
     )
+    theory = str(root / "demos" / "theories" / "three_slit.json")
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, str(root / "src"), theory, *OFF_THE_PATH],
+        capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] True True"
+
+
+def test_the_values_that_import_fractions_when_called_are_unchanged():
+    """What the deferred ``fractions`` and ``numbers`` imports must not change."""
+    assert repr(GaussianRational()) == "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))"
+    assert GaussianRational() == GaussianRational(Fraction(0), Fraction(0))
+    assert hash(GaussianRational()) == hash(GaussianRational(Fraction(0), Fraction(0)))
+    assert repr(GaussianRational(0)) == "GaussianRational(re=0, im=Fraction(0, 1))"
+    assert type(MEASURE.values[1]) is Fraction and MEASURE.values[1] == Fraction(1, 3)
+    assert MEASURE.values == {0: 0, 1: Fraction(1, 3), 2: Fraction(2, 3), 3: 1}
+    for inexact in (0.5, None, "1/2"):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            _ratio_of(inexact)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            GaussianRational(im=inexact)
 
 
 #: The package's public API: every name ``import coevents`` binds, less the

@@ -318,6 +318,18 @@ def test_parse_error_carries_position(tmp_path):
         load(path)
 
 
+def test_loading_builds_no_json_decoder(monkeypatch):
+    """Every file is decoded by the module's one decoder; ``json.loads`` with
+    a hook would build one per call."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSONDecoder was built")
+
+    monkeypatch.setattr(json.JSONDecoder, "__init__", refuse)
+    for name, n in (("three_slit.json", 3), ("four_slit_decoherence.json", 4)):
+        assert load(THEORIES / name).space.n == load(str(THEORIES / name)).space.n == n
+
+
 def test_load_data_requires_object():
     with pytest.raises(ValidationError, match="object"):
         load_data([1, 2, 3])
