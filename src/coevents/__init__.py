@@ -4,9 +4,9 @@ The package follows the layering of the subject: sample spaces and the
 Boolean event algebra (:mod:`.eventalg`), exact classical/quantum
 measures (:mod:`.measure`), coevents and the multiplicative scheme
 (:mod:`.coevent`), the valuation-event order structure and completions
-(:mod:`.beables`), varying sets with their subobject classifier
-(:mod:`.topos`), the finite-poset core both of these read their up-sets
-and Heyting implication from (:mod:`.poset`), and a file-driven CLI
+(:mod:`.beables`), sieves and the subobject classifier (:mod:`.topos`),
+the finite-poset core both of these read their up-sets and Heyting
+implication from (:mod:`.poset`), and a file-driven CLI
 (:mod:`.cli`).
 
 Each operation has one spelling: an event's ``&``, ``|``, ``~`` and ``^``
@@ -86,14 +86,12 @@ from .topos import (
     Sieve,
     SubobjectClassifier,
     SubobjectOfConstant,
-    VaryingSet,
     build_instance,
     build_mce_instance,
     build_scheme_instance,
     characteristic_map,
     chi_vsupp,
     classifier,
-    constant_varying_set,
     is_subobject,
     sieves_at,
 )

@@ -10,9 +10,8 @@ on the former.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
 from .coevent import Coevent, CoeventSpace, dual_principals, modus_ponens_key
@@ -34,7 +33,7 @@ from .eventalg import (
     set_bits,
     unchecked,
 )
-from .poset import implication, up_sets
+from .poset import UpSets
 
 #: The completions live inside 2**|V|, so closure is capped.
 COMPLETION_CAP = 20
@@ -275,9 +274,11 @@ def _order_witnesses(
     The injectivity witnesses group every event by its row, so when they
     are listed every walk reads the whole tau table, as on a space that
     holds a non-dual, whose rows are that table.  Otherwise each row is
-    read on demand, once per visited mask.  Each walk lists the pairs
-    (A, B) of one A at a time, so a cut list walks at most one A past
-    its last witness.
+    read on demand, once per visited mask.  Over duals only the join
+    flag can fail with the table unbuilt, and its walk yields each pair
+    as it is found, so a cut list reads no row past its last witness.
+    The other walks list the pairs (A, B) of one A at a time, so a cut
+    list walks at most one A past its last witness.
     """
     alg = space.algebra
     size = alg.size
@@ -320,7 +321,7 @@ def _order_witnesses(
             # without lying inside A or inside Omega - A.
             if duals and not images[full] & ~row & ~images[full ^ a]:
                 continue
-            yield from [(a, b) for b in range(a, size) if images[a | b] != row | images[b]]
+            yield from ((a, b) for b in range(a, size) if images[a | b] != row | images[b])
 
     listers = {
         "injectivity": injectivity_pairs,
@@ -356,43 +357,64 @@ class Completion(Record):
     mode="upper": closure under union and intersection; every member is
     an up-set of the space's ``up_rows`` and the result is a Heyting
     algebra (a finite locale), not Boolean in general.  mode="boolean":
-    additionally closed under complement, which is all of 2^V.
-    ``member_bits`` holds the members' bit patterns in ascending order:
-    a sorted tuple in upper mode, and ``range(1 << |V|)`` in Boolean
-    mode, so that nothing 2^|V| long is built until someone reads it;
-    :meth:`holds` answers membership by binary search of it.
+    additionally closed under complement, which is all of 2^V, the
+    up-sets of the discrete order on V.  The completion is its mode and
+    space: its ``lattice`` of up-sets is derived on first read, and its
+    ``member_bits`` are listed, ascending, only when read.  Its size and
+    membership (:meth:`holds`) read the lattice without listing it.
     """
 
     mode: str
     space: CoeventSpace
-    member_bits: Sequence[int]
 
     def __post_init__(self) -> None:
         if self.mode not in ("upper", "boolean"):
             raise ValueError(f"unknown completion mode {self.mode!r}")
+
+    @cached_property
+    def lattice(self) -> UpSets:
+        """The up-sets the members are: of the support order inside every
+        member but the zero coevent, which lies in no tau row; in Boolean
+        mode of the discrete order, whose up-sets are every subset."""
+        space = self.space
+        everyone = (1 << len(space)) - 1
+        if self.mode == "boolean":
+            return UpSets(tuple([1 << i for i in range(len(space))]), everyone)
+        keys = space.keys
+        return UpSets(space.up_rows, everyone ^ (1 << keys.index(~0) if ~0 in keys else 0))
+
+    @property
+    def _drops_empty(self) -> bool:
+        """∅ is no member of the upper completion beside the constant-one
+        dual ∅*, which lies in every tau row."""
+        return self.mode == "upper" and 0 in self.space.keys
+
+    @cached_property
+    def member_bits(self) -> tuple[int, ...]:
+        return self.lattice.listed[self._drops_empty:]
 
     @property
     def members(self) -> tuple[ValuationEvent, ...]:
         return tuple(ValuationEvent(self.space, b) for b in self.member_bits)
 
     def __len__(self) -> int:
-        return len(self.member_bits)
+        return self.lattice.size - self._drops_empty
 
     def __iter__(self) -> Iterator[ValuationEvent]:
         return iter(self.members)
 
     def holds(self, bits: int) -> bool:
-        """True iff ``bits`` is a member's bit pattern: ``member_bits`` is
-        sorted and distinct, a range in Boolean mode, so one bisection."""
-        i = bisect_left(self.member_bits, bits)
-        return i < len(self.member_bits) and self.member_bits[i] == bits
+        """True iff ``bits`` is a member's bit pattern: an up-set of the
+        lattice, and not ∅ where ∅ is dropped."""
+        return bits in self.lattice and not (bits == 0 and self._drops_empty)
 
     def __contains__(self, alpha: ValuationEvent) -> bool:
         return alpha.space == self.space and self.holds(alpha.bits)
 
 
 def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Completion:
-    """Closure of {tau(A)} under the mode's operations.
+    """Closure of {tau(A)} under the mode's operations, refused by its
+    caps before anything is listed; the members wait for their first read.
 
     The union/intersection closure is the up-sets of the members ordered
     by support inclusion (Birkhoff), antisymmetric as the members are
@@ -401,24 +423,24 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
     up-set is a union of these.  The zero coevent lies in no row and the
     constant-one dual ∅* in every row, so the up-sets are taken inside
     every member but the zero coevent, less ∅ when ∅* is a member.  So
-    it is :func:`~coevents.poset.up_sets` over the space's ``up_rows``,
+    it is :class:`~coevents.poset.UpSets` of the space's ``up_rows``,
     with no closure and no coevent built; the pairwise worklist is its
     test oracle.
 
     Members with supports of one size are pairwise incomparable, so w of
     them give 2^w - 1 up-sets at least.  A space over COMPLETION_CAP
     members, which only a raised ``cap`` lets through, is refused,
-    whatever ``cap`` says, before any up-set is listed when its widest
-    support size is shared by more than COMPLETION_CAP members.  A dual
-    p*'s support size is 2^(n - |p|), any other's its popcount.
+    whatever ``cap`` says, when its widest support size is shared by
+    more than COMPLETION_CAP members.  A dual p*'s support size is
+    2^(n - |p|), any other's its popcount.
 
     The Boolean closure is all of 2^V: its atoms are the classes of
     members that no generator tells apart, and distinct members of V
     have distinct supports, so some event A lies in one support and not
     the other, and the row tau(A) separates them.  Every atom is one
-    member.  The tests compare it with a brute-force closure.  Its
-    members are held as ``range(1 << |V|)``, so building it costs
-    nothing, and they are refused above |V| = COMPLETION_CAP whatever
+    member.  The tests compare it with a brute-force closure.  It is the
+    up-sets of the discrete order on V, whose size 2^|V| is read without
+    a listing, and it is refused above |V| = COMPLETION_CAP whatever
     ``cap`` says.
     """
     if mode not in ("upper", "boolean"):
@@ -427,20 +449,13 @@ def complete(space: CoeventSpace, mode: str, cap: int = COMPLETION_CAP) -> Compl
         raise CapExceeded("completion closure", COMPLETION_CAP, len(space), override=None)
     if len(space) > cap:
         raise CapExceeded("completion closure", cap, len(space))
-    if mode == "boolean":
-        return Completion(mode, space, range(1 << len(space)))
-    keys, everyone = space.keys, (1 << len(space)) - 1
-    if len(space) > COMPLETION_CAP:
+    if mode == "upper" and len(space) > COMPLETION_CAP:
         n = space.algebra.space.n
-        sizes = (1 << n - k.bit_count() if k >= 0 else (~k).bit_count() for k in keys)
+        sizes = (1 << n - k.bit_count() if k >= 0 else (~k).bit_count() for k in space.keys)
         widest = max(Counter(sizes).values())
         if widest > COMPLETION_CAP:
             raise CapExceeded("completion closure", COMPLETION_CAP, widest, override=None)
-    within = everyone ^ (1 << keys.index(~0) if ~0 in keys else 0)
-    members = up_sets(space.up_rows, within)
-    if 0 in keys:
-        del members[0]
-    return Completion(mode, space, tuple(members))
+    return Completion(mode, space)
 
 
 def heyting_implication(
@@ -451,9 +466,11 @@ def heyting_implication(
     Needs a space of nonzero multiplicative coevents (NotMultiplicative,
     a ValueError, names the requirement otherwise).  Over such a space
     the upper completion is the up-sets of the dual order, so the answer
-    is that locale's implication, computed pointwise: a member of V
-    belongs iff every member above it that lies in alpha also lies in
-    beta.  The tests compare it with a scan of the completion's members.
+    is that locale's implication (``completion.lattice.implies``), computed
+    pointwise: a member of V belongs iff every member above it that lies
+    in alpha also lies in beta.  The operands' membership is the up-set
+    test, so no member is listed.  The tests compare it with a scan of
+    the completion's members.
     """
     if completion.mode != "upper":
         raise NotUpperMode("Heyting implication needs the union/intersection completion")
@@ -465,7 +482,7 @@ def heyting_implication(
 
     space = completion.space
     dual_principals(space)
-    return ValuationEvent(space, implication(space.up_rows, alpha.bits, beta.bits))
+    return ValuationEvent(space, completion.lattice.implies(alpha.bits, beta.bits))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from .errors import (
     UnknownHistory,
     ValidationError,
 )
-from .eventalg import WITNESS_LIST_CAP, Event, Record, first_witnesses, iter_submasks, set_bits
-from .poset import up_sets
+from .eventalg import (
+    WITNESS_LIST_CAP, ByMask, Event, Record, first_witnesses, iter_submasks, set_bits,
+)
+from .poset import UpSets
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
@@ -397,8 +399,9 @@ def section_topos(
     event: Optional[Event],
 ) -> dict[str, Any]:
     principals = dual_principals(space)
-    # member i lies below another iff its up-set row holds more than itself
-    antichain = all(space.tau_row(p) == 1 << i for i, p in enumerate(principals))
+    # rows on demand: the test stops at the first member with another above it
+    rows = ByMask(lambda i: space.tau_row(principals[i]))
+    antichain = UpSets(rows, (1 << len(space)) - 1).is_antichain
     section: dict[str, Any] = {
         "set": space.provenance,
         "poset": list(space.renderings),
@@ -463,11 +466,11 @@ def _sieve_counts(space: CoeventSpace) -> list[int]:
     once per size; any other space lists each row's."""
     rows, principals = space.up_rows, space.principals
     if len(rows) - (0 in principals) < space.algebra.space.full_mask:
-        return [len(up_sets(rows, row)) for row in rows]
+        return [UpSets(rows, row).size for row in rows]
     by_size: dict[int, int] = {}
     for p, row in zip(principals, rows):
         if p.bit_count() not in by_size:
-            by_size[p.bit_count()] = len(up_sets(rows, row))
+            by_size[p.bit_count()] = UpSets(rows, row).size
     return [by_size[p.bit_count()] for p in principals]
 
 

@@ -1,19 +1,19 @@
-"""Finite posets as up-set rows: their up-sets, by doubling, and Heyting implication.
+"""Finite posets as up-set rows, and the one lattice of their up-sets.
 
 The up-sets of a finite poset form a finite locale, and two layers use
 one: the upper completion (:mod:`.beables`) is exactly the up-sets of
 the members ordered by support inclusion, the dual order over a space
-of duals, and the sieves of a varying set (:mod:`.topos`) are the
-up-sets above an anchor.  Both take the up-set enumeration
-(:func:`up_sets`) and the implication (:func:`implication`) from here,
-the core's one spelling.  Nothing here reads a coevent: the dual order
-is ``CoeventToposInstance.poset``.
+of duals, and the sieves at an anchor (:mod:`.topos`) are the up-sets
+inside its up-set.  :class:`UpSets` is the core's one spelling of that
+lattice: every listing, count, up-set test, antichain test and Heyting
+implication over up-set rows is one of its members.  Nothing here reads
+a coevent: the dual order is ``CoeventToposInstance.poset``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import MismatchedSpace
 from .eventalg import Record, set_bits
@@ -25,7 +25,7 @@ class FinitePoset(Record):
     ``up[i]`` is the bitmask, over the element order, of the elements at
     or above ``elements[i]``.  The constructor checks the order's laws;
     the dual order (``CoeventToposInstance.poset``) holds them by
-    construction.  Its up-sets are :func:`up_sets` of ``up``.
+    construction.  Its up-sets are ``UpSets(up, within)``.
     """
 
     elements: tuple[Hashable, ...]
@@ -86,50 +86,72 @@ class FinitePoset(Record):
     def leq(self, x: Hashable, y: Hashable) -> bool:
         return bool(self.up[self.index(x)] >> self.index(y) & 1)
 
-    def is_up_set(self, bits: int) -> bool:
-        """True iff the elements in ``bits`` are upward closed."""
-        up = self.up
-        return all(up[j] & ~bits == 0 for j in set_bits(bits))
 
-    def is_antichain(self) -> bool:
-        return all(row == 1 << i for i, row in enumerate(self.up))
-
-
-def up_sets(up: Sequence[int], within: int) -> list[int]:
+class UpSets(Record):
     """The up-sets inside the up-set ``within`` of the order whose up-set
-    rows are ``up``, ascending.
+    rows are ``up``: a finite locale under union and intersection.
 
-    Built by doubling over ``within``'s elements in a linear extension:
-    an element's strict up-set is smaller than its own, so ascending
-    ``up[j].bit_count()`` is one, and each of its elements comes earlier.
-    Element j keeps the sets built so far, the up-sets of the elements
-    before it, and adds ``u | 1 << j`` for each u that holds its strict
-    up-set.  When each row has no element above its own index, as the
-    dual order in ascending-principal order has, index order is a linear
-    extension in which each new set is larger than every old one, so the
-    list is built ascending; any other order is sorted at the end.
+    Nothing is listed until :attr:`listed` is read.  Membership, the
+    size of an antichain's lattice, the antichain test and the Heyting
+    implication read the rows alone.
     """
-    order = set_bits(within)
-    ascending = all(up[j] >> j == 1 for j in order)
-    if not ascending:
-        order = sorted(order, key=lambda j: up[j].bit_count())
-    sets = [0]
-    for j in order:
-        bit = 1 << j
-        strict = up[j] ^ bit
-        sets += [u | bit for u in sets if u & strict == strict]
-    return sets if ascending else sorted(sets)
 
+    up: Sequence[int]
+    within: int
 
-def implication(up: Sequence[int], a: int, b: int, within: Optional[int] = None) -> int:
-    """Heyting implication a => b of up-sets inside the up-set ``within`` (by
-    default all) of the order with up-set rows ``up``: the largest up-set whose
-    meet with a lies in b, the elements whose whole up-set avoids a minus b."""
-    if within is None:
-        within = (1 << len(up)) - 1
-    outside = a & ~b
-    bits = 0
-    for j in set_bits(within):
-        if up[j] & outside == 0:
-            bits |= 1 << j
-    return bits
+    def __contains__(self, bits: int) -> bool:
+        """True iff ``bits`` lies inside ``within`` and holds the up-set
+        row of each of its elements."""
+        up = self.up
+        return bits & ~self.within == 0 and all(up[j] & ~bits == 0 for j in set_bits(bits))
+
+    @cached_property
+    def listed(self) -> tuple[int, ...]:
+        """Every up-set, ascending, listed once on first read.
+
+        Built by doubling over ``within``'s elements in a linear extension:
+        an element's strict up-set is smaller than its own, so ascending
+        ``up[j].bit_count()`` is one, and each of its elements comes earlier.
+        Element j keeps the sets built so far, the up-sets of the elements
+        before it, and adds ``u | 1 << j`` for each u that holds its strict
+        up-set.  When each row has no element above its own index, as the
+        dual order in ascending-principal order has, index order is a linear
+        extension in which each new set is larger than every old one, so the
+        list is built ascending; any other order is sorted at the end.
+        """
+        up = self.up
+        order = set_bits(self.within)
+        ascending = all(up[j] >> j == 1 for j in order)
+        if not ascending:
+            order = sorted(order, key=lambda j: up[j].bit_count())
+        sets = [0]
+        for j in order:
+            bit = 1 << j
+            strict = up[j] ^ bit
+            sets += [u | bit for u in sets if u & strict == strict]
+        return tuple(sets if ascending else sorted(sets))
+
+    @property
+    def size(self) -> int:
+        """How many up-sets: 2^k when the k elements of ``within`` form an
+        antichain, where every subset is one, else the listing's length."""
+        if self.is_antichain:
+            return 1 << self.within.bit_count()
+        return len(self.listed)
+
+    @property
+    def is_antichain(self) -> bool:
+        """True iff no element of ``within`` lies below another."""
+        up = self.up
+        return all(up[j] == 1 << j for j in set_bits(self.within))
+
+    def implies(self, a: int, b: int) -> int:
+        """Heyting implication a => b of two up-sets: the largest up-set
+        whose meet with a lies in b, the elements whose whole up-set
+        avoids a minus b."""
+        up, outside = self.up, a & ~b
+        bits = 0
+        for j in set_bits(self.within):
+            if up[j] & outside == 0:
+                bits |= 1 << j
+        return bits

@@ -1,12 +1,13 @@
-"""Finite varying sets over a poset and their subobject classifier.
+"""Sieves over a finite poset, subobjects of a constant set, and the
+subobject classifier.
 
-A varying set assigns a finite set to every poset element and a
-transition map to every comparable pair, satisfying the identity and
-composition laws.  Truth values are sieves (upper sets above an
-anchor); the classifier bundles them with the restriction maps.  The
+Truth values are sieves (upper sets above an anchor), the up-sets of
+:class:`~coevents.poset.UpSets` inside the anchor's up-set; the
+classifier bundles them with the restriction maps.  A subobject of the
+constant set is held as its columns (:class:`SubobjectOfConstant`).  The
 construction is then instantiated over the poset of multiplicative
 coevents in their dual order, where the support selection is a genuine
-subobject of the constant varying set of history events.
+subobject of the constant set of history events.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .coevent import (
 from .errors import CapExceeded, MismatchedSpace, NotASubobject
 from .eventalg import Event, EventAlgebra, Record, set_bits, unchecked
 from .measure import Measure
-from .poset import FinitePoset, implication, up_sets
+from .poset import FinitePoset, UpSets
 
 #: Sieve enumeration lists every up-set above an anchor.
 SIEVE_ENUMERATION_CAP = 12
@@ -41,9 +42,11 @@ class Sieve(Record):
     bits: int
 
     def __post_init__(self) -> None:
-        if self.bits & ~self.poset.up[self.poset.index(self.at)]:
+        up = self.poset.up
+        anchor = up[self.poset.index(self.at)]
+        if self.bits & ~anchor:
             raise ValueError("sieve members must lie above the anchor")
-        if not self.poset.is_up_set(self.bits):
+        if self.bits not in UpSets(up, anchor):
             raise ValueError("sieve members must be upward closed")
 
     @property
@@ -61,12 +64,12 @@ class Sieve(Record):
 def sieves_at(
     poset: FinitePoset, p: Hashable, cap: int = SIEVE_ENUMERATION_CAP
 ) -> tuple[Sieve, ...]:
-    """All sieves anchored at p, in ascending bitmask order: the up-sets
-    inside p's up-set."""
+    """All sieves anchored at p, in ascending bitmask order: the listed
+    ``UpSets`` inside p's up-set."""
     if len(poset) > cap:
         raise CapExceeded("sieve enumeration", cap, len(poset))
-    up = poset.up[poset.index(p)]
-    return tuple(unchecked(Sieve, poset=poset, at=p, bits=bits) for bits in up_sets(poset.up, up))
+    lattice = UpSets(poset.up, poset.up[poset.index(p)])
+    return tuple(unchecked(Sieve, poset=poset, at=p, bits=bits) for bits in lattice.listed)
 
 
 def sieve_meet(a: Sieve, b: Sieve) -> Sieve:
@@ -83,63 +86,13 @@ def sieve_implication(a: Sieve, b: Sieve) -> Sieve:
     """Heyting implication in the locale of sieves at a common anchor."""
     _require_same_anchor(a, b)
     poset = a.poset
-    bits = implication(poset.up, a.bits, b.bits, poset.up[poset.index(a.at)])
+    bits = UpSets(poset.up, poset.up[poset.index(a.at)]).implies(a.bits, b.bits)
     return unchecked(Sieve, poset=poset, at=a.at, bits=bits)
 
 
 def _require_same_anchor(a: Sieve, b: Sieve) -> None:
     if a.poset != b.poset or a.at != b.at:
         raise MismatchedSpace("sieves at different anchors")
-
-
-class VaryingSet(Record, eq=False):
-    """Fibers over a poset with identity/composition-checked transitions."""
-
-    poset: FinitePoset
-    fibers: tuple[frozenset, ...]
-    transitions: Mapping[tuple[int, int], Mapping]
-
-    def __post_init__(self) -> None:
-        n, up = len(self.poset), self.poset.up
-        expected = {(i, j) for i in range(n) for j in set_bits(up[i])}
-        if set(self.transitions.keys()) != expected:
-            raise ValueError("transitions must be given exactly on comparable pairs")
-        for (i, j), t in self.transitions.items():
-            if set(t.keys()) != set(self.fibers[i]):
-                raise ValueError(f"transition {i}->{j} is not total on its fiber")
-            for x, y in t.items():
-                if y not in self.fibers[j]:
-                    raise ValueError(f"transition {i}->{j} leaves the target fiber")
-        for i in range(n):
-            for x, y in self.transitions[(i, i)].items():
-                if x != y:
-                    raise ValueError(f"transition at {self.poset.elements[i]} is not the identity")
-        for i in range(n):
-            for j in set_bits(up[i]):
-                for k in set_bits(up[j]):
-                    via = {
-                        x: self.transitions[(j, k)][self.transitions[(i, j)][x]]
-                        for x in self.fibers[i]
-                    }
-                    if via != dict(self.transitions[(i, k)]):
-                        raise ValueError(
-                            "transitions violate the composition law through "
-                            f"({self.poset.elements[i]}, {self.poset.elements[j]}, "
-                            f"{self.poset.elements[k]})"
-                        )
-
-    def fiber(self, p: Hashable) -> frozenset:
-        return self.fibers[self.poset.index(p)]
-
-
-def constant_varying_set(poset: FinitePoset, ambient: Iterable) -> VaryingSet:
-    """Every fiber is the same set; every transition the identity."""
-    q = frozenset(ambient)
-    identity = {x: x for x in q}
-    transitions = {
-        (i, j): dict(identity) for i, row in enumerate(poset.up) for j in set_bits(row)
-    }
-    return VaryingSet(poset, tuple(q for _ in poset.elements), transitions)
 
 
 class SubobjectOfConstant(Record, eq=False):
@@ -278,7 +231,8 @@ class CoeventToposInstance(Record, eq=False):
 
     @property
     def is_antichain(self) -> bool:
-        return self.poset.is_antichain()
+        space = self.space
+        return UpSets(space.up_rows, (1 << len(space)) - 1).is_antichain
 
     @cached_property
     def support_subobject(self) -> SubobjectOfConstant:

@@ -36,7 +36,7 @@ from coevents.catalog import four_slit, three_slit
 from coevents.cli import section_audit, section_complete, section_tau, section_topos
 from coevents.coevent import enumerate_classical, multiplicative_scheme
 from coevents.eventalg import WITNESS_LIST_CAP, set_bits
-from coevents.poset import implication
+from coevents.poset import UpSets
 from coevents.theoryfile import load_data
 from coevents.topos import build_instance, chi_vsupp
 
@@ -409,6 +409,23 @@ def test_default_limit_cuts_the_join_witnesses():
     assert not rep.join_agree and rep.meet_agree and rep.orders_agree
 
 
+def test_a_cut_join_list_reads_few_tau_rows(monkeypatch):
+    """Over all duals at n = 10 the tau rows are read on demand, and a join
+    list cut at one witness stops walking at the witness past the cut: it
+    reads a handful of the 1,024 rows, not every row of its first A."""
+    reads = Counter()
+    tau_row = CoeventSpace.tau_row
+
+    def counted(self, mask):
+        reads[mask] += 1
+        return tau_row(self, mask)
+
+    monkeypatch.setattr(CoeventSpace, "tau_row", counted)
+    rep = order_report(enumerate_multiplicative(EventAlgebra(SampleSpace(tuple("abcdefghij")))), 1)
+    assert len(rep.rows["join"]) == 1 and rep.truncated == {"join"}
+    assert sum(reads.values()) <= 16
+
+
 def test_order_report_walks_no_pairs_when_every_flag_holds(monkeypatch):
     """Over the classical space tau(A) is A itself, so every flag holds; at
     n = 12 a walk over the 2^24 ordered pairs would take many seconds.
@@ -520,15 +537,16 @@ def test_upper_completion_refuses_a_support_size_held_by_more_than_the_cap(
     """Over n = 3, 18 non-filter supports of 4 events and the duals {i}*,
     whose support size 4 is read from |p|, share one size: w = 21 is
     refused before any up-set is listed.  With one dual moved to {b,c}*
-    (support size 2), w = 20 passes the check and reaches the listing."""
+    (support size 2), w = 20 passes the check and reaches the listing on
+    the first read of its members."""
 
     class Listed(Exception):
         pass
 
-    def listing(*args, **kwargs):
+    def listing(lattice):
         raise Listed
 
-    monkeypatch.setattr(beables_mod, "up_sets", listing)
+    monkeypatch.setattr(UpSets, "listed", property(listing))
     alg = algebra_of_size(3)
     filters = {frozenset(a for a in range(8) if a & p == p) for p in (1, 2, 4)}
     others = [s for s in map(frozenset, itertools.combinations(range(8), 4)) if s not in filters]
@@ -540,8 +558,9 @@ def test_upper_completion_refuses_a_support_size_held_by_more_than_the_cap(
         with pytest.raises(CapExceeded, match=r"size 21 exceeds cap 20 \(hard cap"):
             complete(space, "upper", cap=len(space))
     else:
+        completion = complete(space, "upper", cap=len(space))
         with pytest.raises(Listed):
-            complete(space, "upper", cap=len(space))
+            completion.member_bits
 
 
 @settings(max_examples=150, deadline=None)
@@ -652,15 +671,18 @@ def test_completion_membership_is_its_member_bits(mode):
 @given(space=mixed_spaces(), mode=st.sampled_from(["upper", "boolean"]))
 def test_completion_holds_exactly_its_member_bits(space, mode):
     """On spaces with non-duals, the zero coevent and ∅*, ``holds`` and
-    ``in`` answer for every bit pattern as a set of the member bits does,
-    and the non-Boolean witness is the set scan's: the first member whose
-    complement is no member."""
+    ``in`` answer for every bit pattern as a set of the member bits and
+    the worklist closure do, and the non-Boolean witness is the set
+    scan's: the first member whose complement is no member."""
     completion = complete(space, mode, cap=len(space))
     members = set(completion.member_bits)
-    for bits in range(1 << len(space)):
-        expected = bits in members
+    closure = (upper_closure_oracle if mode == "upper" else boolean_closure_oracle)(space)
+    assert members == closure
+    for bits in range(-1, 2 << len(space)):
+        expected = bits in closure
         assert completion.holds(bits) == expected
-        assert (ValuationEvent(space, bits) in completion) == expected
+        if 0 <= bits < 1 << len(space):
+            assert (ValuationEvent(space, bits) in completion) == expected
     full = (1 << len(space)) - 1
     scan = next((b for b in completion.member_bits if b ^ full not in members), None)
     witness = section_complete(space, len(space), mode)["non_boolean_witness"]
@@ -867,11 +889,11 @@ def test_general_spaces_support_reports_and_completions_only(coin_algebra):
 
 @functools.cache
 def all_duals_and_their_or_failures(n: int, include_empty: bool):
-    """All duals over n histories, their upper completion when n <= 5, and
-    the pairs (A, B), A <= B, on which OR fails at some member."""
+    """All duals over n histories, their upper completion, and the pairs
+    (A, B), A <= B, on which OR fails at some member."""
     alg = EventAlgebra(SampleSpace(tuple("abcdef"[:n])))
     space = enumerate_multiplicative(alg, include_empty)
-    completion = complete(space, "upper", cap=len(space)) if n <= 5 else None
+    completion = complete(space, "upper", cap=len(space))
     return space, completion, {(a, b) for _, a, b in or_discrepancies(space)}
 
 
@@ -883,21 +905,37 @@ def test_the_heyting_laws_hold_on_the_tau_images_of_all_duals(n, include_empty, 
     implication tau(A) => tau(B) is tau(¬A ∪ B), the negation (the
     implication into tau(∅)) is tau(¬A) and the meet is tau(A ∩ B); the
     union of two tau rows is tau(A ∪ B) exactly when OR fails at no member
-    for that pair.  The implication is read from the up-set rows at
-    n <= 6 and from heyting_implication over the listed completion at
-    n <= 5."""
+    for that pair.  The implication is read from the up-set rows and
+    from heyting_implication over the completion, which lists nothing."""
     space, completion, or_fails = all_duals_and_their_or_failures(n, include_empty)
     alg, full, row = space.algebra, space.algebra.space.full_mask, space.tau_row
     a = data.draw(st.integers(0, full), label="A")
     b = data.draw(st.integers(0, full), label="B")
-    assert implication(space.up_rows, row(a), row(b)) == row(full ^ a | b)
-    assert implication(space.up_rows, row(a), row(0)) == row(full ^ a)
+    lattice = UpSets(space.up_rows, (1 << len(space)) - 1)
+    assert lattice.implies(row(a), row(b)) == row(full ^ a | b)
+    assert lattice.implies(row(a), row(0)) == row(full ^ a)
     assert row(a) & row(b) == row(a & b)
     assert (row(a) | row(b) == row(a | b)) == ((min(a, b), max(a, b)) not in or_fails)
-    if completion is not None:
-        alpha, beta, bottom = (tau(alg.event(mask), space) for mask in (a, b, 0))
-        assert heyting_implication(alpha, beta, completion) == tau(alg.event(full ^ a | b), space)
-        assert heyting_implication(alpha, bottom, completion) == tau(alg.event(full ^ a), space)
+    alpha, beta, bottom = (tau(alg.event(mask), space) for mask in (a, b, 0))
+    assert heyting_implication(alpha, beta, completion) == tau(alg.event(full ^ a | b), space)
+    assert heyting_implication(alpha, bottom, completion) == tau(alg.event(full ^ a), space)
+
+
+def test_the_n6_heyting_implication_lists_no_member(monkeypatch):
+    """Over all 63 duals at n = 6 the upper completion has 7,828,353
+    members; completing at cap 63 and one implication list none of them,
+    and tau(A) => tau(B) is tau(¬A ∪ B)."""
+
+    def refuse(lattice):
+        raise AssertionError("listed the up-sets")
+
+    monkeypatch.setattr(UpSets, "listed", property(refuse))
+    space = enumerate_multiplicative(EventAlgebra(SampleSpace(tuple("abcdef"))))
+    alg, full = space.algebra, space.algebra.space.full_mask
+    completion = complete(space, "upper", cap=63)
+    a, b = 0b000111, 0b010101
+    alpha, beta = tau(alg.event(a), space), tau(alg.event(b), space)
+    assert heyting_implication(alpha, beta, completion) == tau(alg.event(full ^ a | b), space)
 
 
 def test_on_a_scheme_of_doubletons_the_implication_is_the_row_route_not_tau():
@@ -912,7 +950,7 @@ def test_on_a_scheme_of_doubletons_the_implication_is_the_row_route_not_tau():
     alpha, beta = tau(a, space), tau(b, space)
     imp = heyting_implication(alpha, beta, complete(space, "upper"))
     assert str(imp) == "[{a,c}*, {b,c}*]"
-    assert imp.bits == implication(space.up_rows, alpha.bits, beta.bits)
+    assert imp.bits == UpSets(space.up_rows, 0b111).implies(alpha.bits, beta.bits)
     assert imp != tau(alg.event(alg.space.full_mask ^ a.mask | b.mask), space)
     assert str(tau(alg.event(alg.space.full_mask ^ a.mask | b.mask), space)) == "[{a,c}*]"
 

@@ -23,7 +23,7 @@ from coevents.cli import RowTable, render_machine, render_text, run
 from coevents.coevent import Coevent, CoeventSpace, enumerate_classical, enumerate_multiplicative
 from coevents.eventalg import WITNESS_LIST_CAP, EventAlgebra, SampleSpace, iter_supermasks
 from coevents.measure import validate_classical, validate_quantum
-from coevents.poset import up_sets
+from coevents.poset import UpSets
 from coevents.theoryfile import load
 
 from conftest import (
@@ -478,10 +478,10 @@ def test_boolean_completion_hard_cap(capsys, monkeypatch, argv, size):
     upper completion whose widest support size holds w > 20 members has at
     least 2^w - 1 up-sets, and is refused the same way before any is listed."""
 
-    def refuse(*args, **kwargs):
+    def refuse(lattice):
         raise AssertionError("listed up-sets before the hard cap fired")
 
-    monkeypatch.setattr(beables_module, "up_sets", refuse)
+    monkeypatch.setattr(UpSets, "listed", property(refuse))
     rc, out, err = invoke(capsys, argv)
     assert rc == 3 and out == ""
     assert f"size {size} exceeds cap 20 (hard cap, no override)" in err
@@ -572,6 +572,21 @@ def test_topos_renders_each_coevent_once(capsys, monkeypatch):
     assert sorted(rendered) == [3, 5, 6]
 
 
+def test_the_topos_query_reads_a_few_tau_rows(tmp_path, capsys, monkeypatch):
+    """Over all 1,023 duals at n = 10, with the sieve counts over their cap,
+    the anti-chain flag reads rows on demand and stops at the first member
+    with another above it, and the query reads one row."""
+    reads = []
+    tau_row = CoeventSpace.tau_row
+    monkeypatch.setattr(
+        CoeventSpace, "tau_row", lambda space, mask: reads.append(mask) or tau_row(space, mask)
+    )
+    argv = ["topos", amplitude_file(tmp_path, 10), "--cap", "10", "--context", "x0,x1"]
+    rc, out, _ = invoke(capsys, [*argv, "--event", "x0"])
+    assert rc == 0 and "antichain: no" in out
+    assert len(reads) <= 4
+
+
 def test_audit_reads_the_set_flag(capsys):
     report = machine(capsys, ["audit", THREE_SLIT, "--set", "scheme"])
     assert report["sections"]["audit"]["checked"] == 36  # one dual, 8 * 9 / 2 pairs
@@ -640,7 +655,7 @@ def test_sieve_counts_equal_the_listing_of_each_rows_up_sets(n):
         members = space.members
         spaces += [space, CoeventSpace(alg, members[::-1]), CoeventSpace(alg, members[1:])]
     for space in spaces:
-        listed = [len(up_sets(space.up_rows, row)) for row in space.up_rows]
+        listed = [len(UpSets(space.up_rows, row).listed) for row in space.up_rows]
         assert cli_module._sieve_counts(space) == listed
 
 

@@ -38,17 +38,15 @@ from coevents.measure import (
     _ratio_of,
     coarse_grain,
 )
-from coevents.poset import FinitePoset
+from coevents.poset import FinitePoset, UpSets
 from coevents.theoryfile import HistoriesTheory, TheoryOptions, load_data
 from coevents.topos import (
     CoeventToposInstance,
     Sieve,
     SubobjectClassifier,
     SubobjectOfConstant,
-    VaryingSet,
     build_instance,
     classifier,
-    constant_varying_set,
 )
 
 SPACE = SampleSpace(("a", "b"))
@@ -117,6 +115,7 @@ BUILDERS = {
         lambda: FinitePoset(("x", "y"), (0b11, 0b10)),
         lambda: FinitePoset(("x", "y"), (0b01, 0b10)),
     ),
+    UpSets: (lambda: UpSets((0b11, 0b10), 0b11), lambda: UpSets((0b11, 0b10), 0b10)),
     TheoryOptions: (lambda: TheoryOptions(), lambda: TheoryOptions(include_empty_dual=True)),
     HistoriesTheory: (
         lambda: load_data({"sample_space": ["a", "b"], "measure": {"atom_weights": WEIGHTS}}),
@@ -125,7 +124,6 @@ BUILDERS = {
     Sieve: (lambda: Sieve(POSET, "x", 0b11), lambda: Sieve(POSET, "x", 0b10)),
     _Verb: (lambda: _Verb("help", flags=("--a",)), lambda: _Verb("help", needs=("--a",))),
     # compared by identity: no second builder
-    VaryingSet: (lambda: constant_varying_set(POSET, {1, 2}), None),
     SubobjectOfConstant: (lambda: SubobjectOfConstant(POSET, {1, 2}, [{1}, {1, 2}]), None),
     SubobjectClassifier: (lambda: classifier(POSET), None),
     CoeventToposInstance: (lambda: build_instance(DUALS), None),
@@ -295,7 +293,6 @@ PUBLIC_NAMES = (
     "ValidationError",
     "ValidationReport",
     "ValuationEvent",
-    "VaryingSet",
     "Violation",
     "ZeroCoevent",
     "and_or_audit",
@@ -310,7 +307,6 @@ PUBLIC_NAMES = (
     "classifier",
     "coarse_grain",
     "complete",
-    "constant_varying_set",
     "dual_of_coevent",
     "dual_of_event",
     "enumerate_classical",

@@ -21,14 +21,12 @@ from coevents import (
     Sieve,
     SubobjectClassifier,
     SubobjectOfConstant,
-    VaryingSet,
     build_instance,
     build_mce_instance,
     build_scheme_instance,
     characteristic_map,
     chi_vsupp,
     classifier,
-    constant_varying_set,
     dual_of_event,
     is_subobject,
     sieves_at,
@@ -46,7 +44,7 @@ from coevents.topos import (
 from coevents.beables import complete, heyting_implication
 from coevents.cli import run
 from coevents.coevent import dual_of_coevent, enumerate_multiplicative
-from coevents.poset import implication, up_sets
+from coevents.poset import UpSets
 
 from conftest import algebra_of_size
 
@@ -195,77 +193,83 @@ def test_up_bits():
     assert p.up[p.index("m1")] == (1 << p.index("m1")) | (1 << p.index("top"))
 
 
-@pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
-def test_up_set_test_and_implication_against_brute_force(poset):
-    n = len(poset)
+def assert_up_sets_match_the_subset_scan(up: tuple[int, ...], within: int, pairs=None) -> None:
+    """Oracle: every subset of the elements, kept when it lies inside
+    ``within`` and holds each element above each of its own.  ``UpSets``
+    lists, counts and tests exactly those; its implication of each pair
+    (all pairs by default) is the largest kept gamma with gamma & a <= b;
+    it is an antichain iff no two elements of ``within`` compare."""
+    n = len(up)
 
     def upward_closed(bits: int) -> bool:
         return all(
             bits >> j & 1
             for i in range(n) if bits >> i & 1
-            for j in range(n) if poset.up[i] >> j & 1
+            for j in range(n) if up[i] >> j & 1
         )
 
-    up_sets = [bits for bits in range(1 << n) if upward_closed(bits)]
-    assert [b for b in range(1 << n) if poset.is_up_set(b)] == up_sets
-    for a in up_sets:
-        for b in up_sets:
-            largest = 0
-            for gamma in up_sets:
-                if gamma & a & ~b == 0:
-                    largest |= gamma
-            assert implication(poset.up, a, b) == largest
-
-
-def test_antichain_detection():
-    assert antichain(3).is_antichain()
-    assert not chain(2).is_antichain()
-
-
-# ---------------------------------------------------------------------------
-# Varying sets
+    scan = [bits for bits in range(1 << n) if bits & ~within == 0 and upward_closed(bits)]
+    lattice = UpSets(up, within)
+    assert [bits for bits in range(-1, 2 << n) if bits in lattice] == scan
+    assert lattice.listed == tuple(scan) and lattice.size == len(scan)
+    inside = [i for i in range(n) if within >> i & 1]
+    assert lattice.is_antichain == all(up[i] >> j & 1 == 0 for i in inside for j in inside if i != j)
+    for a, b in itertools.product(scan, repeat=2) if pairs is None else pairs(scan):
+        largest = 0
+        for gamma in scan:
+            if gamma & a & ~b == 0:
+                largest |= gamma
+        assert lattice.implies(a, b) == largest
 
 
 @pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
-def test_constant_varying_set_satisfies_the_axioms(poset):
-    # the constructor machine-checks identity and composition
-    constant_varying_set(poset, {"x", "y"})
+def test_up_set_test_and_implication_against_brute_force(poset):
+    for within in ((1 << len(poset)) - 1, *poset.up):
+        assert_up_sets_match_the_subset_scan(poset.up, within)
 
 
-def test_constant_varying_set_examples():
-    vs = constant_varying_set(one_point(), {"x"})
-    assert vs.fiber("p") == frozenset({"x"})
-    vs2 = constant_varying_set(chain(2), {"x", "y"})
-    assert vs2.transitions[(0, 1)] == {"x": "x", "y": "y"}
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_up_sets_match_the_subset_scan_on_random_orders(data):
+    """Orders of up to 10 elements from drawn covers, inside the whole set
+    or one element's up-set; the implication on 20 drawn pairs."""
+    k = data.draw(st.integers(0, 10), label="elements")
+    pairs = st.tuples(st.integers(0, max(k - 1, 0)), st.integers(0, max(k - 1, 0)))
+    covers = data.draw(st.lists(pairs, max_size=2 * k), label="covers") if k else []
+    poset = FinitePoset.from_pairs(range(k), [(i, j) for i, j in covers if i < j])
+    within = data.draw(st.sampled_from(((1 << k) - 1, *poset.up)), label="within")
+
+    def drawn(scan):
+        members = st.sampled_from(scan)
+        return data.draw(st.lists(st.tuples(members, members), max_size=20), label="pairs")
+
+    assert_up_sets_match_the_subset_scan(poset.up, within, drawn)
 
 
-def test_varying_set_rejects_non_identity_at_a_point():
-    p = one_point()
-    with pytest.raises(ValueError, match="identity"):
-        VaryingSet(p, (frozenset({"x", "y"}),), {(0, 0): {"x": "y", "y": "x"}})
+def test_up_sets_match_the_subset_scan_on_every_antichain_of_duals():
+    """Every space of pairwise incomparable duals over four histories (the
+    167 antichains of nonempty events, the empty one among them, so every
+    such space at n <= 4): its order is an antichain, and its up-sets
+    number 2^|V| without a listing."""
+    alg = algebra_of_size(4)
+    antichains = [()]
+    for p in range(1, alg.size):
+        antichains += [
+            (*found, p) for found in antichains if all(p & q not in (p, q) for q in found)
+        ]
+    assert len(antichains) == 167
+    for principals in antichains:
+        space = CoeventSpace(alg, [dual_of_event(alg.event(p)) for p in principals])
+        lattice = UpSets(space.up_rows, (1 << len(space)) - 1)
+        assert lattice.is_antichain and lattice.size == 1 << len(space)
+        assert "listed" not in vars(lattice)
+        assert_up_sets_match_the_subset_scan(space.up_rows, lattice.within)
+        assert build_instance(space).is_antichain
 
 
-def test_varying_set_rejects_bad_composition():
-    p = chain(3)
-    fib = frozenset({"x", "y"})
-    swap = {"x": "y", "y": "x"}
-    ident = {"x": "x", "y": "y"}
-    transitions = {
-        (0, 0): dict(ident),
-        (1, 1): dict(ident),
-        (2, 2): dict(ident),
-        (0, 1): dict(swap),
-        (1, 2): dict(swap),
-        (0, 2): dict(swap),  # should be identity for composition to hold
-    }
-    with pytest.raises(ValueError, match="composition"):
-        VaryingSet(p, (fib, fib, fib), transitions)
-
-
-def test_varying_set_rejects_partial_transition():
-    p = one_point()
-    with pytest.raises(ValueError, match="total"):
-        VaryingSet(p, (frozenset({"x", "y"}),), {(0, 0): {"x": "x"}})
+def test_antichain_detection():
+    assert UpSets(antichain(3).up, 0b111).is_antichain
+    assert not UpSets(chain(2).up, 0b11).is_antichain
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +377,15 @@ def assert_up_sets_match_the_submask_walk(poset: FinitePoset) -> None:
 
     sieves_at builds its sieves without the up-set check, so each must
     also pass the public constructor's validation."""
+    whole = (1 << len(poset)) - 1
     for i, anchor in enumerate(poset.elements):
-        walk = [b for b in iter_submasks(poset.up[i]) if poset.is_up_set(b)]
-        assert up_sets(poset.up, poset.up[i]) == walk
+        walk = [b for b in iter_submasks(poset.up[i]) if b in UpSets(poset.up, whole)]
+        assert list(UpSets(poset.up, poset.up[i]).listed) == walk
         sieves = sieves_at(poset, anchor, cap=len(poset))
         assert [s.bits for s in sieves] == walk
         assert all(Sieve(poset, anchor, s.bits) == s for s in sieves)
-    whole = (1 << len(poset)) - 1
-    assert up_sets(poset.up, whole) == [b for b in iter_submasks(whole) if poset.is_up_set(b)]
+    lattice = UpSets(poset.up, whole)
+    assert list(lattice.listed) == [b for b in iter_submasks(whole) if b in lattice]
 
 
 @pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
@@ -413,7 +418,7 @@ def test_up_sets_and_sieves_match_the_submask_walk_in_any_element_order(poset):
         listed = permuted(poset, order)
         extensions += all(row >> j == 1 for j, row in enumerate(listed.up))
         assert_up_sets_match_the_submask_walk(listed)
-    assert extensions < len(orders) or poset.is_antichain()
+    assert extensions < len(orders) or UpSets(poset.up, (1 << k) - 1).is_antichain
 
 
 @settings(max_examples=100, deadline=None)
@@ -745,7 +750,8 @@ def test_support_verdict_matches_is_subobject(data):
     inst = build_instance(space)
     assert inst.poset.elements == space.members and inst.poset.up is space.up_rows
     assert is_subobject(inst.support_subobject) == (True, ())
-    assert all(inst.poset.is_up_set(row) for row in space.tau_table)
+    whole = (1 << len(space)) - 1
+    assert all(row in UpSets(inst.poset.up, whole) for row in space.tau_table)
     # Under an arbitrary order on the members the selection may fail to be
     # monotone: it is a subobject iff every tau row is an up-set of that order.
     members = space.members
@@ -759,7 +765,7 @@ def test_support_verdict_matches_is_subobject(data):
     events = tuple(space.algebra.events())
     selections = [[a for a in events if phi(a)] for phi in members]
     ok = is_subobject(SubobjectOfConstant(order, events, selections))[0]
-    assert ok == all(order.is_up_set(row) for row in space.tau_table)
+    assert ok == all(row in UpSets(order.up, whole) for row in space.tau_table)
 
 
 def test_an_instance_is_its_space_and_builds_its_order_on_first_read():
@@ -773,7 +779,8 @@ def test_an_instance_is_its_space_and_builds_its_order_on_first_read():
     assert poset is inst.poset and poset.elements is space.members
     assert poset.up is space.up_rows
     assert not hasattr(topos_module, "poset_of_coevents")
-    assert not hasattr(FinitePoset, "up_sets") and not hasattr(FinitePoset, "implication")
+    for name in ("up_sets", "implication", "is_up_set", "is_antichain"):
+        assert not hasattr(FinitePoset, name)
 
 
 def test_mce_instance_cap(monkeypatch):
