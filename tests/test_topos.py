@@ -272,6 +272,49 @@ def test_antichain_detection():
     assert not UpSets(chain(2).up, 0b11).is_antichain
 
 
+@pytest.mark.parametrize("poset", poset_corpus(), ids=lambda p: f"P{len(p)}")
+def test_up_sets_form_a_heyting_algebra(poset):
+    """The Heyting laws, not a scan: inside the whole set and inside each
+    element's up-set, the up-sets hold nothing and ``within`` and are closed
+    under union and intersection, and ``implies`` is the right adjoint of
+    meet (c <= a => b iff c & a <= b), with a => a the top and modus ponens
+    a & (a => b) = a & b."""
+    for within in ((1 << len(poset)) - 1, *poset.up):
+        lattice = UpSets(poset.up, within)
+        listed = lattice.listed
+        assert listed[0] == 0 and listed[-1] == within
+        for a, b in itertools.product(listed, repeat=2):
+            assert a | b in lattice and a & b in lattice
+            imp = lattice.implies(a, b)
+            assert imp in lattice
+            assert all((c & ~imp == 0) == (c & a & ~b == 0) for c in listed)
+            assert a & imp == a & b
+        assert all(lattice.implies(a, a) == within for a in listed)
+
+
+def test_up_sets_of_the_empty_order_and_inside_nothing():
+    """With no elements, or none inside ``within``, the lattice is the one
+    set 0: size 1, an antichain, and 0 => 0 is 0."""
+    for lattice in (UpSets((), 0), UpSets(chain(3).up, 0)):
+        assert lattice.listed == (0,) and lattice.size == 1 and lattice.is_antichain
+        assert 0 in lattice and 1 not in lattice and -1 not in lattice
+        assert lattice.implies(0, 0) == 0
+
+
+def test_discrete_order_lists_every_subset_in_counting_order():
+    """The Boolean completion's lattice, the up-sets of the discrete order
+    on k points, is every subset in ``range`` order, counted as 2^k
+    without a listing; a => b is the Boolean ~a | b."""
+    for k in range(7):
+        whole = (1 << k) - 1
+        lattice = UpSets(tuple(1 << i for i in range(k)), whole)
+        assert lattice.is_antichain and lattice.size == 1 << k
+        assert "listed" not in vars(lattice)
+        assert lattice.listed == tuple(range(1 << k))
+        for a, b in itertools.product(range(1 << min(k, 4)), repeat=2):
+            assert lattice.implies(a, b) == (~a | b) & whole
+
+
 # ---------------------------------------------------------------------------
 # Subobjects
 
