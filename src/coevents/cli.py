@@ -1,8 +1,11 @@
 """Command-line front end: load a theory file, run analyses, emit reports.
 
-Verbs: validate | coevents | tau | orders | complete | audit | topos |
-report.  Reports are deterministic for a given input file and flag set;
-the machine format is canonical JSON and round-trips byte-identically.
+``coevents VERB THEORY [FLAGS]`` is read from the verb and flag tables
+(``_VERBS``, ``_FLAGS``) as argparse read it: flags anywhere, as ``--flag
+value``, ``--flag=value`` or a unique prefix, the last repeat winning,
+``--`` ending them, a negative number a value.  Reports are deterministic
+for a given input file and flag set; the machine format is canonical
+JSON and round-trips byte-identically.
 
 Exit codes: 0 = analyses ran (law failures are findings, not errors),
 1 = usage error, 2 = parse/validation error, 3 = cap exceeded.
@@ -10,21 +13,16 @@ Exit codes: 0 = analyses ran (law failures are findings, not errors),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import beables, coevent, measure as measure_mod, topos
 from .coevent import CoeventSpace, dual_principals
 from .errors import (
-    CapExceeded,
-    CoeventsError,
-    MismatchedSpace,
-    ParseError,
-    UnknownHistory,
-    ValidationError,
+    CapExceeded, CoeventsError, MismatchedSpace, ParseError, UnknownHistory, ValidationError,
 )
 from .eventalg import (
     WITNESS_LIST_CAP, ByMask, Event, Record, first_witnesses, iter_submasks, set_bits,
@@ -81,13 +79,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the documented usage exit code (1, not 2)."""
-
-    def error(self, message: str):
-        raise _UsageError(message)
-
-
 class _Verb(Record):
     """A verb's help line, its sections (name -> builder and arguments; by
     default its own builder over the ``--set`` space), its own flags, the
@@ -138,77 +129,113 @@ _VERBS = {
 }
 
 
+#: Each flag's value (choices, ``int``, ``str``, or None for a switch,
+#: True when given), default and help line; parsed flags are keyed by name.
+_FLAGS: dict[str, tuple[Any, Any, str]] = {
+    "--help": (None, None, "show this help message and exit"),
+    "--set": (SET_CHOICES, "multiplicative", "which coevent space (default: multiplicative)"),
+    "--format": (("text", "machine"), "text", "output format (machine = canonical JSON)"),
+    "--include-empty-dual": (None, False, "admit the empty event's dual (constant-one coevent)"),
+    "--cap": (int, None, "override enumeration caps with this size"),
+    "--event": (str, None, 'history event as comma-separated labels, e.g. "1,2"; "" is empty'),
+    "--event-b": (str, None, "second history event (for a single-pair audit)"),
+    "--context": (str, None, "principal event of the context coevent (for topos/audit)"),
+    "--witnesses": (int, None, "validate/orders/report: list at most N witnesses of each failed "
+                    f"check (default: {WITNESS_LIST_CAP}); verdicts never depend on it"),
+    "--mode": (("upper", "boolean"), None, "complete only: which completion (default: upper)"),
+}
+
+
 def _listed(words: Sequence[str]) -> str:
     """``a``, ``a and b``, ``a, b and c``."""
     return ", ".join(words[:-1]) + " and " + words[-1] if len(words) > 1 else words[0]
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The one parser, built on first use; parsing leaves it unchanged."""
-    parser = _Parser(
-        prog="coevents",
-        description="Analyze a finite histories theory: measures, coevents, order\n"
-        "structure, completions, and the varying-set classifier.",
-        epilog="commands:\n"
-        + "\n".join(f"  {name:<10} {verb.help}" for name, verb in _VERBS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=_VERBS, metavar="command", help="listed below")
-    parser.add_argument("theory", help="path to a theory file")
-    parser.add_argument(
-        "--set",
-        choices=SET_CHOICES,
-        default="multiplicative",
-        help="which coevent space to use (default: multiplicative)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "machine"),
-        default="text",
-        help="output format (machine = canonical JSON)",
-    )
-    parser.add_argument(
-        "--include-empty-dual",
-        action="store_true",
-        help="admit the empty event's dual (the constant-one coevent)",
-    )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help="override enumeration caps with this size",
-    )
-    parser.add_argument(
-        "--event",
-        default=None,
-        help='history event as comma-separated labels, e.g. "1,2"; "" is empty',
-    )
-    parser.add_argument(
-        "--event-b",
-        default=None,
-        help="second history event (for a single-pair audit)",
-    )
-    parser.add_argument(
-        "--context",
-        default=None,
-        help="principal event of the context coevent (for topos/audit)",
-    )
-    parser.add_argument(
-        "--witnesses",
-        type=int,
-        default=None,
-        metavar="N",
-        help="validate/orders/report: list at most N witnesses of each failed "
-        f"check (default: {WITNESS_LIST_CAP}); verdicts never depend on it",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("upper", "boolean"),
-        default=None,
-        help="complete only: which completion to build (default: upper)",
-    )
-    return parser
+def _option(token: str) -> Optional[tuple[str, Optional[str]]]:
+    """The flag ``token`` names in full or by a unique prefix and the value
+    after its ``=`` (else None), ``("", None)`` for an unknown option, or
+    None for a value: ``-``, or no flag and a negative number or a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if name in _FLAGS:
+        return name, value if eq else None
+    if token[1] == "-":
+        matches = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[1] == "h":  # -hh is -h twice; -h run together with anything else, a value
+        return "--help", token[2:].lstrip("h") or None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ("", None)
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, str, dict[str, Any]]:
+    """The verb, the theory path and each flag's value (else its default).
+    All tokens are looked up first, so an ambiguous prefix anywhere is
+    refused; then read in order, so ``--help`` exits 0 unless a bad verb or
+    value comes first; then the verb refuses the flags it does not read."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    argv = [*argv[:end], *argv[end + 1:]]
+    options = [*map(_option, argv[:end]), *[None] * (len(argv) - end)]
+    flags = {flag: default for flag, (_, default, _) in _FLAGS.items()}
+    positionals, unknown, i = [], [], 0
+    while i < len(argv):
+        token, option = argv[i], options[i]
+        i += 1
+        if option is None:
+            if not positionals and token not in _VERBS:
+                raise _UsageError(f"unknown command {token!r} (choose from {', '.join(_VERBS)})")
+            positionals.append(token)
+            continue
+        flag, value = option
+        if not flag:
+            unknown.append(token)
+            continue
+        kind = _FLAGS[flag][0]
+        if kind is None and value is not None:
+            raise _UsageError(f"{flag} takes no value, not {value!r}")
+        if flag == "--help":
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        if kind is not None and value is None:
+            if i >= end or options[i] is not None:
+                raise _UsageError(f"{flag} needs a value")
+            value, i = argv[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{flag} takes an integer, not {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise _UsageError(f"{flag} takes one of {', '.join(kind)}, not {value!r}")
+        flags[flag] = True if kind is None else value
+    if len(positionals) < 2:
+        raise _UsageError("a command and a theory file are required")
+    if unknown or len(positionals) > 2:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown + positionals[2:])}")
+    command, theory = positionals
+    reads = _VERBS[command].reads
+    for flag in sorted({flag for verb in _VERBS.values() for flag in verb.reads}):
+        if flags[flag] is not None and flag not in reads:
+            takers = [name for name, verb in _VERBS.items() if flag in verb.reads]
+            raise _UsageError(f"{flag} is for {_listed(takers)} only, not {command}")
+    for flag, least in (("--witnesses", 0), ("--cap", 1)):
+        if flags[flag] is not None and flags[flag] < least:
+            raise _UsageError(f"{flag} must be at least {least}")
+    return command, theory, flags
+
+
+def _help() -> str:
+    """The ``--help`` text, from the flag and verb tables."""
+    lines = ["usage: coevents command theory [flags]", "", "flags:"]
+    for flag, (kind, _, text) in _FLAGS.items():
+        choices = f" {{{','.join(kind)}}}" if type(kind) is tuple else ""
+        value = {int: " N", str: " TEXT"}.get(kind, choices)
+        lines.append(f"  {'-h, ' * (flag == '--help')}{flag}{value}\n        {text}")
+    lines += ["", "commands:", *(f"  {name:<10} {verb.help}" for name, verb in _VERBS.items())]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +270,7 @@ def section_theory(theory: HistoriesTheory) -> dict[str, Any]:
     return {
         "labels": list(theory.space.labels),
         "measure_kind": theory.measure_kind,
-        "values": {
-            name: texts[num] for name, num in zip(theory.space.event_names, values.nums)
-        },
+        "values": dict(zip(theory.space.event_names, map(texts.__getitem__, values.nums))),
         "options": {
             "include-empty-dual": theory.options.include_empty_dual,
             "brute-force-cap": theory.options.brute_force_cap,
@@ -323,9 +348,7 @@ def section_complete(
 ) -> dict[str, Any]:
     """The completion's size and verdict, and its first ``limit`` members
     in ascending bit order, with ``members_truncated`` when more exist."""
-    completion = beables.complete(
-        space, mode, cap=cap if cap is not None else beables.COMPLETION_CAP
-    )
+    completion = beables.complete(space, mode, cap=beables.COMPLETION_CAP if cap is None else cap)
     non_boolean_witness = None
     if mode == "boolean":
         # all of 2^V in ascending bit order, complemented by construction
@@ -360,20 +383,9 @@ def section_audit(
     if context is not None and event_a is not None and event_b is not None:
         phi = coevent.dual_of_event(context, include_empty_dual=include_empty)
         record = beables.and_or_audit(phi, event_a, event_b, space)
-        return {
-            "mode": "single",
-            "coevent": str(phi),
-            "a": str(event_a),
-            "b": str(event_b),
-            "phi_a": record.phi_a,
-            "phi_b": record.phi_b,
-            "phi_meet": record.phi_meet,
-            "phi_join": record.phi_join,
-            "f_meet": record.f_meet,
-            "f_join": record.f_join,
-            "and_identity_holds": record.and_identity_holds,
-            "or_discrepancy": record.or_discrepancy,
-        }
+        names = "phi_a phi_b phi_meet phi_join f_meet f_join and_identity_holds or_discrepancy"
+        section = {"mode": "single", "coevent": str(phi), "a": str(event_a), "b": str(event_b)}
+        return {**section, **{name: getattr(record, name) for name in names.split()}}
     rows = beables.or_discrepancy_count(space)
     if rows > AUDIT_ROW_CAP:
         raise CapExceeded("all-pairs audit OR discrepancies", AUDIT_ROW_CAP, rows, override=None)
@@ -474,20 +486,20 @@ def _sieve_counts(space: CoeventSpace) -> list[int]:
     return [by_size[p.bit_count()] for p in principals]
 
 
-def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
-    """Build ``command``'s sections from the verb table.  A section over its
-    cap is skipped inside ``report``; in any other verb CapExceeded propagates."""
+def build_report(command: str, theory: HistoriesTheory, flags: dict[str, Any]) -> dict[str, Any]:
+    """Build ``command``'s sections from the verb table and the parsed
+    ``flags`` (keyed by flag name).  A section over its cap is skipped
+    inside ``report``; in any other verb CapExceeded propagates."""
     verb = _VERBS[command]
-    include_empty = args.include_empty_dual or theory.options.include_empty_dual
-    cap = args.cap
-    limit = WITNESS_LIST_CAP if args.witnesses is None else args.witnesses
+    include_empty = flags["--include-empty-dual"] or theory.options.include_empty_dual
+    cap, set_name, mode = flags["--cap"], flags["--set"], flags["--mode"] or "upper"
+    limit = WITNESS_LIST_CAP if flags["--witnesses"] is None else flags["--witnesses"]
     topos_cap = cap if cap is not None else topos.MCE_INSTANCE_CAP
-    parse = theory.algebra.parse_event
-    texts = {"--event": args.event, "--event-b": args.event_b, "--context": args.context}
-    given = {flag: None if text is None else parse(text) for flag, text in texts.items()}
-    if any(given[flag] is None for flag in verb.needs):
+    parse, texts = theory.algebra.parse_event, ("--event", "--event-b", "--context")
+    given = {flag: parse(flags[flag]) for flag in texts if flags[flag] is not None}
+    if any(flag not in given for flag in verb.needs):
         raise _UsageError(f"{command} needs {_listed(verb.needs)}")
-    missing = [flag for flag in verb.query if given[flag] is None]
+    missing = [flag for flag in verb.query if flag not in given]
     if 0 < len(missing) < len(verb.query):
         raise _UsageError(f"{command} single query also needs {_listed(missing)}")
     context, event, event_b = map(given.get, ("--context", "--event", "--event-b"))
@@ -504,18 +516,18 @@ def build_report(command: str, theory: HistoriesTheory, args) -> dict[str, Any]:
         brute_force_cap = cap if cap is not None else theory.options.brute_force_cap
         return coevent.enumerate_coevents(alg, cap=brute_force_cap)
 
-    def topos_over(s: str = args.set) -> dict[str, Any]:
+    def topos_over(s: str = set_name) -> dict[str, Any]:
         topos.check_instance_cap(theory.space.n, topos_cap)  # before the space is built
         return section_topos(space(s), cap, include_empty, context, event)
 
     # each builder looks its section_* up in the module globals when it runs
     builders = {
         "validate": lambda: section_validate(theory, limit),
-        "coevents": lambda s=args.set: section_coevents(theory, space(s), include_empty),
-        "tau": lambda s=args.set: section_tau(space(s), event),
-        "orders": lambda s=args.set: section_orders(space(s), limit),
-        "complete": lambda s=args.set, m=args.mode or "upper": section_complete(space(s), cap, m),
-        "audit": lambda s=args.set: section_audit(space(s), include_empty, context, event, event_b),
+        "coevents": lambda s=set_name: section_coevents(theory, space(s), include_empty),
+        "tau": lambda s=set_name: section_tau(space(s), event),
+        "orders": lambda s=set_name: section_orders(space(s), limit),
+        "complete": lambda s=set_name, m=mode: section_complete(space(s), cap, m),
+        "audit": lambda s=set_name: section_audit(space(s), include_empty, context, event, event_b),
         "topos": topos_over,
     }
     sections: dict[str, Any] = {}
@@ -741,30 +753,18 @@ def render_text(report: dict[str, Any]) -> str:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        reads = _VERBS[args.command].reads
-        for flag in sorted({flag for verb in _VERBS.values() for flag in verb.reads}):
-            if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in reads:
-                takers = [name for name, verb in _VERBS.items() if flag in verb.reads]
-                raise _UsageError(f"{flag} is for {_listed(takers)} only, not {args.command}")
-        if args.witnesses is not None and args.witnesses < 0:
-            raise _UsageError("--witnesses must be at least 0")
-        if args.cap is not None and args.cap < 1:
-            raise _UsageError("--cap must be at least 1")
+        command, path, flags = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-
     try:
-        theory = load(args.theory)
+        theory = load(path)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
     try:
-        report = build_report(args.command, theory, args)
+        report = build_report(command, theory, flags)
     except (_UsageError, UnknownHistory, MismatchedSpace) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -775,7 +775,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = render_machine(report) if args.format == "machine" else render_text(report)
+    text = render_machine(report) if flags["--format"] == "machine" else render_text(report)
     sys.stdout.write(text)
     return 0
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
+import functools
 import importlib.util
 import inspect
+import io
 import json
 import re
 import sys
@@ -359,6 +363,243 @@ def test_refusals_are_pinned(tmp_path, capsys, argv, theory, code, first_line):
         theory = amplitude_file(tmp_path, theory)
     rc, out, err = invoke(capsys, [argv[0], theory, *argv[1:]])
     assert (rc, out, err.splitlines()[0]) == (code, "", first_line.format(theory=theory))
+
+
+# ---------------------------------------------------------------------------
+# The command line against argparse, its oracle
+
+
+class Refused(Exception):
+    pass
+
+
+class Parsed(Exception):
+    """Raised in place of building the report, with what ``run`` parsed."""
+
+
+@functools.cache
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The parser the CLI used before it read its own flag table."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise Refused(message)
+
+    parser = Parser(prog="coevents")
+    parser.add_argument("command", choices=cli_module._VERBS)
+    parser.add_argument("theory")
+    parser.add_argument("--set", choices=cli_module.SET_CHOICES, default="multiplicative")
+    parser.add_argument("--format", choices=("text", "machine"), default="text")
+    parser.add_argument("--include-empty-dual", action="store_true")
+    parser.add_argument("--cap", type=int, default=None)
+    parser.add_argument("--event", default=None)
+    parser.add_argument("--event-b", default=None)
+    parser.add_argument("--context", default=None)
+    parser.add_argument("--witnesses", type=int, default=None)
+    parser.add_argument("--mode", choices=("upper", "boolean"), default=None)
+    return parser
+
+
+def oracle_reading(argv: list[str]) -> tuple:
+    """argparse's reading of ``argv`` and then the verb table's refusals, as
+    the CLI applied them after it: ("help",), ("refused", None) for an
+    argparse error, ("refused", message) for a verb's refusal, or
+    ("parsed", command, theory, flags by name)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = vars(argparse_oracle().parse_args(argv))
+    except Refused:
+        return "refused", None
+    except SystemExit as exc:
+        assert exc.code == 0
+        return ("help",)
+    command, theory = args.pop("command"), args.pop("theory")
+    flags = {"--" + dest.replace("_", "-"): value for dest, value in args.items()}
+    verbs = cli_module._VERBS
+    for flag in sorted({flag for verb in verbs.values() for flag in verb.reads}):
+        if flags[flag] is not None and flag not in verbs[command].reads:
+            takers = [name for name, verb in verbs.items() if flag in verb.reads]
+            return "refused", f"{flag} is for {cli_module._listed(takers)} only, not {command}"
+    if flags["--witnesses"] is not None and flags["--witnesses"] < 0:
+        return "refused", "--witnesses must be at least 0"
+    if flags["--cap"] is not None and flags["--cap"] < 1:
+        return "refused", "--cap must be at least 1"
+    return "parsed", command, theory, flags
+
+
+def cli_reading(argv: list[str]) -> tuple:
+    """``run``'s reading of ``argv``, with the theory file and the report
+    stubbed out: ("help",) with the help on stdout, ("refused", stderr)
+    with nothing on stdout, or ("parsed", command, theory, flags)."""
+
+    def stop(command, theory, flags):
+        raise Parsed(command, theory, flags)
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_module, "load", lambda path: path)
+        patch.setattr(cli_module, "build_report", stop)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = run(argv)
+        except Parsed as parsed:
+            command, theory, flags = parsed.args
+            assert flags.pop("--help") is None  # the one flag that holds no value
+            return "parsed", command, theory, flags
+        except SystemExit as exc:
+            assert exc.code == 0 and err.getvalue() == ""
+            assert all(flag in out.getvalue() for flag in cli_module._FLAGS)
+            return ("help",)
+    assert (rc, out.getvalue()) == (1, "")
+    return "refused", err.getvalue()
+
+
+def assert_same_reading(argv: list[str]) -> None:
+    """Where argparse parses ``argv``, ``run`` parses the same values; where
+    argparse refuses it, ``run`` exits 1 with a usage error, the verb
+    table's refusals byte for byte.  One difference is deliberate: argparse
+    refuses a last ``--`` after a flag once both positionals are read
+    (``validate t --set all --``), and ``run`` reads it as ``validate t
+    --set all``."""
+    expected, got = oracle_reading(argv), cli_reading(argv)
+    if expected == ("refused", None) and got[0] == "parsed" and argv[-1] == "--":
+        with pytest.raises(Refused, match="^unrecognized arguments: --$"):
+            argparse_oracle().parse_args(argv)
+        expected = oracle_reading(argv[:-1])
+    if expected == ("refused", None):
+        assert got[0] == "refused" and got[1].startswith("usage error: "), (argv, got)
+    elif expected[0] == "refused":
+        assert got == ("refused", f"usage error: {expected[1]}\n"), argv
+    else:
+        assert got == expected, argv
+
+
+def flag_tokens(name: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    """``name`` or a prefix of it, as ``--flag value``, ``--flag=value`` or bare."""
+    spelled = st.integers(3, len(name)).map(lambda k: name[:k])
+    return st.one_of(
+        st.tuples(spelled, values).map(list),
+        st.tuples(spelled, values).map(lambda pair: ["=".join(pair)]),
+        spelled.map(lambda flag: [flag]),
+    )
+
+
+TEXTS = st.sampled_from(["1", "1,2", "", "-1", "-a", "-a b", "a b", "-", "zebra", "machine"])
+INTEGERS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["x", "-1.5", " 2", "1_0"]))
+FLAG_TOKENS = st.one_of(
+    *[
+        flag_tokens(flag, st.sampled_from([*choices, "bogus", "Upper"]))
+        for flag, choices in [
+            ("--set", cli_module.SET_CHOICES), ("--format", ("text", "machine")),
+            ("--mode", ("upper", "boolean")),
+        ]
+    ],
+    *[flag_tokens(flag, INTEGERS) for flag in ("--cap", "--witnesses")],
+    *[flag_tokens(flag, TEXTS) for flag in ("--event", "--event-b", "--context")],
+    flag_tokens("--include-empty-dual", st.sampled_from(["", "1"])),
+    flag_tokens("--help", st.just("x")),
+    st.sampled_from([["-h"], ["-hh"], ["-hx"], ["-x"], ["--bogus"], ["-1"], ["extra"]]),
+)
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="argparse 3.13 reads -h before an ambiguous prefix after it, and -hx as -h",
+)
+@settings(max_examples=400, deadline=None)
+@given(
+    verb=st.sampled_from([*VERBS, "frobnicate", "-1", ""]),
+    theory=st.sampled_from(["t.json", "-", "-1", "-a b"]),
+    pieces=st.lists(FLAG_TOKENS, max_size=6),
+    data=st.data(),
+)
+def test_run_reads_every_argv_as_argparse_did(verb, theory, pieces, data):
+    """argv drawn from the flag table: full names and prefixes, ``=``
+    forms, choices and bad ones, integers and words, label lists, repeats,
+    a missing or an extra positional, and one ``--`` anywhere."""
+    positionals = data.draw(st.sampled_from([[verb, theory], [verb], [], [verb, theory, "x"]]))
+    argv = [token for piece in pieces for token in piece]
+    for token in positionals:
+        argv.insert(data.draw(st.integers(0, len(argv))), token)
+    if data.draw(st.booleans()):
+        argv.insert(data.draw(st.integers(0, len(argv))), "--")
+    assert_same_reading(argv)
+
+
+#: The argv the new parser was first probed on, one per accepted form and
+#: per refusal: exit code 0 when it runs, else its usage error's text.
+PROBES = [
+    (["validate", THREE_SLIT, "--form", "machine"], 0),
+    (["validate", THREE_SLIT, "--format=machine"], 0),
+    (["tau", THREE_SLIT, "--event="], 0),
+    (["--format", "machine", "tau", "--event", "1", THREE_SLIT], 0),
+    (["validate", THREE_SLIT, "--format", "machine", "--format", "text"], 0),
+    (["tau", "--event", "1", "--", THREE_SLIT], 0),
+    (["validate", THREE_SLIT, "--witnesses", "-1"], "--witnesses must be at least 0"),
+    (["tau", THREE_SLIT, "--e", "1"], "--e"),
+    (["validate", THREE_SLIT, "--bogus"], "--bogus"),
+    (["validate", THREE_SLIT, "-x"], "-x"),
+    (["validate"], "theory"),
+    (["validate", THREE_SLIT, "extra"], "extra"),
+    (["frobnicate", THREE_SLIT], "frobnicate"),
+    (["validate", THREE_SLIT, "--format", "json"], "json"),
+    (["validate", THREE_SLIT, "--witnesses", "many"], "many"),
+    (["tau", THREE_SLIT, "--event", "-a"], "--event"),
+    (["coevents", THREE_SLIT, "--inc"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, outcome", PROBES, ids=[" ".join(a[:1] + a[2:]) for a, _ in PROBES])
+def test_each_probed_argv_reads_as_argparse_did(capsys, argv, outcome):
+    assert_same_reading(argv)
+    rc, out, err = invoke(capsys, argv)
+    if outcome == 0:
+        assert (rc, err) == (0, "") and out
+    else:
+        assert (rc, out) == (1, "") and err.startswith("usage error: ") and outcome in err
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        # an unknown option, an extra or a missing positional is refused after the walk
+        (["validate", "t", "-x", "extra", "--help"], True),
+        (["--bogus", "--help"], True),
+        (["-hh"], True),
+        # a bad verb or value before --help is refused where it stands
+        (["frobnicate", "--help"], False),
+        (["validate", "t", "--cap", "x", "--help"], False),
+        (["validate", "t", "-hx", "--help"], False),
+        (["validate", "t", "--help", "--cap", "x"], True),
+        # an ambiguous prefix is refused wherever it stands
+        (["--help", "--e", "1"], False),
+    ],
+)
+def test_help_is_read_in_order_as_argparse_read_it(argv, shown):
+    if sys.version_info < (3, 13):
+        assert_same_reading(argv)
+    assert (cli_reading(argv) == ("help",)) == shown
+
+
+@pytest.mark.parametrize(
+    "argv, reading",
+    [
+        # argparse: "unrecognized arguments: --"
+        (["validate", "t", "--set", "all", "--"], ("validate", "t", {"--set": "all"})),
+        # argparse reads an explicit "--" value, or a theory after "--", as []
+        (["tau", "t", "--event=--"], ("tau", "t", {"--event": "--"})),
+        (["validate", "--", "--"], ("validate", "--", {})),
+        (["coevents", "t", "--set=--"], None),
+    ],
+)
+def test_the_readings_that_differ_from_argparse_on_purpose(argv, reading):
+    defaults = {flag: default for flag, (_, default, _) in cli_module._FLAGS.items()}
+    del defaults["--help"]
+    if reading is None:
+        assert cli_reading(argv)[0] == "refused"
+    else:
+        command, theory, given = reading
+        assert cli_reading(argv) == ("parsed", command, theory, {**defaults, **given})
 
 
 # ---------------------------------------------------------------------------

@@ -213,15 +213,18 @@ def test_record_constructor_takes_fields_by_position_or_name():
 #: Modules that no verb uses, kept off the start-up path: ``dataclasses``
 #: pulls in ``inspect``; ``fractions`` pulls in ``decimal`` and ``numbers``,
 #: which only the functions that take or build a ``Fraction`` import; the
-#: package has no use for ``pathlib``.
-OFF_THE_PATH = ("dataclasses", "decimal", "fractions", "inspect", "numbers", "pathlib")
+#: package has no use for ``pathlib``; the CLI reads its own flag table, not
+#: ``argparse`` (which pulls in ``gettext``).
+OFF_THE_PATH = (
+    "argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "numbers", "pathlib"
+)
 
 
 def test_importing_the_package_and_running_every_verb_loads_no_unused_module():
     """A fresh interpreter, without ``site`` so that only the package's own
     imports count, imports the package and the CLI and runs every verb in
     process, its stdout discarded; none of :data:`OFF_THE_PATH` is loaded,
-    while ``argparse`` and ``json``, which every run uses, are."""
+    ``argparse`` among them, while ``json``, which every run uses, is."""
     root = Path(coevents.__file__).resolve().parent.parent.parent
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import coevents, coevents.cli; "
@@ -238,7 +241,7 @@ def test_importing_the_package_and_running_every_verb_loads_no_unused_module():
         [sys.executable, "-S", "-c", code, str(root / "src"), theory, *OFF_THE_PATH],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[] True True"
+    assert out.stdout.strip() == "[] False True"
 
 
 def test_the_values_that_import_fractions_when_called_are_unchanged():

@@ -13,7 +13,9 @@ theory of amplitudes 1, 1, -1, 1, 1, -1, ... over the labels a, b, ...
 those data, that committed file is the one run, so the run's argv is the
 manifest's and its output is checked against the pinned hash.  A start-up
 case (``python -c "import coevents, coevents.cli"``) runs at each n too.
-Children import the package from this checkout's ``src``.
+Children import the package from this checkout's ``src``, whose bytecode
+is compiled once before the first child and cached whatever the caller's
+``PYTHONDONTWRITEBYTECODE``, so that no timed child compiles the package.
 
 Each run has a time budget of :data:`BUDGET_S` and an address-space limit
 of :data:`MEMORY_MB` (``RLIMIT_AS``, set on the child only).  A run over its
@@ -87,18 +89,32 @@ def pinned() -> dict[tuple[str, ...], str]:
     return {tuple(entry["argv"]): entry["sha256"] for entry in entries if "sha256" in entry}
 
 
+def child_env() -> dict:
+    """The caller's environment with this checkout's ``src`` first on the
+    path and without ``PYTHONDONTWRITEBYTECODE``, so children read cached
+    bytecode, as an installed package's imports do."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def compile_once() -> None:
+    """Cache the package's bytecode, so that no timed child compiles it."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")],
+                   check=True, capture_output=True, env=child_env(), cwd=ROOT)
+
+
 def run_child(argv: list[str], budget: float, memory_mb: int) -> dict:
     """One child run from the repository root, its stdout hashed as it is
     read; killed once it has run for ``budget`` seconds."""
     limit = memory_mb << 20
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    )}
     digest, size = hashlib.sha256(), 0
     with tempfile.TemporaryFile() as stderr:
         start = perf_counter()
         child = subprocess.Popen(
-            argv, cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            argv, cwd=ROOT, env=child_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
             stderr=stderr,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
@@ -134,7 +150,9 @@ def run_child(argv: list[str], budget: float, memory_mb: int) -> dict:
 
 
 def sweep(ns: list[int], cases: list[str], budget: float, memory_mb: int) -> dict:
-    """Every case at every n, n outermost; one progress line per run on stderr."""
+    """Every case at every n, n outermost, after :func:`compile_once`; one
+    progress line per run on stderr."""
+    compile_once()
     hashes, runs = pinned(), []
     with tempfile.TemporaryDirectory() as scratch:
         for n in ns:
