@@ -4,10 +4,10 @@ The package follows the layering of the subject: sample spaces and the
 Boolean event algebra (:mod:`.eventalg`), exact classical/quantum
 measures (:mod:`.measure`), coevents and the multiplicative scheme
 (:mod:`.coevent`), the valuation-event order structure and completions
-(:mod:`.beables`), sieves and the subobject classifier (:mod:`.topos`),
-the finite-poset core both of these read their up-sets and Heyting
-implication from (:mod:`.poset`), and a file-driven CLI
-(:mod:`.cli`).
+(:mod:`.beables`), sieves and the characteristic map of the support
+selection over a space of duals, read from its rows (:mod:`.topos`),
+the up-set lattice both of these read their up-sets and Heyting
+implication from (:mod:`.poset`), and a file-driven CLI (:mod:`.cli`).
 
 Each operation has one spelling: an event's ``&``, ``|``, ``~`` and ``^``
 (implication is ``~a | b``), a coevent's ``phi(A)``, a truth function's ``f(alpha)``.
@@ -49,7 +49,6 @@ from .errors import (
     EmptyEventDual,
     InvalidPartition,
     MismatchedSpace,
-    NotASubobject,
     NotMultiplicative,
     NotUpperMode,
     ParseError,
@@ -82,17 +81,12 @@ from .measure import (
 from .theoryfile import HistoriesTheory, TheoryOptions, load
 from .topos import (
     CoeventToposInstance,
-    FinitePoset,
     Sieve,
-    SubobjectClassifier,
-    SubobjectOfConstant,
     build_instance,
     build_mce_instance,
     build_scheme_instance,
-    characteristic_map,
     chi_vsupp,
     classifier,
-    is_subobject,
     sieves_at,
 )
 

@@ -27,7 +27,6 @@ from .errors import (
 from .eventalg import (
     WITNESS_LIST_CAP, ByMask, Event, Record, first_witnesses, iter_submasks, set_bits,
 )
-from .poset import UpSets
 from .theoryfile import HistoriesTheory, load
 
 SET_CHOICES = ("all", "classical", "multiplicative", "scheme")
@@ -146,6 +145,13 @@ _FLAGS: dict[str, tuple[Any, Any, str]] = {
 }
 
 
+#: Each flag that some verb reads, in sorted order, and the verbs that read it.
+_READERS = {
+    flag: [name for name, verb in _VERBS.items() if flag in verb.reads]
+    for flag in sorted({flag for verb in _VERBS.values() for flag in verb.reads})
+}
+
+
 def _listed(words: Sequence[str]) -> str:
     """``a``, ``a and b``, ``a, b and c``."""
     return ", ".join(words[:-1]) + " and " + words[-1] if len(words) > 1 else words[0]
@@ -216,10 +222,8 @@ def _parse(argv: Sequence[str]) -> tuple[str, str, dict[str, Any]]:
     if unknown or len(positionals) > 2:
         raise _UsageError(f"unrecognized arguments: {' '.join(unknown + positionals[2:])}")
     command, theory = positionals
-    reads = _VERBS[command].reads
-    for flag in sorted({flag for verb in _VERBS.values() for flag in verb.reads}):
-        if flags[flag] is not None and flag not in reads:
-            takers = [name for name, verb in _VERBS.items() if flag in verb.reads]
+    for flag, takers in _READERS.items():
+        if flags[flag] is not None and command not in takers:
             raise _UsageError(f"{flag} is for {_listed(takers)} only, not {command}")
     for flag, least in (("--witnesses", 0), ("--cap", 1)):
         if flags[flag] is not None and flags[flag] < least:
@@ -411,9 +415,7 @@ def section_topos(
     event: Optional[Event],
 ) -> dict[str, Any]:
     principals = dual_principals(space)
-    # rows on demand: the test stops at the first member with another above it
-    rows = ByMask(lambda i: space.tau_row(principals[i]))
-    antichain = UpSets(rows, (1 << len(space)) - 1).is_antichain
+    antichain = topos.is_antichain(space)
     section: dict[str, Any] = {
         "set": space.provenance,
         "poset": list(space.renderings),
@@ -435,7 +437,7 @@ def section_topos(
             # every sieve at p is anchored at p, so restriction is functorial
             # by construction (see topos.classifier_functoriality_failures)
             "functorial": True,
-            "sieve_counts": _sieve_counts(space),
+            "sieve_counts": topos.sieve_counts(space),
         }
     else:
         section["classifier"] = {"checked": False, "functorial": None}
@@ -443,8 +445,8 @@ def section_topos(
             f"classifier enumeration skipped: poset size {len(space)} "
             f"exceeds sieve cap {sieve_cap}"
         )
-    # χ at (p*, A) is tau(A) within p*'s up-set, over duals tau(A & p): "@p*: " and
-    # that row's rendering; the table renders each row once, each cell once per submask of p
+    # χ at (p*, A) is "@p*: " and the rendering of topos.chi_row; the table
+    # renders each event's row once, each cell once per submask of p
     if context is not None:
         phi = coevent.dual_of_event(context, include_empty_dual=include_empty)
         if context.mask not in principals:
@@ -453,11 +455,11 @@ def section_topos(
             "mode": "single",
             "context": str(phi),
             "event": str(event),
-            "sieve": f"@{phi}: {space.render(space.tau_row(event.mask & context.mask))}",
+            "sieve": f"@{phi}: {space.render(topos.chi_row(space, context.mask, event.mask))}",
         }
     else:
-        names = space.algebra.space.event_names
-        sieves = [space.render(row) for row in space.tau_table]
+        names, full = space.algebra.space.event_names, space.algebra.space.full_mask
+        sieves = ByMask(lambda a: space.render(topos.chi_row(space, full, a)))
         rows = []
         for rendered, p in zip(space.renderings, principals):
             cells = {a: f"@{rendered}: {sieves[a]}" for a in iter_submasks(p)}
@@ -468,22 +470,6 @@ def section_topos(
         }
     section["notes"] = notes
     return section
-
-
-def _sieve_counts(space: CoeventSpace) -> list[int]:
-    """The number of sieves at each member of a space of duals: the up-sets
-    of its up-set row.  When the space holds every nonzero dual, with or
-    without the empty event's, the principal up-set of p* is the duals
-    of the subsets of p, so the count depends on |p| alone and is listed
-    once per size; any other space lists each row's."""
-    rows, principals = space.up_rows, space.principals
-    if len(rows) - (0 in principals) < space.algebra.space.full_mask:
-        return [UpSets(rows, row).size for row in rows]
-    by_size: dict[int, int] = {}
-    for p, row in zip(principals, rows):
-        if p.bit_count() not in by_size:
-            by_size[p.bit_count()] = UpSets(rows, row).size
-    return [by_size[p.bit_count()] for p in principals]
 
 
 def build_report(command: str, theory: HistoriesTheory, flags: dict[str, Any]) -> dict[str, Any]:

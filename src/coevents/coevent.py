@@ -318,8 +318,8 @@ class CoeventSpace(Record, compare=("algebra", "keys")):
         up-set rows of the support order, built once.  Over duals it is the
         dual order, row i the tau row of i's principal; otherwise the AND,
         from all ones, of the tau rows that hold i (the zero coevent, in
-        none, keeps all ones).  The upper completion and the topos
-        instance's dual order (``CoeventToposInstance.poset``) read it."""
+        none, keeps all ones).  The upper completion and the sieves of
+        :mod:`.topos` read it."""
         if self.principals is not None:
             return tuple(map(self.tau_row, self.principals))
         rows = [(1 << len(self)) - 1] * len(self)

@@ -56,10 +56,6 @@ class NotUpperMode(CoeventsError):
     """Operation requires a union/intersection (upper) completion."""
 
 
-class NotASubobject(CoeventsError):
-    """A selection is not monotone, so it is not a subobject."""
-
-
 class ParseError(CoeventsError):
     """A theory file is not syntactically well formed."""
 

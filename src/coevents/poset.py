@@ -1,4 +1,4 @@
-"""Finite posets as up-set rows, and the one lattice of their up-sets.
+"""The one lattice of the up-sets of a finite order held as up-set rows.
 
 The up-sets of a finite poset form a finite locale, and two layers use
 one: the upper completion (:mod:`.beables`) is exactly the up-sets of
@@ -7,84 +7,15 @@ of duals, and the sieves at an anchor (:mod:`.topos`) are the up-sets
 inside its up-set.  :class:`UpSets` is the core's one spelling of that
 lattice: every listing, count, up-set test, antichain test and Heyting
 implication over up-set rows is one of its members.  Nothing here reads
-a coevent: the dual order is ``CoeventToposInstance.poset``.
+a coevent: the rows are a space's ``up_rows``, or rows read on demand.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
-from .errors import MismatchedSpace
 from .eventalg import Record, set_bits
-
-
-class FinitePoset(Record):
-    """A finite partial order held as its up-set rows.
-
-    ``up[i]`` is the bitmask, over the element order, of the elements at
-    or above ``elements[i]``.  The constructor checks the order's laws;
-    the dual order (``CoeventToposInstance.poset``) holds them by
-    construction.  Its up-sets are ``UpSets(up, within)``.
-    """
-
-    elements: tuple[Hashable, ...]
-    up: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
-            raise ValueError("poset elements must be distinct")
-        if len(self.up) != n or any(row < 0 or row >> n for row in self.up):
-            raise ValueError("up-set rows must be one bitmask over the elements per element")
-        for i, row in enumerate(self.up):
-            if not row >> i & 1:
-                raise ValueError(f"relation is not reflexive at {self.elements[i]}")
-            for j in set_bits(row & ~(1 << i)):
-                if self.up[j] >> i & 1:
-                    raise ValueError(
-                        f"relation is not antisymmetric on "
-                        f"({self.elements[i]}, {self.elements[j]})"
-                    )
-                beyond = self.up[j] & ~row
-                if beyond:
-                    k = (beyond & -beyond).bit_length() - 1
-                    raise ValueError(
-                        f"relation is not transitive through "
-                        f"({self.elements[i]}, {self.elements[j]}, {self.elements[k]})"
-                    )
-
-    @classmethod
-    def from_pairs(
-        cls, elements: Sequence[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]
-    ) -> "FinitePoset":
-        """Reflexive-transitive closure of the given strict covers."""
-        elements = tuple(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        up = [1 << i for i in range(len(elements))]
-        for a, b in pairs:
-            up[index[a]] |= 1 << index[b]
-        for k in range(len(up)):
-            for i, row in enumerate(up):
-                if row >> k & 1:
-                    up[i] = row | up[k]
-        return cls(elements, tuple(up))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def _index(self) -> dict[Hashable, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    def index(self, x: Hashable) -> int:
-        try:
-            return self._index[x]
-        except (KeyError, TypeError):
-            raise MismatchedSpace(f"{x} is not an element of the poset")
-
-    def leq(self, x: Hashable, y: Hashable) -> bool:
-        return bool(self.up[self.index(x)] >> self.index(y) & 1)
 
 
 class UpSets(Record):

@@ -1,19 +1,19 @@
-"""Sieves over a finite poset, subobjects of a constant set, and the
-subobject classifier.
+"""Sieves and the characteristic map of the support selection over a space
+of duals in the dual order, read from the space's rows.
 
-Truth values are sieves (upper sets above an anchor), the up-sets of
-:class:`~coevents.poset.UpSets` inside the anchor's up-set; the
-classifier bundles them with the restriction maps.  A subobject of the
-constant set is held as its columns (:class:`SubobjectOfConstant`).  The
-construction is then instantiated over the poset of multiplicative
-coevents in their dual order, where the support selection is a genuine
-subobject of the constant set of history events.
+Over duals p* <= q* iff q is inside p, so the up-set row of p* is
+``tau_row(p)``, the members whose principal lies inside p; those rows are
+the space's ``up_rows``.  The sieves at p*, its local truth values, are the
+up-sets (:class:`~coevents.poset.UpSets`) inside its row, and restriction
+to q* keeps the bits of q*'s row.  Each member selects its support, the
+events it maps to 1, and the characteristic map of that selection at
+(p*, A), the contexts above p* that hold A, is ``tau_row(A & p)``: q* lies
+above p* and holds A iff q lies inside both p and A.  So the selection is
+a subobject of the constant set of events, and the classifier functorial,
+by construction; the tests check both against a general-order oracle.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-from typing import Hashable, Iterable, Mapping
 
 from .coevent import (
     Coevent,
@@ -22,10 +22,10 @@ from .coevent import (
     enumerate_multiplicative,
     multiplicative_scheme,
 )
-from .errors import CapExceeded, MismatchedSpace, NotASubobject
-from .eventalg import Event, EventAlgebra, Record, set_bits, unchecked
+from .errors import CapExceeded, MismatchedSpace
+from .eventalg import ByMask, Event, EventAlgebra, Record, set_bits, unchecked
 from .measure import Measure
-from .poset import FinitePoset, UpSets
+from .poset import UpSets
 
 #: Sieve enumeration lists every up-set above an anchor.
 SIEVE_ENUMERATION_CAP = 12
@@ -35,195 +35,102 @@ MCE_INSTANCE_CAP = 4
 
 
 class Sieve(Record):
-    """An upper set of elements above an anchor: one local truth value."""
+    """An up-set of the space's order above the member ``at``: one local
+    truth value, as bits over the members.
 
-    poset: FinitePoset
-    at: Hashable
+    There is no public constructor: :func:`sieves_at` and :func:`chi_vsupp`
+    build each sieve, an up-set above its anchor by construction.
+    """
+
+    space: CoeventSpace
+    at: Coevent
     bits: int
 
-    def __post_init__(self) -> None:
-        up = self.poset.up
-        anchor = up[self.poset.index(self.at)]
-        if self.bits & ~anchor:
-            raise ValueError("sieve members must lie above the anchor")
-        if self.bits not in UpSets(up, anchor):
-            raise ValueError("sieve members must be upward closed")
+    __init__ = None  # no public constructor
 
     @property
-    def members(self) -> tuple[Hashable, ...]:
-        elements = self.poset.elements
-        return tuple(elements[j] for j in set_bits(self.bits))
-
-    def __contains__(self, x: Hashable) -> bool:
-        return bool(self.bits >> self.poset.index(x) & 1)
+    def members(self) -> tuple[Coevent, ...]:
+        members = self.space.members
+        return tuple(members[j] for j in set_bits(self.bits))
 
     def __str__(self) -> str:
-        return f"@{self.at}: [{', '.join(str(e) for e in self.members)}]"
+        return f"@{self.at}: {self.space.render(self.bits)}"
+
+
+def _index(space: CoeventSpace, phi: Coevent) -> int:
+    try:
+        return space.index_of(phi)
+    except ValueError:
+        raise MismatchedSpace("coevent is not in the instance's base poset")
 
 
 def sieves_at(
-    poset: FinitePoset, p: Hashable, cap: int = SIEVE_ENUMERATION_CAP
+    space: CoeventSpace, phi: Coevent, cap: int = SIEVE_ENUMERATION_CAP
 ) -> tuple[Sieve, ...]:
-    """All sieves anchored at p, in ascending bitmask order: the listed
-    ``UpSets`` inside p's up-set."""
-    if len(poset) > cap:
-        raise CapExceeded("sieve enumeration", cap, len(poset))
-    lattice = UpSets(poset.up, poset.up[poset.index(p)])
-    return tuple(unchecked(Sieve, poset=poset, at=p, bits=bits) for bits in lattice.listed)
+    """All sieves at the member phi, in ascending bitmask order: the listed
+    ``UpSets`` inside its row of ``space.up_rows`` (over duals, the dual order)."""
+    if len(space) > cap:
+        raise CapExceeded("sieve enumeration", cap, len(space))
+    rows = space.up_rows
+    lattice = UpSets(rows, rows[_index(space, phi)])
+    return tuple(unchecked(Sieve, space=space, at=phi, bits=bits) for bits in lattice.listed)
 
 
-def sieve_meet(a: Sieve, b: Sieve) -> Sieve:
-    _require_same_anchor(a, b)
-    return unchecked(Sieve, poset=a.poset, at=a.at, bits=a.bits & b.bits)
+def classifier(
+    space: CoeventSpace, cap: int = SIEVE_ENUMERATION_CAP
+) -> tuple[tuple[Sieve, ...], ...]:
+    """The subobject classifier's fibers: the sieves at each member, in member order."""
+    return tuple(sieves_at(space, phi, cap) for phi in space.members)
 
 
-def sieve_join(a: Sieve, b: Sieve) -> Sieve:
-    _require_same_anchor(a, b)
-    return unchecked(Sieve, poset=a.poset, at=a.at, bits=a.bits | b.bits)
+def classifier_functoriality_failures(omega: tuple[tuple[Sieve, ...], ...]) -> tuple:
+    """Always empty: every sieve in a fiber of :func:`classifier` is anchored
+    at its member, and restriction along a transitive order composes."""
+    return ()
 
 
-def sieve_implication(a: Sieve, b: Sieve) -> Sieve:
-    """Heyting implication in the locale of sieves at a common anchor."""
-    _require_same_anchor(a, b)
-    poset = a.poset
-    bits = UpSets(poset.up, poset.up[poset.index(a.at)]).implies(a.bits, b.bits)
-    return unchecked(Sieve, poset=poset, at=a.at, bits=bits)
+def sieve_counts(space: CoeventSpace) -> list[int]:
+    """The number of sieves at each member of a space of duals: the up-sets
+    of its up-set row.  When the space holds every nonzero dual, with or
+    without the empty event's, the principal up-set of p* is the duals
+    of the subsets of p, so the count depends on |p| alone and is listed
+    once per size; any other space lists each row's."""
+    rows, principals = space.up_rows, space.principals
+    if len(rows) - (0 in principals) < space.algebra.space.full_mask:
+        return [UpSets(rows, row).size for row in rows]
+    by_size: dict[int, int] = {}
+    for p, row in zip(principals, rows):
+        if p.bit_count() not in by_size:
+            by_size[p.bit_count()] = UpSets(rows, row).size
+    return [by_size[p.bit_count()] for p in principals]
 
 
-def _require_same_anchor(a: Sieve, b: Sieve) -> None:
-    if a.poset != b.poset or a.at != b.at:
-        raise MismatchedSpace("sieves at different anchors")
+def is_antichain(space: CoeventSpace) -> bool:
+    """True iff no member of a space of nonzero duals lies below another.
+    The rows are read on demand, so the test stops at the first member
+    with another above it: all duals at n=16 read three rows."""
+    principals = dual_principals(space)
+    rows = ByMask(lambda i: space.tau_row(principals[i]))
+    return UpSets(rows, (1 << len(space)) - 1).is_antichain
 
 
-class SubobjectOfConstant(Record, eq=False):
-    """A candidate selection of a subset of the ambient set at each element.
-
-    Held as its columns: ``columns[x]`` is the elements whose selection
-    holds x, as bits over the element order, so χ at p is ``columns[x] &
-    up[p]``.  The constructor turns the selections into columns once.
-    """
-
-    poset: FinitePoset
-    columns: Mapping[Hashable, int]
-
-    def __init__(self, poset: FinitePoset, ambient: Iterable, selections: Iterable) -> None:
-        selections, ambient = tuple(map(frozenset, selections)), frozenset(ambient)
-        if len(selections) != len(poset):
-            raise ValueError("one selection per poset element required")
-        if not all(sel <= ambient for sel in selections):
-            raise ValueError("selections must be subsets of the ambient set")
-        columns = {x: sum(1 << i for i, sel in enumerate(selections) if x in sel) for x in ambient}
-        self.__dict__.update(poset=poset, columns=columns)
-
-    @property
-    def ambient(self) -> frozenset:
-        return frozenset(self.columns)
-
-    def selection(self, p: Hashable) -> frozenset:
-        i = self.poset.index(p)
-        return frozenset(x for x, column in self.columns.items() if column >> i & 1)
-
-    @cached_property
-    def _verdict(self) -> tuple[bool, tuple[tuple[Hashable, Hashable], ...]]:
-        return is_subobject(self)  # decided once, for every characteristic map
-
-
-def is_subobject(s: SubobjectOfConstant) -> tuple[bool, tuple[tuple[Hashable, Hashable], ...]]:
-    """Monotonicity: every column is an up-set.  The witnesses are the pairs
-    (p, q), q above p and outside a column holding p, by p's index, then q's."""
-    up, elements = s.poset.up, s.poset.elements
-    missing = [0] * len(up)
-    for column in s.columns.values():
-        for i in set_bits(column):
-            missing[i] |= up[i] & ~column
-    witnesses = [(elements[i], elements[j]) for i, row in enumerate(missing) for j in set_bits(row)]
-    return not witnesses, tuple(witnesses)
-
-
-def _require_subobject(s: SubobjectOfConstant) -> None:
-    ok, witnesses = s._verdict
-    if not ok:
-        raise NotASubobject(f"selection is not monotone; witnesses {witnesses[:3]}")
-
-
-def characteristic_map(s: SubobjectOfConstant, p: Hashable, x: Hashable) -> Sieve:
-    """The sieve of contexts above p at which x belongs to the selection:
-    x's column ANDed with p's up-set row, the rule :func:`chi_vsupp` reads
-    with A's tau row as the column.  Monotonicity is the cached verdict.
-    Natural with no check: χ(p, x) restricted to q >= p is ``columns[x] &
-    up[p] & up[q]``, which is χ(q, x), as up[q] ⊆ up[p] on a transitive order."""
-    _require_subobject(s)
-    if x not in s.columns:
-        raise ValueError(f"{x} is not in the ambient set")
-    return unchecked(Sieve, poset=s.poset, at=p, bits=s.columns[x] & s.poset.up[s.poset.index(p)])
-
-
-class SubobjectClassifier(Record, eq=False):
-    """The varying set of sieves with restriction as transition."""
-
-    poset: FinitePoset
-    fibers: tuple[tuple[Sieve, ...], ...]
-
-    def sieves(self, p: Hashable) -> tuple[Sieve, ...]:
-        return self.fibers[self.poset.index(p)]
-
-    def transition(self, sieve: Sieve, q: Hashable) -> Sieve:
-        """Restriction to the contexts above q (requires anchor <= q)."""
-        if sieve.poset != self.poset:
-            raise MismatchedSpace("sieve over a different poset")
-        if not self.poset.leq(sieve.at, q):
-            raise ValueError("restriction target must be above the sieve's anchor")
-        bits = sieve.bits & self.poset.up[self.poset.index(q)]
-        return unchecked(Sieve, poset=self.poset, at=q, bits=bits)
-
-
-def classifier(poset: FinitePoset, cap: int = SIEVE_ENUMERATION_CAP) -> SubobjectClassifier:
-    fibers = tuple(sieves_at(poset, p, cap) for p in poset.elements)
-    return SubobjectClassifier(poset, fibers)
-
-
-def classifier_functoriality_failures(
-    omega: SubobjectClassifier,
-) -> tuple[tuple[Hashable, Hashable, Hashable], ...]:
-    """Triples (p, p, p), one per sieve in p's fiber that fails the identity law.
-
-    Restricting a sieve to q keeps the bits of q's up-set row.  A Sieve's
-    bits lie inside its anchor's row, so the identity law holds at p iff
-    each sieve there is anchored at p.  The composition law cannot fail:
-    the order is transitive (checked by ``FinitePoset`` on a caller's
-    poset, by construction in the dual order), so up[k] is inside up[j]
-    whenever j <= k, and restricting to j then k keeps the same bits as
-    restricting to k.  The tests walk both laws through ``transition``.
-    """
-    return tuple(
-        (p, p, p)
-        for p, fiber in zip(omega.poset.elements, omega.fibers)
-        for sieve in fiber
-        if sieve.at != p
-    )
-
-
-# ---------------------------------------------------------------------------
-# The instance over a dual-ordered coevent space
+def chi_row(space: CoeventSpace, p: int, a: int) -> int:
+    """χ of the support selection at the dual p* and the event A, as bits
+    over the members: those above p* whose support holds A, tau(A) within
+    p*'s up-set, which is ``tau_row(A & p)``.  So χ at (p*, A) is χ at the
+    bottom of the order, Ω*, and A & p: a χ table has one row per event."""
+    return space.tau_row(a & p)
 
 
 class CoeventToposInstance(Record, eq=False):
     """A space of duals in the dual order, each context selecting its support.
 
-    The instance is its space; the poset is derived from it on first
-    read.  Build one with :func:`build_instance`; the selection is then a
-    subobject of the constant set of history events by construction.
+    The instance is its space: build one with :func:`build_instance`, and
+    read its sieves and χ with :func:`sieves_at`, :func:`classifier` and
+    :func:`chi_vsupp`.
     """
 
     space: CoeventSpace
-
-    @cached_property
-    def poset(self) -> FinitePoset:
-        """The dual order on the members, built on first read: p* <= q* iff q
-        is inside p, so the up-set rows are the space's ``up_rows``, a partial
-        order by construction and so not checked here (the tests check it)."""
-        space = self.space
-        return unchecked(FinitePoset, elements=space.members, up=space.up_rows)
 
     @property
     def algebra(self) -> EventAlgebra:
@@ -231,15 +138,7 @@ class CoeventToposInstance(Record, eq=False):
 
     @property
     def is_antichain(self) -> bool:
-        space = self.space
-        return UpSets(space.up_rows, (1 << len(space)) - 1).is_antichain
-
-    @cached_property
-    def support_subobject(self) -> SubobjectOfConstant:
-        """The support selection, built on first use: the column of event A is
-        its tau row, the members whose support holds A (``space.tau_table``)."""
-        columns = dict(zip(self.algebra.events(), self.space.tau_table))
-        return unchecked(SubobjectOfConstant, poset=self.poset, columns=columns)
+        return is_antichain(self.space)
 
 
 def check_instance_cap(n: int, cap: int = MCE_INSTANCE_CAP) -> None:
@@ -255,8 +154,7 @@ def build_instance(space: CoeventSpace, cap: int = MCE_INSTANCE_CAP) -> CoeventT
     event of phi's support into psi's, i.e. iff every tau row is an
     up-set of the dual order.  Over duals that holds by construction: if
     p* is in tau(A), so p <= A, and q* is above p*, so q <= p, then q <= A.
-    The tests check it with :func:`is_subobject`.  Nothing is built here:
-    the members and the dual order wait for the first read of ``poset``.
+    Nothing is built here: no member, row or table.
     """
     check_instance_cap(space.algebra.space.n, cap)
     dual_principals(space)
@@ -284,18 +182,13 @@ def build_scheme_instance(m: Measure, cap: int = MCE_INSTANCE_CAP) -> CoeventTop
 
 
 def chi_vsupp(instance: CoeventToposInstance, phi: Coevent, a: Event) -> Sieve:
-    """Characteristic map of the support subobject at context phi and event A.
+    """Characteristic map of the support selection at context phi and event A.
 
-    The sieve of contexts above phi whose support contains A: the tau row
-    of A, read on demand, ANDed with phi's up-set row, as
-    :func:`characteristic_map` reads A's column.  No subobject is built or
-    checked: the dual order makes every tau row an up-set.
+    The sieve of contexts above phi whose support contains A, one row read
+    from the space (:func:`chi_row`); no member or other row is built.
     """
-    space, poset = instance.space, instance.poset
-    try:
-        i = space.index_of(phi)
-    except ValueError:
-        raise MismatchedSpace("coevent is not in the instance's base poset")
+    space = instance.space
+    _index(space, phi)
     if a.space != instance.algebra.space:
         raise MismatchedSpace("event belongs to a different sample space")
-    return unchecked(Sieve, poset=poset, at=phi, bits=space.tau_row(a.mask) & poset.up[i])
+    return unchecked(Sieve, space=space, at=phi, bits=chi_row(space, phi.principal_mask, a.mask))

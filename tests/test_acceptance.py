@@ -40,9 +40,11 @@ from coevents import (
     validate_quantum,
 )
 from coevents.catalog import corpus, three_slit
-from coevents.topos import (
-    build_mce_instance,
-    chi_vsupp,
+from coevents.topos import build_mce_instance, chi_vsupp
+
+from conftest import LETTER_LABELS, algebra_of_size, dual_up_masks, support_key
+from test_topos import all_subobjects, naturality_failures_oracle, poset_corpus
+from topos_oracle import (
     classifier,
     classifier_functoriality_failures,
     is_subobject,
@@ -50,10 +52,8 @@ from coevents.topos import (
     sieve_join,
     sieve_meet,
     sieves_at,
+    support_subobject,
 )
-
-from conftest import LETTER_LABELS, algebra_of_size, dual_up_masks, support_key
-from test_topos import all_subobjects, naturality_failures_oracle, poset_corpus
 
 THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
 
@@ -237,8 +237,8 @@ def test_criterion_08_topos_layer():
 
         for n in (1, 2, 3):
             instance = build_mce_instance(algebra_of_size(n))
-            assert is_subobject(instance.support_subobject)[0]
-            for phi in instance.poset.elements:
+            assert is_subobject(support_subobject(instance.space))[0]
+            for phi in instance.space.members:
                 for mask in range(instance.algebra.size):
                     ev = instance.algebra.event(mask)
                     via_tau = tau(ev & dual_of_coevent(phi), instance.space)

@@ -38,16 +38,11 @@ from coevents.measure import (
     _ratio_of,
     coarse_grain,
 )
-from coevents.poset import FinitePoset, UpSets
+from coevents.poset import UpSets
 from coevents.theoryfile import HistoriesTheory, TheoryOptions, load_data
-from coevents.topos import (
-    CoeventToposInstance,
-    Sieve,
-    SubobjectClassifier,
-    SubobjectOfConstant,
-    build_instance,
-    classifier,
-)
+from coevents.topos import CoeventToposInstance, Sieve, build_instance, sieves_at
+
+from topos_oracle import FinitePoset, SubobjectClassifier, SubobjectOfConstant, classifier
 
 SPACE = SampleSpace(("a", "b"))
 ALG = EventAlgebra(SPACE)
@@ -59,6 +54,8 @@ WEIGHTS, WEIGHTS_AC = {"a": "1/3", "b": "2/3"}, {"a": "1/3", "c": "2/3"}
 
 # Each value class, with a builder that makes a new instance on each call, all
 # equal in their fields, and a builder of one that differs in a field.
+# FinitePoset, SubobjectOfConstant and SubobjectClassifier are the general-order
+# oracle's (topos_oracle), held to the same contract.
 BUILDERS = {
     SampleSpace: (lambda: SampleSpace(("a", "b")), lambda: SampleSpace(("a", "c"))),
     Event: (lambda: Event(SPACE, 1), lambda: Event(SPACE, 2)),
@@ -121,7 +118,10 @@ BUILDERS = {
         lambda: load_data({"sample_space": ["a", "b"], "measure": {"atom_weights": WEIGHTS}}),
         lambda: load_data({"sample_space": ["a", "c"], "measure": {"atom_weights": WEIGHTS_AC}}),
     ),
-    Sieve: (lambda: Sieve(POSET, "x", 0b11), lambda: Sieve(POSET, "x", 0b10)),
+    Sieve: (
+        lambda: sieves_at(DUALS, DUALS.members[2])[3],
+        lambda: sieves_at(DUALS, DUALS.members[2])[4],
+    ),
     _Verb: (lambda: _Verb("help", flags=("--a",)), lambda: _Verb("help", needs=("--a",))),
     # compared by identity: no second builder
     SubobjectOfConstant: (lambda: SubobjectOfConstant(POSET, {1, 2}, [{1}, {1, 2}]), None),
@@ -140,7 +140,8 @@ def fields_of(value: object) -> tuple[str, ...]:
 
 def test_every_value_class_is_covered():
     records = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("coevents.")}
-    assert len(records) == 26 and records == set(BUILDERS) - {Coevent}
+    built = {cls for cls in BUILDERS if cls.__module__.startswith("coevents.")}
+    assert len(records) == 23 and records == built - {Coevent}
 
 
 @pytest.mark.parametrize("cls", list(BUILDERS), ids=lambda cls: cls.__name__)
@@ -275,21 +276,17 @@ PUBLIC_NAMES = (
     "Event",
     "EventAlgebra",
     "EventFamily",
-    "FinitePoset",
     "GaussianRational",
     "HistoriesTheory",
     "InvalidPartition",
     "Measure",
     "MismatchedSpace",
-    "NotASubobject",
     "NotMultiplicative",
     "NotUpperMode",
     "OrderReport",
     "ParseError",
     "SampleSpace",
     "Sieve",
-    "SubobjectClassifier",
-    "SubobjectOfConstant",
     "TheoryOptions",
     "TruthFunction",
     "UnknownHistory",
@@ -302,7 +299,6 @@ PUBLIC_NAMES = (
     "build_instance",
     "build_mce_instance",
     "build_scheme_instance",
-    "characteristic_map",
     "check_modus_ponens",
     "chi_vsupp",
     "classical_from_history",
@@ -321,7 +317,6 @@ PUBLIC_NAMES = (
     "is_filter",
     "is_multiplicative",
     "is_preclusive",
-    "is_subobject",
     "load",
     "measure_from_decoherence",
     "multiplicative_scheme",

@@ -13,42 +13,47 @@ from coevents import (
     CoeventToposInstance,
     Event,
     EventAlgebra,
-    FinitePoset,
     GaussianRational,
     Measure,
-    NotASubobject,
     SampleSpace,
-    Sieve,
-    SubobjectClassifier,
-    SubobjectOfConstant,
     build_instance,
     build_mce_instance,
     build_scheme_instance,
-    characteristic_map,
     chi_vsupp,
-    classifier,
     dual_of_event,
-    is_subobject,
-    sieves_at,
     tau,
 )
-from coevents import topos as topos_module
+from coevents import poset as poset_module, topos as topos_module
 from coevents.catalog import four_slit, three_slit
 from coevents.eventalg import iter_submasks, set_bits, unchecked
-from coevents.topos import (
+from coevents.beables import complete, heyting_implication
+from coevents.cli import run
+from coevents.coevent import dual_of_coevent, enumerate_multiplicative, multiplicative_scheme
+from coevents.poset import UpSets
+from coevents.theoryfile import load
+
+import topos_oracle
+from conftest import algebra_of_size
+from topos_oracle import (
+    FinitePoset,
+    NotASubobject,
+    Sieve,
+    SubobjectClassifier,
+    SubobjectOfConstant,
+    characteristic_map,
+    classifier,
     classifier_functoriality_failures,
+    dual_order,
+    is_subobject,
     sieve_implication,
     sieve_join,
     sieve_meet,
+    sieves_at,
+    support_subobject,
 )
-from coevents.beables import complete, heyting_implication
-from coevents.cli import run
-from coevents.coevent import dual_of_coevent, enumerate_multiplicative
-from coevents.poset import UpSets
 
-from conftest import algebra_of_size
-
-THEORIES = Path(__file__).resolve().parents[1] / "demos" / "theories"
+ROOT = Path(__file__).resolve().parents[1]
+THEORIES = ROOT / "demos" / "theories"
 
 
 def one_point() -> FinitePoset:
@@ -98,7 +103,7 @@ def poset_corpus() -> list[FinitePoset]:
         diamond(),
         n_poset(),
         grid_2x3(),
-        build_mce_instance(algebra_of_size(2)).poset,
+        dual_order(build_mce_instance(algebra_of_size(2)).space),
     ]
 
 
@@ -398,7 +403,7 @@ def functoriality_oracle(omega: SubobjectClassifier) -> tuple:
 
 @pytest.mark.parametrize(
     "poset",
-    poset_corpus() + [build_mce_instance(algebra_of_size(3)).poset],
+    poset_corpus() + [dual_order(build_mce_instance(algebra_of_size(3)).space)],
     ids=lambda p: f"P{len(p)}",
 )
 def test_functoriality_on_bits_matches_the_transition_route(poset):
@@ -467,7 +472,8 @@ def test_up_sets_and_sieves_match_the_submask_walk_in_any_element_order(poset):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_up_sets_and_sieves_match_the_submask_walk_on_dual_spaces(data):
-    assert_up_sets_match_the_submask_walk(build_instance(draw_dual_space(data, max_n=4)).poset)
+    space = build_instance(draw_dual_space(data, max_n=4)).space
+    assert_up_sets_match_the_submask_walk(dual_order(space))
 
 
 def test_sieve_enumeration_cap():
@@ -625,10 +631,10 @@ def naturality_failures_oracle(s: SubobjectOfConstant) -> tuple:
 def test_characteristic_maps_check_monotonicity_once_across_calls(monkeypatch):
     """Every χ cell of one subobject reads one verdict, decided on the first call."""
     calls = []
-    plain = topos_module.is_subobject
-    monkeypatch.setattr(topos_module, "is_subobject", lambda s: calls.append(s) or plain(s))
+    plain = topos_oracle.is_subobject
+    monkeypatch.setattr(topos_oracle, "is_subobject", lambda s: calls.append(s) or plain(s))
     instance = build_mce_instance(algebra_of_size(3))
-    s = instance.support_subobject
+    s = support_subobject(instance.space)
     cells = [characteristic_map(s, phi, ev) for phi in s.poset.elements for ev in s.ambient]
     assert len(cells) == 56 and len(calls) == 1
     bad = SubobjectOfConstant(chain(2), frozenset({"x"}), (frozenset({"x"}), frozenset()))
@@ -685,7 +691,7 @@ def test_subobject_constructor_checks():
 def test_support_selection_is_each_members_support(n, include_empty):
     inst = build_mce_instance(algebra_of_size(n), include_empty_dual=include_empty)
     space = inst.algebra.space
-    s = inst.support_subobject
+    s = support_subobject(inst.space)
     assert s.ambient == frozenset(inst.algebra.events())
     for phi in inst.space.members:
         assert s.selection(phi) == frozenset(Event(space, m) for m in phi.support)
@@ -699,8 +705,9 @@ def test_mce_instance_order_at_n2(coin_algebra):
     inst = build_mce_instance(coin_algebra)
     omega_star = dual_of_event(coin_algebra.full)
     h_star = dual_of_event(coin_algebra.event_from_labels(["h"]))
-    assert inst.poset.leq(omega_star, h_star)  # full event's dual is the bottom
-    assert not inst.poset.leq(h_star, omega_star)
+    poset = dual_order(inst.space)
+    assert poset.leq(omega_star, h_star)  # full event's dual is the bottom
+    assert not poset.leq(h_star, omega_star)
     assert not inst.is_antichain
 
 
@@ -708,8 +715,8 @@ def test_mce_instance_vsupp_monotone_example(coin_algebra):
     inst = build_mce_instance(coin_algebra)
     omega_star = dual_of_event(coin_algebra.full)
     h_star = dual_of_event(coin_algebra.event_from_labels(["h"]))
-    sel_omega = inst.support_subobject.selection(omega_star)
-    sel_h = inst.support_subobject.selection(h_star)
+    sel_omega = support_subobject(inst.space).selection(omega_star)
+    sel_h = support_subobject(inst.space).selection(h_star)
     assert sel_omega == frozenset({coin_algebra.full})
     assert sel_h == frozenset({coin_algebra.event_from_labels(["h"]), coin_algebra.full})
     assert sel_omega <= sel_h
@@ -719,7 +726,7 @@ def test_mce_instance_vsupp_monotone_example(coin_algebra):
 @pytest.mark.parametrize("include_empty", [False, True])
 def test_vsupp_is_a_subobject(n, include_empty):
     inst = build_mce_instance(algebra_of_size(n), include_empty_dual=include_empty)
-    ok, witnesses = is_subobject(inst.support_subobject)
+    ok, witnesses = is_subobject(support_subobject(inst.space))
     assert ok and witnesses == ()
 
 
@@ -728,7 +735,7 @@ def test_vsupp_is_a_subobject(n, include_empty):
 def test_dual_order_rows_are_principal_containment(data):
     space = draw_dual_space(data, max_n=4)
     principals = [phi.principal_mask for phi in space.members]
-    poset = build_instance(space).poset
+    poset = dual_order(build_instance(space).space)
     assert poset.elements == space.members
     for i, p in enumerate(principals):
         # p* <= q* iff q is inside p
@@ -748,7 +755,7 @@ def test_the_dual_order_passes_the_checked_constructor(data):
     if data.draw(st.booleans(), label="with the constant-one map"):
         members.append(dual_of_event(alg.empty, include_empty_dual=True))
     space = CoeventSpace.build(alg, members, "user-supplied")
-    poset = build_instance(space, cap=5).poset
+    poset = dual_order(build_instance(space, cap=5).space)
     assert poset == FinitePoset(space.members, poset.up)
     assert all(poset.index(phi) == space.index_of(phi) for phi in space.members)
 
@@ -791,10 +798,11 @@ def test_library_orders_skip_the_poset_checks(capsys, monkeypatch):
 def test_support_verdict_matches_is_subobject(data):
     space = draw_dual_space(data, max_n=4)
     inst = build_instance(space)
-    assert inst.poset.elements == space.members and inst.poset.up is space.up_rows
-    assert is_subobject(inst.support_subobject) == (True, ())
+    poset = dual_order(inst.space)
+    assert poset.elements == space.members and poset.up is space.up_rows
+    assert is_subobject(support_subobject(inst.space)) == (True, ())
     whole = (1 << len(space)) - 1
-    assert all(row in UpSets(inst.poset.up, whole) for row in space.tau_table)
+    assert all(row in UpSets(poset.up, whole) for row in space.tau_table)
     # Under an arbitrary order on the members the selection may fail to be
     # monotone: it is a subobject iff every tau row is an up-set of that order.
     members = space.members
@@ -812,16 +820,22 @@ def test_support_verdict_matches_is_subobject(data):
 
 
 def test_an_instance_is_its_space_and_builds_its_order_on_first_read():
-    """The instance holds its space alone: neither the members nor the dual
-    order exist until ``poset`` is read, and the order is built once."""
+    """The instance holds its space alone and no order of its own: neither
+    the members nor the dual order exist until a sieve reads the space's
+    ``up_rows``, and the order is built once.  The general-order objects
+    are the tests' oracle, not the library's."""
     assert CoeventToposInstance._fields == ("space",)
     space = enumerate_multiplicative(algebra_of_size(3))
     inst = build_instance(space)
     assert "members" not in vars(space) and "up_rows" not in vars(space)
-    poset = inst.poset
-    assert poset is inst.poset and poset.elements is space.members
-    assert poset.up is space.up_rows
+    topos_module.sieves_at(inst.space, space.members[0])
+    rows = space.up_rows
+    assert rows is inst.space.up_rows and rows == dual_order(space).up
+    assert not hasattr(inst, "poset") and not hasattr(inst, "support_subobject")
     assert not hasattr(topos_module, "poset_of_coevents")
+    moved = "FinitePoset SubobjectOfConstant SubobjectClassifier is_subobject characteristic_map"
+    for name in [*moved.split(), "sieve_meet", "sieve_join", "sieve_implication"]:
+        assert not hasattr(topos_module, name) and not hasattr(poset_module, name)
     for name in ("up_sets", "implication", "is_up_set", "is_antichain"):
         assert not hasattr(FinitePoset, name)
 
@@ -862,14 +876,22 @@ def test_chi_two_routes_and_oracle(n, include_empty):
             principal = dual_of_coevent(phi, include_empty_dual=True)
             assert sieve.bits == tau(ev & principal, inst.space).bits
             expected = chi_oracle(inst, phi, ev)
-            assert {j for j in range(len(inst.poset)) if sieve.bits >> j & 1} == expected
+            assert {j for j in range(len(inst.space)) if sieve.bits >> j & 1} == expected
+
+
+def same_sieve(sieve: topos_module.Sieve, expected: Sieve) -> bool:
+    """A library sieve over a space and the oracle's over its dual order
+    are the same truth value: the same anchor, bits, members and string."""
+    return (sieve.at, sieve.bits, sieve.members, str(sieve)) == (
+        expected.at, expected.bits, expected.members, str(expected)
+    )
 
 
 def assert_chi_is_the_characteristic_map(inst) -> None:
     for phi in inst.space.members:
         for ev in inst.algebra.events():
-            expected = characteristic_map(inst.support_subobject, phi, ev)
-            assert chi_vsupp(inst, phi, ev) == expected
+            expected = characteristic_map(support_subobject(inst.space), phi, ev)
+            assert same_sieve(chi_vsupp(inst, phi, ev), expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -910,8 +932,8 @@ def test_chi_examples(coin_algebra):
     assert [str(e) for e in sieve.members] == ["{h}*"]
     for phi in inst.space.members:
         top = chi_vsupp(inst, phi, coin_algebra.full)
-        i = inst.poset.index(phi)
-        assert top.bits == inst.poset.up[i]  # totally true
+        i = inst.space.index_of(phi)
+        assert top.bits == inst.space.up_rows[i]  # totally true
 
 
 # ---------------------------------------------------------------------------
@@ -920,26 +942,88 @@ def test_chi_examples(coin_algebra):
 
 def test_scheme_instance_three_slit_is_one_point():
     inst = build_scheme_instance(three_slit())
-    assert len(inst.poset) == 1
+    assert len(inst.space) == 1
     assert inst.is_antichain
-    assert [len(s) for s in (sieves_at(inst.poset, inst.poset.elements[0]),)] == [2]
+    point = inst.space.members[0]
+    assert [len(s) for s in (topos_module.sieves_at(inst.space, point),)] == [2]
 
 
 def test_scheme_instance_four_slit_is_a_three_point_antichain():
     inst = build_scheme_instance(four_slit())
-    assert len(inst.poset) == 3
+    assert len(inst.space) == 3
     assert inst.is_antichain
     # anti-chain: sieves at every point collapse to the two truth values
-    for phi in inst.poset.elements:
-        assert len(sieves_at(inst.poset, phi)) == 2
-    assert classifier_functoriality_failures(classifier(inst.poset)) == ()
+    for phi in inst.space.members:
+        assert len(topos_module.sieves_at(inst.space, phi)) == 2
+    omega = topos_module.classifier(inst.space)
+    assert topos_module.classifier_functoriality_failures(omega) == ()
 
 
 def test_scheme_instance_chi_still_cross_checks():
     inst = build_scheme_instance(four_slit())
     alg = inst.algebra
-    for phi in inst.poset.elements:
+    for phi in inst.space.members:
         for mask in range(alg.size):
             ev = alg.event(mask)
             via_tau = tau(ev & dual_of_coevent(phi, include_empty_dual=True), inst.space)
             assert chi_vsupp(inst, phi, ev).bits == via_tau.bits
+
+
+# ---------------------------------------------------------------------------
+# The library's topos against the general-order oracle
+
+
+def draw_null_family_scheme(data, max_n: int) -> CoeventSpace:
+    """The scheme of a measure whose null events are a drawn family (the
+    empty event among them): 0 on the family, 1 elsewhere."""
+    alg = algebra_of_size(data.draw(st.integers(1, max_n), label="n"))
+    null = data.draw(st.sets(st.integers(1, alg.size - 1)), label="null events") | {0}
+    return multiplicative_scheme(Measure(alg, {a: int(a not in null) for a in range(alg.size)}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_library_topos_is_the_oracle_on_the_dual_order(data):
+    """On random spaces of nonzero duals, all duals and schemes of random null
+    families, at n <= 4: χ at every (context, event), the sieves at each
+    member, the classifier's fibers, the sieve counts and the antichain test
+    equal the general-order oracle's, built through the checked
+    ``FinitePoset(members, up_rows)``, the support selection as a
+    ``SubobjectOfConstant`` and ``characteristic_map``."""
+    kind = data.draw(st.sampled_from(["drawn", "all duals", "scheme"]), label="space")
+    if kind == "drawn":
+        space = draw_dual_space(data, max_n=4)
+    elif kind == "all duals":
+        alg = algebra_of_size(data.draw(st.integers(1, 4), label="n"))
+        space = enumerate_multiplicative(alg, data.draw(st.booleans(), label="with the empty dual"))
+    else:
+        space = draw_null_family_scheme(data, max_n=4)
+    inst = build_instance(space)
+    s = support_subobject(space)  # over FinitePoset(members, up_rows), checked
+    poset = s.poset
+    for phi in space.members:
+        for ev in space.algebra.events():
+            assert same_sieve(chi_vsupp(inst, phi, ev), characteristic_map(s, phi, ev))
+    cap = len(space)
+    omega = classifier(poset, cap=cap)
+    fibers = topos_module.classifier(space, cap=cap)
+    assert len(fibers) == len(omega.fibers)
+    for phi, fiber, expected in zip(space.members, fibers, omega.fibers):
+        assert fiber == topos_module.sieves_at(space, phi, cap=cap)
+        assert len(fiber) == len(expected)
+        assert all(same_sieve(a, b) for a, b in zip(fiber, expected))
+    assert topos_module.sieve_counts(space) == [len(fiber) for fiber in omega.fibers]
+    comparable = any(poset.leq(p, q) for p, q in itertools.permutations(space.members, 2))
+    assert inst.is_antichain == topos_module.is_antichain(space) == (not comparable)
+
+
+def test_one_chi_query_on_all_duals_at_n16_builds_no_member_row_or_table():
+    """χ at ({a,b}*, {a}) over the 65,535 duals of amplitudes_16.json reads
+    one tau row: the space's members, up-set rows and tau table stay unbuilt."""
+    theory = load(ROOT / "tests" / "golden" / "theories" / "amplitudes_16.json")
+    alg = theory.algebra
+    inst = build_mce_instance(alg, cap=16)
+    phi = dual_of_event(alg.event_from_labels(["a", "b"]))
+    sieve = chi_vsupp(inst, phi, alg.event_from_labels(["a"]))
+    assert (sieve.at, sieve.bits) == (phi, 1)  # {a}*, the first member, alone
+    assert not {"members", "up_rows", "tau_table"} & vars(inst.space).keys()

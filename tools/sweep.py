@@ -12,7 +12,10 @@ theory of amplitudes 1, 1, -1, 1, 1, -1, ... over the labels a, b, ...
 (one file per n); where ``tests/golden/theories/amplitudes_<n>.json`` holds
 those data, that committed file is the one run, so the run's argv is the
 manifest's and its output is checked against the pinned hash.  A start-up
-case (``python -c "import coevents, coevents.cli"``) runs at each n too.
+case (``python -c "import coevents, coevents.cli"``) runs at each n too,
+:data:`STARTUP_RUNS` times, and its row holds the median wall time and
+peak RSS of those runs, since one run cannot resolve a change of a few
+milliseconds.
 Children import the package from this checkout's ``src``, whose bytecode
 is compiled once before the first child and cached whatever the caller's
 ``PYTHONDONTWRITEBYTECODE``, so that no timed child compiles the package.
@@ -48,6 +51,7 @@ LABELS = "abcdefghijklmnop"
 STARTUP = "startup"
 BUDGET_S = 60.0
 MEMORY_MB = 1024
+STARTUP_RUNS = 5
 
 #: The verb cases with default flags, as the argv after the theory file.
 CASES = {
@@ -149,6 +153,18 @@ def run_child(argv: list[str], budget: float, memory_mb: int) -> dict:
     }
 
 
+def run_median(argv: list[str], budget: float, memory_mb: int) -> dict:
+    """:data:`STARTUP_RUNS` runs of one child: the first run that is not
+    ``ok`` (else the first), with the median wall time and peak RSS."""
+    runs = [run_child(argv, budget, memory_mb) for _ in range(STARTUP_RUNS)]
+    first = next((run for run in runs if run["status"] != "ok"), runs[0])
+    return {
+        **first,
+        "wall_s": round(statistics.median(run["wall_s"] for run in runs), 4),
+        "peak_rss_mb": round(statistics.median(run["peak_rss_mb"] for run in runs), 1),
+    }
+
+
 def sweep(ns: list[int], cases: list[str], budget: float, memory_mb: int) -> dict:
     """Every case at every n, n outermost, after :func:`compile_once`; one
     progress line per run on stderr."""
@@ -160,10 +176,12 @@ def sweep(ns: list[int], cases: list[str], budget: float, memory_mb: int) -> dic
             for case in cases:
                 if case == STARTUP:
                     argv = [sys.executable, "-c", "import coevents, coevents.cli"]
+                    measure = run_median
                 else:
                     verb, *flags = CASES[case]
                     argv = [sys.executable, "-m", "coevents", verb, theory, *flags]
-                row = {"case": case, "n": n, **run_child(argv, budget, memory_mb)}
+                    measure = run_child
+                row = {"case": case, "n": n, **measure(argv, budget, memory_mb)}
                 pin = hashes.get(tuple(argv[3:]))
                 if pin is not None:
                     row["pinned"] = pin.startswith(row["sha256"])
